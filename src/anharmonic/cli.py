@@ -260,7 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to key=value config")
         p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-        p.add_argument("--threads", type=int, default=None, help="worker count (default: all)")
+        p.add_argument(
+            "--threads", type=int, default=None,
+            help="worker count (default: the CPUs this process may run on)",
+        )
         p.add_argument("--out", required=True, help="output CSV path")
         p.set_defaults(func=fn)
 

@@ -32,8 +32,8 @@ from .sampling import (
     InitialStateSpec,
     RandomStream,
     sample_positive_p_coherent,
-    sample_wigner_coherent,
     stream_for_trajectory,
+    wigner_initial,
 )
 from .symbolic import DriftDiffusionModel, PhasePolynomial, evaluate
 
@@ -47,6 +47,12 @@ MIDPOINT_ITERATIONS = 4
 #: fixed consecutive group of batches, so the partition depends only on the
 #: run configuration, never on the worker count.
 _CHUNK_TARGET = 8192
+
+#: Byte cap on each of a positive-P chunk's two noise buffers (draws in path
+#: order, scaled increments in step order).  An output gap is drawn in blocks
+#: of at most this many bytes, so memory does not grow with steps per gap:
+#: 256 steps per block at 8192 paths.
+_NOISE_BLOCK_BYTES = 32 * 2**20
 
 
 class DivergedTrajectory(RuntimeError):
@@ -373,16 +379,20 @@ def _positive_p_chunk(
 
     out = np.empty((n_out, len(MONOMIALS), m), dtype=np.complex128)
 
+    # Each stream is drawn in consecutive pieces, which replays the values a
+    # single whole-gap draw would give.
+    block = max(1, min(max(steps, default=0), _NOISE_BLOCK_BYTES // (2 * 8 * m)))
+    draws = np.empty((m, block, 2), dtype=np.float64)
+    noise = np.empty((block, 2, m), dtype=np.float64)
+
     with np.errstate(over="ignore", invalid="ignore"):
         for k_out, n_steps in enumerate(steps):
-            if n_steps:
-                draws = np.empty((m, n_steps, 2), dtype=np.float64)
+            for k_block in range(0, n_steps, block):
+                nb = min(block, n_steps - k_block)
                 for i, stream in enumerate(streams):
-                    draws[i] = stream.normals(2 * n_steps).reshape(n_steps, 2)
-                noise = np.ascontiguousarray(draws.transpose(1, 2, 0))
-                noise *= sqrt_dt
-                del draws
-                for k in range(n_steps):
+                    draws[i, :nb] = stream.normals(2 * nb).reshape(nb, 2)
+                np.multiply(draws[:, :nb].transpose(1, 2, 0), sqrt_dt, out=noise[:nb])
+                for k in range(nb):
                     dw1 = noise[k, 0]
                     dw2 = noise[k, 1]
                     np.copyto(am, a)
@@ -418,7 +428,7 @@ def _positive_p_chunk(
                         a[bad] = 0.0
                         b[bad] = 0.0
                         alive &= ~bad
-            out[k_out] = bulk_monomials(b, a)
+            bulk_monomials(b, a, out=out[k_out])
 
     out[:, :, ~alive] = 0.0
     return out, alive
@@ -433,17 +443,14 @@ def _truncated_wigner_chunk(
 ):
     """Exact-stepper chunk: per-output monomials for the anharmonic drift."""
     m = traj_hi - traj_lo
-    spec = InitialStateSpec(alpha0, WIGNER)
-    init = np.empty(m, dtype=np.complex128)
-    for i in range(m):
-        init[i] = sample_wigner_coherent(spec, stream_for_trajectory(seed, traj_lo + i))
+    init = wigner_initial(InitialStateSpec(alpha0, WIGNER), seed, traj_lo, traj_hi)
     omega = 2.0 * (init.real**2 + init.imag**2) - 1.0
 
     n_out = len(grid.taus)
     out = np.empty((n_out, len(MONOMIALS), m), dtype=np.complex128)
     for k, t in enumerate(grid.times):
         alpha_t = init * np.exp(-1j * omega * t)
-        out[k] = bulk_monomials(alpha_t.conj(), alpha_t)
+        bulk_monomials(alpha_t.conj(), alpha_t, out=out[k])
     return out, np.ones(m, dtype=bool)
 
 
@@ -458,10 +465,7 @@ def _wigner_drift_chunk(
 ):
     """Generic drift-only Wigner chunk using the deterministic midpoint rule."""
     m = traj_hi - traj_lo
-    spec = InitialStateSpec(alpha0, WIGNER)
-    a = np.empty(m, dtype=np.complex128)
-    for i in range(m):
-        a[i] = sample_wigner_coherent(spec, stream_for_trajectory(seed, traj_lo + i))
+    a = wigner_initial(InitialStateSpec(alpha0, WIGNER), seed, traj_lo, traj_hi)
 
     ev = _PolyEval([model.drift[0]], m)
     d1 = np.empty(m, dtype=np.complex128)
@@ -486,8 +490,15 @@ def _wigner_drift_chunk(
                 np.add(a, d1, out=am)
             am *= 2.0
             np.subtract(am, a, out=a)
-        out[k_out] = bulk_monomials(a.conj(), a)
+        bulk_monomials(a.conj(), a, out=out[k_out])
     return out, np.ones(m, dtype=bool)
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on (its affinity mask, where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _run_chunked(
@@ -521,7 +532,7 @@ def _run_chunked(
         sizes = np.array([slices[b][1] - slices[b][0] for b in range(b_lo, b_hi)])
         return b_lo, b_hi, sums, counts, sizes - counts
 
-    n_workers = threads if threads else (os.cpu_count() or 1)
+    n_workers = threads if threads else _available_cpus()
     if n_workers > 1 and len(groups) > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             results = list(pool.map(work, groups))

@@ -161,14 +161,26 @@ def accumulate(state, acc: MomentAccumulator, batch: int):
     acc.add_monomials(batch, monomial_row(abar, a), 1)
 
 
-def bulk_monomials(abar: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Monomial matrix of shape (n_monomials, n_paths) for amplitude arrays."""
-    ps = [np.ones_like(abar)]
-    qs = [np.ones_like(a)]
-    for _ in range(4):
-        ps.append(ps[-1] * abar)
-        qs.append(qs[-1] * a)
-    return np.stack([ps[p] * qs[q] for (p, q) in MONOMIALS])
+def bulk_monomials(abar: np.ndarray, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Monomial matrix of shape (n_monomials, n_paths) for amplitude arrays.
+
+    Every row is written straight into ``out`` (allocated when not given):
+    the pure powers by repeated multiplication, then each mixed row as the
+    product of its two pure rows.
+    """
+    if out is None:
+        out = np.empty((len(MONOMIALS), len(a)), dtype=np.complex128)
+    row = MONOMIAL_INDEX
+    out[row[0, 0]] = 1.0
+    np.copyto(out[row[1, 0]], abar)
+    np.copyto(out[row[0, 1]], a)
+    for k in range(2, 5):
+        np.multiply(out[row[k - 1, 0]], abar, out=out[row[k, 0]])
+        np.multiply(out[row[0, k - 1]], a, out=out[row[0, k]])
+    for p, q in MONOMIALS:
+        if p and q:
+            np.multiply(out[row[p, 0]], out[row[0, q]], out=out[row[p, q]])
+    return out
 
 
 def _batch_means(acc: MomentAccumulator) -> tuple[np.ndarray, np.ndarray]:

@@ -3,6 +3,9 @@
 Every trajectory owns a counter-based random stream keyed by
 ``(master_seed, trajectory_index)``, so ensembles are bit-identical for a
 fixed seed no matter how work is scheduled or how many workers run.
+:func:`stream_key` is the one keying rule; :class:`RandomStream` builds a
+Philox generator from it, and :func:`wigner_initial` re-keys a single
+generator per path, which replays the same draws without building a new one.
 """
 
 from __future__ import annotations
@@ -31,6 +34,14 @@ class InitialStateSpec:
         return abs(self.amplitude) ** 2
 
 
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+def stream_key(master_seed: int, trajectory_index: int) -> tuple[int, int]:
+    """Philox key words of one trajectory's stream (each taken mod 2**64)."""
+    return master_seed & _MASK64, trajectory_index & _MASK64
+
+
 @dataclass
 class RandomStream:
     """One trajectory's private Gaussian stream (Philox, ziggurat normals)."""
@@ -42,10 +53,7 @@ class RandomStream:
 
     def __post_init__(self):
         if self._gen is None:
-            key = np.array(
-                [self.seed & 0xFFFFFFFFFFFFFFFF, self.stream_index & 0xFFFFFFFFFFFFFFFF],
-                dtype=np.uint64,
-            )
+            key = np.array(stream_key(self.seed, self.stream_index), dtype=np.uint64)
             self._gen = np.random.Generator(np.random.Philox(key=key))
 
     def normals(self, n: int) -> np.ndarray:
@@ -75,6 +83,34 @@ def sample_wigner_coherent(spec: InitialStateSpec, stream: RandomStream) -> comp
         raise ValueError("spec is not a Wigner-representation state")
     w = stream.normals(2)
     return complex(spec.amplitude) + 0.5 * (w[0] + 1j * w[1])
+
+
+def wigner_initial(
+    spec: InitialStateSpec, master_seed: int, traj_lo: int, traj_hi: int
+) -> np.ndarray:
+    """Wigner samples of trajectories traj_lo .. traj_hi - 1, as one array.
+
+    Row i equals ``sample_wigner_coherent(spec, stream_for_trajectory(
+    master_seed, traj_lo + i))`` bit for bit.  Instead of a new Philox per
+    path, one generator, private to this call, is re-keyed per path: the
+    saved state of a fresh Philox (counter zero, empty buffer) is assigned
+    back with the path's key, which restarts the generator exactly as a
+    new Philox with that key would start.
+    """
+    if spec.representation != WIGNER:
+        raise ValueError("spec is not a Wigner-representation state")
+    if traj_lo < 0:
+        raise ValueError("trajectory index must be nonnegative")
+    bit_gen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    gen = np.random.Generator(bit_gen)
+    fresh = bit_gen.state
+    key = fresh["state"]["key"]
+    w = np.empty((traj_hi - traj_lo, 2), dtype=np.float64)
+    for index, row in zip(range(traj_lo, traj_hi), w):
+        key[:] = stream_key(master_seed, index)
+        bit_gen.state = fresh
+        gen.standard_normal(out=row)
+    return complex(spec.amplitude) + 0.5 * (w[:, 0] + 1j * w[:, 1])
 
 
 def sample_positive_p_coherent(spec: InitialStateSpec) -> tuple[complex, complex]:

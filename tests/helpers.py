@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from anharmonic.moments import MONOMIALS
+from anharmonic.sampling import sample_wigner_coherent, stream_for_trajectory
 from anharmonic.symbolic import PhasePolynomial
 
 
@@ -28,3 +30,21 @@ def random_hermitian_polynomial(rng: np.random.Generator, max_degree: int = 4) -
 
 def poly_equal(a: PhasePolynomial, b: PhasePolynomial, tol: float = 1e-12) -> bool:
     return a.allclose(b, tol)
+
+
+def stacked_monomials(abar: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Reference monomial block: every power from a row of ones, products stacked."""
+    ps = [np.ones_like(abar)]
+    qs = [np.ones_like(a)]
+    for _ in range(4):
+        ps.append(ps[-1] * abar)
+        qs.append(qs[-1] * a)
+    return np.stack([ps[p] * qs[q] for (p, q) in MONOMIALS])
+
+
+def per_path_wigner_initial(spec, seed: int, traj_lo: int, traj_hi: int) -> np.ndarray:
+    """Reference Wigner start: one freshly keyed stream per path."""
+    return np.array(
+        [sample_wigner_coherent(spec, stream_for_trajectory(seed, i)) for i in range(traj_lo, traj_hi)],
+        dtype=np.complex128,
+    )

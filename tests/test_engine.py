@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from anharmonic import engine
 from anharmonic import symbolic as sy
 from anharmonic.engine import (
     DivergedTrajectory,
@@ -20,7 +21,8 @@ from anharmonic.engine import (
     step_tw_exact,
 )
 from anharmonic.moments import MONOMIAL_INDEX, QuadratureSpec, batch_error
-from anharmonic.sampling import stream_for_trajectory
+from anharmonic.sampling import RandomStream, stream_for_trajectory
+from helpers import per_path_wigner_initial, stacked_monomials
 
 
 def kerr_wigner_model():
@@ -33,6 +35,25 @@ def kerr_positive_p_model():
 
 def batch_mean(acc, p, q):
     return acc.batch_sums[:, MONOMIAL_INDEX[(p, q)]].sum() / acc.batch_counts.sum()
+
+
+def stacked_bulk_monomials(abar, a, out):
+    out[...] = stacked_monomials(abar, a)
+    return out
+
+
+def use_reference_kernels(monkeypatch):
+    """Per-path streams and stacked monomials, in place of the block kernels."""
+    monkeypatch.setattr(engine, "wigner_initial", per_path_wigner_initial)
+    monkeypatch.setattr(engine, "bulk_monomials", stacked_bulk_monomials)
+
+
+def assert_same_accumulators(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.batch_sums, w.batch_sums)
+        assert np.array_equal(g.batch_counts, w.batch_counts)
+        assert np.array_equal(g.batch_diverged, w.batch_diverged)
 
 
 def batch_sigma(acc, p, q):
@@ -245,6 +266,21 @@ class TestTruncatedWignerEnsemble:
             assert np.array_equal(acc_a.batch_sums, acc_b.batch_sums)
             assert np.array_equal(acc_a.batch_counts, acc_b.batch_counts)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_matches_per_path_reference_kernels(self, monkeypatch, threads):
+        # five chunks, so that two workers really share the work
+        monkeypatch.setattr(engine, "_CHUNK_TARGET", 600)
+        grid = TimeGrid(1000.0, (0.0, 1.0, 2.5), 0.5)
+
+        def run():
+            return run_truncated_wigner(
+                math.sqrt(1000.0), grid, 3000, 10, seed=2**64 + 3, threads=threads
+            )
+
+        got = run()
+        use_reference_kernels(monkeypatch)
+        assert_same_accumulators(got, run())
+
 
 class TestPositivePEnsemble:
     def test_initial_occupation_exact(self):
@@ -271,6 +307,27 @@ class TestPositivePEnsemble:
         b = run_positive_p(math.sqrt(n), grid, 9000, 18, seed=10, threads=2)
         for acc_a, acc_b in zip(a, b):
             assert np.array_equal(acc_a.batch_sums, acc_b.batch_sums)
+
+    def test_noise_blocks_replay_whole_gap_draws(self, monkeypatch):
+        n = 1000.0
+        grid = TimeGrid(n, (0.0, 0.05), 1e-3)  # one gap of 50 steps
+
+        def run():
+            return run_positive_p(math.sqrt(n), grid, 200, 10, seed=4)
+
+        whole = run()
+        # one 200-path chunk, capped at 7 steps per block: 8 blocks, the last short
+        monkeypatch.setattr(engine, "_NOISE_BLOCK_BYTES", 7 * 2 * 8 * 200)
+        sizes = []
+        normals = RandomStream.normals
+
+        def spy(stream, count):
+            sizes.append(count)
+            return normals(stream, count)
+
+        monkeypatch.setattr(RandomStream, "normals", spy)
+        assert_same_accumulators(run(), whole)
+        assert sizes == [14] * 7 * 200 + [2] * 200
 
     def test_seed_changes_results(self):
         n = 1000.0
@@ -384,3 +441,29 @@ class TestGenericWignerDrift:
         err_coarse = np.abs(generic[-1].batch_sums - exact[-1].batch_sums).max()
         err_fine = np.abs(finer[-1].batch_sums - exact[-1].batch_sums).max()
         assert err_coarse / max(err_fine, 1e-300) > 3.0
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_matches_per_path_reference_kernels(self, monkeypatch, threads):
+        monkeypatch.setattr(engine, "_CHUNK_TARGET", 600)
+        model = kerr_wigner_model()
+
+        def run():
+            return run_wigner_drift(
+                model, math.sqrt(10.0), (0.0, 0.02, 0.05), 0.01, 3000, 10, seed=-7,
+                threads=threads,
+            )
+
+        got = run()
+        use_reference_kernels(monkeypatch)
+        assert_same_accumulators(got, run())
+
+
+class TestDefaultWorkerCount:
+    def test_affinity_mask_sets_default(self, monkeypatch):
+        monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert engine._available_cpus() == 3
+
+    def test_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(engine.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: 6)
+        assert engine._available_cpus() == 6

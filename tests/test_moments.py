@@ -6,6 +6,7 @@ import pytest
 from anharmonic import moments as mo
 from anharmonic.moments import (
     MONOMIAL_INDEX,
+    MONOMIALS,
     InsufficientBatches,
     MomentAccumulator,
     MomentVector,
@@ -18,6 +19,7 @@ from anharmonic.moments import (
     quadrature_moments_wigner,
 )
 from anharmonic.sampling import POSITIVE_P, WIGNER
+from helpers import stacked_monomials
 
 
 def wigner_acc_from_samples(samples, n_batches=10):
@@ -198,6 +200,26 @@ class TestEstimateConsistencyChecks:
             acc.add_monomials(b, row, 1)
         with pytest.raises(mo.OrderingViolation, match="moment bound"):
             batch_error(acc, QuadratureSpec(0.0))
+
+
+class TestBulkMonomials:
+    def _paths(self):
+        rng = np.random.default_rng(21)
+        a = rng.normal(30.0, 3.0, 257) + 1j * rng.normal(-4.0, 3.0, 257)
+        abar = a.conj() * (1.0 + 1e-3 * rng.normal(size=257))
+        return abar, a
+
+    def test_matches_stacked_reference_bit_for_bit(self):
+        abar, a = self._paths()
+        assert np.array_equal(bulk_monomials(abar, a), stacked_monomials(abar, a))
+
+    def test_out_buffer_view_equals_fresh_result(self):
+        abar, a = self._paths()
+        block = np.full((3, len(MONOMIALS), len(a)), np.nan, dtype=np.complex128)
+        got = bulk_monomials(abar, a, out=block[1])
+        assert np.shares_memory(got, block[1])
+        assert np.array_equal(block[1], bulk_monomials(abar, a))
+        assert np.isnan(block[0]).all() and np.isnan(block[2]).all()
 
 
 class TestBatchError:

@@ -84,6 +84,51 @@ class TestEvolve:
             )
 
 
+def closed_form_cumulants(mpmath, n, tau, theta):
+    """Exact (k3, k4) of H = (a^dag a)^2 from the coherent start sqrt(n).
+
+    Uses <a^dag^p a^q>_t = n^((p+q)/2) exp(-i (q^2 - p^2) t)
+    exp(n (exp(-2i (q - p) t) - 1)) at t = tau / n, in 60-digit arithmetic.
+    """
+    with mpmath.workdps(60):
+        n = mpmath.mpf(n)
+        t = mpmath.mpf(tau) / n
+
+        def ladder(p, q):
+            return (
+                n ** (mpmath.mpf(p + q) / 2)
+                * mpmath.expj(-(q * q - p * p) * t)
+                * mpmath.exp(n * mpmath.expm1(mpmath.mpc(0, -2 * (q - p)) * t))
+            )
+
+        raw = [
+            mpmath.re(
+                sum(
+                    math.comb(k, j) * mpmath.expj(mpmath.mpf(theta) * (k - 2 * j)) * ladder(k - j, j)
+                    for j in range(k + 1)
+                )
+            )
+            for k in range(1, 5)
+        ]
+        m1, m2, m3, m4 = raw[0], raw[1] + 1, raw[2] + 3 * raw[0], raw[3] + 6 * raw[1] + 3
+        k3 = m3 - 3 * m1 * m2 + 2 * m1**3
+        k4 = m4 + 2 * m1**4 - 3 * m2**2 - 4 * m1 * k3
+        return float(k3), float(k4)
+
+
+class TestPhasePrecisionAtLargeN:
+    def test_cumulants_match_closed_form_at_ten_million(self):
+        # with n^2 t rounded in double precision, k4 at tau = 2.5 misses by 5e-3
+        mpmath = pytest.importorskip("mpmath")
+        n = 1e7
+        state0 = init_coherent(math.sqrt(n))
+        for tau in (0.5, 2.5, 6.0, 9.4, 10.0):
+            rep = oracle_cumulants(evolve(state0, tau / n), QuadratureSpec(2.0 * tau))
+            k3, k4 = closed_form_cumulants(mpmath, n, tau, 2.0 * tau)
+            assert abs(rep.kappa3 - k3) <= 1e-6 * max(1.0, abs(k3)), (tau, rep.kappa3, k3)
+            assert abs(rep.kappa4 - k4) <= 1e-6 * max(1.0, abs(k4)), (tau, rep.kappa4, k4)
+
+
 class TestLadderMoments:
     def test_number_moment(self):
         n_target = 1000.0

@@ -10,14 +10,15 @@ from anharmonic.sampling import (
     sample_positive_p_coherent,
     sample_wigner_coherent,
     stream_for_trajectory,
+    wigner_initial,
 )
+from helpers import per_path_wigner_initial
 
 
 def _wigner_samples(alpha0, n, seed=0):
-    spec = InitialStateSpec(alpha0, WIGNER)
-    return np.array(
-        [sample_wigner_coherent(spec, stream_for_trajectory(seed, i)) for i in range(n)]
-    )
+    # the engine's block sampler; TestWignerInitialBlock pins it to the
+    # per-path streams bit for bit
+    return wigner_initial(InitialStateSpec(alpha0, WIGNER), seed, 0, n)
 
 
 class TestStreams:
@@ -91,6 +92,27 @@ class TestWignerSampling:
         spec = InitialStateSpec(1.0, POSITIVE_P)
         with pytest.raises(ValueError):
             sample_wigner_coherent(spec, stream_for_trajectory(0, 0))
+
+
+class TestWignerInitialBlock:
+    @pytest.mark.parametrize("seed", [0, -1, 2**64 + 5])
+    @pytest.mark.parametrize("traj_lo", [0, 8190])
+    def test_rows_replay_per_path_streams(self, seed, traj_lo):
+        spec = InitialStateSpec(3.0 - 0.5j, WIGNER)
+        block = wigner_initial(spec, seed, traj_lo, traj_lo + 40)
+        assert block.dtype == np.complex128
+        assert np.array_equal(block, per_path_wigner_initial(spec, seed, traj_lo, traj_lo + 40))
+
+    def test_empty_range(self):
+        assert wigner_initial(InitialStateSpec(1.0, WIGNER), 0, 5, 5).shape == (0,)
+
+    def test_wrong_representation_rejected(self):
+        with pytest.raises(ValueError):
+            wigner_initial(InitialStateSpec(1.0, POSITIVE_P), 0, 0, 3)
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError):
+            wigner_initial(InitialStateSpec(1.0, WIGNER), 0, -1, 3)
 
 
 class TestPositivePSampling:
