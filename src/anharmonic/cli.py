@@ -10,9 +10,25 @@ from dataclasses import dataclass
 
 from . import engine, oracle, symbolic
 from .config import ConfigError, SimulationConfig, parse_config
-from .moments import CsvRow, QuadratureSpec, batch_error, read_rows, write_rows
+from .moments import (
+    CsvRow,
+    InsufficientBatches,
+    OrderingViolation,
+    QuadratureSpec,
+    batch_error,
+    read_rows,
+    write_rows,
+)
 
 KERR_TOKENS = "ad a ad a"
+
+#: Exit codes beyond 0 (success); ``purity`` exits 1 on VIOLATES_PURITY and
+#: ``compare`` exits 3 when a row fails.
+EXIT_INPUT = 2                # unreadable or invalid config, Hamiltonian or CSV
+EXIT_DIVERGENCE = 4           # more paths diverged than divergence_threshold allows
+EXIT_WINDOW_OVERFLOW = 5      # the oracle's Fock window exceeds its budget
+EXIT_ORDERING_VIOLATION = 6   # estimates fail the imaginary-residue or moment-bound check
+EXIT_INSUFFICIENT_BATCHES = 7 # fewer than 10 batches kept a surviving path at some output
 
 
 class GridMismatch(ValueError):
@@ -50,13 +66,17 @@ def _derive_text(hamiltonian_tokens: str) -> list[str]:
     return lines
 
 
+def _error(exc: Exception, code: int) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return code
+
+
 def _cmd_derive(args) -> int:
     try:
         for line in _derive_text(args.hamiltonian):
             print(line)
     except (ValueError, symbolic.DerivationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc, EXIT_INPUT)
     return 0
 
 
@@ -84,8 +104,7 @@ def _cmd_simulate(args) -> int:
     try:
         cfg = _load_config(args)
     except (OSError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc, EXIT_INPUT)
     started = time.perf_counter()
     try:
         if cfg.method == "Oracle":
@@ -94,8 +113,13 @@ def _cmd_simulate(args) -> int:
             accs = engine.evolve_ensemble(cfg, threads=args.threads)
             rows = _rows_for_ensemble(cfg, accs)
     except engine.ExcessiveDivergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return _error(exc, EXIT_DIVERGENCE)
+    except oracle.WindowOverflow as exc:
+        return _error(exc, EXIT_WINDOW_OVERFLOW)
+    except OrderingViolation as exc:
+        return _error(exc, EXIT_ORDERING_VIOLATION)
+    except InsufficientBatches as exc:
+        return _error(exc, EXIT_INSUFFICIENT_BATCHES)
     write_rows(args.out, rows)
     elapsed = time.perf_counter() - started
     if cfg.method != "Oracle":
@@ -114,9 +138,11 @@ def _cmd_oracle(args) -> int:
     try:
         cfg = _load_config(args)
     except (OSError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    rows = _rows_for_oracle(cfg)
+        return _error(exc, EXIT_INPUT)
+    try:
+        rows = _rows_for_oracle(cfg)
+    except oracle.WindowOverflow as exc:
+        return _error(exc, EXIT_WINDOW_OVERFLOW)
     write_rows(args.out, rows)
     return 0
 
@@ -197,8 +223,7 @@ def _cmd_compare(args) -> int:
             k4_peak_frac=args.k4_peak_frac,
         )
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc, EXIT_INPUT)
     for r in report.rows:
         ratio = abs(r.delta) / r.sigma if r.sigma > 0 else float("inf") if r.delta else 0.0
         verdict = "PASS" if r.passed else "FAIL"
@@ -231,8 +256,7 @@ def _cmd_purity(args) -> int:
             )
         divergence = symbolic.drift_divergence(model)
     except (ValueError, symbolic.DerivationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc, EXIT_INPUT)
     print(f"drift divergence: {symbolic.render_polynomial(divergence)}")
     if divergence.is_zero():
         print("verdict: PRESERVES_PURITY")

@@ -13,10 +13,17 @@ bars) and batches are grouped into fixed chunks that serve as units of
 parallel work.  Each trajectory owns its own random stream and every
 reduction runs in a deterministic order, so results are bit-identical
 for a fixed master seed at any worker count.
+
+Chunk kernels reduce each output to per-batch monomial sums as soon as
+its monomials are formed, so a truncated-Wigner chunk holds one
+``(n_monomials, m)`` block whatever the number of outputs.  Positive-P
+chunks keep every output's block until the end, because a path that
+diverges later is excluded retroactively from every earlier output.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -277,6 +284,25 @@ def _chunk_batch_groups(slices: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return groups
 
 
+def _reduce_batches(block: np.ndarray, bounds: list[tuple[int, int]], out: np.ndarray) -> np.ndarray:
+    """Write per-batch sums of the last axis of ``block`` into ``out``.
+
+    ``block`` has shape (..., n_monomials, m) and ``bounds`` holds contiguous
+    (lo, hi) path offsets; ``out`` has shape (..., n_batches, n_monomials).
+    Each run of equal-size batches is summed by one ``np.sum`` over a
+    reshaped view, which adds the same elements in the same pairwise order
+    as summing each batch slice on its own, so the sums are bit-identical.
+    """
+    j = 0
+    for size, run in itertools.groupby(bounds, key=lambda b: b[1] - b[0]):
+        n = len(list(run))
+        lo = bounds[j][0]
+        sums = block[..., lo : lo + n * size].reshape(block.shape[:-1] + (n, size)).sum(axis=-1)
+        out[..., j : j + n, :] = np.swapaxes(sums, -1, -2)
+        j += n
+    return out
+
+
 def _term_list(poly: PhasePolynomial):
     return [(p, q, complex(c)) for (p, q), c in sorted(poly.terms.items())]
 
@@ -342,11 +368,14 @@ def _positive_p_chunk(
     traj_lo: int,
     traj_hi: int,
     escape_radius: float,
+    bounds: list[tuple[int, int]],
 ):
-    """Integrate one chunk of trajectories; return per-output monomials.
+    """Integrate one chunk of trajectories; return per-batch monomial sums.
 
-    Returns (monomials[(n_out, n_monomials, m)], alive[(m,)]) with columns
-    of diverged trajectories zeroed retroactively at every output time.
+    Returns (sums[(n_out, n_batches, n_monomials)], alive[(m,)]).  Diverged
+    trajectories are left out of the sums at every output time, earlier
+    ones included, so the whole (n_out, n_monomials, m) block is kept until
+    the chunk ends.
     """
     m = traj_hi - traj_lo
     dt = grid.dt
@@ -431,7 +460,8 @@ def _positive_p_chunk(
             bulk_monomials(b, a, out=out[k_out])
 
     out[:, :, ~alive] = 0.0
-    return out, alive
+    sums = np.empty((n_out, len(bounds), len(MONOMIALS)), dtype=np.complex128)
+    return _reduce_batches(out, bounds, sums), alive
 
 
 def _truncated_wigner_chunk(
@@ -440,18 +470,20 @@ def _truncated_wigner_chunk(
     seed: int,
     traj_lo: int,
     traj_hi: int,
+    bounds: list[tuple[int, int]],
 ):
-    """Exact-stepper chunk: per-output monomials for the anharmonic drift."""
+    """Exact-stepper chunk: per-output batch sums for the anharmonic drift."""
     m = traj_hi - traj_lo
     init = wigner_initial(InitialStateSpec(alpha0, WIGNER), seed, traj_lo, traj_hi)
     omega = 2.0 * (init.real**2 + init.imag**2) - 1.0
 
-    n_out = len(grid.taus)
-    out = np.empty((n_out, len(MONOMIALS), m), dtype=np.complex128)
+    block = np.empty((len(MONOMIALS), m), dtype=np.complex128)
+    sums = np.empty((len(grid.taus), len(bounds), len(MONOMIALS)), dtype=np.complex128)
     for k, t in enumerate(grid.times):
         alpha_t = init * np.exp(-1j * omega * t)
-        bulk_monomials(alpha_t.conj(), alpha_t, out=out[k])
-    return out, np.ones(m, dtype=bool)
+        bulk_monomials(alpha_t.conj(), alpha_t, out=block)
+        _reduce_batches(block, bounds, sums[k])
+    return sums, np.ones(m, dtype=bool)
 
 
 def _wigner_drift_chunk(
@@ -462,6 +494,7 @@ def _wigner_drift_chunk(
     seed: int,
     traj_lo: int,
     traj_hi: int,
+    bounds: list[tuple[int, int]],
 ):
     """Generic drift-only Wigner chunk using the deterministic midpoint rule."""
     m = traj_hi - traj_lo
@@ -472,8 +505,8 @@ def _wigner_drift_chunk(
     am = np.empty(m, dtype=np.complex128)
     star = np.empty(m, dtype=np.complex128)
 
-    n_out = len(times)
-    out = np.empty((n_out, len(MONOMIALS), m), dtype=np.complex128)
+    block = np.empty((len(MONOMIALS), m), dtype=np.complex128)
+    sums = np.empty((len(times), len(bounds), len(MONOMIALS)), dtype=np.complex128)
     prev = 0.0
     for k_out, t in enumerate(times):
         n_steps = int(round((t - prev) / dt))
@@ -490,8 +523,9 @@ def _wigner_drift_chunk(
                 np.add(a, d1, out=am)
             am *= 2.0
             np.subtract(am, a, out=a)
-        bulk_monomials(a.conj(), a, out=out[k_out])
-    return out, np.ones(m, dtype=bool)
+        bulk_monomials(a.conj(), a, out=block)
+        _reduce_batches(block, bounds, sums[k_out])
+    return sums, np.ones(m, dtype=bool)
 
 
 def _available_cpus() -> int:
@@ -509,11 +543,14 @@ def _run_chunked(
     chunk_fn,
     threads: int | None,
 ) -> list[MomentAccumulator]:
-    """Run chunk_fn over fixed trajectory ranges and reduce per batch.
+    """Run chunk_fn over fixed trajectory ranges and merge its batch sums.
 
-    Workers reduce their own chunk to per-batch sums (pairwise summation
-    over a fixed trajectory order); the final merge assigns disjoint batch
-    slices in index order, so the result is independent of scheduling.
+    ``chunk_fn(t_lo, t_hi, bounds)`` integrates paths [t_lo, t_hi), whose
+    batches are ``bounds`` (offsets from t_lo), and returns per-batch sums
+    of shape (n_outputs, n_batches_in_chunk, n_monomials) together with the
+    chunk's alive mask.  Each kernel sums every batch pairwise over a fixed
+    trajectory order; the final merge assigns disjoint batch slices in
+    index order, so the result is independent of scheduling.
     """
     slices = batch_slices(n_paths, n_batches)
     groups = _chunk_batch_groups(slices)
@@ -522,14 +559,10 @@ def _run_chunked(
     def work(group):
         b_lo, b_hi = group
         t_lo = slices[b_lo][0]
-        mono, alive = chunk_fn(t_lo, slices[b_hi - 1][1])
-        sums = np.empty((n_outputs, b_hi - b_lo, mono.shape[1]), dtype=np.complex128)
-        counts = np.empty(b_hi - b_lo, dtype=np.int64)
-        for j, b in enumerate(range(b_lo, b_hi)):
-            lo, hi = slices[b][0] - t_lo, slices[b][1] - t_lo
-            counts[j] = int(alive[lo:hi].sum())
-            sums[:, j, :] = mono[:, :, lo:hi].sum(axis=-1)
-        sizes = np.array([slices[b][1] - slices[b][0] for b in range(b_lo, b_hi)])
+        bounds = [(lo - t_lo, hi - t_lo) for lo, hi in slices[b_lo:b_hi]]
+        sums, alive = chunk_fn(t_lo, slices[b_hi - 1][1], bounds)
+        counts = np.array([alive[lo:hi].sum() for lo, hi in bounds], dtype=np.int64)
+        sizes = np.array([hi - lo for lo, hi in bounds])
         return b_lo, b_hi, sums, counts, sizes - counts
 
     n_workers = threads if threads else _available_cpus()
@@ -557,8 +590,8 @@ def run_truncated_wigner(
 ) -> list[MomentAccumulator]:
     """Truncated-Wigner ensemble for the anharmonic oscillator (exact stepper)."""
 
-    def chunk(t_lo, t_hi):
-        return _truncated_wigner_chunk(alpha0, grid, seed, t_lo, t_hi)
+    def chunk(t_lo, t_hi, bounds):
+        return _truncated_wigner_chunk(alpha0, grid, seed, t_lo, t_hi, bounds)
 
     return _run_chunked(WIGNER, n_paths, n_batches, len(grid.taus), chunk, threads)
 
@@ -591,8 +624,8 @@ def run_positive_p(
         n = abs(alpha0) ** 2
         escape_radius = ESCAPE_RADIUS_FACTOR * math.sqrt(n if n > 0 else 1.0)
 
-    def chunk(t_lo, t_hi):
-        return _positive_p_chunk(model, alpha0, grid, seed, t_lo, t_hi, escape_radius)
+    def chunk(t_lo, t_hi, bounds):
+        return _positive_p_chunk(model, alpha0, grid, seed, t_lo, t_hi, escape_radius, bounds)
 
     accs = _run_chunked(POSITIVE_P, n_paths, n_batches, len(grid.taus), chunk, threads)
     n_div = accs[-1].n_diverged
@@ -618,8 +651,8 @@ def run_wigner_drift(
     if model.noise:
         raise ValueError("generic Wigner path handles drift-only models")
 
-    def chunk(t_lo, t_hi):
-        return _wigner_drift_chunk(model, alpha0, times, dt, seed, t_lo, t_hi)
+    def chunk(t_lo, t_hi, bounds):
+        return _wigner_drift_chunk(model, alpha0, times, dt, seed, t_lo, t_hi, bounds)
 
     return _run_chunked(WIGNER, n_paths, n_batches, len(times), chunk, threads)
 

@@ -52,6 +52,16 @@ class CutoffInsufficient(ValueError):
     """Dense brute force: the truncated basis loses too much norm."""
 
 
+def _real_dot(x: np.ndarray, y: np.ndarray) -> float:
+    """Re <x, y> of two contiguous complex vectors, on one thread.
+
+    ``np.vdot`` hands long vectors to the BLAS, whose summation order (and
+    so the last bits of the result) depends on its thread count; einsum over
+    the interleaved real and imaginary parts sums in a fixed order.
+    """
+    return float(np.einsum("i,i->", x.view(np.float64), y.view(np.float64)))
+
+
 @dataclass(frozen=True)
 class OracleState:
     """Windowed Fock amplitudes of the evolving coherent state."""
@@ -71,7 +81,7 @@ class OracleState:
 
     @property
     def norm_squared(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
+        return _real_dot(self.amplitudes, self.amplitudes)
 
 
 def _relative_log_weights(n_lo: int, n_hi: int, mode: int, n_particles: float) -> np.ndarray:
@@ -152,7 +162,7 @@ def init_coherent(
     nn = np.arange(n_lo, n_hi + 1, dtype=np.float64)
     phase = np.exp(1j * math.atan2(alpha0.imag, alpha0.real) * nn)
     c = np.exp(log_abs) * phase
-    raw_mass = float(np.vdot(c, c).real)
+    raw_mass = _real_dot(c, c)
     c = c / math.sqrt(raw_mass)
     return OracleState(
         n_min=n_lo,
@@ -268,10 +278,10 @@ def oracle_cumulants(state: OracleState, spec: QuadratureSpec) -> CumulantReport
 
     w1 = _apply_centred_quadrature(v, idx, theta, mu)
     w2 = _apply_centred_quadrature(w1, idx, theta, mu)
-    m1 = float(np.vdot(v, w1).real)
-    m2 = float(np.vdot(w1, w1).real)
-    m3 = float(np.vdot(w1, w2).real)
-    m4 = float(np.vdot(w2, w2).real)
+    m1 = _real_dot(v, w1)
+    m2 = _real_dot(w1, w1)
+    m3 = _real_dot(w1, w2)
+    m4 = _real_dot(w2, w2)
 
     k3 = m3 - 3.0 * m1 * m2 + 2.0 * m1**3
     k4 = m4 + 2.0 * m1**4 - 3.0 * m2**2 - 4.0 * m1 * k3

@@ -48,3 +48,30 @@ def per_path_wigner_initial(spec, seed: int, traj_lo: int, traj_hi: int) -> np.n
         [sample_wigner_coherent(spec, stream_for_trajectory(seed, i)) for i in range(traj_lo, traj_hi)],
         dtype=np.complex128,
     )
+
+
+def per_slice_batch_sums(block: np.ndarray, bounds) -> np.ndarray:
+    """Reference reduction: each batch slice of the last axis summed on its own.
+
+    ``block`` has shape (..., n_monomials, m); the result has shape
+    (..., n_batches, n_monomials).
+    """
+    return np.stack([block[..., lo:hi].sum(axis=-1) for lo, hi in bounds], axis=-2)
+
+
+def full_block_kernel(kernel):
+    """Reference chunk kernel that reduces the whole monomial block at the end.
+
+    ``kernel`` is an engine chunk kernel whose last argument is the chunk's
+    batch bounds.  Run with one path per batch, it returns every path's
+    monomials, which are laid out as the full (n_out, n_monomials, m) block
+    and then summed per batch slice.
+    """
+
+    def chunk(*args):
+        *head, bounds = args
+        singles, alive = kernel(*head, [(i, i + 1) for i in range(bounds[-1][1])])
+        block = np.ascontiguousarray(singles.transpose(0, 2, 1))
+        return per_slice_batch_sums(block, bounds), alive
+
+    return chunk

@@ -190,6 +190,7 @@ def test_criterion_4_tw_non_gaussian_accuracy(tw_benchmark, oracle_curve, tmp_pa
     _report(4, "tw non-Gaussian accuracy vs oracle", started)
 
 
+@pytest.mark.slow
 def test_criterion_5_positive_p_accuracy_and_error_growth(pp_benchmark, oracle_curve):
     started = time.perf_counter()
     grid, accs = pp_benchmark
@@ -210,6 +211,7 @@ def test_criterion_5_positive_p_accuracy_and_error_growth(pp_benchmark, oracle_c
     _report(5, "positive-p short-time accuracy and error growth", started)
 
 
+@pytest.mark.slow
 def test_criterion_6_conservation_invariants(tw_benchmark, pp_benchmark):
     started = time.perf_counter()
     grid, accs = tw_benchmark
@@ -327,6 +329,7 @@ def test_criterion_8_workers_determinism(tmp_path, capsys):
     _report(8, "byte-identical CSVs across worker counts", started)
 
 
+@pytest.mark.slow
 def test_criterion_9_gaussian_null():
     started = time.perf_counter()
     harmonic = sy.derive_wigner_model(sy.PhasePolynomial({(1, 1): 1}))

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import anharmonic
+from anharmonic import cli
 from anharmonic.cli import compare_rows, main
-from anharmonic.moments import CsvRow, read_rows
+from anharmonic.moments import CsvRow, OrderingViolation, read_rows
 
 
 EXPECTED_DERIVE = """\
@@ -144,6 +150,45 @@ class TestSimulate:
         assert outputs[0] == outputs[1]
 
 
+    def test_ordering_violation_exit_code(self, tmp_path, capsys, monkeypatch):
+        def violate(acc, spec):
+            raise OrderingViolation("moment bound <X^2> - <X>^2 = -1 < 0 beyond 5 sigma")
+
+        monkeypatch.setattr(cli, "batch_error", violate)
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "x.csv"
+        write_config(cfg)
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(out))
+        assert code == cli.EXIT_ORDERING_VIOLATION == 6
+        assert err.startswith("error: moment bound")
+        assert not out.exists()
+
+    def test_insufficient_batches_exit_code(self, tmp_path, capsys):
+        # at N = 1 over tau in [0, 25] most paths escape; with the divergence
+        # policy switched off, one of the ten batches loses every path
+        cfg = tmp_path / "run.cfg"
+        write_config(
+            cfg, method="PositiveP", N=1, n_paths=100, batches=10,
+            tau_stop=25, tau_points=2, divergence_threshold=1,
+        )
+        code, _, err = run_cli(
+            capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")
+        )
+        assert code == cli.EXIT_INSUFFICIENT_BATCHES == 7
+        assert "batches retained surviving paths" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "oracle"])
+def test_window_overflow_exit_code(tmp_path, capsys, command):
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "x.csv"
+    write_config(cfg, method="Oracle", N=1e14)
+    code, _, err = run_cli(capsys, command, "--config", str(cfg), "--out", str(out))
+    assert code == cli.EXIT_WINDOW_OVERFLOW == 5
+    assert "error: window of" in err
+    assert not out.exists()
+
+
 class TestOracleCommand:
     def test_reference_curve(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -154,6 +199,25 @@ class TestOracleCommand:
         rows = read_rows(out)
         assert rows[0].k3 == pytest.approx(0.0, abs=1e-8)
         assert rows[0].k4 == pytest.approx(0.0, abs=1e-8)
+
+    def test_bytes_independent_of_blas_threads(self, tmp_path):
+        # the window at N = 1e5 is long enough for OpenBLAS to split a dot
+        # product across threads; the oracle's reductions must not use it
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg, method="Oracle", N=1e5, tau_stop=10, tau_points=11)
+        src = os.path.dirname(os.path.dirname(anharmonic.__file__))
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"oracle_{threads}.csv"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            subprocess.run(
+                [sys.executable, "-m", "anharmonic.cli", "oracle", "--config", str(cfg),
+                 "--out", str(out)],
+                env=env, check=True, timeout=300,
+            )
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestCompare:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,12 @@ from anharmonic.engine import (
 )
 from anharmonic.moments import MONOMIAL_INDEX, QuadratureSpec, batch_error
 from anharmonic.sampling import RandomStream, stream_for_trajectory
-from helpers import per_path_wigner_initial, stacked_monomials
+from helpers import (
+    full_block_kernel,
+    per_path_wigner_initial,
+    per_slice_batch_sums,
+    stacked_monomials,
+)
 
 
 def kerr_wigner_model():
@@ -467,3 +473,106 @@ class TestDefaultWorkerCount:
         monkeypatch.delattr(engine.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(engine.os, "cpu_count", lambda: 6)
         assert engine._available_cpus() == 6
+
+
+class TestStreamingReduction:
+    """Per-output batch sums against a reduction of the whole monomial block."""
+
+    # 2995 paths in 10 batches: five of 300 and five of 299.  With at most
+    # 600 paths per chunk that is five chunks, one of which mixes the sizes.
+    N_PATHS = 2995
+
+    def compare(self, monkeypatch, kernel_name, run):
+        monkeypatch.setattr(engine, "_CHUNK_TARGET", 600)
+        got = run()
+        monkeypatch.setattr(engine, kernel_name, full_block_kernel(getattr(engine, kernel_name)))
+        want = run()
+        assert_same_accumulators(got, want)
+        return got
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_truncated_wigner(self, monkeypatch, threads):
+        grid = TimeGrid(1000.0, (0.0, 1.0, 2.5, 4.0), 0.5)
+        self.compare(
+            monkeypatch,
+            "_truncated_wigner_chunk",
+            lambda: run_truncated_wigner(
+                math.sqrt(1000.0), grid, self.N_PATHS, 10, seed=3, threads=threads
+            ),
+        )
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_wigner_drift(self, monkeypatch, threads):
+        model = kerr_wigner_model()
+        self.compare(
+            monkeypatch,
+            "_wigner_drift_chunk",
+            lambda: run_wigner_drift(
+                model, math.sqrt(10.0), (0.0, 0.02, 0.05), 0.01, self.N_PATHS, 10,
+                seed=4, threads=threads,
+            ),
+        )
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_positive_p_with_late_divergence(self, monkeypatch, threads):
+        n = 1000.0
+        grid = TimeGrid(n, (0.0, 0.01, 0.02), 1e-3)
+        accs = self.compare(
+            monkeypatch,
+            "_positive_p_chunk",
+            lambda: run_positive_p(
+                math.sqrt(n), grid, self.N_PATHS, 10, seed=5, threads=threads,
+                escape_radius=32.0, divergence_threshold=1.0,
+            ),
+        )
+        # some paths, not all, escape after the tau = 0 output, so the
+        # retroactive exclusion reaches back across outputs
+        assert 0 < accs[0].n_diverged < self.N_PATHS
+        assert accs[0].n_paths == self.N_PATHS - accs[0].n_diverged
+
+    @pytest.mark.parametrize(
+        "n_paths, n_batches",
+        [(1001, 7), (64 * 5 + 3, 5), (128 * 4 + 2, 4), (130 * 3, 3), (1000 * 2 + 1, 2), (1, 1), (257, 1)],
+    )
+    def test_reduction_helper_matches_per_slice_sums(self, n_paths, n_batches):
+        rng = np.random.default_rng(n_paths)
+        block = rng.normal(size=(3, 15, n_paths)) + 1j * rng.normal(size=(3, 15, n_paths))
+        bounds = engine.batch_slices(n_paths, n_batches)
+        out = np.empty((3, n_batches, 15), dtype=np.complex128)
+        engine._reduce_batches(block, bounds, out)
+        assert np.array_equal(out, per_slice_batch_sums(block, bounds))
+        engine._reduce_batches(block[1], bounds, out[1])
+        assert np.array_equal(out[1], per_slice_batch_sums(block[1], bounds))
+
+
+class TestMemoryBound:
+    """Truncated-Wigner memory does not grow with the number of outputs.
+
+    At 2048 paths and 1001 outputs the whole (n_out, 15, m) complex block
+    would be 492 MB; only the (n_out, n_batches, 15) sums may grow.
+    """
+
+    BOUND = 32 * 2**20
+
+    def traced_peak(self, run) -> int:
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_truncated_wigner(self):
+        grid = TimeGrid(1000.0, tuple(0.01 * i for i in range(1001)), 0.01)
+        peak = self.traced_peak(
+            lambda: run_truncated_wigner(math.sqrt(1000.0), grid, 2048, 10, seed=1, threads=1)
+        )
+        assert peak < self.BOUND, peak
+
+    def test_wigner_drift(self):
+        model = kerr_wigner_model()
+        times = tuple(1e-5 * i for i in range(1001))
+        peak = self.traced_peak(
+            lambda: run_wigner_drift(model, math.sqrt(10.0), times, 1e-5, 2048, 10, seed=1, threads=1)
+        )
+        assert peak < self.BOUND, peak
