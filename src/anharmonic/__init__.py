@@ -7,23 +7,19 @@ and benchmarks both methods against exact Fock-space evolution.
 
 from .config import SimulationConfig, parse_config
 from .engine import (
-    NoiseIncrement,
-    PhaseState,
+    MidpointStep,
     TimeGrid,
-    build_noise,
     evolve_ensemble,
+    exact_wigner_flow,
     run_positive_p,
     run_truncated_wigner,
     run_wigner_drift,
-    step_stratonovich_midpoint,
-    step_tw_exact,
 )
 from .moments import (
     CumulantReport,
     MomentAccumulator,
     MomentVector,
     QuadratureSpec,
-    accumulate,
     batch_error,
     cumulants,
     quadrature_moments_positive_p,

@@ -169,8 +169,13 @@ def _validate(cfg: SimulationConfig):
             raise InvalidValue("batches", "need at least 10 batches")
         if cfg.n_paths < cfg.batches:
             raise InvalidValue("n_paths", "fewer paths than batches")
-    if cfg.method == "PositiveP" and cfg.tau_points > 1:
-        gap = (cfg.tau_stop - cfg.tau_start) / (cfg.tau_points - 1)
-        steps = round(gap / cfg.dtau)
-        if steps == 0 or abs(steps * cfg.dtau - gap) > 1e-9 * max(1.0, steps):
-            raise InvalidValue("dtau", f"does not divide the output spacing {gap}")
+    if cfg.method == "PositiveP":
+        # the integrator steps from tau = 0 to tau_start, then between outputs
+        steps = round(cfg.tau_start / cfg.dtau)
+        if abs(steps * cfg.dtau - cfg.tau_start) > 1e-9 * max(1.0, steps):
+            raise InvalidValue("dtau", f"does not divide tau_start = {cfg.tau_start}")
+        if cfg.tau_points > 1:
+            gap = (cfg.tau_stop - cfg.tau_start) / (cfg.tau_points - 1)
+            steps = round(gap / cfg.dtau)
+            if steps == 0 or abs(steps * cfg.dtau - gap) > 1e-9 * max(1.0, steps):
+                raise InvalidValue("dtau", f"does not divide the output spacing {gap}")

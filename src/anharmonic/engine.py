@@ -1,12 +1,14 @@
 """Trajectory integration for the phase-space models.
 
-Two steppers are provided:
+Two integrators are provided:
 
-* an exact rotation update for the truncated-Wigner anharmonic drift
-  (the modulus is conserved, so the flow is a pure phase rotation), and
-* a semi-implicit Stratonovich midpoint rule for models with
-  multiplicative noise, using a fixed number of fixed-point iterations
-  with the noise increment held fixed across iterations.
+* :func:`exact_wigner_flow`, the exact truncated-Wigner flow of the
+  anharmonic drift (the modulus is conserved, so the flow is a pure phase
+  rotation), and
+* :class:`MidpointStep`, the one semi-implicit Stratonovich midpoint rule,
+  vectorised over paths: a fixed number of fixed-point iterations with the
+  noise increment held fixed across iterations.  Positive-P chunks step it
+  with noise, generic drift-only Wigner chunks without.
 
 Ensembles are split into batches (the statistical unit used for error
 bars) and batches are grouped into fixed chunks that serve as units of
@@ -37,12 +39,11 @@ from .sampling import (
     POSITIVE_P,
     WIGNER,
     InitialStateSpec,
-    RandomStream,
     sample_positive_p_coherent,
     stream_for_trajectory,
     wigner_initial,
 )
-from .symbolic import DriftDiffusionModel, PhasePolynomial, evaluate
+from .symbolic import DriftDiffusionModel, PhasePolynomial
 
 #: Escape radius for divergence flagging, in units of sqrt(N).
 ESCAPE_RADIUS_FACTOR = 1e3
@@ -62,26 +63,8 @@ _CHUNK_TARGET = 8192
 _NOISE_BLOCK_BYTES = 32 * 2**20
 
 
-class DivergedTrajectory(RuntimeError):
-    """A trajectory left the escape radius or became non-finite."""
-
-
 class ExcessiveDivergence(RuntimeError):
     """More than the allowed fraction of paths diverged."""
-
-
-@dataclass(frozen=True)
-class PhaseState:
-    """One trajectory's phase-space point: (alpha,) or (alpha1, alpha2*)."""
-
-    components: tuple[complex, ...]
-    t: float = 0.0
-
-    def __post_init__(self):
-        for c in self.components:
-            c = complex(c)
-            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                raise ValueError("phase-space components must be finite")
 
 
 @dataclass(frozen=True)
@@ -104,23 +87,14 @@ class TimeGrid:
             if tau < prev:
                 raise ValueError("tau values must be nondecreasing")
             prev = tau
-        for gap, steps in zip(self._gaps(), self.steps_between()):
-            if abs(steps * self.dtau - gap) > 1e-9 * max(1.0, steps):
-                raise ValueError(
-                    f"dtau={self.dtau} does not divide the output gap {gap}"
-                )
-
-    def _gaps(self) -> list[float]:
-        prev = 0.0
-        gaps = []
-        for tau in self.taus:
-            gaps.append(tau - prev)
-            prev = tau
-        return gaps
 
     def steps_between(self) -> list[int]:
-        """Integrator steps from one output to the next (first from tau=0)."""
-        return [int(round(gap / self.dtau)) for gap in self._gaps()]
+        """Integrator steps from one output to the next (first from tau=0).
+
+        Only step-based integrators need them; raises ValueError when dtau
+        does not divide an output gap.
+        """
+        return _step_counts(self.taus, self.dtau)
 
     @property
     def dt(self) -> float:
@@ -132,125 +106,18 @@ class TimeGrid:
         return tuple(tau / self.n_particles for tau in self.taus)
 
 
-@dataclass(frozen=True)
-class NoiseIncrement:
-    """Real Gaussian draws scaled into Wiener increments over one step.
-
-    ``dw[j] = sqrt(dt) * w[j]`` drives noise channel j.  The equivalent
-    complex increments ``xi_dt = (1 + i) * dw`` satisfy
-    ``<(xi_dt)^2> = 2i dt`` channel-diagonally by construction.
-    """
-
-    w: np.ndarray
-    dt: float
-
-    @property
-    def dw(self) -> np.ndarray:
-        return math.sqrt(self.dt) * np.asarray(self.w)
-
-    @property
-    def xi_dt(self) -> np.ndarray:
-        return (1.0 + 1.0j) * self.dw
-
-    @classmethod
-    def from_increments(cls, dw, dt: float) -> "NoiseIncrement":
-        return cls(np.asarray(dw, dtype=float) / math.sqrt(dt), dt)
-
-
-def build_noise(stream: RandomStream, model: DriftDiffusionModel, dt: float) -> NoiseIncrement:
-    """Draw one step's noise: independent standard normals per channel."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    return NoiseIncrement(stream.normals(len(model.noise)), dt)
-
-
-def step_tw_exact(state: PhaseState, dt: float) -> PhaseState:
-    """Exact anharmonic truncated-Wigner update alpha *= exp(-i(2|a|^2-1)dt).
-
-    The update is applied in polar form, which keeps the modulus drift at
-    the random-walk rounding level (~1e-13 over 1e6 steps) instead of the
-    correlated drift a repeated phase-factor multiplication would build up.
-    """
-    if len(state.components) != 1:
-        raise ValueError("exact Wigner stepper expects a single component")
-    a = complex(state.components[0])
-    r = abs(a)
-    rate = 2.0 * r * r - 1.0
-    phi = math.atan2(a.imag, a.real) - rate * dt
-    return PhaseState((complex(r * math.cos(phi), r * math.sin(phi)),), state.t + dt)
-
-
-def step_stratonovich_midpoint(
-    state: PhaseState,
-    model: DriftDiffusionModel,
-    dt: float,
-    noise: NoiseIncrement | None = None,
-    escape_radius: float | None = None,
-) -> PhaseState:
-    """Semi-implicit midpoint update for a Stratonovich model.
-
-    The midpoint value is obtained by fixed-point iteration (fixed count,
-    :data:`MIDPOINT_ITERATIONS`); drift and noise amplitudes are evaluated
-    at the midpoint with the same noise increment reused across iterations.
-    Single-component states integrate the first drift entry with the
-    starred symbol bound to the complex conjugate.
-    """
-    if model.convention != "stratonovich":
-        raise ValueError("midpoint stepper expects a Stratonovich model")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    y = tuple(complex(c) for c in state.components)
-    doubled = len(y) == 2
-    if not doubled and model.noise:
-        raise ValueError("single-component stepping supports drift-only models")
-    dw = noise.dw if noise is not None else np.zeros(max(len(model.noise), 1))
-
-    mid = y
-    for _ in range(MIDPOINT_ITERATIONS):
-        if doubled:
-            a, b = mid
-        else:
-            a, b = mid[0], mid[0].conjugate()
-        new_mid = []
-        for j in range(len(y)):
-            incr = evaluate(model.drift[j], a, b) * dt
-            if model.noise:
-                incr += evaluate(model.noise[j], a, b) * dw[j]
-            new_mid.append(y[j] + 0.5 * incr)
-        mid = tuple(new_mid)
-    final = tuple(2.0 * m - y0 for m, y0 in zip(mid, y))
-
-    for c in final:
-        ok = math.isfinite(c.real) and math.isfinite(c.imag)
-        if ok and escape_radius is not None:
-            ok = abs(c) <= escape_radius
-        if not ok:
-            raise DivergedTrajectory(
-                f"component {c!r} left the integration domain at t={state.t + dt}"
-            )
-    return PhaseState(final, state.t + dt)
-
-
-def integrate_path(
-    model: DriftDiffusionModel,
-    y0: tuple[complex, ...],
-    dt: float,
-    n_steps: int,
-    dw: np.ndarray | None = None,
-    escape_radius: float | None = None,
-) -> PhaseState:
-    """Step a single trajectory with externally supplied Wiener increments.
-
-    ``dw`` has shape (n_steps, n_noise); coarse-grained reruns of the same
-    Brownian path are obtained by summing consecutive rows.
-    """
-    state = PhaseState(tuple(y0))
-    for k in range(n_steps):
-        noise = None
-        if dw is not None:
-            noise = NoiseIncrement.from_increments(dw[k], dt)
-        state = step_stratonovich_midpoint(state, model, dt, noise, escape_radius)
-    return state
+def _step_counts(points, step: float) -> list[int]:
+    """Steps of size ``step`` from 0 to the first point and between the rest."""
+    counts = []
+    prev = 0.0
+    for x in points:
+        gap = x - prev
+        n = int(round(gap / step))
+        if abs(n * step - gap) > 1e-9 * max(1.0, n):
+            raise ValueError(f"step {step} does not divide the output gap {gap}")
+        counts.append(n)
+        prev = x
+    return counts
 
 
 # ----------------------------------------------------------------------
@@ -360,6 +227,78 @@ class _PolyEval:
             out += self.tmp
 
 
+class MidpointStep:
+    """The semi-implicit Stratonovich midpoint step, in place on (n_components, m).
+
+    ``step(y, dw)`` solves  mid = y + (dt/2) A(mid) + (1/2) B(mid) dW  by
+    :data:`MIDPOINT_ITERATIONS` fixed-point iterations from mid = y, with the
+    Wiener increments ``dw`` (shape (2, m)) held fixed across iterations,
+    and sets y <- 2 mid - y.  A model with noise runs on the doubled phase
+    space: two components (alpha1, alpha2*), the starred symbol bound to
+    y[1].  A drift-only model runs on one component, alpha, with the
+    starred symbol bound to conj(y[0]); it takes no ``dw``.  Built once per
+    chunk, with its buffers and row views.
+    """
+
+    def __init__(self, model: DriftDiffusionModel, dt: float, m: int):
+        if model.convention != "stratonovich":
+            raise ValueError("midpoint stepper expects a Stratonovich model")
+        if dt <= 0:
+            raise ValueError("dt must be positive")
+        self.n_components = 2 if model.noise else 1
+        # The half-step prefactors are folded into the polynomial coefficients;
+        # the drift entries come first, then the noise entries.
+        self._eval = _PolyEval(
+            [poly.scaled(0.5 * dt) for poly in model.drift[: self.n_components]]
+            + [poly.scaled(0.5) for poly in model.noise],
+            m,
+        )
+        self._mid = np.empty((self.n_components, m), dtype=np.complex128)
+        self._incr = np.empty((self.n_components, m), dtype=np.complex128)
+        self._kick = np.empty((self.n_components, m), dtype=np.complex128)
+        self._conj = np.empty(m, dtype=np.complex128)
+        self._mid_rows = tuple(self._mid)
+        self._incr_rows = tuple(self._incr)
+        self._kick_rows = tuple(self._kick)
+
+    def __call__(self, y: np.ndarray, dw: np.ndarray | None = None) -> None:
+        n = self.n_components
+        mid = self._mid
+        ev = self._eval
+        np.copyto(mid, y)
+        for _ in range(MIDPOINT_ITERATIONS):
+            if n == 2:
+                ev.bind(self._mid_rows[1], self._mid_rows[0])
+            else:
+                np.conjugate(self._mid_rows[0], out=self._conj)
+                ev.bind(self._conj, self._mid_rows[0])
+            # Every entry is evaluated before mid is overwritten, because the
+            # evaluator holds views of mid as its first powers.
+            for j in range(n):
+                ev.eval_into(j, self._incr_rows[j])
+            if n == 2:
+                for j in range(2):
+                    ev.eval_into(2 + j, self._kick_rows[j])
+                self._kick *= dw
+                self._incr += self._kick
+            np.add(y, self._incr, out=mid)
+        mid *= 2.0
+        np.subtract(mid, y, out=y)
+
+
+def exact_wigner_flow(init: np.ndarray, times):
+    """Yield the exact truncated-Wigner anharmonic flow of ``init`` at each time.
+
+    The drift d(alpha)/dt = -i (2 |alpha|^2 - 1) alpha conserves |alpha|, so
+    alpha(t) = alpha(0) exp(-i (2 |alpha(0)|^2 - 1) t).  Every output is
+    rotated from the initial amplitudes, so rounding does not build up from
+    one output to the next.
+    """
+    omega = 2.0 * (init.real**2 + init.imag**2) - 1.0
+    for t in times:
+        yield init * np.exp(-1j * omega * t)
+
+
 def _positive_p_chunk(
     model: DriftDiffusionModel,
     alpha0: complex,
@@ -378,33 +317,19 @@ def _positive_p_chunk(
     the chunk ends.
     """
     m = traj_hi - traj_lo
-    dt = grid.dt
-    sqrt_dt = math.sqrt(dt)
+    sqrt_dt = math.sqrt(grid.dt)
     steps = grid.steps_between()
     n_out = len(grid.taus)
 
-    a0, b0 = sample_positive_p_coherent(InitialStateSpec(alpha0, POSITIVE_P))
-    a = np.full(m, a0, dtype=np.complex128)
-    b = np.full(m, b0, dtype=np.complex128)
+    y = np.empty((2, m), dtype=np.complex128)
+    y[0], y[1] = sample_positive_p_coherent(InitialStateSpec(alpha0, POSITIVE_P))
     streams = [stream_for_trajectory(seed, i) for i in range(traj_lo, traj_hi)]
     alive = np.ones(m, dtype=bool)
-
-    # The half-step prefactors are folded into the polynomial coefficients:
-    # the midpoint map is  mid = y + (dt/2) A(mid) + (1/2) B(mid) dW.
-    ev = _PolyEval(
-        [poly.scaled(0.5 * dt) for poly in model.drift]
-        + [poly.scaled(0.5) for poly in model.noise],
-        m,
-    )
-    d1 = np.empty(m, dtype=np.complex128)
-    d2 = np.empty(m, dtype=np.complex128)
-    g1 = np.empty(m, dtype=np.complex128)
-    g2 = np.empty(m, dtype=np.complex128)
-    am = np.empty(m, dtype=np.complex128)
-    bm = np.empty(m, dtype=np.complex128)
-    radius = np.empty(m, dtype=np.float64)
+    step = MidpointStep(model, grid.dt, m)
+    radius = np.empty((2, m), dtype=np.float64)
+    inside = np.empty((2, m), dtype=bool)
+    finite = np.empty((2, m), dtype=bool)
     bad = np.empty(m, dtype=bool)
-    bad2 = np.empty(m, dtype=bool)
 
     out = np.empty((n_out, len(MONOMIALS), m), dtype=np.complex128)
 
@@ -422,42 +347,19 @@ def _positive_p_chunk(
                     draws[i, :nb] = stream.normals(2 * nb).reshape(nb, 2)
                 np.multiply(draws[:, :nb].transpose(1, 2, 0), sqrt_dt, out=noise[:nb])
                 for k in range(nb):
-                    dw1 = noise[k, 0]
-                    dw2 = noise[k, 1]
-                    np.copyto(am, a)
-                    np.copyto(bm, b)
-                    for _ in range(MIDPOINT_ITERATIONS):
-                        ev.bind(bm, am)
-                        ev.eval_into(0, d1)
-                        ev.eval_into(1, d2)
-                        ev.eval_into(2, g1)
-                        ev.eval_into(3, g2)
-                        g1 *= dw1
-                        d1 += g1
-                        np.add(a, d1, out=am)
-                        g2 *= dw2
-                        d2 += g2
-                        np.add(b, d2, out=bm)
-                    am *= 2.0
-                    np.subtract(am, a, out=a)
-                    bm *= 2.0
-                    np.subtract(bm, b, out=b)
-                    # flag escapes and non-finite values, freeze those rows
-                    np.abs(a, out=radius)
-                    np.greater(radius, escape_radius, out=bad)
-                    np.abs(b, out=radius)
-                    np.greater(radius, escape_radius, out=bad2)
-                    bad |= bad2
-                    np.isfinite(a, out=bad2)
-                    bad |= ~bad2
-                    np.isfinite(b, out=bad2)
-                    bad |= ~bad2
+                    step(y, noise[k])
+                    # flag escapes and non-finite values, freeze those paths
+                    np.abs(y, out=radius)
+                    np.less_equal(radius, escape_radius, out=inside)
+                    np.isfinite(radius, out=finite)
+                    inside &= finite
+                    np.logical_and(inside[0], inside[1], out=bad)
+                    np.logical_not(bad, out=bad)
                     bad &= alive
                     if bad.any():
-                        a[bad] = 0.0
-                        b[bad] = 0.0
+                        y[:, bad] = 0.0
                         alive &= ~bad
-            bulk_monomials(b, a, out=out[k_out])
+            bulk_monomials(y[1], y[0], out=out[k_out])
 
     out[:, :, ~alive] = 0.0
     sums = np.empty((n_out, len(bounds), len(MONOMIALS)), dtype=np.complex128)
@@ -472,15 +374,13 @@ def _truncated_wigner_chunk(
     traj_hi: int,
     bounds: list[tuple[int, int]],
 ):
-    """Exact-stepper chunk: per-output batch sums for the anharmonic drift."""
+    """Exact-flow chunk: per-output batch sums for the anharmonic drift."""
     m = traj_hi - traj_lo
     init = wigner_initial(InitialStateSpec(alpha0, WIGNER), seed, traj_lo, traj_hi)
-    omega = 2.0 * (init.real**2 + init.imag**2) - 1.0
 
     block = np.empty((len(MONOMIALS), m), dtype=np.complex128)
     sums = np.empty((len(grid.taus), len(bounds), len(MONOMIALS)), dtype=np.complex128)
-    for k, t in enumerate(grid.times):
-        alpha_t = init * np.exp(-1j * omega * t)
+    for k, alpha_t in enumerate(exact_wigner_flow(init, grid.times)):
         bulk_monomials(alpha_t.conj(), alpha_t, out=block)
         _reduce_batches(block, bounds, sums[k])
     return sums, np.ones(m, dtype=bool)
@@ -498,32 +398,15 @@ def _wigner_drift_chunk(
 ):
     """Generic drift-only Wigner chunk using the deterministic midpoint rule."""
     m = traj_hi - traj_lo
-    a = wigner_initial(InitialStateSpec(alpha0, WIGNER), seed, traj_lo, traj_hi)
-
-    ev = _PolyEval([model.drift[0]], m)
-    d1 = np.empty(m, dtype=np.complex128)
-    am = np.empty(m, dtype=np.complex128)
-    star = np.empty(m, dtype=np.complex128)
+    y = wigner_initial(InitialStateSpec(alpha0, WIGNER), seed, traj_lo, traj_hi).reshape(1, m)
+    step = MidpointStep(model, dt, m)
 
     block = np.empty((len(MONOMIALS), m), dtype=np.complex128)
     sums = np.empty((len(times), len(bounds), len(MONOMIALS)), dtype=np.complex128)
-    prev = 0.0
-    for k_out, t in enumerate(times):
-        n_steps = int(round((t - prev) / dt))
-        if abs(n_steps * dt - (t - prev)) > 1e-9 * max(1.0, n_steps):
-            raise ValueError("dt does not divide the output spacing")
-        prev = t
+    for k_out, n_steps in enumerate(_step_counts(times, dt)):
         for _ in range(n_steps):
-            np.copyto(am, a)
-            for _ in range(MIDPOINT_ITERATIONS):
-                np.conjugate(am, out=star)
-                ev.bind(star, am)
-                ev.eval_into(0, d1)
-                d1 *= 0.5 * dt
-                np.add(a, d1, out=am)
-            am *= 2.0
-            np.subtract(am, a, out=a)
-        bulk_monomials(a.conj(), a, out=block)
+            step(y)
+        bulk_monomials(y[0].conj(), y[0], out=block)
         _reduce_batches(block, bounds, sums[k_out])
     return sums, np.ones(m, dtype=bool)
 

@@ -17,7 +17,9 @@ Third- and fourth-order cumulants follow as
     k3 = <X^3> - 3 <X> <X^2> + 2 <X>^3
     k4 = <X^4> + 2 <X>^4 - 3 <X^2>^2 - 4 <X> k3
 
-with sampling errors estimated from the spread of per-batch values.
+with sampling errors estimated from the spread of per-batch values.  The
+Fock oracle uses the same expansion, promotion and cumulant formula
+(:func:`quadrature_powers`, :func:`promote_normal_order`, :func:`k3_k4`).
 """
 
 from __future__ import annotations
@@ -115,50 +117,11 @@ class MomentAccumulator:
     def n_diverged(self) -> int:
         return int(self.batch_diverged.sum())
 
-    def merge(self, other: "MomentAccumulator") -> "MomentAccumulator":
-        """Componentwise union of two accumulators over the same batch layout."""
-        if other.representation != self.representation:
-            raise ValueError("cannot merge accumulators of different representations")
-        if other.n_batches != self.n_batches:
-            raise ValueError("cannot merge accumulators with different batch counts")
-        out = MomentAccumulator(self.representation, self.n_batches)
-        out.batch_sums = self.batch_sums + other.batch_sums
-        out.batch_counts = self.batch_counts + other.batch_counts
-        out.batch_diverged = self.batch_diverged + other.batch_diverged
-        return out
-
     def add_monomials(self, batch: int, monomials: np.ndarray, count: int, diverged: int = 0):
         """Add pre-summed monomial totals for `count` paths into one batch."""
         self.batch_sums[batch] += monomials
         self.batch_counts[batch] += count
         self.batch_diverged[batch] += diverged
-
-
-def monomial_row(abar: complex, a: complex) -> np.ndarray:
-    """All accumulated monomials of a single phase point."""
-    ps = np.array([abar**p for p in range(5)], dtype=np.complex128)
-    qs = np.array([a**q for q in range(5)], dtype=np.complex128)
-    return np.array([ps[p] * qs[q] for (p, q) in MONOMIALS])
-
-
-def accumulate(state, acc: MomentAccumulator, batch: int):
-    """Add one trajectory's monomials into the given batch.
-
-    ``state`` may be a phase-space state object (anything with a
-    ``components`` tuple), a bare complex amplitude (Wigner), or the pair
-    (alpha1, alpha2*) for positive-P.
-    """
-    if batch >= acc.n_batches:
-        raise IndexError("batch index out of range")
-    components = getattr(state, "components", state)
-    if acc.representation == WIGNER:
-        a = complex(components) if np.isscalar(components) or isinstance(
-            components, complex
-        ) else complex(components[0])
-        abar = a.conjugate()
-    else:
-        a, abar = complex(components[0]), complex(components[1])
-    acc.add_monomials(batch, monomial_row(abar, a), 1)
 
 
 def bulk_monomials(abar: np.ndarray, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -191,30 +154,44 @@ def _batch_means(acc: MomentAccumulator) -> tuple[np.ndarray, np.ndarray]:
     return sums / counts[:, None], mask
 
 
-def _raw_quadrature(means: np.ndarray, theta: float) -> np.ndarray:
+def quadrature_powers(monomial, theta: float) -> list:
     """Averages of x^k (k = 1..4) with x = e^{-i theta} a + e^{i theta} abar.
 
-    Works on a stack of monomial-mean rows; returns shape (..., 4) complex.
+    ``monomial(p, q)`` is the average of abar^p a^q: an array column of
+    batch means, or a scalar ladder moment of the oracle.  Both go through
+    the same operations in the same order.
     """
-    out = np.zeros(means.shape[:-1] + (4,), dtype=np.complex128)
+    powers = []
     for k in range(1, 5):
         total = 0.0
         for j in range(k + 1):
             phase = np.exp(1j * theta * (k - 2 * j))
-            total = total + _BINOM[k][j] * phase * means[..., MONOMIAL_INDEX[(k - j, j)]]
-        out[..., k - 1] = total
-    return out
+            total = total + _BINOM[k][j] * phase * monomial(k - j, j)
+        powers.append(total)
+    return powers
 
 
-def _assemble_true_moments(raw: np.ndarray, representation: str) -> np.ndarray:
-    """Promote representation averages to true operator moments (complex)."""
-    m = np.array(raw, dtype=np.complex128, copy=True)
+def promote_normal_order(r1, r2, r3, r4) -> tuple:
+    """True quadrature moments from normally ordered ones: {1; 3; 6, 3}."""
+    return r1, r2 + 1.0, r3 + 3.0 * r1, r4 + 6.0 * r2 + 3.0
+
+
+def k3_k4(m1, m2, m3, m4) -> tuple:
+    """Third and fourth cumulants from the first four moments (any numeric type)."""
+    k3 = m3 - 3.0 * m1 * m2 + 2.0 * m1**3
+    k4 = m4 + 2.0 * m1**4 - 3.0 * m2**2 - 4.0 * m1 * k3
+    return k3, k4
+
+
+def _true_moments(means: np.ndarray, theta: float, representation: str) -> np.ndarray:
+    """Operator moments <X^k>, shape (..., 4) complex, from monomial means."""
+    powers = quadrature_powers(lambda p, q: means[..., MONOMIAL_INDEX[(p, q)]], theta)
     if representation == POSITIVE_P:
-        # normally ordered -> symmetric combinations absorbed into constants
-        m[..., 1] = raw[..., 1] + 1.0
-        m[..., 2] = raw[..., 2] + 3.0 * raw[..., 0]
-        m[..., 3] = raw[..., 3] + 6.0 * raw[..., 1] + 3.0
-    return m
+        powers = promote_normal_order(*powers)
+    out = np.empty(means.shape[:-1] + (4,), dtype=np.complex128)
+    for k, column in enumerate(powers):
+        out[..., k] = column
+    return out
 
 
 def _pooled_means(acc: MomentAccumulator) -> np.ndarray:
@@ -233,7 +210,7 @@ def quadrature_moments_wigner(acc: MomentAccumulator, spec: QuadratureSpec) -> M
     """
     if acc.representation != WIGNER:
         raise ValueError("accumulator does not hold Wigner statistics")
-    raw = _raw_quadrature(_pooled_means(acc), spec.theta)
+    raw = _true_moments(_pooled_means(acc), spec.theta, WIGNER)
     return MomentVector(*np.real(raw))
 
 
@@ -249,10 +226,8 @@ def quadrature_moments_positive_p(
     if acc.representation != POSITIVE_P:
         raise ValueError("accumulator does not hold positive-P statistics")
     means, _ = _batch_means(acc)
-    batch_assembled = _assemble_true_moments(
-        _raw_quadrature(means, spec.theta), POSITIVE_P
-    )
-    pooled = _assemble_true_moments(_raw_quadrature(_pooled_means(acc), spec.theta), POSITIVE_P)
+    batch_assembled = _true_moments(means, spec.theta, POSITIVE_P)
+    pooled = _true_moments(_pooled_means(acc), spec.theta, POSITIVE_P)
     _check_imaginary_residue(pooled, batch_assembled)
     return MomentVector(*np.real(pooled))
 
@@ -279,16 +254,8 @@ def cumulants(m: MomentVector) -> CumulantReport:
     arr = m.as_array()
     if not np.all(np.isfinite(arr)):
         raise ValueError("moments must be finite")
-    k3 = m.m3 - 3.0 * m.m1 * m.m2 + 2.0 * m.m1**3
-    k4 = m.m4 + 2.0 * m.m1**4 - 3.0 * m.m2**2 - 4.0 * m.m1 * k3
+    k3, k4 = k3_k4(m.m1, m.m2, m.m3, m.m4)
     return CumulantReport(k3, k4, 0.0, 0.0, 0, 0)
-
-
-def _cumulants_from_moment_array(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    m1, m2, m3, m4 = (m[..., i] for i in range(4))
-    k3 = m3 - 3.0 * m1 * m2 + 2.0 * m1**3
-    k4 = m4 + 2.0 * m1**4 - 3.0 * m2**2 - 4.0 * m1 * k3
-    return k3, k4
 
 
 def batch_error(acc: MomentAccumulator, spec: QuadratureSpec) -> CumulantReport:
@@ -307,15 +274,13 @@ def batch_error(acc: MomentAccumulator, spec: QuadratureSpec) -> CumulantReport:
         raise InsufficientBatches(
             f"only {n_eff} batches retained surviving paths (< {MIN_BATCHES})"
         )
-    assembled = _assemble_true_moments(_raw_quadrature(means, spec.theta), acc.representation)
+    assembled = _true_moments(means, spec.theta, acc.representation)
     if acc.representation == POSITIVE_P:
-        pooled = _assemble_true_moments(
-            _raw_quadrature(_pooled_means(acc), spec.theta), POSITIVE_P
-        )
+        pooled = _true_moments(_pooled_means(acc), spec.theta, POSITIVE_P)
         _check_imaginary_residue(pooled, assembled)
     real_moments = np.real(assembled)
     _check_moment_bounds(real_moments)
-    k3, k4 = _cumulants_from_moment_array(real_moments)
+    k3, k4 = k3_k4(*(real_moments[..., i] for i in range(4)))
     root_b = math.sqrt(n_eff)
     return CumulantReport(
         kappa3=float(k3.mean()),

@@ -33,9 +33,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .moments import CumulantReport, MomentVector, QuadratureSpec
-
-_BINOM = [[math.comb(k, j) for j in range(k + 1)] for k in range(5)]
+from .moments import (
+    CumulantReport,
+    MomentVector,
+    QuadratureSpec,
+    k3_k4,
+    promote_normal_order,
+    quadrature_powers,
+)
 
 #: Window growth: half-width starts at this many Poisson sigmas and doubles.
 _INITIAL_HALFWIDTH_SIGMAS = 8.0
@@ -229,22 +234,8 @@ def quadrature_moments(state: OracleState, spec: QuadratureSpec) -> MomentVector
     ladder operators and the normally ordered averages are promoted with
     the constants {1; 3; 6, 3}.
     """
-    theta = spec.theta
-    raw = np.zeros(5, dtype=np.complex128)
-    for k in range(1, 5):
-        total = 0.0 + 0.0j
-        for j in range(k + 1):
-            total += (
-                _BINOM[k][j]
-                * np.exp(1j * theta * (k - 2 * j))
-                * ladder_moment(state, k - j, j)
-            )
-        raw[k] = total
-    m1 = raw[1]
-    m2 = raw[2] + 1.0
-    m3 = raw[3] + 3.0 * raw[1]
-    m4 = raw[4] + 6.0 * raw[2] + 3.0
-    return MomentVector(m1.real, m2.real, m3.real, m4.real)
+    raw = quadrature_powers(lambda p, q: ladder_moment(state, p, q), spec.theta)
+    return MomentVector(*(m.real for m in promote_normal_order(*raw)))
 
 
 def _apply_centred_quadrature(
@@ -283,8 +274,7 @@ def oracle_cumulants(state: OracleState, spec: QuadratureSpec) -> CumulantReport
     m3 = _real_dot(w1, w2)
     m4 = _real_dot(w2, w2)
 
-    k3 = m3 - 3.0 * m1 * m2 + 2.0 * m1**3
-    k4 = m4 + 2.0 * m1**4 - 3.0 * m2**2 - 4.0 * m1 * k3
+    k3, k4 = k3_k4(m1, m2, m3, m4)
     return CumulantReport(k3, k4, 0.0, 0.0, 0, 0)
 
 

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from anharmonic.engine import MIDPOINT_ITERATIONS, MidpointStep
 from anharmonic.moments import MONOMIALS
 from anharmonic.sampling import sample_wigner_coherent, stream_for_trajectory
-from anharmonic.symbolic import PhasePolynomial
+from anharmonic.symbolic import PhasePolynomial, evaluate
 
 
 def random_hermitian_polynomial(rng: np.random.Generator, max_degree: int = 4) -> PhasePolynomial:
@@ -75,3 +78,50 @@ def full_block_kernel(kernel):
         return per_slice_batch_sums(block, bounds), alive
 
     return chunk
+
+
+def scalar_midpoint_path(model, y0, dt: float, n_steps: int, dw=None) -> tuple[complex, ...]:
+    """Reference midpoint rule for one path, in scalar complex arithmetic.
+
+    ``y0`` is (alpha1, alpha2*), or (alpha,) with the starred symbol bound to
+    the conjugate; ``dw`` holds one row of Wiener increments per step.
+    """
+    y = tuple(complex(c) for c in y0)
+    for k in range(n_steps):
+        mid = y
+        for _ in range(MIDPOINT_ITERATIONS):
+            a, b = mid if len(y) == 2 else (mid[0], mid[0].conjugate())
+            new_mid = []
+            for j in range(len(y)):
+                incr = evaluate(model.drift[j], a, b) * dt
+                if dw is not None:
+                    incr += evaluate(model.noise[j], a, b) * dw[k][j]
+                new_mid.append(y[j] + 0.5 * incr)
+            mid = tuple(new_mid)
+        y = tuple(2.0 * m - y_j for m, y_j in zip(mid, y))
+    return y
+
+
+def midpoint_path(model, y0, dt, n_steps, dw=None):
+    """Step the kernel n_steps times on the state y0, shape (n_components, m).
+
+    ``dw`` has shape (n_steps, 2, m).
+    """
+    y = np.array(y0, dtype=np.complex128)
+    step = MidpointStep(model, dt, y.shape[1])
+    for k in range(n_steps):
+        step(y, None if dw is None else dw[k])
+    return y
+
+
+def frozen_brownian_paths(rng, n_paths, n_coarse, dt):
+    """Increments of the same Brownian paths at steps dt, dt/2 and dt/4.
+
+    Each path draws its (4 n_coarse, 2) fine increments in turn; every
+    array has shape (n_steps, 2, n_paths), the layout the kernel steps.
+    """
+    fine = np.stack([rng.standard_normal((4 * n_coarse, 2)) for _ in range(n_paths)])
+    fine *= math.sqrt(dt / 4)
+    mid = fine.reshape(n_paths, 2 * n_coarse, 2, 2).sum(axis=2)
+    coarse = mid.reshape(n_paths, n_coarse, 2, 2).sum(axis=2)
+    return tuple(np.ascontiguousarray(x.transpose(1, 2, 0)) for x in (coarse, mid, fine))

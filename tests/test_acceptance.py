@@ -16,14 +16,11 @@ import anharmonic.oracle as orc
 from anharmonic import symbolic as sy
 from anharmonic.cli import compare_rows, main
 from anharmonic.engine import (
-    PhaseState,
     TimeGrid,
-    integrate_path,
+    exact_wigner_flow,
     run_positive_p,
     run_truncated_wigner,
     run_wigner_drift,
-    step_stratonovich_midpoint,
-    step_tw_exact,
 )
 from anharmonic.moments import (
     MONOMIAL_INDEX,
@@ -32,8 +29,8 @@ from anharmonic.moments import (
     batch_error,
     write_rows,
 )
-from anharmonic.sampling import WIGNER, InitialStateSpec, sample_wigner_coherent, stream_for_trajectory
-from helpers import random_hermitian_polynomial
+from anharmonic.sampling import WIGNER, InitialStateSpec, wigner_initial
+from helpers import frozen_brownian_paths, midpoint_path, random_hermitian_polynomial
 
 N_PARTICLES = 1000.0
 ALPHA0 = math.sqrt(N_PARTICLES)
@@ -216,19 +213,12 @@ def test_criterion_6_conservation_invariants(tw_benchmark, pp_benchmark):
     started = time.perf_counter()
     grid, accs = tw_benchmark
 
-    # per-trajectory modulus conservation across the whole output grid
-    spec = InitialStateSpec(ALPHA0, WIGNER)
+    # per-trajectory modulus conservation across the whole output grid, on
+    # the first 500 initial amplitudes and the flow the ensemble ran
+    init = wigner_initial(InitialStateSpec(ALPHA0, WIGNER), 1, 0, 500)
     worst = 0.0
-    times = grid.times
-    for traj in range(500):
-        a0 = sample_wigner_coherent(spec, stream_for_trajectory(1, traj))
-        state = PhaseState((a0,))
-        prev_t = 0.0
-        for t in times:
-            if t > prev_t:
-                state = step_tw_exact(state, t - prev_t)
-                prev_t = t
-            worst = max(worst, abs(abs(state.components[0]) - abs(a0)))
+    for alpha_t in exact_wigner_flow(init, grid.times):
+        worst = max(worst, float(np.abs(np.abs(alpha_t) - np.abs(init)).max()))
     assert worst < 1e-12
 
     # ensemble occupation: <|alpha|^2> - 1/2 = N at every output time
@@ -252,38 +242,30 @@ def test_criterion_6_conservation_invariants(tw_benchmark, pp_benchmark):
 def test_criterion_7_integrator_order():
     started = time.perf_counter()
 
-    # strong order >= 1/2 on frozen Brownian paths of the doubled model
+    # strong order >= 1/2 on 100 frozen Brownian paths of the doubled model,
+    # stepped together by the ensembles' midpoint kernel
     model = sy.ito_to_stratonovich(sy.derive_positive_p_model(sy.kerr_hamiltonian()))
     t_final = 0.2 / N_PARTICLES
     n_coarse = 50
     dt = t_final / n_coarse
-    rng = np.random.default_rng(7)
-    ratios = []
-    for _ in range(100):
-        fine = rng.standard_normal((4 * n_coarse, 2)) * math.sqrt(dt / 4)
-        mid = fine.reshape(2 * n_coarse, 2, 2).sum(axis=1)
-        coarse = mid.reshape(n_coarse, 2, 2).sum(axis=1)
-        y0 = (ALPHA0 + 0j, ALPHA0 + 0j)
-        s1 = integrate_path(model, y0, dt, n_coarse, coarse)
-        s2 = integrate_path(model, y0, dt / 2, 2 * n_coarse, mid)
-        s4 = integrate_path(model, y0, dt / 4, 4 * n_coarse, fine)
-        e1 = abs(s1.components[0] - s2.components[0])
-        e2 = abs(s2.components[0] - s4.components[0])
-        if e2 > 0:
-            ratios.append(e1 / e2)
-    assert np.mean(ratios) >= 1.3
+    coarse, mid, fine = frozen_brownian_paths(np.random.default_rng(7), 100, n_coarse, dt)
+    y0 = np.full((2, 100), ALPHA0, dtype=np.complex128)
+    s1 = midpoint_path(model, y0, dt, n_coarse, coarse)
+    s2 = midpoint_path(model, y0, dt / 2, 2 * n_coarse, mid)
+    s4 = midpoint_path(model, y0, dt / 4, 4 * n_coarse, fine)
+    e1 = np.abs(s1[0] - s2[0])
+    e2 = np.abs(s2[0] - s4[0])
+    assert np.mean(e1[e2 > 0] / e2[e2 > 0]) >= 1.3
 
     # deterministic midpoint: global error drops >= 3.5x per halving
     wigner = sy.derive_wigner_model(sy.kerr_hamiltonian())
     a0 = 1.1 + 0.0j
     t_final = 0.5
-    ref = step_tw_exact(PhaseState((a0,)), t_final).components[0]
+    ref = next(exact_wigner_flow(np.array([a0]), [t_final]))[0]
 
     def global_error(dt_step):
-        state = PhaseState((a0,))
-        for _ in range(int(round(t_final / dt_step))):
-            state = step_stratonovich_midpoint(state, wigner, dt_step)
-        return abs(state.components[0] - ref)
+        y = midpoint_path(wigner, [[a0]], dt_step, int(round(t_final / dt_step)))
+        return abs(y[0, 0] - ref)
 
     assert global_error(2e-3) / global_error(1e-3) >= 3.5
 

@@ -100,6 +100,26 @@ class TestSimulate:
         assert all(r.n_diverged == 0 for r in rows)
         assert rows[1].theta == pytest.approx(1.0)  # rotating frame: 2 * tau
 
+    def test_tw_output_gaps_need_not_be_multiples_of_dtau(self, tmp_path, capsys):
+        # the exact truncated-Wigner flow takes no steps, so a gap of 1/3
+        # with the default dtau = 1e-3 is fine
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "tw.csv"
+        write_config(cfg, n_paths=200, batches=10, tau_points=4)
+        code, _, _ = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(out))
+        assert code == 0
+        assert [r.tau for r in read_rows(out)] == pytest.approx([0, 1 / 3, 2 / 3, 1])
+
+    def test_positive_p_tau_start_off_the_step_grid(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "pp.csv"
+        write_config(cfg, method="PositiveP", n_paths=200, batches=10,
+                     tau_start=0.0005, tau_stop=0.0105, tau_points=3)
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(out))
+        assert code == cli.EXIT_INPUT == 2
+        assert "'dtau'" in err
+        assert not out.exists()
+
     def test_bad_config_names_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("method = TW\nN = 100\nwhat = 3\n")

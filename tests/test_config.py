@@ -69,6 +69,17 @@ def test_dtau_must_divide_grid_for_positive_p():
     assert err.value.key == "dtau"
 
 
+def test_dtau_must_divide_tau_start_for_positive_p():
+    for points in (1, 3):
+        text = (
+            "method = PositiveP\nN = 10\ntau_start = 0.0005\ntau_stop = 0.0105\n"
+            f"tau_points = {points}\ndtau = 1e-3\n"
+        )
+        with pytest.raises(InvalidValue) as err:
+            parse_config(text)
+        assert err.value.key == "dtau"
+
+
 def test_comments_and_blank_lines_ignored():
     cfg = parse_config("# benchmark\n\nmethod = TW\nN = 1000\n")
     assert cfg.method == "TW"

@@ -8,25 +8,23 @@ import pytest
 from anharmonic import engine
 from anharmonic import symbolic as sy
 from anharmonic.engine import (
-    DivergedTrajectory,
     ExcessiveDivergence,
-    NoiseIncrement,
-    PhaseState,
+    MidpointStep,
     TimeGrid,
-    build_noise,
-    integrate_path,
+    exact_wigner_flow,
     run_positive_p,
     run_truncated_wigner,
     run_wigner_drift,
-    step_stratonovich_midpoint,
-    step_tw_exact,
 )
 from anharmonic.moments import MONOMIAL_INDEX, QuadratureSpec, batch_error
 from anharmonic.sampling import RandomStream, stream_for_trajectory
 from helpers import (
+    frozen_brownian_paths,
     full_block_kernel,
+    midpoint_path,
     per_path_wigner_initial,
     per_slice_batch_sums,
+    scalar_midpoint_path,
     stacked_monomials,
 )
 
@@ -37,6 +35,11 @@ def kerr_wigner_model():
 
 def kerr_positive_p_model():
     return sy.ito_to_stratonovich(sy.derive_positive_p_model(sy.kerr_hamiltonian()))
+
+
+def exact_at(a0, t):
+    """Exact truncated-Wigner flow of one amplitude at one time."""
+    return next(exact_wigner_flow(np.array([complex(a0)]), [t]))[0]
 
 
 def batch_mean(acc, p, q):
@@ -75,8 +78,10 @@ class TestTimeGrid:
         assert grid.times[2] == pytest.approx(1e-3)
 
     def test_rejects_non_dividing_step(self):
+        # only step-based runs need the step count, so it is checked there
+        grid = TimeGrid(1000.0, (0.0, 0.5), 3e-4)
         with pytest.raises(ValueError, match="divide"):
-            TimeGrid(1000.0, (0.0, 0.5), 3e-4)
+            grid.steps_between()
 
     def test_rejects_negative_tau(self):
         with pytest.raises(ValueError):
@@ -85,32 +90,30 @@ class TestTimeGrid:
 
 class TestExactWignerStep:
     def test_unit_amplitude_half_turn(self):
-        # |alpha|^2 = 1 gives rotation rate 1, so dt = pi flips the sign
-        out = step_tw_exact(PhaseState((1.0 + 0.0j,)), math.pi)
-        assert out.components[0] == pytest.approx(-1.0, abs=1e-12)
+        # |alpha|^2 = 1 gives rotation rate 1, so t = pi flips the sign
+        assert exact_at(1.0, math.pi) == pytest.approx(-1.0, abs=1e-12)
 
     def test_modulus_conserved_over_million_steps(self):
-        state = PhaseState((1.3 - 0.7j,))
-        r0 = abs(state.components[0])
-        for _ in range(1_000_000):
-            state = step_tw_exact(state, 1e-4)
-        assert abs(abs(state.components[0]) - r0) < 1e-12
+        # every output rotates the initial amplitude: out to t = 1e6 * 1e-4
+        init = np.array([1.3 - 0.7j, math.sqrt(1000.0) + 0.2j])
+        times = np.linspace(0.0, 1e6 * 1e-4, 1001)
+        for alpha_t in exact_wigner_flow(init, times):
+            assert np.all(np.abs(np.abs(alpha_t) - np.abs(init)) < 1e-12)
 
     def test_rotation_rate_at_thousand_particles(self):
         # phase advance per unit scaled time is -(2N - 1)/N = -1.999
         n = 1000.0
         a0 = math.sqrt(n)
-        out = step_tw_exact(PhaseState((a0 + 0.0j,)), 1.0 / n)
-        advance = cmath.phase(out.components[0] / a0)
+        advance = cmath.phase(exact_at(a0, 1.0 / n) / a0)
         assert advance == pytest.approx(-1.999, abs=1e-12)
 
     def test_volume_preserving_map(self):
-        # finite-difference Jacobian determinant of one step equals 1
+        # finite-difference Jacobian determinant of the flow map equals 1
         h = 1e-5
         for a0 in (0.8 + 0.3j, math.sqrt(10) + 0.0j):
             for dt in (1e-4, 1e-5):
                 def f(x, y):
-                    z = step_tw_exact(PhaseState((complex(x, y),)), dt).components[0]
+                    z = exact_at(complex(x, y), dt)
                     return z.real, z.imag
 
                 x0, y0 = a0.real, a0.imag
@@ -127,22 +130,20 @@ class TestExactWignerStep:
 
 
 class TestMidpointStep:
+    """The ensembles' midpoint kernel, on one path (m = 1) unless stated."""
+
     def test_harmonic_rotation_conserves_modulus(self):
         model = sy.derive_wigner_model(sy.PhasePolynomial({(1, 1): 1}))
-        state = PhaseState((1.0 + 0.5j,))
-        dt = 1e-3
-        for _ in range(100):
-            state = step_stratonovich_midpoint(state, model, dt)
-        assert abs(abs(state.components[0]) - abs(1.0 + 0.5j)) < 1e-10
+        y = midpoint_path(model, [[1.0 + 0.5j]], 1e-3, 100)
+        assert abs(abs(y[0, 0]) - abs(1.0 + 0.5j)) < 1e-10
 
     def test_single_step_matches_exact_to_dt_squared(self):
         model = kerr_wigner_model()
         a0 = 1.1 + 0.4j
         errors = []
         for dt in (1e-3, 5e-4):
-            num = step_stratonovich_midpoint(PhaseState((a0,)), model, dt)
-            ref = step_tw_exact(PhaseState((a0,)), dt)
-            errors.append(abs(num.components[0] - ref.components[0]))
+            num = midpoint_path(model, [[a0]], dt, 1)[0, 0]
+            errors.append(abs(num - exact_at(a0, dt)))
         assert errors[0] < 1e-7
         # local error is cubic in dt, so halving shrinks it ~8x
         assert errors[0] / errors[1] > 6.0
@@ -152,53 +153,43 @@ class TestMidpointStep:
         model = kerr_wigner_model()
         a0 = 1.1 + 0.0j
         t_final = 0.5
-        ref = step_tw_exact(PhaseState((a0,)), t_final).components[0]
+        ref = exact_at(a0, t_final)
 
         def global_error(dt):
-            state = PhaseState((a0,))
-            for _ in range(int(round(t_final / dt))):
-                state = step_stratonovich_midpoint(state, model, dt)
-            return abs(state.components[0] - ref)
+            y = midpoint_path(model, [[a0]], dt, int(round(t_final / dt)))
+            return abs(y[0, 0] - ref)
 
         e1, e2 = global_error(2e-3), global_error(1e-3)
         assert e1 / e2 >= 3.5
 
     def test_divergence_flagging(self):
-        model = kerr_positive_p_model()
-        noise = NoiseIncrement(np.array([0.0, 0.0]), 1e-3)
-        with pytest.raises(DivergedTrajectory):
-            step_stratonovich_midpoint(
-                PhaseState((10.0 + 0.0j, 10.0 + 0.0j)),
-                model,
-                1e-3,
-                noise,
-                escape_radius=1e-3,
-            )
+        # a path that overflows is flagged after the step that makes it
+        # non-finite, even with an infinite escape radius
+        grid = TimeGrid(1.0, (0.0, 0.01), 1e-3)
+        accs = run_positive_p(
+            1e200, grid, 20, 10, seed=0, escape_radius=math.inf, divergence_threshold=1.0
+        )
+        assert accs[-1].n_diverged == 20
+        assert accs[-1].n_paths == 0
 
     def test_strong_order_at_least_half_on_frozen_paths(self):
-        # step-halving on the doubled-phase-space model with a frozen
-        # Brownian path: successive differences shrink by >= 1.3 on average
+        # step-halving on the doubled-phase-space model with 100 frozen
+        # Brownian paths (m = 100): successive differences shrink by >= 1.3
+        # on average
         model = kerr_positive_p_model()
         n = 1000.0
         a0 = math.sqrt(n)
         t_final = 0.2 / n
         n_coarse = 50
         dt = t_final / n_coarse
-        rng = np.random.default_rng(42)
-        ratios = []
-        for _ in range(100):
-            fine = rng.standard_normal((4 * n_coarse, 2)) * math.sqrt(dt / 4)
-            mid = fine.reshape(2 * n_coarse, 2, 2).sum(axis=1)
-            coarse = mid.reshape(n_coarse, 2, 2).sum(axis=1)
-            y0 = (a0 + 0j, a0 + 0j)
-            s1 = integrate_path(model, y0, dt, n_coarse, coarse)
-            s2 = integrate_path(model, y0, dt / 2, 2 * n_coarse, mid)
-            s4 = integrate_path(model, y0, dt / 4, 4 * n_coarse, fine)
-            e1 = abs(s1.components[0] - s2.components[0])
-            e2 = abs(s2.components[0] - s4.components[0])
-            if e2 > 0:
-                ratios.append(e1 / e2)
-        assert np.mean(ratios) >= 1.3
+        coarse, mid, fine = frozen_brownian_paths(np.random.default_rng(42), 100, n_coarse, dt)
+        y0 = np.full((2, 100), a0, dtype=np.complex128)
+        s1 = midpoint_path(model, y0, dt, n_coarse, coarse)
+        s2 = midpoint_path(model, y0, dt / 2, 2 * n_coarse, mid)
+        s4 = midpoint_path(model, y0, dt / 4, 4 * n_coarse, fine)
+        e1 = np.abs(s1[0] - s2[0])
+        e2 = np.abs(s2[0] - s4[0])
+        assert np.mean(e1[e2 > 0] / e2[e2 > 0]) >= 1.3
 
 
 class TestBuildNoise:
@@ -232,14 +223,6 @@ class TestBuildNoise:
         draws = stream.normals(2 * n).reshape(n, 2)
         xi_dt = (1 + 1j) * math.sqrt(dt) * draws
         assert abs(xi_dt.mean()) < 5 * math.sqrt(2 * dt / n)
-
-    def test_build_noise_consumes_stream(self):
-        model = kerr_positive_p_model()
-        stream = stream_for_trajectory(0, 3)
-        inc = build_noise(stream, model, 1e-3)
-        assert stream.draws == 2
-        assert inc.dw.shape == (2,)
-        assert np.allclose(inc.xi_dt, (1 + 1j) * inc.dw)
 
 
 class TestTruncatedWignerEnsemble:
@@ -372,11 +355,20 @@ class TestPositivePEnsemble:
             stream = stream_for_trajectory(13, traj)
             n_steps = grid.steps_between()[0]
             dw = math.sqrt(dt) * stream.normals(2 * n_steps).reshape(n_steps, 2)
-            state = integrate_path(model, (a0 + 0j, a0 + 0j), dt, n_steps, dw)
+            a1_ref, a2s_ref = scalar_midpoint_path(model, (a0, a0), dt, n_steps, dw)
             a1 = accs[0].batch_sums[traj, MONOMIAL_INDEX[(0, 1)]]
             a2s = accs[0].batch_sums[traj, MONOMIAL_INDEX[(1, 0)]]
-            assert abs(a1 - state.components[0]) < 1e-9 * (1 + abs(a1))
-            assert abs(a2s - state.components[1]) < 1e-9 * (1 + abs(a2s))
+            assert abs(a1 - a1_ref) < 1e-13 * abs(a1)
+            assert abs(a2s - a2s_ref) < 1e-13 * abs(a2s)
+
+    def test_kernel_matches_scalar_reference_without_noise(self):
+        # the one-component binding (starred symbol = conjugate) on a drift-only model
+        model = kerr_wigner_model()
+        y0 = np.array([[1.1 + 0.4j, -0.3 + 2.0j]])
+        y = midpoint_path(model, y0, 1e-3, 200)
+        for i in range(2):
+            (ref,) = scalar_midpoint_path(model, (y0[0, i],), 1e-3, 200)
+            assert abs(y[0, i] - ref) < 1e-13 * abs(ref)
 
 
 class TestPositivePAgainstOracle:

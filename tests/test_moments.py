@@ -11,7 +11,6 @@ from anharmonic.moments import (
     MomentAccumulator,
     MomentVector,
     QuadratureSpec,
-    accumulate,
     batch_error,
     bulk_monomials,
     cumulants,
@@ -40,41 +39,23 @@ def positive_p_acc_from_samples(a1, a2s, n_batches=10):
 
 
 class TestAccumulate:
+    """One path's monomials from bulk_monomials, added into batch_sums."""
+
     def test_single_wigner_path(self):
         acc = MomentAccumulator(WIGNER, 2)
-        accumulate(2.0 + 0.0j, acc, 0)
+        a = np.array([2.0 + 0.0j])
+        acc.add_monomials(0, bulk_monomials(a.conj(), a)[:, 0], 1)
         assert acc.batch_sums[0, MONOMIAL_INDEX[(1, 1)]] == pytest.approx(4.0)
         assert acc.batch_counts[0] == 1
-
-    def test_merge_adds_componentwise(self):
-        a = MomentAccumulator(WIGNER, 1)
-        b = MomentAccumulator(WIGNER, 1)
-        accumulate(1.0 + 1.0j, a, 0)
-        accumulate(0.5 - 2.0j, b, 0)
-        merged = a.merge(b)
-        assert np.allclose(merged.batch_sums, a.batch_sums + b.batch_sums)
-        assert merged.n_paths == 2
+        assert not acc.batch_sums[1].any()
 
     def test_positive_p_monomial_definition(self):
         acc = MomentAccumulator(POSITIVE_P, 1)
-        accumulate((2.0 + 1.0j, 3.0 - 0.5j), acc, 0)
+        a, abar = np.array([2.0 + 1.0j]), np.array([3.0 - 0.5j])
+        acc.add_monomials(0, bulk_monomials(abar, a)[:, 0], 1)
         expected = (3.0 - 0.5j) * (2.0 + 1.0j)
         assert acc.batch_sums[0, MONOMIAL_INDEX[(1, 1)]] == pytest.approx(expected)
-
-    def test_merge_then_estimate_matches_concatenation(self):
-        rng = np.random.default_rng(0)
-        xs = rng.standard_normal(1000) + 1j * rng.standard_normal(1000)
-        full = wigner_acc_from_samples(xs, n_batches=10)
-        # fill the same batches through two partial accumulators
-        first = MomentAccumulator(WIGNER, 10)
-        second = MomentAccumulator(WIGNER, 10)
-        parts = np.array_split(xs, 10)
-        for b, part in enumerate(parts):
-            target = first if b < 5 else second
-            target.add_monomials(b, bulk_monomials(part.conj(), part).sum(axis=1), len(part))
-        merged = first.merge(second)
-        assert np.array_equal(merged.batch_sums, full.batch_sums)
-        assert np.array_equal(merged.batch_counts, full.batch_counts)
+        assert acc.batch_sums[0, MONOMIAL_INDEX[(2, 1)]] == pytest.approx(expected * (3.0 - 0.5j))
 
 
 class TestWignerQuadrature:
