@@ -13,21 +13,15 @@ from .engine import (
     exact_wigner_flow,
     run_positive_p,
     run_truncated_wigner,
-    run_wigner_drift,
 )
 from .moments import (
     CumulantReport,
     MomentAccumulator,
-    MomentVector,
     QuadratureSpec,
     batch_error,
-    cumulants,
-    quadrature_moments_positive_p,
-    quadrature_moments_wigner,
 )
 from .oracle import (
     OracleState,
-    dense_brute_force,
     init_coherent,
     ladder_moment,
     oracle_cumulants,

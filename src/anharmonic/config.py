@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,20 +95,39 @@ def _parse_pairs(text: str) -> dict[str, str]:
     return pairs
 
 
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
+def _whole(text: str) -> int:
+    """A finite whole number, also in float notation such as 1e5."""
+    value = _finite(text)
+    if not value.is_integer():
+        raise ValueError(f"{text!r} is not a whole number")
+    return int(value)
+
+
 def _convert(pairs: dict[str, str], key: str, caster, default):
     if key not in pairs:
         return default
     try:
         return caster(pairs[key])
-    except (TypeError, ValueError):
-        raise InvalidValue(key, f"cannot parse {pairs[key]!r}")
+    except ValueError as exc:
+        raise InvalidValue(key, str(exc)) from None
 
 
 def parse_config(text: str, seed: int = 0) -> SimulationConfig:
     """Parse and validate a flat key=value configuration.
 
-    Unknown keys are rejected; every error names the offending key.  The
-    master seed comes from the CLI flag, not the file.
+    Unknown keys are rejected; every error names the offending key.  Float
+    keys must be finite and integer keys finite whole numbers.  The master
+    seed comes from the CLI flag, not the file.
     """
     pairs = _parse_pairs(text)
     for required in ("method", "N"):
@@ -118,19 +138,18 @@ def parse_config(text: str, seed: int = 0) -> SimulationConfig:
     if method not in METHODS:
         raise InvalidValue("method", f"{method!r} is not one of {METHODS}")
 
-    n_particles = _convert(pairs, "N", float, None)
     cfg = SimulationConfig(
         method=method,
-        n_particles=n_particles,
-        n_paths=_convert(pairs, "n_paths", lambda s: int(float(s)), 100_000),
-        batches=_convert(pairs, "batches", lambda s: int(float(s)), 100),
-        tau_start=_convert(pairs, "tau_start", float, 0.0),
-        tau_stop=_convert(pairs, "tau_stop", float, 10.0),
-        tau_points=_convert(pairs, "tau_points", int, 21),
-        dtau=_convert(pairs, "dtau", float, 1e-3),
-        theta_mode=_convert(pairs, "theta_mode", str, "rotating"),
-        theta_value=_convert(pairs, "theta_value", float, 0.0),
-        divergence_threshold=_convert(pairs, "divergence_threshold", float, 1e-3),
+        n_particles=_convert(pairs, "N", _finite, None),
+        n_paths=_convert(pairs, "n_paths", _whole, 100_000),
+        batches=_convert(pairs, "batches", _whole, 100),
+        tau_start=_convert(pairs, "tau_start", _finite, 0.0),
+        tau_stop=_convert(pairs, "tau_stop", _finite, 10.0),
+        tau_points=_convert(pairs, "tau_points", _whole, 21),
+        dtau=_convert(pairs, "dtau", _finite, 1e-3),
+        theta_mode=pairs.get("theta_mode", "rotating"),
+        theta_value=_convert(pairs, "theta_value", _finite, 0.0),
+        divergence_threshold=_convert(pairs, "divergence_threshold", _finite, 1e-3),
         seed=seed,
         warnings=_collect_warnings(pairs, method),
     )

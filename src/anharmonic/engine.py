@@ -1,14 +1,14 @@
-"""Trajectory integration for the phase-space models.
+"""Trajectory integration for the anharmonic (Kerr) oscillator.
 
 Two integrators are provided:
 
 * :func:`exact_wigner_flow`, the exact truncated-Wigner flow of the
   anharmonic drift (the modulus is conserved, so the flow is a pure phase
   rotation), and
-* :class:`MidpointStep`, the one semi-implicit Stratonovich midpoint rule,
-  vectorised over paths: a fixed number of fixed-point iterations with the
-  noise increment held fixed across iterations.  Positive-P chunks step it
-  with noise, generic drift-only Wigner chunks without.
+* :class:`MidpointStep`, the one semi-implicit Stratonovich midpoint rule
+  on the doubled positive-P phase space, vectorised over paths: a fixed
+  number of fixed-point iterations with the noise increment held fixed
+  across iterations.
 
 Ensembles are split into batches (the statistical unit used for error
 bars) and batches are grouped into fixed chunks that serve as units of
@@ -94,7 +94,16 @@ class TimeGrid:
         Only step-based integrators need them; raises ValueError when dtau
         does not divide an output gap.
         """
-        return _step_counts(self.taus, self.dtau)
+        counts = []
+        prev = 0.0
+        for tau in self.taus:
+            gap = tau - prev
+            n = int(round(gap / self.dtau))
+            if abs(n * self.dtau - gap) > 1e-9 * max(1.0, n):
+                raise ValueError(f"step {self.dtau} does not divide the output gap {gap}")
+            counts.append(n)
+            prev = tau
+        return counts
 
     @property
     def dt(self) -> float:
@@ -104,20 +113,6 @@ class TimeGrid:
     @property
     def times(self) -> tuple[float, ...]:
         return tuple(tau / self.n_particles for tau in self.taus)
-
-
-def _step_counts(points, step: float) -> list[int]:
-    """Steps of size ``step`` from 0 to the first point and between the rest."""
-    counts = []
-    prev = 0.0
-    for x in points:
-        gap = x - prev
-        n = int(round(gap / step))
-        if abs(n * step - gap) > 1e-9 * max(1.0, n):
-            raise ValueError(f"step {step} does not divide the output gap {gap}")
-        counts.append(n)
-        prev = x
-    return counts
 
 
 # ----------------------------------------------------------------------
@@ -228,59 +223,50 @@ class _PolyEval:
 
 
 class MidpointStep:
-    """The semi-implicit Stratonovich midpoint step, in place on (n_components, m).
+    """The semi-implicit Stratonovich midpoint step, in place on (2, m).
 
     ``step(y, dw)`` solves  mid = y + (dt/2) A(mid) + (1/2) B(mid) dW  by
     :data:`MIDPOINT_ITERATIONS` fixed-point iterations from mid = y, with the
     Wiener increments ``dw`` (shape (2, m)) held fixed across iterations,
-    and sets y <- 2 mid - y.  A model with noise runs on the doubled phase
-    space: two components (alpha1, alpha2*), the starred symbol bound to
-    y[1].  A drift-only model runs on one component, alpha, with the
-    starred symbol bound to conj(y[0]); it takes no ``dw``.  Built once per
-    chunk, with its buffers and row views.
+    and sets y <- 2 mid - y.  The state is the doubled phase space
+    (alpha1, alpha2*), with the starred symbol bound to y[1].  Built once
+    per chunk, with its buffers and row views.
     """
 
     def __init__(self, model: DriftDiffusionModel, dt: float, m: int):
         if model.convention != "stratonovich":
             raise ValueError("midpoint stepper expects a Stratonovich model")
+        if len(model.drift) != 2 or len(model.noise) != 2:
+            raise ValueError("midpoint stepper expects a two-component model with noise")
         if dt <= 0:
             raise ValueError("dt must be positive")
-        self.n_components = 2 if model.noise else 1
         # The half-step prefactors are folded into the polynomial coefficients;
         # the drift entries come first, then the noise entries.
         self._eval = _PolyEval(
-            [poly.scaled(0.5 * dt) for poly in model.drift[: self.n_components]]
+            [poly.scaled(0.5 * dt) for poly in model.drift]
             + [poly.scaled(0.5) for poly in model.noise],
             m,
         )
-        self._mid = np.empty((self.n_components, m), dtype=np.complex128)
-        self._incr = np.empty((self.n_components, m), dtype=np.complex128)
-        self._kick = np.empty((self.n_components, m), dtype=np.complex128)
-        self._conj = np.empty(m, dtype=np.complex128)
+        self._mid = np.empty((2, m), dtype=np.complex128)
+        self._incr = np.empty((2, m), dtype=np.complex128)
+        self._kick = np.empty((2, m), dtype=np.complex128)
         self._mid_rows = tuple(self._mid)
         self._incr_rows = tuple(self._incr)
         self._kick_rows = tuple(self._kick)
 
-    def __call__(self, y: np.ndarray, dw: np.ndarray | None = None) -> None:
-        n = self.n_components
+    def __call__(self, y: np.ndarray, dw: np.ndarray) -> None:
         mid = self._mid
         ev = self._eval
         np.copyto(mid, y)
         for _ in range(MIDPOINT_ITERATIONS):
-            if n == 2:
-                ev.bind(self._mid_rows[1], self._mid_rows[0])
-            else:
-                np.conjugate(self._mid_rows[0], out=self._conj)
-                ev.bind(self._conj, self._mid_rows[0])
+            ev.bind(self._mid_rows[1], self._mid_rows[0])
             # Every entry is evaluated before mid is overwritten, because the
             # evaluator holds views of mid as its first powers.
-            for j in range(n):
+            for j in range(2):
                 ev.eval_into(j, self._incr_rows[j])
-            if n == 2:
-                for j in range(2):
-                    ev.eval_into(2 + j, self._kick_rows[j])
-                self._kick *= dw
-                self._incr += self._kick
+                ev.eval_into(2 + j, self._kick_rows[j])
+            self._kick *= dw
+            self._incr += self._kick
             np.add(y, self._incr, out=mid)
         mid *= 2.0
         np.subtract(mid, y, out=y)
@@ -386,31 +372,6 @@ def _truncated_wigner_chunk(
     return sums, np.ones(m, dtype=bool)
 
 
-def _wigner_drift_chunk(
-    model: DriftDiffusionModel,
-    alpha0: complex,
-    times: tuple[float, ...],
-    dt: float,
-    seed: int,
-    traj_lo: int,
-    traj_hi: int,
-    bounds: list[tuple[int, int]],
-):
-    """Generic drift-only Wigner chunk using the deterministic midpoint rule."""
-    m = traj_hi - traj_lo
-    y = wigner_initial(InitialStateSpec(alpha0, WIGNER), seed, traj_lo, traj_hi).reshape(1, m)
-    step = MidpointStep(model, dt, m)
-
-    block = np.empty((len(MONOMIALS), m), dtype=np.complex128)
-    sums = np.empty((len(times), len(bounds), len(MONOMIALS)), dtype=np.complex128)
-    for k_out, n_steps in enumerate(_step_counts(times, dt)):
-        for _ in range(n_steps):
-            step(y)
-        bulk_monomials(y[0].conj(), y[0], out=block)
-        _reduce_batches(block, bounds, sums[k_out])
-    return sums, np.ones(m, dtype=bool)
-
-
 def _available_cpus() -> int:
     """CPUs this process may run on (its affinity mask, where the OS has one)."""
     if hasattr(os, "sched_getaffinity"):
@@ -488,7 +449,6 @@ def run_positive_p(
     threads: int | None = None,
     divergence_threshold: float = 1e-3,
     escape_radius: float | None = None,
-    model: DriftDiffusionModel | None = None,
 ) -> list[MomentAccumulator]:
     """Positive-P ensemble under the anharmonic-oscillator Stratonovich model.
 
@@ -497,12 +457,9 @@ def run_positive_p(
     in the reported window: once a nontrivial fraction of the ensemble is
     excluded, the surviving average no longer estimates the true moments.
     """
-    if model is None:
-        model = symbolic.ito_to_stratonovich(
-            symbolic.derive_positive_p_model(symbolic.kerr_hamiltonian())
-        )
-    if model.convention != "stratonovich":
-        raise ValueError("positive-P ensemble expects a Stratonovich model")
+    model = symbolic.ito_to_stratonovich(
+        symbolic.derive_positive_p_model(symbolic.kerr_hamiltonian())
+    )
     if escape_radius is None:
         n = abs(alpha0) ** 2
         escape_radius = ESCAPE_RADIUS_FACTOR * math.sqrt(n if n > 0 else 1.0)
@@ -518,26 +475,6 @@ def run_positive_p(
             f"(threshold {divergence_threshold:.2%})"
         )
     return accs
-
-
-def run_wigner_drift(
-    model: DriftDiffusionModel,
-    alpha0: complex,
-    times: tuple[float, ...],
-    dt: float,
-    n_paths: int,
-    n_batches: int,
-    seed: int = 0,
-    threads: int | None = None,
-) -> list[MomentAccumulator]:
-    """Wigner ensemble under an arbitrary drift-only model (generic midpoint)."""
-    if model.noise:
-        raise ValueError("generic Wigner path handles drift-only models")
-
-    def chunk(t_lo, t_hi, bounds):
-        return _wigner_drift_chunk(model, alpha0, times, dt, seed, t_lo, t_hi, bounds)
-
-    return _run_chunked(WIGNER, n_paths, n_batches, len(times), chunk, threads)
 
 
 def evolve_ensemble(config, threads: int | None = None) -> list[MomentAccumulator]:

@@ -18,8 +18,8 @@ Third- and fourth-order cumulants follow as
     k4 = <X^4> + 2 <X>^4 - 3 <X^2>^2 - 4 <X> k3
 
 with sampling errors estimated from the spread of per-batch values.  The
-Fock oracle uses the same expansion, promotion and cumulant formula
-(:func:`quadrature_powers`, :func:`promote_normal_order`, :func:`k3_k4`).
+Fock oracle evaluates its exact cumulants with the same formula,
+:func:`k3_k4`.
 """
 
 from __future__ import annotations
@@ -68,19 +68,6 @@ class QuadratureSpec:
 
 
 @dataclass(frozen=True)
-class MomentVector:
-    """True operator moments <X^k> for k = 1..4."""
-
-    m1: float
-    m2: float
-    m3: float
-    m4: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.m1, self.m2, self.m3, self.m4])
-
-
-@dataclass(frozen=True)
 class CumulantReport:
     kappa3: float
     kappa4: float
@@ -117,12 +104,6 @@ class MomentAccumulator:
     def n_diverged(self) -> int:
         return int(self.batch_diverged.sum())
 
-    def add_monomials(self, batch: int, monomials: np.ndarray, count: int, diverged: int = 0):
-        """Add pre-summed monomial totals for `count` paths into one batch."""
-        self.batch_sums[batch] += monomials
-        self.batch_counts[batch] += count
-        self.batch_diverged[batch] += diverged
-
 
 def bulk_monomials(abar: np.ndarray, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Monomial matrix of shape (n_monomials, n_paths) for amplitude arrays.
@@ -146,20 +127,17 @@ def bulk_monomials(abar: np.ndarray, a: np.ndarray, out: np.ndarray | None = Non
     return out
 
 
-def _batch_means(acc: MomentAccumulator) -> tuple[np.ndarray, np.ndarray]:
+def _batch_means(acc: MomentAccumulator) -> np.ndarray:
     """Per-batch monomial means, restricted to batches with surviving paths."""
     mask = acc.batch_counts > 0
-    sums = acc.batch_sums[mask]
-    counts = acc.batch_counts[mask]
-    return sums / counts[:, None], mask
+    return acc.batch_sums[mask] / acc.batch_counts[mask][:, None]
 
 
 def quadrature_powers(monomial, theta: float) -> list:
     """Averages of x^k (k = 1..4) with x = e^{-i theta} a + e^{i theta} abar.
 
-    ``monomial(p, q)`` is the average of abar^p a^q: an array column of
-    batch means, or a scalar ladder moment of the oracle.  Both go through
-    the same operations in the same order.
+    ``monomial(p, q)`` is the average of abar^p a^q, for example an array
+    column of batch means.
     """
     powers = []
     for k in range(1, 5):
@@ -202,36 +180,6 @@ def _pooled_means(acc: MomentAccumulator) -> np.ndarray:
     return total / count
 
 
-def quadrature_moments_wigner(acc: MomentAccumulator, spec: QuadratureSpec) -> MomentVector:
-    """Moments of the theta quadrature from symmetric-ordered averages.
-
-    Wigner trajectory averages of powers of the real variable x estimate
-    the true operator moments directly; no correction terms are needed.
-    """
-    if acc.representation != WIGNER:
-        raise ValueError("accumulator does not hold Wigner statistics")
-    raw = _true_moments(_pooled_means(acc), spec.theta, WIGNER)
-    return MomentVector(*np.real(raw))
-
-
-def quadrature_moments_positive_p(
-    acc: MomentAccumulator, spec: QuadratureSpec
-) -> MomentVector:
-    """True moments assembled from normally ordered positive-P averages.
-
-    The imaginary parts of the assembled moments are a pure sampling
-    artefact; they are verified to sit within 5 sigma of zero (sigma from
-    the batch spread) before being discarded.
-    """
-    if acc.representation != POSITIVE_P:
-        raise ValueError("accumulator does not hold positive-P statistics")
-    means, _ = _batch_means(acc)
-    batch_assembled = _true_moments(means, spec.theta, POSITIVE_P)
-    pooled = _true_moments(_pooled_means(acc), spec.theta, POSITIVE_P)
-    _check_imaginary_residue(pooled, batch_assembled)
-    return MomentVector(*np.real(pooled))
-
-
 def _check_imaginary_residue(pooled: np.ndarray, batch_values: np.ndarray):
     n_b = batch_values.shape[0]
     if n_b < 2:
@@ -249,15 +197,6 @@ def _check_imaginary_residue(pooled: np.ndarray, batch_values: np.ndarray):
         )
 
 
-def cumulants(m: MomentVector) -> CumulantReport:
-    """Third and fourth cumulants of the quadrature from its moments."""
-    arr = m.as_array()
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("moments must be finite")
-    k3, k4 = k3_k4(m.m1, m.m2, m.m3, m.m4)
-    return CumulantReport(k3, k4, 0.0, 0.0, 0, 0)
-
-
 def batch_error(acc: MomentAccumulator, spec: QuadratureSpec) -> CumulantReport:
     """Cumulants with batch standard errors.
 
@@ -268,7 +207,7 @@ def batch_error(acc: MomentAccumulator, spec: QuadratureSpec) -> CumulantReport:
         raise InsufficientBatches(
             f"{acc.n_batches} batches < required {MIN_BATCHES}"
         )
-    means, _ = _batch_means(acc)
+    means = _batch_means(acc)
     n_eff = means.shape[0]
     if n_eff < MIN_BATCHES:
         raise InsufficientBatches(

@@ -20,10 +20,8 @@ Numerical constraints that shape this module:
 * Cumulants are evaluated in the frame shifted by the mean quadrature.
   Third and fourth cumulants are exactly shift invariant, and the shifted
   moments are O(1), so the evaluation avoids the catastrophic cancellation
-  of raw moments (which reach O(N^2) at large N).
-
-A small dense-matrix brute force provides an independent cross-check of
-the windowed computation at low particle number.
+  of raw moments (which reach O(N^2) at large N).  Only the cumulant
+  formula :func:`~anharmonic.moments.k3_k4` is shared with the ensembles.
 """
 
 from __future__ import annotations
@@ -33,14 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .moments import (
-    CumulantReport,
-    MomentVector,
-    QuadratureSpec,
-    k3_k4,
-    promote_normal_order,
-    quadrature_powers,
-)
+from .moments import CumulantReport, QuadratureSpec, k3_k4
 
 #: Window growth: half-width starts at this many Poisson sigmas and doubles.
 _INITIAL_HALFWIDTH_SIGMAS = 8.0
@@ -51,10 +42,6 @@ _MAX_WINDOW = 4_000_000
 
 class WindowOverflow(RuntimeError):
     """The Fock window needed to capture the state exceeds the budget."""
-
-
-class CutoffInsufficient(ValueError):
-    """Dense brute force: the truncated basis loses too much norm."""
 
 
 def _real_dot(x: np.ndarray, y: np.ndarray) -> float:
@@ -227,17 +214,6 @@ def ladder_moment(state: OracleState, p: int, q: int) -> complex:
     return complex(np.sum(np.conj(bra) * ket * factor))
 
 
-def quadrature_moments(state: OracleState, spec: QuadratureSpec) -> MomentVector:
-    """True moments <X^k> assembled from normally ordered ladder moments.
-
-    X = exp(-i theta) a + exp(i theta) adag; the phase is absorbed into the
-    ladder operators and the normally ordered averages are promoted with
-    the constants {1; 3; 6, 3}.
-    """
-    raw = quadrature_powers(lambda p, q: ladder_moment(state, p, q), spec.theta)
-    return MomentVector(*(m.real for m in promote_normal_order(*raw)))
-
-
 def _apply_centred_quadrature(
     v: np.ndarray, idx: np.ndarray, theta: float, mu: float
 ) -> np.ndarray:
@@ -254,8 +230,6 @@ def oracle_cumulants(state: OracleState, spec: QuadratureSpec) -> CumulantReport
 
     k3 and k4 are invariant under X -> X - mu, and the shifted moments stay
     O(1), so the near-cancellation of large raw moments never enters.
-    Agrees with the raw-moment assembly of :func:`quadrature_moments`
-    wherever the latter is well conditioned.
     """
     theta = spec.theta
     mean_a = ladder_moment(state, 0, 1)
@@ -276,64 +250,3 @@ def oracle_cumulants(state: OracleState, spec: QuadratureSpec) -> CumulantReport
 
     k3, k4 = k3_k4(m1, m2, m3, m4)
     return CumulantReport(k3, k4, 0.0, 0.0, 0, 0)
-
-
-@dataclass(frozen=True)
-class DenseOperatorSpace:
-    """Dense ladder matrices on a cutoff Fock space (verification oracle)."""
-
-    cutoff: int
-    a: np.ndarray
-    adag: np.ndarray
-
-    @classmethod
-    def build(cls, cutoff: int) -> "DenseOperatorSpace":
-        a = np.zeros((cutoff, cutoff), dtype=np.complex128)
-        for n in range(1, cutoff):
-            a[n - 1, n] = math.sqrt(n)
-        return cls(cutoff=cutoff, a=a, adag=a.conj().T)
-
-
-def coherent_vector(alpha0: complex, cutoff: int) -> np.ndarray:
-    """Truncated coherent amplitudes exp(-N/2) alpha0^n / sqrt(n!)."""
-    alpha0 = complex(alpha0)
-    n_particles = abs(alpha0) ** 2
-    c = np.zeros(cutoff, dtype=np.complex128)
-    if alpha0 == 0:
-        c[0] = 1.0
-        return c
-    log_mod = math.log(abs(alpha0))
-    arg = math.atan2(alpha0.imag, alpha0.real)
-    for n in range(cutoff):
-        log_abs = -0.5 * n_particles + n * log_mod - 0.5 * math.lgamma(n + 1)
-        c[n] = math.exp(log_abs) * complex(math.cos(n * arg), math.sin(n * arg))
-    return c
-
-
-def dense_brute_force(
-    alpha0: complex, cutoff: int, t: float, spec: QuadratureSpec
-) -> MomentVector:
-    """Moments via dense matrices: independent check of the windowed oracle.
-
-    The Hamiltonian is diagonal (eigenvalue n^2), so evolution is a phase
-    per basis state; quadrature moments come from explicit matrix powers.
-    """
-    if cutoff > 200:
-        raise ValueError("dense brute force is limited to cutoff <= 200")
-    if abs(alpha0) ** 2 > cutoff / 3:
-        raise ValueError("coherent amplitude too large for this cutoff")
-    psi0 = coherent_vector(alpha0, cutoff)
-    norm_loss = abs(1.0 - float(np.vdot(psi0, psi0).real))
-    if norm_loss > 1e-10:
-        raise CutoffInsufficient(f"truncated norm loss {norm_loss:.3e} > 1e-10")
-
-    nn = np.arange(cutoff, dtype=np.float64)
-    psi = psi0 * np.exp(-1j * nn * nn * t)
-
-    space = DenseOperatorSpace.build(cutoff)
-    x = np.exp(-1j * spec.theta) * space.a + np.exp(1j * spec.theta) * space.adag
-    x2 = x @ x
-    x3 = x2 @ x
-    x4 = x2 @ x2
-    moments = [float(np.vdot(psi, op @ psi).real) for op in (x, x2, x3, x4)]
-    return MomentVector(*moments)

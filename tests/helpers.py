@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from anharmonic.engine import MIDPOINT_ITERATIONS, MidpointStep
-from anharmonic.moments import MONOMIALS
+from anharmonic.moments import MONOMIALS, QuadratureSpec, promote_normal_order, quadrature_powers
+from anharmonic.oracle import ladder_moment
 from anharmonic.sampling import sample_wigner_coherent, stream_for_trajectory
 from anharmonic.symbolic import PhasePolynomial, evaluate
 
@@ -80,37 +82,36 @@ def full_block_kernel(kernel):
     return chunk
 
 
-def scalar_midpoint_path(model, y0, dt: float, n_steps: int, dw=None) -> tuple[complex, ...]:
+def scalar_midpoint_path(model, y0, dt: float, n_steps: int, dw) -> tuple[complex, complex]:
     """Reference midpoint rule for one path, in scalar complex arithmetic.
 
-    ``y0`` is (alpha1, alpha2*), or (alpha,) with the starred symbol bound to
-    the conjugate; ``dw`` holds one row of Wiener increments per step.
+    ``y0`` is (alpha1, alpha2*); ``dw`` holds one row of two Wiener
+    increments per step.
     """
     y = tuple(complex(c) for c in y0)
     for k in range(n_steps):
         mid = y
         for _ in range(MIDPOINT_ITERATIONS):
-            a, b = mid if len(y) == 2 else (mid[0], mid[0].conjugate())
-            new_mid = []
-            for j in range(len(y)):
-                incr = evaluate(model.drift[j], a, b) * dt
-                if dw is not None:
-                    incr += evaluate(model.noise[j], a, b) * dw[k][j]
-                new_mid.append(y[j] + 0.5 * incr)
-            mid = tuple(new_mid)
+            a, b = mid
+            mid = tuple(
+                y[j] + 0.5 * (evaluate(model.drift[j], a, b) * dt
+                              + evaluate(model.noise[j], a, b) * dw[k][j])
+                for j in range(2)
+            )
         y = tuple(2.0 * m - y_j for m, y_j in zip(mid, y))
     return y
 
 
 def midpoint_path(model, y0, dt, n_steps, dw=None):
-    """Step the kernel n_steps times on the state y0, shape (n_components, m).
+    """Step the kernel n_steps times on the state y0, shape (2, m).
 
-    ``dw`` has shape (n_steps, 2, m).
+    ``dw`` has shape (n_steps, 2, m); without it every increment is zero.
     """
     y = np.array(y0, dtype=np.complex128)
     step = MidpointStep(model, dt, y.shape[1])
+    zero = np.zeros(y.shape)
     for k in range(n_steps):
-        step(y, None if dw is None else dw[k])
+        step(y, zero if dw is None else dw[k])
     return y
 
 
@@ -125,3 +126,86 @@ def frozen_brownian_paths(rng, n_paths, n_coarse, dt):
     mid = fine.reshape(n_paths, 2 * n_coarse, 2, 2).sum(axis=2)
     coarse = mid.reshape(n_paths, n_coarse, 2, 2).sum(axis=2)
     return tuple(np.ascontiguousarray(x.transpose(1, 2, 0)) for x in (coarse, mid, fine))
+
+
+def fill_batches(acc, sums, counts, diverged=0):
+    """Set the first len(counts) batches of ``acc``: monomial sums, path and divergence counts."""
+    n = len(counts)
+    acc.batch_sums[:n] = sums
+    acc.batch_counts[:n] = counts
+    acc.batch_diverged[:n] = diverged
+    return acc
+
+
+def oracle_raw_moments(state, spec) -> np.ndarray:
+    """<X^k> (k = 1..4) of an oracle state, assembled from its raw ladder moments."""
+    raw = quadrature_powers(lambda p, q: ladder_moment(state, p, q), spec.theta)
+    return np.real(promote_normal_order(*raw))
+
+
+# ----------------------------------------------------------------------
+# dense Fock-space reference for the windowed oracle
+
+
+class CutoffInsufficient(ValueError):
+    """Dense brute force: the truncated basis loses too much norm."""
+
+
+@dataclass(frozen=True)
+class DenseOperatorSpace:
+    """Dense ladder matrices on a cutoff Fock space (verification oracle)."""
+
+    cutoff: int
+    a: np.ndarray
+    adag: np.ndarray
+
+    @classmethod
+    def build(cls, cutoff: int) -> "DenseOperatorSpace":
+        a = np.zeros((cutoff, cutoff), dtype=np.complex128)
+        for n in range(1, cutoff):
+            a[n - 1, n] = math.sqrt(n)
+        return cls(cutoff=cutoff, a=a, adag=a.conj().T)
+
+
+def coherent_vector(alpha0: complex, cutoff: int) -> np.ndarray:
+    """Truncated coherent amplitudes exp(-N/2) alpha0^n / sqrt(n!)."""
+    alpha0 = complex(alpha0)
+    n_particles = abs(alpha0) ** 2
+    c = np.zeros(cutoff, dtype=np.complex128)
+    if alpha0 == 0:
+        c[0] = 1.0
+        return c
+    log_mod = math.log(abs(alpha0))
+    arg = math.atan2(alpha0.imag, alpha0.real)
+    for n in range(cutoff):
+        log_abs = -0.5 * n_particles + n * log_mod - 0.5 * math.lgamma(n + 1)
+        c[n] = math.exp(log_abs) * complex(math.cos(n * arg), math.sin(n * arg))
+    return c
+
+
+def dense_brute_force(
+    alpha0: complex, cutoff: int, t: float, spec: QuadratureSpec
+) -> np.ndarray:
+    """<X^k> (k = 1..4) via dense matrices: independent check of the windowed oracle.
+
+    The Hamiltonian is diagonal (eigenvalue n^2), so evolution is a phase
+    per basis state; quadrature moments come from explicit matrix powers.
+    """
+    if cutoff > 200:
+        raise ValueError("dense brute force is limited to cutoff <= 200")
+    if abs(alpha0) ** 2 > cutoff / 3:
+        raise ValueError("coherent amplitude too large for this cutoff")
+    psi0 = coherent_vector(alpha0, cutoff)
+    norm_loss = abs(1.0 - float(np.vdot(psi0, psi0).real))
+    if norm_loss > 1e-10:
+        raise CutoffInsufficient(f"truncated norm loss {norm_loss:.3e} > 1e-10")
+
+    nn = np.arange(cutoff, dtype=np.float64)
+    psi = psi0 * np.exp(-1j * nn * nn * t)
+
+    space = DenseOperatorSpace.build(cutoff)
+    x = np.exp(-1j * spec.theta) * space.a + np.exp(1j * spec.theta) * space.adag
+    x2 = x @ x
+    x3 = x2 @ x
+    x4 = x2 @ x2
+    return np.array([np.vdot(psi, op @ psi).real for op in (x, x2, x3, x4)])

@@ -209,6 +209,30 @@ def test_window_overflow_exit_code(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key, overrides",
+    [
+        ("N", {"N": "inf"}),
+        ("n_paths", {"n_paths": "inf"}),
+        ("batches", {"batches": "inf"}),
+        ("N", {"method": "Oracle", "N": "inf"}),
+        ("tau_start", {"method": "PositiveP", "tau_start": "nan"}),
+        ("tau_stop", {"method": "PositiveP", "tau_stop": "nan"}),
+        ("theta_value", {"theta_mode": "fixed", "theta_value": "nan"}),
+        ("dtau", {"method": "PositiveP", "dtau": "nan"}),
+    ],
+    ids=["TW-N", "n_paths", "batches", "Oracle-N", "tau_start", "tau_stop", "theta_value", "dtau"],
+)
+def test_non_finite_config_value_exit_code(tmp_path, capsys, key, overrides):
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "x.csv"
+    write_config(cfg, **overrides)
+    code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(out))
+    assert code == cli.EXIT_INPUT == 2
+    assert f"invalid value for {key!r}" in err
+    assert not out.exists()
+
+
 class TestOracleCommand:
     def test_reference_curve(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

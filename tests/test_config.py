@@ -95,3 +95,11 @@ def test_theta_modes():
 def test_tau_grid():
     cfg = parse_config("method = TW\nN = 10\ntau_start = 0\ntau_stop = 2\ntau_points = 5\n")
     assert cfg.taus == (0.0, 0.5, 1.0, 1.5, 2.0)
+
+
+def test_integer_keys_take_whole_numbers_in_float_notation():
+    cfg = parse_config("method = TW\nN = 10\nn_paths = 1e5\ntau_points = 3.0\n")
+    assert (cfg.n_paths, cfg.tau_points) == (100_000, 3)
+    with pytest.raises(InvalidValue) as err:
+        parse_config("method = TW\nN = 10\nbatches = 12.5\n")
+    assert err.value.key == "batches"

@@ -14,7 +14,6 @@ from anharmonic.engine import (
     exact_wigner_flow,
     run_positive_p,
     run_truncated_wigner,
-    run_wigner_drift,
 )
 from anharmonic.moments import MONOMIAL_INDEX, QuadratureSpec, batch_error
 from anharmonic.sampling import RandomStream, stream_for_trajectory
@@ -29,17 +28,27 @@ from helpers import (
 )
 
 
-def kerr_wigner_model():
-    return sy.derive_wigner_model(sy.kerr_hamiltonian())
+def positive_p_model(hamiltonian):
+    return sy.ito_to_stratonovich(sy.derive_positive_p_model(hamiltonian))
 
 
 def kerr_positive_p_model():
-    return sy.ito_to_stratonovich(sy.derive_positive_p_model(sy.kerr_hamiltonian()))
+    return positive_p_model(sy.kerr_hamiltonian())
 
 
 def exact_at(a0, t):
     """Exact truncated-Wigner flow of one amplitude at one time."""
     return next(exact_wigner_flow(np.array([complex(a0)]), [t]))[0]
+
+
+def exact_positive_p_at(a0, t):
+    """Noise-free positive-P Kerr flow from (a0, conj(a0)): alpha1 exp(-2i n t), n = |a0|^2."""
+    return a0 * np.exp(-2j * abs(a0) ** 2 * t)
+
+
+def noise_free_path(model, a0, dt, n_steps):
+    """alpha1 after n_steps kernel steps from (a0, conj(a0)) with zero increments."""
+    return midpoint_path(model, [[a0], [np.conj(a0)]], dt, n_steps)[0, 0]
 
 
 def batch_mean(acc, p, q):
@@ -130,37 +139,44 @@ class TestExactWignerStep:
 
 
 class TestMidpointStep:
-    """The ensembles' midpoint kernel, on one path (m = 1) unless stated."""
+    """The ensembles' midpoint kernel, on one path (m = 1) unless stated.
+
+    The noise-free tests step from (a0, conj(a0)) with zero increments.
+    """
 
     def test_harmonic_rotation_conserves_modulus(self):
-        model = sy.derive_wigner_model(sy.PhasePolynomial({(1, 1): 1}))
-        y = midpoint_path(model, [[1.0 + 0.5j]], 1e-3, 100)
-        assert abs(abs(y[0, 0]) - abs(1.0 + 0.5j)) < 1e-10
+        model = positive_p_model(sy.PhasePolynomial({(1, 1): 1}))
+        y = noise_free_path(model, 1.0 + 0.5j, 1e-3, 100)
+        assert abs(abs(y) - abs(1.0 + 0.5j)) < 1e-10
 
     def test_single_step_matches_exact_to_dt_squared(self):
-        model = kerr_wigner_model()
+        model = kerr_positive_p_model()
         a0 = 1.1 + 0.4j
         errors = []
         for dt in (1e-3, 5e-4):
-            num = midpoint_path(model, [[a0]], dt, 1)[0, 0]
-            errors.append(abs(num - exact_at(a0, dt)))
+            num = noise_free_path(model, a0, dt, 1)
+            errors.append(abs(num - exact_positive_p_at(a0, dt)))
         assert errors[0] < 1e-7
         # local error is cubic in dt, so halving shrinks it ~8x
         assert errors[0] / errors[1] > 6.0
 
     def test_deterministic_global_second_order(self):
         # halving dt shrinks the global error by >= 3.5x on the exact flow
-        model = kerr_wigner_model()
+        model = kerr_positive_p_model()
         a0 = 1.1 + 0.0j
         t_final = 0.5
-        ref = exact_at(a0, t_final)
+        ref = exact_positive_p_at(a0, t_final)
 
         def global_error(dt):
-            y = midpoint_path(model, [[a0]], dt, int(round(t_final / dt)))
-            return abs(y[0, 0] - ref)
+            return abs(noise_free_path(model, a0, dt, int(round(t_final / dt))) - ref)
 
         e1, e2 = global_error(2e-3), global_error(1e-3)
         assert e1 / e2 >= 3.5
+
+    def test_rejects_drift_only_model(self):
+        # the kernel steps the doubled phase space only
+        with pytest.raises(ValueError, match="two-component"):
+            MidpointStep(sy.derive_wigner_model(sy.kerr_hamiltonian()), 1e-3, 1)
 
     def test_divergence_flagging(self):
         # a path that overflows is flagged after the step that makes it
@@ -362,13 +378,13 @@ class TestPositivePEnsemble:
             assert abs(a2s - a2s_ref) < 1e-13 * abs(a2s)
 
     def test_kernel_matches_scalar_reference_without_noise(self):
-        # the one-component binding (starred symbol = conjugate) on a drift-only model
-        model = kerr_wigner_model()
-        y0 = np.array([[1.1 + 0.4j, -0.3 + 2.0j]])
+        model = kerr_positive_p_model()
+        y0 = np.array([[1.1 + 0.4j, -0.3 + 2.0j], [1.1 - 0.4j, -0.3 - 2.0j]])
         y = midpoint_path(model, y0, 1e-3, 200)
         for i in range(2):
-            (ref,) = scalar_midpoint_path(model, (y0[0, i],), 1e-3, 200)
-            assert abs(y[0, i] - ref) < 1e-13 * abs(ref)
+            ref = scalar_midpoint_path(model, y0[:, i], 1e-3, 200, np.zeros((200, 2)))
+            for j in range(2):
+                assert abs(y[j, i] - ref[j]) < 1e-13 * abs(ref[j])
 
 
 class TestPositivePAgainstOracle:
@@ -411,51 +427,6 @@ class TestEvolveEnsembleDispatch:
         assert accs[0].n_paths == 500
 
 
-class TestGenericWignerDrift:
-    def test_harmonic_ensemble_stays_gaussian(self):
-        model = sy.derive_wigner_model(sy.PhasePolynomial({(1, 1): 1}))
-        accs = run_wigner_drift(model, 2.0, (0.0, 1.0), 0.05, 5000, 10, seed=4)
-        rep = batch_error(accs[-1], QuadratureSpec(0.0))
-        assert abs(rep.kappa3) < 4 * rep.sigma3
-        assert abs(rep.kappa4) < 4 * rep.sigma4
-
-    def test_matches_exact_kerr_stepper(self):
-        # midpoint truncation is O(dt^2); with rate ~ 2N = 20 and dt = 1e-3
-        # the order-4 monomials agree to a few parts in 1e4
-        model = kerr_wigner_model()
-        n = 10.0
-        taus = (0.0, 0.2)
-        grid = TimeGrid(n, taus, 0.01)
-        exact = run_truncated_wigner(math.sqrt(n), grid, 200, 10, seed=12)
-        generic = run_wigner_drift(
-            model, math.sqrt(n), grid.times, grid.dt, 200, 10, seed=12
-        )
-        for acc_e, acc_g in zip(exact, generic):
-            assert np.allclose(acc_e.batch_sums, acc_g.batch_sums, rtol=2e-3, atol=1e-6)
-        # and the discrepancy shrinks ~4x when dt is halved
-        finer = run_wigner_drift(
-            model, math.sqrt(n), grid.times, grid.dt / 2, 200, 10, seed=12
-        )
-        err_coarse = np.abs(generic[-1].batch_sums - exact[-1].batch_sums).max()
-        err_fine = np.abs(finer[-1].batch_sums - exact[-1].batch_sums).max()
-        assert err_coarse / max(err_fine, 1e-300) > 3.0
-
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_matches_per_path_reference_kernels(self, monkeypatch, threads):
-        monkeypatch.setattr(engine, "_CHUNK_TARGET", 600)
-        model = kerr_wigner_model()
-
-        def run():
-            return run_wigner_drift(
-                model, math.sqrt(10.0), (0.0, 0.02, 0.05), 0.01, 3000, 10, seed=-7,
-                threads=threads,
-            )
-
-        got = run()
-        use_reference_kernels(monkeypatch)
-        assert_same_accumulators(got, run())
-
-
 class TestDefaultWorkerCount:
     def test_affinity_mask_sets_default(self, monkeypatch):
         monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
@@ -490,18 +461,6 @@ class TestStreamingReduction:
             "_truncated_wigner_chunk",
             lambda: run_truncated_wigner(
                 math.sqrt(1000.0), grid, self.N_PATHS, 10, seed=3, threads=threads
-            ),
-        )
-
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_wigner_drift(self, monkeypatch, threads):
-        model = kerr_wigner_model()
-        self.compare(
-            monkeypatch,
-            "_wigner_drift_chunk",
-            lambda: run_wigner_drift(
-                model, math.sqrt(10.0), (0.0, 0.02, 0.05), 0.01, self.N_PATHS, 10,
-                seed=4, threads=threads,
             ),
         )
 
@@ -558,13 +517,5 @@ class TestMemoryBound:
         grid = TimeGrid(1000.0, tuple(0.01 * i for i in range(1001)), 0.01)
         peak = self.traced_peak(
             lambda: run_truncated_wigner(math.sqrt(1000.0), grid, 2048, 10, seed=1, threads=1)
-        )
-        assert peak < self.BOUND, peak
-
-    def test_wigner_drift(self):
-        model = kerr_wigner_model()
-        times = tuple(1e-5 * i for i in range(1001))
-        peak = self.traced_peak(
-            lambda: run_wigner_drift(model, math.sqrt(10.0), times, 1e-5, 2048, 10, seed=1, threads=1)
         )
         assert peak < self.BOUND, peak

@@ -3,18 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from anharmonic.moments import QuadratureSpec, cumulants
+from anharmonic.moments import QuadratureSpec, k3_k4
 from anharmonic.oracle import (
-    CutoffInsufficient,
-    DenseOperatorSpace,
     WindowOverflow,
-    coherent_vector,
-    dense_brute_force,
     evolve,
     init_coherent,
     ladder_moment,
     oracle_cumulants,
-    quadrature_moments,
+)
+from helpers import (
+    CutoffInsufficient,
+    DenseOperatorSpace,
+    coherent_vector,
+    dense_brute_force,
+    oracle_raw_moments,
 )
 
 
@@ -176,9 +178,9 @@ class TestQuadratureMomentsAndCumulants:
         for tau in (0.1, 0.5, 1.0):
             for theta in (0.0, 2 * tau, 1.1):
                 state = evolve(state0, tau / 4.0)
-                mv = quadrature_moments(state, QuadratureSpec(theta))
+                mv = oracle_raw_moments(state, QuadratureSpec(theta))
                 dense = dense_brute_force(a0, 60, tau / 4.0, QuadratureSpec(theta))
-                for got, want in zip(mv.as_array(), dense.as_array()):
+                for got, want in zip(mv, dense):
                     assert abs(got - want) < 1e-10 * max(1.0, abs(want))
 
     @pytest.mark.parametrize("n_target", [4.0, 1e3, 1e6])
@@ -194,24 +196,24 @@ class TestQuadratureMomentsAndCumulants:
         state = evolve(init_coherent(a0), 0.5 / 4.0)
         spec = QuadratureSpec(1.0)
         rep = oracle_cumulants(state, spec)
-        dense_rep = cumulants(dense_brute_force(a0, 60, 0.5 / 4.0, spec))
-        assert abs(rep.kappa3 - dense_rep.kappa3) < 1e-10 * max(1.0, abs(dense_rep.kappa3))
-        assert abs(rep.kappa4 - dense_rep.kappa4) < 1e-10 * max(1.0, abs(dense_rep.kappa4))
+        k3, k4 = k3_k4(*dense_brute_force(a0, 60, 0.5 / 4.0, spec))
+        assert abs(rep.kappa3 - k3) < 1e-10 * max(1.0, abs(k3))
+        assert abs(rep.kappa4 - k4) < 1e-10 * max(1.0, abs(k4))
 
     def test_centred_route_matches_raw_assembly_when_well_conditioned(self):
         state = evolve(init_coherent(math.sqrt(6.0)), 0.21)
         spec = QuadratureSpec(0.8)
         rep = oracle_cumulants(state, spec)
-        raw = cumulants(quadrature_moments(state, spec))
-        assert abs(rep.kappa3 - raw.kappa3) < 1e-9 * max(1.0, abs(raw.kappa3))
-        assert abs(rep.kappa4 - raw.kappa4) < 1e-9 * max(1.0, abs(raw.kappa4))
+        k3, k4 = k3_k4(*oracle_raw_moments(state, spec))
+        assert abs(rep.kappa3 - k3) < 1e-9 * max(1.0, abs(k3))
+        assert abs(rep.kappa4 - k4) < 1e-9 * max(1.0, abs(k4))
 
 
 class TestDenseBruteForce:
     def test_vacuum_quadrature_variance(self):
-        mv = dense_brute_force(0.0, 20, 0.0, QuadratureSpec(0.4))
-        assert mv.m2 == pytest.approx(1.0, abs=1e-13)
-        assert mv.m1 == pytest.approx(0.0, abs=1e-13)
+        m1, m2, _, _ = dense_brute_force(0.0, 20, 0.0, QuadratureSpec(0.4))
+        assert m2 == pytest.approx(1.0, abs=1e-13)
+        assert m1 == pytest.approx(0.0, abs=1e-13)
 
     def test_coherent_closed_forms(self):
         rng = np.random.default_rng(8)
@@ -219,7 +221,7 @@ class TestDenseBruteForce:
             a0 = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
             theta = rng.uniform(0, 2 * math.pi)
             mv = dense_brute_force(a0, 40, 0.0, QuadratureSpec(theta))
-            for got, want in zip(mv.as_array(), coherent_quadrature_moments(a0, theta)):
+            for got, want in zip(mv, coherent_quadrature_moments(a0, theta)):
                 assert abs(got - want) < 1e-10 * max(1.0, abs(want))
 
     def test_cutoff_guard(self):
