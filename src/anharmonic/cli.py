@@ -29,6 +29,7 @@ EXIT_DIVERGENCE = 4           # more paths diverged than divergence_threshold al
 EXIT_WINDOW_OVERFLOW = 5      # the oracle's Fock window exceeds its budget
 EXIT_ORDERING_VIOLATION = 6   # estimates fail the imaginary-residue or moment-bound check
 EXIT_INSUFFICIENT_BATCHES = 7 # fewer than 10 batches kept a surviving path at some output
+EXIT_MEMORY = 8               # a chunk's arrays do not fit in memory (a batch is too large)
 
 
 class GridMismatch(ValueError):
@@ -120,6 +121,8 @@ def _cmd_simulate(args) -> int:
         return _error(exc, EXIT_ORDERING_VIOLATION)
     except InsufficientBatches as exc:
         return _error(exc, EXIT_INSUFFICIENT_BATCHES)
+    except MemoryError as exc:
+        return _error(exc, EXIT_MEMORY)
     write_rows(args.out, rows)
     elapsed = time.perf_counter() - started
     if cfg.method != "Oracle":
@@ -214,6 +217,9 @@ def _cmd_compare(args) -> int:
     try:
         rows_a = read_rows(args.csv_a)
         rows_b = read_rows(args.csv_b)
+        for path, rows in ((args.csv_a, rows_a), (args.csv_b, rows_b)):
+            if not rows:
+                raise ValueError(f"{path}: no data rows")
         report = compare_rows(
             rows_a,
             rows_b,
@@ -239,6 +245,14 @@ def _cmd_compare(args) -> int:
     n_pass = sum(r.passed for r in report.rows)
     print(f"result: {'PASS' if report.all_passed else 'FAIL'} ({n_pass}/{len(report.rows)} rows)")
     return 0 if report.all_passed else 3
+
+
+def _tolerance(text: str) -> float:
+    """argparse type of the ``compare`` tolerances: a finite value >= 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"expected a finite value >= 0, got {text!r}")
+    return value
 
 
 def _cmd_purity(args) -> int:
@@ -294,10 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="compare two cumulant CSVs")
     p.add_argument("csv_a")
     p.add_argument("csv_b")
-    p.add_argument("--max-sigma", type=float, default=4.0)
-    p.add_argument("--atol", type=float, default=1e-9)
-    p.add_argument("--k3-peak-frac", type=float, default=0.0)
-    p.add_argument("--k4-peak-frac", type=float, default=0.0)
+    p.add_argument("--max-sigma", type=_tolerance, default=4.0)
+    p.add_argument("--atol", type=_tolerance, default=1e-9)
+    p.add_argument("--k3-peak-frac", type=_tolerance, default=0.0)
+    p.add_argument("--k4-peak-frac", type=_tolerance, default=0.0)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("purity", help="check the volume-preservation condition")

@@ -6,9 +6,9 @@ Two integrators are provided:
   anharmonic drift (the modulus is conserved, so the flow is a pure phase
   rotation), and
 * :class:`MidpointStep`, the one semi-implicit Stratonovich midpoint rule
-  on the doubled positive-P phase space, vectorised over paths: a fixed
-  number of fixed-point iterations with the noise increment held fixed
-  across iterations.
+  on the doubled positive-P phase space, written for the Kerr model's four
+  terms and vectorised over paths: a fixed number of fixed-point iterations
+  with the noise increment held fixed across iterations.
 
 Ensembles are split into batches (the statistical unit used for error
 bars) and batches are grouped into fixed chunks that serve as units of
@@ -20,7 +20,8 @@ Chunk kernels reduce each output to per-batch monomial sums as soon as
 its monomials are formed, so a truncated-Wigner chunk holds one
 ``(n_monomials, m)`` block whatever the number of outputs.  Positive-P
 chunks keep every output's block until the end, because a path that
-diverges later is excluded retroactively from every earlier output.
+diverges later is excluded retroactively from every earlier output;
+their noise is drawn path by path into one bounded buffer per chunk.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -43,7 +45,7 @@ from .sampling import (
     stream_for_trajectory,
     wigner_initial,
 )
-from .symbolic import DriftDiffusionModel, PhasePolynomial
+from .symbolic import DriftDiffusionModel
 
 #: Escape radius for divergence flagging, in units of sqrt(N).
 ESCAPE_RADIUS_FACTOR = 1e3
@@ -56,10 +58,10 @@ MIDPOINT_ITERATIONS = 4
 #: run configuration, never on the worker count.
 _CHUNK_TARGET = 8192
 
-#: Byte cap on each of a positive-P chunk's two noise buffers (draws in path
-#: order, scaled increments in step order).  An output gap is drawn in blocks
-#: of at most this many bytes, so memory does not grow with steps per gap:
-#: 256 steps per block at 8192 paths.
+#: Byte cap on a positive-P chunk's noise buffer, which holds each path's
+#: draws for a block of steps.  An output gap is drawn in blocks of at most
+#: this many bytes, so memory does not grow with steps per gap: 256 steps per
+#: block at 8192 paths.
 _NOISE_BLOCK_BYTES = 32 * 2**20
 
 
@@ -165,61 +167,10 @@ def _reduce_batches(block: np.ndarray, bounds: list[tuple[int, int]], out: np.nd
     return out
 
 
-def _term_list(poly: PhasePolynomial):
-    return [(p, q, complex(c)) for (p, q), c in sorted(poly.terms.items())]
-
-
-class _PolyEval:
-    """Vectorised evaluation of a few sparse polynomials on shared buffers."""
-
-    def __init__(self, polys: list[PhasePolynomial], m: int):
-        self.term_lists = [_term_list(p) for p in polys]
-        self.max_p = max((p for tl in self.term_lists for p, _, _ in tl), default=0)
-        self.max_q = max((q for tl in self.term_lists for _, q, _ in tl), default=0)
-        self.spow = [None] * (self.max_p + 1)
-        self.upow = [None] * (self.max_q + 1)
-        for j in range(2, self.max_p + 1):
-            self.spow[j] = np.empty(m, dtype=np.complex128)
-        for j in range(2, self.max_q + 1):
-            self.upow[j] = np.empty(m, dtype=np.complex128)
-        self.tmp = np.empty(m, dtype=np.complex128)
-
-    def bind(self, star: np.ndarray, unstar: np.ndarray):
-        if self.max_p >= 1:
-            self.spow[1] = star
-        if self.max_q >= 1:
-            self.upow[1] = unstar
-        for j in range(2, self.max_p + 1):
-            np.multiply(self.spow[j - 1], star, out=self.spow[j])
-        for j in range(2, self.max_q + 1):
-            np.multiply(self.upow[j - 1], unstar, out=self.upow[j])
-
-    def eval_into(self, index: int, out: np.ndarray):
-        terms = self.term_lists[index]
-        if len(terms) == 1:
-            p, q, c = terms[0]
-            if p and q:
-                np.multiply(self.spow[p], self.upow[q], out=out)
-            elif p:
-                np.copyto(out, self.spow[p])
-            elif q:
-                np.copyto(out, self.upow[q])
-            else:
-                out.fill(1.0)
-            out *= c
-            return
-        out.fill(0.0)
-        for p, q, c in terms:
-            if p and q:
-                np.multiply(self.spow[p], self.upow[q], out=self.tmp)
-            elif p:
-                np.copyto(self.tmp, self.spow[p])
-            elif q:
-                np.copyto(self.tmp, self.upow[q])
-            else:
-                self.tmp.fill(1.0)
-            self.tmp *= c
-            out += self.tmp
+#: Term shape of the Stratonovich positive-P Kerr model, one set of (p, q)
+#: exponents of a*^p a^q per entry: the two drift entries, then the two noise
+#: entries.  a is alpha1 (y[0]) and a* is alpha2* (y[1]).
+_KERR_TERMS = ({(1, 2)}, {(2, 1)}, {(0, 1)}, {(1, 0)})
 
 
 class MidpointStep:
@@ -229,45 +180,42 @@ class MidpointStep:
     :data:`MIDPOINT_ITERATIONS` fixed-point iterations from mid = y, with the
     Wiener increments ``dw`` (shape (2, m)) held fixed across iterations,
     and sets y <- 2 mid - y.  The state is the doubled phase space
-    (alpha1, alpha2*), with the starred symbol bound to y[1].  Built once
-    per chunk, with its buffers and row views.
+    (alpha1, alpha2*).  Only the Kerr shape is stepped: drift (c0 a* a^2,
+    c1 a*^2 a) and noise (n0 a, n1 a*), with the four coefficients read
+    from ``model``.  Built once per chunk, with its buffers.
     """
 
     def __init__(self, model: DriftDiffusionModel, dt: float, m: int):
         if model.convention != "stratonovich":
             raise ValueError("midpoint stepper expects a Stratonovich model")
-        if len(model.drift) != 2 or len(model.noise) != 2:
-            raise ValueError("midpoint stepper expects a two-component model with noise")
+        if tuple(set(poly.terms) for poly in model.drift + model.noise) != _KERR_TERMS:
+            raise ValueError("midpoint stepper expects the two-component Kerr model with noise")
         if dt <= 0:
             raise ValueError("dt must be positive")
-        # The half-step prefactors are folded into the polynomial coefficients;
-        # the drift entries come first, then the noise entries.
-        self._eval = _PolyEval(
-            [poly.scaled(0.5 * dt) for poly in model.drift]
-            + [poly.scaled(0.5) for poly in model.noise],
-            m,
-        )
-        self._mid = np.empty((2, m), dtype=np.complex128)
-        self._incr = np.empty((2, m), dtype=np.complex128)
-        self._kick = np.empty((2, m), dtype=np.complex128)
-        self._mid_rows = tuple(self._mid)
-        self._incr_rows = tuple(self._incr)
-        self._kick_rows = tuple(self._kick)
+        # The half-step prefactors are folded into the coefficients.
+        (self._c0,), (self._c1,) = (poly.scaled(0.5 * dt).terms.values() for poly in model.drift)
+        (self._n0,), (self._n1,) = (poly.scaled(0.5).terms.values() for poly in model.noise)
+        self._mid, self._incr, self._kick = np.empty((3, 2, m), dtype=np.complex128)
+        self._a2, self._s2 = np.empty((2, m), dtype=np.complex128)
 
     def __call__(self, y: np.ndarray, dw: np.ndarray) -> None:
-        mid = self._mid
-        ev = self._eval
+        mid, incr, kick = self._mid, self._incr, self._kick
+        (a, s), (i0, i1), (k0, k1) = mid, incr, kick
+        a2, s2 = self._a2, self._s2
         np.copyto(mid, y)
         for _ in range(MIDPOINT_ITERATIONS):
-            ev.bind(self._mid_rows[1], self._mid_rows[0])
-            # Every entry is evaluated before mid is overwritten, because the
-            # evaluator holds views of mid as its first powers.
-            for j in range(2):
-                ev.eval_into(j, self._incr_rows[j])
-                ev.eval_into(2 + j, self._kick_rows[j])
-            self._kick *= dw
-            self._incr += self._kick
-            np.add(y, self._incr, out=mid)
+            # Every entry is formed before mid is overwritten.
+            np.multiply(s, s, out=s2)
+            np.multiply(a, a, out=a2)
+            np.multiply(s, a2, out=i0)
+            i0 *= self._c0
+            np.multiply(s2, a, out=i1)
+            i1 *= self._c1
+            np.multiply(a, self._n0, out=k0)
+            np.multiply(s, self._n1, out=k1)
+            kick *= dw
+            incr += kick
+            np.add(y, incr, out=mid)
         mid *= 2.0
         np.subtract(mid, y, out=y)
 
@@ -314,16 +262,18 @@ def _positive_p_chunk(
     step = MidpointStep(model, grid.dt, m)
     radius = np.empty((2, m), dtype=np.float64)
     inside = np.empty((2, m), dtype=bool)
-    finite = np.empty((2, m), dtype=bool)
     bad = np.empty(m, dtype=bool)
+    # nan and inf radii fail the comparison, also at an infinite escape radius
+    limit = min(escape_radius, sys.float_info.max)
 
     out = np.empty((n_out, len(MONOMIALS), m), dtype=np.complex128)
 
     # Each stream is drawn in consecutive pieces, which replays the values a
-    # single whole-gap draw would give.
+    # single whole-gap draw would give; each step's increments are scaled
+    # from the path-major draws.
     block = max(1, min(max(steps, default=0), _NOISE_BLOCK_BYTES // (2 * 8 * m)))
     draws = np.empty((m, block, 2), dtype=np.float64)
-    noise = np.empty((block, 2, m), dtype=np.float64)
+    dw = np.empty((2, m), dtype=np.float64)
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k_out, n_steps in enumerate(steps):
@@ -331,14 +281,12 @@ def _positive_p_chunk(
                 nb = min(block, n_steps - k_block)
                 for i, stream in enumerate(streams):
                     draws[i, :nb] = stream.normals(2 * nb).reshape(nb, 2)
-                np.multiply(draws[:, :nb].transpose(1, 2, 0), sqrt_dt, out=noise[:nb])
                 for k in range(nb):
-                    step(y, noise[k])
+                    np.multiply(draws[:, k].T, sqrt_dt, out=dw)
+                    step(y, dw)
                     # flag escapes and non-finite values, freeze those paths
                     np.abs(y, out=radius)
-                    np.less_equal(radius, escape_radius, out=inside)
-                    np.isfinite(radius, out=finite)
-                    inside &= finite
+                    np.less_equal(radius, limit, out=inside)
                     np.logical_and(inside[0], inside[1], out=bad)
                     np.logical_not(bad, out=bad)
                     bad &= alive

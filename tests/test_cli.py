@@ -209,6 +209,19 @@ def test_window_overflow_exit_code(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("method", ["TW", "PositiveP"])
+def test_batch_too_large_for_memory_exit_code(tmp_path, capsys, method):
+    # a chunk holds whole batches, so a 1e14-path batch asks for petabytes,
+    # which the first allocation refuses at once
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "x.csv"
+    write_config(cfg, method=method, n_paths=1e15, batches=10, tau_stop=0.01, tau_points=2)
+    code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(out))
+    assert code == cli.EXIT_MEMORY == 8
+    assert err.startswith("error: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "key, overrides",
     [
@@ -303,3 +316,34 @@ class TestCompare:
         rows_b = [CsvRow(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, 0, "oracle")]
         report = compare_rows(rows_a, rows_b)
         assert report.all_passed
+
+    def test_header_only_file_names_it(self, tmp_path, capsys):
+        from anharmonic.moments import write_rows
+
+        a = tmp_path / "a.csv"
+        write_rows(a, [])
+        code, _, err = run_cli(capsys, "compare", str(a), str(a))
+        assert code == cli.EXIT_INPUT == 2
+        assert f"error: {a}: no data rows" in err
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        ["--max-sigma", "-1", "--atol", "-1"],
+        ["--atol", "-1"],
+        ["--k3-peak-frac", "inf"],
+        ["--k4-peak-frac", "-0.5"],
+        ["--atol", "nan"],
+    ],
+    ids=["negative-sigma-and-atol", "negative-atol", "inf-k3-frac", "negative-k4-frac", "nan-atol"],
+)
+def test_compare_rejects_tolerance(tmp_path, capsys, options):
+    from anharmonic.moments import write_rows
+
+    a = tmp_path / "a.csv"
+    write_rows(a, [CsvRow(0.0, 0.0, 0.1, 0.01, 0.2, 0.02, 10, 0, "tw")])
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", str(a), str(a), *options])
+    assert exc.value.code == 2
+    assert "finite value >= 0" in capsys.readouterr().err

@@ -144,10 +144,10 @@ class TestMidpointStep:
     The noise-free tests step from (a0, conj(a0)) with zero increments.
     """
 
-    def test_harmonic_rotation_conserves_modulus(self):
-        model = positive_p_model(sy.PhasePolynomial({(1, 1): 1}))
-        y = noise_free_path(model, 1.0 + 0.5j, 1e-3, 100)
-        assert abs(abs(y) - abs(1.0 + 0.5j)) < 1e-10
+    def test_noise_free_rotation_conserves_modulus(self):
+        # from (a0, conj(a0)) the noise-free Kerr flow is a phase rotation
+        y = noise_free_path(kerr_positive_p_model(), 1.0 + 0.5j, 1e-3, 100)
+        assert abs(abs(y) - abs(1.0 + 0.5j)) < 1e-12
 
     def test_single_step_matches_exact_to_dt_squared(self):
         model = kerr_positive_p_model()
@@ -174,9 +174,29 @@ class TestMidpointStep:
         assert e1 / e2 >= 3.5
 
     def test_rejects_drift_only_model(self):
-        # the kernel steps the doubled phase space only
-        with pytest.raises(ValueError, match="two-component"):
-            MidpointStep(sy.derive_wigner_model(sy.kerr_hamiltonian()), 1e-3, 1)
+        # the kernel steps the doubled-phase-space Kerr model only: not the
+        # drift-only Wigner model, nor the noise-free harmonic or the
+        # detuned Kerr positive-P model
+        models = [
+            sy.derive_wigner_model(sy.kerr_hamiltonian()),
+            positive_p_model(sy.normal_order(sy.parse_hamiltonian("ad a"))),
+            positive_p_model(sy.normal_order(sy.parse_hamiltonian("ad a ad a + ad a"))),
+        ]
+        for model in models:
+            with pytest.raises(ValueError, match="two-component"):
+                MidpointStep(model, 1e-3, 1)
+
+    def test_coefficients_are_read_from_the_model(self):
+        # H = 2 a^dag a^dag a a doubles the drift and scales the noise by
+        # sqrt(2); the kernel must follow the scalar reference on that model
+        model = positive_p_model(sy.normal_order(sy.parse_hamiltonian("2 ad a ad a")))
+        y0 = np.array([[1.1 + 0.4j, -0.3 + 2.0j], [1.1 - 0.4j, -0.3 - 2.0j]])
+        dw = math.sqrt(1e-3) * np.random.default_rng(5).standard_normal((200, 2, 2))
+        y = midpoint_path(model, y0, 1e-3, 200, dw)
+        for i in range(2):
+            ref = scalar_midpoint_path(model, y0[:, i], 1e-3, 200, dw[:, :, i])
+            for j in range(2):
+                assert abs(y[j, i] - ref[j]) < 1e-13 * abs(ref[j])
 
     def test_divergence_flagging(self):
         # a path that overflows is flagged after the step that makes it
