@@ -146,6 +146,8 @@ def _cmd_oracle(args) -> int:
         rows = _rows_for_oracle(cfg)
     except oracle.WindowOverflow as exc:
         return _error(exc, EXIT_WINDOW_OVERFLOW)
+    except MemoryError as exc:
+        return _error(exc, EXIT_MEMORY)
     write_rows(args.out, rows)
     return 0
 

@@ -22,12 +22,22 @@ Numerical constraints that shape this module:
   moments are O(1), so the evaluation avoids the catastrophic cancellation
   of raw moments (which reach O(N^2) at large N).  Only the cumulant
   formula :func:`~anharmonic.moments.k3_k4` is shared with the ensembles.
+
+Every state evolved from one :func:`init_coherent` shares one workspace
+with it: the window's invariant arrays (the phase exponents, the ladder
+roots, the <a> factors) and three complex scratch vectors, all built once.
+:func:`evolve` allocates only the amplitudes it returns, and
+:func:`oracle_cumulants` allocates no window-sized array at all, so the
+loop over output times neither recomputes window data nor churns memory.
+The scratch vectors make :func:`oracle_cumulants` unsafe to run from
+several threads at once on states that share a workspace; the oracle runs
+on one thread.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -54,6 +64,28 @@ def _real_dot(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.einsum("i,i->", x.view(np.float64), y.view(np.float64)))
 
 
+class _Workspace:
+    """Window invariants and scratch vectors, shared by one window's states.
+
+    ``v``, ``w1`` and ``tmp`` span the window padded by up to two zero rows
+    below (fewer near n = 0) and two above; ``roots`` holds sqrt(n) for the
+    padded indices after the first, and ``factor01`` the <a> factors for n
+    in [n_min + 1, n_max], formed as exp(0.5 log n) like
+    :func:`ladder_moment`'s, whose bits sqrt(n) would not reproduce.
+    """
+
+    def __init__(self, n_min: int, n_max: int, n0: int) -> None:
+        nn = np.arange(n_min, n_max + 1, dtype=np.int64)
+        self.exponent = ((nn - n0) * (nn + n0)).astype(np.float64)
+        self.factor01 = np.exp(0.5 * np.log(nn[1:].astype(np.float64)))
+        self.pad_lo = min(2, n_min)
+        idx = np.arange(n_min - self.pad_lo, n_max + 3, dtype=np.int64)
+        self.roots = np.sqrt(idx[1:].astype(np.float64))
+        self.v = np.zeros(idx.shape[0], dtype=np.complex128)
+        self.w1 = np.empty_like(self.v)
+        self.tmp = np.empty(idx.shape[0] - 1, dtype=np.complex128)
+
+
 @dataclass(frozen=True)
 class OracleState:
     """Windowed Fock amplitudes of the evolving coherent state."""
@@ -66,6 +98,7 @@ class OracleState:
     alpha0: complex
     t: float
     raw_mass: float                 # window mass before normalisation
+    _work: _Workspace = field(repr=False, compare=False)
 
     @property
     def indices(self) -> np.ndarray:
@@ -156,6 +189,8 @@ def init_coherent(
     c = np.exp(log_abs) * phase
     raw_mass = _real_dot(c, c)
     c = c / math.sqrt(raw_mass)
+    # the probe arrays go before the workspace is built, so the two never coexist
+    del rel, weights, rel_window, log_abs, nn, phase
     return OracleState(
         n_min=n_lo,
         n_max=n_hi,
@@ -165,6 +200,7 @@ def init_coherent(
         alpha0=alpha0,
         t=0.0,
         raw_mass=raw_mass,
+        _work=_Workspace(n_lo, n_hi, mode),
     )
 
 
@@ -180,11 +216,12 @@ def evolve(state: OracleState, t: float) -> OracleState:
     to the stored t = 0 amplitudes, so repeated calls do not accumulate
     rounding.
     """
-    n0 = int(state.n_particles)
-    nn = state.indices
     t_turn = math.fmod(t, 2.0 * math.pi)
-    phases = np.exp(-1j * ((nn - n0) * (nn + n0)).astype(np.float64) * t_turn)
-    return replace(state, amplitudes=state.initial_amplitudes * phases, t=float(t))
+    out = np.multiply(-1j, state._work.exponent)
+    out *= t_turn
+    np.exp(out, out=out)
+    np.multiply(state.initial_amplitudes, out, out=out)
+    return replace(state, amplitudes=out, t=float(t))
 
 
 def _log_falling_factorial(nn: np.ndarray, r: int) -> np.ndarray:
@@ -214,39 +251,51 @@ def ladder_moment(state: OracleState, p: int, q: int) -> complex:
     return complex(np.sum(np.conj(bra) * ket * factor))
 
 
-def _apply_centred_quadrature(
-    v: np.ndarray, idx: np.ndarray, theta: float, mu: float
-) -> np.ndarray:
-    """(X - mu) applied to a padded Fock vector."""
-    out = -mu * v
-    roots = np.sqrt(idx[1:].astype(np.float64))
-    out[:-1] += np.exp(-1j * theta) * roots * v[1:]
-    out[1:] += np.exp(1j * theta) * roots * v[:-1]
-    return out
+def _centred_quadrature(
+    src: np.ndarray, out: np.ndarray, work: _Workspace, theta: float, mu: float
+) -> None:
+    """out = (X - mu) src on the padded window; ``work.tmp`` is overwritten."""
+    np.multiply(-mu, src, out=out)
+    t = work.tmp
+    np.multiply(np.exp(-1j * theta), work.roots, out=t)
+    t *= src[1:]
+    out[:-1] += t
+    np.multiply(np.exp(1j * theta), work.roots, out=t)
+    t *= src[:-1]
+    out[1:] += t
 
 
 def oracle_cumulants(state: OracleState, spec: QuadratureSpec) -> CumulantReport:
     """Exact quadrature cumulants, evaluated in the mean-shifted frame.
 
     k3 and k4 are invariant under X -> X - mu, and the shifted moments stay
-    O(1), so the near-cancellation of large raw moments never enters.
+    O(1), so the near-cancellation of large raw moments never enters.  The
+    work runs in the state's scratch vectors: <a> in ``tmp``, then
+    w1 = (X - mu) v and w2 = (X - mu) w1, with w2 written over v once
+    <v, w1> is taken.
     """
     theta = spec.theta
-    mean_a = ladder_moment(state, 0, 1)
+    work = state._work
+    c = state.amplitudes
+    m = c.shape[0]
+    prod = work.tmp[: m - 1]
+    np.conjugate(c[:-1], out=prod)
+    prod *= c[1:]
+    prod *= work.factor01
+    mean_a = complex(np.sum(prod))
     mu = 2.0 * (np.exp(-1j * theta) * mean_a).real
 
-    pad_lo = min(2, state.n_min)
-    pad_hi = 2
-    idx = np.arange(state.n_min - pad_lo, state.n_max + pad_hi + 1, dtype=np.int64)
-    v = np.zeros(idx.shape[0], dtype=np.complex128)
-    v[pad_lo : pad_lo + state.amplitudes.shape[0]] = state.amplitudes
-
-    w1 = _apply_centred_quadrature(v, idx, theta, mu)
-    w2 = _apply_centred_quadrature(w1, idx, theta, mu)
+    v, w1 = work.v, work.w1
+    lo = work.pad_lo
+    v[:lo] = 0.0
+    v[lo : lo + m] = c
+    v[lo + m :] = 0.0
+    _centred_quadrature(v, w1, work, theta, mu)
     m1 = _real_dot(v, w1)
+    _centred_quadrature(w1, v, work, theta, mu)
     m2 = _real_dot(w1, w1)
-    m3 = _real_dot(w1, w2)
-    m4 = _real_dot(w2, w2)
+    m3 = _real_dot(w1, v)
+    m4 = _real_dot(v, v)
 
     k3, k4 = k3_k4(m1, m2, m3, m4)
     return CumulantReport(k3, k4, 0.0, 0.0, 0, 0)

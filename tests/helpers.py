@@ -8,8 +8,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from anharmonic.engine import MIDPOINT_ITERATIONS, MidpointStep
-from anharmonic.moments import MONOMIALS, QuadratureSpec, promote_normal_order, quadrature_powers
-from anharmonic.oracle import ladder_moment
+from anharmonic.moments import (
+    MONOMIALS,
+    CumulantReport,
+    QuadratureSpec,
+    k3_k4,
+    promote_normal_order,
+    quadrature_powers,
+)
+from anharmonic.oracle import _real_dot, ladder_moment
 from anharmonic.sampling import sample_wigner_coherent, stream_for_trajectory
 from anharmonic.symbolic import PhasePolynomial, evaluate
 
@@ -141,6 +148,49 @@ def oracle_raw_moments(state, spec) -> np.ndarray:
     """<X^k> (k = 1..4) of an oracle state, assembled from its raw ladder moments."""
     raw = quadrature_powers(lambda p, q: ladder_moment(state, p, q), spec.theta)
     return np.real(promote_normal_order(*raw))
+
+
+def reference_evolved_amplitudes(state, t: float) -> np.ndarray:
+    """Reference oracle evolution: the phases formed afresh from the indices."""
+    n0 = int(state.n_particles)
+    nn = state.indices
+    t_turn = math.fmod(t, 2.0 * math.pi)
+    phases = np.exp(-1j * ((nn - n0) * (nn + n0)).astype(np.float64) * t_turn)
+    return state.initial_amplitudes * phases
+
+
+def _reference_centred_quadrature(
+    v: np.ndarray, idx: np.ndarray, theta: float, mu: float
+) -> np.ndarray:
+    """(X - mu) applied to a padded Fock vector, in fresh arrays."""
+    out = -mu * v
+    roots = np.sqrt(idx[1:].astype(np.float64))
+    out[:-1] += np.exp(-1j * theta) * roots * v[1:]
+    out[1:] += np.exp(1j * theta) * roots * v[:-1]
+    return out
+
+
+def reference_oracle_cumulants(state, spec: QuadratureSpec) -> CumulantReport:
+    """Reference oracle cumulants: <a> from ladder_moment, every vector fresh."""
+    theta = spec.theta
+    mean_a = ladder_moment(state, 0, 1)
+    mu = 2.0 * (np.exp(-1j * theta) * mean_a).real
+
+    pad_lo = min(2, state.n_min)
+    pad_hi = 2
+    idx = np.arange(state.n_min - pad_lo, state.n_max + pad_hi + 1, dtype=np.int64)
+    v = np.zeros(idx.shape[0], dtype=np.complex128)
+    v[pad_lo : pad_lo + state.amplitudes.shape[0]] = state.amplitudes
+
+    w1 = _reference_centred_quadrature(v, idx, theta, mu)
+    w2 = _reference_centred_quadrature(w1, idx, theta, mu)
+    m1 = _real_dot(v, w1)
+    m2 = _real_dot(w1, w1)
+    m3 = _real_dot(w1, w2)
+    m4 = _real_dot(w2, w2)
+
+    k3, k4 = k3_k4(m1, m2, m3, m4)
+    return CumulantReport(k3, k4, 0.0, 0.0, 0, 0)
 
 
 # ----------------------------------------------------------------------

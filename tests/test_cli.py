@@ -222,6 +222,19 @@ def test_batch_too_large_for_memory_exit_code(tmp_path, capsys, method):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "oracle"])
+def test_output_grid_too_large_for_memory_exit_code(tmp_path, capsys, command):
+    # 1e15 output times ask for petabytes, which the first allocation
+    # refuses at once
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "x.csv"
+    write_config(cfg, method="Oracle", tau_points=1e15)
+    code, _, err = run_cli(capsys, command, "--config", str(cfg), "--out", str(out))
+    assert code == cli.EXIT_MEMORY == 8
+    assert "error: Unable to allocate" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "key, overrides",
     [

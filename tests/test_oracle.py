@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from helpers import (
     coherent_vector,
     dense_brute_force,
     oracle_raw_moments,
+    reference_evolved_amplitudes,
+    reference_oracle_cumulants,
 )
 
 
@@ -129,6 +132,63 @@ class TestPhasePrecisionAtLargeN:
             k3, k4 = closed_form_cumulants(mpmath, n, tau, 2.0 * tau)
             assert abs(rep.kappa3 - k3) <= 1e-6 * max(1.0, abs(k3)), (tau, rep.kappa3, k3)
             assert abs(rep.kappa4 - k4) <= 1e-6 * max(1.0, abs(k4)), (tau, rep.kappa4, k4)
+
+
+class TestWorkspaceReuse:
+    """The shared workspace leaves every output bit as the fresh-array formulas give it."""
+
+    @staticmethod
+    def times(n):
+        # scaled times in [0, 10], then absolute times past 2 pi (fmod applies)
+        return [tau / n for tau in (0.0, 0.7, 2.5, 9.4)] + [1.3 * 2 * math.pi, 3.7 * 2 * math.pi + 0.1]
+
+    @pytest.mark.parametrize(
+        "alpha0",
+        [math.sqrt(n) for n in (0.3, 1.5, 6.0, 258.0, 1e3, 1e7)] + [2.0 + 0.5j],
+        ids=["N=0.3", "N=1.5", "N=6", "N=258", "N=1e3", "N=1e7", "alpha0=2+0.5j"],
+    )
+    def test_bit_identical_to_fresh_arrays(self, alpha0):
+        state0 = init_coherent(alpha0)
+        n = state0.n_particles
+        for t in self.times(n):
+            state = evolve(state0, t)
+            assert np.array_equal(state.amplitudes, reference_evolved_amplitudes(state0, t))
+            for theta in (2.0 * n * t, 0.6):
+                spec = QuadratureSpec(theta)
+                got = oracle_cumulants(state, spec)
+                want = reference_oracle_cumulants(state, spec)
+                assert (got.kappa3, got.kappa4) == (want.kappa3, want.kappa4), (t, theta)
+
+    def test_small_n_windows_start_below_two(self):
+        # the N values above then also cover the zero padding below the window,
+        # which shrinks to n_min rows when n_min < 2
+        assert [init_coherent(math.sqrt(n)).n_min for n in (0.3, 1.5, 6.0, 258.0)] == [0, 0, 0, 1]
+
+    def test_evolved_states_do_not_alias(self):
+        alpha0 = 2.0 + 0.5j
+        spec = QuadratureSpec(0.9)
+        state0 = init_coherent(alpha0)
+        first = evolve(state0, 0.3)
+        second = evolve(state0, 1.1)
+        oracle_cumulants(second, spec)
+        fresh = evolve(init_coherent(alpha0), 0.3)
+        assert np.array_equal(first.amplitudes, fresh.amplitudes)
+        got, want = oracle_cumulants(first, spec), oracle_cumulants(fresh, spec)
+        assert (got.kappa3, got.kappa4) == (want.kappa3, want.kappa4)
+
+    def test_output_loop_memory_is_bounded(self):
+        # per output time only evolve's returned amplitudes are window-sized
+        state0 = init_coherent(math.sqrt(1e6))
+        window = state0.n_max - state0.n_min + 1
+        tracemalloc.start()
+        try:
+            for tau in np.linspace(0.0, 10.0, 20):
+                state = evolve(state0, tau / 1e6)
+                oracle_cumulants(state, QuadratureSpec(2.0 * tau))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 16 * window, peak / (16 * window)
 
 
 class TestLadderMoments:

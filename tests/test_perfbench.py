@@ -14,12 +14,14 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_traced_child_round_runs(tmp_path):
+def traced_span_names(tmp_path, config_text):
+    """Names of the spans that one traced child round records on this config.
+
+    The span file lists every wrapped name; only the recorded spans show
+    which of them were called.
+    """
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        "method = PositiveP\nN = 1000\nn_paths = 400\nbatches = 10\n"
-        "tau_start = 0\ntau_stop = 0.05\ntau_points = 2\ndtau = 1e-3\n"
-    )
+    cfg.write_text(config_text)
     spans = tmp_path / "spans.npz"
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "perfbench", "child.py"), "--config", str(cfg),
@@ -27,5 +29,24 @@ def test_traced_child_round_runs(tmp_path):
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    names = set(np.load(spans)["names"])
+    with np.load(spans) as data:
+        names = data["names"]
+        return {str(names[code]) for code in data["spans"][:, 0].astype(int)}
+
+
+def test_traced_child_round_runs(tmp_path):
+    names = traced_span_names(
+        tmp_path,
+        "method = PositiveP\nN = 1000\nn_paths = 400\nbatches = 10\n"
+        "tau_start = 0\ntau_stop = 0.05\ntau_points = 2\ndtau = 1e-3\n",
+    )
     assert {"engine.run", "sampling.stream_for_trajectory", "moments.batch_error"} <= names
+
+
+def test_traced_oracle_round_runs(tmp_path):
+    # the oracle metrics read zero if the output loop stops calling the
+    # oracle functions through the module, where tracing.py wraps them
+    names = traced_span_names(
+        tmp_path, "method = Oracle\nN = 1000\ntau_start = 0\ntau_stop = 1\ntau_points = 3\n"
+    )
+    assert {"oracle.init_coherent", "oracle.evolve", "oracle.oracle_cumulants"} <= names
