@@ -12,16 +12,18 @@ Two integrators are provided:
 
 Ensembles are split into batches (the statistical unit used for error
 bars) and batches are grouped into fixed chunks that serve as units of
-parallel work.  Each trajectory owns its own random stream and every
-reduction runs in a deterministic order, so results are bit-identical
-for a fixed master seed at any worker count.
+parallel work.  Each chunk owns one random stream, keyed by the master
+seed and the chunk's first trajectory, and every reduction runs in a
+deterministic order.  The chunk partition depends only on the run
+configuration, so results are bit-identical for a fixed master seed at any
+worker count; a path's draws depend on the chunk it falls in.
 
 Chunk kernels reduce each output to per-batch monomial sums as soon as
 its monomials are formed, so a truncated-Wigner chunk holds one
 ``(n_monomials, m)`` block whatever the number of outputs.  Positive-P
 chunks keep every output's block until the end, because a path that
 diverges later is excluded retroactively from every earlier output;
-their noise is drawn path by path into one bounded buffer per chunk.
+their noise is drawn step-major into one bounded buffer per chunk.
 """
 
 from __future__ import annotations
@@ -58,10 +60,10 @@ MIDPOINT_ITERATIONS = 4
 #: run configuration, never on the worker count.
 _CHUNK_TARGET = 8192
 
-#: Byte cap on a positive-P chunk's noise buffer, which holds each path's
-#: draws for a block of steps.  An output gap is drawn in blocks of at most
-#: this many bytes, so memory does not grow with steps per gap: 256 steps per
-#: block at 8192 paths.
+#: Byte cap on a positive-P chunk's noise buffer, which holds every path's
+#: increments for a block of steps.  An output gap is drawn in blocks of at
+#: most this many bytes, so memory does not grow with steps per gap: 256 steps
+#: per block at 8192 paths.
 _NOISE_BLOCK_BYTES = 32 * 2**20
 
 
@@ -257,7 +259,7 @@ def _positive_p_chunk(
 
     y = np.empty((2, m), dtype=np.complex128)
     y[0], y[1] = sample_positive_p_coherent(InitialStateSpec(alpha0, POSITIVE_P))
-    streams = [stream_for_trajectory(seed, i) for i in range(traj_lo, traj_hi)]
+    stream = stream_for_trajectory(seed, traj_lo)
     alive = np.ones(m, dtype=bool)
     step = MidpointStep(model, grid.dt, m)
     radius = np.empty((2, m), dtype=np.float64)
@@ -268,21 +270,18 @@ def _positive_p_chunk(
 
     out = np.empty((n_out, len(MONOMIALS), m), dtype=np.complex128)
 
-    # Each stream is drawn in consecutive pieces, which replays the values a
-    # single whole-gap draw would give; each step's increments are scaled
-    # from the path-major draws.
+    # The stream fills the step-major increments block by block, which
+    # replays the values a single whole-gap draw would give.
     block = max(1, min(max(steps, default=0), _NOISE_BLOCK_BYTES // (2 * 8 * m)))
-    draws = np.empty((m, block, 2), dtype=np.float64)
-    dw = np.empty((2, m), dtype=np.float64)
+    draws = np.empty((block, 2, m), dtype=np.float64)
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k_out, n_steps in enumerate(steps):
             for k_block in range(0, n_steps, block):
                 nb = min(block, n_steps - k_block)
-                for i, stream in enumerate(streams):
-                    draws[i, :nb] = stream.normals(2 * nb).reshape(nb, 2)
-                for k in range(nb):
-                    np.multiply(draws[:, k].T, sqrt_dt, out=dw)
+                stream.normals(2 * nb * m, out=draws[:nb])
+                draws[:nb] *= sqrt_dt
+                for dw in draws[:nb]:
                     step(y, dw)
                     # flag escapes and non-finite values, freeze those paths
                     np.abs(y, out=radius)

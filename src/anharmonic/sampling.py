@@ -1,11 +1,11 @@
 """Reproducible initial-condition sampling for coherent states.
 
-Every trajectory owns a counter-based random stream keyed by
-``(master_seed, trajectory_index)``, so ensembles are bit-identical for a
-fixed seed no matter how work is scheduled or how many workers run.
-:func:`stream_key` is the one keying rule; :class:`RandomStream` builds a
-Philox generator from it, and :func:`wigner_initial` re-keys a single
-generator per path, which replays the same draws without building a new one.
+Every work chunk owns one counter-based random stream keyed by
+``(master_seed, t_lo)``, where ``t_lo`` is the chunk's first trajectory, so
+ensembles are bit-identical for a fixed seed no matter how work is scheduled
+or how many workers run.  :func:`stream_key` is the one keying rule and
+:class:`RandomStream` builds a Philox generator from it; :func:`wigner_initial`
+draws a chunk's initial normals from its stream in one call.
 """
 
 from __future__ import annotations
@@ -38,13 +38,13 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def stream_key(master_seed: int, trajectory_index: int) -> tuple[int, int]:
-    """Philox key words of one trajectory's stream (each taken mod 2**64)."""
+    """Philox key words of the stream that starts at one trajectory (each mod 2**64)."""
     return master_seed & _MASK64, trajectory_index & _MASK64
 
 
 @dataclass
 class RandomStream:
-    """One trajectory's private Gaussian stream (Philox, ziggurat normals)."""
+    """One work chunk's private Gaussian stream (Philox, ziggurat normals)."""
 
     seed: int
     stream_index: int
@@ -56,14 +56,20 @@ class RandomStream:
             key = np.array(stream_key(self.seed, self.stream_index), dtype=np.uint64)
             self._gen = np.random.Generator(np.random.Philox(key=key))
 
-    def normals(self, n: int) -> np.ndarray:
-        """Draw n independent standard real Gaussians."""
+    def normals(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Draw n independent standard real Gaussians, into ``out`` if given.
+
+        ``out`` is a C-contiguous float64 array of n elements, filled in C
+        order, so consecutive calls continue one sequence whatever their sizes.
+        """
+        if out is not None and out.size != n:
+            raise ValueError(f"out holds {out.size} elements, not {n}")
         self.draws += n
-        return self._gen.standard_normal(n)
+        return self._gen.standard_normal(n if out is None else None, out=out)
 
 
 def stream_for_trajectory(master_seed: int, trajectory_index: int) -> RandomStream:
-    """Independent, reproducible stream for one trajectory.
+    """Independent, reproducible stream for the chunk that starts at one trajectory.
 
     Distinct (seed, index) pairs key distinct Philox counters, giving
     statistically independent sequences; the same pair always replays the
@@ -90,27 +96,15 @@ def wigner_initial(
 ) -> np.ndarray:
     """Wigner samples of trajectories traj_lo .. traj_hi - 1, as one array.
 
-    Row i equals ``sample_wigner_coherent(spec, stream_for_trajectory(
-    master_seed, traj_lo + i))`` bit for bit.  Instead of a new Philox per
-    path, one generator, private to this call, is re-keyed per path: the
-    saved state of a fresh Philox (counter zero, empty buffer) is assigned
-    back with the path's key, which restarts the generator exactly as a
-    new Philox with that key would start.
+    The chunk's 2 (traj_hi - traj_lo) normals come from the stream keyed
+    ``(master_seed, traj_lo)`` in one draw; row i takes normals 2i and
+    2i + 1 as its real and imaginary noise, as :func:`sample_wigner_coherent`
+    does with a stream of its own.
     """
     if spec.representation != WIGNER:
         raise ValueError("spec is not a Wigner-representation state")
-    if traj_lo < 0:
-        raise ValueError("trajectory index must be nonnegative")
-    bit_gen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-    gen = np.random.Generator(bit_gen)
-    fresh = bit_gen.state
-    key = fresh["state"]["key"]
-    w = np.empty((traj_hi - traj_lo, 2), dtype=np.float64)
-    for index, row in zip(range(traj_lo, traj_hi), w):
-        key[:] = stream_key(master_seed, index)
-        bit_gen.state = fresh
-        gen.standard_normal(out=row)
-    return complex(spec.amplitude) + 0.5 * (w[:, 0] + 1j * w[:, 1])
+    w = stream_for_trajectory(master_seed, traj_lo).normals(2 * (traj_hi - traj_lo))
+    return complex(spec.amplitude) + 0.5 * (w[0::2] + 1j * w[1::2])
 
 
 def sample_positive_p_coherent(spec: InitialStateSpec) -> tuple[complex, complex]:

@@ -17,7 +17,6 @@ from anharmonic.moments import (
     quadrature_powers,
 )
 from anharmonic.oracle import _real_dot, ladder_moment
-from anharmonic.sampling import sample_wigner_coherent, stream_for_trajectory
 from anharmonic.symbolic import PhasePolynomial, evaluate
 
 
@@ -54,12 +53,15 @@ def stacked_monomials(abar: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.stack([ps[p] * qs[q] for (p, q) in MONOMIALS])
 
 
-def per_path_wigner_initial(spec, seed: int, traj_lo: int, traj_hi: int) -> np.ndarray:
-    """Reference Wigner start: one freshly keyed stream per path."""
-    return np.array(
-        [sample_wigner_coherent(spec, stream_for_trajectory(seed, i)) for i in range(traj_lo, traj_hi)],
-        dtype=np.complex128,
-    )
+def chunk_philox(seed: int, traj_lo: int) -> np.random.Generator:
+    """Reference chunk stream: a Philox keyed (seed mod 2**64, traj_lo), built directly."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, traj_lo], dtype=np.uint64)))
+
+
+def chunk_stream_wigner_initial(spec, seed: int, traj_lo: int, traj_hi: int) -> np.ndarray:
+    """Reference Wigner start: row i takes the chunk stream's normals 2i and 2i + 1."""
+    w = chunk_philox(seed, traj_lo).standard_normal((traj_hi - traj_lo, 2))
+    return complex(spec.amplitude) + 0.5 * (w[:, 0] + 1j * w[:, 1])
 
 
 def per_slice_batch_sums(block: np.ndarray, bounds) -> np.ndarray:

@@ -18,10 +18,11 @@ from anharmonic.engine import (
 from anharmonic.moments import MONOMIAL_INDEX, QuadratureSpec, batch_error
 from anharmonic.sampling import RandomStream, stream_for_trajectory
 from helpers import (
+    chunk_philox,
+    chunk_stream_wigner_initial,
     frozen_brownian_paths,
     full_block_kernel,
     midpoint_path,
-    per_path_wigner_initial,
     per_slice_batch_sums,
     scalar_midpoint_path,
     stacked_monomials,
@@ -61,8 +62,8 @@ def stacked_bulk_monomials(abar, a, out):
 
 
 def use_reference_kernels(monkeypatch):
-    """Per-path streams and stacked monomials, in place of the block kernels."""
-    monkeypatch.setattr(engine, "wigner_initial", per_path_wigner_initial)
+    """A directly built chunk Philox and stacked monomials, in place of the block kernels."""
+    monkeypatch.setattr(engine, "wigner_initial", chunk_stream_wigner_initial)
     monkeypatch.setattr(engine, "bulk_monomials", stacked_bulk_monomials)
 
 
@@ -346,13 +347,13 @@ class TestPositivePEnsemble:
         sizes = []
         normals = RandomStream.normals
 
-        def spy(stream, count):
+        def spy(stream, count, out=None):
             sizes.append(count)
-            return normals(stream, count)
+            return normals(stream, count, out=out)
 
         monkeypatch.setattr(RandomStream, "normals", spy)
         assert_same_accumulators(run(), whole)
-        assert sizes == [14] * 7 * 200 + [2] * 200
+        assert sizes == [14 * 200] * 7 + [2 * 200]
 
     def test_seed_changes_results(self):
         n = 1000.0
@@ -380,17 +381,18 @@ class TestPositivePEnsemble:
         assert accs[-1].n_paths == 0
 
     def test_vector_kernel_matches_scalar_stepper(self):
-        # same trajectory, same noise: chunked numpy path vs scalar reference
+        # same trajectory, same noise: chunked numpy path vs scalar reference;
+        # path traj takes column traj of the chunk's step-major (n_steps, 2, 3) draws
         model = kerr_positive_p_model()
         n = 1000.0
         a0 = math.sqrt(n)
         grid = TimeGrid(n, (0.05,), 1e-3)
         accs = run_positive_p(a0, grid, 3, 3, seed=13)
         dt = grid.dt
+        n_steps = grid.steps_between()[0]
+        draws = chunk_philox(13, 0).standard_normal((n_steps, 2, 3))
         for traj in range(3):
-            stream = stream_for_trajectory(13, traj)
-            n_steps = grid.steps_between()[0]
-            dw = math.sqrt(dt) * stream.normals(2 * n_steps).reshape(n_steps, 2)
+            dw = math.sqrt(dt) * draws[:, :, traj]
             a1_ref, a2s_ref = scalar_midpoint_path(model, (a0, a0), dt, n_steps, dw)
             a1 = accs[0].batch_sums[traj, MONOMIAL_INDEX[(0, 1)]]
             a2s = accs[0].batch_sums[traj, MONOMIAL_INDEX[(1, 0)]]

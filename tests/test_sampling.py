@@ -12,12 +12,12 @@ from anharmonic.sampling import (
     stream_for_trajectory,
     wigner_initial,
 )
-from helpers import per_path_wigner_initial
+from helpers import chunk_stream_wigner_initial
 
 
 def _wigner_samples(alpha0, n, seed=0):
     # the engine's block sampler; TestWignerInitialBlock pins it to the
-    # per-path streams bit for bit
+    # chunk stream bit for bit
     return wigner_initial(InitialStateSpec(alpha0, WIGNER), seed, 0, n)
 
 
@@ -48,6 +48,18 @@ class TestStreams:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             stream_for_trajectory(0, -1)
+
+    def test_draws_into_out_continue_the_sequence(self):
+        # the engine fills a step-major (steps, 2, paths) block in C order
+        s = stream_for_trajectory(9, 2)
+        first, second = np.empty((3, 2, 4)), np.empty((1, 2, 3))
+        assert s.normals(24, out=first) is first
+        s.normals(6, out=second)
+        assert s.draws == 30
+        whole = stream_for_trajectory(9, 2).normals(30)
+        assert np.array_equal(np.concatenate([first.ravel(), second.ravel()]), whole)
+        with pytest.raises(ValueError, match="not 5"):
+            s.normals(5, out=first)
 
     def test_sequence_independent_of_call_granularity(self):
         s1 = stream_for_trajectory(9, 2)
@@ -98,10 +110,18 @@ class TestWignerInitialBlock:
     @pytest.mark.parametrize("seed", [0, -1, 2**64 + 5])
     @pytest.mark.parametrize("traj_lo", [0, 8190])
     def test_rows_replay_per_path_streams(self, seed, traj_lo):
+        # the rows replay the first 80 normals of the Philox keyed (seed, traj_lo)
         spec = InitialStateSpec(3.0 - 0.5j, WIGNER)
         block = wigner_initial(spec, seed, traj_lo, traj_lo + 40)
         assert block.dtype == np.complex128
-        assert np.array_equal(block, per_path_wigner_initial(spec, seed, traj_lo, traj_lo + 40))
+        assert np.array_equal(block, chunk_stream_wigner_initial(spec, seed, traj_lo, traj_lo + 40))
+
+    def test_adjacent_chunks_draw_different_sequences(self):
+        spec = InitialStateSpec(0.0, WIGNER)
+        first = wigner_initial(spec, 3, 0, 1000)
+        second = wigner_initial(spec, 3, 1000, 2000)
+        assert not np.any(first == second)
+        assert abs(np.corrcoef(first.real, second.real)[0, 1]) < 0.15
 
     def test_empty_range(self):
         assert wigner_initial(InitialStateSpec(1.0, WIGNER), 0, 5, 5).shape == (0,)
