@@ -28,7 +28,7 @@ EXIT_INPUT = 2                # unreadable or invalid config, Hamiltonian or CSV
 EXIT_DIVERGENCE = 4           # more paths diverged than divergence_threshold allows
 EXIT_WINDOW_OVERFLOW = 5      # the oracle's Fock window exceeds its budget
 EXIT_ORDERING_VIOLATION = 6   # estimates fail the imaginary-residue or moment-bound check
-EXIT_INSUFFICIENT_BATCHES = 7 # fewer than 10 batches kept a surviving path at some output
+EXIT_INSUFFICIENT_BATCHES = 7 # fewer than 10 batches kept a surviving path over the run
 EXIT_MEMORY = 8               # a chunk's arrays do not fit in memory (a batch is too large)
 
 
@@ -81,13 +81,13 @@ def _cmd_derive(args) -> int:
     return 0
 
 
-def _rows_for_ensemble(cfg: SimulationConfig, accumulators) -> list[CsvRow]:
-    rows = []
-    for tau, acc in zip(cfg.taus, accumulators):
-        theta = cfg.theta_for(tau)
-        report = batch_error(acc, QuadratureSpec(theta))
-        rows.append(CsvRow.from_report(tau, theta, report, cfg.method_label))
-    return rows
+def _rows_for_ensemble(cfg: SimulationConfig, acc) -> list[CsvRow]:
+    thetas = [cfg.theta_for(tau) for tau in cfg.taus]
+    reports = batch_error(acc, [QuadratureSpec(theta) for theta in thetas])
+    return [
+        CsvRow.from_report(tau, theta, report, cfg.method_label)
+        for tau, theta, report in zip(cfg.taus, thetas, reports)
+    ]
 
 
 def _rows_for_oracle(cfg: SimulationConfig) -> list[CsvRow]:
@@ -111,8 +111,8 @@ def _cmd_simulate(args) -> int:
         if cfg.method == "Oracle":
             rows = _rows_for_oracle(cfg)
         else:
-            accs = engine.evolve_ensemble(cfg, threads=args.threads)
-            rows = _rows_for_ensemble(cfg, accs)
+            acc = engine.evolve_ensemble(cfg, threads=args.threads)
+            rows = _rows_for_ensemble(cfg, acc)
     except engine.ExcessiveDivergence as exc:
         return _error(exc, EXIT_DIVERGENCE)
     except oracle.WindowOverflow as exc:
@@ -173,7 +173,12 @@ class ComparisonReport:
 
     @property
     def worst(self) -> ComparisonRow:
-        return max(self.rows, key=lambda r: abs(r.delta) / r.allowed if r.allowed else 0.0)
+        """The row with the largest |delta| / allowed; a failing row with a
+        zero allowance ranks above every other."""
+        return max(
+            self.rows,
+            key=lambda r: abs(r.delta) / r.allowed if r.allowed else 0.0 if r.passed else math.inf,
+        )
 
 
 def compare_rows(

@@ -23,7 +23,11 @@ its monomials are formed, so a truncated-Wigner chunk holds one
 ``(n_monomials, m)`` block whatever the number of outputs.  Positive-P
 chunks keep every output's block until the end, because a path that
 diverges later is excluded retroactively from every earlier output;
-their noise is drawn step-major into one bounded buffer per chunk.
+their noise is drawn step-major into one bounded buffer per chunk.  A run
+returns one :class:`~anharmonic.moments.MomentAccumulator`: each chunk
+writes its batches' sums for every output into it, and its surviving and
+diverged path counts once, since a path's survival holds for the whole
+run.
 """
 
 from __future__ import annotations
@@ -80,12 +84,14 @@ class TimeGrid:
     dtau: float
 
     def __post_init__(self):
-        if self.n_particles <= 0:
-            raise ValueError("particle number must be positive")
-        if self.dtau <= 0:
-            raise ValueError("dtau must be positive")
+        if not (math.isfinite(self.n_particles) and self.n_particles > 0):
+            raise ValueError("particle number must be positive and finite")
+        if not (math.isfinite(self.dtau) and self.dtau > 0):
+            raise ValueError("dtau must be positive and finite")
         prev = 0.0
         for tau in self.taus:
+            if not math.isfinite(tau):
+                raise ValueError("tau values must be finite")
             if tau < 0:
                 raise ValueError("tau values must be nonnegative")
             if tau < prev:
@@ -333,19 +339,19 @@ def _run_chunked(
     n_outputs: int,
     chunk_fn,
     threads: int | None,
-) -> list[MomentAccumulator]:
+) -> MomentAccumulator:
     """Run chunk_fn over fixed trajectory ranges and merge its batch sums.
 
     ``chunk_fn(t_lo, t_hi, bounds)`` integrates paths [t_lo, t_hi), whose
     batches are ``bounds`` (offsets from t_lo), and returns per-batch sums
     of shape (n_outputs, n_batches_in_chunk, n_monomials) together with the
     chunk's alive mask.  Each kernel sums every batch pairwise over a fixed
-    trajectory order; the final merge assigns disjoint batch slices in
-    index order, so the result is independent of scheduling.
+    trajectory order, and each chunk writes its own disjoint batch slice of
+    the one accumulator, so the result is independent of scheduling.
     """
     slices = batch_slices(n_paths, n_batches)
     groups = _chunk_batch_groups(slices)
-    accs = [MomentAccumulator(representation, n_batches) for _ in range(n_outputs)]
+    acc = MomentAccumulator(representation, n_outputs, n_batches)
 
     def work(group):
         b_lo, b_hi = group
@@ -354,21 +360,18 @@ def _run_chunked(
         sums, alive = chunk_fn(t_lo, slices[b_hi - 1][1], bounds)
         counts = np.array([alive[lo:hi].sum() for lo, hi in bounds], dtype=np.int64)
         sizes = np.array([hi - lo for lo, hi in bounds])
-        return b_lo, b_hi, sums, counts, sizes - counts
+        acc.batch_sums[:, b_lo:b_hi] = sums
+        acc.batch_counts[b_lo:b_hi] = counts
+        acc.batch_diverged[b_lo:b_hi] = sizes - counts
 
     n_workers = threads if threads else _available_cpus()
     if n_workers > 1 and len(groups) > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(work, groups))
+            list(pool.map(work, groups))
     else:
-        results = [work(g) for g in groups]
-
-    for b_lo, b_hi, sums, counts, dead in results:
-        for k in range(n_outputs):
-            accs[k].batch_sums[b_lo:b_hi] = sums[k]
-            accs[k].batch_counts[b_lo:b_hi] = counts
-            accs[k].batch_diverged[b_lo:b_hi] = dead
-    return accs
+        for group in groups:
+            work(group)
+    return acc
 
 
 def run_truncated_wigner(
@@ -378,7 +381,7 @@ def run_truncated_wigner(
     n_batches: int,
     seed: int = 0,
     threads: int | None = None,
-) -> list[MomentAccumulator]:
+) -> MomentAccumulator:
     """Truncated-Wigner ensemble for the anharmonic oscillator (exact stepper)."""
 
     def chunk(t_lo, t_hi, bounds):
@@ -396,7 +399,7 @@ def run_positive_p(
     threads: int | None = None,
     divergence_threshold: float = 1e-3,
     escape_radius: float | None = None,
-) -> list[MomentAccumulator]:
+) -> MomentAccumulator:
     """Positive-P ensemble under the anharmonic-oscillator Stratonovich model.
 
     Raises :class:`ExcessiveDivergence` when more than
@@ -414,21 +417,22 @@ def run_positive_p(
     def chunk(t_lo, t_hi, bounds):
         return _positive_p_chunk(model, alpha0, grid, seed, t_lo, t_hi, escape_radius, bounds)
 
-    accs = _run_chunked(POSITIVE_P, n_paths, n_batches, len(grid.taus), chunk, threads)
-    n_div = accs[-1].n_diverged
+    acc = _run_chunked(POSITIVE_P, n_paths, n_batches, len(grid.taus), chunk, threads)
+    n_div = acc.n_diverged
     if n_div > divergence_threshold * n_paths:
         raise ExcessiveDivergence(
             f"{n_div} of {n_paths} paths diverged "
             f"(threshold {divergence_threshold:.2%})"
         )
-    return accs
+    return acc
 
 
-def evolve_ensemble(config, threads: int | None = None) -> list[MomentAccumulator]:
+def evolve_ensemble(config, threads: int | None = None) -> MomentAccumulator:
     """Run the configured stochastic method over its output grid.
 
-    Returns one accumulator per output time.  The Fock-space reference is
-    not an ensemble method and is dispatched separately by the CLI.
+    Returns one accumulator holding every output time.  The Fock-space
+    reference is not an ensemble method and is dispatched separately by the
+    CLI.
     """
     grid = TimeGrid(config.n_particles, config.taus, config.dtau)
     alpha0 = math.sqrt(config.n_particles)

@@ -1,12 +1,12 @@
 """Monomial accumulation, quadrature moments, and cumulant estimation.
 
-A :class:`MomentAccumulator` keeps per-batch sums of the phase-space
-monomials ``abar^p a^q`` for all total orders up to four, where ``abar``
-is the conjugate amplitude in the Wigner representation and the
-independent starred component in positive-P.  Quadrature moments of
-``X = exp(-i theta) a + exp(i theta) abar`` are assembled from those sums;
-positive-P averages are normally ordered and are promoted to true operator
-moments with the constants {1; 3; 6, 3}:
+A :class:`MomentAccumulator` holds one ensemble run: per-batch sums of the
+phase-space monomials ``abar^p a^q`` for all total orders up to four, at
+every output time, where ``abar`` is the conjugate amplitude in the Wigner
+representation and the independent starred component in positive-P.
+Quadrature moments of ``X = exp(-i theta) a + exp(i theta) abar`` are
+assembled from those sums; positive-P averages are normally ordered and
+are promoted to true operator moments with the constants {1; 3; 6, 3}:
 
     <X^2> = <:X^2:> + 1
     <X^3> = <:X^3:> + 3 <:X:>
@@ -17,15 +17,15 @@ Third- and fourth-order cumulants follow as
     k3 = <X^3> - 3 <X> <X^2> + 2 <X>^3
     k4 = <X^4> + 2 <X>^4 - 3 <X^2>^2 - 4 <X> k3
 
-with sampling errors estimated from the spread of per-batch values.  The
-Fock oracle evaluates its exact cumulants with the same formula,
-:func:`k3_k4`.
+with sampling errors estimated from the spread of per-batch values.
+:func:`batch_error` estimates every output of a run in one pass.  The Fock
+oracle evaluates its exact cumulants with the same formula, :func:`k3_k4`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -78,19 +78,28 @@ class CumulantReport:
 
 
 class MomentAccumulator:
-    """Streaming per-batch monomial sums for one output time."""
+    """Per-batch monomial sums of one ensemble run, at every output time.
+
+    ``batch_sums`` has shape (n_outputs, n_batches, n_monomials).  A path's
+    survival is decided once per run, so ``batch_counts`` (surviving paths)
+    and ``batch_diverged`` (shape (n_batches,)) hold for every output.
+    """
 
     __slots__ = ("representation", "batch_sums", "batch_counts", "batch_diverged")
 
-    def __init__(self, representation: str, n_batches: int):
+    def __init__(self, representation: str, n_outputs: int, n_batches: int):
         if representation not in (WIGNER, POSITIVE_P):
             raise ValueError(f"unknown representation {representation!r}")
         if n_batches < 1:
             raise ValueError("need at least one batch")
         self.representation = representation
-        self.batch_sums = np.zeros((n_batches, len(MONOMIALS)), dtype=np.complex128)
+        self.batch_sums = np.zeros((n_outputs, n_batches, len(MONOMIALS)), dtype=np.complex128)
         self.batch_counts = np.zeros(n_batches, dtype=np.int64)
         self.batch_diverged = np.zeros(n_batches, dtype=np.int64)
+
+    @property
+    def n_outputs(self) -> int:
+        return self.batch_sums.shape[0]
 
     @property
     def n_batches(self) -> int:
@@ -127,17 +136,11 @@ def bulk_monomials(abar: np.ndarray, a: np.ndarray, out: np.ndarray | None = Non
     return out
 
 
-def _batch_means(acc: MomentAccumulator) -> np.ndarray:
-    """Per-batch monomial means, restricted to batches with surviving paths."""
-    mask = acc.batch_counts > 0
-    return acc.batch_sums[mask] / acc.batch_counts[mask][:, None]
-
-
-def quadrature_powers(monomial, theta: float) -> list:
+def quadrature_powers(monomial, theta) -> list:
     """Averages of x^k (k = 1..4) with x = e^{-i theta} a + e^{i theta} abar.
 
     ``monomial(p, q)`` is the average of abar^p a^q, for example an array
-    column of batch means.
+    of batch means; an array ``theta`` broadcasts against it.
     """
     powers = []
     for k in range(1, 5):
@@ -161,99 +164,108 @@ def k3_k4(m1, m2, m3, m4) -> tuple:
     return k3, k4
 
 
-def _true_moments(means: np.ndarray, theta: float, representation: str) -> np.ndarray:
-    """Operator moments <X^k>, shape (..., 4) complex, from monomial means."""
-    powers = quadrature_powers(lambda p, q: means[..., MONOMIAL_INDEX[(p, q)]], theta)
+def _true_moments(monomial, theta, representation: str) -> list:
+    """Operator moments <X^k> (k = 1..4) from the monomial averages ``monomial(p, q)``."""
+    powers = quadrature_powers(monomial, theta)
     if representation == POSITIVE_P:
         powers = promote_normal_order(*powers)
-    out = np.empty(means.shape[:-1] + (4,), dtype=np.complex128)
-    for k, column in enumerate(powers):
-        out[..., k] = column
-    return out
+    return powers
 
 
-def _pooled_means(acc: MomentAccumulator) -> np.ndarray:
-    total = acc.batch_sums.sum(axis=0)
-    count = acc.batch_counts.sum()
-    if count == 0:
-        raise ValueError("accumulator holds no surviving paths")
-    return total / count
+def _residue_failures(acc, theta, batch_powers, root_b) -> list:
+    """Imaginary residue of each pooled <X^k> against 5 sigma of its batch values.
 
-
-def _check_imaginary_residue(pooled: np.ndarray, batch_values: np.ndarray):
-    n_b = batch_values.shape[0]
-    if n_b < 2:
-        return
-    imag = np.imag(batch_values)
-    sigma = imag.std(axis=0, ddof=1) / math.sqrt(n_b)
-    scale = np.maximum(np.abs(pooled), 1.0)
-    residue = np.abs(np.imag(pooled))
-    bad = residue > 5.0 * sigma + 1e-10 * scale
-    if bad.any():
-        k = int(np.argmax(bad)) + 1
-        raise OrderingViolation(
-            f"imaginary residue of <X^{k}> is {np.imag(pooled)[k - 1]:.3e}, "
-            f"beyond 5 sigma ({sigma[k - 1]:.3e}); ensemble looks biased"
-        )
-
-
-def batch_error(acc: MomentAccumulator, spec: QuadratureSpec) -> CumulantReport:
-    """Cumulants with batch standard errors.
-
-    k3 and k4 are computed per batch from that batch's moments; the report
-    carries the across-batch mean and the standard error std/sqrt(B).
+    One (bad, message, residue, sigma) per moment; bad has shape (n_outputs,).
     """
+    pooled_means = acc.batch_sums.sum(axis=1) / acc.batch_counts.sum()
+    pooled = _true_moments(
+        lambda p, q: pooled_means[:, MONOMIAL_INDEX[p, q], None], theta, POSITIVE_P
+    )
+    checks = []
+    for k, (total, values) in enumerate(zip(pooled, batch_powers), start=1):
+        total = total[:, 0]
+        sigma = np.imag(values).std(axis=-1, ddof=1) / root_b
+        bad = np.abs(np.imag(total)) > 5.0 * sigma + 1e-10 * np.maximum(np.abs(total), 1.0)
+        message = (f"imaginary residue of <X^{k}> is {{:.3e}}, "
+                   "beyond 5 sigma ({:.3e}); ensemble looks biased")
+        checks.append((bad, message, np.imag(total), sigma))
+    return checks
+
+
+def _bound_failures(m1, m2, m4, root_b) -> list:
+    """Variance and quartic Cauchy-Schwarz bounds within 5 sigma of the batch values.
+
+    One (bad, message, mean, sigma) per bound; bad has shape (n_outputs,).
+    """
+    checks = []
+    for label, values in (("<X^2> - <X>^2", m2 - m1**2), ("<X^4> - <X^2>^2", m4 - m2**2)):
+        mean = values.mean(axis=-1)
+        sigma = values.std(axis=-1, ddof=1) / root_b
+        bad = mean < -(5.0 * sigma + 1e-9 * np.maximum(1.0, np.abs(mean)))
+        checks.append((bad, f"moment bound {label} = {{:.3e}} < 0 beyond 5 sigma ({{:.3e}})",
+                       mean, sigma))
+    return checks
+
+
+def batch_error(acc: MomentAccumulator, specs) -> list[CumulantReport]:
+    """Cumulants with batch standard errors, one report per output time.
+
+    ``specs`` holds one :class:`QuadratureSpec` per output.  k3 and k4 are
+    computed per batch from that batch's moments; each report carries the
+    across-batch mean and the standard error std/sqrt(B).  Every output is
+    estimated in one pass over the batch axis.  The checks raise for the
+    earliest output that fails one: the imaginary residue (positive-P)
+    first, then the variance and quartic moment bounds.
+    """
+    if len(specs) != acc.n_outputs:
+        raise ValueError(f"{len(specs)} quadrature specs for {acc.n_outputs} outputs")
     if acc.n_batches < MIN_BATCHES:
-        raise InsufficientBatches(
-            f"{acc.n_batches} batches < required {MIN_BATCHES}"
-        )
-    means = _batch_means(acc)
-    n_eff = means.shape[0]
+        raise InsufficientBatches(f"{acc.n_batches} batches < required {MIN_BATCHES}")
+    alive = acc.batch_counts > 0
+    counts = acc.batch_counts[alive]
+    n_eff = counts.shape[0]
     if n_eff < MIN_BATCHES:
         raise InsufficientBatches(
             f"only {n_eff} batches retained surviving paths (< {MIN_BATCHES})"
         )
-    assembled = _true_moments(means, spec.theta, acc.representation)
-    if acc.representation == POSITIVE_P:
-        pooled = _true_moments(_pooled_means(acc), spec.theta, POSITIVE_P)
-        _check_imaginary_residue(pooled, assembled)
-    real_moments = np.real(assembled)
-    _check_moment_bounds(real_moments)
-    k3, k4 = k3_k4(*(real_moments[..., i] for i in range(4)))
-    root_b = math.sqrt(n_eff)
-    return CumulantReport(
-        kappa3=float(k3.mean()),
-        kappa4=float(k4.mean()),
-        sigma3=float(k3.std(ddof=1) / root_b),
-        sigma4=float(k4.std(ddof=1) / root_b),
-        n_paths=acc.n_paths,
-        n_diverged=acc.n_diverged,
+    theta = np.array([[spec.theta] for spec in specs])
+    # Each column of batch means is formed when the expansion asks for it,
+    # with the batch axis last and contiguous, so no second copy of the
+    # sums is made and every batch reduction below is pairwise.
+    powers = _true_moments(
+        lambda p, q: np.compress(alive, acc.batch_sums[..., MONOMIAL_INDEX[p, q]], axis=-1)
+        / counts,
+        theta,
+        acc.representation,
     )
-
-
-def _check_moment_bounds(batch_moments: np.ndarray):
-    """Variance and quartic Cauchy-Schwarz bounds within sampling tolerance."""
-    n_b = batch_moments.shape[0]
-    for label, values in (
-        ("<X^2> - <X>^2", batch_moments[:, 1] - batch_moments[:, 0] ** 2),
-        ("<X^4> - <X^2>^2", batch_moments[:, 3] - batch_moments[:, 1] ** 2),
-    ):
-        mean = values.mean()
-        sigma = values.std(ddof=1) / math.sqrt(n_b) if n_b > 1 else 0.0
-        if mean < -(5.0 * sigma + 1e-9 * max(1.0, abs(mean))):
-            raise OrderingViolation(
-                f"moment bound {label} = {mean:.3e} < 0 beyond 5 sigma ({sigma:.3e})"
-            )
+    root_b = math.sqrt(n_eff)
+    m1, m2, m3, m4 = (np.real(x) for x in powers)
+    checks = _bound_failures(m1, m2, m4, root_b)
+    if acc.representation == POSITIVE_P:
+        checks = _residue_failures(acc, theta, powers, root_b) + checks
+    failing = np.argwhere(np.array([check[0] for check in checks]).T)
+    if len(failing):
+        output, i = failing[0]
+        _, message, value, sigma = checks[i]
+        raise OrderingViolation(message.format(value[output], sigma[output]))
+    k3, k4 = k3_k4(m1, m2, m3, m4)
+    sigma3 = k3.std(axis=-1, ddof=1) / root_b
+    sigma4 = k4.std(axis=-1, ddof=1) / root_b
+    n_paths, n_diverged = acc.n_paths, acc.n_diverged
+    return [
+        CumulantReport(float(a), float(b), float(c), float(d), n_paths, n_diverged)
+        for a, b, c, d in zip(k3.mean(axis=-1), k4.mean(axis=-1), sigma3, sigma4)
+    ]
 
 
 # ----------------------------------------------------------------------
 # CSV artefacts
 
-CSV_HEADER = "tau,theta,k3,k3_sigma,k4,k4_sigma,n_paths,n_diverged,method"
-
 
 @dataclass(frozen=True)
 class CsvRow:
+    """One output row; the CSV columns are these fields, in this order."""
+
     tau: float
     theta: float
     k3: float
@@ -268,47 +280,33 @@ class CsvRow:
     def from_report(
         cls, tau: float, theta: float, report: CumulantReport, method: str
     ) -> "CsvRow":
-        return cls(
-            tau,
-            theta,
-            report.kappa3,
-            report.sigma3,
-            report.kappa4,
-            report.sigma4,
-            report.n_paths,
-            report.n_diverged,
-            method,
-        )
+        return cls(tau, theta, report.kappa3, report.sigma3, report.kappa4, report.sigma4,
+                   report.n_paths, report.n_diverged, method)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+CSV_HEADER = ",".join(f.name for f in fields(CsvRow))
+
+
+def _column_types() -> list[type]:
+    """The type of each CSV column, from CsvRow's field annotations."""
+    return [{"float": float, "int": int, "str": str}[f.type] for f in fields(CsvRow)]
 
 
 def write_rows(path, rows) -> None:
     """Write the cumulant CSV (floats at 17 significant digits)."""
+    types = _column_types()
     lines = [CSV_HEADER]
     for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(r.tau),
-                    _fmt(r.theta),
-                    _fmt(r.k3),
-                    _fmt(r.k3_sigma),
-                    _fmt(r.k4),
-                    _fmt(r.k4_sigma),
-                    str(r.n_paths),
-                    str(r.n_diverged),
-                    r.method,
-                ]
-            )
-        )
+        values = (getattr(r, f.name) for f in fields(r))
+        lines.append(",".join(
+            format(v, ".17g") if kind is float else str(v) for kind, v in zip(types, values)
+        ))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def read_rows(path) -> list[CsvRow]:
+    types = _column_types()
     with open(path, "r", encoding="ascii") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or lines[0] != CSV_HEADER:
@@ -316,19 +314,7 @@ def read_rows(path) -> list[CsvRow]:
     rows = []
     for ln in lines[1:]:
         f = ln.split(",")
-        if len(f) != 9:
+        if len(f) != len(types):
             raise ValueError(f"{path}: malformed row {ln!r}")
-        rows.append(
-            CsvRow(
-                float(f[0]),
-                float(f[1]),
-                float(f[2]),
-                float(f[3]),
-                float(f[4]),
-                float(f[5]),
-                int(f[6]),
-                int(f[7]),
-                f[8],
-            )
-        )
+        rows.append(CsvRow(*(kind(x) for kind, x in zip(types, f))))
     return rows

@@ -9,13 +9,18 @@ import numpy as np
 
 from anharmonic.engine import MIDPOINT_ITERATIONS, MidpointStep
 from anharmonic.moments import (
+    MIN_BATCHES,
+    MONOMIAL_INDEX,
     MONOMIALS,
     CumulantReport,
+    InsufficientBatches,
+    OrderingViolation,
     QuadratureSpec,
     k3_k4,
     promote_normal_order,
     quadrature_powers,
 )
+from anharmonic.sampling import POSITIVE_P
 from anharmonic.oracle import _real_dot, ladder_moment
 from anharmonic.symbolic import PhasePolynomial, evaluate
 
@@ -138,12 +143,82 @@ def frozen_brownian_paths(rng, n_paths, n_coarse, dt):
 
 
 def fill_batches(acc, sums, counts, diverged=0):
-    """Set the first len(counts) batches of ``acc``: monomial sums, path and divergence counts."""
+    """Set the first len(counts) batches of ``acc`` at every output: monomial
+    sums (shape (n, n_monomials), or one such block per output), path and
+    divergence counts."""
     n = len(counts)
-    acc.batch_sums[:n] = sums
+    acc.batch_sums[:, :n] = sums
     acc.batch_counts[:n] = counts
     acc.batch_diverged[:n] = diverged
     return acc
+
+
+def per_output_batch_error(acc, k: int, spec: QuadratureSpec) -> CumulantReport:
+    """Reference estimator for output ``k`` on its own.
+
+    Output k's batch means are formed as one (n_batches, n_monomials)
+    array, and every check and reduction runs on that output alone, with
+    the arithmetic of a one-output estimator.
+    """
+    if acc.n_batches < MIN_BATCHES:
+        raise InsufficientBatches(f"{acc.n_batches} batches < required {MIN_BATCHES}")
+    mask = acc.batch_counts > 0
+    means = acc.batch_sums[k][mask] / acc.batch_counts[mask][:, None]
+    n_eff = means.shape[0]
+    if n_eff < MIN_BATCHES:
+        raise InsufficientBatches(
+            f"only {n_eff} batches retained surviving paths (< {MIN_BATCHES})"
+        )
+
+    def true_moments(monomial_means):
+        powers = quadrature_powers(
+            lambda p, q: monomial_means[..., MONOMIAL_INDEX[(p, q)]], spec.theta
+        )
+        if acc.representation == POSITIVE_P:
+            powers = promote_normal_order(*powers)
+        out = np.empty(monomial_means.shape[:-1] + (4,), dtype=np.complex128)
+        for i, column in enumerate(powers):
+            out[..., i] = column
+        return out
+
+    assembled = true_moments(means)
+    if acc.representation == POSITIVE_P:
+        pooled = true_moments(acc.batch_sums[k].sum(axis=0) / acc.batch_counts.sum())
+        sigma = np.imag(assembled).std(axis=0, ddof=1) / math.sqrt(n_eff)
+        scale = np.maximum(np.abs(pooled), 1.0)
+        bad = np.abs(np.imag(pooled)) > 5.0 * sigma + 1e-10 * scale
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise OrderingViolation(
+                f"imaginary residue of <X^{i + 1}> is {np.imag(pooled)[i]:.3e}, "
+                f"beyond 5 sigma ({sigma[i]:.3e}); ensemble looks biased"
+            )
+    real = np.real(assembled)
+    for label, values in (
+        ("<X^2> - <X>^2", real[:, 1] - real[:, 0] ** 2),
+        ("<X^4> - <X^2>^2", real[:, 3] - real[:, 1] ** 2),
+    ):
+        mean = values.mean()
+        sigma = values.std(ddof=1) / math.sqrt(n_eff)
+        if mean < -(5.0 * sigma + 1e-9 * max(1.0, abs(mean))):
+            raise OrderingViolation(
+                f"moment bound {label} = {mean:.3e} < 0 beyond 5 sigma ({sigma:.3e})"
+            )
+    k3, k4 = k3_k4(*(real[..., i] for i in range(4)))
+    root_b = math.sqrt(n_eff)
+    return CumulantReport(
+        float(k3.mean()),
+        float(k4.mean()),
+        float(k3.std(ddof=1) / root_b),
+        float(k4.std(ddof=1) / root_b),
+        acc.n_paths,
+        acc.n_diverged,
+    )
+
+
+def per_output_batch_errors(acc, specs) -> list[CumulantReport]:
+    """Reference reports, output by output; the first failing output raises."""
+    return [per_output_batch_error(acc, k, spec) for k, spec in enumerate(specs)]
 
 
 def oracle_raw_moments(state, spec) -> np.ndarray:

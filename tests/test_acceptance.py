@@ -67,9 +67,9 @@ def tw_benchmark():
     taus = tuple(0.5 * i for i in range(21))  # [0, 10]
     grid = TimeGrid(N_PARTICLES, taus, 1e-3)
     started = time.perf_counter()
-    accs = run_truncated_wigner(ALPHA0, grid, 100_000, 100, seed=1, threads=2)
+    acc = run_truncated_wigner(ALPHA0, grid, 100_000, 100, seed=1, threads=2)
     print(f"[tw benchmark: {time.perf_counter() - started:.1f} s]")
-    return grid, accs
+    return grid, acc
 
 
 @pytest.fixture(scope="module")
@@ -77,18 +77,16 @@ def pp_benchmark():
     taus = tuple(0.5 * i for i in range(17))  # [0, 8]
     grid = TimeGrid(N_PARTICLES, taus, 1e-3)
     started = time.perf_counter()
-    accs = run_positive_p(ALPHA0, grid, 100_000, 100, seed=1, threads=2)
+    acc = run_positive_p(ALPHA0, grid, 100_000, 100, seed=1, threads=2)
     print(f"[positive-p benchmark: {time.perf_counter() - started:.1f} s]")
-    return grid, accs
+    return grid, acc
 
 
-def rows_from_accumulators(grid, accs, method):
-    rows = []
-    for tau, acc in zip(grid.taus, accs):
-        theta = 2.0 * tau
-        rep = batch_error(acc, QuadratureSpec(theta))
-        rows.append(CsvRow.from_report(tau, theta, rep, method))
-    return rows
+def rows_from_accumulator(grid, acc, method):
+    reports = batch_error(acc, [QuadratureSpec(2.0 * tau) for tau in grid.taus])
+    return [
+        CsvRow.from_report(tau, 2.0 * tau, rep, method) for tau, rep in zip(grid.taus, reports)
+    ]
 
 
 def oracle_rows(grid, oracle_curve):
@@ -180,8 +178,8 @@ def test_criterion_3_oracle_self_consistency():
 
 def test_criterion_4_tw_non_gaussian_accuracy(tw_benchmark, oracle_curve, tmp_path):
     started = time.perf_counter()
-    grid, accs = tw_benchmark
-    tw = rows_from_accumulators(grid, accs, "tw")
+    grid, acc = tw_benchmark
+    tw = rows_from_accumulator(grid, acc, "tw")
     ref = oracle_rows(grid, oracle_curve)
     write_rows(tmp_path / "tw.csv", tw)
     write_rows(tmp_path / "oracle.csv", ref)
@@ -200,8 +198,8 @@ def test_criterion_4_tw_non_gaussian_accuracy(tw_benchmark, oracle_curve, tmp_pa
 @pytest.mark.slow
 def test_criterion_5_positive_p_accuracy_and_error_growth(pp_benchmark, oracle_curve):
     started = time.perf_counter()
-    grid, accs = pp_benchmark
-    rows = rows_from_accumulators(grid, accs, "positive_p")
+    grid, acc = pp_benchmark
+    rows = rows_from_accumulator(grid, acc, "positive_p")
     by_tau = {r.tau: r for r in rows}
 
     for r in rows:
@@ -221,7 +219,7 @@ def test_criterion_5_positive_p_accuracy_and_error_growth(pp_benchmark, oracle_c
 @pytest.mark.slow
 def test_criterion_6_conservation_invariants(tw_benchmark, pp_benchmark):
     started = time.perf_counter()
-    grid, accs = tw_benchmark
+    grid, acc = tw_benchmark
 
     # per-trajectory modulus conservation across the whole output grid, on
     # the first 500 initial amplitudes and the flow the ensemble ran
@@ -232,17 +230,17 @@ def test_criterion_6_conservation_invariants(tw_benchmark, pp_benchmark):
     assert worst < 1e-12
 
     # ensemble occupation: <|alpha|^2> - 1/2 = N at every output time
-    for acc in accs:
-        vals = np.real(acc.batch_sums[:, MONOMIAL_INDEX[(1, 1)]] / acc.batch_counts)
+    for sums in acc.batch_sums:
+        vals = np.real(sums[:, MONOMIAL_INDEX[(1, 1)]] / acc.batch_counts)
         sigma = vals.std(ddof=1) / math.sqrt(len(vals))
         assert abs(vals.mean() - 0.5 - N_PARTICLES) < 4 * sigma
 
     # positive-P conserves the occupation product while converged
-    pp_grid, pp_accs = pp_benchmark
-    for tau, acc in zip(pp_grid.taus, pp_accs):
+    pp_grid, pp_acc = pp_benchmark
+    for tau, sums in zip(pp_grid.taus, pp_acc.batch_sums):
         if tau > 3.0:
             continue
-        vals = np.real(acc.batch_sums[:, MONOMIAL_INDEX[(1, 1)]] / acc.batch_counts)
+        vals = np.real(sums[:, MONOMIAL_INDEX[(1, 1)]] / pp_acc.batch_counts)
         sigma = max(vals.std(ddof=1) / math.sqrt(len(vals)), 1e-9)
         assert abs(vals.mean() - N_PARTICLES) < 4 * sigma
 
@@ -328,15 +326,15 @@ def test_criterion_9_gaussian_null():
     grid_small = TimeGrid(4.0, (0.0,), 1e-3)  # alpha0 = 2
     terms = []
     for seed in range(100):
-        accs = run_truncated_wigner(ALPHA0, grid0, 10_000, 20, seed=seed)
-        rep = batch_error(accs[0], QuadratureSpec(0.0))
+        acc = run_truncated_wigner(ALPHA0, grid0, 10_000, 20, seed=seed)
+        (rep,) = batch_error(acc, [QuadratureSpec(0.0)])
         terms.append((rep.kappa3 / rep.sigma3) ** 2)
         terms.append((rep.kappa4 / rep.sigma4) ** 2)
 
         # seeds apart from the first half's, so that the two halves' terms
         # stay independent (the same seeds correlate them at r ~ 0.7)
-        accs = run_truncated_wigner(2.0, grid_small, 5_000, 20, seed=seed + 100)
-        rep = batch_error(accs[0], QuadratureSpec(0.0))
+        acc = run_truncated_wigner(2.0, grid_small, 5_000, 20, seed=seed + 100)
+        (rep,) = batch_error(acc, [QuadratureSpec(0.0)])
         terms.append((rep.kappa3 / rep.sigma3) ** 2)
         terms.append((rep.kappa4 / rep.sigma4) ** 2)
 

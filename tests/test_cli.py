@@ -171,7 +171,7 @@ class TestSimulate:
 
 
     def test_ordering_violation_exit_code(self, tmp_path, capsys, monkeypatch):
-        def violate(acc, spec):
+        def violate(acc, specs):
             raise OrderingViolation("moment bound <X^2> - <X>^2 = -1 < 0 beyond 5 sigma")
 
         monkeypatch.setattr(cli, "batch_error", violate)
@@ -324,6 +324,24 @@ class TestCompare:
         assert k3_row.passed is False  # peak of reference k3 is 0
         report = compare_rows(rows_a, rows_b, max_sigma=12.0)
         assert all(r.passed for r in report.rows)
+
+    def test_worst_row_with_zero_tolerances(self, tmp_path, capsys):
+        # with --max-sigma 0 --atol 0 every allowance is 0: the failing row
+        # (delta = 5) is the worst, not the first, passing one (delta = 0)
+        from anharmonic.moments import write_rows
+
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_rows(a, [CsvRow(0.0, 0.0, 1.0, 0.0, 2.0, 0.0, 10, 0, "tw"),
+                       CsvRow(0.5, 1.0, 6.0, 0.0, 2.0, 0.0, 10, 0, "tw")])
+        write_rows(b, [CsvRow(0.0, 0.0, 1.0, 0.0, 2.0, 0.0, 0, 0, "oracle"),
+                       CsvRow(0.5, 1.0, 1.0, 0.0, 2.0, 0.0, 0, 0, "oracle")])
+        report = compare_rows(read_rows(a), read_rows(b), max_sigma=0.0, atol=0.0)
+        assert (report.worst.tau, report.worst.cumulant, report.worst.delta) == (0.5, "k3", 5.0)
+        code, out, _ = run_cli(
+            capsys, "compare", str(a), str(b), "--max-sigma", "0", "--atol", "0"
+        )
+        assert code == 3
+        assert "worst row: tau=0.5 k3 |delta|=5 allowed=0" in out
 
     def test_zero_sigma_uses_atol(self):
         rows_a = [CsvRow(0.0, 0.0, 1e-12, 0.0, 0.0, 0.0, 10, 0, "tw")]

@@ -52,8 +52,9 @@ def noise_free_path(model, a0, dt, n_steps):
     return midpoint_path(model, [[a0], [np.conj(a0)]], dt, n_steps)[0, 0]
 
 
-def batch_mean(acc, p, q):
-    return acc.batch_sums[:, MONOMIAL_INDEX[(p, q)]].sum() / acc.batch_counts.sum()
+def batch_mean(acc, k, p, q):
+    """Pooled mean of abar^p a^q at output k."""
+    return acc.batch_sums[k, :, MONOMIAL_INDEX[(p, q)]].sum() / acc.batch_counts.sum()
 
 
 def stacked_bulk_monomials(abar, a, out):
@@ -68,15 +69,15 @@ def use_reference_kernels(monkeypatch):
 
 
 def assert_same_accumulators(got, want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert np.array_equal(g.batch_sums, w.batch_sums)
-        assert np.array_equal(g.batch_counts, w.batch_counts)
-        assert np.array_equal(g.batch_diverged, w.batch_diverged)
+    assert got.batch_sums.shape == want.batch_sums.shape
+    assert np.array_equal(got.batch_sums, want.batch_sums)
+    assert np.array_equal(got.batch_counts, want.batch_counts)
+    assert np.array_equal(got.batch_diverged, want.batch_diverged)
 
 
-def batch_sigma(acc, p, q):
-    vals = np.real(acc.batch_sums[:, MONOMIAL_INDEX[(p, q)]] / acc.batch_counts)
+def batch_sigma(acc, k, p, q):
+    """Batch standard error of the mean of abar^p a^q at output k."""
+    vals = np.real(acc.batch_sums[k, :, MONOMIAL_INDEX[(p, q)]] / acc.batch_counts)
     return vals.std(ddof=1) / math.sqrt(len(vals))
 
 
@@ -96,6 +97,24 @@ class TestTimeGrid:
     def test_rejects_negative_tau(self):
         with pytest.raises(ValueError):
             TimeGrid(1000.0, (-1.0, 0.5), 1e-3)
+
+    @pytest.mark.parametrize(
+        "n_particles, taus, dtau",
+        [
+            (1000.0, (0.0, 1.0), math.inf),
+            (1000.0, (0.0, 1.0), math.nan),
+            (math.inf, (0.0, 1.0), 1e-3),
+            (math.nan, (0.0, 1.0), 1e-3),
+            (1000.0, (0.0, math.nan), 1e-3),
+            (1000.0, (0.0, math.inf), 1e-3),
+        ],
+        ids=["inf-dtau", "nan-dtau", "inf-n", "nan-n", "nan-tau", "inf-tau"],
+    )
+    def test_rejects_non_finite(self, n_particles, taus, dtau):
+        # an infinite dtau would give zero steps per gap, so the tau = 0
+        # state would be reported at every later output
+        with pytest.raises(ValueError, match="finite"):
+            TimeGrid(n_particles, taus, dtau)
 
 
 class TestExactWignerStep:
@@ -203,11 +222,11 @@ class TestMidpointStep:
         # a path that overflows is flagged after the step that makes it
         # non-finite, even with an infinite escape radius
         grid = TimeGrid(1.0, (0.0, 0.01), 1e-3)
-        accs = run_positive_p(
+        acc = run_positive_p(
             1e200, grid, 20, 10, seed=0, escape_radius=math.inf, divergence_threshold=1.0
         )
-        assert accs[-1].n_diverged == 20
-        assert accs[-1].n_paths == 0
+        assert acc.n_diverged == 20
+        assert acc.n_paths == 0
 
     def test_strong_order_at_least_half_on_frozen_paths(self):
         # step-halving on the doubled-phase-space model with 100 frozen
@@ -265,32 +284,31 @@ class TestBuildNoise:
 class TestTruncatedWignerEnsemble:
     def test_initial_time_cumulants_consistent_with_zero(self):
         grid = TimeGrid(1000.0, (0.0,), 1e-3)
-        accs = run_truncated_wigner(math.sqrt(1000.0), grid, 20_000, 100, seed=5)
-        rep = batch_error(accs[0], QuadratureSpec(0.0))
+        acc = run_truncated_wigner(math.sqrt(1000.0), grid, 20_000, 100, seed=5)
+        (rep,) = batch_error(acc, [QuadratureSpec(0.0)])
         assert abs(rep.kappa3) < 4 * rep.sigma3
         assert abs(rep.kappa4) < 4 * rep.sigma4
 
     def test_occupation_offset_half_quantum(self):
         n = 1000.0
         grid = TimeGrid(n, (0.0, 2.0, 7.0), 0.5)
-        accs = run_truncated_wigner(math.sqrt(n), grid, 20_000, 100, seed=6)
-        for acc in accs:
-            m11 = batch_mean(acc, 1, 1).real
-            sigma = batch_sigma(acc, 1, 1)
+        acc = run_truncated_wigner(math.sqrt(n), grid, 20_000, 100, seed=6)
+        for k in range(acc.n_outputs):
+            m11 = batch_mean(acc, k, 1, 1).real
+            sigma = batch_sigma(acc, k, 1, 1)
             assert abs(m11 - 0.5 - n) < 4 * sigma
 
     def test_no_divergence_possible(self):
         grid = TimeGrid(1000.0, (0.0, 5.0), 1e-3)
-        accs = run_truncated_wigner(math.sqrt(1000.0), grid, 1000, 10, seed=7)
-        assert accs[-1].n_diverged == 0
+        acc = run_truncated_wigner(math.sqrt(1000.0), grid, 1000, 10, seed=7)
+        assert acc.n_diverged == 0
 
     def test_worker_count_invariance(self):
         grid = TimeGrid(1000.0, (0.0, 1.0), 0.1)
         a = run_truncated_wigner(math.sqrt(1000.0), grid, 9000, 18, seed=8, threads=1)
         b = run_truncated_wigner(math.sqrt(1000.0), grid, 9000, 18, seed=8, threads=2)
-        for acc_a, acc_b in zip(a, b):
-            assert np.array_equal(acc_a.batch_sums, acc_b.batch_sums)
-            assert np.array_equal(acc_a.batch_counts, acc_b.batch_counts)
+        assert np.array_equal(a.batch_sums, b.batch_sums)
+        assert np.array_equal(a.batch_counts, b.batch_counts)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_matches_per_path_reference_kernels(self, monkeypatch, threads):
@@ -312,18 +330,18 @@ class TestPositivePEnsemble:
     def test_initial_occupation_exact(self):
         n = 1000.0
         grid = TimeGrid(n, (0.0,), 1e-3)
-        accs = run_positive_p(math.sqrt(n), grid, 500, 10, seed=0)
-        m11 = batch_mean(accs[0], 1, 1)
+        acc = run_positive_p(math.sqrt(n), grid, 500, 10, seed=0)
+        m11 = batch_mean(acc, 0, 1, 1)
         assert m11.real == pytest.approx(n, abs=1e-9)
         assert m11.imag == 0.0
 
     def test_number_conserved_in_time(self):
         n = 1000.0
         grid = TimeGrid(n, (0.0, 0.25, 0.5), 1e-3)
-        accs = run_positive_p(math.sqrt(n), grid, 4000, 20, seed=9)
-        for acc in accs:
-            m11 = batch_mean(acc, 1, 1).real
-            sigma = max(batch_sigma(acc, 1, 1), 1e-9)
+        acc = run_positive_p(math.sqrt(n), grid, 4000, 20, seed=9)
+        for k in range(acc.n_outputs):
+            m11 = batch_mean(acc, k, 1, 1).real
+            sigma = max(batch_sigma(acc, k, 1, 1), 1e-9)
             assert abs(m11 - n) < 4 * sigma
 
     def test_worker_count_invariance(self):
@@ -331,8 +349,7 @@ class TestPositivePEnsemble:
         grid = TimeGrid(n, (0.0, 0.02), 1e-3)
         a = run_positive_p(math.sqrt(n), grid, 9000, 18, seed=10, threads=1)
         b = run_positive_p(math.sqrt(n), grid, 9000, 18, seed=10, threads=2)
-        for acc_a, acc_b in zip(a, b):
-            assert np.array_equal(acc_a.batch_sums, acc_b.batch_sums)
+        assert np.array_equal(a.batch_sums, b.batch_sums)
 
     def test_noise_blocks_replay_whole_gap_draws(self, monkeypatch):
         n = 1000.0
@@ -360,7 +377,7 @@ class TestPositivePEnsemble:
         grid = TimeGrid(n, (0.0, 0.02), 1e-3)
         a = run_positive_p(math.sqrt(n), grid, 500, 10, seed=1)
         b = run_positive_p(math.sqrt(n), grid, 500, 10, seed=2)
-        assert not np.array_equal(a[-1].batch_sums, b[-1].batch_sums)
+        assert not np.array_equal(a.batch_sums[-1], b.batch_sums[-1])
 
     def test_excessive_divergence_aborts(self):
         n = 1000.0
@@ -373,12 +390,12 @@ class TestPositivePEnsemble:
     def test_diverged_paths_counted_and_excluded(self):
         n = 1000.0
         grid = TimeGrid(n, (0.0, 0.01), 1e-3)
-        accs = run_positive_p(
+        acc = run_positive_p(
             math.sqrt(n), grid, 200, 10, seed=0, escape_radius=1e-6,
             divergence_threshold=1.0,
         )
-        assert accs[-1].n_diverged == 200
-        assert accs[-1].n_paths == 0
+        assert acc.n_diverged == 200
+        assert acc.n_paths == 0
 
     def test_vector_kernel_matches_scalar_stepper(self):
         # same trajectory, same noise: chunked numpy path vs scalar reference;
@@ -387,15 +404,15 @@ class TestPositivePEnsemble:
         n = 1000.0
         a0 = math.sqrt(n)
         grid = TimeGrid(n, (0.05,), 1e-3)
-        accs = run_positive_p(a0, grid, 3, 3, seed=13)
+        acc = run_positive_p(a0, grid, 3, 3, seed=13)
         dt = grid.dt
         n_steps = grid.steps_between()[0]
         draws = chunk_philox(13, 0).standard_normal((n_steps, 2, 3))
         for traj in range(3):
             dw = math.sqrt(dt) * draws[:, :, traj]
             a1_ref, a2s_ref = scalar_midpoint_path(model, (a0, a0), dt, n_steps, dw)
-            a1 = accs[0].batch_sums[traj, MONOMIAL_INDEX[(0, 1)]]
-            a2s = accs[0].batch_sums[traj, MONOMIAL_INDEX[(1, 0)]]
+            a1 = acc.batch_sums[0, traj, MONOMIAL_INDEX[(0, 1)]]
+            a2s = acc.batch_sums[0, traj, MONOMIAL_INDEX[(1, 0)]]
             assert abs(a1 - a1_ref) < 1e-13 * abs(a1)
             assert abs(a2s - a2s_ref) < 1e-13 * abs(a2s)
 
@@ -415,11 +432,11 @@ class TestPositivePAgainstOracle:
 
         n = 1000.0
         grid = TimeGrid(n, (0.5, 1.0), 1e-3)
-        accs = run_positive_p(math.sqrt(n), grid, 4000, 20, seed=3)
+        acc = run_positive_p(math.sqrt(n), grid, 4000, 20, seed=3)
         state0 = orc.init_coherent(math.sqrt(n))
-        for tau, acc in zip(grid.taus, accs):
+        reports = batch_error(acc, [QuadratureSpec(2.0 * tau) for tau in grid.taus])
+        for tau, rep in zip(grid.taus, reports):
             theta = 2.0 * tau
-            rep = batch_error(acc, QuadratureSpec(theta))
             exact = orc.oracle_cumulants(
                 orc.evolve(state0, tau / n), QuadratureSpec(theta)
             )
@@ -444,9 +461,9 @@ class TestEvolveEnsembleDispatch:
             "method = TW\nN = 100\nn_paths = 500\nbatches = 10\n"
             "tau_start = 0\ntau_stop = 1\ntau_points = 2\n"
         )
-        accs = evolve_ensemble(cfg)
-        assert len(accs) == 2
-        assert accs[0].n_paths == 500
+        acc = evolve_ensemble(cfg)
+        assert acc.n_outputs == 2
+        assert acc.n_paths == 500
 
 
 class TestDefaultWorkerCount:
@@ -490,7 +507,7 @@ class TestStreamingReduction:
     def test_positive_p_with_late_divergence(self, monkeypatch, threads):
         n = 1000.0
         grid = TimeGrid(n, (0.0, 0.01, 0.02), 1e-3)
-        accs = self.compare(
+        acc = self.compare(
             monkeypatch,
             "_positive_p_chunk",
             lambda: run_positive_p(
@@ -500,8 +517,8 @@ class TestStreamingReduction:
         )
         # some paths, not all, escape after the tau = 0 output, so the
         # retroactive exclusion reaches back across outputs
-        assert 0 < accs[0].n_diverged < self.N_PATHS
-        assert accs[0].n_paths == self.N_PATHS - accs[0].n_diverged
+        assert 0 < acc.n_diverged < self.N_PATHS
+        assert acc.n_paths == self.N_PATHS - acc.n_diverged
 
     @pytest.mark.parametrize(
         "n_paths, n_batches",

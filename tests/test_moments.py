@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -14,8 +15,15 @@ from anharmonic.moments import (
     bulk_monomials,
     k3_k4,
 )
+from anharmonic.engine import TimeGrid, run_positive_p, run_truncated_wigner
 from anharmonic.sampling import POSITIVE_P, WIGNER
-from helpers import dense_brute_force, fill_batches, stacked_monomials
+from helpers import (
+    dense_brute_force,
+    fill_batches,
+    per_output_batch_error,
+    per_output_batch_errors,
+    stacked_monomials,
+)
 
 
 def acc_from_samples(representation, abar, a, n_batches=10, diverged=0):
@@ -23,7 +31,7 @@ def acc_from_samples(representation, abar, a, n_batches=10, diverged=0):
     abars = np.array_split(np.asarray(abar), n_batches)
     amps = np.array_split(np.asarray(a), n_batches)
     return fill_batches(
-        MomentAccumulator(representation, n_batches),
+        MomentAccumulator(representation, 1, n_batches),
         [bulk_monomials(ab, am).sum(axis=1) for ab, am in zip(abars, amps)],
         [len(am) for am in amps],
         diverged,
@@ -39,8 +47,10 @@ def positive_p_acc_from_samples(a1, a2s, n_batches=10):
 
 
 def true_moments(acc, theta):
-    """Pooled <X^k> (k = 1..4) through the assembly batch_error runs."""
-    return np.real(mo._true_moments(mo._pooled_means(acc), theta, acc.representation))
+    """Pooled <X^k> (k = 1..4) of output 0 through the assembly batch_error runs."""
+    pooled = acc.batch_sums[0].sum(axis=0) / acc.batch_counts.sum()
+    powers = mo._true_moments(lambda p, q: pooled[MONOMIAL_INDEX[p, q]], theta, acc.representation)
+    return np.real(np.array(powers))
 
 
 class TestAccumulate:
@@ -48,17 +58,19 @@ class TestAccumulate:
 
     def test_single_wigner_path(self):
         a = np.array([2.0 + 0.0j])
-        acc = fill_batches(MomentAccumulator(WIGNER, 2), bulk_monomials(a.conj(), a).T, [1])
-        assert acc.batch_sums[0, MONOMIAL_INDEX[(1, 1)]] == pytest.approx(4.0)
+        acc = fill_batches(MomentAccumulator(WIGNER, 1, 2), bulk_monomials(a.conj(), a).T, [1])
+        assert acc.batch_sums[0, 0, MONOMIAL_INDEX[(1, 1)]] == pytest.approx(4.0)
         assert acc.batch_counts[0] == 1
-        assert not acc.batch_sums[1].any()
+        assert not acc.batch_sums[0, 1].any()
 
     def test_positive_p_monomial_definition(self):
         a, abar = np.array([2.0 + 1.0j]), np.array([3.0 - 0.5j])
-        acc = fill_batches(MomentAccumulator(POSITIVE_P, 1), bulk_monomials(abar, a).T, [1])
+        acc = fill_batches(MomentAccumulator(POSITIVE_P, 1, 1), bulk_monomials(abar, a).T, [1])
         expected = (3.0 - 0.5j) * (2.0 + 1.0j)
-        assert acc.batch_sums[0, MONOMIAL_INDEX[(1, 1)]] == pytest.approx(expected)
-        assert acc.batch_sums[0, MONOMIAL_INDEX[(2, 1)]] == pytest.approx(expected * (3.0 - 0.5j))
+        assert acc.batch_sums[0, 0, MONOMIAL_INDEX[(1, 1)]] == pytest.approx(expected)
+        assert acc.batch_sums[0, 0, MONOMIAL_INDEX[(2, 1)]] == pytest.approx(
+            expected * (3.0 - 0.5j)
+        )
 
 
 class TestWignerQuadrature:
@@ -157,14 +169,14 @@ class TestEstimateConsistencyChecks:
         a2s = np.conj(a1) + 0.5j  # broken conjugacy in the mean
         acc = positive_p_acc_from_samples(a1, a2s, n_batches=20)
         with pytest.raises(mo.OrderingViolation, match="imaginary residue"):
-            batch_error(acc, QuadratureSpec(0.0))
+            batch_error(acc, [QuadratureSpec(0.0)])
 
     def test_clean_ensemble_passes_residue_check(self):
         rng = np.random.default_rng(11)
         n = 2000
         a1 = 1.0 + 0.1 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         acc = positive_p_acc_from_samples(a1, np.conj(a1), n_batches=20)
-        rep = batch_error(acc, QuadratureSpec(0.4))
+        (rep,) = batch_error(acc, [QuadratureSpec(0.4)])
         assert np.isfinite([rep.kappa3, rep.kappa4, rep.sigma3, rep.sigma4]).all()
 
     def test_variance_bound_violation_raises(self):
@@ -173,9 +185,9 @@ class TestEstimateConsistencyChecks:
         row[MONOMIAL_INDEX[(0, 1)]] = 2.0   # <a> = 2 -> <X> = 4
         row[MONOMIAL_INDEX[(1, 0)]] = 2.0
         row[MONOMIAL_INDEX[(1, 1)]] = 0.1   # far too small for |<a>|^2
-        acc = fill_batches(MomentAccumulator(WIGNER, 10), row, [1] * 10)
+        acc = fill_batches(MomentAccumulator(WIGNER, 1, 10), row, [1] * 10)
         with pytest.raises(mo.OrderingViolation, match="moment bound"):
-            batch_error(acc, QuadratureSpec(0.0))
+            batch_error(acc, [QuadratureSpec(0.0)])
 
 
 class TestBulkMonomials:
@@ -201,15 +213,15 @@ class TestBulkMonomials:
 class TestBatchError:
     def test_identical_batches_zero_sigma(self):
         row = bulk_monomials(np.array([2.0 - 1.0j]).conj(), np.array([2.0 - 1.0j]))[:, 0]
-        acc = fill_batches(MomentAccumulator(WIGNER, 10), row, [1] * 10)
-        rep = batch_error(acc, QuadratureSpec(0.0))
+        acc = fill_batches(MomentAccumulator(WIGNER, 1, 10), row, [1] * 10)
+        (rep,) = batch_error(acc, [QuadratureSpec(0.0)])
         assert rep.sigma3 == 0.0
         assert rep.sigma4 == 0.0
 
     def test_insufficient_batches_rejected(self):
-        acc = MomentAccumulator(WIGNER, 5)
+        acc = MomentAccumulator(WIGNER, 1, 5)
         with pytest.raises(InsufficientBatches):
-            batch_error(acc, QuadratureSpec(0.0))
+            batch_error(acc, [QuadratureSpec(0.0)])
 
     def test_sigma_scales_with_path_count(self):
         # doubling the number of i.i.d. paths shrinks sigma(k3) by ~sqrt(2)
@@ -218,7 +230,7 @@ class TestBatchError:
         def sigma_for(n):
             xs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             acc = wigner_acc_from_samples(xs, n_batches=50)
-            return batch_error(acc, QuadratureSpec(0.0)).sigma3
+            return batch_error(acc, [QuadratureSpec(0.0)])[0].sigma3
 
         ratios = [sigma_for(20_000) / sigma_for(40_000) for _ in range(5)]
         assert 1.15 < np.mean(ratios) < 1.75
@@ -227,9 +239,101 @@ class TestBatchError:
         rng = np.random.default_rng(7)
         xs = rng.standard_normal(100) + 0j
         acc = acc_from_samples(WIGNER, xs.conj(), xs, diverged=1)
-        rep = batch_error(acc, QuadratureSpec(0.0))
+        (rep,) = batch_error(acc, [QuadratureSpec(0.0)])
         assert rep.n_paths == 100
         assert rep.n_diverged == 10
+
+
+class TestOnePassEstimator:
+    """batch_error over a whole run against the per-output reference estimator."""
+
+    N = 1000.0
+
+    @staticmethod
+    def specs(grid):
+        return [QuadratureSpec(2.0 * tau) for tau in grid.taus]
+
+    @staticmethod
+    def assert_bit_identical(acc, specs):
+        got = np.array([astuple(r) for r in batch_error(acc, specs)])
+        want = np.array([astuple(r) for r in per_output_batch_errors(acc, specs)])
+        assert np.array_equal(got, want)
+
+    def tw_run(self):
+        grid = TimeGrid(self.N, (0.0, 0.5, 1.25, 3.0, 7.5), 1e-3)
+        return grid, run_truncated_wigner(math.sqrt(self.N), grid, 6000, 40, seed=3)
+
+    def pp_run(self):
+        grid = TimeGrid(self.N, (0.0, 0.01, 0.03), 1e-3)
+        return grid, run_positive_p(math.sqrt(self.N), grid, 3000, 30, seed=3)
+
+    def test_truncated_wigner_run(self):
+        grid, acc = self.tw_run()
+        self.assert_bit_identical(acc, self.specs(grid))
+
+    def test_positive_p_run(self):
+        grid, acc = self.pp_run()
+        self.assert_bit_identical(acc, self.specs(grid))
+
+    @pytest.mark.parametrize("run", ["tw_run", "pp_run"])
+    def test_batch_that_lost_every_path(self, run):
+        # a batch in the middle of the batch axis loses every path, as when
+        # all of its paths diverge, and is left out of the estimates
+        grid, acc = getattr(self, run)()
+        acc.batch_diverged[7] = acc.batch_counts[7]
+        acc.batch_counts[7] = 0
+        acc.batch_sums[:, 7] = 0.0
+        self.assert_bit_identical(acc, self.specs(grid))
+        assert batch_error(acc, self.specs(grid))[0].n_paths == acc.n_paths
+
+    @staticmethod
+    def stacked(outputs, bound_broken=()):
+        """Positive-P accumulator whose output k holds the batches of outputs[k].
+
+        Each output is (a1, a2*) samples; the outputs in ``bound_broken`` get
+        their <abar a> sums scaled down so that <X^2> < <X>^2.
+        """
+        accs = [positive_p_acc_from_samples(a1, a2s, n_batches=20) for a1, a2s in outputs]
+        acc = MomentAccumulator(POSITIVE_P, len(outputs), 20)
+        fill_batches(acc, np.stack([x.batch_sums[0] for x in accs]), accs[0].batch_counts)
+        for k in bound_broken:
+            acc.batch_sums[k, :, MONOMIAL_INDEX[1, 1]] *= 0.01
+        return acc
+
+    @pytest.mark.parametrize(
+        "residue_at, bound_broken, first",
+        [
+            (2, (1, 2), "moment bound"),
+            (1, (2,), "imaginary residue"),
+            (1, (1, 2), "imaginary residue"),
+        ],
+        ids=["bound-before-residue", "residue-before-bound", "residue-first-within-output"],
+    )
+    def test_earliest_failing_output_raises(self, residue_at, bound_broken, first):
+        rng = np.random.default_rng(12)
+        outputs = []
+        for k in range(3):
+            a1 = 1.0 + 0.1 * (rng.standard_normal(2000) + 1j * rng.standard_normal(2000))
+            outputs.append((a1, np.conj(a1) + (0.5j if k == residue_at else 0.0)))
+        acc = self.stacked(outputs, bound_broken)
+        specs = [QuadratureSpec(0.0)] * 3
+        with pytest.raises(mo.OrderingViolation) as got:
+            batch_error(acc, specs)
+        with pytest.raises(mo.OrderingViolation) as want:
+            per_output_batch_errors(acc, specs)
+        with pytest.raises(mo.OrderingViolation) as at_output_1:
+            per_output_batch_error(acc, 1, specs[1])
+        assert str(got.value) == str(want.value) == str(at_output_1.value)
+        assert str(got.value).startswith(first)
+        # output 2 fails too, with a different message
+        with pytest.raises(mo.OrderingViolation) as at_output_2:
+            per_output_batch_error(acc, 2, specs[2])
+        assert str(at_output_2.value) != str(got.value)
+
+    def test_one_spec_per_output(self):
+        grid, acc = self.tw_run()
+        with pytest.raises(ValueError, match="5 outputs"):
+            batch_error(acc, self.specs(grid)[:1])
 
 
 class TestCsv:
@@ -248,6 +352,20 @@ class TestCsv:
         assert path.read_text().splitlines()[0] == (
             "tau,theta,k3,k3_sigma,k4,k4_sigma,n_paths,n_diverged,method"
         )
+
+    def test_bytes(self, tmp_path):
+        path = tmp_path / "out.csv"
+        mo.write_rows(path, [mo.CsvRow(0.5, 1.0, -1.0 / 3.0, 2e-2, 1, 0.0, 1000, 2, "tw")])
+        assert path.read_bytes() == (
+            b"tau,theta,k3,k3_sigma,k4,k4_sigma,n_paths,n_diverged,method\n"
+            b"0.5,1,-0.33333333333333331,0.02,1,0,1000,2,tw\n"
+        )
+
+    def test_wrong_field_count_rejected(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text(mo.CSV_HEADER + "\n0,0,0,0,0,0,1,0\n")
+        with pytest.raises(ValueError, match="malformed row"):
+            mo.read_rows(path)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
