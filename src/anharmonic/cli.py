@@ -90,15 +90,19 @@ def _rows_for_ensemble(cfg: SimulationConfig, acc) -> list[CsvRow]:
     ]
 
 
-def _rows_for_oracle(cfg: SimulationConfig) -> list[CsvRow]:
+def _rows_for_oracle(cfg: SimulationConfig, threads: int | None) -> list[CsvRow]:
     state0 = oracle.init_coherent(math.sqrt(cfg.n_particles))
-    rows = []
-    for tau in cfg.taus:
-        theta = cfg.theta_for(tau)
-        state = oracle.evolve(state0, tau / cfg.n_particles)
-        report = oracle.oracle_cumulants(state, QuadratureSpec(theta))
-        rows.append(CsvRow.from_report(tau, theta, report, "oracle"))
-    return rows
+    thetas = [cfg.theta_for(tau) for tau in cfg.taus]
+    reports = oracle.cumulant_series(
+        state0,
+        [tau / cfg.n_particles for tau in cfg.taus],
+        [QuadratureSpec(theta) for theta in thetas],
+        threads,
+    )
+    return [
+        CsvRow.from_report(tau, theta, report, "oracle")
+        for tau, theta, report in zip(cfg.taus, thetas, reports)
+    ]
 
 
 def _cmd_simulate(args) -> int:
@@ -109,7 +113,7 @@ def _cmd_simulate(args) -> int:
     started = time.perf_counter()
     try:
         if cfg.method == "Oracle":
-            rows = _rows_for_oracle(cfg)
+            rows = _rows_for_oracle(cfg, args.threads)
         else:
             acc = engine.evolve_ensemble(cfg, threads=args.threads)
             rows = _rows_for_ensemble(cfg, acc)
@@ -143,7 +147,7 @@ def _cmd_oracle(args) -> int:
     except (OSError, ConfigError) as exc:
         return _error(exc, EXIT_INPUT)
     try:
-        rows = _rows_for_oracle(cfg)
+        rows = _rows_for_oracle(cfg, args.threads)
     except oracle.WindowOverflow as exc:
         return _error(exc, EXIT_WINDOW_OVERFLOW)
     except MemoryError as exc:
@@ -173,12 +177,15 @@ class ComparisonReport:
 
     @property
     def worst(self) -> ComparisonRow:
-        """The row with the largest |delta| / allowed; a failing row with a
-        zero allowance ranks above every other."""
-        return max(
-            self.rows,
-            key=lambda r: abs(r.delta) / r.allowed if r.allowed else 0.0 if r.passed else math.inf,
-        )
+        """The row with the largest |delta| / allowed, a failing one whenever
+        a row fails; among failing rows, one whose ratio is not finite (a zero
+        allowance, a NaN) ranks above every other."""
+
+        def rank(r: ComparisonRow) -> float:
+            ratio = abs(r.delta) / r.allowed if r.allowed else 0.0 if r.passed else math.inf
+            return math.inf if math.isnan(ratio) else ratio
+
+        return max([r for r in self.rows if not r.passed] or self.rows, key=rank)
 
 
 def compare_rows(
@@ -262,6 +269,14 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _threads(text: str) -> int:
+    """argparse type of ``--threads``: a whole number >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a worker count >= 1, got {text!r}")
+    return value
+
+
 def _cmd_purity(args) -> int:
     try:
         h = symbolic.normal_order(symbolic.parse_hamiltonian(args.hamiltonian))
@@ -306,8 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to key=value config")
         p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
         p.add_argument(
-            "--threads", type=int, default=None,
-            help="worker count (default: the CPUs this process may run on)",
+            "--threads", type=_threads, default=None,
+            help="workers for ensemble chunks or oracle output times, at most the "
+            "CPUs this process may run on (default: all of them)",
         )
         p.add_argument("--out", required=True, help="output CSV path")
         p.set_defaults(func=fn)

@@ -332,6 +332,30 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def worker_count(threads: int | None, n_tasks: int) -> int:
+    """Workers for n_tasks independent tasks: ``threads`` (default: the CPUs
+    available), capped at the CPUs available and at n_tasks.
+
+    The ensembles and the oracle both resolve ``--threads`` here.  The cap
+    matters to the oracle, each of whose workers holds two window-sized
+    vectors.
+    """
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    cpus = _available_cpus()
+    return min(cpus if threads is None else threads, cpus, n_tasks)
+
+
+def run_tasks(fn, tasks, threads: int | None) -> list:
+    """[fn(task) for task in tasks] on worker_count(threads, len(tasks)) threads."""
+    tasks = list(tasks)
+    n_workers = worker_count(threads, len(tasks))
+    if n_workers > 1:
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(task) for task in tasks]
+
+
 def _run_chunked(
     representation: str,
     n_paths: int,
@@ -364,13 +388,7 @@ def _run_chunked(
         acc.batch_counts[b_lo:b_hi] = counts
         acc.batch_diverged[b_lo:b_hi] = sizes - counts
 
-    n_workers = threads if threads else _available_cpus()
-    if n_workers > 1 and len(groups) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(work, groups))
-    else:
-        for group in groups:
-            work(group)
+    run_tasks(work, groups, threads)
     return acc
 
 

@@ -291,6 +291,7 @@ def test_criterion_8_workers_determinism(tmp_path, capsys):
             "method = PositiveP\nN = 1000\nn_paths = 17000\nbatches = 34\n"
             "tau_start = 0\ntau_stop = 0.1\ntau_points = 3\ndtau = 1e-3\n"
         ),
+        "oracle.cfg": "method = Oracle\nN = 1e7\ntau_start = 0\ntau_stop = 10\ntau_points = 21\n",
     }
     for name, text in configs.items():
         cfg = tmp_path / name

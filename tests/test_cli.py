@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -343,6 +344,23 @@ class TestCompare:
         assert code == 3
         assert "worst row: tau=0.5 k3 |delta|=5 allowed=0" in out
 
+    def test_worst_row_with_nan_delta(self, tmp_path, capsys):
+        # a passing row (delta 3, allowed 4) and then a failing one with
+        # k3 = nan: the NaN row is the worst, although its ratio is NaN
+        from anharmonic.moments import write_rows
+
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_rows(a, [CsvRow(0.0, 0.0, 3.0, 1.0, 0.0, 0.0, 10, 0, "tw"),
+                       CsvRow(0.5, 1.0, math.nan, 1.0, 0.0, 0.0, 10, 0, "tw")])
+        write_rows(b, [CsvRow(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, 0, "oracle"),
+                       CsvRow(0.5, 1.0, 0.0, 0.0, 0.0, 0.0, 0, 0, "oracle")])
+        report = compare_rows(read_rows(a), read_rows(b), max_sigma=4.0)
+        assert not report.all_passed
+        assert (report.worst.tau, report.worst.cumulant) == (0.5, "k3")
+        code, out, _ = run_cli(capsys, "compare", str(a), str(b))
+        assert code == 3
+        assert "worst row: tau=0.5 k3 |delta|=nan allowed=4" in out
+
     def test_zero_sigma_uses_atol(self):
         rows_a = [CsvRow(0.0, 0.0, 1e-12, 0.0, 0.0, 0.0, 10, 0, "tw")]
         rows_b = [CsvRow(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, 0, "oracle")]
@@ -357,6 +375,19 @@ class TestCompare:
         code, _, err = run_cli(capsys, "compare", str(a), str(a))
         assert code == cli.EXIT_INPUT == 2
         assert f"error: {a}: no data rows" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "oracle"])
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_rejected(tmp_path, capsys, command, threads):
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "out.csv"
+    write_config(cfg, method="Oracle")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg), "--threads", threads, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "worker count >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -476,6 +476,16 @@ class TestDefaultWorkerCount:
         monkeypatch.setattr(engine.os, "cpu_count", lambda: 6)
         assert engine._available_cpus() == 6
 
+    def test_worker_count_capped_at_cpus_and_tasks(self, monkeypatch):
+        monkeypatch.setattr(engine, "_available_cpus", lambda: 2)
+        cases = ((None, 10), (8, 10), (1, 10), (8, 1), (None, 0))
+        assert [engine.worker_count(t, n) for t, n in cases] == [2, 2, 1, 1, 0]
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_worker_count_rejects_threads_below_one(self, threads):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            engine.worker_count(threads, 10)
+
 
 class TestStreamingReduction:
     """Per-output batch sums against a reduction of the whole monomial block."""

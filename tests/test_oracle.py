@@ -1,12 +1,15 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from anharmonic import engine, oracle
 from anharmonic.moments import QuadratureSpec, k3_k4
 from anharmonic.oracle import (
     WindowOverflow,
+    cumulant_series,
     evolve,
     init_coherent,
     ladder_moment,
@@ -189,6 +192,84 @@ class TestWorkspaceReuse:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 16 * window, peak / (16 * window)
+
+    @pytest.mark.parametrize(
+        "block_minus_roots",
+        [7, 0, -7, -965],
+        ids=["window-shorter-than-block", "window-one-block", "two-blocks", "many-blocks"],
+    )
+    def test_blocked_quadrature_bit_identical(self, monkeypatch, block_minus_roots):
+        # block sizes around the length of the ladder products, sqrt(n) for
+        # the padded window's rows after the first (1016 at N = 1e3)
+        alpha0 = math.sqrt(1e3)
+        roots = init_coherent(alpha0)._work.roots.shape[0]
+        monkeypatch.setattr(oracle, "_BLOCK", roots + block_minus_roots)
+        state0 = init_coherent(alpha0)
+        scratch = oracle._Scratch(state0._work)
+        assert scratch.tmp.shape[0] == min(roots, roots + block_minus_roots)
+        for t in self.times(1e3):
+            for theta in (2e3 * t, 0.6):
+                spec = QuadratureSpec(theta)
+                want = reference_oracle_cumulants(evolve(state0, t), spec)
+                for got in (
+                    oracle_cumulants(evolve(state0, t), spec),
+                    oracle_cumulants(evolve(state0, t, scratch), spec),
+                ):
+                    assert (got.kappa3, got.kappa4) == (want.kappa3, want.kappa4), (t, theta)
+
+    def test_evolve_into_scratch_matches_fresh_arrays(self):
+        state0 = init_coherent(2.0 + 0.5j)
+        scratch = oracle._Scratch(state0._work)
+        for t in self.times(state0.n_particles):
+            state = evolve(state0, t, scratch)
+            assert np.shares_memory(state.amplitudes, scratch.v)
+            assert np.array_equal(state.amplitudes, reference_evolved_amplitudes(state0, t))
+
+    def test_series_holds_one_scratch_per_worker(self, monkeypatch):
+        # 8 threads asked for on 2 CPUs: two workers.  The first works in the
+        # workspace's scratch, so the run adds one scratch (v, w1 and a
+        # block); a third worker would add as much again.
+        monkeypatch.setattr(engine, "_available_cpus", lambda: 2)
+        n = 1e6
+        state0 = init_coherent(math.sqrt(n))
+        padded = state0._work.roots.shape[0] + 1
+        scratch_bytes = 16 * (2 * padded + min(oracle._BLOCK, padded - 1))
+        taus = np.linspace(0.0, 10.0, 20)
+        times = [tau / n for tau in taus]
+        specs = [QuadratureSpec(2.0 * tau) for tau in taus]
+        tracemalloc.start()
+        try:
+            reports = cumulant_series(state0, times, specs, threads=8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * scratch_bytes, peak / scratch_bytes
+        for t, spec, got in zip(times, specs, reports):
+            want = oracle_cumulants(evolve(state0, t), spec)
+            assert (got.kappa3, got.kappa4) == (want.kappa3, want.kappa4), t
+
+    def test_series_with_more_workers_than_cores(self, monkeypatch):
+        # 8 workers with a short switch interval: every output still equals
+        # a lone oracle_cumulants call on a fresh evolve
+        monkeypatch.setattr(engine, "_available_cpus", lambda: 8)
+        state0 = init_coherent(math.sqrt(1e3))
+        taus = np.linspace(0.0, 10.0, 41)
+        times = [tau / 1e3 for tau in taus]
+        specs = [QuadratureSpec(2.0 * tau) for tau in taus]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reports = cumulant_series(state0, times, specs, threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        for t, spec, got in zip(times, specs, reports):
+            want = oracle_cumulants(evolve(state0, t), spec)
+            assert (got.kappa3, got.kappa4) == (want.kappa3, want.kappa4), t
+
+    def test_series_rejects_spec_count_mismatch(self):
+        state0 = init_coherent(2.0)
+        with pytest.raises(ValueError, match="2 times but 1 quadrature specs"):
+            cumulant_series(state0, [0.1, 0.2], [QuadratureSpec(0.0)])
 
 
 class TestLadderMoments:
