@@ -24,7 +24,7 @@ KERR_TOKENS = "ad a ad a"
 
 #: Exit codes beyond 0 (success); ``purity`` exits 1 on VIOLATES_PURITY and
 #: ``compare`` exits 3 when a row fails.
-EXIT_INPUT = 2                # unreadable or invalid config, Hamiltonian or CSV
+EXIT_INPUT = 2                # unreadable or invalid config, Hamiltonian or CSV; unwritable --out
 EXIT_DIVERGENCE = 4           # more paths diverged than divergence_threshold allows
 EXIT_WINDOW_OVERFLOW = 5      # the oracle's Fock window exceeds its budget
 EXIT_ORDERING_VIOLATION = 6   # estimates fail the imaginary-residue or moment-bound check
@@ -108,7 +108,7 @@ def _rows_for_oracle(cfg: SimulationConfig, threads: int | None) -> list[CsvRow]
 def _cmd_simulate(args) -> int:
     try:
         cfg = _load_config(args)
-    except (OSError, ConfigError) as exc:
+    except (OSError, UnicodeDecodeError, ConfigError) as exc:
         return _error(exc, EXIT_INPUT)
     started = time.perf_counter()
     try:
@@ -117,6 +117,9 @@ def _cmd_simulate(args) -> int:
         else:
             acc = engine.evolve_ensemble(cfg, threads=args.threads)
             rows = _rows_for_ensemble(cfg, acc)
+        write_rows(args.out, rows)
+    except OSError as exc:
+        return _error(exc, EXIT_INPUT)
     except engine.ExcessiveDivergence as exc:
         return _error(exc, EXIT_DIVERGENCE)
     except oracle.WindowOverflow as exc:
@@ -127,7 +130,6 @@ def _cmd_simulate(args) -> int:
         return _error(exc, EXIT_INSUFFICIENT_BATCHES)
     except MemoryError as exc:
         return _error(exc, EXIT_MEMORY)
-    write_rows(args.out, rows)
     elapsed = time.perf_counter() - started
     if cfg.method != "Oracle":
         diverged = rows[-1].n_diverged if rows else 0
@@ -144,15 +146,16 @@ def _cmd_simulate(args) -> int:
 def _cmd_oracle(args) -> int:
     try:
         cfg = _load_config(args)
-    except (OSError, ConfigError) as exc:
+    except (OSError, UnicodeDecodeError, ConfigError) as exc:
         return _error(exc, EXIT_INPUT)
     try:
-        rows = _rows_for_oracle(cfg, args.threads)
+        write_rows(args.out, _rows_for_oracle(cfg, args.threads))
+    except OSError as exc:
+        return _error(exc, EXIT_INPUT)
     except oracle.WindowOverflow as exc:
         return _error(exc, EXIT_WINDOW_OVERFLOW)
     except MemoryError as exc:
         return _error(exc, EXIT_MEMORY)
-    write_rows(args.out, rows)
     return 0
 
 

@@ -18,12 +18,14 @@ deterministic order.  The chunk partition depends only on the run
 configuration, so results are bit-identical for a fixed master seed at any
 worker count; a path's draws depend on the chunk it falls in.
 
-Chunk kernels reduce each output to per-batch monomial sums as soon as
-its monomials are formed, so a truncated-Wigner chunk holds one
-``(n_monomials, m)`` block whatever the number of outputs.  Positive-P
-chunks keep every output's block until the end, because a path that
-diverges later is excluded retroactively from every earlier output;
-their noise is drawn step-major into one bounded buffer per chunk.  A run
+Both chunk kernels reduce their outputs through one function, which forms
+each output's monomials in one reused ``(n_monomials, m)`` block and sums
+them per batch at once.  A truncated-Wigner chunk passes each output's
+amplitudes as they are formed.  A positive-P chunk keeps every output's
+``(2, m)`` state until it ends, because a path that diverges later is
+excluded retroactively from every earlier output: the escaped paths'
+columns are zeroed once, and the states are then reduced.  Its noise is
+drawn step-major into one bounded buffer per chunk.  A run
 returns one :class:`~anharmonic.moments.MomentAccumulator`: each chunk
 writes its batches' sums for every output into it, and its surviving and
 diverged path counts once, since a path's survival holds for the whole
@@ -156,23 +158,30 @@ def _chunk_batch_groups(slices: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return groups
 
 
-def _reduce_batches(block: np.ndarray, bounds: list[tuple[int, int]], out: np.ndarray) -> np.ndarray:
-    """Write per-batch sums of the last axis of ``block`` into ``out``.
+def _batch_monomial_sums(pairs, n_out: int, bounds: list[tuple[int, int]]) -> np.ndarray:
+    """Per-batch monomial sums of each output's amplitude pair.
 
-    ``block`` has shape (..., n_monomials, m) and ``bounds`` holds contiguous
-    (lo, hi) path offsets; ``out`` has shape (..., n_batches, n_monomials).
-    Each run of equal-size batches is summed by one ``np.sum`` over a
-    reshaped view, which adds the same elements in the same pairwise order
-    as summing each batch slice on its own, so the sums are bit-identical.
+    ``pairs`` yields one ``(abar, a)`` pair of (m,) arrays per output, and
+    ``bounds`` holds the chunk's contiguous (lo, hi) batch offsets.  Each
+    output's monomials are formed in one reused (n_monomials, m) block and
+    summed straight into its row of the returned (n_out, n_batches,
+    n_monomials) array.  Each run of equal-size batches is summed by one
+    ``np.sum`` over a reshaped view, which adds the same elements in the
+    same pairwise order as summing each batch slice on its own, so the sums
+    are bit-identical.
     """
-    j = 0
-    for size, run in itertools.groupby(bounds, key=lambda b: b[1] - b[0]):
-        n = len(list(run))
-        lo = bounds[j][0]
-        sums = block[..., lo : lo + n * size].reshape(block.shape[:-1] + (n, size)).sum(axis=-1)
-        out[..., j : j + n, :] = np.swapaxes(sums, -1, -2)
-        j += n
-    return out
+    sizes = itertools.groupby(bounds, key=lambda b: b[1] - b[0])
+    runs = [(size, len(list(run))) for size, run in sizes]
+    block = np.empty((len(MONOMIALS), bounds[-1][1]), dtype=np.complex128)
+    sums = np.empty((n_out, len(bounds), len(MONOMIALS)), dtype=np.complex128)
+    for out, (abar, a) in zip(sums, pairs):
+        bulk_monomials(abar, a, out=block)
+        lo = j = 0
+        for size, n in runs:
+            out[j : j + n] = block[:, lo : lo + n * size].reshape(-1, n, size).sum(axis=-1).T
+            lo += n * size
+            j += n
+    return sums
 
 
 #: Term shape of the Stratonovich positive-P Kerr model, one set of (p, q)
@@ -255,8 +264,9 @@ def _positive_p_chunk(
 
     Returns (sums[(n_out, n_batches, n_monomials)], alive[(m,)]).  Diverged
     trajectories are left out of the sums at every output time, earlier
-    ones included, so the whole (n_out, n_monomials, m) block is kept until
-    the chunk ends.
+    ones included, so every output's (2, m) state is kept until the chunk
+    ends; the escaped paths' columns are then zeroed, and their monomials
+    add nothing to the sums.
     """
     m = traj_hi - traj_lo
     sqrt_dt = math.sqrt(grid.dt)
@@ -274,7 +284,7 @@ def _positive_p_chunk(
     # nan and inf radii fail the comparison, also at an infinite escape radius
     limit = min(escape_radius, sys.float_info.max)
 
-    out = np.empty((n_out, len(MONOMIALS), m), dtype=np.complex128)
+    states = np.empty((n_out, 2, m), dtype=np.complex128)
 
     # The stream fills the step-major increments block by block, which
     # replays the values a single whole-gap draw would give.
@@ -298,11 +308,10 @@ def _positive_p_chunk(
                     if bad.any():
                         y[:, bad] = 0.0
                         alive &= ~bad
-            bulk_monomials(y[1], y[0], out=out[k_out])
+            states[k_out] = y
 
-    out[:, :, ~alive] = 0.0
-    sums = np.empty((n_out, len(bounds), len(MONOMIALS)), dtype=np.complex128)
-    return _reduce_batches(out, bounds, sums), alive
+    states[:, :, ~alive] = 0.0
+    return _batch_monomial_sums(((abar, a) for a, abar in states), n_out, bounds), alive
 
 
 def _truncated_wigner_chunk(
@@ -317,12 +326,8 @@ def _truncated_wigner_chunk(
     m = traj_hi - traj_lo
     init = wigner_initial(InitialStateSpec(alpha0, WIGNER), seed, traj_lo, traj_hi)
 
-    block = np.empty((len(MONOMIALS), m), dtype=np.complex128)
-    sums = np.empty((len(grid.taus), len(bounds), len(MONOMIALS)), dtype=np.complex128)
-    for k, alpha_t in enumerate(exact_wigner_flow(init, grid.times)):
-        bulk_monomials(alpha_t.conj(), alpha_t, out=block)
-        _reduce_batches(block, bounds, sums[k])
-    return sums, np.ones(m, dtype=bool)
+    pairs = ((alpha_t.conj(), alpha_t) for alpha_t in exact_wigner_flow(init, grid.times))
+    return _batch_monomial_sums(pairs, len(grid.taus), bounds), np.ones(m, dtype=bool)
 
 
 def _available_cpus() -> int:

@@ -1,9 +1,11 @@
 """Monomial accumulation, quadrature moments, and cumulant estimation.
 
 A :class:`MomentAccumulator` holds one ensemble run: per-batch sums of the
-phase-space monomials ``abar^p a^q`` for all total orders up to four, at
+phase-space monomials ``abar^p a^q`` for the total orders one to four, at
 every output time, where ``abar`` is the conjugate amplitude in the Wigner
-representation and the independent starred component in positive-P.
+representation and the independent starred component in positive-P.  The
+constant monomial is not kept: its batch sum is the batch's path count,
+and every kept monomial of a zero amplitude pair is zero.
 Quadrature moments of ``X = exp(-i theta) a + exp(i theta) abar`` are
 assembled from those sums; positive-P averages are normally ordered and
 are promoted to true operator moments with the constants {1; 3; 6, 3}:
@@ -31,10 +33,11 @@ import numpy as np
 
 from .sampling import POSITIVE_P, WIGNER
 
-#: Exponent pairs (p, q) of the accumulated monomials, sorted by (p+q, p).
+#: Exponent pairs (p, q) of the accumulated monomials, sorted by (p+q, p):
+#: every total order from 1 to 4.
 MONOMIALS: tuple[tuple[int, int], ...] = tuple(
     sorted(
-        ((p, q) for p in range(5) for q in range(5) if p + q <= 4),
+        ((p, q) for p in range(5) for q in range(5) if 1 <= p + q <= 4),
         key=lambda k: (k[0] + k[1], k[0]),
     )
 )
@@ -124,7 +127,6 @@ def bulk_monomials(abar: np.ndarray, a: np.ndarray, out: np.ndarray | None = Non
     if out is None:
         out = np.empty((len(MONOMIALS), len(a)), dtype=np.complex128)
     row = MONOMIAL_INDEX
-    out[row[0, 0]] = 1.0
     np.copyto(out[row[1, 0]], abar)
     np.copyto(out[row[0, 1]], a)
     for k in range(2, 5):

@@ -53,12 +53,6 @@ class OperatorWord:
         if not (math.isfinite(c.real) and math.isfinite(c.imag)):
             raise ValueError("operator coefficient must be finite")
 
-    def dagger(self) -> "OperatorWord":
-        swapped = tuple(
-            CREATE if f == DESTROY else DESTROY for f in reversed(self.factors)
-        )
-        return OperatorWord(swapped, complex(self.coefficient).conjugate())
-
 
 class PhasePolynomial:
     """Sparse polynomial ``sum_pq c[p,q] a*^p a^q`` with complex coefficients."""
@@ -83,9 +77,6 @@ class PhasePolynomial:
 
     def is_zero(self, tol: float = COEFF_TOL) -> bool:
         return all(abs(c) <= tol for c in self.terms.values())
-
-    def degree(self) -> int:
-        return max((p + q for (p, q) in self.terms), default=0)
 
     def max_star_power(self) -> int:
         return max((p for (p, _) in self.terms), default=0)
@@ -117,12 +108,6 @@ class PhasePolynomial:
 
     __rmul__ = __mul__
 
-    def conjugate_map(self) -> "PhasePolynomial":
-        """Swap exponents and conjugate coefficients (a <-> a*, i -> -i)."""
-        return PhasePolynomial(
-            {(q, p): complex(c).conjugate() for (p, q), c in self.terms.items()}
-        )
-
     def chop(self, tol: float = COEFF_TOL) -> "PhasePolynomial":
         """Drop coefficients below the symbolic-equality tolerance, and snap
         real/imaginary parts that are tolerance-level artefacts to zero."""
@@ -134,12 +119,6 @@ class PhasePolynomial:
             im = 0.0 if abs(c.imag) <= tol else c.imag
             out[k] = complex(re, im)
         return PhasePolynomial(out)
-
-    def allclose(self, other: "PhasePolynomial", tol: float = COEFF_TOL) -> bool:
-        keys = set(self.terms) | set(other.terms)
-        return all(
-            abs(self.terms.get(k, 0.0) - other.terms.get(k, 0.0)) <= tol for k in keys
-        )
 
     def __eq__(self, other):
         if not isinstance(other, PhasePolynomial):

@@ -22,7 +22,7 @@ from anharmonic.moments import (
 )
 from anharmonic.sampling import POSITIVE_P
 from anharmonic.oracle import _real_dot, ladder_moment
-from anharmonic.symbolic import PhasePolynomial, evaluate
+from anharmonic.symbolic import CREATE, DESTROY, OperatorWord, PhasePolynomial, evaluate
 
 
 def random_hermitian_polynomial(rng: np.random.Generator, max_degree: int = 4) -> PhasePolynomial:
@@ -45,7 +45,20 @@ def random_hermitian_polynomial(rng: np.random.Generator, max_degree: int = 4) -
 
 
 def poly_equal(a: PhasePolynomial, b: PhasePolynomial, tol: float = 1e-12) -> bool:
-    return a.allclose(b, tol)
+    """Every coefficient of a and b agrees within tol (a missing term is zero)."""
+    keys = set(a.terms) | set(b.terms)
+    return all(abs(a.terms.get(k, 0.0) - b.terms.get(k, 0.0)) <= tol for k in keys)
+
+
+def conjugate_map(poly: PhasePolynomial) -> PhasePolynomial:
+    """Swap exponents and conjugate coefficients (a <-> a*, i -> -i)."""
+    return PhasePolynomial({(q, p): complex(c).conjugate() for (p, q), c in poly.terms.items()})
+
+
+def dagger(word: OperatorWord) -> OperatorWord:
+    """Hermitian adjoint of a ladder-operator word."""
+    swapped = tuple(CREATE if f == DESTROY else DESTROY for f in reversed(word.factors))
+    return OperatorWord(swapped, complex(word.coefficient).conjugate())
 
 
 def stacked_monomials(abar: np.ndarray, a: np.ndarray) -> np.ndarray:

@@ -27,6 +27,7 @@ from anharmonic.moments import (
     QuadratureSpec,
     batch_error,
     k3_k4,
+    read_rows,
     write_rows,
 )
 from anharmonic.sampling import WIGNER, InitialStateSpec, wigner_initial
@@ -35,6 +36,7 @@ from helpers import (
     frozen_brownian_paths,
     midpoint_path,
     oracle_raw_moments,
+    poly_equal,
     random_hermitian_polynomial,
 )
 
@@ -103,16 +105,16 @@ def test_criterion_1_symbolic_reproduction(capsys):
     assert h == sy.PhasePolynomial({(2, 2): 1, (1, 1): 1})
 
     wigner = sy.derive_wigner_model(h)
-    assert wigner.drift[0].allclose(sy.PhasePolynomial({(1, 2): -2j, (0, 1): 1j}))
+    assert poly_equal(wigner.drift[0], sy.PhasePolynomial({(1, 2): -2j, (0, 1): 1j}))
     assert wigner.noise == ()
 
     strat = sy.ito_to_stratonovich(sy.derive_positive_p_model(h))
-    assert strat.drift[0].allclose(sy.PhasePolynomial({(1, 2): -2j}))
-    assert strat.drift[1].allclose(sy.PhasePolynomial({(2, 1): 2j}))
+    assert poly_equal(strat.drift[0], sy.PhasePolynomial({(1, 2): -2j}))
+    assert poly_equal(strat.drift[1], sy.PhasePolynomial({(2, 1): 2j}))
     # noise amplitudes square to -2i a^2 and +2i a*^2: the complex noises
     # xi_j dt built from them satisfy <xi xi> = 2i delta(t-t') delta_jj'
-    assert (strat.noise[0] * strat.noise[0]).allclose(sy.PhasePolynomial({(0, 2): -2j}))
-    assert (strat.noise[1] * strat.noise[1]).allclose(sy.PhasePolynomial({(2, 0): 2j}))
+    assert poly_equal(strat.noise[0] * strat.noise[0], sy.PhasePolynomial({(0, 2): -2j}))
+    assert poly_equal(strat.noise[1] * strat.noise[1], sy.PhasePolynomial({(2, 0): 2j}))
 
     assert main(["derive"]) == 0
     out = capsys.readouterr().out
@@ -291,6 +293,13 @@ def test_criterion_8_workers_determinism(tmp_path, capsys):
             "method = PositiveP\nN = 1000\nn_paths = 17000\nbatches = 34\n"
             "tau_start = 0\ntau_stop = 0.1\ntau_points = 3\ndtau = 1e-3\n"
         ),
+        # paths escape in every chunk, so the exclusion across outputs and
+        # chunks is byte-checked too
+        "pp_diverging.cfg": (
+            "method = PositiveP\nN = 10\nn_paths = 17000\nbatches = 34\n"
+            "tau_start = 0\ntau_stop = 2\ntau_points = 3\ndtau = 1e-3\n"
+            "divergence_threshold = 1\n"
+        ),
         "oracle.cfg": "method = Oracle\nN = 1e7\ntau_start = 0\ntau_stop = 10\ntau_points = 21\n",
     }
     for name, text in configs.items():
@@ -316,6 +325,8 @@ def test_criterion_8_workers_determinism(tmp_path, capsys):
             assert code == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
+        if name == "pp_diverging.cfg":
+            assert all(row.n_diverged > 0 for row in read_rows(out))
 
     _report(8, "byte-identical CSVs across worker counts", started)
 

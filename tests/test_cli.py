@@ -237,6 +237,27 @@ def test_output_grid_too_large_for_memory_exit_code(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "oracle"])
+def test_config_not_utf8_exit_code(tmp_path, capsys, command):
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "x.csv"
+    cfg.write_bytes(b"method = Oracle\nN = 10\n# \xff\xfe\n")
+    code, _, err = run_cli(capsys, command, "--config", str(cfg), "--out", str(out))
+    assert code == cli.EXIT_INPUT == 2
+    assert err.startswith("error: ") and "utf-8" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "oracle"])
+def test_unwritable_out_exit_code(tmp_path, capsys, command):
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "missing" / "x.csv"
+    cfg.write_text("method = Oracle\nN = 10\ntau_stop = 1\ntau_points = 3\n")
+    code, _, err = run_cli(capsys, command, "--config", str(cfg), "--out", str(out))
+    assert code == cli.EXIT_INPUT == 2
+    assert err.startswith("error: ") and str(out) in err
+
+
 @pytest.mark.parametrize(
     "key, overrides",
     [

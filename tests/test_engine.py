@@ -15,7 +15,7 @@ from anharmonic.engine import (
     run_positive_p,
     run_truncated_wigner,
 )
-from anharmonic.moments import MONOMIAL_INDEX, QuadratureSpec, batch_error
+from anharmonic.moments import MONOMIAL_INDEX, MONOMIALS, QuadratureSpec, batch_error, bulk_monomials
 from anharmonic.sampling import RandomStream, stream_for_trajectory
 from helpers import (
     chunk_philox,
@@ -536,23 +536,26 @@ class TestStreamingReduction:
     )
     def test_reduction_helper_matches_per_slice_sums(self, n_paths, n_batches):
         rng = np.random.default_rng(n_paths)
-        block = rng.normal(size=(3, 15, n_paths)) + 1j * rng.normal(size=(3, 15, n_paths))
+        pairs = [tuple(rng.normal(size=(2, n_paths)) + 1j * rng.normal(size=(2, n_paths)))
+                 for _ in range(3)]
         bounds = engine.batch_slices(n_paths, n_batches)
-        out = np.empty((3, n_batches, 15), dtype=np.complex128)
-        engine._reduce_batches(block, bounds, out)
-        assert np.array_equal(out, per_slice_batch_sums(block, bounds))
-        engine._reduce_batches(block[1], bounds, out[1])
-        assert np.array_equal(out[1], per_slice_batch_sums(block[1], bounds))
+        got = engine._batch_monomial_sums(iter(pairs), 3, bounds)
+        assert got.shape == (3, n_batches, len(MONOMIALS))
+        for out, (abar, a) in zip(got, pairs):
+            assert np.array_equal(out, per_slice_batch_sums(bulk_monomials(abar, a), bounds))
 
 
 class TestMemoryBound:
-    """Truncated-Wigner memory does not grow with the number of outputs.
+    """Chunk memory does not hold a monomial block per output.
 
-    At 2048 paths and 1001 outputs the whole (n_out, 15, m) complex block
-    would be 492 MB; only the (n_out, n_batches, 15) sums may grow.
+    At 2048 paths and 1001 outputs the whole (n_out, 14, m) complex block
+    would be 459 MB.  A truncated-Wigner chunk holds one (14, m) block, so
+    only the (n_out, n_batches, 14) sums may grow; a positive-P chunk also
+    keeps every output's (2, m) state, 32 B per path per output.
     """
 
     BOUND = 32 * 2**20
+    GRID = TimeGrid(1000.0, tuple(0.01 * i for i in range(1001)), 0.01)
 
     def traced_peak(self, run) -> int:
         tracemalloc.start()
@@ -563,8 +566,17 @@ class TestMemoryBound:
             tracemalloc.stop()
 
     def test_truncated_wigner(self):
-        grid = TimeGrid(1000.0, tuple(0.01 * i for i in range(1001)), 0.01)
         peak = self.traced_peak(
-            lambda: run_truncated_wigner(math.sqrt(1000.0), grid, 2048, 10, seed=1, threads=1)
+            lambda: run_truncated_wigner(math.sqrt(1000.0), self.GRID, 2048, 10, seed=1, threads=1)
         )
         assert peak < self.BOUND, peak
+
+    def test_positive_p(self):
+        peak = self.traced_peak(
+            lambda: run_positive_p(
+                math.sqrt(1000.0), self.GRID, 2048, 10, seed=1, threads=1,
+                divergence_threshold=1.0,
+            )
+        )
+        states = len(self.GRID.taus) * 2048 * 32
+        assert peak < 1.5 * states, peak

@@ -35,12 +35,15 @@ def traced_span_names(tmp_path, config_text):
 
 
 def test_traced_child_round_runs(tmp_path):
+    # positive-P monomials are formed through engine's bulk_monomials, where
+    # tracing.py wraps it, so moments.monomials_ns does not read zero
     names = traced_span_names(
         tmp_path,
         "method = PositiveP\nN = 1000\nn_paths = 400\nbatches = 10\n"
         "tau_start = 0\ntau_stop = 0.05\ntau_points = 2\ndtau = 1e-3\n",
     )
-    assert {"engine.run", "sampling.stream_for_trajectory", "moments.batch_error"} <= names
+    assert {"engine.run", "sampling.stream_for_trajectory", "moments.bulk_monomials",
+            "moments.batch_error"} <= names
 
 
 def test_traced_wigner_round_draws_through_the_stream(tmp_path):
