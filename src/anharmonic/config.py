@@ -80,7 +80,7 @@ class SimulationConfig:
 
 
 def _parse_pairs(text: str) -> dict[str, str]:
-    pairs: dict[str, str] = {}
+    seen: dict[str, tuple[int, str]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -91,8 +91,10 @@ def _parse_pairs(text: str) -> dict[str, str]:
         key = key.strip()
         if key not in _KEYS:
             raise UnknownKey(key)
-        pairs[key] = value.strip()
-    return pairs
+        if key in seen:
+            raise InvalidValue(key, f"repeated on line {lineno} (first set on line {seen[key][0]})")
+        seen[key] = (lineno, value.strip())
+    return {key: value for key, (_, value) in seen.items()}
 
 
 def _finite(text: str) -> float:
@@ -125,7 +127,7 @@ def _convert(pairs: dict[str, str], key: str, caster, default):
 def parse_config(text: str, seed: int = 0) -> SimulationConfig:
     """Parse and validate a flat key=value configuration.
 
-    Unknown keys are rejected; every error names the offending key.  Float
+    Unknown and repeated keys are rejected; every error names the key.  Float
     keys must be finite and integer keys finite whole numbers.  The master
     seed comes from the CLI flag, not the file.
     """

@@ -8,7 +8,8 @@ Two integrators are provided:
 * :class:`MidpointStep`, the one semi-implicit Stratonovich midpoint rule
   on the doubled positive-P phase space, written for the Kerr model's four
   terms and vectorised over paths: a fixed number of fixed-point iterations
-  with the noise increment held fixed across iterations.
+  with the noise increment held fixed across iterations.  It takes unit
+  normals; sqrt(dt) is folded into its noise coefficients.
 
 Ensembles are split into batches (the statistical unit used for error
 bars) and batches are grouped into fixed chunks that serve as units of
@@ -24,8 +25,8 @@ them per batch at once.  A truncated-Wigner chunk passes each output's
 amplitudes as they are formed.  A positive-P chunk keeps every output's
 ``(2, m)`` state until it ends, because a path that diverges later is
 excluded retroactively from every earlier output: the escaped paths'
-columns are zeroed once, and the states are then reduced.  Its noise is
-drawn step-major into one bounded buffer per chunk.  A run
+columns are zeroed once, and the states are then reduced.  Its unit
+normals are drawn step-major into one bounded buffer per chunk.  A run
 returns one :class:`~anharmonic.moments.MomentAccumulator`: each chunk
 writes its batches' sums for every output into it, and its surviving and
 diverged path counts once, since a path's survival holds for the whole
@@ -67,10 +68,10 @@ MIDPOINT_ITERATIONS = 4
 _CHUNK_TARGET = 8192
 
 #: Byte cap on a positive-P chunk's noise buffer, which holds every path's
-#: increments for a block of steps.  An output gap is drawn in blocks of at
-#: most this many bytes, so memory does not grow with steps per gap: 256 steps
-#: per block at 8192 paths.
-_NOISE_BLOCK_BYTES = 32 * 2**20
+#: normals for a block of steps.  Memory does not grow with steps per gap,
+#: and a block (8 steps at 8192 paths) stays in a 2 MiB L2 cache while it is
+#: stepped through.
+_NOISE_BLOCK_BYTES = 2**20
 
 
 class ExcessiveDivergence(RuntimeError):
@@ -193,13 +194,16 @@ _KERR_TERMS = ({(1, 2)}, {(2, 1)}, {(0, 1)}, {(1, 0)})
 class MidpointStep:
     """The semi-implicit Stratonovich midpoint step, in place on (2, m).
 
-    ``step(y, dw)`` solves  mid = y + (dt/2) A(mid) + (1/2) B(mid) dW  by
-    :data:`MIDPOINT_ITERATIONS` fixed-point iterations from mid = y, with the
-    Wiener increments ``dw`` (shape (2, m)) held fixed across iterations,
-    and sets y <- 2 mid - y.  The state is the doubled phase space
+    ``step(y, xi)`` solves  mid = y + (dt/2) A(mid) + (1/2) B(mid) sqrt(dt) xi
+    by :data:`MIDPOINT_ITERATIONS` fixed-point iterations from mid = y, with
+    the unit normals ``xi`` (shape (2, m)) held fixed across iterations, and
+    sets y <- 2 mid - y.  The state is the doubled phase space
     (alpha1, alpha2*).  Only the Kerr shape is stepped: drift (c0 a* a^2,
     c1 a*^2 a) and noise (n0 a, n1 a*), with the four coefficients read
-    from ``model``.  Built once per chunk, with its buffers.
+    from ``model``.  Each entry has its own component as a factor, so an
+    iteration is mid_j = y_j + (c_j a a* + w_j) mid_j, and the noise term
+    w_j = (n_j sqrt(dt) / 2) xi_j is formed once per step.  Built once per
+    chunk, with its buffers.
     """
 
     def __init__(self, model: DriftDiffusionModel, dt: float, m: int):
@@ -209,29 +213,25 @@ class MidpointStep:
             raise ValueError("midpoint stepper expects the two-component Kerr model with noise")
         if dt <= 0:
             raise ValueError("dt must be positive")
-        # The half-step prefactors are folded into the coefficients.
-        (self._c0,), (self._c1,) = (poly.scaled(0.5 * dt).terms.values() for poly in model.drift)
-        (self._n0,), (self._n1,) = (poly.scaled(0.5).terms.values() for poly in model.noise)
+        # The half-step prefactors, and sqrt(dt) of the noise, are folded into
+        # the coefficients, one (2, 1) column each to broadcast over paths.
+        self._drift, self._noise = (
+            np.array([list(poly.scaled(scale).terms.values()) for poly in polys])
+            for polys, scale in ((model.drift, 0.5 * dt), (model.noise, 0.5 * math.sqrt(dt)))
+        )
         self._mid, self._incr, self._kick = np.empty((3, 2, m), dtype=np.complex128)
-        self._a2, self._s2 = np.empty((2, m), dtype=np.complex128)
+        self._aa = np.empty(m, dtype=np.complex128)
 
-    def __call__(self, y: np.ndarray, dw: np.ndarray) -> None:
-        mid, incr, kick = self._mid, self._incr, self._kick
-        (a, s), (i0, i1), (k0, k1) = mid, incr, kick
-        a2, s2 = self._a2, self._s2
+    def __call__(self, y: np.ndarray, xi: np.ndarray) -> None:
+        mid, incr, kick, aa = self._mid, self._incr, self._kick, self._aa
+        a, s = mid
+        np.multiply(self._noise, xi, out=kick)
         np.copyto(mid, y)
         for _ in range(MIDPOINT_ITERATIONS):
-            # Every entry is formed before mid is overwritten.
-            np.multiply(s, s, out=s2)
-            np.multiply(a, a, out=a2)
-            np.multiply(s, a2, out=i0)
-            i0 *= self._c0
-            np.multiply(s2, a, out=i1)
-            i1 *= self._c1
-            np.multiply(a, self._n0, out=k0)
-            np.multiply(s, self._n1, out=k1)
-            kick *= dw
+            np.multiply(a, s, out=aa)
+            np.multiply(self._drift, aa, out=incr)
             incr += kick
+            incr *= mid
             np.add(y, incr, out=mid)
         mid *= 2.0
         np.subtract(mid, y, out=y)
@@ -269,7 +269,6 @@ def _positive_p_chunk(
     add nothing to the sums.
     """
     m = traj_hi - traj_lo
-    sqrt_dt = math.sqrt(grid.dt)
     steps = grid.steps_between()
     n_out = len(grid.taus)
 
@@ -286,7 +285,7 @@ def _positive_p_chunk(
 
     states = np.empty((n_out, 2, m), dtype=np.complex128)
 
-    # The stream fills the step-major increments block by block, which
+    # The stream fills the step-major normals block by block, which
     # replays the values a single whole-gap draw would give.
     block = max(1, min(max(steps, default=0), _NOISE_BLOCK_BYTES // (2 * 8 * m)))
     draws = np.empty((block, 2, m), dtype=np.float64)
@@ -296,9 +295,8 @@ def _positive_p_chunk(
             for k_block in range(0, n_steps, block):
                 nb = min(block, n_steps - k_block)
                 stream.normals(2 * nb * m, out=draws[:nb])
-                draws[:nb] *= sqrt_dt
-                for dw in draws[:nb]:
-                    step(y, dw)
+                for xi in draws[:nb]:
+                    step(y, xi)
                     # flag escapes and non-finite values, freeze those paths
                     np.abs(y, out=radius)
                     np.less_equal(radius, limit, out=inside)

@@ -132,13 +132,15 @@ def scalar_midpoint_path(model, y0, dt: float, n_steps: int, dw) -> tuple[comple
 def midpoint_path(model, y0, dt, n_steps, dw=None):
     """Step the kernel n_steps times on the state y0, shape (2, m).
 
-    ``dw`` has shape (n_steps, 2, m); without it every increment is zero.
+    ``dw`` holds the Wiener increments, shape (n_steps, 2, m), which the
+    kernel takes as unit normals dw / sqrt(dt); without it every increment
+    is zero.
     """
     y = np.array(y0, dtype=np.complex128)
     step = MidpointStep(model, dt, y.shape[1])
     zero = np.zeros(y.shape)
     for k in range(n_steps):
-        step(y, zero if dw is None else dw[k])
+        step(y, zero if dw is None else dw[k] / math.sqrt(dt))
     return y
 
 

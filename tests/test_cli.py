@@ -249,6 +249,17 @@ def test_config_not_utf8_exit_code(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["simulate", "oracle"])
+def test_duplicate_config_key_exit_code(tmp_path, capsys, command):
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "x.csv"
+    cfg.write_text("method = Oracle\nN = 10\ntau_stop = 1\ntau_points = 3\nN = 1e3\n")
+    code, _, err = run_cli(capsys, command, "--config", str(cfg), "--out", str(out))
+    assert code == cli.EXIT_INPUT == 2
+    assert "invalid value for 'N'" in err and "line 2" in err and "line 5" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "oracle"])
 def test_unwritable_out_exit_code(tmp_path, capsys, command):
     cfg = tmp_path / "run.cfg"
     out = tmp_path / "missing" / "x.csv"

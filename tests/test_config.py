@@ -40,6 +40,13 @@ def test_unknown_key_rejected():
     assert err.value.key == "bogus"
 
 
+def test_duplicate_key_rejected_with_both_lines():
+    with pytest.raises(InvalidValue) as err:
+        parse_config("method = TW\nN = 10\n# larger\nN = 1e3\n")
+    assert err.value.key == "N"
+    assert "line 2" in str(err.value) and "line 4" in str(err.value)
+
+
 def test_missing_method_rejected():
     with pytest.raises(MissingKey):
         parse_config("N = 10\n")

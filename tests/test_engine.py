@@ -397,24 +397,34 @@ class TestPositivePEnsemble:
         assert acc.n_diverged == 200
         assert acc.n_paths == 0
 
-    def test_vector_kernel_matches_scalar_stepper(self):
+    @staticmethod
+    def assert_chunk_matches_scalar_stepper(tau, m, seed, rel):
         # same trajectory, same noise: chunked numpy path vs scalar reference;
-        # path traj takes column traj of the chunk's step-major (n_steps, 2, 3) draws
+        # path traj takes column traj of the chunk's step-major (n_steps, 2, m)
+        # draws, one path per batch
         model = kerr_positive_p_model()
         n = 1000.0
         a0 = math.sqrt(n)
-        grid = TimeGrid(n, (0.05,), 1e-3)
-        acc = run_positive_p(a0, grid, 3, 3, seed=13)
+        grid = TimeGrid(n, (tau,), 1e-3)
+        acc = run_positive_p(a0, grid, m, m, seed=seed)
         dt = grid.dt
         n_steps = grid.steps_between()[0]
-        draws = chunk_philox(13, 0).standard_normal((n_steps, 2, 3))
-        for traj in range(3):
+        draws = chunk_philox(seed, 0).standard_normal((n_steps, 2, m))
+        for traj in range(m):
             dw = math.sqrt(dt) * draws[:, :, traj]
             a1_ref, a2s_ref = scalar_midpoint_path(model, (a0, a0), dt, n_steps, dw)
             a1 = acc.batch_sums[0, traj, MONOMIAL_INDEX[(0, 1)]]
             a2s = acc.batch_sums[0, traj, MONOMIAL_INDEX[(1, 0)]]
-            assert abs(a1 - a1_ref) < 1e-13 * abs(a1)
-            assert abs(a2s - a2s_ref) < 1e-13 * abs(a2s)
+            assert abs(a1 - a1_ref) < rel * abs(a1)
+            assert abs(a2s - a2s_ref) < rel * abs(a2s)
+
+    def test_vector_kernel_matches_scalar_stepper(self):
+        self.assert_chunk_matches_scalar_stepper(0.05, 3, 13, 1e-13)
+
+    def test_vector_kernel_matches_scalar_stepper_over_benchmark_gap(self):
+        # pp_short's N and output gap (250 steps), 32 paths: the fused kernel
+        # keeps every column within 1e-12 of the unfused scalar reference
+        self.assert_chunk_matches_scalar_stepper(0.25, 32, 21, 1e-12)
 
     def test_kernel_matches_scalar_reference_without_noise(self):
         model = kerr_positive_p_model()
@@ -580,3 +590,20 @@ class TestMemoryBound:
         )
         states = len(self.GRID.taus) * 2048 * 32
         assert peak < 1.5 * states, peak
+
+    def test_positive_p_noise_block(self):
+        # one output gap of 2000 steps: a whole-gap draw would be 62.5 MiB at
+        # 2048 paths, but the chunk holds one L2-sized noise block of 1 MiB.
+        # Beside it live (2, m) complex arrays (64 KiB each at this m): the
+        # state, the kernel's three buffers, the two stored outputs and the
+        # (14, m) monomial block, about 15 of them; the bound allows 24.
+        grid = TimeGrid(1000.0, (0.0, 2.0), 1e-3)
+
+        def run(m):
+            return run_positive_p(
+                math.sqrt(1000.0), grid, m, 10, seed=1, threads=1, divergence_threshold=1.0
+            )
+
+        run(10)  # one-time imports and model derivation, outside the trace
+        peak = self.traced_peak(lambda: run(2048))
+        assert peak < 2**20 + 24 * (2 * 2048 * 16), peak
