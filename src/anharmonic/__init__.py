@@ -23,13 +23,10 @@ from .moments import (
 from .oracle import (
     OracleState,
     init_coherent,
-    ladder_moment,
     oracle_cumulants,
 )
 from .sampling import (
-    InitialStateSpec,
     RandomStream,
-    sample_positive_p_coherent,
     sample_wigner_coherent,
     stream_for_trajectory,
 )
@@ -41,7 +38,6 @@ from .symbolic import (
     derive_wigner_model,
     differentiate,
     drift_divergence,
-    evaluate,
     ito_to_stratonovich,
     kerr_hamiltonian,
     normal_order,

@@ -106,13 +106,15 @@ def _rows_for_oracle(cfg: SimulationConfig, threads: int | None) -> list[CsvRow]
 
 
 def _cmd_simulate(args) -> int:
+    """``simulate`` runs the config's method; ``oracle`` runs the oracle on its grid."""
     try:
         cfg = _load_config(args)
     except (OSError, UnicodeDecodeError, ConfigError) as exc:
         return _error(exc, EXIT_INPUT)
+    run_oracle = args.command == "oracle" or cfg.method == "Oracle"
     started = time.perf_counter()
     try:
-        if cfg.method == "Oracle":
+        if run_oracle:
             rows = _rows_for_oracle(cfg, args.threads)
         else:
             acc = engine.evolve_ensemble(cfg, threads=args.threads)
@@ -131,31 +133,15 @@ def _cmd_simulate(args) -> int:
     except MemoryError as exc:
         return _error(exc, EXIT_MEMORY)
     elapsed = time.perf_counter() - started
-    if cfg.method != "Oracle":
+    if run_oracle:
+        print(f"oracle: {len(rows)} output times, {elapsed:.1f} s", file=sys.stderr)
+    else:
         diverged = rows[-1].n_diverged if rows else 0
         print(
             f"{cfg.method_label}: {cfg.n_paths} paths, {len(rows)} output times, "
             f"{diverged} diverged, {elapsed:.1f} s",
             file=sys.stderr,
         )
-    else:
-        print(f"oracle: {len(rows)} output times, {elapsed:.1f} s", file=sys.stderr)
-    return 0
-
-
-def _cmd_oracle(args) -> int:
-    try:
-        cfg = _load_config(args)
-    except (OSError, UnicodeDecodeError, ConfigError) as exc:
-        return _error(exc, EXIT_INPUT)
-    try:
-        write_rows(args.out, _rows_for_oracle(cfg, args.threads))
-    except OSError as exc:
-        return _error(exc, EXIT_INPUT)
-    except oracle.WindowOverflow as exc:
-        return _error(exc, EXIT_WINDOW_OVERFLOW)
-    except MemoryError as exc:
-        return _error(exc, EXIT_MEMORY)
     return 0
 
 
@@ -316,9 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hamiltonian", default=KERR_TOKENS, help="ladder tokens, e.g. 'ad a ad a'")
     p.set_defaults(func=_cmd_derive)
 
-    for name, fn, help_text in (
-        ("simulate", _cmd_simulate, "run the configured method and write a CSV"),
-        ("oracle", _cmd_oracle, "write the exact reference CSV for the config grid"),
+    for name, help_text in (
+        ("simulate", "run the configured method and write a CSV"),
+        ("oracle", "write the exact reference CSV for the config grid"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to key=value config")
@@ -329,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
             "CPUs this process may run on (default: all of them)",
         )
         p.add_argument("--out", required=True, help="output CSV path")
-        p.set_defaults(func=fn)
+        p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("compare", help="compare two cumulant CSVs")
     p.add_argument("csv_a")

@@ -26,6 +26,17 @@ _KEYS = (
     "divergence_threshold",
 )
 
+#: Keys that only some runs read: each names the setting that decides and
+#: the values of it under which the key is read.  A key given to a run that
+#: does not read it draws a warning.
+_READ_WHEN = {
+    "n_paths": ("method", ("TW", "PositiveP")),
+    "batches": ("method", ("TW", "PositiveP")),
+    "dtau": ("method", ("PositiveP",)),
+    "divergence_threshold": ("method", ("PositiveP",)),
+    "theta_value": ("theta_mode", ("fixed",)),
+}
+
 
 class ConfigError(ValueError):
     def __init__(self, key: str, message: str):
@@ -140,6 +151,7 @@ def parse_config(text: str, seed: int = 0) -> SimulationConfig:
     if method not in METHODS:
         raise InvalidValue("method", f"{method!r} is not one of {METHODS}")
 
+    settings = {"method": method, "theta_mode": pairs.get("theta_mode", "rotating")}
     cfg = SimulationConfig(
         method=method,
         n_particles=_convert(pairs, "N", _finite, None),
@@ -149,21 +161,23 @@ def parse_config(text: str, seed: int = 0) -> SimulationConfig:
         tau_stop=_convert(pairs, "tau_stop", _finite, 10.0),
         tau_points=_convert(pairs, "tau_points", _whole, 21),
         dtau=_convert(pairs, "dtau", _finite, 1e-3),
-        theta_mode=pairs.get("theta_mode", "rotating"),
+        theta_mode=settings["theta_mode"],
         theta_value=_convert(pairs, "theta_value", _finite, 0.0),
         divergence_threshold=_convert(pairs, "divergence_threshold", _finite, 1e-3),
         seed=seed,
-        warnings=_collect_warnings(pairs, method),
+        warnings=_collect_warnings(pairs, settings),
     )
     _validate(cfg)
     return cfg
 
 
-def _collect_warnings(pairs: dict[str, str], method: str) -> tuple[str, ...]:
-    notes = []
-    if method == "Oracle" and "n_paths" in pairs:
-        notes.append("method=Oracle ignores n_paths")
-    return tuple(notes)
+def _collect_warnings(pairs: dict[str, str], settings: dict[str, str]) -> tuple[str, ...]:
+    """One ``setting=value ignores key`` note per given key the run does not read."""
+    return tuple(
+        f"{setting}={settings[setting]} ignores {key}"
+        for key, (setting, values) in _READ_WHEN.items()
+        if key in pairs and settings[setting] not in values
+    )
 
 
 def _validate(cfg: SimulationConfig):

@@ -45,15 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symbolic
-from .moments import MONOMIALS, MomentAccumulator, bulk_monomials
-from .sampling import (
-    POSITIVE_P,
-    WIGNER,
-    InitialStateSpec,
-    sample_positive_p_coherent,
-    stream_for_trajectory,
-    wigner_initial,
-)
+from .moments import MONOMIALS, POSITIVE_P, WIGNER, MomentAccumulator, bulk_monomials
+from .sampling import stream_for_trajectory, wigner_initial
 from .symbolic import DriftDiffusionModel
 
 #: Escape radius for divergence flagging, in units of sqrt(N).
@@ -273,7 +266,8 @@ def _positive_p_chunk(
     n_out = len(grid.taus)
 
     y = np.empty((2, m), dtype=np.complex128)
-    y[0], y[1] = sample_positive_p_coherent(InitialStateSpec(alpha0, POSITIVE_P))
+    # a coherent state is a delta distribution here: a deterministic start
+    y[0], y[1] = alpha0, np.conj(alpha0)
     stream = stream_for_trajectory(seed, traj_lo)
     alive = np.ones(m, dtype=bool)
     step = MidpointStep(model, grid.dt, m)
@@ -322,7 +316,7 @@ def _truncated_wigner_chunk(
 ):
     """Exact-flow chunk: per-output batch sums for the anharmonic drift."""
     m = traj_hi - traj_lo
-    init = wigner_initial(InitialStateSpec(alpha0, WIGNER), seed, traj_lo, traj_hi)
+    init = wigner_initial(alpha0, seed, traj_lo, traj_hi)
 
     pairs = ((alpha_t.conj(), alpha_t) for alpha_t in exact_wigner_flow(init, grid.times))
     return _batch_monomial_sums(pairs, len(grid.taus), bounds), np.ones(m, dtype=bool)

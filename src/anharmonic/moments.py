@@ -31,7 +31,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .sampling import POSITIVE_P, WIGNER
+#: The two phase-space representations an accumulator can hold.
+WIGNER = "wigner"
+POSITIVE_P = "positive_p"
 
 #: Exponent pairs (p, q) of the accumulated monomials, sorted by (p+q, p):
 #: every total order from 1 to 4.

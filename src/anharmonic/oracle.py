@@ -3,7 +3,7 @@
 A coherent state is represented on a Poisson-centred window of Fock
 indices and evolved spectrally: the Hamiltonian is diagonal with
 eigenvalue n^2 on |n>, so evolution multiplies each amplitude by
-exp(-i n^2 t).  Ladder moments and quadrature cumulants follow from
+exp(-i n^2 t).  The mean <a> and the quadrature cumulants follow from
 banded sums over the window.
 
 Numerical constraints that shape this module:
@@ -15,8 +15,6 @@ Numerical constraints that shape this module:
 * Evolution phases are exp(-i (n^2 - n0^2) t) about the Poisson mode n0,
   with the integer n^2 - n0^2 formed exactly and t reduced mod 2 pi, so
   their rounding scales with N times the window width, not with N^2.
-* Factorial ratios in ladder sums are short falling factorials evaluated
-  as sums of at most four logs; no factorial is ever formed directly.
 * Cumulants are evaluated in the frame shifted by the mean quadrature.
   Third and fourth cumulants are exactly shift invariant, and the shifted
   moments are O(1), so the evaluation avoids the catastrophic cancellation
@@ -77,9 +75,10 @@ class _Workspace:
     The padded window adds up to two zero rows below (fewer near n = 0) and
     two above; ``roots`` holds sqrt(n) for the padded indices after the
     first, and ``factor01`` the <a> factors for n in [n_min + 1, n_max],
-    formed as exp(0.5 log n) like :func:`ladder_moment`'s, whose bits
-    sqrt(n) would not reproduce.  ``scratch`` serves callers that bring no
-    scratch of their own.
+    formed as exp(0.5 log n) as ``ladder_moment`` in ``tests/helpers.py``
+    forms them: the tests hold <a> to that reference bit for bit, and
+    sqrt(n) would not reproduce its bits.  ``scratch`` serves callers that
+    bring no scratch of their own.
     """
 
     def __init__(self, n_min: int, n_max: int, n0: int) -> None:
@@ -122,14 +121,6 @@ class OracleState:
     raw_mass: float                 # window mass before normalisation
     _work: _Workspace = field(repr=False, compare=False)
     _scratch: _Scratch | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def indices(self) -> np.ndarray:
-        return np.arange(self.n_min, self.n_max + 1, dtype=np.int64)
-
-    @property
-    def norm_squared(self) -> float:
-        return _real_dot(self.amplitudes, self.amplitudes)
 
 
 def _relative_log_weights(n_lo: int, n_hi: int, mode: int, n_particles: float) -> np.ndarray:
@@ -251,33 +242,6 @@ def evolve(state: OracleState, t: float, scratch: _Scratch | None = None) -> Ora
     np.exp(out, out=out)
     np.multiply(state.initial_amplitudes, out, out=out)
     return replace(state, amplitudes=out, t=float(t), _scratch=scratch)
-
-
-def _log_falling_factorial(nn: np.ndarray, r: int) -> np.ndarray:
-    """log of n (n-1) ... (n-r+1) as a short sum of logs."""
-    out = np.zeros_like(nn, dtype=np.float64)
-    for j in range(r):
-        out += np.log(nn - j)
-    return out
-
-
-def ladder_moment(state: OracleState, p: int, q: int) -> complex:
-    """Normally ordered ladder moment <adag^p a^q> on the window."""
-    if p < 0 or q < 0 or p + q > 4:
-        raise ValueError("ladder moments are supported for 0 <= p + q <= 4")
-    if p == 0 and q == 0:
-        return complex(state.norm_squared)
-    lo = max(state.n_min, q, state.n_min + q - p)
-    hi = min(state.n_max, state.n_max + q - p)
-    if lo > hi:
-        return 0.0 + 0.0j
-    nn = np.arange(lo, hi + 1, dtype=np.float64)
-    log_ratio = _log_falling_factorial(nn, q) + _log_falling_factorial(nn - q + p, p)
-    factor = np.exp(0.5 * log_ratio)
-    c = state.amplitudes
-    bra = c[lo - q + p - state.n_min : hi - q + p - state.n_min + 1]
-    ket = c[lo - state.n_min : hi - state.n_min + 1]
-    return complex(np.sum(np.conj(bra) * ket * factor))
 
 
 def _centred_quadrature(

@@ -5,7 +5,8 @@ Every work chunk owns one counter-based random stream keyed by
 ensembles are bit-identical for a fixed seed no matter how work is scheduled
 or how many workers run.  :func:`stream_key` is the one keying rule and
 :class:`RandomStream` builds a Philox generator from it; :func:`wigner_initial`
-draws a chunk's initial normals from its stream in one call.
+draws a truncated-Wigner chunk's initial normals from its stream in one call.
+A positive-P coherent start is deterministic and draws nothing.
 """
 
 from __future__ import annotations
@@ -13,26 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-WIGNER = "wigner"
-POSITIVE_P = "positive_p"
-
-
-@dataclass(frozen=True)
-class InitialStateSpec:
-    """Coherent-state amplitude and the representation to sample it in."""
-
-    amplitude: complex
-    representation: str
-
-    def __post_init__(self):
-        if self.representation not in (WIGNER, POSITIVE_P):
-            raise ValueError(f"unknown representation {self.representation!r}")
-
-    @property
-    def n_particles(self) -> float:
-        return abs(self.amplitude) ** 2
-
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -48,7 +29,6 @@ class RandomStream:
 
     seed: int
     stream_index: int
-    draws: int = 0
     _gen: np.random.Generator = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -64,7 +44,6 @@ class RandomStream:
         """
         if out is not None and out.size != n:
             raise ValueError(f"out holds {out.size} elements, not {n}")
-        self.draws += n
         return self._gen.standard_normal(n if out is None else None, out=out)
 
 
@@ -80,40 +59,24 @@ def stream_for_trajectory(master_seed: int, trajectory_index: int) -> RandomStre
     return RandomStream(master_seed, trajectory_index)
 
 
-def sample_wigner_coherent(spec: InitialStateSpec, stream: RandomStream) -> complex:
-    """alpha0 plus complex vacuum noise with <zeta* zeta> = 1/2.
+# Kept without a caller because perfbench/tracing.py wraps it by name.
+def sample_wigner_coherent(amplitude: complex, stream: RandomStream) -> complex:
+    """amplitude plus complex vacuum noise with <zeta* zeta> = 1/2.
 
     Real and imaginary noise parts are independent with variance 1/4 each.
     """
-    if spec.representation != WIGNER:
-        raise ValueError("spec is not a Wigner-representation state")
     w = stream.normals(2)
-    return complex(spec.amplitude) + 0.5 * (w[0] + 1j * w[1])
+    return complex(amplitude) + 0.5 * (w[0] + 1j * w[1])
 
 
 def wigner_initial(
-    spec: InitialStateSpec, master_seed: int, traj_lo: int, traj_hi: int
+    amplitude: complex, master_seed: int, traj_lo: int, traj_hi: int
 ) -> np.ndarray:
-    """Wigner samples of trajectories traj_lo .. traj_hi - 1, as one array.
+    """Wigner samples of coherent |amplitude> for trajectories traj_lo .. traj_hi - 1.
 
     The chunk's 2 (traj_hi - traj_lo) normals come from the stream keyed
-    ``(master_seed, traj_lo)`` in one draw; row i takes normals 2i and
-    2i + 1 as its real and imaginary noise, as :func:`sample_wigner_coherent`
-    does with a stream of its own.
+    ``(master_seed, traj_lo)`` in one draw; row i takes half of normals 2i
+    and 2i + 1 as its real and imaginary noise (variance 1/4 each).
     """
-    if spec.representation != WIGNER:
-        raise ValueError("spec is not a Wigner-representation state")
     w = stream_for_trajectory(master_seed, traj_lo).normals(2 * (traj_hi - traj_lo))
-    return complex(spec.amplitude) + 0.5 * (w[0::2] + 1j * w[1::2])
-
-
-def sample_positive_p_coherent(spec: InitialStateSpec) -> tuple[complex, complex]:
-    """Deterministic doubled-phase-space start (alpha1, alpha2*).
-
-    A coherent state is a delta distribution here, so no randomness is
-    consumed and alpha2* alpha1 equals |alpha0|^2 exactly at t = 0.
-    """
-    if spec.representation != POSITIVE_P:
-        raise ValueError("spec is not a positive-P-representation state")
-    a0 = complex(spec.amplitude)
-    return (a0, a0.conjugate())
+    return complex(amplitude) + 0.5 * (w[0::2] + 1j * w[1::2])

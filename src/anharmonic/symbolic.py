@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-# Symbol names used by `differentiate` and `evaluate`.
+# Symbol names of the two variables `differentiate` takes.
 VAR_A = "a"
 VAR_A_STAR = "a*"
 
@@ -178,16 +178,6 @@ def differentiate(poly: PhasePolynomial, variable: str, order: int = 1) -> Phase
                     terms[(p - 1, q)] = terms.get((p - 1, q), 0.0) + p * c
         out = PhasePolynomial(terms)
     return out
-
-
-def evaluate(poly: PhasePolynomial, a: complex, a_star: complex | None = None) -> complex:
-    """Evaluate at a point; a* defaults to the complex conjugate of a."""
-    if a_star is None:
-        a_star = complex(a).conjugate()
-    total = 0.0 + 0.0j
-    for (p, q), c in poly.terms.items():
-        total += c * (a_star**p) * (a**q)
-    return total
 
 
 def is_hermitian(poly: PhasePolynomial, tol: float = COEFF_TOL) -> bool:

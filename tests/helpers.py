@@ -12,6 +12,7 @@ from anharmonic.moments import (
     MIN_BATCHES,
     MONOMIAL_INDEX,
     MONOMIALS,
+    POSITIVE_P,
     CumulantReport,
     InsufficientBatches,
     OrderingViolation,
@@ -20,9 +21,8 @@ from anharmonic.moments import (
     promote_normal_order,
     quadrature_powers,
 )
-from anharmonic.sampling import POSITIVE_P
-from anharmonic.oracle import _real_dot, ladder_moment
-from anharmonic.symbolic import CREATE, DESTROY, OperatorWord, PhasePolynomial, evaluate
+from anharmonic.oracle import _real_dot
+from anharmonic.symbolic import CREATE, DESTROY, OperatorWord, PhasePolynomial
 
 
 def random_hermitian_polynomial(rng: np.random.Generator, max_degree: int = 4) -> PhasePolynomial:
@@ -76,10 +76,10 @@ def chunk_philox(seed: int, traj_lo: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, traj_lo], dtype=np.uint64)))
 
 
-def chunk_stream_wigner_initial(spec, seed: int, traj_lo: int, traj_hi: int) -> np.ndarray:
+def chunk_stream_wigner_initial(amplitude, seed: int, traj_lo: int, traj_hi: int) -> np.ndarray:
     """Reference Wigner start: row i takes the chunk stream's normals 2i and 2i + 1."""
     w = chunk_philox(seed, traj_lo).standard_normal((traj_hi - traj_lo, 2))
-    return complex(spec.amplitude) + 0.5 * (w[:, 0] + 1j * w[:, 1])
+    return complex(amplitude) + 0.5 * (w[:, 0] + 1j * w[:, 1])
 
 
 def per_slice_batch_sums(block: np.ndarray, bounds) -> np.ndarray:
@@ -107,6 +107,16 @@ def full_block_kernel(kernel):
         return per_slice_batch_sums(block, bounds), alive
 
     return chunk
+
+
+def evaluate(poly: PhasePolynomial, a: complex, a_star: complex | None = None) -> complex:
+    """Evaluate at a point; a* defaults to the complex conjugate of a."""
+    if a_star is None:
+        a_star = complex(a).conjugate()
+    total = 0.0 + 0.0j
+    for (p, q), c in poly.terms.items():
+        total += c * (a_star**p) * (a**q)
+    return total
 
 
 def scalar_midpoint_path(model, y0, dt: float, n_steps: int, dw) -> tuple[complex, complex]:
@@ -236,6 +246,37 @@ def per_output_batch_errors(acc, specs) -> list[CumulantReport]:
     return [per_output_batch_error(acc, k, spec) for k, spec in enumerate(specs)]
 
 
+def _log_falling_factorial(nn: np.ndarray, r: int) -> np.ndarray:
+    """log of n (n-1) ... (n-r+1) as a short sum of logs."""
+    out = np.zeros_like(nn, dtype=np.float64)
+    for j in range(r):
+        out += np.log(nn - j)
+    return out
+
+
+def ladder_moment(state, p: int, q: int) -> complex:
+    """Normally ordered ladder moment <adag^p a^q> of an oracle state, on its window.
+
+    Factorial ratios are short falling factorials evaluated as sums of at
+    most four logs; no factorial is formed directly.
+    """
+    if p < 0 or q < 0 or p + q > 4:
+        raise ValueError("ladder moments are supported for 0 <= p + q <= 4")
+    if p == 0 and q == 0:
+        return complex(_real_dot(state.amplitudes, state.amplitudes))
+    lo = max(state.n_min, q, state.n_min + q - p)
+    hi = min(state.n_max, state.n_max + q - p)
+    if lo > hi:
+        return 0.0 + 0.0j
+    nn = np.arange(lo, hi + 1, dtype=np.float64)
+    log_ratio = _log_falling_factorial(nn, q) + _log_falling_factorial(nn - q + p, p)
+    factor = np.exp(0.5 * log_ratio)
+    c = state.amplitudes
+    bra = c[lo - q + p - state.n_min : hi - q + p - state.n_min + 1]
+    ket = c[lo - state.n_min : hi - state.n_min + 1]
+    return complex(np.sum(np.conj(bra) * ket * factor))
+
+
 def oracle_raw_moments(state, spec) -> np.ndarray:
     """<X^k> (k = 1..4) of an oracle state, assembled from its raw ladder moments."""
     raw = quadrature_powers(lambda p, q: ladder_moment(state, p, q), spec.theta)
@@ -245,7 +286,7 @@ def oracle_raw_moments(state, spec) -> np.ndarray:
 def reference_evolved_amplitudes(state, t: float) -> np.ndarray:
     """Reference oracle evolution: the phases formed afresh from the indices."""
     n0 = int(state.n_particles)
-    nn = state.indices
+    nn = np.arange(state.n_min, state.n_max + 1, dtype=np.int64)
     t_turn = math.fmod(t, 2.0 * math.pi)
     phases = np.exp(-1j * ((nn - n0) * (nn + n0)).astype(np.float64) * t_turn)
     return state.initial_amplitudes * phases

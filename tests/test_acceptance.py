@@ -30,7 +30,7 @@ from anharmonic.moments import (
     read_rows,
     write_rows,
 )
-from anharmonic.sampling import WIGNER, InitialStateSpec, wigner_initial
+from anharmonic.sampling import wigner_initial
 from helpers import (
     dense_brute_force,
     frozen_brownian_paths,
@@ -225,7 +225,7 @@ def test_criterion_6_conservation_invariants(tw_benchmark, pp_benchmark):
 
     # per-trajectory modulus conservation across the whole output grid, on
     # the first 500 initial amplitudes and the flow the ensemble ran
-    init = wigner_initial(InitialStateSpec(ALPHA0, WIGNER), 1, 0, 500)
+    init = wigner_initial(ALPHA0, 1, 0, 500)
     worst = 0.0
     for alpha_t in exact_wigner_flow(init, grid.times):
         worst = max(worst, float(np.abs(np.abs(alpha_t) - np.abs(init)).max()))

@@ -72,6 +72,7 @@ class TestPurity:
 
 
 def write_config(path, **overrides):
+    # no dtau: TW does not read it, and would warn that it ignores it
     base = {
         "method": "TW",
         "N": 100,
@@ -80,7 +81,6 @@ def write_config(path, **overrides):
         "tau_start": 0,
         "tau_stop": 1,
         "tau_points": 3,
-        "dtau": 1e-3,
     }
     base.update(overrides)
     path.write_text("".join(f"{k} = {v}\n" for k, v in base.items()))
@@ -303,6 +303,16 @@ class TestOracleCommand:
         rows = read_rows(out)
         assert rows[0].k3 == pytest.approx(0.0, abs=1e-8)
         assert rows[0].k4 == pytest.approx(0.0, abs=1e-8)
+
+    def test_runs_the_oracle_whatever_the_method(self, tmp_path, capsys):
+        # the TW config is parsed and checked as TW, and the oracle runs on its grid
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "oracle.csv"
+        write_config(cfg)
+        code, _, err = run_cli(capsys, "oracle", "--config", str(cfg), "--out", str(out))
+        assert code == 0
+        assert [r.method for r in read_rows(out)] == ["oracle"] * 3
+        assert err.startswith("oracle: 3 output times, ")
 
     def test_bytes_independent_of_blas_threads(self, tmp_path):
         # the window at N = 1e5 is long enough for OpenBLAS to split a dot

@@ -110,3 +110,25 @@ def test_integer_keys_take_whole_numbers_in_float_notation():
     with pytest.raises(InvalidValue) as err:
         parse_config("method = TW\nN = 10\nbatches = 12.5\n")
     assert err.value.key == "batches"
+
+
+
+@pytest.mark.parametrize(
+    "method, key, note",
+    [
+        ("TW", "dtau", "method=TW ignores dtau"),
+        ("TW", "divergence_threshold", "method=TW ignores divergence_threshold"),
+        ("Oracle", "batches", "method=Oracle ignores batches"),
+        ("Oracle", "dtau", "method=Oracle ignores dtau"),
+        ("Oracle", "divergence_threshold", "method=Oracle ignores divergence_threshold"),
+        ("PositiveP", "theta_value", "theta_mode=rotating ignores theta_value"),
+    ],
+)
+def test_ignored_key_warns(method, key, note):
+    assert parse_config(f"method = {method}\nN = 10\n{key} = 1\n").warnings == (note,)
+
+
+def test_keys_the_method_reads_draw_no_warning():
+    text = ("method = PositiveP\nN = 10\nn_paths = 100\nbatches = 10\ndtau = 1e-2\n"
+            "divergence_threshold = 0.5\ntheta_mode = fixed\ntheta_value = 0.3\n")
+    assert parse_config(text).warnings == ()

@@ -328,12 +328,20 @@ class TestTruncatedWignerEnsemble:
 
 class TestPositivePEnsemble:
     def test_initial_occupation_exact(self):
-        n = 1000.0
-        grid = TimeGrid(n, (0.0,), 1e-3)
-        acc = run_positive_p(math.sqrt(n), grid, 500, 10, seed=0)
-        m11 = batch_mean(acc, 0, 1, 1)
-        assert m11.real == pytest.approx(n, abs=1e-9)
-        assert m11.imag == 0.0
+        # the coherent start is the deterministic pair (alpha0, conj(alpha0));
+        # numpy's complex product may fuse a multiply-add, which leaves a
+        # rounding-level imaginary occupation when alpha0 has two nonzero parts
+        for alpha0, imag_atol in (
+            (math.sqrt(1000.0), 0.0), (0.3 + 0.4j, 1e-16), (-2.0, 0.0), (1j * math.sqrt(5), 0.0)
+        ):
+            n = abs(alpha0) ** 2
+            grid = TimeGrid(n, (0.0,), 1e-3)
+            acc = run_positive_p(alpha0, grid, 500, 10, seed=0)
+            assert batch_mean(acc, 0, 0, 1) == pytest.approx(alpha0, abs=1e-12 * n)
+            assert batch_mean(acc, 0, 1, 0) == pytest.approx(np.conj(alpha0), abs=1e-12 * n)
+            m11 = batch_mean(acc, 0, 1, 1)
+            assert m11.real == pytest.approx(n, abs=1e-9)
+            assert abs(m11.imag) <= imag_atol
 
     def test_number_conserved_in_time(self):
         n = 1000.0

@@ -8,6 +8,8 @@ from anharmonic import moments as mo
 from anharmonic.moments import (
     MONOMIAL_INDEX,
     MONOMIALS,
+    POSITIVE_P,
+    WIGNER,
     InsufficientBatches,
     MomentAccumulator,
     QuadratureSpec,
@@ -16,7 +18,6 @@ from anharmonic.moments import (
     k3_k4,
 )
 from anharmonic.engine import TimeGrid, run_positive_p, run_truncated_wigner
-from anharmonic.sampling import POSITIVE_P, WIGNER
 from helpers import (
     dense_brute_force,
     fill_batches,
