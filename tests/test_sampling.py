@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from anharmonic.engine import TimeGrid, run_positive_p
+from anharmonic.moments import MONOMIAL_INDEX
 from anharmonic.sampling import stream_for_trajectory, wigner_initial
 from helpers import chunk_stream_wigner_initial
 
@@ -111,3 +113,23 @@ class TestWignerInitialBlock:
         with pytest.raises(ValueError):
             wigner_initial(1.0, 0, -1, 3)
 
+
+def _positive_p_start(alpha0):
+    # one path in one batch at tau = 0: the batch sums of a* and a are the
+    # chunk's start pair (alpha1, alpha2*) themselves, with no rounding
+    acc = run_positive_p(alpha0, TimeGrid(abs(alpha0) ** 2, (0.0,), 1e-3), 1, 1, seed=0)
+    sums = acc.batch_sums[0, 0]
+    return sums[MONOMIAL_INDEX[(0, 1)]], sums[MONOMIAL_INDEX[(1, 0)]]
+
+
+class TestPositivePSampling:
+    def test_deterministic_copy(self):
+        a0 = math.sqrt(1000.0)
+        a1, a2s = _positive_p_start(a0)
+        assert a1 == a0
+        assert a2s == a0
+
+    def test_occupation_product_exact(self):
+        for a0 in (0.3 + 0.4j, -2.0, 1j * math.sqrt(5)):
+            a1, a2s = _positive_p_start(a0)
+            assert a2s * a1 == abs(a0) ** 2
