@@ -9,7 +9,6 @@ from .config import SimulationConfig, parse_config
 from .engine import (
     MidpointStep,
     TimeGrid,
-    evolve_ensemble,
     exact_wigner_flow,
     run_positive_p,
     run_truncated_wigner,

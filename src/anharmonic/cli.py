@@ -37,9 +37,10 @@ class GridMismatch(ValueError):
 
 
 def _load_config(args) -> SimulationConfig:
-    with open(args.config, "r", encoding="utf-8") as fh:
+    # utf-8-sig: a byte-order mark, which some editors write, is not part of the first key
+    with open(args.config, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
-    cfg = parse_config(text, seed=args.seed)
+    cfg = parse_config(text, seed=args.seed, method=args.method)
     for note in cfg.warnings:
         print(f"warning: {note}", file=sys.stderr)
     return cfg
@@ -81,27 +82,25 @@ def _cmd_derive(args) -> int:
     return 0
 
 
-def _rows_for_ensemble(cfg: SimulationConfig, acc) -> list[CsvRow]:
-    thetas = [cfg.theta_for(tau) for tau in cfg.taus]
-    reports = batch_error(acc, [QuadratureSpec(theta) for theta in thetas])
+def _rows(cfg: SimulationConfig, threads: int | None) -> list[CsvRow]:
+    """Run the config's method over its output grid: one CSV row per output."""
+    grid = engine.TimeGrid(cfg.n_particles, cfg.taus, cfg.dtau)
+    alpha0 = math.sqrt(cfg.n_particles)
+    specs = [QuadratureSpec(cfg.theta_for(tau)) for tau in grid.taus]
+    if cfg.method == "Oracle":
+        reports = oracle.cumulant_series(oracle.init_coherent(alpha0), grid.times, specs, threads)
+    elif cfg.method == "TW":
+        acc = engine.run_truncated_wigner(alpha0, grid, cfg.n_paths, cfg.batches, cfg.seed, threads)
+        reports = batch_error(acc, specs)
+    else:
+        acc = engine.run_positive_p(
+            alpha0, grid, cfg.n_paths, cfg.batches, cfg.seed, threads,
+            divergence_threshold=cfg.divergence_threshold,
+        )
+        reports = batch_error(acc, specs)
     return [
-        CsvRow.from_report(tau, theta, report, cfg.method_label)
-        for tau, theta, report in zip(cfg.taus, thetas, reports)
-    ]
-
-
-def _rows_for_oracle(cfg: SimulationConfig, threads: int | None) -> list[CsvRow]:
-    state0 = oracle.init_coherent(math.sqrt(cfg.n_particles))
-    thetas = [cfg.theta_for(tau) for tau in cfg.taus]
-    reports = oracle.cumulant_series(
-        state0,
-        [tau / cfg.n_particles for tau in cfg.taus],
-        [QuadratureSpec(theta) for theta in thetas],
-        threads,
-    )
-    return [
-        CsvRow.from_report(tau, theta, report, "oracle")
-        for tau, theta, report in zip(cfg.taus, thetas, reports)
+        CsvRow.from_report(tau, spec.theta, report, cfg.method_label)
+        for tau, spec, report in zip(grid.taus, specs, reports)
     ]
 
 
@@ -111,14 +110,9 @@ def _cmd_simulate(args) -> int:
         cfg = _load_config(args)
     except (OSError, UnicodeDecodeError, ConfigError) as exc:
         return _error(exc, EXIT_INPUT)
-    run_oracle = args.command == "oracle" or cfg.method == "Oracle"
     started = time.perf_counter()
     try:
-        if run_oracle:
-            rows = _rows_for_oracle(cfg, args.threads)
-        else:
-            acc = engine.evolve_ensemble(cfg, threads=args.threads)
-            rows = _rows_for_ensemble(cfg, acc)
+        rows = _rows(cfg, args.threads)
         write_rows(args.out, rows)
     except OSError as exc:
         return _error(exc, EXIT_INPUT)
@@ -133,13 +127,12 @@ def _cmd_simulate(args) -> int:
     except MemoryError as exc:
         return _error(exc, EXIT_MEMORY)
     elapsed = time.perf_counter() - started
-    if run_oracle:
+    if cfg.method == "Oracle":
         print(f"oracle: {len(rows)} output times, {elapsed:.1f} s", file=sys.stderr)
     else:
-        diverged = rows[-1].n_diverged if rows else 0
         print(
             f"{cfg.method_label}: {cfg.n_paths} paths, {len(rows)} output times, "
-            f"{diverged} diverged, {elapsed:.1f} s",
+            f"{rows[-1].n_diverged} diverged, {elapsed:.1f} s",
             file=sys.stderr,
         )
     return 0
@@ -302,9 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hamiltonian", default=KERR_TOKENS, help="ladder tokens, e.g. 'ad a ad a'")
     p.set_defaults(func=_cmd_derive)
 
-    for name, help_text in (
-        ("simulate", "run the configured method and write a CSV"),
-        ("oracle", "write the exact reference CSV for the config grid"),
+    # the method that runs: the config's, or the oracle whatever the config's
+    for name, method, help_text in (
+        ("simulate", None, "run the configured method and write a CSV"),
+        ("oracle", "Oracle", "write the exact reference CSV for the config grid"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to key=value config")
@@ -315,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
             "CPUs this process may run on (default: all of them)",
         )
         p.add_argument("--out", required=True, help="output CSV path")
-        p.set_defaults(func=_cmd_simulate)
+        p.set_defaults(func=_cmd_simulate, method=method)
 
     p = sub.add_parser("compare", help="compare two cumulant CSVs")
     p.add_argument("csv_a")

@@ -1,4 +1,9 @@
-"""Flat key=value run configuration with strict validation."""
+"""Flat key=value run configuration with strict validation.
+
+One table holds every key's field, parser and the runs that read it.  A
+key the run does not read draws a warning and keeps its field's default,
+which lives on :class:`SimulationConfig` alone.
+"""
 
 from __future__ import annotations
 
@@ -7,35 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .engine import TimeGrid
+
 METHODS = ("TW", "PositiveP", "Oracle")
 
 #: Hard ceiling on the scaled-time window.
 TAU_STOP_MAX = 25.0
-
-_KEYS = (
-    "method",
-    "N",
-    "n_paths",
-    "batches",
-    "tau_start",
-    "tau_stop",
-    "tau_points",
-    "dtau",
-    "theta_mode",
-    "theta_value",
-    "divergence_threshold",
-)
-
-#: Keys that only some runs read: each names the setting that decides and
-#: the values of it under which the key is read.  A key given to a run that
-#: does not read it draws a warning.
-_READ_WHEN = {
-    "n_paths": ("method", ("TW", "PositiveP")),
-    "batches": ("method", ("TW", "PositiveP")),
-    "dtau": ("method", ("PositiveP",)),
-    "divergence_threshold": ("method", ("PositiveP",)),
-    "theta_value": ("theta_mode", ("fixed",)),
-}
 
 
 class ConfigError(ValueError):
@@ -77,8 +59,6 @@ class SimulationConfig:
 
     @property
     def taus(self) -> tuple[float, ...]:
-        if self.tau_points == 1:
-            return (self.tau_start,)
         return tuple(np.linspace(self.tau_start, self.tau_stop, self.tau_points))
 
     def theta_for(self, tau: float) -> float:
@@ -126,62 +106,64 @@ def _whole(text: str) -> int:
     return int(value)
 
 
-def _convert(pairs: dict[str, str], key: str, caster, default):
-    if key not in pairs:
-        return default
-    try:
-        return caster(pairs[key])
-    except ValueError as exc:
-        raise InvalidValue(key, str(exc)) from None
+#: Every config key: the SimulationConfig field it sets, its parser, and the
+#: setting and values under which a run reads it (None: every run does).  A
+#: setting precedes the keys that depend on it.
+_KEYS = {
+    "method": ("method", str, None),
+    "N": ("n_particles", _finite, None),
+    "n_paths": ("n_paths", _whole, ("method", ("TW", "PositiveP"))),
+    "batches": ("batches", _whole, ("method", ("TW", "PositiveP"))),
+    "tau_start": ("tau_start", _finite, None),
+    "tau_stop": ("tau_stop", _finite, None),
+    "tau_points": ("tau_points", _whole, None),
+    "dtau": ("dtau", _finite, ("method", ("PositiveP",))),
+    "divergence_threshold": ("divergence_threshold", _finite, ("method", ("PositiveP",))),
+    "theta_mode": ("theta_mode", str, None),
+    "theta_value": ("theta_value", _finite, ("theta_mode", ("fixed",))),
+}
 
 
-def parse_config(text: str, seed: int = 0) -> SimulationConfig:
+def parse_config(text: str, seed: int = 0, method: str | None = None) -> SimulationConfig:
     """Parse and validate a flat key=value configuration.
 
     Unknown and repeated keys are rejected; every error names the key.  Float
-    keys must be finite and integer keys finite whole numbers.  The master
-    seed comes from the CLI flag, not the file.
+    keys must be finite and integer keys finite whole numbers.  ``method``,
+    when given, is the method that runs in place of the file's, which must
+    still be valid; the run's method decides which keys are read and
+    checked.  The master seed comes from the CLI flag, not the file.
     """
     pairs = _parse_pairs(text)
     for required in ("method", "N"):
         if required not in pairs:
             raise MissingKey(required)
+    if pairs["method"] not in METHODS:
+        raise InvalidValue("method", f"{pairs['method']!r} is not one of {METHODS}")
+    if method is not None:
+        pairs["method"] = method
 
-    method = pairs["method"]
-    if method not in METHODS:
-        raise InvalidValue("method", f"{method!r} is not one of {METHODS}")
-
-    settings = {"method": method, "theta_mode": pairs.get("theta_mode", "rotating")}
-    cfg = SimulationConfig(
-        method=method,
-        n_particles=_convert(pairs, "N", _finite, None),
-        n_paths=_convert(pairs, "n_paths", _whole, 100_000),
-        batches=_convert(pairs, "batches", _whole, 100),
-        tau_start=_convert(pairs, "tau_start", _finite, 0.0),
-        tau_stop=_convert(pairs, "tau_stop", _finite, 10.0),
-        tau_points=_convert(pairs, "tau_points", _whole, 21),
-        dtau=_convert(pairs, "dtau", _finite, 1e-3),
-        theta_mode=settings["theta_mode"],
-        theta_value=_convert(pairs, "theta_value", _finite, 0.0),
-        divergence_threshold=_convert(pairs, "divergence_threshold", _finite, 1e-3),
-        seed=seed,
-        warnings=_collect_warnings(pairs, settings),
-    )
+    fields = {"seed": seed}
+    warnings = []
+    for key, (name, parse, read_when) in _KEYS.items():
+        if key not in pairs:
+            continue
+        if read_when is not None:
+            setting, values = read_when
+            current = fields[setting] if setting in fields else getattr(SimulationConfig, setting)
+            if current not in values:
+                warnings.append(f"{setting}={current} ignores {key}")
+                continue
+        try:
+            fields[name] = parse(pairs[key])
+        except ValueError as exc:
+            raise InvalidValue(key, str(exc)) from None
+    cfg = SimulationConfig(**fields, warnings=tuple(warnings))
     _validate(cfg)
     return cfg
 
 
-def _collect_warnings(pairs: dict[str, str], settings: dict[str, str]) -> tuple[str, ...]:
-    """One ``setting=value ignores key`` note per given key the run does not read."""
-    return tuple(
-        f"{setting}={settings[setting]} ignores {key}"
-        for key, (setting, values) in _READ_WHEN.items()
-        if key in pairs and settings[setting] not in values
-    )
-
-
 def _validate(cfg: SimulationConfig):
-    if cfg.n_particles is None or not cfg.n_particles > 0:
+    if not cfg.n_particles > 0:
         raise InvalidValue("N", "particle number must be positive")
     if cfg.tau_start < 0:
         raise InvalidValue("tau_start", "must be nonnegative")
@@ -193,24 +175,19 @@ def _validate(cfg: SimulationConfig):
         raise InvalidValue("tau_points", "need at least one output time")
     if cfg.tau_points > 1 and cfg.tau_stop == cfg.tau_start:
         raise InvalidValue("tau_points", "multiple outputs need tau_stop > tau_start")
-    if cfg.dtau <= 0:
-        raise InvalidValue("dtau", "must be positive")
     if cfg.theta_mode not in ("rotating", "fixed"):
         raise InvalidValue("theta_mode", "must be 'rotating' or 'fixed'")
     if not 0.0 <= cfg.divergence_threshold <= 1.0:
         raise InvalidValue("divergence_threshold", "must lie in [0, 1]")
-    if cfg.method in ("TW", "PositiveP"):
-        if cfg.batches < 10:
-            raise InvalidValue("batches", "need at least 10 batches")
-        if cfg.n_paths < cfg.batches:
-            raise InvalidValue("n_paths", "fewer paths than batches")
+    if cfg.batches < 10:
+        raise InvalidValue("batches", "need at least 10 batches")
+    if cfg.n_paths < cfg.batches:
+        raise InvalidValue("n_paths", "fewer paths than batches")
     if cfg.method == "PositiveP":
-        # the integrator steps from tau = 0 to tau_start, then between outputs
-        steps = round(cfg.tau_start / cfg.dtau)
-        if abs(steps * cfg.dtau - cfg.tau_start) > 1e-9 * max(1.0, steps):
-            raise InvalidValue("dtau", f"does not divide tau_start = {cfg.tau_start}")
-        if cfg.tau_points > 1:
-            gap = (cfg.tau_stop - cfg.tau_start) / (cfg.tau_points - 1)
-            steps = round(gap / cfg.dtau)
-            if steps == 0 or abs(steps * cfg.dtau - gap) > 1e-9 * max(1.0, steps):
-                raise InvalidValue("dtau", f"does not divide the output spacing {gap}")
+        # TimeGrid rejects a dtau <= 0, and steps_between one off the output grid
+        try:
+            steps = TimeGrid(cfg.n_particles, cfg.taus, cfg.dtau).steps_between()
+        except ValueError as exc:
+            raise InvalidValue("dtau", str(exc)) from None
+        if 0 in steps[1:]:
+            raise InvalidValue("dtau", "is longer than the output spacing")

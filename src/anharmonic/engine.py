@@ -31,6 +31,10 @@ returns one :class:`~anharmonic.moments.MomentAccumulator`: each chunk
 writes its batches' sums for every output into it, and its surviving and
 diverged path counts once, since a path's survival holds for the whole
 run.
+
+The ensembles take a :class:`TimeGrid`, not a run configuration; the
+config checks a positive-P grid with the stepper's own
+:meth:`TimeGrid.steps_between`.
 """
 
 from __future__ import annotations
@@ -441,28 +445,3 @@ def run_positive_p(
         )
     return acc
 
-
-def evolve_ensemble(config, threads: int | None = None) -> MomentAccumulator:
-    """Run the configured stochastic method over its output grid.
-
-    Returns one accumulator holding every output time.  The Fock-space
-    reference is not an ensemble method and is dispatched separately by the
-    CLI.
-    """
-    grid = TimeGrid(config.n_particles, config.taus, config.dtau)
-    alpha0 = math.sqrt(config.n_particles)
-    if config.method == "TW":
-        return run_truncated_wigner(
-            alpha0, grid, config.n_paths, config.batches, config.seed, threads
-        )
-    if config.method == "PositiveP":
-        return run_positive_p(
-            alpha0,
-            grid,
-            config.n_paths,
-            config.batches,
-            config.seed,
-            threads,
-            divergence_threshold=config.divergence_threshold,
-        )
-    raise ValueError(f"method {config.method!r} is not a trajectory ensemble")

@@ -8,6 +8,7 @@ import pytest
 import anharmonic
 from anharmonic import cli
 from anharmonic.cli import compare_rows, main
+from anharmonic.config import parse_config
 from anharmonic.moments import CsvRow, OrderingViolation, read_rows
 
 
@@ -120,6 +121,18 @@ class TestSimulate:
         assert code == cli.EXIT_INPUT == 2
         assert "'dtau'" in err
         assert not out.exists()
+
+    def test_unread_bad_value_only_warns(self, tmp_path, capsys):
+        # TW does not read dtau, so dtau = 0 is not checked
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "tw.csv"
+        write_config(cfg, dtau=0)
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(out))
+        assert code == 0
+        assert [ln for ln in err.splitlines() if ln.startswith("warning: ")] == [
+            "warning: method=TW ignores dtau"
+        ]
+        assert len(read_rows(out)) == 3
 
     def test_bad_config_names_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -249,6 +262,17 @@ def test_config_not_utf8_exit_code(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["simulate", "oracle"])
+def test_config_with_byte_order_mark(tmp_path, capsys, command):
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "x.csv"
+    cfg.write_bytes(b"\xef\xbb\xbfmethod = Oracle\nN = 10\ntau_stop = 1\ntau_points = 3\n")
+    code, _, err = run_cli(capsys, command, "--config", str(cfg), "--out", str(out))
+    assert code == 0
+    assert err.startswith("oracle: 3 output times, ")
+    assert len(read_rows(out)) == 3
+
+
+@pytest.mark.parametrize("command", ["simulate", "oracle"])
 def test_duplicate_config_key_exit_code(tmp_path, capsys, command):
     cfg = tmp_path / "run.cfg"
     out = tmp_path / "x.csv"
@@ -305,14 +329,40 @@ class TestOracleCommand:
         assert rows[0].k4 == pytest.approx(0.0, abs=1e-8)
 
     def test_runs_the_oracle_whatever_the_method(self, tmp_path, capsys):
-        # the TW config is parsed and checked as TW, and the oracle runs on its grid
+        # the TW config is read, checked and warned about as the oracle, which
+        # does not read n_paths or batches, and the oracle runs on its grid
         cfg = tmp_path / "run.cfg"
         out = tmp_path / "oracle.csv"
         write_config(cfg)
         code, _, err = run_cli(capsys, "oracle", "--config", str(cfg), "--out", str(out))
         assert code == 0
         assert [r.method for r in read_rows(out)] == ["oracle"] * 3
-        assert err.startswith("oracle: 3 output times, ")
+        assert err.startswith(
+            "warning: method=Oracle ignores n_paths\n"
+            "warning: method=Oracle ignores batches\n"
+            "oracle: 3 output times, "
+        )
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            # 1e-3 does not divide the output spacing 1/3
+            {"method": "PositiveP", "tau_points": 4},
+            {"n_paths": 5, "batches": 20},
+        ],
+        ids=["positive-p-step-off-grid", "tw-fewer-paths-than-batches"],
+    )
+    def test_ignores_what_only_the_files_method_rejects(self, tmp_path, capsys, overrides):
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "oracle.csv"
+        write_config(cfg, **overrides)
+        code, _, _ = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(out))
+        assert code == cli.EXIT_INPUT == 2
+        code, _, err = run_cli(capsys, "oracle", "--config", str(cfg), "--out", str(out))
+        assert code == 0
+        rows = read_rows(out)
+        assert [r.method for r in rows] == ["oracle"] * overrides.get("tau_points", 3)
+        assert "warning: method=Oracle ignores batches" in err
 
     def test_bytes_independent_of_blas_threads(self, tmp_path):
         # the window at N = 1e5 is long enough for OpenBLAS to split a dot
@@ -332,6 +382,17 @@ class TestOracleCommand:
             )
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+class TestRunDispatch:
+    def test_tw_dispatch(self):
+        cfg = parse_config(
+            "method = TW\nN = 100\nn_paths = 500\nbatches = 10\n"
+            "tau_start = 0\ntau_stop = 1\ntau_points = 2\n"
+        )
+        rows = cli._rows(cfg, threads=None)
+        assert len(rows) == 2
+        assert [(r.method, r.n_paths) for r in rows] == [("tw", 500)] * 2
 
 
 class TestCompare:

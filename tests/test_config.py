@@ -1,3 +1,6 @@
+import pathlib
+import re
+
 import pytest
 
 from anharmonic.config import (
@@ -87,6 +90,15 @@ def test_dtau_must_divide_tau_start_for_positive_p():
         assert err.value.key == "dtau"
 
 
+def test_dtau_longer_than_output_spacing_for_positive_p():
+    # a 1e-10 gap is within the step rule's 1e-9 tolerance of zero steps,
+    # which would leave the two outputs at one integrator state
+    text = "method = PositiveP\nN = 10\ntau_start = 0\ntau_stop = 1e-10\ntau_points = 2\n"
+    with pytest.raises(InvalidValue) as err:
+        parse_config(text)
+    assert err.value.key == "dtau"
+
+
 def test_comments_and_blank_lines_ignored():
     cfg = parse_config("# benchmark\n\nmethod = TW\nN = 1000\n")
     assert cfg.method == "TW"
@@ -132,3 +144,36 @@ def test_keys_the_method_reads_draw_no_warning():
     text = ("method = PositiveP\nN = 10\nn_paths = 100\nbatches = 10\ndtau = 1e-2\n"
             "divergence_threshold = 0.5\ntheta_mode = fixed\ntheta_value = 0.3\n")
     assert parse_config(text).warnings == ()
+
+
+def test_readme_example_config_parses():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```\n((?:#[^\n]*\n)*method = [^`]*)```", readme)
+    cfg = parse_config(block)
+    assert (cfg.method, cfg.n_particles, cfg.tau_stop, cfg.tau_points, cfg.dtau) == (
+        "PositiveP", 1000, 8, 17, 1e-3
+    )
+    assert cfg.warnings == ("theta_mode=rotating ignores theta_value",)
+
+
+def test_unread_key_is_neither_parsed_nor_checked():
+    for value in ("0", "nan", "fast"):
+        cfg = parse_config(f"method = TW\nN = 10\ndtau = {value}\n")
+        assert cfg.dtau == 1e-3
+        assert cfg.warnings == ("method=TW ignores dtau",)
+
+
+def test_method_argument_runs_in_place_of_the_files():
+    # dtau = 3e-4 does not divide the default grid, which only PositiveP steps through
+    cfg = parse_config("method = PositiveP\nN = 10\nn_paths = 5\ndtau = 3e-4\n", method="Oracle")
+    assert cfg.method == "Oracle"
+    assert cfg.warnings == ("method=Oracle ignores n_paths", "method=Oracle ignores dtau")
+    with pytest.raises(InvalidValue) as err:
+        parse_config("method = wigner\nN = 10\n", method="Oracle")
+    assert err.value.key == "method"
+
+
+def test_bad_theta_mode_named():
+    with pytest.raises(InvalidValue) as err:
+        parse_config("method = TW\nN = 10\ntheta_mode = spinning\n")
+    assert err.value.key == "theta_mode"

@@ -462,28 +462,6 @@ class TestPositivePAgainstOracle:
             assert abs(rep.kappa4 - exact.kappa4) < 4 * rep.sigma4
 
 
-class TestEvolveEnsembleDispatch:
-    def test_oracle_method_is_not_an_ensemble(self):
-        from anharmonic.config import parse_config
-        from anharmonic.engine import evolve_ensemble
-
-        cfg = parse_config("method = Oracle\nN = 10\n")
-        with pytest.raises(ValueError, match="not a trajectory ensemble"):
-            evolve_ensemble(cfg)
-
-    def test_tw_dispatch(self):
-        from anharmonic.config import parse_config
-        from anharmonic.engine import evolve_ensemble
-
-        cfg = parse_config(
-            "method = TW\nN = 100\nn_paths = 500\nbatches = 10\n"
-            "tau_start = 0\ntau_stop = 1\ntau_points = 2\n"
-        )
-        acc = evolve_ensemble(cfg)
-        assert acc.n_outputs == 2
-        assert acc.n_paths == 500
-
-
 class TestDefaultWorkerCount:
     def test_affinity_mask_sets_default(self, monkeypatch):
         monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
