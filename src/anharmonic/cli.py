@@ -6,7 +6,7 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import engine, oracle, symbolic
 from .config import ConfigError, SimulationConfig, parse_config
@@ -265,13 +265,7 @@ def _cmd_purity(args) -> int:
         model = symbolic.derive_wigner_model(h)
         if args.add_drift_a:
             extra = symbolic.parse_phase_polynomial(args.add_drift_a)
-            model = symbolic.DriftDiffusionModel(
-                model.variables,
-                (model.drift[0] + extra, model.drift[1]),
-                model.noise,
-                model.convention,
-                model.discarded,
-            )
+            model = replace(model, drift=(model.drift[0] + extra, model.drift[1]))
         divergence = symbolic.drift_divergence(model)
     except (ValueError, symbolic.DerivationError) as exc:
         return _error(exc, EXIT_INPUT)

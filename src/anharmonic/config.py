@@ -184,9 +184,13 @@ def _validate(cfg: SimulationConfig):
     if cfg.n_paths < cfg.batches:
         raise InvalidValue("n_paths", "fewer paths than batches")
     if cfg.method == "PositiveP":
-        # TimeGrid rejects a dtau <= 0, and steps_between one off the output grid
+        # tau_start and the first spacing (as np.linspace forms it) stand for the
+        # uniform grid, which is not built here; TimeGrid rejects a dtau <= 0
+        taus = [cfg.tau_start]
+        if cfg.tau_points > 1:
+            taus.append(cfg.tau_start + (cfg.tau_stop - cfg.tau_start) / (cfg.tau_points - 1))
         try:
-            steps = TimeGrid(cfg.n_particles, cfg.taus, cfg.dtau).steps_between()
+            steps = TimeGrid(cfg.n_particles, tuple(taus), cfg.dtau).steps_between()
         except ValueError as exc:
             raise InvalidValue("dtau", str(exc)) from None
         if 0 in steps[1:]:

@@ -33,8 +33,8 @@ diverged path counts once, since a path's survival holds for the whole
 run.
 
 The ensembles take a :class:`TimeGrid`, not a run configuration; the
-config checks a positive-P grid with the stepper's own
-:meth:`TimeGrid.steps_between`.
+config checks a positive-P grid's start and spacing with the stepper's
+own :meth:`TimeGrid.steps_between`.
 """
 
 from __future__ import annotations

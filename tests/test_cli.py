@@ -250,6 +250,25 @@ def test_output_grid_too_large_for_memory_exit_code(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "dtau, expected, message",
+    [(1e-3, cli.EXIT_INPUT, "error: invalid value for 'dtau'"),
+     (1e-15, cli.EXIT_MEMORY, "error: Unable to allocate")],
+    ids=["off-grid", "on-grid"],
+)
+def test_positive_p_output_grid_too_large(tmp_path, capsys, dtau, expected, message):
+    # the step rule is checked on tau_start and one output spacing, so an
+    # off-grid dtau is rejected before the 1e15-point grid is built, and an
+    # on-grid one reaches the allocation, which is refused at once
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "x.csv"
+    write_config(cfg, method="PositiveP", tau_points=1e15, dtau=dtau)
+    code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(out))
+    assert code == expected
+    assert message in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "oracle"])
 def test_config_not_utf8_exit_code(tmp_path, capsys, command):
     cfg = tmp_path / "run.cfg"
