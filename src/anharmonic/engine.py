@@ -9,7 +9,7 @@ Two integrators are provided:
   on the doubled positive-P phase space, written for the Kerr model's four
   terms and vectorised over paths: a fixed number of fixed-point iterations
   with the noise increment held fixed across iterations.  It takes unit
-  normals; sqrt(dt) is folded into its noise coefficients.
+  increments; sqrt(dt) is folded into its noise coefficients.
 
 Ensembles are split into batches (the statistical unit used for error
 bars) and batches are grouped into fixed chunks that serve as units of
@@ -26,11 +26,14 @@ amplitudes as they are formed.  A positive-P chunk keeps every output's
 ``(2, m)`` state until it ends, because a path that diverges later is
 excluded retroactively from every earlier output: the escaped paths'
 columns are zeroed once, and the states are then reduced.  Its unit
-normals are drawn step-major into one bounded buffer per chunk.  A run
-returns one :class:`~anharmonic.moments.MomentAccumulator`: each chunk
-writes its batches' sums for every output into it, and its surviving and
-diverged path counts once, since a path's survival holds for the whole
-run.
+Wiener increments are two-point: +-1 with equal chance, one raw bit of the
+chunk's stream each.  Only cumulants, which are weak quantities, are
+estimated, and these increments suffice for weak order 1 (Kloeden & Platen
+1992, sections 14.1-14.2).  They are drawn step-major into one bounded
+buffer per chunk.  A run returns one
+:class:`~anharmonic.moments.MomentAccumulator`: each chunk writes its
+batches' sums for every output into it, and its surviving and diverged
+path counts once, since a path's survival holds for the whole run.
 
 The ensembles take a :class:`TimeGrid`, not a run configuration; the
 config checks a positive-P grid's start and spacing with the stepper's
@@ -65,9 +68,10 @@ MIDPOINT_ITERATIONS = 4
 _CHUNK_TARGET = 8192
 
 #: Byte cap on a positive-P chunk's noise buffer, which holds every path's
-#: normals for a block of steps.  Memory does not grow with steps per gap,
-#: and a block (8 steps at 8192 paths) stays in a 2 MiB L2 cache while it is
-#: stepped through.
+#: +-1 increments, as float64, for a block of steps.  Memory does not grow
+#: with steps per gap, and a block (8 steps at 8192 paths) stays in a 2 MiB
+#: L2 cache while it is stepped through.  The draws do not depend on it,
+#: since each step takes whole raw words of the stream.
 _NOISE_BLOCK_BYTES = 2**20
 
 
@@ -193,7 +197,7 @@ class MidpointStep:
 
     ``step(y, xi)`` solves  mid = y + (dt/2) A(mid) + (1/2) B(mid) sqrt(dt) xi
     by :data:`MIDPOINT_ITERATIONS` fixed-point iterations from mid = y, with
-    the unit normals ``xi`` (shape (2, m)) held fixed across iterations, and
+    the unit increments ``xi`` (shape (2, m)) held fixed across iterations, and
     sets y <- 2 mid - y.  The state is the doubled phase space
     (alpha1, alpha2*).  Only the Kerr shape is stepped: drift (c0 a* a^2,
     c1 a*^2 a) and noise (n0 a, n1 a*), with the four coefficients read
@@ -283,7 +287,7 @@ def _positive_p_chunk(
 
     states = np.empty((n_out, 2, m), dtype=np.complex128)
 
-    # The stream fills the step-major normals block by block, which
+    # The stream fills the step-major +-1 increments block by block, which
     # replays the values a single whole-gap draw would give.
     block = max(1, min(max(steps, default=0), _NOISE_BLOCK_BYTES // (2 * 8 * m)))
     draws = np.empty((block, 2, m), dtype=np.float64)
@@ -292,7 +296,7 @@ def _positive_p_chunk(
         for k_out, n_steps in enumerate(steps):
             for k_block in range(0, n_steps, block):
                 nb = min(block, n_steps - k_block)
-                stream.normals(2 * nb * m, out=draws[:nb])
+                stream.signs(draws[:nb])
                 for xi in draws[:nb]:
                     step(y, xi)
                     # flag escapes and non-finite values, freeze those paths

@@ -6,11 +6,14 @@ ensembles are bit-identical for a fixed seed no matter how work is scheduled
 or how many workers run.  :func:`stream_key` is the one keying rule and
 :class:`RandomStream` builds a Philox generator from it; :func:`wigner_initial`
 draws a truncated-Wigner chunk's initial normals from its stream in one call.
-A positive-P coherent start is deterministic and draws nothing.
+A positive-P coherent start is deterministic and draws nothing; its Wiener
+increments are two-point signs, one raw Philox bit each
+(:meth:`RandomStream.signs`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +28,7 @@ def stream_key(master_seed: int, trajectory_index: int) -> tuple[int, int]:
 
 @dataclass
 class RandomStream:
-    """One work chunk's private Gaussian stream (Philox, ziggurat normals)."""
+    """One work chunk's private Philox stream: ziggurat normals and raw-bit signs."""
 
     seed: int
     stream_index: int
@@ -36,15 +39,29 @@ class RandomStream:
             key = np.array(stream_key(self.seed, self.stream_index), dtype=np.uint64)
             self._gen = np.random.Generator(np.random.Philox(key=key))
 
-    def normals(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Draw n independent standard real Gaussians, into ``out`` if given.
+    def normals(self, n: int) -> np.ndarray:
+        """Draw n independent standard real Gaussians.
 
-        ``out`` is a C-contiguous float64 array of n elements, filled in C
-        order, so consecutive calls continue one sequence whatever their sizes.
+        Consecutive calls continue one sequence whatever their sizes.
         """
-        if out is not None and out.size != n:
-            raise ValueError(f"out holds {out.size} elements, not {n}")
-        return self._gen.standard_normal(n if out is None else None, out=out)
+        return self._gen.standard_normal(n)
+
+    def signs(self, out: np.ndarray) -> np.ndarray:
+        """Fill ``out``, shape (n_steps, ...), with +-1.0 of equal chance; return it.
+
+        Step k's ``out[k].size`` signs, in C order, are the bits of the next
+        ceil(out[k].size / 64) raw 64-bit words, lowest bit first: a set bit
+        gives +1.  The unused high bits of a step's last word are dropped, so
+        consecutive calls continue one sequence however the steps are split,
+        and the bits are read by value, whatever the host's byte order.
+        """
+        n_steps, width = out.shape[0], math.prod(out.shape[1:])
+        words = -(-width // 64)
+        raw = self._gen.bit_generator.random_raw(n_steps * words).astype("<u8", copy=False)
+        bits = np.unpackbits(raw.view(np.uint8).reshape(n_steps, 8 * words), axis=1, bitorder="little")
+        np.multiply(bits[:, :width].reshape(out.shape), 2.0, out=out)
+        out -= 1.0
+        return out
 
 
 def stream_for_trajectory(master_seed: int, trajectory_index: int) -> RandomStream:

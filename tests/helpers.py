@@ -82,6 +82,23 @@ def chunk_stream_wigner_initial(amplitude, seed: int, traj_lo: int, traj_hi: int
     return complex(amplitude) + 0.5 * (w[:, 0] + 1j * w[:, 1])
 
 
+def chunk_signs(seed: int, traj_lo: int, n_steps: int, m: int) -> np.ndarray:
+    """Reference positive-P increments, shape (n_steps, 2, m), from the chunk stream.
+
+    Step k's 2m signs, in C order of (2, m), are the bits of its own
+    ceil(2m / 64) raw words, lowest bit first, read with integer shifts: a
+    set bit gives +1, and the high bits left in a step's last word go unused.
+    """
+    width = 2 * m
+    words = -(-width // 64)
+    raw = [int(w) for w in chunk_philox(seed, traj_lo).bit_generator.random_raw(n_steps * words)]
+    signs = [
+        [1.0 if (raw[k * words + i // 64] >> (i % 64)) & 1 else -1.0 for i in range(width)]
+        for k in range(n_steps)
+    ]
+    return np.array(signs).reshape(n_steps, 2, m)
+
+
 def per_slice_batch_sums(block: np.ndarray, bounds) -> np.ndarray:
     """Reference reduction: each batch slice of the last axis summed on its own.
 

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import anharmonic
-from anharmonic import cli
+from anharmonic import cli, engine
 from anharmonic.cli import compare_rows, main
 from anharmonic.config import parse_config
 from anharmonic.moments import CsvRow, OrderingViolation, read_rows
@@ -182,6 +182,24 @@ class TestSimulate:
             assert code == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_positive_p_bytes_independent_of_threads_and_noise_block(self, tmp_path, capsys, monkeypatch):
+        # three chunks of 6564, 6564 and 3282 paths: no step's 2m signs fill
+        # whole raw words, and the last run caps the noise block at 7 steps
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg, method="PositiveP", N=1000, n_paths=16410, batches=10,
+                     tau_stop=0.02, tau_points=3)
+        outputs = []
+        for threads, block_bytes in (("1", None), ("2", None), ("2", 7 * 2 * 8 * 6564)):
+            if block_bytes is not None:
+                monkeypatch.setattr(engine, "_NOISE_BLOCK_BYTES", block_bytes)
+            out = tmp_path / f"pp_{len(outputs)}.csv"
+            code, _, _ = run_cli(
+                capsys, "simulate", "--config", str(cfg), "--out", str(out), "--threads", threads,
+            )
+            assert code == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
     def test_ordering_violation_exit_code(self, tmp_path, capsys, monkeypatch):

@@ -18,7 +18,7 @@ from anharmonic.engine import (
 from anharmonic.moments import MONOMIAL_INDEX, MONOMIALS, QuadratureSpec, batch_error, bulk_monomials
 from anharmonic.sampling import RandomStream, stream_for_trajectory
 from helpers import (
-    chunk_philox,
+    chunk_signs,
     chunk_stream_wigner_initial,
     frozen_brownian_paths,
     full_block_kernel,
@@ -248,14 +248,21 @@ class TestMidpointStep:
         assert np.mean(e1[e2 > 0] / e2[e2 > 0]) >= 1.3
 
 
+def sign_increments(seed, n, dt):
+    """n samples of the complex noise pair xi dt = (1+i) sqrt(dt) xi, shape (n, 2).
+
+    The +-1 increments xi are one (2, n) step of the chunk stream's sign
+    draw, as a positive-P chunk of n paths draws it, transposed.
+    """
+    xi = stream_for_trajectory(seed, 0).signs(np.empty((1, 2, n)))[0].T
+    return (1 + 1j) * math.sqrt(dt) * xi
+
+
 class TestBuildNoise:
     def test_second_moment_is_two_i_dt(self):
-        model = kerr_positive_p_model()
-        stream = stream_for_trajectory(0, 0)
         dt = 1e-3
         n = 200_000
-        draws = stream.normals(2 * n).reshape(n, 2)
-        xi_dt = (1 + 1j) * math.sqrt(dt) * draws
+        xi_dt = sign_increments(0, n, dt)
         second = (xi_dt**2).mean(axis=0)
         tol = 5 * 2 * dt * math.sqrt(2.0 / n)
         for j in range(2):
@@ -264,21 +271,26 @@ class TestBuildNoise:
         assert abs((np.abs(xi_dt) ** 2).mean() - 2 * dt) < tol
 
     def test_cross_moment_vanishes(self):
-        stream = stream_for_trajectory(1, 0)
         dt = 1e-3
         n = 200_000
-        draws = stream.normals(2 * n).reshape(n, 2)
-        xi_dt = (1 + 1j) * math.sqrt(dt) * draws
+        xi_dt = sign_increments(1, n, dt)
         cross = (xi_dt[:, 0] * xi_dt[:, 1]).mean()
         assert abs(cross) < 5 * 2 * dt / math.sqrt(n)
 
     def test_mean_vanishes(self):
-        stream = stream_for_trajectory(2, 0)
         dt = 1e-3
         n = 200_000
-        draws = stream.normals(2 * n).reshape(n, 2)
-        xi_dt = (1 + 1j) * math.sqrt(dt) * draws
+        xi_dt = sign_increments(2, n, dt)
         assert abs(xi_dt.mean()) < 5 * math.sqrt(2 * dt / n)
+
+    def test_third_moment_vanishes(self):
+        # weak order 1 needs E xi^3 = 0 as well; |xi dt|^3 = (2 dt)^(3/2)
+        dt = 1e-3
+        n = 200_000
+        xi_dt = sign_increments(3, n, dt)
+        third = (xi_dt**3).mean(axis=0)
+        for j in range(2):
+            assert abs(third[j]) < 5 * (2 * dt) ** 1.5 / math.sqrt(n)
 
 
 class TestTruncatedWignerEnsemble:
@@ -370,13 +382,13 @@ class TestPositivePEnsemble:
         # one 200-path chunk, capped at 7 steps per block: 8 blocks, the last short
         monkeypatch.setattr(engine, "_NOISE_BLOCK_BYTES", 7 * 2 * 8 * 200)
         sizes = []
-        normals = RandomStream.normals
+        signs = RandomStream.signs
 
-        def spy(stream, count, out=None):
-            sizes.append(count)
-            return normals(stream, count, out=out)
+        def spy(stream, out):
+            sizes.append(out.size)
+            return signs(stream, out)
 
-        monkeypatch.setattr(RandomStream, "normals", spy)
+        monkeypatch.setattr(RandomStream, "signs", spy)
         assert_same_accumulators(run(), whole)
         assert sizes == [14 * 200] * 7 + [2 * 200]
 
@@ -409,7 +421,7 @@ class TestPositivePEnsemble:
     def assert_chunk_matches_scalar_stepper(tau, m, seed, rel):
         # same trajectory, same noise: chunked numpy path vs scalar reference;
         # path traj takes column traj of the chunk's step-major (n_steps, 2, m)
-        # draws, one path per batch
+        # +-1 increments, one path per batch
         model = kerr_positive_p_model()
         n = 1000.0
         a0 = math.sqrt(n)
@@ -417,7 +429,7 @@ class TestPositivePEnsemble:
         acc = run_positive_p(a0, grid, m, m, seed=seed)
         dt = grid.dt
         n_steps = grid.steps_between()[0]
-        draws = chunk_philox(seed, 0).standard_normal((n_steps, 2, m))
+        draws = chunk_signs(seed, 0, n_steps, m)
         for traj in range(m):
             dw = math.sqrt(dt) * draws[:, :, traj]
             a1_ref, a2s_ref = scalar_midpoint_path(model, (a0, a0), dt, n_steps, dw)
@@ -460,6 +472,22 @@ class TestPositivePAgainstOracle:
             )
             assert abs(rep.kappa3 - exact.kappa3) < 4 * rep.sigma3
             assert abs(rep.kappa4 - exact.kappa4) < 4 * rep.sigma4
+
+
+def test_weak_order_cumulants_agree_at_half_step():
+    # two-point increments match the Wiener moments a weak order-1 scheme
+    # needs, so halving dtau moves no cumulant beyond its sampling error;
+    # the two runs draw from different seeds, so their errors are independent
+    n = 1000.0
+    taus = (0.25, 0.5, 0.75, 1.0)
+    specs = [QuadratureSpec(2.0 * tau) for tau in taus]
+    coarse, fine = (
+        batch_error(run_positive_p(math.sqrt(n), TimeGrid(n, taus, dtau), 16384, 64, seed=seed), specs)
+        for dtau, seed in ((1e-3, 1), (5e-4, 2))
+    )
+    for a, b in zip(coarse, fine):
+        assert abs(a.kappa3 - b.kappa3) < 4 * math.hypot(a.sigma3, b.sigma3)
+        assert abs(a.kappa4 - b.kappa4) < 4 * math.hypot(a.sigma4, b.sigma4)
 
 
 class TestDefaultWorkerCount:

@@ -6,7 +6,7 @@ import pytest
 from anharmonic.engine import TimeGrid, run_positive_p
 from anharmonic.moments import MONOMIAL_INDEX
 from anharmonic.sampling import stream_for_trajectory, wigner_initial
-from helpers import chunk_stream_wigner_initial
+from helpers import chunk_signs, chunk_stream_wigner_initial
 
 
 def _wigner_samples(alpha0, n, seed=0):
@@ -37,23 +37,35 @@ class TestStreams:
         with pytest.raises(ValueError):
             stream_for_trajectory(0, -1)
 
-    def test_draws_into_out_continue_the_sequence(self):
-        # the engine fills a step-major (steps, 2, paths) block in C order
-        s = stream_for_trajectory(9, 2)
-        first, second = np.empty((3, 2, 4)), np.empty((1, 2, 3))
-        assert s.normals(24, out=first) is first
-        s.normals(6, out=second)
-        whole = stream_for_trajectory(9, 2).normals(30)
-        assert np.array_equal(np.concatenate([first.ravel(), second.ravel()]), whole)
-        with pytest.raises(ValueError, match="not 5"):
-            s.normals(5, out=first)
-
     def test_sequence_independent_of_call_granularity(self):
         s1 = stream_for_trajectory(9, 2)
         s2 = stream_for_trajectory(9, 2)
         a = np.concatenate([s1.normals(3), s1.normals(7)])
         b = s2.normals(10)
         assert np.array_equal(a, b)
+
+
+class TestSigns:
+    def test_values_are_exactly_plus_or_minus_one(self):
+        draws = stream_for_trajectory(5, 0).signs(np.empty((40, 2, 100)))
+        assert set(np.unique(draws)) == {-1.0, 1.0}
+
+    @pytest.mark.parametrize("m", [3, 32, 200])
+    def test_steps_replay_raw_bits(self, m):
+        # each step's 2m signs are the low bits of its own whole raw words;
+        # the reference reads them with integer shifts
+        out = np.empty((9, 2, m))
+        assert stream_for_trajectory(13, 64).signs(out) is out
+        assert np.array_equal(out, chunk_signs(13, 64, 9, m))
+
+    @pytest.mark.parametrize("m", [200, 1000])
+    def test_draws_independent_of_block_split(self, m):
+        # 2m is not a multiple of 64, so a step's last word has bits left
+        # over; they are dropped per step, not per call
+        whole = stream_for_trajectory(4, 0).signs(np.empty((50, 2, m)))
+        s = stream_for_trajectory(4, 0)
+        blocks = [s.signs(np.empty((min(7, 50 - k), 2, m))) for k in range(0, 50, 7)]
+        assert np.array_equal(np.concatenate(blocks), whole)
 
 
 class TestWignerSampling:
