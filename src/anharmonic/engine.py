@@ -7,9 +7,11 @@ Two integrators are provided:
   rotation), and
 * :class:`MidpointStep`, the one semi-implicit Stratonovich midpoint rule
   on the doubled positive-P phase space, written for the Kerr model's four
-  terms and vectorised over paths: a fixed number of fixed-point iterations
-  with the noise increment held fixed across iterations.  It takes unit
-  increments; sqrt(dt) is folded into its noise coefficients.
+  terms and vectorised over paths.  Its implicit equation has one complex
+  unknown per path, the product of the two midpoint components, which the
+  step takes from a first-order guess and one correction; the update is a
+  Cayley form.  It takes unit increments; sqrt(dt) is folded into its noise
+  coefficients.
 
 Ensembles are split into batches (the statistical unit used for error
 bars) and batches are grouped into fixed chunks that serve as units of
@@ -58,9 +60,6 @@ from .symbolic import DriftDiffusionModel
 
 #: Escape radius for divergence flagging, in units of sqrt(N).
 ESCAPE_RADIUS_FACTOR = 1e3
-
-#: Fixed-point iterations of the semi-implicit midpoint rule.
-MIDPOINT_ITERATIONS = 4
 
 #: Target number of trajectories per unit of parallel work.  A chunk is a
 #: fixed consecutive group of batches, so the partition depends only on the
@@ -196,15 +195,27 @@ class MidpointStep:
     """The semi-implicit Stratonovich midpoint step, in place on (2, m).
 
     ``step(y, xi)`` solves  mid = y + (dt/2) A(mid) + (1/2) B(mid) sqrt(dt) xi
-    by :data:`MIDPOINT_ITERATIONS` fixed-point iterations from mid = y, with
-    the unit increments ``xi`` (shape (2, m)) held fixed across iterations, and
-    sets y <- 2 mid - y.  The state is the doubled phase space
-    (alpha1, alpha2*).  Only the Kerr shape is stepped: drift (c0 a* a^2,
-    c1 a*^2 a) and noise (n0 a, n1 a*), with the four coefficients read
-    from ``model``.  Each entry has its own component as a factor, so an
-    iteration is mid_j = y_j + (c_j a a* + w_j) mid_j, and the noise term
-    w_j = (n_j sqrt(dt) / 2) xi_j is formed once per step.  Built once per
-    chunk, with its buffers.
+    with the unit increments ``xi`` (shape (2, m)) and sets y <- 2 mid - y.
+    The state is the doubled phase space (alpha1, alpha2*).  Only the Kerr
+    shape is stepped: drift (c0 a* a^2, c1 a*^2 a) and noise (n0 a, n1 a*),
+    with the four coefficients read from ``model``.
+
+    Each entry has its own component as a factor, so the equation reads
+    mid_j = y_j / (1 - u_j), with u_j = k_j aa + w_j, the half-step drift
+    coefficient k_j = (dt/2) c_j, the noise term w_j = (n_j sqrt(dt) / 2) xi_j
+    and aa = mid_0 mid_1.  The one unknown per path is aa, which solves
+    aa = P / ((1 - u_0)(1 - u_1)) with P = y_0 y_1.  The step starts from the
+    first-order guess aa = P (1 + (k_0 + k_1) P + w_0 + w_1), takes one
+    correction aa <- P / ((1 - u_0)(1 - u_1)), and sets
+    y <- y (1 + u) / (1 - u), the Cayley form of 2 mid - y.  Without noise,
+    from alpha2* = conj(alpha1), aa is real and u imaginary, so |alpha| is
+    kept exactly.  Where the guess puts some 1 - u_j at zero the correction
+    divides by zero and the state comes out non-finite.
+
+    The factors 2 and 4 are folded into the coefficients: the step carries
+    b = 4 aa and h_j = (1 - u_j) / 2 = x_j - (k_j / 8) b, with
+    x_j = (1 - w_j) / 2, so that b = P / (h_0 h_1) and y <- y / h - y.  Built
+    once per chunk, with its buffers.
     """
 
     def __init__(self, model: DriftDiffusionModel, dt: float, m: int):
@@ -214,28 +225,40 @@ class MidpointStep:
             raise ValueError("midpoint stepper expects the two-component Kerr model with noise")
         if dt <= 0:
             raise ValueError("dt must be positive")
-        # The half-step prefactors, and sqrt(dt) of the noise, are folded into
-        # the coefficients, one (2, 1) column each to broadcast over paths.
+        # k_j / 8 and -n_j sqrt(dt) / 4, one (2, 1) column each to broadcast
+        # over paths
         self._drift, self._noise = (
             np.array([list(poly.scaled(scale).terms.values()) for poly in polys])
-            for polys, scale in ((model.drift, 0.5 * dt), (model.noise, 0.5 * math.sqrt(dt)))
+            for polys, scale in ((model.drift, dt / 16), (model.noise, -math.sqrt(dt) / 4))
         )
-        self._mid, self._incr, self._kick = np.empty((3, 2, m), dtype=np.complex128)
-        self._aa = np.empty(m, dtype=np.complex128)
+        # the guess's 4 (k_0 + k_1), zero for a Hermitian Kerr term
+        self._drift_sum = complex(32.0 * self._drift.sum())
+        self._x, self._h, self._t = np.empty((3, 2, m), dtype=np.complex128)
+        self._b = np.empty(m, dtype=np.complex128)
 
     def __call__(self, y: np.ndarray, xi: np.ndarray) -> None:
-        mid, incr, kick, aa = self._mid, self._incr, self._kick, self._aa
-        a, s = mid
-        np.multiply(self._noise, xi, out=kick)
-        np.copyto(mid, y)
-        for _ in range(MIDPOINT_ITERATIONS):
-            np.multiply(a, s, out=aa)
-            np.multiply(self._drift, aa, out=incr)
-            incr += kick
-            incr *= mid
-            np.add(y, incr, out=mid)
-        mid *= 2.0
-        np.subtract(mid, y, out=y)
+        x, h, t, b = self._x, self._h, self._t, self._b
+        p, q = t
+        np.multiply(self._noise, xi, out=x)
+        x += 0.5
+        np.multiply(y[0], y[1], out=p)
+        # b = 4 P (1 + (k_0 + k_1) P + w_0 + w_1), as 1 + w_0 + w_1 = 3 - 2 (x_0 + x_1)
+        np.add(x[0], x[1], out=b)
+        b *= -8.0
+        b += 12.0
+        if self._drift_sum:
+            np.multiply(p, self._drift_sum, out=q)
+            b += q
+        b *= p
+        np.multiply(self._drift, b, out=h)
+        np.subtract(x, h, out=h)
+        # the correction b = P / (h_0 h_1), then h at the corrected b
+        np.multiply(h[0], h[1], out=q)
+        np.divide(p, q, out=b)
+        np.multiply(self._drift, b, out=h)
+        np.subtract(x, h, out=h)
+        np.divide(y, h, out=t)
+        np.subtract(t, y, out=y)
 
 
 def exact_wigner_flow(init: np.ndarray, times):
@@ -292,7 +315,7 @@ def _positive_p_chunk(
     block = max(1, min(max(steps, default=0), _NOISE_BLOCK_BYTES // (2 * 8 * m)))
     draws = np.empty((block, 2, m), dtype=np.float64)
 
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k_out, n_steps in enumerate(steps):
             for k_block in range(0, n_steps, block):
                 nb = min(block, n_steps - k_block)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from anharmonic.engine import MIDPOINT_ITERATIONS, MidpointStep
+from anharmonic.engine import MidpointStep
 from anharmonic.moments import (
     MIN_BATCHES,
     MONOMIAL_INDEX,
@@ -136,24 +136,68 @@ def evaluate(poly: PhasePolynomial, a: complex, a_star: complex | None = None) -
     return total
 
 
+def kerr_step_coefficients(model, dt: float, dw_scale: float = 1.0):
+    """Half-step drift and noise coefficients of the Kerr model, read by evaluation.
+
+    Each entry of the model is one monomial with its own component as a
+    factor, so its value at a = a* = 1 is its coefficient.  Returns
+    ((dt/2) c_0, (dt/2) c_1) and (n_0 dw_scale / 2, n_1 dw_scale / 2).
+    """
+    drift = tuple(0.5 * dt * evaluate(poly, 1.0, 1.0) for poly in model.drift)
+    noise = tuple(0.5 * dw_scale * evaluate(poly, 1.0, 1.0) for poly in model.noise)
+    return drift, noise
+
+
 def scalar_midpoint_path(model, y0, dt: float, n_steps: int, dw) -> tuple[complex, complex]:
-    """Reference midpoint rule for one path, in scalar complex arithmetic.
+    """Scalar twin of the kernel's midpoint step, for one path.
 
     ``y0`` is (alpha1, alpha2*); ``dw`` holds one row of two Wiener
-    increments per step.
+    increments per step.  With k_j and w_j = n_j dw_j / 2 from
+    :func:`kerr_step_coefficients` and u_j = k_j aa + w_j, the step guesses
+    aa = P (1 + (k_0 + k_1) P + w_0 + w_1) from P = y_0 y_1, corrects it
+    once to P / ((1 - u_0)(1 - u_1)) and sets y_j <- y_j (1 + u_j) / (1 - u_j),
+    in plain complex arithmetic, without the kernel's folded factors.
     """
+    k, n = kerr_step_coefficients(model, dt)
     y = tuple(complex(c) for c in y0)
-    for k in range(n_steps):
-        mid = y
-        for _ in range(MIDPOINT_ITERATIONS):
-            a, b = mid
-            mid = tuple(
-                y[j] + 0.5 * (evaluate(model.drift[j], a, b) * dt
-                              + evaluate(model.noise[j], a, b) * dw[k][j])
-                for j in range(2)
-            )
-        y = tuple(2.0 * m - y_j for m, y_j in zip(mid, y))
+    for row in dw[:n_steps]:
+        w = tuple(n_j * dw_j for n_j, dw_j in zip(n, row))
+        p = y[0] * y[1]
+        aa = p * (1.0 + (k[0] + k[1]) * p + w[0] + w[1])
+        aa = p / ((1.0 - k[0] * aa - w[0]) * (1.0 - k[1] * aa - w[1]))
+        u = tuple(k_j * aa + w_j for k_j, w_j in zip(k, w))
+        y = tuple(y_j * (1.0 + u_j) / (1.0 - u_j) for y_j, u_j in zip(y, u))
     return y
+
+
+#: Fixed-point iterations of the converged reference step.
+CONVERGED_ITERATIONS = 40
+
+
+class ConvergedMidpointStep:
+    """Reference midpoint step: the plain fixed-point loop, run to convergence.
+
+    A drop-in for ``engine.MidpointStep`` (same constructor and call, unit
+    increments ``xi``).  From mid = y it iterates
+    mid_j <- y_j + (k_j mid_0 mid_1 + w_j) mid_j, with the increments held
+    fixed, :data:`CONVERGED_ITERATIONS` times, then sets y <- 2 mid - y.
+    Each iteration gains about |u| in relative accuracy, so at the step sizes
+    the ensembles use it solves the midpoint equation to rounding.
+    """
+
+    def __init__(self, model, dt: float, m: int):
+        drift, noise = kerr_step_coefficients(model, dt, math.sqrt(dt))
+        self._drift = np.array(drift)[:, None]
+        self._noise = np.array(noise)[:, None]
+        self._mid = np.empty((2, m), dtype=np.complex128)
+
+    def __call__(self, y: np.ndarray, xi: np.ndarray) -> None:
+        mid = self._mid
+        kick = self._noise * xi
+        np.copyto(mid, y)
+        for _ in range(CONVERGED_ITERATIONS):
+            mid[...] = y + (self._drift * (mid[0] * mid[1]) + kick) * mid
+        np.subtract(2.0 * mid, y, out=y)
 
 
 def midpoint_path(model, y0, dt, n_steps, dw=None):

@@ -18,6 +18,7 @@ from anharmonic.engine import (
 from anharmonic.moments import MONOMIAL_INDEX, MONOMIALS, QuadratureSpec, batch_error, bulk_monomials
 from anharmonic.sampling import RandomStream, stream_for_trajectory
 from helpers import (
+    ConvergedMidpointStep,
     chunk_signs,
     chunk_stream_wigner_initial,
     frozen_brownian_paths,
@@ -217,6 +218,109 @@ class TestMidpointStep:
             ref = scalar_midpoint_path(model, y0[:, i], 1e-3, 200, dw[:, :, i])
             for j in range(2):
                 assert abs(y[j, i] - ref[j]) < 1e-13 * abs(ref[j])
+
+    def test_guess_carries_the_drift_sum(self):
+        # a hand-built Kerr-shaped model whose drift coefficients are not
+        # opposite, so the first-order guess keeps its (k_0 + k_1) P term
+        model = sy.DriftDiffusionModel(
+            (sy.VAR_A, sy.VAR_A_STAR),
+            (sy.PhasePolynomial({(1, 2): -2j}), sy.PhasePolynomial({(2, 1): 1.0 + 3j})),
+            (sy.PhasePolynomial({(0, 1): 1.0 - 1j}), sy.PhasePolynomial({(1, 0): 1.0 + 1j})),
+            "stratonovich",
+        )
+        y0 = np.array([[1.1 + 0.4j, -0.3 + 0.9j], [1.1 - 0.4j, -0.3 - 0.9j]])
+        dw = math.sqrt(1e-3) * np.random.default_rng(6).standard_normal((50, 2, 2))
+        y = midpoint_path(model, y0, 1e-3, 50, dw)
+        for i in range(2):
+            ref = scalar_midpoint_path(model, y0[:, i], 1e-3, 50, dw[:, :, i])
+            for j in range(2):
+                assert abs(y[j, i] - ref[j]) < 1e-13 * abs(ref[j])
+
+    @pytest.mark.parametrize("n, bound", [(10.0, 1e-8), (1e3, 2e-11)])
+    def test_step_solves_its_equation(self, n, bound):
+        # 1000 +-1 steps of 4096 paths from the coherent start stay within
+        # bound (relative) of the fixed-point loop run to convergence on the
+        # same increments; four plain iterations give 4.5e-7 and 1.3e-10
+        model = kerr_positive_p_model()
+        dt, m = 1e-3 / n, 4096
+        y = np.full((2, m), math.sqrt(n), dtype=np.complex128)
+        ref = y.copy()
+        step, converged = MidpointStep(model, dt, m), ConvergedMidpointStep(model, dt, m)
+        stream = stream_for_trajectory(1, 0)
+        xi = np.empty((1, 2, m))
+        for _ in range(1000):
+            stream.signs(xi)
+            step(y, xi[0])
+            converged(ref, xi[0])
+        assert np.isfinite(ref).all()
+        assert np.max(np.abs(y - ref) / np.abs(ref)) <= bound
+
+    @pytest.mark.filterwarnings("error")
+    def test_pole_gives_a_non_finite_state_that_is_flagged(self, monkeypatch):
+        # With dt = 2**-10, y0 y1 = i / dt and zero increments, the guess puts
+        # 1 - u_0 exactly at zero, so the correction divides by zero.  The
+        # state comes out non-finite, and the chunk flags every path without
+        # a floating-point warning, even at an infinite escape radius.
+        dt = 2.0**-10
+
+        def to_pole(y, xi):
+            y[0], y[1] = 1.0, 1j / dt
+            xi[...] = 0.0
+
+        y = np.empty((2, 3), dtype=np.complex128)
+        xi = np.empty((2, 3))
+        to_pole(y, xi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            MidpointStep(kerr_positive_p_model(), dt, 3)(y, xi)
+        assert not np.isfinite(y).any()
+
+        class PoleStart(MidpointStep):
+            first = True
+
+            def __call__(self, y, xi):
+                if self.first:
+                    to_pole(y, xi)
+                    self.first = False
+                super().__call__(y, xi)
+
+        monkeypatch.setattr(engine, "MidpointStep", PoleStart)
+        grid = TimeGrid(1.0, (0.0, 4 * dt), dt)
+        acc = run_positive_p(
+            1.0, grid, 20, 10, seed=0, escape_radius=math.inf, divergence_threshold=1.0
+        )
+        assert acc.n_diverged == 20
+
+    def test_ensemble_follows_the_converged_step(self, monkeypatch):
+        # N = 10 to tau = 3, where some paths escape: the kernel and the
+        # converged loop flag the same paths, and every cumulant agrees
+        # within 1e-3 of its sampling error
+        n = 10.0
+        grid = TimeGrid(n, (1.0, 2.0, 3.0), 1e-3)
+        specs = [QuadratureSpec(2.0 * tau) for tau in grid.taus]
+        chunk = engine._positive_p_chunk
+
+        def run():
+            masks = []
+
+            def spy(*args):
+                sums, alive = chunk(*args)
+                masks.append(alive)
+                return sums, alive
+
+            monkeypatch.setattr(engine, "_positive_p_chunk", spy)
+            acc = run_positive_p(
+                math.sqrt(n), grid, 2048, 16, seed=1, threads=1, divergence_threshold=1.0
+            )
+            return batch_error(acc, specs), np.concatenate(masks)
+
+        got, alive = run()
+        monkeypatch.setattr(engine, "MidpointStep", ConvergedMidpointStep)
+        want, want_alive = run()
+        assert 0 < np.count_nonzero(~alive) < alive.size
+        assert np.array_equal(alive, want_alive)
+        for a, b in zip(got, want):
+            assert abs(a.kappa3 - b.kappa3) <= 1e-3 * b.sigma3
+            assert abs(a.kappa4 - b.kappa4) <= 1e-3 * b.sigma4
 
     def test_divergence_flagging(self):
         # a path that overflows is flagged after the step that makes it
