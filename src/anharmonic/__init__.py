@@ -2,7 +2,7 @@
 
 Maps polynomial boson Hamiltonians to truncated-Wigner and positive-P
 trajectory models, estimates quadrature cumulants with batch error bars,
-and benchmarks both methods against exact Fock-space evolution.
+and benchmarks both methods against the exact closed-form evolution.
 """
 
 from .config import SimulationConfig, parse_config

@@ -23,10 +23,10 @@ from .moments import (
 KERR_TOKENS = "ad a ad a"
 
 #: Exit codes beyond 0 (success); ``purity`` exits 1 on VIOLATES_PURITY and
-#: ``compare`` exits 3 when a row fails.
+#: ``compare`` exits 3 when a row fails.  5 is retired: the oracle no longer
+#: has a Fock window to overflow.
 EXIT_INPUT = 2                # unreadable or invalid config, Hamiltonian or CSV; unwritable --out
 EXIT_DIVERGENCE = 4           # more paths diverged than divergence_threshold allows
-EXIT_WINDOW_OVERFLOW = 5      # the oracle's Fock window exceeds its budget
 EXIT_ORDERING_VIOLATION = 6   # estimates fail the imaginary-residue or moment-bound check
 EXIT_INSUFFICIENT_BATCHES = 7 # fewer than 10 batches kept a surviving path over the run
 EXIT_MEMORY = 8               # a chunk's arrays do not fit in memory (a batch is too large)
@@ -88,7 +88,7 @@ def _rows(cfg: SimulationConfig, threads: int | None) -> list[CsvRow]:
     alpha0 = math.sqrt(cfg.n_particles)
     specs = [QuadratureSpec(cfg.theta_for(tau)) for tau in grid.taus]
     if cfg.method == "Oracle":
-        reports = oracle.cumulant_series(oracle.init_coherent(alpha0), grid.times, specs, threads)
+        reports = oracle.cumulant_series(oracle.init_coherent(alpha0), grid.times, specs)
     elif cfg.method == "TW":
         acc = engine.run_truncated_wigner(alpha0, grid, cfg.n_paths, cfg.batches, cfg.seed, threads)
         reports = batch_error(acc, specs)
@@ -118,8 +118,6 @@ def _cmd_simulate(args) -> int:
         return _error(exc, EXIT_INPUT)
     except engine.ExcessiveDivergence as exc:
         return _error(exc, EXIT_DIVERGENCE)
-    except oracle.WindowOverflow as exc:
-        return _error(exc, EXIT_WINDOW_OVERFLOW)
     except OrderingViolation as exc:
         return _error(exc, EXIT_ORDERING_VIOLATION)
     except InsufficientBatches as exc:
@@ -299,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
         p.add_argument(
             "--threads", type=_threads, default=None,
-            help="workers for ensemble chunks or oracle output times, at most the "
-            "CPUs this process may run on (default: all of them)",
+            help="workers for ensemble chunks, at most the CPUs this process may "
+            "run on (default: all of them); the oracle runs on one thread",
         )
         p.add_argument("--out", required=True, help="output CSV path")
         p.set_defaults(func=_cmd_simulate, method=method)

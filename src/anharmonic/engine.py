@@ -364,9 +364,7 @@ def worker_count(threads: int | None, n_tasks: int) -> int:
     """Workers for n_tasks independent tasks: ``threads`` (default: the CPUs
     available), capped at the CPUs available and at n_tasks.
 
-    The ensembles and the oracle both resolve ``--threads`` here.  The cap
-    matters to the oracle, each of whose workers holds two window-sized
-    vectors.
+    The ensembles resolve ``--threads`` here; the oracle runs on one thread.
     """
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")

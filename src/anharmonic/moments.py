@@ -20,8 +20,10 @@ Third- and fourth-order cumulants follow as
     k4 = <X^4> + 2 <X>^4 - 3 <X^2>^2 - 4 <X> k3
 
 with sampling errors estimated from the spread of per-batch values.
-:func:`batch_error` estimates every output of a run in one pass.  The Fock
-oracle evaluates its exact cumulants with the same formula, :func:`k3_k4`.
+:func:`batch_error` estimates every output of a run in one pass.  The
+closed-form oracle promotes its exact normally ordered moments with the same
+:func:`promote_normal_order` and forms its cumulants with the same
+:func:`k3_k4`, in mpmath numbers.
 """
 
 from __future__ import annotations

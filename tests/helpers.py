@@ -21,7 +21,6 @@ from anharmonic.moments import (
     promote_normal_order,
     quadrature_powers,
 )
-from anharmonic.oracle import _real_dot
 from anharmonic.symbolic import CREATE, DESTROY, OperatorWord, PhasePolynomial
 
 
@@ -307,88 +306,8 @@ def per_output_batch_errors(acc, specs) -> list[CumulantReport]:
     return [per_output_batch_error(acc, k, spec) for k, spec in enumerate(specs)]
 
 
-def _log_falling_factorial(nn: np.ndarray, r: int) -> np.ndarray:
-    """log of n (n-1) ... (n-r+1) as a short sum of logs."""
-    out = np.zeros_like(nn, dtype=np.float64)
-    for j in range(r):
-        out += np.log(nn - j)
-    return out
-
-
-def ladder_moment(state, p: int, q: int) -> complex:
-    """Normally ordered ladder moment <adag^p a^q> of an oracle state, on its window.
-
-    Factorial ratios are short falling factorials evaluated as sums of at
-    most four logs; no factorial is formed directly.
-    """
-    if p < 0 or q < 0 or p + q > 4:
-        raise ValueError("ladder moments are supported for 0 <= p + q <= 4")
-    if p == 0 and q == 0:
-        return complex(_real_dot(state.amplitudes, state.amplitudes))
-    lo = max(state.n_min, q, state.n_min + q - p)
-    hi = min(state.n_max, state.n_max + q - p)
-    if lo > hi:
-        return 0.0 + 0.0j
-    nn = np.arange(lo, hi + 1, dtype=np.float64)
-    log_ratio = _log_falling_factorial(nn, q) + _log_falling_factorial(nn - q + p, p)
-    factor = np.exp(0.5 * log_ratio)
-    c = state.amplitudes
-    bra = c[lo - q + p - state.n_min : hi - q + p - state.n_min + 1]
-    ket = c[lo - state.n_min : hi - state.n_min + 1]
-    return complex(np.sum(np.conj(bra) * ket * factor))
-
-
-def oracle_raw_moments(state, spec) -> np.ndarray:
-    """<X^k> (k = 1..4) of an oracle state, assembled from its raw ladder moments."""
-    raw = quadrature_powers(lambda p, q: ladder_moment(state, p, q), spec.theta)
-    return np.real(promote_normal_order(*raw))
-
-
-def reference_evolved_amplitudes(state, t: float) -> np.ndarray:
-    """Reference oracle evolution: the phases formed afresh from the indices."""
-    n0 = int(state.n_particles)
-    nn = np.arange(state.n_min, state.n_max + 1, dtype=np.int64)
-    t_turn = math.fmod(t, 2.0 * math.pi)
-    phases = np.exp(-1j * ((nn - n0) * (nn + n0)).astype(np.float64) * t_turn)
-    return state.initial_amplitudes * phases
-
-
-def _reference_centred_quadrature(
-    v: np.ndarray, idx: np.ndarray, theta: float, mu: float
-) -> np.ndarray:
-    """(X - mu) applied to a padded Fock vector, in fresh arrays."""
-    out = -mu * v
-    roots = np.sqrt(idx[1:].astype(np.float64))
-    out[:-1] += np.exp(-1j * theta) * roots * v[1:]
-    out[1:] += np.exp(1j * theta) * roots * v[:-1]
-    return out
-
-
-def reference_oracle_cumulants(state, spec: QuadratureSpec) -> CumulantReport:
-    """Reference oracle cumulants: <a> from ladder_moment, every vector fresh."""
-    theta = spec.theta
-    mean_a = ladder_moment(state, 0, 1)
-    mu = 2.0 * (np.exp(-1j * theta) * mean_a).real
-
-    pad_lo = min(2, state.n_min)
-    pad_hi = 2
-    idx = np.arange(state.n_min - pad_lo, state.n_max + pad_hi + 1, dtype=np.int64)
-    v = np.zeros(idx.shape[0], dtype=np.complex128)
-    v[pad_lo : pad_lo + state.amplitudes.shape[0]] = state.amplitudes
-
-    w1 = _reference_centred_quadrature(v, idx, theta, mu)
-    w2 = _reference_centred_quadrature(w1, idx, theta, mu)
-    m1 = _real_dot(v, w1)
-    m2 = _real_dot(w1, w1)
-    m3 = _real_dot(w1, w2)
-    m4 = _real_dot(w2, w2)
-
-    k3, k4 = k3_k4(m1, m2, m3, m4)
-    return CumulantReport(k3, k4, 0.0, 0.0, 0, 0)
-
-
 # ----------------------------------------------------------------------
-# dense Fock-space reference for the windowed oracle
+# dense Fock-space reference for the oracle
 
 
 class CutoffInsufficient(ValueError):
@@ -430,7 +349,7 @@ def coherent_vector(alpha0: complex, cutoff: int) -> np.ndarray:
 def dense_brute_force(
     alpha0: complex, cutoff: int, t: float, spec: QuadratureSpec
 ) -> np.ndarray:
-    """<X^k> (k = 1..4) via dense matrices: independent check of the windowed oracle.
+    """<X^k> (k = 1..4) via dense matrices: independent check of the oracle.
 
     The Hamiltonian is diagonal (eigenvalue n^2), so evolution is a phase
     per basis state; quadrature moments come from explicit matrix powers.
@@ -453,3 +372,10 @@ def dense_brute_force(
     x3 = x2 @ x
     x4 = x2 @ x2
     return np.array([np.vdot(psi, op @ psi).real for op in (x, x2, x3, x4)])
+
+
+def dense_cumulant_atol(n_particles: float) -> float:
+    """Rounding floor of k3, k4 formed from dense_brute_force moments in
+    double precision: 32 units of eps (2 sqrt(N))^4, the size of the
+    moments that cancel."""
+    return 32.0 * np.finfo(np.float64).eps * (4.0 * n_particles) ** 2

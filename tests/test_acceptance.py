@@ -33,9 +33,9 @@ from anharmonic.moments import (
 from anharmonic.sampling import wigner_initial
 from helpers import (
     dense_brute_force,
+    dense_cumulant_atol,
     frozen_brownian_paths,
     midpoint_path,
-    oracle_raw_moments,
     poly_equal,
     random_hermitian_polynomial,
 )
@@ -150,28 +150,30 @@ def test_criterion_2_purity():
 
 def test_criterion_3_oracle_self_consistency():
     started = time.perf_counter()
-    # windowed spectral evolution against the dense matrix route at N = 4:
-    # raw moments from the window's ladder moments, and the production
-    # mean-shifted cumulants against k3/k4 of the dense moments
-    state0 = orc.init_coherent(2.0)
-    for tau in (0.1, 0.5, 1.0):
-        t = tau / 4.0
-        state = orc.evolve(state0, t)
-        for theta in (0.0, 2 * tau):
-            dense = dense_brute_force(2.0, 60, t, QuadratureSpec(theta))
-            for got, want in zip(oracle_raw_moments(state, QuadratureSpec(theta)), dense):
-                assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
-            rep = orc.oracle_cumulants(state, QuadratureSpec(theta))
-            for got, want in zip((rep.kappa3, rep.kappa4), k3_k4(*dense)):
-                assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+    # the closed form against the dense matrix route at N = 4 and N = 50:
+    # the oracle's operator moments, and its cumulants against k3/k4 of the
+    # dense moments
+    for n, cutoff in ((4.0, 60), (50.0, 200)):
+        state0 = orc.init_coherent(math.sqrt(n))
+        for tau in (0.1, 0.5, 1.0):
+            t = tau / n
+            state = orc.evolve(state0, t)
+            for theta in (0.0, 2 * tau):
+                dense = dense_brute_force(math.sqrt(n), cutoff, t, QuadratureSpec(theta))
+                for got, want in zip(orc._quadrature_moments(state, theta), dense):
+                    assert abs(float(got) - want) <= 1e-10 * max(1.0, abs(want))
+                rep = orc.oracle_cumulants(state, QuadratureSpec(theta))
+                for got, want in zip((rep.kappa3, rep.kappa4), k3_k4(*dense)):
+                    assert abs(got - want) <= max(1e-10 * max(1.0, abs(want)),
+                                                  dense_cumulant_atol(n))
 
-    # coherent states are Gaussian: both cumulants vanish at t = 0
-    for n in (4.0, 1e3, 1e6):
+    # coherent states are Gaussian: both cumulants vanish at t = 0, at every N
+    for n in (1.0, 4.0, 1e3, 1e6, 1e12, 1e100, 1e300):
         state = orc.init_coherent(math.sqrt(n))
         for theta in (0.0, 1.3):
             rep = orc.oracle_cumulants(state, QuadratureSpec(theta))
-            assert abs(rep.kappa3) < 1e-8
-            assert abs(rep.kappa4) < 1e-8
+            assert abs(rep.kappa3) < 1e-15
+            assert abs(rep.kappa4) < 1e-15
 
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
