@@ -89,15 +89,13 @@ def _rows(cfg: SimulationConfig, threads: int | None) -> list[CsvRow]:
     specs = [QuadratureSpec(cfg.theta_for(tau)) for tau in grid.taus]
     if cfg.method == "Oracle":
         reports = oracle.cumulant_series(oracle.init_coherent(alpha0), grid.times, specs)
-    elif cfg.method == "TW":
-        acc = engine.run_truncated_wigner(alpha0, grid, cfg.n_paths, cfg.batches, cfg.seed, threads)
-        reports = batch_error(acc, specs)
     else:
-        acc = engine.run_positive_p(
-            alpha0, grid, cfg.n_paths, cfg.batches, cfg.seed, threads,
-            divergence_threshold=cfg.divergence_threshold,
-        )
-        reports = batch_error(acc, specs)
+        ensemble = (alpha0, grid, specs, cfg.n_paths, cfg.batches, cfg.seed, threads)
+        if cfg.method == "TW":
+            acc = engine.run_truncated_wigner(*ensemble)
+        else:
+            acc = engine.run_positive_p(*ensemble, divergence_threshold=cfg.divergence_threshold)
+        reports = batch_error(acc)
     return [
         CsvRow.from_report(tau, spec.theta, report, cfg.method_label)
         for tau, spec, report in zip(grid.taus, specs, reports)

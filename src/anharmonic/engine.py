@@ -22,24 +22,26 @@ configuration, so results are bit-identical for a fixed master seed at any
 worker count; a path's draws depend on the chunk it falls in.
 
 Both chunk kernels reduce their outputs through one function, which forms
-each output's monomials in one reused ``(n_monomials, m)`` block and sums
-them per batch at once.  A truncated-Wigner chunk passes each output's
-amplitudes as they are formed.  A positive-P chunk keeps every output's
-``(2, m)`` state until it ends, because a path that diverges later is
-excluded retroactively from every earlier output: the escaped paths'
-columns are zeroed once, and the states are then reduced.  Its unit
-Wiener increments are two-point: +-1 with equal chance, one raw bit of the
-chunk's stream each.  Only cumulants, which are weak quantities, are
-estimated, and these increments suffice for weak order 1 (Kloeden & Platen
-1992, sections 14.1-14.2).  They are drawn step-major into one bounded
-buffer per chunk.  A run returns one
+each output's quadrature x = exp(-i theta) a + exp(i theta) abar and its
+powers x^k (k = 1..4) in one reused ``(4, m)`` block and sums them per
+batch at once; the draws do not depend on theta.  A truncated-Wigner chunk
+passes each output's amplitudes as they are formed.  A positive-P chunk
+keeps every output's ``(2, m)`` state until it ends, because a path that
+diverges later is excluded retroactively from every earlier output: the
+escaped paths' columns are zeroed once, and the states are then reduced.
+Its unit Wiener increments are two-point: +-1 with equal chance, one raw
+bit of the chunk's stream each.  Only cumulants, which are weak
+quantities, are estimated, and these increments suffice for weak order 1
+(Kloeden & Platen 1992, sections 14.1-14.2).  They are drawn step-major
+into one bounded buffer per chunk.  A run returns one
 :class:`~anharmonic.moments.MomentAccumulator`: each chunk writes its
-batches' sums for every output into it, and its surviving and diverged
-path counts once, since a path's survival holds for the whole run.
+batches' power sums for every output into it, and its surviving and
+diverged path counts once, since a path's survival holds for the whole
+run.
 
-The ensembles take a :class:`TimeGrid`, not a run configuration; the
-config checks a positive-P grid's start and spacing with the stepper's
-own :meth:`TimeGrid.steps_between`.
+The ensembles take a :class:`TimeGrid` and one ``QuadratureSpec`` per
+output, not a run configuration; the config checks a positive-P grid's
+start and spacing with the stepper's own :meth:`TimeGrid.steps_between`.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symbolic
-from .moments import MONOMIALS, POSITIVE_P, WIGNER, MomentAccumulator, bulk_monomials
+from .moments import N_POWERS, POSITIVE_P, WIGNER, MomentAccumulator, bulk_monomials
 from .sampling import stream_for_trajectory, wigner_initial
 from .symbolic import DriftDiffusionModel
 
@@ -159,24 +161,24 @@ def _chunk_batch_groups(slices: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return groups
 
 
-def _batch_monomial_sums(pairs, n_out: int, bounds: list[tuple[int, int]]) -> np.ndarray:
-    """Per-batch monomial sums of each output's amplitude pair.
+def _batch_power_sums(pairs, thetas, bounds: list[tuple[int, int]]) -> np.ndarray:
+    """Per-batch sums of the quadrature powers of each output's amplitudes.
 
-    ``pairs`` yields one ``(abar, a)`` pair of (m,) arrays per output, and
+    ``pairs`` yields one ``(abar, a)`` pair of (m,) arrays per output (abar
+    None for Wigner amplitudes), taken at that output's phase in ``thetas``;
     ``bounds`` holds the chunk's contiguous (lo, hi) batch offsets.  Each
-    output's monomials are formed in one reused (n_monomials, m) block and
-    summed straight into its row of the returned (n_out, n_batches,
-    n_monomials) array.  Each run of equal-size batches is summed by one
-    ``np.sum`` over a reshaped view, which adds the same elements in the
-    same pairwise order as summing each batch slice on its own, so the sums
-    are bit-identical.
+    output's powers are formed in one reused block and summed straight into
+    its row of the returned (n_out, n_batches, N_POWERS) array.  Each run of
+    equal-size batches is summed by one ``np.sum`` over a reshaped view,
+    which adds the same elements in the same pairwise order as summing each
+    batch slice on its own, so the sums are bit-identical.
     """
     sizes = itertools.groupby(bounds, key=lambda b: b[1] - b[0])
     runs = [(size, len(list(run))) for size, run in sizes]
-    block = np.empty((len(MONOMIALS), bounds[-1][1]), dtype=np.complex128)
-    sums = np.empty((n_out, len(bounds), len(MONOMIALS)), dtype=np.complex128)
-    for out, (abar, a) in zip(sums, pairs):
-        bulk_monomials(abar, a, out=block)
+    block = None
+    sums = np.empty((len(thetas), len(bounds), N_POWERS), dtype=np.complex128)
+    for out, theta, (abar, a) in zip(sums, thetas, pairs):
+        block = bulk_monomials(theta, a, abar, out=block)
         lo = j = 0
         for size, n in runs:
             out[j : j + n] = block[:, lo : lo + n * size].reshape(-1, n, size).sum(axis=-1).T
@@ -278,18 +280,19 @@ def _positive_p_chunk(
     model: DriftDiffusionModel,
     alpha0: complex,
     grid: TimeGrid,
+    thetas: tuple[float, ...],
     seed: int,
     traj_lo: int,
     traj_hi: int,
     escape_radius: float,
     bounds: list[tuple[int, int]],
 ):
-    """Integrate one chunk of trajectories; return per-batch monomial sums.
+    """Integrate one chunk of trajectories; return per-batch power sums.
 
-    Returns (sums[(n_out, n_batches, n_monomials)], alive[(m,)]).  Diverged
+    Returns (sums[(n_out, n_batches, N_POWERS)], alive[(m,)]).  Diverged
     trajectories are left out of the sums at every output time, earlier
     ones included, so every output's (2, m) state is kept until the chunk
-    ends; the escaped paths' columns are then zeroed, and their monomials
+    ends; the escaped paths' columns are then zeroed, and their powers
     add nothing to the sums.
     """
     m = traj_hi - traj_lo
@@ -334,12 +337,13 @@ def _positive_p_chunk(
             states[k_out] = y
 
     states[:, :, ~alive] = 0.0
-    return _batch_monomial_sums(((abar, a) for a, abar in states), n_out, bounds), alive
+    return _batch_power_sums(((abar, a) for a, abar in states), thetas, bounds), alive
 
 
 def _truncated_wigner_chunk(
     alpha0: complex,
     grid: TimeGrid,
+    thetas: tuple[float, ...],
     seed: int,
     traj_lo: int,
     traj_hi: int,
@@ -349,8 +353,8 @@ def _truncated_wigner_chunk(
     m = traj_hi - traj_lo
     init = wigner_initial(alpha0, seed, traj_lo, traj_hi)
 
-    pairs = ((alpha_t.conj(), alpha_t) for alpha_t in exact_wigner_flow(init, grid.times))
-    return _batch_monomial_sums(pairs, len(grid.taus), bounds), np.ones(m, dtype=bool)
+    pairs = ((None, alpha_t) for alpha_t in exact_wigner_flow(init, grid.times))
+    return _batch_power_sums(pairs, thetas, bounds), np.ones(m, dtype=bool)
 
 
 def _available_cpus() -> int:
@@ -384,30 +388,35 @@ def run_tasks(fn, tasks, threads: int | None) -> list:
 
 def _run_chunked(
     representation: str,
+    grid: TimeGrid,
+    specs,
     n_paths: int,
     n_batches: int,
-    n_outputs: int,
     chunk_fn,
     threads: int | None,
 ) -> MomentAccumulator:
     """Run chunk_fn over fixed trajectory ranges and merge its batch sums.
 
-    ``chunk_fn(t_lo, t_hi, bounds)`` integrates paths [t_lo, t_hi), whose
-    batches are ``bounds`` (offsets from t_lo), and returns per-batch sums
-    of shape (n_outputs, n_batches_in_chunk, n_monomials) together with the
-    chunk's alive mask.  Each kernel sums every batch pairwise over a fixed
-    trajectory order, and each chunk writes its own disjoint batch slice of
-    the one accumulator, so the result is independent of scheduling.
+    ``chunk_fn(thetas, t_lo, t_hi, bounds)`` integrates paths [t_lo, t_hi),
+    whose batches are ``bounds`` (offsets from t_lo), and returns their
+    per-batch sums at each output's phase in ``thetas``, shape (n_outputs,
+    n_batches_in_chunk, N_POWERS), and the chunk's alive mask.  Each kernel
+    sums every batch pairwise over a fixed trajectory order, and each chunk
+    writes its own disjoint batch slice of the one accumulator, so the
+    result is independent of scheduling.
     """
+    if len(specs) != len(grid.taus):
+        raise ValueError(f"{len(specs)} quadrature specs for {len(grid.taus)} outputs")
+    thetas = tuple(spec.theta for spec in specs)
     slices = batch_slices(n_paths, n_batches)
     groups = _chunk_batch_groups(slices)
-    acc = MomentAccumulator(representation, n_outputs, n_batches)
+    acc = MomentAccumulator(representation, len(thetas), n_batches)
 
     def work(group):
         b_lo, b_hi = group
         t_lo = slices[b_lo][0]
         bounds = [(lo - t_lo, hi - t_lo) for lo, hi in slices[b_lo:b_hi]]
-        sums, alive = chunk_fn(t_lo, slices[b_hi - 1][1], bounds)
+        sums, alive = chunk_fn(thetas, t_lo, slices[b_hi - 1][1], bounds)
         counts = np.array([alive[lo:hi].sum() for lo, hi in bounds], dtype=np.int64)
         sizes = np.array([hi - lo for lo, hi in bounds])
         acc.batch_sums[:, b_lo:b_hi] = sums
@@ -421,22 +430,25 @@ def _run_chunked(
 def run_truncated_wigner(
     alpha0: complex,
     grid: TimeGrid,
+    specs,
     n_paths: int,
     n_batches: int,
     seed: int = 0,
     threads: int | None = None,
 ) -> MomentAccumulator:
-    """Truncated-Wigner ensemble for the anharmonic oscillator (exact stepper)."""
+    """Truncated-Wigner ensemble for the anharmonic oscillator (exact stepper),
+    at one :class:`~anharmonic.moments.QuadratureSpec` per output."""
 
-    def chunk(t_lo, t_hi, bounds):
-        return _truncated_wigner_chunk(alpha0, grid, seed, t_lo, t_hi, bounds)
+    def chunk(thetas, t_lo, t_hi, bounds):
+        return _truncated_wigner_chunk(alpha0, grid, thetas, seed, t_lo, t_hi, bounds)
 
-    return _run_chunked(WIGNER, n_paths, n_batches, len(grid.taus), chunk, threads)
+    return _run_chunked(WIGNER, grid, specs, n_paths, n_batches, chunk, threads)
 
 
 def run_positive_p(
     alpha0: complex,
     grid: TimeGrid,
+    specs,
     n_paths: int,
     n_batches: int,
     seed: int = 0,
@@ -444,7 +456,8 @@ def run_positive_p(
     divergence_threshold: float = 1e-3,
     escape_radius: float | None = None,
 ) -> MomentAccumulator:
-    """Positive-P ensemble under the anharmonic-oscillator Stratonovich model.
+    """Positive-P ensemble under the anharmonic-oscillator Stratonovich model,
+    at one :class:`~anharmonic.moments.QuadratureSpec` per output.
 
     Raises :class:`ExcessiveDivergence` when more than
     ``divergence_threshold`` of the paths leave the escape radius anywhere
@@ -458,10 +471,12 @@ def run_positive_p(
         n = abs(alpha0) ** 2
         escape_radius = ESCAPE_RADIUS_FACTOR * math.sqrt(n if n > 0 else 1.0)
 
-    def chunk(t_lo, t_hi, bounds):
-        return _positive_p_chunk(model, alpha0, grid, seed, t_lo, t_hi, escape_radius, bounds)
+    def chunk(thetas, t_lo, t_hi, bounds):
+        return _positive_p_chunk(
+            model, alpha0, grid, thetas, seed, t_lo, t_hi, escape_radius, bounds
+        )
 
-    acc = _run_chunked(POSITIVE_P, n_paths, n_batches, len(grid.taus), chunk, threads)
+    acc = _run_chunked(POSITIVE_P, grid, specs, n_paths, n_batches, chunk, threads)
     n_div = acc.n_diverged
     if n_div > divergence_threshold * n_paths:
         raise ExcessiveDivergence(

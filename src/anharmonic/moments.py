@@ -1,14 +1,15 @@
-"""Monomial accumulation, quadrature moments, and cumulant estimation.
+"""Quadrature power accumulation, operator moments, and cumulant estimation.
 
 A :class:`MomentAccumulator` holds one ensemble run: per-batch sums of the
-phase-space monomials ``abar^p a^q`` for the total orders one to four, at
-every output time, where ``abar`` is the conjugate amplitude in the Wigner
-representation and the independent starred component in positive-P.  The
-constant monomial is not kept: its batch sum is the batch's path count,
-and every kept monomial of a zero amplitude pair is zero.
-Quadrature moments of ``X = exp(-i theta) a + exp(i theta) abar`` are
-assembled from those sums; positive-P averages are normally ordered and
-are promoted to true operator moments with the constants {1; 3; 6, 3}:
+powers x^k (k = 1..4) of the phase-space quadrature
+``x = exp(-i theta) a + exp(i theta) abar`` at every output time, each
+output at its own theta.  ``abar`` is the conjugate amplitude in the
+Wigner representation, where x is real, and the independent starred
+component in positive-P.  The power zero is not kept: its batch sum is the
+batch's path count, and every power of a zero amplitude pair is zero.
+A batch's moments <X^k> are its sums over its path count; positive-P
+averages are normally ordered and are promoted to true operator moments
+with the constants {1; 3; 6, 3}:
 
     <X^2> = <:X^2:> + 1
     <X^3> = <:X^3:> + 3 <:X:>
@@ -37,20 +38,11 @@ import numpy as np
 WIGNER = "wigner"
 POSITIVE_P = "positive_p"
 
-#: Exponent pairs (p, q) of the accumulated monomials, sorted by (p+q, p):
-#: every total order from 1 to 4.
-MONOMIALS: tuple[tuple[int, int], ...] = tuple(
-    sorted(
-        ((p, q) for p in range(5) for q in range(5) if 1 <= p + q <= 4),
-        key=lambda k: (k[0] + k[1], k[0]),
-    )
-)
-MONOMIAL_INDEX = {pq: i for i, pq in enumerate(MONOMIALS)}
+#: Rows of a power block and of a batch's sums: x, x^2, x^3, x^4.
+N_POWERS = 4
 
 #: Minimum number of batches for a meaningful standard-error estimate.
 MIN_BATCHES = 10
-
-_BINOM = [[math.comb(k, j) for j in range(k + 1)] for k in range(5)]
 
 
 class OrderingViolation(RuntimeError):
@@ -85,9 +77,9 @@ class CumulantReport:
 
 
 class MomentAccumulator:
-    """Per-batch monomial sums of one ensemble run, at every output time.
+    """Per-batch sums of x, x^2, x^3 and x^4 of one ensemble run, at every output time.
 
-    ``batch_sums`` has shape (n_outputs, n_batches, n_monomials).  A path's
+    ``batch_sums`` has shape (n_outputs, n_batches, N_POWERS).  A path's
     survival is decided once per run, so ``batch_counts`` (surviving paths)
     and ``batch_diverged`` (shape (n_batches,)) hold for every output.
     """
@@ -100,7 +92,7 @@ class MomentAccumulator:
         if n_batches < 1:
             raise ValueError("need at least one batch")
         self.representation = representation
-        self.batch_sums = np.zeros((n_outputs, n_batches, len(MONOMIALS)), dtype=np.complex128)
+        self.batch_sums = np.zeros((n_outputs, n_batches, N_POWERS), dtype=np.complex128)
         self.batch_counts = np.zeros(n_batches, dtype=np.int64)
         self.batch_diverged = np.zeros(n_batches, dtype=np.int64)
 
@@ -121,41 +113,27 @@ class MomentAccumulator:
         return int(self.batch_diverged.sum())
 
 
-def bulk_monomials(abar: np.ndarray, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Monomial matrix of shape (n_monomials, n_paths) for amplitude arrays.
+def bulk_monomials(theta: float, a: np.ndarray, abar=None, out=None) -> np.ndarray:
+    """Powers x, x^2, x^3, x^4 of x = e^{-i theta} a + e^{i theta} abar, shape (4, m).
 
-    Every row is written straight into ``out`` (allocated when not given):
-    the pure powers by repeated multiplication, then each mixed row as the
-    product of its two pure rows.
+    Without ``abar`` the amplitudes are Wigner ones, abar = conj(a), and x is
+    the real 2 Re(e^{-i theta} a); the block is then float64, else complex.
+    Every row is written straight into ``out`` (allocated when not given).
     """
     if out is None:
-        out = np.empty((len(MONOMIALS), len(a)), dtype=np.complex128)
-    row = MONOMIAL_INDEX
-    np.copyto(out[row[1, 0]], abar)
-    np.copyto(out[row[0, 1]], a)
-    for k in range(2, 5):
-        np.multiply(out[row[k - 1, 0]], abar, out=out[row[k, 0]])
-        np.multiply(out[row[0, k - 1]], a, out=out[row[0, k]])
-    for p, q in MONOMIALS:
-        if p and q:
-            np.multiply(out[row[p, 0]], out[row[0, q]], out=out[row[p, q]])
+        out = np.empty((N_POWERS, len(a)), dtype=np.float64 if abar is None else np.complex128)
+    x, x2, x3, x4 = out
+    if abar is None:
+        np.multiply(a.real, 2.0 * math.cos(theta), out=x)
+        np.multiply(a.imag, 2.0 * math.sin(theta), out=x2)
+    else:
+        np.multiply(a, complex(math.cos(theta), -math.sin(theta)), out=x)
+        np.multiply(abar, complex(math.cos(theta), math.sin(theta)), out=x2)
+    x += x2
+    np.multiply(x, x, out=x2)
+    np.multiply(x2, x, out=x3)
+    np.multiply(x2, x2, out=x4)
     return out
-
-
-def quadrature_powers(monomial, theta) -> list:
-    """Averages of x^k (k = 1..4) with x = e^{-i theta} a + e^{i theta} abar.
-
-    ``monomial(p, q)`` is the average of abar^p a^q, for example an array
-    of batch means; an array ``theta`` broadcasts against it.
-    """
-    powers = []
-    for k in range(1, 5):
-        total = 0.0
-        for j in range(k + 1):
-            phase = np.exp(1j * theta * (k - 2 * j))
-            total = total + _BINOM[k][j] * phase * monomial(k - j, j)
-        powers.append(total)
-    return powers
 
 
 def promote_normal_order(r1, r2, r3, r4) -> tuple:
@@ -170,26 +148,14 @@ def k3_k4(m1, m2, m3, m4) -> tuple:
     return k3, k4
 
 
-def _true_moments(monomial, theta, representation: str) -> list:
-    """Operator moments <X^k> (k = 1..4) from the monomial averages ``monomial(p, q)``."""
-    powers = quadrature_powers(monomial, theta)
-    if representation == POSITIVE_P:
-        powers = promote_normal_order(*powers)
-    return powers
-
-
-def _residue_failures(acc, theta, batch_powers, root_b) -> list:
+def _residue_failures(acc, batch_moments, root_b) -> list:
     """Imaginary residue of each pooled <X^k> against 5 sigma of its batch values.
 
     One (bad, message, residue, sigma) per moment; bad has shape (n_outputs,).
     """
-    pooled_means = acc.batch_sums.sum(axis=1) / acc.batch_counts.sum()
-    pooled = _true_moments(
-        lambda p, q: pooled_means[:, MONOMIAL_INDEX[p, q], None], theta, POSITIVE_P
-    )
+    pooled = promote_normal_order(*(acc.batch_sums.sum(axis=1) / acc.batch_counts.sum()).T)
     checks = []
-    for k, (total, values) in enumerate(zip(pooled, batch_powers), start=1):
-        total = total[:, 0]
+    for k, (total, values) in enumerate(zip(pooled, batch_moments), start=1):
         sigma = np.imag(values).std(axis=-1, ddof=1) / root_b
         bad = np.abs(np.imag(total)) > 5.0 * sigma + 1e-10 * np.maximum(np.abs(total), 1.0)
         message = (f"imaginary residue of <X^{k}> is {{:.3e}}, "
@@ -213,18 +179,16 @@ def _bound_failures(m1, m2, m4, root_b) -> list:
     return checks
 
 
-def batch_error(acc: MomentAccumulator, specs) -> list[CumulantReport]:
+def batch_error(acc: MomentAccumulator) -> list[CumulantReport]:
     """Cumulants with batch standard errors, one report per output time.
 
-    ``specs`` holds one :class:`QuadratureSpec` per output.  k3 and k4 are
-    computed per batch from that batch's moments; each report carries the
-    across-batch mean and the standard error std/sqrt(B).  Every output is
-    estimated in one pass over the batch axis.  The checks raise for the
-    earliest output that fails one: the imaginary residue (positive-P)
-    first, then the variance and quartic moment bounds.
+    k3 and k4 are computed per batch from that batch's moments, its power
+    sums over its path count; each report carries the across-batch mean and
+    the standard error std/sqrt(B).  Every output is estimated in one pass
+    over the batch axis.  The checks raise for the earliest output that
+    fails one: the imaginary residue (positive-P) first, then the variance
+    and quartic moment bounds.
     """
-    if len(specs) != acc.n_outputs:
-        raise ValueError(f"{len(specs)} quadrature specs for {acc.n_outputs} outputs")
     if acc.n_batches < MIN_BATCHES:
         raise InsufficientBatches(f"{acc.n_batches} batches < required {MIN_BATCHES}")
     alive = acc.batch_counts > 0
@@ -234,21 +198,17 @@ def batch_error(acc: MomentAccumulator, specs) -> list[CumulantReport]:
         raise InsufficientBatches(
             f"only {n_eff} batches retained surviving paths (< {MIN_BATCHES})"
         )
-    theta = np.array([[spec.theta] for spec in specs])
-    # Each column of batch means is formed when the expansion asks for it,
-    # with the batch axis last and contiguous, so no second copy of the
-    # sums is made and every batch reduction below is pairwise.
-    powers = _true_moments(
-        lambda p, q: np.compress(alive, acc.batch_sums[..., MONOMIAL_INDEX[p, q]], axis=-1)
-        / counts,
-        theta,
-        acc.representation,
-    )
+    # Each power's batch means are formed with the batch axis last and
+    # contiguous, so every batch reduction below is pairwise.
+    moments = [np.compress(alive, acc.batch_sums[..., k], axis=-1) / counts
+               for k in range(N_POWERS)]
+    if acc.representation == POSITIVE_P:
+        moments = promote_normal_order(*moments)
     root_b = math.sqrt(n_eff)
-    m1, m2, m3, m4 = (np.real(x) for x in powers)
+    m1, m2, m3, m4 = (np.real(x) for x in moments)
     checks = _bound_failures(m1, m2, m4, root_b)
     if acc.representation == POSITIVE_P:
-        checks = _residue_failures(acc, theta, powers, root_b) + checks
+        checks = _residue_failures(acc, moments, root_b) + checks
     failing = np.argwhere(np.array([check[0] for check in checks]).T)
     if len(failing):
         output, i = failing[0]

@@ -78,8 +78,9 @@ def _ladder_moments(state: OracleState) -> dict:
 def _quadrature_moments(state: OracleState, theta: float) -> tuple:
     """Operator moments <X^k> (k = 1..4) at phase theta, as mpmath numbers.
 
-    The expansion is that of :func:`~anharmonic.moments.quadrature_powers`,
-    whose double-precision phases would cost moments of size 16 N^2 their
+    The normally ordered <:X^k:> is the binomial sum over j of
+    C(k, j) exp(i (k - 2j) theta) <a^dag^(k-j) a^j>, with its phases in
+    mpmath: double-precision phases would cost moments of size 16 N^2 their
     accuracy.
     """
     ctx = state._ctx

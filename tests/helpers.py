@@ -10,8 +10,6 @@ import numpy as np
 from anharmonic.engine import MidpointStep
 from anharmonic.moments import (
     MIN_BATCHES,
-    MONOMIAL_INDEX,
-    MONOMIALS,
     POSITIVE_P,
     CumulantReport,
     InsufficientBatches,
@@ -19,7 +17,6 @@ from anharmonic.moments import (
     QuadratureSpec,
     k3_k4,
     promote_normal_order,
-    quadrature_powers,
 )
 from anharmonic.symbolic import CREATE, DESTROY, OperatorWord, PhasePolynomial
 
@@ -60,14 +57,44 @@ def dagger(word: OperatorWord) -> OperatorWord:
     return OperatorWord(swapped, complex(word.coefficient).conjugate())
 
 
-def stacked_monomials(abar: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Reference monomial block: every power from a row of ones, products stacked."""
-    ps = [np.ones_like(abar)]
-    qs = [np.ones_like(a)]
-    for _ in range(4):
-        ps.append(ps[-1] * abar)
-        qs.append(qs[-1] * a)
-    return np.stack([ps[p] * qs[q] for (p, q) in MONOMIALS])
+def stacked_powers(theta: float, a: np.ndarray, abar: np.ndarray | None = None) -> np.ndarray:
+    """Reference power block: x = e^{-i theta} a + e^{i theta} abar and its powers, stacked.
+
+    Without ``abar``, x = 2 (cos theta Re a + sin theta Im a), the Wigner
+    quadrature.  x^2 and x^3 are running products and x^4 = (x^2)^2.
+    """
+    c, s = math.cos(theta), math.sin(theta)
+    if abar is None:
+        x = 2.0 * (c * a.real + s * a.imag)
+    else:
+        x = a * complex(c, -s) + abar * complex(c, s)
+    x2 = x * x
+    return np.stack([x, x2, x2 * x, x2 * x2])
+
+
+def specs_at(grid, theta: float | None = None) -> list[QuadratureSpec]:
+    """One QuadratureSpec per output of ``grid``: theta = 2 tau, or ``theta`` at every output."""
+    return [QuadratureSpec(2.0 * tau if theta is None else theta) for tau in grid.taus]
+
+
+def ladder_sums(run):
+    """Per-batch sums of a, abar and abar a at every output, from two runs at one seed.
+
+    ``run(theta)`` runs an ensemble with every output at quadrature phase
+    theta.  With x0 and x1 the quadratures at theta = 0 and pi/2, the
+    identities x0 + i x1 = 2 a, x0 - i x1 = 2 abar and x0^2 + x1^2 = 4 abar a
+    hold path by path, and so for the batch sums.  Returns the sums, keyed by
+    the exponents (p, q) of abar^p a^q, each of shape (n_out, n_batches),
+    and the accumulator of the theta = 0 run.
+    """
+    acc = run(0.0)
+    x0, x1 = acc.batch_sums, run(math.pi / 2).batch_sums
+    sums = {
+        (0, 1): (x0[..., 0] + 1j * x1[..., 0]) / 2,
+        (1, 0): (x0[..., 0] - 1j * x1[..., 0]) / 2,
+        (1, 1): (x0[..., 1] + x1[..., 1]) / 4,
+    }
+    return sums, acc
 
 
 def chunk_philox(seed: int, traj_lo: int) -> np.random.Generator:
@@ -101,25 +128,29 @@ def chunk_signs(seed: int, traj_lo: int, n_steps: int, m: int) -> np.ndarray:
 def per_slice_batch_sums(block: np.ndarray, bounds) -> np.ndarray:
     """Reference reduction: each batch slice of the last axis summed on its own.
 
-    ``block`` has shape (..., n_monomials, m); the result has shape
-    (..., n_batches, n_monomials).
+    ``block`` has shape (..., n_powers, m); the result has shape
+    (..., n_batches, n_powers).
     """
     return np.stack([block[..., lo:hi].sum(axis=-1) for lo, hi in bounds], axis=-2)
 
 
-def full_block_kernel(kernel):
-    """Reference chunk kernel that reduces the whole monomial block at the end.
+def full_block_kernel(kernel, dtype=np.complex128):
+    """Reference chunk kernel that reduces the whole power block at the end.
 
     ``kernel`` is an engine chunk kernel whose last argument is the chunk's
     batch bounds.  Run with one path per batch, it returns every path's
-    monomials, which are laid out as the full (n_out, n_monomials, m) block
-    and then summed per batch slice.
+    powers, which are laid out as the full (n_out, n_powers, m) block of the
+    kernel's block ``dtype`` (float64 for Wigner amplitudes) and then summed
+    per batch slice.
     """
 
     def chunk(*args):
         *head, bounds = args
         singles, alive = kernel(*head, [(i, i + 1) for i in range(bounds[-1][1])])
         block = np.ascontiguousarray(singles.transpose(0, 2, 1))
+        if dtype == np.float64:
+            assert not block.imag.any()
+            block = np.ascontiguousarray(block.real)
         return per_slice_batch_sums(block, bounds), alive
 
     return chunk
@@ -228,8 +259,8 @@ def frozen_brownian_paths(rng, n_paths, n_coarse, dt):
 
 
 def fill_batches(acc, sums, counts, diverged=0):
-    """Set the first len(counts) batches of ``acc`` at every output: monomial
-    sums (shape (n, n_monomials), or one such block per output), path and
+    """Set the first len(counts) batches of ``acc`` at every output: power
+    sums (shape (n, N_POWERS), or one such block per output), path and
     divergence counts."""
     n = len(counts)
     acc.batch_sums[:, :n] = sums
@@ -238,12 +269,12 @@ def fill_batches(acc, sums, counts, diverged=0):
     return acc
 
 
-def per_output_batch_error(acc, k: int, spec: QuadratureSpec) -> CumulantReport:
+def per_output_batch_error(acc, k: int) -> CumulantReport:
     """Reference estimator for output ``k`` on its own.
 
-    Output k's batch means are formed as one (n_batches, n_monomials)
-    array, and every check and reduction runs on that output alone, with
-    the arithmetic of a one-output estimator.
+    Output k's batch means are formed as one (n_batches, N_POWERS) array,
+    and every check and reduction runs on that output alone, with the
+    arithmetic of a one-output estimator.
     """
     if acc.n_batches < MIN_BATCHES:
         raise InsufficientBatches(f"{acc.n_batches} batches < required {MIN_BATCHES}")
@@ -255,15 +286,11 @@ def per_output_batch_error(acc, k: int, spec: QuadratureSpec) -> CumulantReport:
             f"only {n_eff} batches retained surviving paths (< {MIN_BATCHES})"
         )
 
-    def true_moments(monomial_means):
-        powers = quadrature_powers(
-            lambda p, q: monomial_means[..., MONOMIAL_INDEX[(p, q)]], spec.theta
-        )
+    def true_moments(power_means):
+        out = np.array(power_means, dtype=np.complex128)
         if acc.representation == POSITIVE_P:
-            powers = promote_normal_order(*powers)
-        out = np.empty(monomial_means.shape[:-1] + (4,), dtype=np.complex128)
-        for i, column in enumerate(powers):
-            out[..., i] = column
+            for i, column in enumerate(promote_normal_order(*np.moveaxis(power_means, -1, 0))):
+                out[..., i] = column
         return out
 
     assembled = true_moments(means)
@@ -301,9 +328,9 @@ def per_output_batch_error(acc, k: int, spec: QuadratureSpec) -> CumulantReport:
     )
 
 
-def per_output_batch_errors(acc, specs) -> list[CumulantReport]:
+def per_output_batch_errors(acc) -> list[CumulantReport]:
     """Reference reports, output by output; the first failing output raises."""
-    return [per_output_batch_error(acc, k, spec) for k, spec in enumerate(specs)]
+    return [per_output_batch_error(acc, k) for k in range(acc.n_outputs)]
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,6 @@ from anharmonic.engine import (
     run_truncated_wigner,
 )
 from anharmonic.moments import (
-    MONOMIAL_INDEX,
     CsvRow,
     QuadratureSpec,
     batch_error,
@@ -35,9 +34,11 @@ from helpers import (
     dense_brute_force,
     dense_cumulant_atol,
     frozen_brownian_paths,
+    ladder_sums,
     midpoint_path,
     poly_equal,
     random_hermitian_polynomial,
+    specs_at,
 )
 
 N_PARTICLES = 1000.0
@@ -64,28 +65,34 @@ def oracle_curve():
     return at
 
 
+TW_GRID = TimeGrid(N_PARTICLES, tuple(0.5 * i for i in range(21)), 1e-3)  # [0, 10]
+PP_GRID = TimeGrid(N_PARTICLES, tuple(0.5 * i for i in range(17)), 1e-3)  # [0, 8]
+
+
+def tw_run(theta=None):
+    """The truncated-Wigner benchmark: theta = 2 tau, or ``theta`` at every output."""
+    return run_truncated_wigner(ALPHA0, TW_GRID, specs_at(TW_GRID, theta), 100_000, 100,
+                                seed=1, threads=2)
+
+
 @pytest.fixture(scope="module")
 def tw_benchmark():
-    taus = tuple(0.5 * i for i in range(21))  # [0, 10]
-    grid = TimeGrid(N_PARTICLES, taus, 1e-3)
     started = time.perf_counter()
-    acc = run_truncated_wigner(ALPHA0, grid, 100_000, 100, seed=1, threads=2)
+    acc = tw_run()
     print(f"[tw benchmark: {time.perf_counter() - started:.1f} s]")
-    return grid, acc
+    return TW_GRID, acc
 
 
 @pytest.fixture(scope="module")
 def pp_benchmark():
-    taus = tuple(0.5 * i for i in range(17))  # [0, 8]
-    grid = TimeGrid(N_PARTICLES, taus, 1e-3)
     started = time.perf_counter()
-    acc = run_positive_p(ALPHA0, grid, 100_000, 100, seed=1, threads=2)
+    acc = run_positive_p(ALPHA0, PP_GRID, specs_at(PP_GRID), 100_000, 100, seed=1, threads=2)
     print(f"[positive-p benchmark: {time.perf_counter() - started:.1f} s]")
-    return grid, acc
+    return PP_GRID, acc
 
 
 def rows_from_accumulator(grid, acc, method):
-    reports = batch_error(acc, [QuadratureSpec(2.0 * tau) for tau in grid.taus])
+    reports = batch_error(acc)
     return [
         CsvRow.from_report(tau, 2.0 * tau, rep, method) for tau, rep in zip(grid.taus, reports)
     ]
@@ -221,9 +228,9 @@ def test_criterion_5_positive_p_accuracy_and_error_growth(pp_benchmark, oracle_c
 
 
 @pytest.mark.slow
-def test_criterion_6_conservation_invariants(tw_benchmark, pp_benchmark):
+def test_criterion_6_conservation_invariants():
     started = time.perf_counter()
-    grid, acc = tw_benchmark
+    grid = TW_GRID
 
     # per-trajectory modulus conservation across the whole output grid, on
     # the first 500 initial amplitudes and the flow the ensemble ran
@@ -233,18 +240,22 @@ def test_criterion_6_conservation_invariants(tw_benchmark, pp_benchmark):
         worst = max(worst, float(np.abs(np.abs(alpha_t) - np.abs(init)).max()))
     assert worst < 1e-12
 
-    # ensemble occupation: <|alpha|^2> - 1/2 = N at every output time
-    for sums in acc.batch_sums:
-        vals = np.real(sums[:, MONOMIAL_INDEX[(1, 1)]] / acc.batch_counts)
+    # ensemble occupation: <|alpha|^2> - 1/2 = N at every output time; the
+    # benchmark ensemble's <abar a> comes from its runs at theta = 0 and pi/2
+    sums, acc = ladder_sums(tw_run)
+    for occupation in sums[1, 1]:
+        vals = np.real(occupation / acc.batch_counts)
         sigma = vals.std(ddof=1) / math.sqrt(len(vals))
         assert abs(vals.mean() - 0.5 - N_PARTICLES) < 4 * sigma
 
-    # positive-P conserves the occupation product while converged
-    pp_grid, pp_acc = pp_benchmark
-    for tau, sums in zip(pp_grid.taus, pp_acc.batch_sums):
-        if tau > 3.0:
-            continue
-        vals = np.real(sums[:, MONOMIAL_INDEX[(1, 1)]] / pp_acc.batch_counts)
+    # positive-P conserves the occupation product while converged: the
+    # benchmark's paths and draws, run to its output at tau = 3
+    pp_grid = TimeGrid(N_PARTICLES, tuple(tau for tau in PP_GRID.taus if tau <= 3.0), 1e-3)
+    sums, pp_acc = ladder_sums(lambda theta: run_positive_p(
+        ALPHA0, pp_grid, specs_at(pp_grid, theta), 100_000, 100, seed=1, threads=2
+    ))
+    for occupation in sums[1, 1]:
+        vals = np.real(occupation / pp_acc.batch_counts)
         sigma = max(vals.std(ddof=1) / math.sqrt(len(vals)), 1e-9)
         assert abs(vals.mean() - N_PARTICLES) < 4 * sigma
 
@@ -340,15 +351,16 @@ def test_criterion_9_gaussian_null():
     grid_small = TimeGrid(4.0, (0.0,), 1e-3)  # alpha0 = 2
     terms = []
     for seed in range(100):
-        acc = run_truncated_wigner(ALPHA0, grid0, 10_000, 20, seed=seed)
-        (rep,) = batch_error(acc, [QuadratureSpec(0.0)])
+        acc = run_truncated_wigner(ALPHA0, grid0, specs_at(grid0, 0.0), 10_000, 20, seed=seed)
+        (rep,) = batch_error(acc)
         terms.append((rep.kappa3 / rep.sigma3) ** 2)
         terms.append((rep.kappa4 / rep.sigma4) ** 2)
 
         # seeds apart from the first half's, so that the two halves' terms
         # stay independent (the same seeds correlate them at r ~ 0.7)
-        acc = run_truncated_wigner(2.0, grid_small, 5_000, 20, seed=seed + 100)
-        (rep,) = batch_error(acc, [QuadratureSpec(0.0)])
+        acc = run_truncated_wigner(2.0, grid_small, specs_at(grid_small, 0.0), 5_000, 20,
+                                   seed=seed + 100)
+        (rep,) = batch_error(acc)
         terms.append((rep.kappa3 / rep.sigma3) ** 2)
         terms.append((rep.kappa4 / rep.sigma4) ** 2)
 

@@ -203,7 +203,7 @@ class TestSimulate:
 
 
     def test_ordering_violation_exit_code(self, tmp_path, capsys, monkeypatch):
-        def violate(acc, specs):
+        def violate(acc):
             raise OrderingViolation("moment bound <X^2> - <X>^2 = -1 < 0 beyond 5 sigma")
 
         monkeypatch.setattr(cli, "batch_error", violate)

@@ -15,7 +15,7 @@ from anharmonic.engine import (
     run_positive_p,
     run_truncated_wigner,
 )
-from anharmonic.moments import MONOMIAL_INDEX, MONOMIALS, QuadratureSpec, batch_error, bulk_monomials
+from anharmonic.moments import N_POWERS, QuadratureSpec, batch_error, bulk_monomials
 from anharmonic.sampling import RandomStream, stream_for_trajectory
 from helpers import (
     ConvergedMidpointStep,
@@ -23,10 +23,12 @@ from helpers import (
     chunk_stream_wigner_initial,
     frozen_brownian_paths,
     full_block_kernel,
+    ladder_sums,
     midpoint_path,
     per_slice_batch_sums,
     scalar_midpoint_path,
-    stacked_monomials,
+    specs_at,
+    stacked_powers,
 )
 
 
@@ -53,18 +55,17 @@ def noise_free_path(model, a0, dt, n_steps):
     return midpoint_path(model, [[a0], [np.conj(a0)]], dt, n_steps)[0, 0]
 
 
-def batch_mean(acc, k, p, q):
-    """Pooled mean of abar^p a^q at output k."""
-    return acc.batch_sums[k, :, MONOMIAL_INDEX[(p, q)]].sum() / acc.batch_counts.sum()
+def batch_mean(sums, counts, k):
+    """Pooled mean at output k of per-batch sums of shape (n_out, n_batches)."""
+    return sums[k].sum() / counts.sum()
 
 
-def stacked_bulk_monomials(abar, a, out):
-    out[...] = stacked_monomials(abar, a)
-    return out
+def stacked_bulk_monomials(theta, a, abar=None, out=None):
+    return stacked_powers(theta, a, abar)
 
 
 def use_reference_kernels(monkeypatch):
-    """A directly built chunk Philox and stacked monomials, in place of the block kernels."""
+    """A directly built chunk Philox and stacked powers, in place of the block kernels."""
     monkeypatch.setattr(engine, "wigner_initial", chunk_stream_wigner_initial)
     monkeypatch.setattr(engine, "bulk_monomials", stacked_bulk_monomials)
 
@@ -76,9 +77,9 @@ def assert_same_accumulators(got, want):
     assert np.array_equal(got.batch_diverged, want.batch_diverged)
 
 
-def batch_sigma(acc, k, p, q):
-    """Batch standard error of the mean of abar^p a^q at output k."""
-    vals = np.real(acc.batch_sums[k, :, MONOMIAL_INDEX[(p, q)]] / acc.batch_counts)
+def batch_sigma(sums, counts, k):
+    """Batch standard error of the real part of the mean at output k."""
+    vals = np.real(sums[k] / counts)
     return vals.std(ddof=1) / math.sqrt(len(vals))
 
 
@@ -286,7 +287,8 @@ class TestMidpointStep:
         monkeypatch.setattr(engine, "MidpointStep", PoleStart)
         grid = TimeGrid(1.0, (0.0, 4 * dt), dt)
         acc = run_positive_p(
-            1.0, grid, 20, 10, seed=0, escape_radius=math.inf, divergence_threshold=1.0
+            1.0, grid, specs_at(grid), 20, 10, seed=0, escape_radius=math.inf,
+            divergence_threshold=1.0,
         )
         assert acc.n_diverged == 20
 
@@ -296,7 +298,6 @@ class TestMidpointStep:
         # within 1e-3 of its sampling error
         n = 10.0
         grid = TimeGrid(n, (1.0, 2.0, 3.0), 1e-3)
-        specs = [QuadratureSpec(2.0 * tau) for tau in grid.taus]
         chunk = engine._positive_p_chunk
 
         def run():
@@ -309,9 +310,10 @@ class TestMidpointStep:
 
             monkeypatch.setattr(engine, "_positive_p_chunk", spy)
             acc = run_positive_p(
-                math.sqrt(n), grid, 2048, 16, seed=1, threads=1, divergence_threshold=1.0
+                math.sqrt(n), grid, specs_at(grid), 2048, 16, seed=1, threads=1,
+                divergence_threshold=1.0,
             )
-            return batch_error(acc, specs), np.concatenate(masks)
+            return batch_error(acc), np.concatenate(masks)
 
         got, alive = run()
         monkeypatch.setattr(engine, "MidpointStep", ConvergedMidpointStep)
@@ -327,7 +329,8 @@ class TestMidpointStep:
         # non-finite, even with an infinite escape radius
         grid = TimeGrid(1.0, (0.0, 0.01), 1e-3)
         acc = run_positive_p(
-            1e200, grid, 20, 10, seed=0, escape_radius=math.inf, divergence_threshold=1.0
+            1e200, grid, specs_at(grid), 20, 10, seed=0, escape_radius=math.inf,
+            divergence_threshold=1.0,
         )
         assert acc.n_diverged == 20
         assert acc.n_paths == 0
@@ -400,29 +403,31 @@ class TestBuildNoise:
 class TestTruncatedWignerEnsemble:
     def test_initial_time_cumulants_consistent_with_zero(self):
         grid = TimeGrid(1000.0, (0.0,), 1e-3)
-        acc = run_truncated_wigner(math.sqrt(1000.0), grid, 20_000, 100, seed=5)
-        (rep,) = batch_error(acc, [QuadratureSpec(0.0)])
+        acc = run_truncated_wigner(math.sqrt(1000.0), grid, [QuadratureSpec(0.0)], 20_000, 100, seed=5)
+        (rep,) = batch_error(acc)
         assert abs(rep.kappa3) < 4 * rep.sigma3
         assert abs(rep.kappa4) < 4 * rep.sigma4
 
     def test_occupation_offset_half_quantum(self):
         n = 1000.0
         grid = TimeGrid(n, (0.0, 2.0, 7.0), 0.5)
-        acc = run_truncated_wigner(math.sqrt(n), grid, 20_000, 100, seed=6)
+        sums, acc = ladder_sums(lambda theta: run_truncated_wigner(
+            math.sqrt(n), grid, specs_at(grid, theta), 20_000, 100, seed=6
+        ))
         for k in range(acc.n_outputs):
-            m11 = batch_mean(acc, k, 1, 1).real
-            sigma = batch_sigma(acc, k, 1, 1)
+            m11 = batch_mean(sums[1, 1], acc.batch_counts, k).real
+            sigma = batch_sigma(sums[1, 1], acc.batch_counts, k)
             assert abs(m11 - 0.5 - n) < 4 * sigma
 
     def test_no_divergence_possible(self):
         grid = TimeGrid(1000.0, (0.0, 5.0), 1e-3)
-        acc = run_truncated_wigner(math.sqrt(1000.0), grid, 1000, 10, seed=7)
+        acc = run_truncated_wigner(math.sqrt(1000.0), grid, specs_at(grid), 1000, 10, seed=7)
         assert acc.n_diverged == 0
 
     def test_worker_count_invariance(self):
         grid = TimeGrid(1000.0, (0.0, 1.0), 0.1)
-        a = run_truncated_wigner(math.sqrt(1000.0), grid, 9000, 18, seed=8, threads=1)
-        b = run_truncated_wigner(math.sqrt(1000.0), grid, 9000, 18, seed=8, threads=2)
+        a, b = (run_truncated_wigner(math.sqrt(1000.0), grid, specs_at(grid), 9000, 18, seed=8,
+                                     threads=threads) for threads in (1, 2))
         assert np.array_equal(a.batch_sums, b.batch_sums)
         assert np.array_equal(a.batch_counts, b.batch_counts)
 
@@ -434,7 +439,7 @@ class TestTruncatedWignerEnsemble:
 
         def run():
             return run_truncated_wigner(
-                math.sqrt(1000.0), grid, 3000, 10, seed=2**64 + 3, threads=threads
+                math.sqrt(1000.0), grid, specs_at(grid), 3000, 10, seed=2**64 + 3, threads=threads
             )
 
         got = run()
@@ -452,27 +457,32 @@ class TestPositivePEnsemble:
         ):
             n = abs(alpha0) ** 2
             grid = TimeGrid(n, (0.0,), 1e-3)
-            acc = run_positive_p(alpha0, grid, 500, 10, seed=0)
-            assert batch_mean(acc, 0, 0, 1) == pytest.approx(alpha0, abs=1e-12 * n)
-            assert batch_mean(acc, 0, 1, 0) == pytest.approx(np.conj(alpha0), abs=1e-12 * n)
-            m11 = batch_mean(acc, 0, 1, 1)
+            sums, acc = ladder_sums(
+                lambda theta: run_positive_p(alpha0, grid, specs_at(grid, theta), 500, 10, seed=0)
+            )
+            counts = acc.batch_counts
+            assert batch_mean(sums[0, 1], counts, 0) == pytest.approx(alpha0, abs=1e-12 * n)
+            assert batch_mean(sums[1, 0], counts, 0) == pytest.approx(np.conj(alpha0), abs=1e-12 * n)
+            m11 = batch_mean(sums[1, 1], counts, 0)
             assert m11.real == pytest.approx(n, abs=1e-9)
             assert abs(m11.imag) <= imag_atol
 
     def test_number_conserved_in_time(self):
         n = 1000.0
         grid = TimeGrid(n, (0.0, 0.25, 0.5), 1e-3)
-        acc = run_positive_p(math.sqrt(n), grid, 4000, 20, seed=9)
+        sums, acc = ladder_sums(
+            lambda theta: run_positive_p(math.sqrt(n), grid, specs_at(grid, theta), 4000, 20, seed=9)
+        )
         for k in range(acc.n_outputs):
-            m11 = batch_mean(acc, k, 1, 1).real
-            sigma = max(batch_sigma(acc, k, 1, 1), 1e-9)
+            m11 = batch_mean(sums[1, 1], acc.batch_counts, k).real
+            sigma = max(batch_sigma(sums[1, 1], acc.batch_counts, k), 1e-9)
             assert abs(m11 - n) < 4 * sigma
 
     def test_worker_count_invariance(self):
         n = 1000.0
         grid = TimeGrid(n, (0.0, 0.02), 1e-3)
-        a = run_positive_p(math.sqrt(n), grid, 9000, 18, seed=10, threads=1)
-        b = run_positive_p(math.sqrt(n), grid, 9000, 18, seed=10, threads=2)
+        a, b = (run_positive_p(math.sqrt(n), grid, specs_at(grid), 9000, 18, seed=10,
+                               threads=threads) for threads in (1, 2))
         assert np.array_equal(a.batch_sums, b.batch_sums)
 
     def test_noise_blocks_replay_whole_gap_draws(self, monkeypatch):
@@ -480,7 +490,7 @@ class TestPositivePEnsemble:
         grid = TimeGrid(n, (0.0, 0.05), 1e-3)  # one gap of 50 steps
 
         def run():
-            return run_positive_p(math.sqrt(n), grid, 200, 10, seed=4)
+            return run_positive_p(math.sqrt(n), grid, specs_at(grid), 200, 10, seed=4)
 
         whole = run()
         # one 200-path chunk, capped at 7 steps per block: 8 blocks, the last short
@@ -499,8 +509,8 @@ class TestPositivePEnsemble:
     def test_seed_changes_results(self):
         n = 1000.0
         grid = TimeGrid(n, (0.0, 0.02), 1e-3)
-        a = run_positive_p(math.sqrt(n), grid, 500, 10, seed=1)
-        b = run_positive_p(math.sqrt(n), grid, 500, 10, seed=2)
+        a = run_positive_p(math.sqrt(n), grid, specs_at(grid), 500, 10, seed=1)
+        b = run_positive_p(math.sqrt(n), grid, specs_at(grid), 500, 10, seed=2)
         assert not np.array_equal(a.batch_sums[-1], b.batch_sums[-1])
 
     def test_excessive_divergence_aborts(self):
@@ -508,14 +518,14 @@ class TestPositivePEnsemble:
         grid = TimeGrid(n, (0.0, 0.01), 1e-3)
         with pytest.raises(ExcessiveDivergence):
             run_positive_p(
-                math.sqrt(n), grid, 200, 10, seed=0, escape_radius=1e-6
+                math.sqrt(n), grid, specs_at(grid), 200, 10, seed=0, escape_radius=1e-6
             )
 
     def test_diverged_paths_counted_and_excluded(self):
         n = 1000.0
         grid = TimeGrid(n, (0.0, 0.01), 1e-3)
         acc = run_positive_p(
-            math.sqrt(n), grid, 200, 10, seed=0, escape_radius=1e-6,
+            math.sqrt(n), grid, specs_at(grid), 200, 10, seed=0, escape_radius=1e-6,
             divergence_threshold=1.0,
         )
         assert acc.n_diverged == 200
@@ -530,15 +540,17 @@ class TestPositivePEnsemble:
         n = 1000.0
         a0 = math.sqrt(n)
         grid = TimeGrid(n, (tau,), 1e-3)
-        acc = run_positive_p(a0, grid, m, m, seed=seed)
+        sums, _ = ladder_sums(
+            lambda theta: run_positive_p(a0, grid, specs_at(grid, theta), m, m, seed=seed)
+        )
         dt = grid.dt
         n_steps = grid.steps_between()[0]
         draws = chunk_signs(seed, 0, n_steps, m)
         for traj in range(m):
             dw = math.sqrt(dt) * draws[:, :, traj]
             a1_ref, a2s_ref = scalar_midpoint_path(model, (a0, a0), dt, n_steps, dw)
-            a1 = acc.batch_sums[0, traj, MONOMIAL_INDEX[(0, 1)]]
-            a2s = acc.batch_sums[0, traj, MONOMIAL_INDEX[(1, 0)]]
+            a1 = sums[0, 1][0, traj]
+            a2s = sums[1, 0][0, traj]
             assert abs(a1 - a1_ref) < rel * abs(a1)
             assert abs(a2s - a2s_ref) < rel * abs(a2s)
 
@@ -560,15 +572,48 @@ class TestPositivePEnsemble:
                 assert abs(y[j, i] - ref[j]) < 1e-13 * abs(ref[j])
 
 
+class TestLadderSums:
+    """The rebuild of a, abar and abar a from the quadratures at theta = 0 and pi/2."""
+
+    @pytest.mark.parametrize("run_ensemble", [run_truncated_wigner, run_positive_p])
+    def test_two_quadratures_rebuild_each_path(self, monkeypatch, run_ensemble):
+        # one path per batch, so each batch sum is one path's value; a spy on
+        # the power kernel records the amplitudes each run passes it
+        n = 1000.0
+        grid = TimeGrid(n, (0.0, 0.05, 0.1), 1e-3)
+        kernel = engine.bulk_monomials
+        seen = {}
+
+        def run(theta):
+            def spy(phase, a, abar=None, out=None):
+                seen[theta].append((a.copy(), np.conj(a) if abar is None else abar.copy()))
+                return kernel(phase, a, abar, out)
+
+            seen[theta] = []
+            monkeypatch.setattr(engine, "bulk_monomials", spy)
+            return run_ensemble(math.sqrt(n), grid, specs_at(grid, theta), 64, 64, seed=3)
+
+        sums, acc = ladder_sums(run)
+        assert acc.n_paths == 64
+        at_zero, at_right_angle = seen.values()
+        # the draws do not depend on theta
+        for (a, abar), (a_, abar_) in zip(at_zero, at_right_angle, strict=True):
+            assert np.array_equal(a, a_) and np.array_equal(abar, abar_)
+        for k, (a, abar) in enumerate(at_zero):
+            np.testing.assert_allclose(sums[0, 1][k], a, rtol=1e-14)
+            np.testing.assert_allclose(sums[1, 0][k], abar, rtol=1e-14)
+            np.testing.assert_allclose(sums[1, 1][k], abar * a, rtol=1e-14)
+
+
 class TestPositivePAgainstOracle:
     def test_short_time_cumulants(self):
         import anharmonic.oracle as orc
 
         n = 1000.0
         grid = TimeGrid(n, (0.5, 1.0), 1e-3)
-        acc = run_positive_p(math.sqrt(n), grid, 4000, 20, seed=3)
+        acc = run_positive_p(math.sqrt(n), grid, specs_at(grid), 4000, 20, seed=3)
         state0 = orc.init_coherent(math.sqrt(n))
-        reports = batch_error(acc, [QuadratureSpec(2.0 * tau) for tau in grid.taus])
+        reports = batch_error(acc)
         for tau, rep in zip(grid.taus, reports):
             theta = 2.0 * tau
             exact = orc.oracle_cumulants(
@@ -586,7 +631,7 @@ def test_weak_order_cumulants_agree_at_half_step():
     taus = (0.25, 0.5, 0.75, 1.0)
     specs = [QuadratureSpec(2.0 * tau) for tau in taus]
     coarse, fine = (
-        batch_error(run_positive_p(math.sqrt(n), TimeGrid(n, taus, dtau), 16384, 64, seed=seed), specs)
+        batch_error(run_positive_p(math.sqrt(n), TimeGrid(n, taus, dtau), specs, 16384, 64, seed=seed))
         for dtau, seed in ((1e-3, 1), (5e-4, 2))
     )
     for a, b in zip(coarse, fine):
@@ -616,16 +661,17 @@ class TestDefaultWorkerCount:
 
 
 class TestStreamingReduction:
-    """Per-output batch sums against a reduction of the whole monomial block."""
+    """Per-output batch sums against a reduction of the whole power block."""
 
     # 2995 paths in 10 batches: five of 300 and five of 299.  With at most
     # 600 paths per chunk that is five chunks, one of which mixes the sizes.
     N_PATHS = 2995
 
-    def compare(self, monkeypatch, kernel_name, run):
+    def compare(self, monkeypatch, kernel_name, run, dtype=np.complex128):
         monkeypatch.setattr(engine, "_CHUNK_TARGET", 600)
         got = run()
-        monkeypatch.setattr(engine, kernel_name, full_block_kernel(getattr(engine, kernel_name)))
+        reference = full_block_kernel(getattr(engine, kernel_name), dtype)
+        monkeypatch.setattr(engine, kernel_name, reference)
         want = run()
         assert_same_accumulators(got, want)
         return got
@@ -637,8 +683,9 @@ class TestStreamingReduction:
             monkeypatch,
             "_truncated_wigner_chunk",
             lambda: run_truncated_wigner(
-                math.sqrt(1000.0), grid, self.N_PATHS, 10, seed=3, threads=threads
+                math.sqrt(1000.0), grid, specs_at(grid), self.N_PATHS, 10, seed=3, threads=threads
             ),
+            np.float64,
         )
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -649,7 +696,7 @@ class TestStreamingReduction:
             monkeypatch,
             "_positive_p_chunk",
             lambda: run_positive_p(
-                math.sqrt(n), grid, self.N_PATHS, 10, seed=5, threads=threads,
+                math.sqrt(n), grid, specs_at(grid), self.N_PATHS, 10, seed=5, threads=threads,
                 escape_radius=32.0, divergence_threshold=1.0,
             ),
         )
@@ -663,22 +710,25 @@ class TestStreamingReduction:
         [(1001, 7), (64 * 5 + 3, 5), (128 * 4 + 2, 4), (130 * 3, 3), (1000 * 2 + 1, 2), (1, 1), (257, 1)],
     )
     def test_reduction_helper_matches_per_slice_sums(self, n_paths, n_batches):
+        # positive-P pairs and Wigner amplitudes (abar None), each at three phases
         rng = np.random.default_rng(n_paths)
-        pairs = [tuple(rng.normal(size=(2, n_paths)) + 1j * rng.normal(size=(2, n_paths)))
-                 for _ in range(3)]
+        amplitudes = rng.normal(size=(3, 2, n_paths)) + 1j * rng.normal(size=(3, 2, n_paths))
+        thetas = (0.0, 0.7, 4.1)
         bounds = engine.batch_slices(n_paths, n_batches)
-        got = engine._batch_monomial_sums(iter(pairs), 3, bounds)
-        assert got.shape == (3, n_batches, len(MONOMIALS))
-        for out, (abar, a) in zip(got, pairs):
-            assert np.array_equal(out, per_slice_batch_sums(bulk_monomials(abar, a), bounds))
+        for pairs in ([tuple(pair) for pair in amplitudes], [(None, a) for _, a in amplitudes]):
+            got = engine._batch_power_sums(iter(pairs), thetas, bounds)
+            assert got.shape == (3, n_batches, N_POWERS)
+            for out, theta, (abar, a) in zip(got, thetas, pairs):
+                want = per_slice_batch_sums(bulk_monomials(theta, a, abar), bounds)
+                assert np.array_equal(out, want)
 
 
 class TestMemoryBound:
-    """Chunk memory does not hold a monomial block per output.
+    """Chunk memory does not hold a power block per output.
 
-    At 2048 paths and 1001 outputs the whole (n_out, 14, m) complex block
-    would be 459 MB.  A truncated-Wigner chunk holds one (14, m) block, so
-    only the (n_out, n_batches, 14) sums may grow; a positive-P chunk also
+    At 2048 paths and 1001 outputs the whole (n_out, 4, m) float64 block
+    would be 66 MB.  A truncated-Wigner chunk holds one (4, m) block, so
+    only the (n_out, n_batches, 4) sums may grow; a positive-P chunk also
     keeps every output's (2, m) state, 32 B per path per output.
     """
 
@@ -695,14 +745,16 @@ class TestMemoryBound:
 
     def test_truncated_wigner(self):
         peak = self.traced_peak(
-            lambda: run_truncated_wigner(math.sqrt(1000.0), self.GRID, 2048, 10, seed=1, threads=1)
+            lambda: run_truncated_wigner(
+                math.sqrt(1000.0), self.GRID, specs_at(self.GRID), 2048, 10, seed=1, threads=1
+            )
         )
         assert peak < self.BOUND, peak
 
     def test_positive_p(self):
         peak = self.traced_peak(
             lambda: run_positive_p(
-                math.sqrt(1000.0), self.GRID, 2048, 10, seed=1, threads=1,
+                math.sqrt(1000.0), self.GRID, specs_at(self.GRID), 2048, 10, seed=1, threads=1,
                 divergence_threshold=1.0,
             )
         )
@@ -714,12 +766,13 @@ class TestMemoryBound:
         # 2048 paths, but the chunk holds one L2-sized noise block of 1 MiB.
         # Beside it live (2, m) complex arrays (64 KiB each at this m): the
         # state, the kernel's three buffers, the two stored outputs and the
-        # (14, m) monomial block, about 15 of them; the bound allows 24.
+        # (4, m) power block, about 10 of them; the bound allows 24.
         grid = TimeGrid(1000.0, (0.0, 2.0), 1e-3)
 
         def run(m):
             return run_positive_p(
-                math.sqrt(1000.0), grid, m, 10, seed=1, threads=1, divergence_threshold=1.0
+                math.sqrt(1000.0), grid, specs_at(grid), m, 10, seed=1, threads=1,
+                divergence_threshold=1.0,
             )
 
         run(10)  # one-time imports and model derivation, outside the trace

@@ -1,3 +1,4 @@
+import cmath
 import math
 from dataclasses import astuple
 
@@ -6,8 +7,7 @@ import pytest
 
 from anharmonic import moments as mo
 from anharmonic.moments import (
-    MONOMIAL_INDEX,
-    MONOMIALS,
+    N_POWERS,
     POSITIVE_P,
     WIGNER,
     InsufficientBatches,
@@ -16,6 +16,7 @@ from anharmonic.moments import (
     batch_error,
     bulk_monomials,
     k3_k4,
+    promote_normal_order,
 )
 from anharmonic.engine import TimeGrid, run_positive_p, run_truncated_wigner
 from helpers import (
@@ -23,55 +24,59 @@ from helpers import (
     fill_batches,
     per_output_batch_error,
     per_output_batch_errors,
-    stacked_monomials,
+    specs_at,
+    stacked_powers,
 )
 
 
-def acc_from_samples(representation, abar, a, n_batches=10, diverged=0):
-    """Accumulator over consecutive batches of paths with amplitudes (abar, a)."""
-    abars = np.array_split(np.asarray(abar), n_batches)
+def acc_from_samples(representation, a, abar=None, theta=0.0, n_batches=10, diverged=0):
+    """Accumulator over consecutive batches of paths with amplitudes (a, abar)
+    (abar None for Wigner amplitudes), at quadrature phase theta."""
     amps = np.array_split(np.asarray(a), n_batches)
+    abars = [None] * n_batches if abar is None else np.array_split(np.asarray(abar), n_batches)
     return fill_batches(
         MomentAccumulator(representation, 1, n_batches),
-        [bulk_monomials(ab, am).sum(axis=1) for ab, am in zip(abars, amps)],
+        [bulk_monomials(theta, am, ab).sum(axis=1) for am, ab in zip(amps, abars)],
         [len(am) for am in amps],
         diverged,
     )
 
 
-def wigner_acc_from_samples(samples, n_batches=10):
-    return acc_from_samples(WIGNER, np.conj(samples), samples, n_batches)
+def wigner_acc_from_samples(samples, theta=0.0, n_batches=10):
+    return acc_from_samples(WIGNER, samples, theta=theta, n_batches=n_batches)
 
 
-def positive_p_acc_from_samples(a1, a2s, n_batches=10):
-    return acc_from_samples(POSITIVE_P, a2s, a1, n_batches)
+def positive_p_acc_from_samples(a1, a2s, theta=0.0, n_batches=10):
+    return acc_from_samples(POSITIVE_P, a1, a2s, theta, n_batches)
 
 
-def true_moments(acc, theta):
+def true_moments(acc):
     """Pooled <X^k> (k = 1..4) of output 0 through the assembly batch_error runs."""
     pooled = acc.batch_sums[0].sum(axis=0) / acc.batch_counts.sum()
-    powers = mo._true_moments(lambda p, q: pooled[MONOMIAL_INDEX[p, q]], theta, acc.representation)
-    return np.real(np.array(powers))
+    if acc.representation == POSITIVE_P:
+        pooled = promote_normal_order(*pooled)
+    return np.real(np.array(pooled))
 
 
 class TestAccumulate:
-    """One path's monomials from bulk_monomials, added into batch_sums."""
+    """One path's powers from bulk_monomials, added into batch_sums."""
 
     def test_single_wigner_path(self):
-        a = np.array([2.0 + 0.0j])
-        acc = fill_batches(MomentAccumulator(WIGNER, 1, 2), bulk_monomials(a.conj(), a).T, [1])
-        assert acc.batch_sums[0, 0, MONOMIAL_INDEX[(1, 1)]] == pytest.approx(4.0)
+        # x = 2 Re(a) = 4 at theta = 0
+        a = np.array([2.0 + 0.5j])
+        acc = fill_batches(MomentAccumulator(WIGNER, 1, 2), bulk_monomials(0.0, a).T, [1])
+        assert acc.batch_sums[0, 0] == pytest.approx([4.0, 16.0, 64.0, 256.0])
         assert acc.batch_counts[0] == 1
         assert not acc.batch_sums[0, 1].any()
 
     def test_positive_p_monomial_definition(self):
-        a, abar = np.array([2.0 + 1.0j]), np.array([3.0 - 0.5j])
-        acc = fill_batches(MomentAccumulator(POSITIVE_P, 1, 1), bulk_monomials(abar, a).T, [1])
-        expected = (3.0 - 0.5j) * (2.0 + 1.0j)
-        assert acc.batch_sums[0, 0, MONOMIAL_INDEX[(1, 1)]] == pytest.approx(expected)
-        assert acc.batch_sums[0, 0, MONOMIAL_INDEX[(2, 1)]] == pytest.approx(
-            expected * (3.0 - 0.5j)
+        # x = e^{-i theta} a + e^{i theta} abar, with abar independent of a
+        a, abar, theta = 2.0 + 1.0j, 3.0 - 0.5j, 0.7
+        acc = fill_batches(
+            MomentAccumulator(POSITIVE_P, 1, 1), bulk_monomials(theta, [a], [abar]).T, [1]
         )
+        x = cmath.exp(-1j * theta) * a + cmath.exp(1j * theta) * abar
+        assert acc.batch_sums[0, 0] == pytest.approx([x, x**2, x**3, x**4])
 
 
 class TestWignerQuadrature:
@@ -79,8 +84,8 @@ class TestWignerQuadrature:
         rng = np.random.default_rng(1)
         n = 200_000
         zeta = 0.5 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        acc = wigner_acc_from_samples(zeta)
-        m1, m2, m3, m4 = true_moments(acc, 0.7)
+        acc = wigner_acc_from_samples(zeta, 0.7)
+        m1, m2, m3, m4 = true_moments(acc)
         # quadrature of the vacuum: variance 1, Gaussian fourth moment 3
         assert abs(m2 - 1.0) < 4 * math.sqrt(2.0 / n)
         assert abs(m4 - 3.0) < 4 * math.sqrt(96.0 / n)
@@ -91,20 +96,20 @@ class TestWignerQuadrature:
         a0 = 3.0
         samples = a0 + 0.5 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         acc = wigner_acc_from_samples(samples)
-        assert abs(true_moments(acc, 0.0)[0] - 2 * a0) < 4 / math.sqrt(n)
+        assert abs(true_moments(acc)[0] - 2 * a0) < 4 / math.sqrt(n)
 
 
 class TestPositivePQuadrature:
     def test_vacuum_assembly_constants_exact(self):
-        acc = positive_p_acc_from_samples(np.zeros(100), np.zeros(100))
-        m1, m2, m3, m4 = true_moments(acc, 0.3)
+        acc = positive_p_acc_from_samples(np.zeros(100), np.zeros(100), 0.3)
+        m1, m2, m3, m4 = true_moments(acc)
         assert m2 == pytest.approx(1.0, abs=1e-14)
         assert m4 == pytest.approx(3.0, abs=1e-14)
 
     def test_coherent_deterministic_mean(self):
         a0 = 1.7
         acc = positive_p_acc_from_samples(np.full(50, a0), np.full(50, a0))
-        assert true_moments(acc, 0.0)[0] == pytest.approx(2 * a0, abs=1e-12)
+        assert true_moments(acc)[0] == pytest.approx(2 * a0, abs=1e-12)
 
     def test_assembly_matches_dense_operator_computation(self):
         # the {1; 3; 6, 3} promotion must agree with explicit matrix powers
@@ -113,11 +118,9 @@ class TestPositivePQuadrature:
         for _ in range(5):
             a0 = complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2))
             theta = rng.uniform(0, 2 * math.pi)
-            acc = positive_p_acc_from_samples(
-                np.full(10, a0), np.full(10, np.conj(a0))
-            )
+            acc = positive_p_acc_from_samples(np.full(10, a0), np.full(10, np.conj(a0)), theta)
             dense = dense_brute_force(a0, 20, 0.0, QuadratureSpec(theta))
-            for got, want in zip(true_moments(acc, theta), dense):
+            for got, want in zip(true_moments(acc), dense):
                 assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
@@ -170,25 +173,22 @@ class TestEstimateConsistencyChecks:
         a2s = np.conj(a1) + 0.5j  # broken conjugacy in the mean
         acc = positive_p_acc_from_samples(a1, a2s, n_batches=20)
         with pytest.raises(mo.OrderingViolation, match="imaginary residue"):
-            batch_error(acc, [QuadratureSpec(0.0)])
+            batch_error(acc)
 
     def test_clean_ensemble_passes_residue_check(self):
         rng = np.random.default_rng(11)
         n = 2000
         a1 = 1.0 + 0.1 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        acc = positive_p_acc_from_samples(a1, np.conj(a1), n_batches=20)
-        (rep,) = batch_error(acc, [QuadratureSpec(0.4)])
+        acc = positive_p_acc_from_samples(a1, np.conj(a1), 0.4, n_batches=20)
+        (rep,) = batch_error(acc)
         assert np.isfinite([rep.kappa3, rep.kappa4, rep.sigma3, rep.sigma4]).all()
 
     def test_variance_bound_violation_raises(self):
         # force <X^2> < <X>^2 by writing inconsistent sums directly
-        row = np.zeros(len(mo.MONOMIALS), dtype=np.complex128)
-        row[MONOMIAL_INDEX[(0, 1)]] = 2.0   # <a> = 2 -> <X> = 4
-        row[MONOMIAL_INDEX[(1, 0)]] = 2.0
-        row[MONOMIAL_INDEX[(1, 1)]] = 0.1   # far too small for |<a>|^2
+        row = np.array([4.0, 0.2, 0.0, 0.0])  # <X> = 4, <X^2> far too small for <X>^2
         acc = fill_batches(MomentAccumulator(WIGNER, 1, 10), row, [1] * 10)
         with pytest.raises(mo.OrderingViolation, match="moment bound"):
-            batch_error(acc, [QuadratureSpec(0.0)])
+            batch_error(acc)
 
 
 class TestBulkMonomials:
@@ -200,29 +200,33 @@ class TestBulkMonomials:
 
     def test_matches_stacked_reference_bit_for_bit(self):
         abar, a = self._paths()
-        assert np.array_equal(bulk_monomials(abar, a), stacked_monomials(abar, a))
+        for theta in (0.0, 0.3, 2.0, -7.5):
+            wigner = bulk_monomials(theta, a)
+            assert wigner.dtype == np.float64
+            assert np.array_equal(wigner, stacked_powers(theta, a))
+            assert np.array_equal(bulk_monomials(theta, a, abar), stacked_powers(theta, a, abar))
 
     def test_out_buffer_view_equals_fresh_result(self):
         abar, a = self._paths()
-        block = np.full((3, len(MONOMIALS), len(a)), np.nan, dtype=np.complex128)
-        got = bulk_monomials(abar, a, out=block[1])
+        block = np.full((3, N_POWERS, len(a)), np.nan, dtype=np.complex128)
+        got = bulk_monomials(0.4, a, abar, out=block[1])
         assert np.shares_memory(got, block[1])
-        assert np.array_equal(block[1], bulk_monomials(abar, a))
+        assert np.array_equal(block[1], bulk_monomials(0.4, a, abar))
         assert np.isnan(block[0]).all() and np.isnan(block[2]).all()
 
 
 class TestBatchError:
     def test_identical_batches_zero_sigma(self):
-        row = bulk_monomials(np.array([2.0 - 1.0j]).conj(), np.array([2.0 - 1.0j]))[:, 0]
+        row = bulk_monomials(0.0, np.array([2.0 - 1.0j]))[:, 0]
         acc = fill_batches(MomentAccumulator(WIGNER, 1, 10), row, [1] * 10)
-        (rep,) = batch_error(acc, [QuadratureSpec(0.0)])
+        (rep,) = batch_error(acc)
         assert rep.sigma3 == 0.0
         assert rep.sigma4 == 0.0
 
     def test_insufficient_batches_rejected(self):
         acc = MomentAccumulator(WIGNER, 1, 5)
         with pytest.raises(InsufficientBatches):
-            batch_error(acc, [QuadratureSpec(0.0)])
+            batch_error(acc)
 
     def test_sigma_scales_with_path_count(self):
         # doubling the number of i.i.d. paths shrinks sigma(k3) by ~sqrt(2)
@@ -231,7 +235,7 @@ class TestBatchError:
         def sigma_for(n):
             xs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             acc = wigner_acc_from_samples(xs, n_batches=50)
-            return batch_error(acc, [QuadratureSpec(0.0)])[0].sigma3
+            return batch_error(acc)[0].sigma3
 
         ratios = [sigma_for(20_000) / sigma_for(40_000) for _ in range(5)]
         assert 1.15 < np.mean(ratios) < 1.75
@@ -239,8 +243,8 @@ class TestBatchError:
     def test_report_counts(self):
         rng = np.random.default_rng(7)
         xs = rng.standard_normal(100) + 0j
-        acc = acc_from_samples(WIGNER, xs.conj(), xs, diverged=1)
-        (rep,) = batch_error(acc, [QuadratureSpec(0.0)])
+        acc = acc_from_samples(WIGNER, xs, diverged=1)
+        (rep,) = batch_error(acc)
         assert rep.n_paths == 100
         assert rep.n_diverged == 10
 
@@ -250,55 +254,52 @@ class TestOnePassEstimator:
 
     N = 1000.0
 
-    @staticmethod
-    def specs(grid):
-        return [QuadratureSpec(2.0 * tau) for tau in grid.taus]
+    TW_GRID = TimeGrid(N, (0.0, 0.5, 1.25, 3.0, 7.5), 1e-3)
+    PP_GRID = TimeGrid(N, (0.0, 0.01, 0.03), 1e-3)
 
     @staticmethod
-    def assert_bit_identical(acc, specs):
-        got = np.array([astuple(r) for r in batch_error(acc, specs)])
-        want = np.array([astuple(r) for r in per_output_batch_errors(acc, specs)])
+    def assert_bit_identical(acc):
+        got = np.array([astuple(r) for r in batch_error(acc)])
+        want = np.array([astuple(r) for r in per_output_batch_errors(acc)])
         assert np.array_equal(got, want)
 
     def tw_run(self):
-        grid = TimeGrid(self.N, (0.0, 0.5, 1.25, 3.0, 7.5), 1e-3)
-        return grid, run_truncated_wigner(math.sqrt(self.N), grid, 6000, 40, seed=3)
+        grid = self.TW_GRID
+        return run_truncated_wigner(math.sqrt(self.N), grid, specs_at(grid), 6000, 40, seed=3)
 
     def pp_run(self):
-        grid = TimeGrid(self.N, (0.0, 0.01, 0.03), 1e-3)
-        return grid, run_positive_p(math.sqrt(self.N), grid, 3000, 30, seed=3)
+        grid = self.PP_GRID
+        return run_positive_p(math.sqrt(self.N), grid, specs_at(grid), 3000, 30, seed=3)
 
     def test_truncated_wigner_run(self):
-        grid, acc = self.tw_run()
-        self.assert_bit_identical(acc, self.specs(grid))
+        self.assert_bit_identical(self.tw_run())
 
     def test_positive_p_run(self):
-        grid, acc = self.pp_run()
-        self.assert_bit_identical(acc, self.specs(grid))
+        self.assert_bit_identical(self.pp_run())
 
     @pytest.mark.parametrize("run", ["tw_run", "pp_run"])
     def test_batch_that_lost_every_path(self, run):
         # a batch in the middle of the batch axis loses every path, as when
         # all of its paths diverge, and is left out of the estimates
-        grid, acc = getattr(self, run)()
+        acc = getattr(self, run)()
         acc.batch_diverged[7] = acc.batch_counts[7]
         acc.batch_counts[7] = 0
         acc.batch_sums[:, 7] = 0.0
-        self.assert_bit_identical(acc, self.specs(grid))
-        assert batch_error(acc, self.specs(grid))[0].n_paths == acc.n_paths
+        self.assert_bit_identical(acc)
+        assert batch_error(acc)[0].n_paths == acc.n_paths
 
     @staticmethod
     def stacked(outputs, bound_broken=()):
         """Positive-P accumulator whose output k holds the batches of outputs[k].
 
         Each output is (a1, a2*) samples; the outputs in ``bound_broken`` get
-        their <abar a> sums scaled down so that <X^2> < <X>^2.
+        their x^2 sums scaled down so that <X^2> < <X>^2.
         """
         accs = [positive_p_acc_from_samples(a1, a2s, n_batches=20) for a1, a2s in outputs]
         acc = MomentAccumulator(POSITIVE_P, len(outputs), 20)
         fill_batches(acc, np.stack([x.batch_sums[0] for x in accs]), accs[0].batch_counts)
         for k in bound_broken:
-            acc.batch_sums[k, :, MONOMIAL_INDEX[1, 1]] *= 0.01
+            acc.batch_sums[k, :, 1] *= 0.01
         return acc
 
     @pytest.mark.parametrize(
@@ -317,24 +318,26 @@ class TestOnePassEstimator:
             a1 = 1.0 + 0.1 * (rng.standard_normal(2000) + 1j * rng.standard_normal(2000))
             outputs.append((a1, np.conj(a1) + (0.5j if k == residue_at else 0.0)))
         acc = self.stacked(outputs, bound_broken)
-        specs = [QuadratureSpec(0.0)] * 3
         with pytest.raises(mo.OrderingViolation) as got:
-            batch_error(acc, specs)
+            batch_error(acc)
         with pytest.raises(mo.OrderingViolation) as want:
-            per_output_batch_errors(acc, specs)
+            per_output_batch_errors(acc)
         with pytest.raises(mo.OrderingViolation) as at_output_1:
-            per_output_batch_error(acc, 1, specs[1])
+            per_output_batch_error(acc, 1)
         assert str(got.value) == str(want.value) == str(at_output_1.value)
         assert str(got.value).startswith(first)
         # output 2 fails too, with a different message
         with pytest.raises(mo.OrderingViolation) as at_output_2:
-            per_output_batch_error(acc, 2, specs[2])
+            per_output_batch_error(acc, 2)
         assert str(at_output_2.value) != str(got.value)
 
     def test_one_spec_per_output(self):
-        grid, acc = self.tw_run()
-        with pytest.raises(ValueError, match="5 outputs"):
-            batch_error(acc, self.specs(grid)[:1])
+        # the ensembles take the specs, so both check their count
+        alpha0 = math.sqrt(self.N)
+        with pytest.raises(ValueError, match="1 quadrature specs for 5 outputs"):
+            run_truncated_wigner(alpha0, self.TW_GRID, specs_at(self.TW_GRID)[:1], 6000, 40)
+        with pytest.raises(ValueError, match="4 quadrature specs for 3 outputs"):
+            run_positive_p(alpha0, self.PP_GRID, specs_at(self.TW_GRID)[:4], 3000, 30)
 
 
 class TestCsv:

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from anharmonic.engine import TimeGrid, run_positive_p
-from anharmonic.moments import MONOMIAL_INDEX
 from anharmonic.sampling import stream_for_trajectory, wigner_initial
-from helpers import chunk_signs, chunk_stream_wigner_initial
+from helpers import chunk_signs, chunk_stream_wigner_initial, ladder_sums, specs_at
 
 
 def _wigner_samples(alpha0, n, seed=0):
@@ -127,19 +126,20 @@ class TestWignerInitialBlock:
 
 
 def _positive_p_start(alpha0):
-    # one path in one batch at tau = 0: the batch sums of a* and a are the
-    # chunk's start pair (alpha1, alpha2*) themselves, with no rounding
-    acc = run_positive_p(alpha0, TimeGrid(abs(alpha0) ** 2, (0.0,), 1e-3), 1, 1, seed=0)
-    sums = acc.batch_sums[0, 0]
-    return sums[MONOMIAL_INDEX[(0, 1)]], sums[MONOMIAL_INDEX[(1, 0)]]
+    # one path in one batch at tau = 0: the batch sums of a and a* are the
+    # chunk's start pair (alpha1, alpha2*), read back through the quadratures
+    # at theta = 0 and pi/2, whose phases round (cos(pi/2) is 6e-17, not 0)
+    grid = TimeGrid(abs(alpha0) ** 2, (0.0,), 1e-3)
+    sums, _ = ladder_sums(lambda theta: run_positive_p(alpha0, grid, specs_at(grid, theta), 1, 1))
+    return sums[0, 1][0, 0], sums[1, 0][0, 0]
 
 
 class TestPositivePSampling:
     def test_deterministic_copy(self):
         a0 = math.sqrt(1000.0)
         a1, a2s = _positive_p_start(a0)
-        assert a1 == a0
-        assert a2s == a0
+        assert a1.real == a2s.real == a0
+        assert abs(a1.imag) == abs(a2s.imag) <= 1e-16 * a0
 
     def test_occupation_product_exact(self):
         for a0 in (0.3 + 0.4j, -2.0, 1j * math.sqrt(5)):
