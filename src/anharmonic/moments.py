@@ -22,9 +22,9 @@ Third- and fourth-order cumulants follow as
 
 with sampling errors estimated from the spread of per-batch values.
 :func:`batch_error` estimates every output of a run in one pass.  The
-closed-form oracle promotes its exact normally ordered moments with the same
-:func:`promote_normal_order` and forms its cumulants with the same
-:func:`k3_k4`, in mpmath numbers.
+closed-form oracle forms its cumulants with the same :func:`k3_k4`, in mpmath
+numbers, straight from its exact normally ordered moments: the promotion adds
+an independent unit Gaussian, which changes neither k3 nor k4.
 """
 
 from __future__ import annotations

@@ -5,13 +5,21 @@ normally ordered ladder moments at time t are
 
     <a^dag^p a^q>_t = conj(alpha)^p alpha^q exp(-i (q^2 - p^2) t) exp(N (exp(-2i (q - p) t) - 1)).
 
-Those with p + q <= 4 give the normally ordered moments of the quadrature
-X = exp(-i theta) a + exp(i theta) a^dag, which
-:func:`~anharmonic.moments.promote_normal_order` turns into operator moments
-and :func:`~anharmonic.moments.k3_k4` into the cumulants.  The moments reach
-(2 sqrt(N))^4 = 16 N^2 while k3 and k4 are O(1) or smaller, so the sums run
-in mpmath at 20 + ceil(2 log10(16 N^2)) significant digits, which keeps the
-cumulants exact to double precision at every N.
+Those with p + q = k sum to the normally ordered moment <:X^k:> of the
+quadrature X = exp(-i theta) a + exp(i theta) a^dag, and
+:func:`~anharmonic.moments.k3_k4` turns <:X^k:>, k = 1..4, into the
+cumulants: the {1; 3; 6, 3} promotion to operator moments adds an
+independent unit Gaussian, which leaves k3 and k4 unchanged.  Every phase of
+a row is an integer power of w = exp(-i t) or g = exp(i (arg alpha - theta)),
+so a row costs six transcendental calls (w, g and exp(N (w^(2s) - 1)) for
+s = 1..4) and a few dozen mpmath products.
+
+The moments reach (2 sqrt(N))^4 = 16 N^2 while k3 and k4 are O(1) or
+smaller, so the sums run in mpmath at dps = 20 + ceil(2 log10(16 N^2))
+significant digits.  Rounding leaves k3 and k4 an absolute error of a few
+units of 10^-dps max(1, 16 N^2): far below double precision of any
+cumulant that is not near zero, and visible only where the exact value
+vanishes, as at t = 0.
 
 mpmath is imported when the first state is built, so ensemble runs do not
 pay for its import.  Each state carries a private mpmath context, so the
@@ -23,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .moments import CumulantReport, QuadratureSpec, k3_k4, promote_normal_order
+from .moments import CumulantReport, QuadratureSpec, k3_k4
 
 
 @dataclass(frozen=True)
@@ -57,43 +65,32 @@ def evolve(state: OracleState, t: float) -> OracleState:
     return replace(state, t=float(t))
 
 
-def _ladder_moments(state: OracleState) -> dict:
-    """<a^dag^p a^q> for p + q <= 4, keyed by (p, q), as mpmath numbers."""
-    ctx = state._ctx
-    alpha = ctx.mpc(state.alpha0)
-    n = alpha.real**2 + alpha.imag**2
-    t = ctx.mpf(state.t)
-    # exp(N (exp(-2i s t) - 1)) for s = q - p >= 0; -s gives the conjugate
-    decay = [ctx.exp(n * ctx.expm1(ctx.mpc(0, -2 * s) * t)) for s in range(5)]
-    moments = {}
-    for p in range(5):
-        for q in range(5 - p):
-            s = q - p
-            factor = decay[s] if s >= 0 else ctx.conj(decay[-s])
-            phase = ctx.expj(-(q * q - p * p) * t)
-            moments[p, q] = ctx.conj(alpha) ** p * alpha**q * phase * factor
-    return moments
-
-
 def _quadrature_moments(state: OracleState, theta: float) -> tuple:
-    """Operator moments <X^k> (k = 1..4) at phase theta, as mpmath numbers.
+    """Normally ordered moments <:X^k:> (k = 1..4) at phase theta, as mpmath numbers.
 
-    The normally ordered <:X^k:> is the binomial sum over j of
-    C(k, j) exp(i (k - 2j) theta) <a^dag^(k-j) a^j>, with its phases in
-    mpmath: double-precision phases would cost moments of size 16 N^2 their
-    accuracy.
+    <:X^k:> is the sum over j of C(k, j) exp(i (k - 2j) theta) <a^dag^(k-j) a^j>.
+    With s = 2j - k its term is C(k, j) |alpha|^k (g w^k)^s exp(N (w^(2s) - 1)).
+    The terms at s and -s are conjugates, so the sum is the s = 0 term,
+    C(k, k/2) N^(k/2), plus twice the real part of the s > 0 half.  The
+    phases stay in mpmath: double-precision phases would cost moments of
+    size 16 N^2 their accuracy.
     """
     ctx = state._ctx
-    ladder = _ladder_moments(state)
-    theta = ctx.mpf(theta)
-    normal = [
-        ctx.re(ctx.fsum(
-            math.comb(k, j) * ctx.expj((k - 2 * j) * theta) * ladder[k - j, j]
-            for j in range(k + 1)
-        ))
-        for k in range(1, 5)
-    ]
-    return promote_normal_order(*normal)
+    alpha = ctx.mpc(state.alpha0)
+    r = abs(alpha)
+    n = r * r
+    w = [ctx.mpf(1), ctx.expj(-ctx.mpf(state.t))]  # w[m] = exp(-i m t), m = 0..8
+    for _ in range(7):
+        w.append(w[-1] * w[1])
+    g = alpha / r * ctx.expj(-ctx.mpf(theta))
+    decay = {s: ctx.exp(n * (w[2 * s] - 1)) for s in range(1, 5)}
+    normal = []
+    for k in range(1, 5):
+        z = g * w[k]
+        half = ctx.fsum(math.comb(k, (k + s) // 2) * z**s * decay[s] for s in range(k, 0, -2))
+        centre = math.comb(k, k // 2) * n ** (k // 2) if k % 2 == 0 else 0
+        normal.append(r**k * (2 * half.real) + centre)
+    return tuple(normal)
 
 
 def oracle_cumulants(state: OracleState, spec: QuadratureSpec) -> CumulantReport:

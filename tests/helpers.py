@@ -5,8 +5,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
+from anharmonic import oracle
 from anharmonic.engine import MidpointStep
 from anharmonic.moments import (
     MIN_BATCHES,
@@ -406,3 +408,145 @@ def dense_cumulant_atol(n_particles: float) -> float:
     double precision: 32 units of eps (2 sqrt(N))^4, the size of the
     moments that cancel."""
     return 32.0 * np.finfo(np.float64).eps * (4.0 * n_particles) ** 2
+
+
+def closed_form_ladder_moments(state) -> dict:
+    """<a^dag^p a^q> for p + q <= 4, keyed by (p, q), at the state's working precision.
+
+    Each moment from its own closed form,
+    conj(alpha)^p alpha^q exp(-i (q^2 - p^2) t) exp(N (exp(-2i (q - p) t) - 1)),
+    with its own phase and decay: the oracle's evaluation before it formed
+    every phase as a power of exp(-i t).
+    """
+    ctx = state._ctx
+    alpha = ctx.mpc(state.alpha0)
+    n = alpha.real**2 + alpha.imag**2
+    t = ctx.mpf(state.t)
+    # exp(N (exp(-2i s t) - 1)) for s = q - p >= 0; -s gives the conjugate
+    decay = [ctx.exp(n * ctx.expm1(ctx.mpc(0, -2 * s) * t)) for s in range(5)]
+    moments = {}
+    for p in range(5):
+        for q in range(5 - p):
+            s = q - p
+            factor = decay[s] if s >= 0 else ctx.conj(decay[-s])
+            phase = ctx.expj(-(q * q - p * p) * t)
+            moments[p, q] = ctx.conj(alpha) ** p * alpha**q * phase * factor
+    return moments
+
+
+def binomial_sum_cumulants(state, theta: float) -> tuple[float, float]:
+    """Reference k3, k4: the binomial sum over closed_form_ladder_moments with
+    one phase exp(i (k - 2j) theta) per term, promoted with {1; 3; 6, 3}."""
+    ctx = state._ctx
+    ladder = closed_form_ladder_moments(state)
+    theta = ctx.mpf(theta)
+    normal = [
+        ctx.re(ctx.fsum(
+            math.comb(k, j) * ctx.expj((k - 2 * j) * theta) * ladder[k - j, j]
+            for j in range(k + 1)
+        ))
+        for k in range(1, 5)
+    ]
+    k3, k4 = k3_k4(*promote_normal_order(*normal))
+    return float(k3), float(k4)
+
+
+def ladder_from_quadrature(state) -> dict:
+    """<a^dag^p a^q> for p + q <= 4, keyed by (p, q), rebuilt from the oracle's
+    normally ordered quadrature moments.
+
+    <:X^k:>(theta) = sum_j C(k, j) exp(i (k - 2j) theta) <a^dag^(k-j) a^j> has
+    the k + 1 frequencies k - 2j in [-k, k], so a discrete Fourier transform
+    over 2k + 1 equally spaced phases (in mpmath) separates them.  The
+    order-0 moment is the norm, 1.
+    """
+    ctx = state._ctx
+    moments = {(0, 0): ctx.mpf(1)}
+    for k in range(1, 5):
+        size = 2 * k + 1
+        phases = [2 * ctx.pi * m / size for m in range(size)]
+        values = [oracle._quadrature_moments(state, phase)[k - 1] for phase in phases]
+        for j in range(k + 1):
+            coefficient = ctx.fsum(
+                value * ctx.expj(-(k - 2 * j) * phase) for value, phase in zip(values, phases)
+            ) / size
+            moments[k - j, j] = coefficient / math.comb(k, j)
+    return moments
+
+
+def oracle_precision_floor(state) -> float:
+    """Absolute rounding floor of the oracle's k3 and k4: one unit of its
+    working precision, 10^-dps, times its largest moment, 16 N^2 (or 1)."""
+    log_moment = max(0.0, math.log10(16.0) + 4.0 * math.log10(abs(state.alpha0)))
+    return 10.0 ** (log_moment - state._ctx.dps)
+
+
+# ----------------------------------------------------------------------
+# truncated Wigner at infinitely many paths, in closed form
+
+#: Working digits of the truncated-Wigner limit.
+TW_LIMIT_DIGITS = 60
+
+
+def tw_limit_moment(n, tau, p: int, q: int):
+    """<conj(alpha)^p alpha^q> of truncated Wigner at scaled time tau, over
+    infinitely many paths, for the coherent start beta = sqrt(n).
+
+    The start is a complex Gaussian about beta with <|d alpha|^2> = 1/2, and
+    each path turns at its own rate: alpha(t) = alpha0 exp(-i (2 |alpha0|^2 - 1) t).
+    With s = q - p and a = 2 + 2 i s t, the Gaussian average is
+
+        e^{i s t} (2/a) exp(4 N/a - 2 N) sum_k k! C(p, k) C(q, k) a^-k (2 beta/a)^(p+q-2k)
+
+    (Polkovnikov, Ann. Phys. 325, 1790 (2010)).  The exponent is written
+    -2 i s tau / (1 + i s tau / N), which stays bounded in N.
+    """
+    n, tau = mpmath.mpf(n), mpmath.mpf(tau)
+    s = q - p
+    t = tau / n
+    a = 2 + 2j * s * t
+    beta = mpmath.sqrt(n)
+    total = mpmath.fsum(
+        math.factorial(k) * math.comb(p, k) * math.comb(q, k)
+        * a**-k * (2 * beta / a) ** (p + q - 2 * k)
+        for k in range(min(p, q) + 1)
+    )
+    exponent = -2j * s * tau / (1 + 1j * s * tau / n)
+    return mpmath.expj(s * t) * (2 / a) * mpmath.exp(exponent) * total
+
+
+def tw_limit_cumulants(n: float, tau: float, theta: float) -> tuple[float, float]:
+    """k3, k4 of truncated Wigner over infinitely many paths.
+
+    Wigner averages are symmetrically ordered, so the quadrature moments
+    <X^k> = sum_j C(k, j) exp(i (k - 2j) theta) <conj(alpha)^(k-j) alpha^j> need
+    no promotion.
+    """
+    with mpmath.workdps(TW_LIMIT_DIGITS):
+        theta = mpmath.mpf(theta)
+        moments = [
+            mpmath.re(mpmath.fsum(
+                math.comb(k, j) * mpmath.expj((k - 2 * j) * theta)
+                * tw_limit_moment(n, tau, k - j, j)
+                for j in range(k + 1)
+            ))
+            for k in range(1, 5)
+        ]
+        k3, k4 = k3_k4(*moments)
+        return float(k3), float(k4)
+
+
+def tw_flow_cumulants_by_quadrature(n: float, tau: float, theta: float):
+    """k3, k4 of the exact truncated-Wigner flow averaged over its Gaussian
+    start by 2-D Gauss-Hermite quadrature (160 nodes a side), in double
+    precision: x^k of each node's quadrature x = 2 Re(exp(-i theta) alpha(t)),
+    averaged directly."""
+    u, weight = np.polynomial.hermite_e.hermegauss(160)
+    weight = weight / weight.sum()
+    # d alpha = (u + i v) / 2 with u, v unit normals: <|d alpha|^2> = 1/2
+    alpha0 = math.sqrt(n) + (u[:, None] + 1j * u[None, :]) / 2
+    w2 = weight[:, None] * weight[None, :]
+    t = tau / n
+    alpha = alpha0 * np.exp(-1j * (2 * np.abs(alpha0) ** 2 - 1) * t)
+    x = 2 * (np.exp(-1j * theta) * alpha).real
+    return k3_k4(*(float((w2 * x**k).sum()) for k in range(1, 5)))

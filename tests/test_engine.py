@@ -29,6 +29,8 @@ from helpers import (
     scalar_midpoint_path,
     specs_at,
     stacked_powers,
+    tw_flow_cumulants_by_quadrature,
+    tw_limit_cumulants,
 )
 
 
@@ -445,6 +447,38 @@ class TestTruncatedWignerEnsemble:
         got = run()
         use_reference_kernels(monkeypatch)
         assert_same_accumulators(got, run())
+
+
+class TestTruncatedWignerLimit:
+    """The infinite-path limit of truncated Wigner in closed form
+    (tests/helpers.py), the reference that separates TW's truncation bias
+    from its sampling error."""
+
+    def test_formula_matches_gaussian_quadrature(self):
+        # a direct 2-D Gauss-Hermite average of the exact flow at N <= 10
+        for n, taus in ((2.5, (0.3, 1.0)), (10.0, (0.3, 1.0, 3.0))):
+            for tau in taus:
+                for theta in (2.0 * tau, 0.8):
+                    got = tw_limit_cumulants(n, tau, theta)
+                    want = tw_flow_cumulants_by_quadrature(n, tau, theta)
+                    for g, w in zip(got, want):
+                        assert abs(g - w) <= 1e-10 * max(1.0, abs(w)), (n, tau, theta, got, want)
+
+    @pytest.mark.parametrize("n", [10.0, 1e3, 1e6])
+    def test_cumulants_vanish_at_time_zero(self, n):
+        # the Wigner start is Gaussian
+        for theta in (0.0, 1.3):
+            k3, k4 = tw_limit_cumulants(n, 0.0, theta)
+            assert abs(k3) < 1e-30 and abs(k4) < 1e-30
+
+    @pytest.mark.parametrize("n", [10.0, 1e3, 1e6])
+    def test_ensemble_within_four_sigma(self, n):
+        grid = TimeGrid(n, tuple(0.5 * i for i in range(1, 21)), 1e-3)
+        acc = run_truncated_wigner(math.sqrt(n), grid, specs_at(grid), 100_000, 100, seed=1)
+        for tau, rep in zip(grid.taus, batch_error(acc)):
+            k3, k4 = tw_limit_cumulants(n, tau, 2.0 * tau)
+            assert abs(rep.kappa3 - k3) < 4 * rep.sigma3, (tau, rep, k3)
+            assert abs(rep.kappa4 - k4) < 4 * rep.sigma4, (tau, rep, k4)
 
 
 class TestPositivePEnsemble:

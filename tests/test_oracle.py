@@ -5,18 +5,22 @@ import subprocess
 import sys
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
 from anharmonic import oracle
-from anharmonic.moments import QuadratureSpec, k3_k4
+from anharmonic.moments import QuadratureSpec, k3_k4, promote_normal_order
 from anharmonic.oracle import cumulant_series, evolve, init_coherent, oracle_cumulants
 from helpers import (
     CutoffInsufficient,
     DenseOperatorSpace,
+    binomial_sum_cumulants,
     coherent_vector,
     dense_brute_force,
     dense_cumulant_atol,
+    ladder_from_quadrature,
+    oracle_precision_floor,
 )
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -69,8 +73,9 @@ def coherent_quadrature_moments(alpha0, theta):
     return (mu, mu**2 + 1, mu**3 + 3 * mu, mu**4 + 6 * mu**2 + 3)
 
 
-def ladder(state, p, q):
-    return complex(oracle._ladder_moments(state)[p, q])
+def ladder(state):
+    """<a^dag^p a^q> for p + q <= 4, keyed by (p, q), rebuilt from the oracle's <:X^k:>."""
+    return {key: complex(value) for key, value in ladder_from_quadrature(state).items()}
 
 
 def cumulants(state, theta):
@@ -87,7 +92,7 @@ class TestInitCoherent:
     def test_poisson_mean(self):
         for n_target in (4.0, 1000.0):
             state = init_coherent(math.sqrt(n_target))
-            assert abs(ladder(state, 1, 1) - n_target) < 1e-12 * n_target
+            assert abs(ladder(state)[1, 1] - n_target) < 1e-12 * n_target
 
     def test_vacuum_rejected(self):
         with pytest.raises(ValueError):
@@ -96,7 +101,7 @@ class TestInitCoherent:
     def test_complex_amplitude_phases(self):
         a0 = 2.0 * np.exp(0.7j)
         state = init_coherent(a0)
-        assert abs(ladder(state, 0, 1) - a0) < 1e-15 * abs(a0)
+        assert abs(ladder(state)[0, 1] - a0) < 1e-15 * abs(a0)
 
     @pytest.mark.parametrize(
         "n, digits", [(1e-300, 20), (1.0, 23), (1e3, 35), (1e7, 51), (1e300, 1223)]
@@ -123,18 +128,19 @@ class TestEvolve:
         n = 1000.0
         state0 = init_coherent(math.sqrt(n))
         for t in (1e-3, 0.37, 2.0):
-            state = evolve(state0, t)
-            assert ladder(state, 0, 0) == 1.0
-            assert abs(ladder(state, 1, 1) - n) < 1e-12 * n
-            assert abs(ladder(state, 2, 2) - n * n) < 1e-12 * n * n
+            moments = ladder(evolve(state0, t))
+            assert moments[0, 0] == 1.0
+            assert abs(moments[1, 1] - n) < 1e-12 * n
+            assert abs(moments[2, 2] - n * n) < 1e-12 * n * n
 
     def test_full_revival_at_two_pi(self):
         # integer spectrum: all moments return after t = 2 pi
         state = init_coherent(math.sqrt(10.0))
         a = evolve(state, 0.4)
         b = evolve(state, 0.4 + 2 * math.pi)
+        moments_a, moments_b = ladder(a), ladder(b)
         for p, q in ((0, 1), (1, 1), (2, 2), (0, 3)):
-            assert abs(ladder(a, p, q) - ladder(b, p, q)) < 1e-12 * (1 + abs(ladder(a, p, q)))
+            assert abs(moments_a[p, q] - moments_b[p, q]) < 1e-12 * (1 + abs(moments_a[p, q]))
         for theta in (0.8, 2.2):
             assert_close(cumulants(b, theta), cumulants(a, theta), 1e-12)
 
@@ -143,25 +149,26 @@ class TestLadderMoments:
     def test_number_moment(self):
         n_target = 1000.0
         state = evolve(init_coherent(math.sqrt(n_target)), 0.3)
-        assert abs(ladder(state, 1, 1) - n_target) < 1e-12 * n_target
+        assert abs(ladder(state)[1, 1] - n_target) < 1e-12 * n_target
 
     def test_amplitude_moment(self):
         a0 = math.sqrt(1000.0)
         state = init_coherent(a0)
-        assert abs(ladder(state, 0, 1) - a0) < 1e-15 * a0
+        assert abs(ladder(state)[0, 1] - a0) < 1e-15 * a0
 
     def test_hermitian_pairing(self):
-        state = evolve(init_coherent(2.0 + 0.5j), 0.3)
+        moments = ladder(evolve(init_coherent(2.0 + 0.5j), 0.3))
         for p in range(5):
             for q in range(5 - p):
-                a = ladder(state, p, q)
-                b = ladder(state, q, p)
+                a = moments[p, q]
+                b = moments[q, p]
                 assert abs(a - np.conj(b)) < 1e-15 * (1 + abs(a))
 
     def test_order_cap(self):
         # the cumulants need the moments of total order up to 4, and only those
         state = evolve(init_coherent(1.0), 0.2)
-        assert set(oracle._ladder_moments(state)) == {
+        assert len(oracle._quadrature_moments(state, 0.3)) == 4
+        assert set(ladder(state)) == {
             (p, q) for p in range(5) for q in range(5) if p + q <= 4
         }
 
@@ -175,12 +182,12 @@ class TestLadderMoments:
         for tau in (0.1, 0.5, 1.0):
             t = tau / abs(a0) ** 2
             psi = coherent_vector(a0, cutoff) * np.exp(-1j * nn * nn * t)
-            state = evolve(state0, t)
+            moments = ladder(evolve(state0, t))
             for p in range(5):
                 for q in range(5 - p):
                     op = np.linalg.matrix_power(space.adag, p) @ np.linalg.matrix_power(space.a, q)
                     want = np.vdot(psi, op @ psi)
-                    assert abs(ladder(state, p, q) - want) < 1e-10 * max(1.0, abs(want)), (p, q)
+                    assert abs(moments[p, q] - want) < 1e-10 * max(1.0, abs(want)), (p, q)
 
 
 class TestPhasePrecisionAtLargeN:
@@ -213,6 +220,59 @@ class TestPhasePrecisionAtLargeN:
             assert_close((rep.kappa3, rep.kappa4), (k3, k4), 1e-7)
 
 
+class TestPowerChain:
+    """Every phase as a power of exp(-i t) and exp(i (arg alpha0 - theta)),
+    against the binomial sum with one phase and one decay per term."""
+
+    @pytest.mark.parametrize(
+        "alpha0",
+        [math.sqrt(n) for n in (10.0, 258.0, 1e3, 1e7, 1e12, 1e16, 1e300)] + [2.0 + 0.5j],
+        ids=["N=10", "N=258", "N=1e3", "N=1e7", "N=1e12", "N=1e16", "N=1e300", "alpha0=2+0.5j"],
+    )
+    def test_cumulants_bit_identical_to_binomial_sum(self, alpha0):
+        n = abs(alpha0) ** 2
+        state0 = init_coherent(alpha0)
+        # scaled times in [0, 10], then absolute times past 2 pi
+        for t in [tau / n for tau in (0.0, 0.7, 2.5, 9.4)] + [1.3 * 2 * math.pi, 23.3]:
+            state = evolve(state0, t)
+            for theta in (0.0, 1.4, 5.0, 18.8, 0.6, 2.1):
+                got = cumulants(state, theta)
+                want = binomial_sum_cumulants(state, theta)
+                if t == 0.0 and theta != 0.0:
+                    # exact zeros: both evaluations return rounding noise
+                    floor = oracle_precision_floor(state)
+                    assert max(abs(g - w) for g, w in zip(got, want)) <= 8 * floor, (got, want)
+                else:
+                    assert got == want, (t, theta)
+
+    @pytest.mark.parametrize("n", [0.3, 1.0, 10.0, 1e3, 1e7])
+    def test_zero_cumulants_within_the_precision_floor(self, n):
+        # at tau = 0 the exact k3 and k4 vanish; what the oracle returns is
+        # rounding at its working precision, a few units of 10^-dps 16 N^2
+        state = init_coherent(math.sqrt(n))
+        floor = oracle_precision_floor(state)
+        for theta in np.linspace(0.0, 20.0, 41):
+            k3, k4 = cumulants(state, theta)
+            assert abs(k3) <= 8 * floor and abs(k4) <= 8 * floor, (theta, k3, k4, floor)
+
+    @pytest.mark.parametrize("n", [0.3, 1.0])
+    def test_matches_closed_form_below_one_particle(self, reference, n):
+        # reference.py at the oracle's own inputs: N = alpha0^2 of the rounded
+        # sqrt(n) and the rounded t = tau / n, which at N = 0.3 move the
+        # cumulants by ~1e-14 from those at the nominal N and tau
+        alpha0 = math.sqrt(n)
+        state0 = init_coherent(alpha0)
+        for tau in np.linspace(0.0, 10.0, 41):
+            t = tau / n
+            got = cumulants(evolve(state0, t), 2.0 * tau)
+            with mpmath.workdps(reference.DIGITS):
+                n_exact = mpmath.mpf(alpha0) ** 2
+                want = reference.cumulants_from_ladder(
+                    lambda p, q: reference.ladder_moment(n_exact, mpmath.mpf(t), p, q), 2.0 * tau
+                )
+            assert max(abs(g - float(w)) for g, w in zip(got, want)) <= 1e-15, (tau, got, want)
+
+
 class TestQuadratureMomentsAndCumulants:
     def test_moments_match_dense_at_small_n(self):
         for a0, cutoff in DENSE_CASES:
@@ -221,7 +281,8 @@ class TestQuadratureMomentsAndCumulants:
             for tau in (0.1, 0.5, 1.0):
                 for theta in (0.0, 2 * tau, 1.1):
                     state = evolve(state0, tau / n)
-                    got = [float(m) for m in oracle._quadrature_moments(state, theta)]
+                    normal = oracle._quadrature_moments(state, theta)
+                    got = [float(m) for m in promote_normal_order(*normal)]
                     dense = dense_brute_force(a0, cutoff, tau / n, QuadratureSpec(theta))
                     assert_close(got, dense, 1e-10)
 
