@@ -16,7 +16,6 @@ from .engine import (
 from .moments import (
     CumulantReport,
     MomentAccumulator,
-    QuadratureSpec,
     batch_error,
 )
 from .oracle import (

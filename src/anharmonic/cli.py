@@ -14,7 +14,6 @@ from .moments import (
     CsvRow,
     InsufficientBatches,
     OrderingViolation,
-    QuadratureSpec,
     batch_error,
     read_rows,
     write_rows,
@@ -84,21 +83,20 @@ def _cmd_derive(args) -> int:
 
 def _rows(cfg: SimulationConfig, threads: int | None) -> list[CsvRow]:
     """Run the config's method over its output grid: one CSV row per output."""
-    grid = engine.TimeGrid(cfg.n_particles, cfg.taus, cfg.dtau)
+    grid = cfg.grid
     alpha0 = math.sqrt(cfg.n_particles)
-    specs = [QuadratureSpec(cfg.theta_for(tau)) for tau in grid.taus]
     if cfg.method == "Oracle":
-        reports = oracle.cumulant_series(oracle.init_coherent(alpha0), grid.times, specs)
+        reports = oracle.cumulant_series(oracle.init_coherent(alpha0), grid)
     else:
-        ensemble = (alpha0, grid, specs, cfg.n_paths, cfg.batches, cfg.seed, threads)
+        ensemble = (alpha0, grid, cfg.n_paths, cfg.batches, cfg.seed, threads)
         if cfg.method == "TW":
             acc = engine.run_truncated_wigner(*ensemble)
         else:
             acc = engine.run_positive_p(*ensemble, divergence_threshold=cfg.divergence_threshold)
         reports = batch_error(acc)
     return [
-        CsvRow.from_report(tau, spec.theta, report, cfg.method_label)
-        for tau, spec, report in zip(grid.taus, specs, reports)
+        CsvRow.from_report(tau, theta, report, cfg.method_label)
+        for tau, theta, report in zip(grid.taus, grid.thetas, reports)
     ]
 
 

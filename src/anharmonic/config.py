@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import TimeGrid
+from .moments import MIN_BATCHES
 
 METHODS = ("TW", "PositiveP", "Oracle")
 
@@ -58,12 +59,19 @@ class SimulationConfig:
     warnings: tuple[str, ...] = field(default=(), compare=False)
 
     @property
-    def taus(self) -> tuple[float, ...]:
-        return tuple(np.linspace(self.tau_start, self.tau_stop, self.tau_points))
+    def grid(self) -> TimeGrid:
+        """The output grid: tau_points times from tau_start to tau_stop."""
+        return self._grid_at(np.linspace(self.tau_start, self.tau_stop, self.tau_points))
 
-    def theta_for(self, tau: float) -> float:
-        """Rotating-frame phase theta = 2 tau, or the fixed override."""
-        return 2.0 * tau if self.theta_mode == "rotating" else self.theta_value
+    def _grid_at(self, taus) -> TimeGrid:
+        """A grid of output times ``taus``, each at the config's phase: the
+        rotating frame's theta = 2 tau, or the fixed theta_value."""
+        taus = tuple(taus)
+        if self.theta_mode == "rotating":
+            thetas = tuple(2.0 * tau for tau in taus)
+        else:
+            thetas = (self.theta_value,) * len(taus)
+        return TimeGrid(self.n_particles, taus, thetas, self.dtau)
 
     @property
     def method_label(self) -> str:
@@ -179,8 +187,8 @@ def _validate(cfg: SimulationConfig):
         raise InvalidValue("theta_mode", "must be 'rotating' or 'fixed'")
     if not 0.0 <= cfg.divergence_threshold <= 1.0:
         raise InvalidValue("divergence_threshold", "must lie in [0, 1]")
-    if cfg.batches < 10:
-        raise InvalidValue("batches", "need at least 10 batches")
+    if cfg.batches < MIN_BATCHES:
+        raise InvalidValue("batches", f"need at least {MIN_BATCHES} batches")
     if cfg.n_paths < cfg.batches:
         raise InvalidValue("n_paths", "fewer paths than batches")
     if cfg.method == "PositiveP":
@@ -190,7 +198,7 @@ def _validate(cfg: SimulationConfig):
         if cfg.tau_points > 1:
             taus.append(cfg.tau_start + (cfg.tau_stop - cfg.tau_start) / (cfg.tau_points - 1))
         try:
-            steps = TimeGrid(cfg.n_particles, tuple(taus), cfg.dtau).steps_between()
+            steps = cfg._grid_at(taus).steps_between()
         except ValueError as exc:
             raise InvalidValue("dtau", str(exc)) from None
         if 0 in steps[1:]:

@@ -39,9 +39,10 @@ batches' power sums for every output into it, and its surviving and
 diverged path counts once, since a path's survival holds for the whole
 run.
 
-The ensembles take a :class:`TimeGrid` and one ``QuadratureSpec`` per
-output, not a run configuration; the config checks a positive-P grid's
-start and spacing with the stepper's own :meth:`TimeGrid.steps_between`.
+The ensembles take a :class:`TimeGrid`, which carries each output's time
+and quadrature phase, not a run configuration; the config checks a
+positive-P grid's start and spacing with the stepper's own
+:meth:`TimeGrid.steps_between`.
 """
 
 from __future__ import annotations
@@ -82,10 +83,12 @@ class ExcessiveDivergence(RuntimeError):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Output times in scaled units tau = N * t, plus the integrator step."""
+    """Output times in scaled units tau = N * t, each with its quadrature
+    phase theta, plus the integrator step."""
 
     n_particles: float
     taus: tuple[float, ...]
+    thetas: tuple[float, ...]
     dtau: float
 
     def __post_init__(self):
@@ -102,6 +105,10 @@ class TimeGrid:
             if tau < prev:
                 raise ValueError("tau values must be nondecreasing")
             prev = tau
+        if len(self.thetas) != len(self.taus):
+            raise ValueError(f"{len(self.thetas)} phases for {len(self.taus)} output times")
+        if not all(math.isfinite(theta) for theta in self.thetas):
+            raise ValueError("theta values must be finite")
 
     def steps_between(self) -> list[int]:
         """Integrator steps from one output to the next (first from tau=0).
@@ -199,16 +206,18 @@ class MidpointStep:
     ``step(y, xi)`` solves  mid = y + (dt/2) A(mid) + (1/2) B(mid) sqrt(dt) xi
     with the unit increments ``xi`` (shape (2, m)) and sets y <- 2 mid - y.
     The state is the doubled phase space (alpha1, alpha2*).  Only the Kerr
-    shape is stepped: drift (c0 a* a^2, c1 a*^2 a) and noise (n0 a, n1 a*),
-    with the four coefficients read from ``model``.
+    shape is stepped: drift (c0 a* a^2, c1 a*^2 a) with c1 = -c0, as a
+    Hermitian Kerr term gives, and noise (n0 a, n1 a*), with the
+    coefficients read from ``model``.
 
     Each entry has its own component as a factor, so the equation reads
     mid_j = y_j / (1 - u_j), with u_j = k_j aa + w_j, the half-step drift
     coefficient k_j = (dt/2) c_j, the noise term w_j = (n_j sqrt(dt) / 2) xi_j
     and aa = mid_0 mid_1.  The one unknown per path is aa, which solves
     aa = P / ((1 - u_0)(1 - u_1)) with P = y_0 y_1.  The step starts from the
-    first-order guess aa = P (1 + (k_0 + k_1) P + w_0 + w_1), takes one
-    correction aa <- P / ((1 - u_0)(1 - u_1)), and sets
+    first-order guess aa = P (1 + w_0 + w_1), whose drift part
+    (k_0 + k_1) P vanishes, takes one correction
+    aa <- P / ((1 - u_0)(1 - u_1)), and sets
     y <- y (1 + u) / (1 - u), the Cayley form of 2 mid - y.  Without noise,
     from alpha2* = conj(alpha1), aa is real and u imaginary, so |alpha| is
     kept exactly.  Where the guess puts some 1 - u_j at zero the correction
@@ -225,6 +234,9 @@ class MidpointStep:
             raise ValueError("midpoint stepper expects a Stratonovich model")
         if tuple(set(poly.terms) for poly in model.drift + model.noise) != _KERR_TERMS:
             raise ValueError("midpoint stepper expects the two-component Kerr model with noise")
+        c0, c1 = (coef for poly in model.drift for coef in poly.terms.values())
+        if c1 != -c0:
+            raise ValueError("midpoint stepper expects opposite Kerr drift coefficients")
         if dt <= 0:
             raise ValueError("dt must be positive")
         # k_j / 8 and -n_j sqrt(dt) / 4, one (2, 1) column each to broadcast
@@ -233,8 +245,6 @@ class MidpointStep:
             np.array([list(poly.scaled(scale).terms.values()) for poly in polys])
             for polys, scale in ((model.drift, dt / 16), (model.noise, -math.sqrt(dt) / 4))
         )
-        # the guess's 4 (k_0 + k_1), zero for a Hermitian Kerr term
-        self._drift_sum = complex(32.0 * self._drift.sum())
         self._x, self._h, self._t = np.empty((3, 2, m), dtype=np.complex128)
         self._b = np.empty(m, dtype=np.complex128)
 
@@ -244,13 +254,10 @@ class MidpointStep:
         np.multiply(self._noise, xi, out=x)
         x += 0.5
         np.multiply(y[0], y[1], out=p)
-        # b = 4 P (1 + (k_0 + k_1) P + w_0 + w_1), as 1 + w_0 + w_1 = 3 - 2 (x_0 + x_1)
+        # b = 4 P (1 + w_0 + w_1), as 1 + w_0 + w_1 = 3 - 2 (x_0 + x_1)
         np.add(x[0], x[1], out=b)
         b *= -8.0
         b += 12.0
-        if self._drift_sum:
-            np.multiply(p, self._drift_sum, out=q)
-            b += q
         b *= p
         np.multiply(self._drift, b, out=h)
         np.subtract(x, h, out=h)
@@ -280,20 +287,21 @@ def _positive_p_chunk(
     model: DriftDiffusionModel,
     alpha0: complex,
     grid: TimeGrid,
-    thetas: tuple[float, ...],
     seed: int,
     traj_lo: int,
     traj_hi: int,
-    escape_radius: float,
     bounds: list[tuple[int, int]],
 ):
     """Integrate one chunk of trajectories; return per-batch power sums.
 
-    Returns (sums[(n_out, n_batches, N_POWERS)], alive[(m,)]).  Diverged
-    trajectories are left out of the sums at every output time, earlier
-    ones included, so every output's (2, m) state is kept until the chunk
-    ends; the escaped paths' columns are then zeroed, and their powers
-    add nothing to the sums.
+    Returns (sums[(n_out, n_batches, N_POWERS)], alive[(m,)]).  A path
+    escapes once either component's modulus exceeds ESCAPE_RADIUS_FACTOR
+    sqrt(N), with N = |alpha0|^2 (1 for the vacuum), or is not finite, and
+    stays escaped.  Diverged trajectories are
+    left out of the sums at every output time, earlier ones included, so
+    every output's (2, m) state is kept until the chunk ends; the escaped
+    paths' columns are then zeroed, and their powers add nothing to the
+    sums.
     """
     m = traj_hi - traj_lo
     steps = grid.steps_between()
@@ -307,9 +315,8 @@ def _positive_p_chunk(
     step = MidpointStep(model, grid.dt, m)
     radius = np.empty((2, m), dtype=np.float64)
     inside = np.empty((2, m), dtype=bool)
-    bad = np.empty(m, dtype=bool)
     # nan and inf radii fail the comparison, also at an infinite escape radius
-    limit = min(escape_radius, sys.float_info.max)
+    limit = min(ESCAPE_RADIUS_FACTOR * (abs(alpha0) or 1.0), sys.float_info.max)
 
     states = np.empty((n_out, 2, m), dtype=np.complex128)
 
@@ -325,25 +332,20 @@ def _positive_p_chunk(
                 stream.signs(draws[:nb])
                 for xi in draws[:nb]:
                     step(y, xi)
-                    # flag escapes and non-finite values, freeze those paths
+                    # escapes and non-finite values end a path for the run
                     np.abs(y, out=radius)
                     np.less_equal(radius, limit, out=inside)
-                    np.logical_and(inside[0], inside[1], out=bad)
-                    np.logical_not(bad, out=bad)
-                    bad &= alive
-                    if bad.any():
-                        y[:, bad] = 0.0
-                        alive &= ~bad
+                    alive &= inside[0]
+                    alive &= inside[1]
             states[k_out] = y
 
     states[:, :, ~alive] = 0.0
-    return _batch_power_sums(((abar, a) for a, abar in states), thetas, bounds), alive
+    return _batch_power_sums(((abar, a) for a, abar in states), grid.thetas, bounds), alive
 
 
 def _truncated_wigner_chunk(
     alpha0: complex,
     grid: TimeGrid,
-    thetas: tuple[float, ...],
     seed: int,
     traj_lo: int,
     traj_hi: int,
@@ -354,7 +356,7 @@ def _truncated_wigner_chunk(
     init = wigner_initial(alpha0, seed, traj_lo, traj_hi)
 
     pairs = ((None, alpha_t) for alpha_t in exact_wigner_flow(init, grid.times))
-    return _batch_power_sums(pairs, thetas, bounds), np.ones(m, dtype=bool)
+    return _batch_power_sums(pairs, grid.thetas, bounds), np.ones(m, dtype=bool)
 
 
 def _available_cpus() -> int:
@@ -388,8 +390,7 @@ def run_tasks(fn, tasks, threads: int | None) -> list:
 
 def _run_chunked(
     representation: str,
-    grid: TimeGrid,
-    specs,
+    n_outputs: int,
     n_paths: int,
     n_batches: int,
     chunk_fn,
@@ -397,26 +398,22 @@ def _run_chunked(
 ) -> MomentAccumulator:
     """Run chunk_fn over fixed trajectory ranges and merge its batch sums.
 
-    ``chunk_fn(thetas, t_lo, t_hi, bounds)`` integrates paths [t_lo, t_hi),
-    whose batches are ``bounds`` (offsets from t_lo), and returns their
-    per-batch sums at each output's phase in ``thetas``, shape (n_outputs,
-    n_batches_in_chunk, N_POWERS), and the chunk's alive mask.  Each kernel
-    sums every batch pairwise over a fixed trajectory order, and each chunk
-    writes its own disjoint batch slice of the one accumulator, so the
-    result is independent of scheduling.
+    ``chunk_fn(t_lo, t_hi, bounds)`` integrates paths [t_lo, t_hi), whose
+    batches are ``bounds`` (offsets from t_lo), and returns their per-batch
+    sums, shape (n_outputs, n_batches_in_chunk, N_POWERS), and the chunk's
+    alive mask.  Each kernel sums every batch pairwise over a fixed
+    trajectory order, and each chunk writes its own disjoint batch slice of
+    the one accumulator, so the result is independent of scheduling.
     """
-    if len(specs) != len(grid.taus):
-        raise ValueError(f"{len(specs)} quadrature specs for {len(grid.taus)} outputs")
-    thetas = tuple(spec.theta for spec in specs)
     slices = batch_slices(n_paths, n_batches)
     groups = _chunk_batch_groups(slices)
-    acc = MomentAccumulator(representation, len(thetas), n_batches)
+    acc = MomentAccumulator(representation, n_outputs, n_batches)
 
     def work(group):
         b_lo, b_hi = group
         t_lo = slices[b_lo][0]
         bounds = [(lo - t_lo, hi - t_lo) for lo, hi in slices[b_lo:b_hi]]
-        sums, alive = chunk_fn(thetas, t_lo, slices[b_hi - 1][1], bounds)
+        sums, alive = chunk_fn(t_lo, slices[b_hi - 1][1], bounds)
         counts = np.array([alive[lo:hi].sum() for lo, hi in bounds], dtype=np.int64)
         sizes = np.array([hi - lo for lo, hi in bounds])
         acc.batch_sums[:, b_lo:b_hi] = sums
@@ -430,53 +427,46 @@ def _run_chunked(
 def run_truncated_wigner(
     alpha0: complex,
     grid: TimeGrid,
-    specs,
     n_paths: int,
     n_batches: int,
     seed: int = 0,
     threads: int | None = None,
 ) -> MomentAccumulator:
     """Truncated-Wigner ensemble for the anharmonic oscillator (exact stepper),
-    at one :class:`~anharmonic.moments.QuadratureSpec` per output."""
+    at each output time and phase of ``grid``."""
 
-    def chunk(thetas, t_lo, t_hi, bounds):
-        return _truncated_wigner_chunk(alpha0, grid, thetas, seed, t_lo, t_hi, bounds)
+    def chunk(t_lo, t_hi, bounds):
+        return _truncated_wigner_chunk(alpha0, grid, seed, t_lo, t_hi, bounds)
 
-    return _run_chunked(WIGNER, grid, specs, n_paths, n_batches, chunk, threads)
+    return _run_chunked(WIGNER, len(grid.taus), n_paths, n_batches, chunk, threads)
 
 
 def run_positive_p(
     alpha0: complex,
     grid: TimeGrid,
-    specs,
     n_paths: int,
     n_batches: int,
     seed: int = 0,
     threads: int | None = None,
     divergence_threshold: float = 1e-3,
-    escape_radius: float | None = None,
 ) -> MomentAccumulator:
     """Positive-P ensemble under the anharmonic-oscillator Stratonovich model,
-    at one :class:`~anharmonic.moments.QuadratureSpec` per output.
+    at each output time and phase of ``grid``.
 
     Raises :class:`ExcessiveDivergence` when more than
-    ``divergence_threshold`` of the paths leave the escape radius anywhere
-    in the reported window: once a nontrivial fraction of the ensemble is
-    excluded, the surviving average no longer estimates the true moments.
+    ``divergence_threshold`` of the paths leave the escape radius
+    ESCAPE_RADIUS_FACTOR |alpha0| anywhere in the reported window: once a
+    nontrivial fraction of the ensemble is excluded, the surviving average
+    no longer estimates the true moments.
     """
     model = symbolic.ito_to_stratonovich(
         symbolic.derive_positive_p_model(symbolic.kerr_hamiltonian())
     )
-    if escape_radius is None:
-        n = abs(alpha0) ** 2
-        escape_radius = ESCAPE_RADIUS_FACTOR * math.sqrt(n if n > 0 else 1.0)
 
-    def chunk(thetas, t_lo, t_hi, bounds):
-        return _positive_p_chunk(
-            model, alpha0, grid, thetas, seed, t_lo, t_hi, escape_radius, bounds
-        )
+    def chunk(t_lo, t_hi, bounds):
+        return _positive_p_chunk(model, alpha0, grid, seed, t_lo, t_hi, bounds)
 
-    acc = _run_chunked(POSITIVE_P, grid, specs, n_paths, n_batches, chunk, threads)
+    acc = _run_chunked(POSITIVE_P, len(grid.taus), n_paths, n_batches, chunk, threads)
     n_div = acc.n_diverged
     if n_div > divergence_threshold * n_paths:
         raise ExcessiveDivergence(
@@ -484,4 +474,3 @@ def run_positive_p(
             f"(threshold {divergence_threshold:.2%})"
         )
     return acc
-

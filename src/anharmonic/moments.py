@@ -55,18 +55,6 @@ class InsufficientBatches(ValueError):
 
 
 @dataclass(frozen=True)
-class QuadratureSpec:
-    """Quadrature phase theta.  The benchmark's rotating-frame convention
-    is theta = 2 * tau with tau the scaled time N*t."""
-
-    theta: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.theta):
-            raise ValueError("theta must be finite")
-
-
-@dataclass(frozen=True)
 class CumulantReport:
     kappa3: float
     kappa4: float

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .moments import CumulantReport, QuadratureSpec, k3_k4
+from .moments import CumulantReport, k3_k4
 
 
 @dataclass(frozen=True)
@@ -93,14 +93,14 @@ def _quadrature_moments(state: OracleState, theta: float) -> tuple:
     return tuple(normal)
 
 
-def oracle_cumulants(state: OracleState, spec: QuadratureSpec) -> CumulantReport:
-    """Exact k3 and k4 of the quadrature at spec.theta."""
-    k3, k4 = k3_k4(*_quadrature_moments(state, spec.theta))
+def oracle_cumulants(state: OracleState, theta: float) -> CumulantReport:
+    """Exact k3 and k4 of the quadrature at phase theta."""
+    k3, k4 = k3_k4(*_quadrature_moments(state, theta))
     return CumulantReport(float(k3), float(k4), 0.0, 0.0, 0, 0)
 
 
-def cumulant_series(state0: OracleState, times, specs) -> list[CumulantReport]:
-    """Exact cumulants of state0 evolved to each absolute time, one spec each."""
-    if len(times) != len(specs):
-        raise ValueError(f"{len(times)} times but {len(specs)} quadrature specs")
-    return [oracle_cumulants(evolve(state0, t), spec) for t, spec in zip(times, specs)]
+def cumulant_series(state0: OracleState, grid) -> list[CumulantReport]:
+    """Exact cumulants of state0 at each output of the
+    :class:`~anharmonic.engine.TimeGrid` ``grid``: evolved to its absolute
+    time t = tau / N, at its phase."""
+    return [oracle_cumulants(evolve(state0, t), theta) for t, theta in zip(grid.times, grid.thetas)]

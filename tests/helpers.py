@@ -3,20 +3,19 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import mpmath
 import numpy as np
 
 from anharmonic import oracle
-from anharmonic.engine import MidpointStep
+from anharmonic.engine import MidpointStep, TimeGrid
 from anharmonic.moments import (
     MIN_BATCHES,
     POSITIVE_P,
     CumulantReport,
     InsufficientBatches,
     OrderingViolation,
-    QuadratureSpec,
     k3_k4,
     promote_normal_order,
 )
@@ -74,9 +73,15 @@ def stacked_powers(theta: float, a: np.ndarray, abar: np.ndarray | None = None) 
     return np.stack([x, x2, x2 * x, x2 * x2])
 
 
-def specs_at(grid, theta: float | None = None) -> list[QuadratureSpec]:
-    """One QuadratureSpec per output of ``grid``: theta = 2 tau, or ``theta`` at every output."""
-    return [QuadratureSpec(2.0 * tau if theta is None else theta) for tau in grid.taus]
+def grid_at(n_particles: float, taus, dtau: float) -> TimeGrid:
+    """A TimeGrid in the rotating frame: each output at theta = 2 tau."""
+    taus = tuple(taus)
+    return TimeGrid(n_particles, taus, tuple(2.0 * tau for tau in taus), dtau)
+
+
+def at_phase(grid: TimeGrid, theta: float) -> TimeGrid:
+    """``grid`` with every output at the phase ``theta``."""
+    return replace(grid, thetas=(theta,) * len(grid.taus))
 
 
 def ladder_sums(run):
@@ -376,7 +381,7 @@ def coherent_vector(alpha0: complex, cutoff: int) -> np.ndarray:
 
 
 def dense_brute_force(
-    alpha0: complex, cutoff: int, t: float, spec: QuadratureSpec
+    alpha0: complex, cutoff: int, t: float, theta: float
 ) -> np.ndarray:
     """<X^k> (k = 1..4) via dense matrices: independent check of the oracle.
 
@@ -396,7 +401,7 @@ def dense_brute_force(
     psi = psi0 * np.exp(-1j * nn * nn * t)
 
     space = DenseOperatorSpace.build(cutoff)
-    x = np.exp(-1j * spec.theta) * space.a + np.exp(1j * spec.theta) * space.adag
+    x = np.exp(-1j * theta) * space.a + np.exp(1j * theta) * space.adag
     x2 = x @ x
     x3 = x2 @ x
     x4 = x2 @ x2

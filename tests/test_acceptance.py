@@ -14,16 +14,14 @@ import pytest
 
 import anharmonic.oracle as orc
 from anharmonic import symbolic as sy
-from anharmonic.cli import compare_rows, main
+from anharmonic.cli import main
 from anharmonic.engine import (
-    TimeGrid,
     exact_wigner_flow,
     run_positive_p,
     run_truncated_wigner,
 )
 from anharmonic.moments import (
     CsvRow,
-    QuadratureSpec,
     batch_error,
     k3_k4,
     promote_normal_order,
@@ -32,14 +30,16 @@ from anharmonic.moments import (
 )
 from anharmonic.sampling import wigner_initial
 from helpers import (
+    at_phase,
     dense_brute_force,
     dense_cumulant_atol,
     frozen_brownian_paths,
+    grid_at,
     ladder_sums,
     midpoint_path,
     poly_equal,
     random_hermitian_polynomial,
-    specs_at,
+    tw_limit_cumulants,
 )
 
 N_PARTICLES = 1000.0
@@ -60,20 +60,20 @@ def oracle_curve():
 
     def at(tau, theta):
         return orc.oracle_cumulants(
-            orc.evolve(state0, tau / N_PARTICLES), QuadratureSpec(theta)
+            orc.evolve(state0, tau / N_PARTICLES), theta
         )
 
     return at
 
 
-TW_GRID = TimeGrid(N_PARTICLES, tuple(0.5 * i for i in range(21)), 1e-3)  # [0, 10]
-PP_GRID = TimeGrid(N_PARTICLES, tuple(0.5 * i for i in range(17)), 1e-3)  # [0, 8]
+TW_GRID = grid_at(N_PARTICLES, tuple(0.5 * i for i in range(21)), 1e-3)  # [0, 10]
+PP_GRID = grid_at(N_PARTICLES, tuple(0.5 * i for i in range(17)), 1e-3)  # [0, 8]
 
 
 def tw_run(theta=None):
     """The truncated-Wigner benchmark: theta = 2 tau, or ``theta`` at every output."""
-    return run_truncated_wigner(ALPHA0, TW_GRID, specs_at(TW_GRID, theta), 100_000, 100,
-                                seed=1, threads=2)
+    grid = TW_GRID if theta is None else at_phase(TW_GRID, theta)
+    return run_truncated_wigner(ALPHA0, grid, 100_000, 100, seed=1, threads=2)
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +87,7 @@ def tw_benchmark():
 @pytest.fixture(scope="module")
 def pp_benchmark():
     started = time.perf_counter()
-    acc = run_positive_p(ALPHA0, PP_GRID, specs_at(PP_GRID), 100_000, 100, seed=1, threads=2)
+    acc = run_positive_p(ALPHA0, PP_GRID, 100_000, 100, seed=1, threads=2)
     print(f"[positive-p benchmark: {time.perf_counter() - started:.1f} s]")
     return PP_GRID, acc
 
@@ -95,16 +95,16 @@ def pp_benchmark():
 def rows_from_accumulator(grid, acc, method):
     reports = batch_error(acc)
     return [
-        CsvRow.from_report(tau, 2.0 * tau, rep, method) for tau, rep in zip(grid.taus, reports)
+        CsvRow.from_report(tau, theta, rep, method)
+        for tau, theta, rep in zip(grid.taus, grid.thetas, reports)
     ]
 
 
 def oracle_rows(grid, oracle_curve):
-    rows = []
-    for tau in grid.taus:
-        theta = 2.0 * tau
-        rows.append(CsvRow.from_report(tau, theta, oracle_curve(tau, theta), "oracle"))
-    return rows
+    return [
+        CsvRow.from_report(tau, theta, oracle_curve(tau, theta), "oracle")
+        for tau, theta in zip(grid.taus, grid.thetas)
+    ]
 
 
 def test_criterion_1_symbolic_reproduction(capsys):
@@ -167,11 +167,11 @@ def test_criterion_3_oracle_self_consistency():
             t = tau / n
             state = orc.evolve(state0, t)
             for theta in (0.0, 2 * tau):
-                dense = dense_brute_force(math.sqrt(n), cutoff, t, QuadratureSpec(theta))
+                dense = dense_brute_force(math.sqrt(n), cutoff, t, theta)
                 moments = promote_normal_order(*orc._quadrature_moments(state, theta))
                 for got, want in zip(moments, dense):
                     assert abs(float(got) - want) <= 1e-10 * max(1.0, abs(want))
-                rep = orc.oracle_cumulants(state, QuadratureSpec(theta))
+                rep = orc.oracle_cumulants(state, theta)
                 for got, want in zip((rep.kappa3, rep.kappa4), k3_k4(*dense)):
                     assert abs(got - want) <= max(1e-10 * max(1.0, abs(want)),
                                                   dense_cumulant_atol(n))
@@ -180,7 +180,7 @@ def test_criterion_3_oracle_self_consistency():
     for n in (1.0, 4.0, 1e3, 1e6, 1e12, 1e100, 1e300):
         state = orc.init_coherent(math.sqrt(n))
         for theta in (0.0, 1.3):
-            rep = orc.oracle_cumulants(state, QuadratureSpec(theta))
+            rep = orc.oracle_cumulants(state, theta)
             assert abs(rep.kappa3) < 1e-15
             assert abs(rep.kappa4) < 1e-15
 
@@ -198,12 +198,24 @@ def test_criterion_4_tw_non_gaussian_accuracy(tw_benchmark, oracle_curve, tmp_pa
     write_rows(tmp_path / "oracle.csv", ref)
     assert all(r.n_diverged == 0 for r in tw)
 
-    # k4 within 4 batch sigma everywhere; k3 additionally allowed the
-    # systematic-truncation margin of 25% of the reference peak
-    report = compare_rows(tw, ref, max_sigma=4.0, atol=CANCELLATION_ATOL, k3_peak_frac=0.25)
-    assert report.all_passed, report.worst
-    k4_rows = [r for r in report.rows if r.cumulant == "k4"]
-    assert all(abs(r.delta) <= max(4.0 * r.sigma, CANCELLATION_ATOL) for r in k4_rows)
+    # every row within 4 batch sigma of truncated Wigner's own
+    # infinite-path limit, with no peak allowance
+    limit = [tw_limit_cumulants(N_PARTICLES, r.tau, r.theta) for r in tw]
+    for r, (k3, k4) in zip(tw, limit):
+        assert abs(r.k3 - k3) <= 4.0 * r.k3_sigma, (r, k3)
+        assert abs(r.k4 - k4) <= 4.0 * r.k4_sigma, (r, k4)
+
+    # the limit's truncation bias against the exact curve, deterministic:
+    # at most 1.38% of peak |k3| and 1.70% of peak |k4| on this grid
+    peak3 = max(abs(r.k3) for r in ref)
+    peak4 = max(abs(r.k4) for r in ref)
+    for r, (k3, k4) in zip(ref, limit):
+        assert abs(k3 - r.k3) <= 0.02 * peak3, (r, k3)
+        assert abs(k4 - r.k4) <= 0.02 * peak4, (r, k4)
+
+    # k4 also within 4 batch sigma of the exact curve everywhere
+    for r, exact in zip(tw, ref):
+        assert abs(r.k4 - exact.k4) <= max(4.0 * r.k4_sigma, CANCELLATION_ATOL), (r, exact)
 
     _report(4, "tw non-Gaussian accuracy vs oracle", started)
 
@@ -252,9 +264,9 @@ def test_criterion_6_conservation_invariants():
 
     # positive-P conserves the occupation product while converged: the
     # benchmark's paths and draws, run to its output at tau = 3
-    pp_grid = TimeGrid(N_PARTICLES, tuple(tau for tau in PP_GRID.taus if tau <= 3.0), 1e-3)
+    pp_grid = grid_at(N_PARTICLES, tuple(tau for tau in PP_GRID.taus if tau <= 3.0), 1e-3)
     sums, pp_acc = ladder_sums(lambda theta: run_positive_p(
-        ALPHA0, pp_grid, specs_at(pp_grid, theta), 100_000, 100, seed=1, threads=2
+        ALPHA0, at_phase(pp_grid, theta), 100_000, 100, seed=1, threads=2
     ))
     for occupation in sums[1, 1]:
         vals = np.real(occupation / pp_acc.batch_counts)
@@ -349,18 +361,18 @@ def test_criterion_8_workers_determinism(tmp_path, capsys):
 @pytest.mark.slow
 def test_criterion_9_gaussian_null():
     started = time.perf_counter()
-    grid0 = TimeGrid(N_PARTICLES, (0.0,), 1e-3)
-    grid_small = TimeGrid(4.0, (0.0,), 1e-3)  # alpha0 = 2
+    grid0 = grid_at(N_PARTICLES, (0.0,), 1e-3)
+    grid_small = grid_at(4.0, (0.0,), 1e-3)  # alpha0 = 2
     terms = []
     for seed in range(100):
-        acc = run_truncated_wigner(ALPHA0, grid0, specs_at(grid0, 0.0), 10_000, 20, seed=seed)
+        acc = run_truncated_wigner(ALPHA0, grid0, 10_000, 20, seed=seed)
         (rep,) = batch_error(acc)
         terms.append((rep.kappa3 / rep.sigma3) ** 2)
         terms.append((rep.kappa4 / rep.sigma4) ** 2)
 
         # seeds apart from the first half's, so that the two halves' terms
         # stay independent (the same seeds correlate them at r ~ 0.7)
-        acc = run_truncated_wigner(2.0, grid_small, specs_at(grid_small, 0.0), 5_000, 20,
+        acc = run_truncated_wigner(2.0, grid_small, 5_000, 20,
                                    seed=seed + 100)
         (rep,) = batch_error(acc)
         terms.append((rep.kappa3 / rep.sigma3) ** 2)

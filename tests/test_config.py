@@ -106,14 +106,14 @@ def test_comments_and_blank_lines_ignored():
 
 def test_theta_modes():
     cfg = parse_config("method = TW\nN = 10\ntheta_mode = fixed\ntheta_value = 0.3\n")
-    assert cfg.theta_for(5.0) == 0.3
-    cfg = parse_config("method = TW\nN = 10\n")
-    assert cfg.theta_for(5.0) == 10.0
+    assert cfg.grid.thetas == (0.3,) * 21
+    cfg = parse_config("method = TW\nN = 10\ntau_stop = 5\ntau_points = 3\n")
+    assert cfg.grid.thetas == (0.0, 5.0, 10.0)
 
 
 def test_tau_grid():
     cfg = parse_config("method = TW\nN = 10\ntau_start = 0\ntau_stop = 2\ntau_points = 5\n")
-    assert cfg.taus == (0.0, 0.5, 1.0, 1.5, 2.0)
+    assert cfg.grid.taus == (0.0, 0.5, 1.0, 1.5, 2.0)
 
 
 def test_integer_keys_take_whole_numbers_in_float_notation():

@@ -15,19 +15,20 @@ from anharmonic.engine import (
     run_positive_p,
     run_truncated_wigner,
 )
-from anharmonic.moments import N_POWERS, QuadratureSpec, batch_error, bulk_monomials
+from anharmonic.moments import N_POWERS, batch_error, bulk_monomials
 from anharmonic.sampling import RandomStream, stream_for_trajectory
 from helpers import (
     ConvergedMidpointStep,
+    at_phase,
     chunk_signs,
     chunk_stream_wigner_initial,
     frozen_brownian_paths,
     full_block_kernel,
+    grid_at,
     ladder_sums,
     midpoint_path,
     per_slice_batch_sums,
     scalar_midpoint_path,
-    specs_at,
     stacked_powers,
     tw_flow_cumulants_by_quadrature,
     tw_limit_cumulants,
@@ -87,20 +88,20 @@ def batch_sigma(sums, counts, k):
 
 class TestTimeGrid:
     def test_steps_and_dt(self):
-        grid = TimeGrid(1000.0, (0.0, 0.5, 1.0), 1e-3)
+        grid = TimeGrid(1000.0, (0.0, 0.5, 1.0), (0.0, 1.0, 2.0), 1e-3)
         assert grid.steps_between() == [0, 500, 500]
         assert grid.dt == pytest.approx(1e-6)
         assert grid.times[2] == pytest.approx(1e-3)
 
     def test_rejects_non_dividing_step(self):
         # only step-based runs need the step count, so it is checked there
-        grid = TimeGrid(1000.0, (0.0, 0.5), 3e-4)
+        grid = TimeGrid(1000.0, (0.0, 0.5), (0.0, 1.0), 3e-4)
         with pytest.raises(ValueError, match="divide"):
             grid.steps_between()
 
     def test_rejects_negative_tau(self):
         with pytest.raises(ValueError):
-            TimeGrid(1000.0, (-1.0, 0.5), 1e-3)
+            TimeGrid(1000.0, (-1.0, 0.5), (0.0, 1.0), 1e-3)
 
     @pytest.mark.parametrize(
         "n_particles, taus, dtau",
@@ -118,7 +119,23 @@ class TestTimeGrid:
         # an infinite dtau would give zero steps per gap, so the tau = 0
         # state would be reported at every later output
         with pytest.raises(ValueError, match="finite"):
-            TimeGrid(n_particles, taus, dtau)
+            TimeGrid(n_particles, taus, (0.0, 0.0), dtau)
+
+    @pytest.mark.parametrize(
+        "thetas, message",
+        [
+            ((0.0,), "1 phases for 2 output times"),
+            ((0.0, 1.0, 2.0), "3 phases for 2 output times"),
+            ((0.0, math.nan), "theta values must be finite"),
+            ((math.inf, 1.0), "theta values must be finite"),
+        ],
+        ids=["too-few", "too-many", "nan-theta", "inf-theta"],
+    )
+    def test_one_finite_phase_per_output(self, thetas, message):
+        # the grid is the one place that pairs each output time with its
+        # phase, so the ensembles and the oracle never see a count mismatch
+        with pytest.raises(ValueError, match=message):
+            TimeGrid(1000.0, (0.0, 1.0), thetas, 1e-3)
 
 
 class TestExactWignerStep:
@@ -222,22 +239,18 @@ class TestMidpointStep:
             for j in range(2):
                 assert abs(y[j, i] - ref[j]) < 1e-13 * abs(ref[j])
 
-    def test_guess_carries_the_drift_sum(self):
-        # a hand-built Kerr-shaped model whose drift coefficients are not
-        # opposite, so the first-order guess keeps its (k_0 + k_1) P term
+    def test_rejects_drift_coefficients_that_are_not_opposite(self):
+        # a hand-built Kerr-shaped model whose drift coefficients do not sum
+        # to zero: the step's first-order guess leaves out (k_0 + k_1) P, so
+        # it refuses the model
         model = sy.DriftDiffusionModel(
             (sy.VAR_A, sy.VAR_A_STAR),
             (sy.PhasePolynomial({(1, 2): -2j}), sy.PhasePolynomial({(2, 1): 1.0 + 3j})),
             (sy.PhasePolynomial({(0, 1): 1.0 - 1j}), sy.PhasePolynomial({(1, 0): 1.0 + 1j})),
             "stratonovich",
         )
-        y0 = np.array([[1.1 + 0.4j, -0.3 + 0.9j], [1.1 - 0.4j, -0.3 - 0.9j]])
-        dw = math.sqrt(1e-3) * np.random.default_rng(6).standard_normal((50, 2, 2))
-        y = midpoint_path(model, y0, 1e-3, 50, dw)
-        for i in range(2):
-            ref = scalar_midpoint_path(model, y0[:, i], 1e-3, 50, dw[:, :, i])
-            for j in range(2):
-                assert abs(y[j, i] - ref[j]) < 1e-13 * abs(ref[j])
+        with pytest.raises(ValueError, match="opposite Kerr drift coefficients"):
+            MidpointStep(model, 1e-3, 1)
 
     @pytest.mark.parametrize("n, bound", [(10.0, 1e-8), (1e3, 2e-11)])
     def test_step_solves_its_equation(self, n, bound):
@@ -287,11 +300,9 @@ class TestMidpointStep:
                 super().__call__(y, xi)
 
         monkeypatch.setattr(engine, "MidpointStep", PoleStart)
-        grid = TimeGrid(1.0, (0.0, 4 * dt), dt)
-        acc = run_positive_p(
-            1.0, grid, specs_at(grid), 20, 10, seed=0, escape_radius=math.inf,
-            divergence_threshold=1.0,
-        )
+        monkeypatch.setattr(engine, "ESCAPE_RADIUS_FACTOR", math.inf)
+        grid = grid_at(1.0, (0.0, 4 * dt), dt)
+        acc = run_positive_p(1.0, grid, 20, 10, seed=0, divergence_threshold=1.0)
         assert acc.n_diverged == 20
 
     def test_ensemble_follows_the_converged_step(self, monkeypatch):
@@ -299,7 +310,7 @@ class TestMidpointStep:
         # converged loop flag the same paths, and every cumulant agrees
         # within 1e-3 of its sampling error
         n = 10.0
-        grid = TimeGrid(n, (1.0, 2.0, 3.0), 1e-3)
+        grid = grid_at(n, (1.0, 2.0, 3.0), 1e-3)
         chunk = engine._positive_p_chunk
 
         def run():
@@ -312,7 +323,7 @@ class TestMidpointStep:
 
             monkeypatch.setattr(engine, "_positive_p_chunk", spy)
             acc = run_positive_p(
-                math.sqrt(n), grid, specs_at(grid), 2048, 16, seed=1, threads=1,
+                math.sqrt(n), grid, 2048, 16, seed=1, threads=1,
                 divergence_threshold=1.0,
             )
             return batch_error(acc), np.concatenate(masks)
@@ -326,14 +337,12 @@ class TestMidpointStep:
             assert abs(a.kappa3 - b.kappa3) <= 1e-3 * b.sigma3
             assert abs(a.kappa4 - b.kappa4) <= 1e-3 * b.sigma4
 
-    def test_divergence_flagging(self):
+    def test_divergence_flagging(self, monkeypatch):
         # a path that overflows is flagged after the step that makes it
         # non-finite, even with an infinite escape radius
-        grid = TimeGrid(1.0, (0.0, 0.01), 1e-3)
-        acc = run_positive_p(
-            1e200, grid, specs_at(grid), 20, 10, seed=0, escape_radius=math.inf,
-            divergence_threshold=1.0,
-        )
+        monkeypatch.setattr(engine, "ESCAPE_RADIUS_FACTOR", math.inf)
+        grid = grid_at(1.0, (0.0, 0.01), 1e-3)
+        acc = run_positive_p(1e200, grid, 20, 10, seed=0, divergence_threshold=1.0)
         assert acc.n_diverged == 20
         assert acc.n_paths == 0
 
@@ -404,17 +413,17 @@ class TestBuildNoise:
 
 class TestTruncatedWignerEnsemble:
     def test_initial_time_cumulants_consistent_with_zero(self):
-        grid = TimeGrid(1000.0, (0.0,), 1e-3)
-        acc = run_truncated_wigner(math.sqrt(1000.0), grid, [QuadratureSpec(0.0)], 20_000, 100, seed=5)
+        grid = grid_at(1000.0, (0.0,), 1e-3)
+        acc = run_truncated_wigner(math.sqrt(1000.0), grid, 20_000, 100, seed=5)
         (rep,) = batch_error(acc)
         assert abs(rep.kappa3) < 4 * rep.sigma3
         assert abs(rep.kappa4) < 4 * rep.sigma4
 
     def test_occupation_offset_half_quantum(self):
         n = 1000.0
-        grid = TimeGrid(n, (0.0, 2.0, 7.0), 0.5)
+        grid = grid_at(n, (0.0, 2.0, 7.0), 0.5)
         sums, acc = ladder_sums(lambda theta: run_truncated_wigner(
-            math.sqrt(n), grid, specs_at(grid, theta), 20_000, 100, seed=6
+            math.sqrt(n), at_phase(grid, theta), 20_000, 100, seed=6
         ))
         for k in range(acc.n_outputs):
             m11 = batch_mean(sums[1, 1], acc.batch_counts, k).real
@@ -422,13 +431,13 @@ class TestTruncatedWignerEnsemble:
             assert abs(m11 - 0.5 - n) < 4 * sigma
 
     def test_no_divergence_possible(self):
-        grid = TimeGrid(1000.0, (0.0, 5.0), 1e-3)
-        acc = run_truncated_wigner(math.sqrt(1000.0), grid, specs_at(grid), 1000, 10, seed=7)
+        grid = grid_at(1000.0, (0.0, 5.0), 1e-3)
+        acc = run_truncated_wigner(math.sqrt(1000.0), grid, 1000, 10, seed=7)
         assert acc.n_diverged == 0
 
     def test_worker_count_invariance(self):
-        grid = TimeGrid(1000.0, (0.0, 1.0), 0.1)
-        a, b = (run_truncated_wigner(math.sqrt(1000.0), grid, specs_at(grid), 9000, 18, seed=8,
+        grid = grid_at(1000.0, (0.0, 1.0), 0.1)
+        a, b = (run_truncated_wigner(math.sqrt(1000.0), grid, 9000, 18, seed=8,
                                      threads=threads) for threads in (1, 2))
         assert np.array_equal(a.batch_sums, b.batch_sums)
         assert np.array_equal(a.batch_counts, b.batch_counts)
@@ -437,11 +446,11 @@ class TestTruncatedWignerEnsemble:
     def test_matches_per_path_reference_kernels(self, monkeypatch, threads):
         # five chunks, so that two workers really share the work
         monkeypatch.setattr(engine, "_CHUNK_TARGET", 600)
-        grid = TimeGrid(1000.0, (0.0, 1.0, 2.5), 0.5)
+        grid = grid_at(1000.0, (0.0, 1.0, 2.5), 0.5)
 
         def run():
             return run_truncated_wigner(
-                math.sqrt(1000.0), grid, specs_at(grid), 3000, 10, seed=2**64 + 3, threads=threads
+                math.sqrt(1000.0), grid, 3000, 10, seed=2**64 + 3, threads=threads
             )
 
         got = run()
@@ -473,8 +482,8 @@ class TestTruncatedWignerLimit:
 
     @pytest.mark.parametrize("n", [10.0, 1e3, 1e6])
     def test_ensemble_within_four_sigma(self, n):
-        grid = TimeGrid(n, tuple(0.5 * i for i in range(1, 21)), 1e-3)
-        acc = run_truncated_wigner(math.sqrt(n), grid, specs_at(grid), 100_000, 100, seed=1)
+        grid = grid_at(n, tuple(0.5 * i for i in range(1, 21)), 1e-3)
+        acc = run_truncated_wigner(math.sqrt(n), grid, 100_000, 100, seed=1)
         for tau, rep in zip(grid.taus, batch_error(acc)):
             k3, k4 = tw_limit_cumulants(n, tau, 2.0 * tau)
             assert abs(rep.kappa3 - k3) < 4 * rep.sigma3, (tau, rep, k3)
@@ -490,9 +499,9 @@ class TestPositivePEnsemble:
             (math.sqrt(1000.0), 0.0), (0.3 + 0.4j, 1e-16), (-2.0, 0.0), (1j * math.sqrt(5), 0.0)
         ):
             n = abs(alpha0) ** 2
-            grid = TimeGrid(n, (0.0,), 1e-3)
+            grid = grid_at(n, (0.0,), 1e-3)
             sums, acc = ladder_sums(
-                lambda theta: run_positive_p(alpha0, grid, specs_at(grid, theta), 500, 10, seed=0)
+                lambda theta: run_positive_p(alpha0, at_phase(grid, theta), 500, 10, seed=0)
             )
             counts = acc.batch_counts
             assert batch_mean(sums[0, 1], counts, 0) == pytest.approx(alpha0, abs=1e-12 * n)
@@ -503,9 +512,9 @@ class TestPositivePEnsemble:
 
     def test_number_conserved_in_time(self):
         n = 1000.0
-        grid = TimeGrid(n, (0.0, 0.25, 0.5), 1e-3)
+        grid = grid_at(n, (0.0, 0.25, 0.5), 1e-3)
         sums, acc = ladder_sums(
-            lambda theta: run_positive_p(math.sqrt(n), grid, specs_at(grid, theta), 4000, 20, seed=9)
+            lambda theta: run_positive_p(math.sqrt(n), at_phase(grid, theta), 4000, 20, seed=9)
         )
         for k in range(acc.n_outputs):
             m11 = batch_mean(sums[1, 1], acc.batch_counts, k).real
@@ -514,17 +523,17 @@ class TestPositivePEnsemble:
 
     def test_worker_count_invariance(self):
         n = 1000.0
-        grid = TimeGrid(n, (0.0, 0.02), 1e-3)
-        a, b = (run_positive_p(math.sqrt(n), grid, specs_at(grid), 9000, 18, seed=10,
+        grid = grid_at(n, (0.0, 0.02), 1e-3)
+        a, b = (run_positive_p(math.sqrt(n), grid, 9000, 18, seed=10,
                                threads=threads) for threads in (1, 2))
         assert np.array_equal(a.batch_sums, b.batch_sums)
 
     def test_noise_blocks_replay_whole_gap_draws(self, monkeypatch):
         n = 1000.0
-        grid = TimeGrid(n, (0.0, 0.05), 1e-3)  # one gap of 50 steps
+        grid = grid_at(n, (0.0, 0.05), 1e-3)  # one gap of 50 steps
 
         def run():
-            return run_positive_p(math.sqrt(n), grid, specs_at(grid), 200, 10, seed=4)
+            return run_positive_p(math.sqrt(n), grid, 200, 10, seed=4)
 
         whole = run()
         # one 200-path chunk, capped at 7 steps per block: 8 blocks, the last short
@@ -542,26 +551,24 @@ class TestPositivePEnsemble:
 
     def test_seed_changes_results(self):
         n = 1000.0
-        grid = TimeGrid(n, (0.0, 0.02), 1e-3)
-        a = run_positive_p(math.sqrt(n), grid, specs_at(grid), 500, 10, seed=1)
-        b = run_positive_p(math.sqrt(n), grid, specs_at(grid), 500, 10, seed=2)
+        grid = grid_at(n, (0.0, 0.02), 1e-3)
+        a = run_positive_p(math.sqrt(n), grid, 500, 10, seed=1)
+        b = run_positive_p(math.sqrt(n), grid, 500, 10, seed=2)
         assert not np.array_equal(a.batch_sums[-1], b.batch_sums[-1])
 
-    def test_excessive_divergence_aborts(self):
+    def test_excessive_divergence_aborts(self, monkeypatch):
+        # an escape radius of 1e-6 sqrt(N), far inside every path
+        monkeypatch.setattr(engine, "ESCAPE_RADIUS_FACTOR", 1e-6)
         n = 1000.0
-        grid = TimeGrid(n, (0.0, 0.01), 1e-3)
+        grid = grid_at(n, (0.0, 0.01), 1e-3)
         with pytest.raises(ExcessiveDivergence):
-            run_positive_p(
-                math.sqrt(n), grid, specs_at(grid), 200, 10, seed=0, escape_radius=1e-6
-            )
+            run_positive_p(math.sqrt(n), grid, 200, 10, seed=0)
 
-    def test_diverged_paths_counted_and_excluded(self):
+    def test_diverged_paths_counted_and_excluded(self, monkeypatch):
+        monkeypatch.setattr(engine, "ESCAPE_RADIUS_FACTOR", 1e-6)
         n = 1000.0
-        grid = TimeGrid(n, (0.0, 0.01), 1e-3)
-        acc = run_positive_p(
-            math.sqrt(n), grid, specs_at(grid), 200, 10, seed=0, escape_radius=1e-6,
-            divergence_threshold=1.0,
-        )
+        grid = grid_at(n, (0.0, 0.01), 1e-3)
+        acc = run_positive_p(math.sqrt(n), grid, 200, 10, seed=0, divergence_threshold=1.0)
         assert acc.n_diverged == 200
         assert acc.n_paths == 0
 
@@ -573,9 +580,9 @@ class TestPositivePEnsemble:
         model = kerr_positive_p_model()
         n = 1000.0
         a0 = math.sqrt(n)
-        grid = TimeGrid(n, (tau,), 1e-3)
+        grid = grid_at(n, (tau,), 1e-3)
         sums, _ = ladder_sums(
-            lambda theta: run_positive_p(a0, grid, specs_at(grid, theta), m, m, seed=seed)
+            lambda theta: run_positive_p(a0, at_phase(grid, theta), m, m, seed=seed)
         )
         dt = grid.dt
         n_steps = grid.steps_between()[0]
@@ -614,7 +621,7 @@ class TestLadderSums:
         # one path per batch, so each batch sum is one path's value; a spy on
         # the power kernel records the amplitudes each run passes it
         n = 1000.0
-        grid = TimeGrid(n, (0.0, 0.05, 0.1), 1e-3)
+        grid = grid_at(n, (0.0, 0.05, 0.1), 1e-3)
         kernel = engine.bulk_monomials
         seen = {}
 
@@ -625,7 +632,7 @@ class TestLadderSums:
 
             seen[theta] = []
             monkeypatch.setattr(engine, "bulk_monomials", spy)
-            return run_ensemble(math.sqrt(n), grid, specs_at(grid, theta), 64, 64, seed=3)
+            return run_ensemble(math.sqrt(n), at_phase(grid, theta), 64, 64, seed=3)
 
         sums, acc = ladder_sums(run)
         assert acc.n_paths == 64
@@ -644,15 +651,10 @@ class TestPositivePAgainstOracle:
         import anharmonic.oracle as orc
 
         n = 1000.0
-        grid = TimeGrid(n, (0.5, 1.0), 1e-3)
-        acc = run_positive_p(math.sqrt(n), grid, specs_at(grid), 4000, 20, seed=3)
-        state0 = orc.init_coherent(math.sqrt(n))
-        reports = batch_error(acc)
-        for tau, rep in zip(grid.taus, reports):
-            theta = 2.0 * tau
-            exact = orc.oracle_cumulants(
-                orc.evolve(state0, tau / n), QuadratureSpec(theta)
-            )
+        grid = grid_at(n, (0.5, 1.0), 1e-3)
+        acc = run_positive_p(math.sqrt(n), grid, 4000, 20, seed=3)
+        series = orc.cumulant_series(orc.init_coherent(math.sqrt(n)), grid)
+        for rep, exact in zip(batch_error(acc), series):
             assert abs(rep.kappa3 - exact.kappa3) < 4 * rep.sigma3
             assert abs(rep.kappa4 - exact.kappa4) < 4 * rep.sigma4
 
@@ -663,9 +665,8 @@ def test_weak_order_cumulants_agree_at_half_step():
     # the two runs draw from different seeds, so their errors are independent
     n = 1000.0
     taus = (0.25, 0.5, 0.75, 1.0)
-    specs = [QuadratureSpec(2.0 * tau) for tau in taus]
     coarse, fine = (
-        batch_error(run_positive_p(math.sqrt(n), TimeGrid(n, taus, dtau), specs, 16384, 64, seed=seed))
+        batch_error(run_positive_p(math.sqrt(n), grid_at(n, taus, dtau), 16384, 64, seed=seed))
         for dtau, seed in ((1e-3, 1), (5e-4, 2))
     )
     for a, b in zip(coarse, fine):
@@ -712,12 +713,12 @@ class TestStreamingReduction:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_truncated_wigner(self, monkeypatch, threads):
-        grid = TimeGrid(1000.0, (0.0, 1.0, 2.5, 4.0), 0.5)
+        grid = grid_at(1000.0, (0.0, 1.0, 2.5, 4.0), 0.5)
         self.compare(
             monkeypatch,
             "_truncated_wigner_chunk",
             lambda: run_truncated_wigner(
-                math.sqrt(1000.0), grid, specs_at(grid), self.N_PATHS, 10, seed=3, threads=threads
+                math.sqrt(1000.0), grid, self.N_PATHS, 10, seed=3, threads=threads
             ),
             np.float64,
         )
@@ -725,13 +726,15 @@ class TestStreamingReduction:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_positive_p_with_late_divergence(self, monkeypatch, threads):
         n = 1000.0
-        grid = TimeGrid(n, (0.0, 0.01, 0.02), 1e-3)
+        # an escape radius of 32, just outside the start |alpha0| = sqrt(N)
+        monkeypatch.setattr(engine, "ESCAPE_RADIUS_FACTOR", 32.0 / math.sqrt(n))
+        grid = grid_at(n, (0.0, 0.01, 0.02), 1e-3)
         acc = self.compare(
             monkeypatch,
             "_positive_p_chunk",
             lambda: run_positive_p(
-                math.sqrt(n), grid, specs_at(grid), self.N_PATHS, 10, seed=5, threads=threads,
-                escape_radius=32.0, divergence_threshold=1.0,
+                math.sqrt(n), grid, self.N_PATHS, 10, seed=5, threads=threads,
+                divergence_threshold=1.0,
             ),
         )
         # some paths, not all, escape after the tau = 0 output, so the
@@ -767,7 +770,7 @@ class TestMemoryBound:
     """
 
     BOUND = 32 * 2**20
-    GRID = TimeGrid(1000.0, tuple(0.01 * i for i in range(1001)), 0.01)
+    GRID = grid_at(1000.0, tuple(0.01 * i for i in range(1001)), 0.01)
 
     def traced_peak(self, run) -> int:
         tracemalloc.start()
@@ -780,7 +783,7 @@ class TestMemoryBound:
     def test_truncated_wigner(self):
         peak = self.traced_peak(
             lambda: run_truncated_wigner(
-                math.sqrt(1000.0), self.GRID, specs_at(self.GRID), 2048, 10, seed=1, threads=1
+                math.sqrt(1000.0), self.GRID, 2048, 10, seed=1, threads=1
             )
         )
         assert peak < self.BOUND, peak
@@ -788,7 +791,7 @@ class TestMemoryBound:
     def test_positive_p(self):
         peak = self.traced_peak(
             lambda: run_positive_p(
-                math.sqrt(1000.0), self.GRID, specs_at(self.GRID), 2048, 10, seed=1, threads=1,
+                math.sqrt(1000.0), self.GRID, 2048, 10, seed=1, threads=1,
                 divergence_threshold=1.0,
             )
         )
@@ -801,11 +804,11 @@ class TestMemoryBound:
         # Beside it live (2, m) complex arrays (64 KiB each at this m): the
         # state, the kernel's three buffers, the two stored outputs and the
         # (4, m) power block, about 10 of them; the bound allows 24.
-        grid = TimeGrid(1000.0, (0.0, 2.0), 1e-3)
+        grid = grid_at(1000.0, (0.0, 2.0), 1e-3)
 
         def run(m):
             return run_positive_p(
-                math.sqrt(1000.0), grid, specs_at(grid), m, 10, seed=1, threads=1,
+                math.sqrt(1000.0), grid, m, 10, seed=1, threads=1,
                 divergence_threshold=1.0,
             )
 

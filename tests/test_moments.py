@@ -12,19 +12,18 @@ from anharmonic.moments import (
     WIGNER,
     InsufficientBatches,
     MomentAccumulator,
-    QuadratureSpec,
     batch_error,
     bulk_monomials,
     k3_k4,
     promote_normal_order,
 )
-from anharmonic.engine import TimeGrid, run_positive_p, run_truncated_wigner
+from anharmonic.engine import run_positive_p, run_truncated_wigner
 from helpers import (
     dense_brute_force,
     fill_batches,
+    grid_at,
     per_output_batch_error,
     per_output_batch_errors,
-    specs_at,
     stacked_powers,
 )
 
@@ -119,7 +118,7 @@ class TestPositivePQuadrature:
             a0 = complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2))
             theta = rng.uniform(0, 2 * math.pi)
             acc = positive_p_acc_from_samples(np.full(10, a0), np.full(10, np.conj(a0)), theta)
-            dense = dense_brute_force(a0, 20, 0.0, QuadratureSpec(theta))
+            dense = dense_brute_force(a0, 20, 0.0, theta)
             for got, want in zip(true_moments(acc), dense):
                 assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
@@ -254,8 +253,8 @@ class TestOnePassEstimator:
 
     N = 1000.0
 
-    TW_GRID = TimeGrid(N, (0.0, 0.5, 1.25, 3.0, 7.5), 1e-3)
-    PP_GRID = TimeGrid(N, (0.0, 0.01, 0.03), 1e-3)
+    TW_GRID = grid_at(N, (0.0, 0.5, 1.25, 3.0, 7.5), 1e-3)
+    PP_GRID = grid_at(N, (0.0, 0.01, 0.03), 1e-3)
 
     @staticmethod
     def assert_bit_identical(acc):
@@ -265,11 +264,11 @@ class TestOnePassEstimator:
 
     def tw_run(self):
         grid = self.TW_GRID
-        return run_truncated_wigner(math.sqrt(self.N), grid, specs_at(grid), 6000, 40, seed=3)
+        return run_truncated_wigner(math.sqrt(self.N), grid, 6000, 40, seed=3)
 
     def pp_run(self):
         grid = self.PP_GRID
-        return run_positive_p(math.sqrt(self.N), grid, specs_at(grid), 3000, 30, seed=3)
+        return run_positive_p(math.sqrt(self.N), grid, 3000, 30, seed=3)
 
     def test_truncated_wigner_run(self):
         self.assert_bit_identical(self.tw_run())
@@ -330,14 +329,6 @@ class TestOnePassEstimator:
         with pytest.raises(mo.OrderingViolation) as at_output_2:
             per_output_batch_error(acc, 2)
         assert str(at_output_2.value) != str(got.value)
-
-    def test_one_spec_per_output(self):
-        # the ensembles take the specs, so both check their count
-        alpha0 = math.sqrt(self.N)
-        with pytest.raises(ValueError, match="1 quadrature specs for 5 outputs"):
-            run_truncated_wigner(alpha0, self.TW_GRID, specs_at(self.TW_GRID)[:1], 6000, 40)
-        with pytest.raises(ValueError, match="4 quadrature specs for 3 outputs"):
-            run_positive_p(alpha0, self.PP_GRID, specs_at(self.TW_GRID)[:4], 3000, 30)
 
 
 class TestCsv:

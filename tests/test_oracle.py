@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from anharmonic import oracle
-from anharmonic.moments import QuadratureSpec, k3_k4, promote_normal_order
+from anharmonic.engine import TimeGrid
+from anharmonic.moments import k3_k4, promote_normal_order
 from anharmonic.oracle import cumulant_series, evolve, init_coherent, oracle_cumulants
 from helpers import (
     CutoffInsufficient,
@@ -19,6 +20,7 @@ from helpers import (
     coherent_vector,
     dense_brute_force,
     dense_cumulant_atol,
+    grid_at,
     ladder_from_quadrature,
     oracle_precision_floor,
 )
@@ -79,7 +81,7 @@ def ladder(state):
 
 
 def cumulants(state, theta):
-    rep = oracle_cumulants(state, QuadratureSpec(theta))
+    rep = oracle_cumulants(state, theta)
     return rep.kappa3, rep.kappa4
 
 
@@ -212,10 +214,7 @@ class TestPhasePrecisionAtLargeN:
         # the Fock window's phases and sums were good to ~5.6e-8 here
         n = 1e7
         taus = [row[0] for row in FOCK_ORACLE_ROWS_AT_TEN_MILLION]
-        reports = cumulant_series(
-            init_coherent(math.sqrt(n)), [tau / n for tau in taus],
-            [QuadratureSpec(2.0 * tau) for tau in taus],
-        )
+        reports = cumulant_series(init_coherent(math.sqrt(n)), grid_at(n, taus, 1e-3))
         for (tau, k3, k4), rep in zip(FOCK_ORACLE_ROWS_AT_TEN_MILLION, reports):
             assert_close((rep.kappa3, rep.kappa4), (k3, k4), 1e-7)
 
@@ -283,14 +282,14 @@ class TestQuadratureMomentsAndCumulants:
                     state = evolve(state0, tau / n)
                     normal = oracle._quadrature_moments(state, theta)
                     got = [float(m) for m in promote_normal_order(*normal)]
-                    dense = dense_brute_force(a0, cutoff, tau / n, QuadratureSpec(theta))
+                    dense = dense_brute_force(a0, cutoff, tau / n, theta)
                     assert_close(got, dense, 1e-10)
 
     @pytest.mark.parametrize("n_target", [4.0, 1e3, 1e6, 1.0, 1e12, 1e300])
     def test_coherent_cumulants_vanish(self, n_target):
         state = init_coherent(math.sqrt(n_target))
         for theta in (0.0, 0.9, 2.2):
-            rep = oracle_cumulants(state, QuadratureSpec(theta))
+            rep = oracle_cumulants(state, theta)
             assert abs(rep.kappa3) < 1e-15
             assert abs(rep.kappa4) < 1e-15
 
@@ -298,9 +297,8 @@ class TestQuadratureMomentsAndCumulants:
         for a0, cutoff in DENSE_CASES:
             n = a0 * a0
             for tau in (0.5, 3.0):
-                spec = QuadratureSpec(2.0 * tau)
-                got = cumulants(evolve(init_coherent(a0), tau / n), spec.theta)
-                want = k3_k4(*dense_brute_force(a0, cutoff, tau / n, spec))
+                got = cumulants(evolve(init_coherent(a0), tau / n), 2.0 * tau)
+                want = k3_k4(*dense_brute_force(a0, cutoff, tau / n, 2.0 * tau))
                 for g, w in zip(got, want):
                     assert abs(g - w) <= max(1e-10 * max(1.0, abs(w)), dense_cumulant_atol(n))
 
@@ -332,19 +330,22 @@ class TestWorkspaceReuse:
     )
     def test_series_bit_identical_to_fresh_states(self, alpha0):
         n = abs(alpha0) ** 2
-        # scaled times in [0, 10], then absolute times past 2 pi
-        times = [tau / n for tau in (0.0, 0.7, 2.5, 9.4)] + [1.3 * 2 * math.pi, 23.3]
-        specs = [QuadratureSpec(theta) for theta in (0.0, 1.4, 5.0, 18.8, 0.6, 2.1)]
-        series = cumulant_series(init_coherent(alpha0), times, specs)
-        for t, spec, got in zip(times, specs, series):
-            assert got == oracle_cumulants(evolve(init_coherent(alpha0), t), spec), t
+        # scaled times in [0, 10] and absolute times past 2 pi, in time order
+        taus, thetas = zip(*sorted(zip(
+            (0.0, 0.7, 2.5, 9.4, 1.3 * 2 * math.pi * n, 23.3 * n),
+            (0.0, 1.4, 5.0, 18.8, 0.6, 2.1),
+        )))
+        grid = TimeGrid(n, taus, thetas, 1e-3)
+        series = cumulant_series(init_coherent(alpha0), grid)
+        for t, theta, got in zip(grid.times, grid.thetas, series):
+            assert got == oracle_cumulants(evolve(init_coherent(alpha0), t), theta), t
 
     def test_evolved_states_do_not_alias(self):
         alpha0 = 2.0 + 0.5j
         state0 = init_coherent(alpha0)
         first = evolve(state0, 0.3)
         second = evolve(state0, 1.1)
-        oracle_cumulants(second, QuadratureSpec(0.9))
+        oracle_cumulants(second, 0.9)
         fresh = evolve(init_coherent(alpha0), 0.3)
         assert first == fresh
         assert cumulants(first, 0.9) == cumulants(fresh, 0.9)
@@ -354,20 +355,15 @@ class TestWorkspaceReuse:
         n = 1e12
         state0 = init_coherent(math.sqrt(n))
         # one output first, which fills mpmath's caches at this precision
-        oracle_cumulants(evolve(state0, 0.5 / n), QuadratureSpec(1.0))
+        oracle_cumulants(evolve(state0, 0.5 / n), 1.0)
         tracemalloc.start()
         try:
             for tau in np.linspace(0.0, 10.0, 20):
-                oracle_cumulants(evolve(state0, tau / n), QuadratureSpec(2.0 * tau))
+                oracle_cumulants(evolve(state0, tau / n), 2.0 * tau)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024, peak
-
-    def test_series_rejects_spec_count_mismatch(self):
-        state0 = init_coherent(2.0)
-        with pytest.raises(ValueError, match="2 times but 1 quadrature specs"):
-            cumulant_series(state0, [0.1, 0.2], [QuadratureSpec(0.0)])
 
 
 class TestMpmathUse:
@@ -391,7 +387,7 @@ class TestMpmathUse:
         mpmath.mp.dps = 17  # a value no oracle precision takes
         try:
             state = init_coherent(math.sqrt(1e300))
-            oracle_cumulants(evolve(state, 1e-300), QuadratureSpec(2.0))
+            oracle_cumulants(evolve(state, 1e-300), 2.0)
             assert mpmath.mp.dps == 17
         finally:
             mpmath.mp.dps = saved
@@ -399,7 +395,7 @@ class TestMpmathUse:
 
 class TestDenseBruteForce:
     def test_vacuum_quadrature_variance(self):
-        m1, m2, _, _ = dense_brute_force(0.0, 20, 0.0, QuadratureSpec(0.4))
+        m1, m2, _, _ = dense_brute_force(0.0, 20, 0.0, 0.4)
         assert m2 == pytest.approx(1.0, abs=1e-13)
         assert m1 == pytest.approx(0.0, abs=1e-13)
 
@@ -408,17 +404,17 @@ class TestDenseBruteForce:
         for _ in range(5):
             a0 = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
             theta = rng.uniform(0, 2 * math.pi)
-            mv = dense_brute_force(a0, 40, 0.0, QuadratureSpec(theta))
+            mv = dense_brute_force(a0, 40, 0.0, theta)
             for got, want in zip(mv, coherent_quadrature_moments(a0, theta)):
                 assert abs(got - want) < 1e-10 * max(1.0, abs(want))
 
     def test_cutoff_guard(self):
         # N = 4 passes the precondition at cutoff 12 but loses > 1e-10 norm
         with pytest.raises(CutoffInsufficient):
-            dense_brute_force(2.0, 12, 0.0, QuadratureSpec(0.0))
+            dense_brute_force(2.0, 12, 0.0, 0.0)
 
     def test_precondition_guards(self):
         with pytest.raises(ValueError):
-            dense_brute_force(1.0, 300, 0.0, QuadratureSpec(0.0))
+            dense_brute_force(1.0, 300, 0.0, 0.0)
         with pytest.raises(ValueError):
-            dense_brute_force(10.0, 60, 0.0, QuadratureSpec(0.0))
+            dense_brute_force(10.0, 60, 0.0, 0.0)

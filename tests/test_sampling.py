@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from anharmonic.engine import TimeGrid, run_positive_p
+from anharmonic.engine import run_positive_p
 from anharmonic.sampling import stream_for_trajectory, wigner_initial
-from helpers import chunk_signs, chunk_stream_wigner_initial, ladder_sums, specs_at
+from helpers import at_phase, chunk_signs, chunk_stream_wigner_initial, grid_at, ladder_sums
 
 
 def _wigner_samples(alpha0, n, seed=0):
@@ -129,8 +129,8 @@ def _positive_p_start(alpha0):
     # one path in one batch at tau = 0: the batch sums of a and a* are the
     # chunk's start pair (alpha1, alpha2*), read back through the quadratures
     # at theta = 0 and pi/2, whose phases round (cos(pi/2) is 6e-17, not 0)
-    grid = TimeGrid(abs(alpha0) ** 2, (0.0,), 1e-3)
-    sums, _ = ladder_sums(lambda theta: run_positive_p(alpha0, grid, specs_at(grid, theta), 1, 1))
+    grid = grid_at(abs(alpha0) ** 2, (0.0,), 1e-3)
+    sums, _ = ladder_sums(lambda theta: run_positive_p(alpha0, at_phase(grid, theta), 1, 1))
     return sums[0, 1][0, 0], sums[1, 0][0, 0]
 
 
