@@ -4,7 +4,7 @@ Two integrators are provided:
 
 * :func:`exact_wigner_flow`, the exact truncated-Wigner flow of the
   anharmonic drift (the modulus is conserved, so the flow is a pure phase
-  rotation), and
+  rotation, which it yields in polar form), and
 * :class:`MidpointStep`, the one semi-implicit Stratonovich midpoint rule
   on the doubled positive-P phase space, written for the Kerr model's four
   terms and vectorised over paths.  Its implicit equation has one complex
@@ -22,11 +22,11 @@ configuration, so results are bit-identical for a fixed master seed at any
 worker count; a path's draws depend on the chunk it falls in.
 
 Both chunk kernels reduce their outputs through one function, which forms
-each output's quadrature x = exp(-i theta) a + exp(i theta) abar and its
-powers x^k (k = 1..4) in one reused ``(4, m)`` block and sums them per
-batch at once; the draws do not depend on theta.  A truncated-Wigner chunk
-passes each output's amplitudes as they are formed.  A positive-P chunk
-keeps every output's ``(2, m)`` state until it ends, because a path that
+each output's quadrature and its powers x^k (k = 1..4) in one reused
+``(4, m)`` block and sums them per batch at once; the draws do not depend
+on theta.  A truncated-Wigner chunk passes each output's amplitudes in
+polar form, so x = 2 |alpha| cos(arg alpha(t) - theta) costs one real
+cosine per path.  A positive-P chunk keeps every output's ``(2, m)`` state until it ends, because a path that
 diverges later is excluded retroactively from every earlier output: the
 escaped paths' columns are zeroed once, and the states are then reduced.
 Its unit Wiener increments are two-point: +-1 with equal chance, one raw
@@ -168,11 +168,11 @@ def _chunk_batch_groups(slices: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return groups
 
 
-def _batch_power_sums(pairs, thetas, bounds: list[tuple[int, int]]) -> np.ndarray:
+def _batch_power_sums(representation: str, pairs, thetas, bounds: list[tuple[int, int]]) -> np.ndarray:
     """Per-batch sums of the quadrature powers of each output's amplitudes.
 
-    ``pairs`` yields one ``(abar, a)`` pair of (m,) arrays per output (abar
-    None for Wigner amplitudes), taken at that output's phase in ``thetas``;
+    ``pairs`` yields one pair of (m,) arrays per output, in the form
+    bulk_monomials takes for ``representation``, at its phase in ``thetas``;
     ``bounds`` holds the chunk's contiguous (lo, hi) batch offsets.  Each
     output's powers are formed in one reused block and summed straight into
     its row of the returned (n_out, n_batches, N_POWERS) array.  Each run of
@@ -184,8 +184,8 @@ def _batch_power_sums(pairs, thetas, bounds: list[tuple[int, int]]) -> np.ndarra
     runs = [(size, len(list(run))) for size, run in sizes]
     block = None
     sums = np.empty((len(thetas), len(bounds), N_POWERS), dtype=np.complex128)
-    for out, theta, (abar, a) in zip(sums, thetas, pairs):
-        block = bulk_monomials(theta, a, abar, out=block)
+    for out, theta, pair in zip(sums, thetas, pairs):
+        block = bulk_monomials(theta, *pair, representation, out=block)
         lo = j = 0
         for size, n in runs:
             out[j : j + n] = block[:, lo : lo + n * size].reshape(-1, n, size).sum(axis=-1).T
@@ -274,13 +274,15 @@ def exact_wigner_flow(init: np.ndarray, times):
     """Yield the exact truncated-Wigner anharmonic flow of ``init`` at each time.
 
     The drift d(alpha)/dt = -i (2 |alpha|^2 - 1) alpha conserves |alpha|, so
-    alpha(t) = alpha(0) exp(-i (2 |alpha(0)|^2 - 1) t).  Every output is
-    rotated from the initial amplitudes, so rounding does not build up from
-    one output to the next.
+    alpha(t) = alpha(0) exp(-i omega t), omega = 2 |alpha(0)|^2 - 1.  Each
+    output is the polar pair (arg alpha(0) - omega t, 2 |alpha(0)|) that
+    bulk_monomials takes; every argument is formed from the initial
+    amplitudes, so rounding does not build up from one output to the next.
     """
     omega = 2.0 * (init.real**2 + init.imag**2) - 1.0
+    arg, modulus = np.angle(init), 2.0 * np.abs(init)
     for t in times:
-        yield init * np.exp(-1j * omega * t)
+        yield arg - t * omega, modulus
 
 
 def _positive_p_chunk(
@@ -340,7 +342,7 @@ def _positive_p_chunk(
             states[k_out] = y
 
     states[:, :, ~alive] = 0.0
-    return _batch_power_sums(((abar, a) for a, abar in states), grid.thetas, bounds), alive
+    return _batch_power_sums(POSITIVE_P, states, grid.thetas, bounds), alive
 
 
 def _truncated_wigner_chunk(
@@ -352,11 +354,8 @@ def _truncated_wigner_chunk(
     bounds: list[tuple[int, int]],
 ):
     """Exact-flow chunk: per-output batch sums for the anharmonic drift."""
-    m = traj_hi - traj_lo
-    init = wigner_initial(alpha0, seed, traj_lo, traj_hi)
-
-    pairs = ((None, alpha_t) for alpha_t in exact_wigner_flow(init, grid.times))
-    return _batch_power_sums(pairs, grid.thetas, bounds), np.ones(m, dtype=bool)
+    flow = exact_wigner_flow(wigner_initial(alpha0, seed, traj_lo, traj_hi), grid.times)
+    return _batch_power_sums(WIGNER, flow, grid.thetas, bounds), np.ones(traj_hi - traj_lo, dtype=bool)
 
 
 def _available_cpus() -> int:

@@ -101,23 +101,27 @@ class MomentAccumulator:
         return int(self.batch_diverged.sum())
 
 
-def bulk_monomials(theta: float, a: np.ndarray, abar=None, out=None) -> np.ndarray:
-    """Powers x, x^2, x^3, x^4 of x = e^{-i theta} a + e^{i theta} abar, shape (4, m).
+def bulk_monomials(theta: float, a, b, representation: str, out=None) -> np.ndarray:
+    """Powers x, x^2, x^3, x^4 of each path's quadrature at phase theta, shape (4, m).
 
-    Without ``abar`` the amplitudes are Wigner ones, abar = conj(a), and x is
-    the real 2 Re(e^{-i theta} a); the block is then float64, else complex.
-    Every row is written straight into ``out`` (allocated when not given).
+    A positive-P pair (a, b = abar) gives x = e^{-i theta} a + e^{i theta} b
+    in a complex block.  A Wigner amplitude alpha comes in polar form,
+    (a, b) = (arg alpha, 2 |alpha|), and x = b cos(a - theta), one real
+    cosine per path, in a float64 block.  Every row is written straight into
+    ``out`` (allocated when not given).
     """
+    polar = representation == WIGNER
     if out is None:
-        out = np.empty((N_POWERS, len(a)), dtype=np.float64 if abar is None else np.complex128)
+        out = np.empty((N_POWERS, len(a)), dtype=np.float64 if polar else np.complex128)
     x, x2, x3, x4 = out
-    if abar is None:
-        np.multiply(a.real, 2.0 * math.cos(theta), out=x)
-        np.multiply(a.imag, 2.0 * math.sin(theta), out=x2)
+    if polar:
+        np.subtract(a, theta, out=x)
+        np.cos(x, out=x)
+        x *= b
     else:
         np.multiply(a, complex(math.cos(theta), -math.sin(theta)), out=x)
-        np.multiply(abar, complex(math.cos(theta), math.sin(theta)), out=x2)
-    x += x2
+        np.multiply(b, complex(math.cos(theta), math.sin(theta)), out=x2)
+        x += x2
     np.multiply(x, x, out=x2)
     np.multiply(x2, x, out=x3)
     np.multiply(x2, x2, out=x4)

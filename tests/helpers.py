@@ -62,15 +62,48 @@ def stacked_powers(theta: float, a: np.ndarray, abar: np.ndarray | None = None) 
     """Reference power block: x = e^{-i theta} a + e^{i theta} abar and its powers, stacked.
 
     Without ``abar``, x = 2 (cos theta Re a + sin theta Im a), the Wigner
-    quadrature.  x^2 and x^3 are running products and x^4 = (x^2)^2.
+    quadrature in Cartesian form.  x^2 and x^3 are running products and
+    x^4 = (x^2)^2.
     """
     c, s = math.cos(theta), math.sin(theta)
     if abar is None:
         x = 2.0 * (c * a.real + s * a.imag)
     else:
         x = a * complex(c, -s) + abar * complex(c, s)
+    return _stack_powers(x)
+
+
+def polar_powers(theta: float, arg: np.ndarray, modulus: np.ndarray) -> np.ndarray:
+    """Reference power block of a Wigner amplitude in polar form:
+    x = modulus cos(arg - theta) and its powers, stacked."""
+    return _stack_powers(modulus * np.cos(arg - theta))
+
+
+def _stack_powers(x: np.ndarray) -> np.ndarray:
     x2 = x * x
     return np.stack([x, x2, x2 * x, x2 * x2])
+
+
+def wigner_polar(a) -> tuple[np.ndarray, np.ndarray]:
+    """Wigner amplitudes in the polar form bulk_monomials takes: (arg a, 2 |a|)."""
+    a = np.asarray(a)
+    return np.angle(a), 2.0 * np.abs(a)
+
+
+#: Rounding allowance between the polar and the Cartesian Wigner quadrature,
+#: in units of eps (1 + |phi|) |x|^k per power k, with phi the phase the
+#: cosine takes and |x| <= 2 |alpha|.  Both forms round the flow's phase
+#: omega t, which the cosine turns into an absolute error of about
+#: eps |phi| 2 |alpha|, and a power k multiplies it by k |x|^(k - 1).
+POLAR_ROUNDING_EPS = 4.0
+
+
+def polar_rounding_bound(phi: np.ndarray, modulus: np.ndarray) -> np.ndarray:
+    """Per-path bound on |polar - Cartesian| for each power, shape (4, m):
+    k POLAR_ROUNDING_EPS eps (1 + |phi|) modulus^k."""
+    k = np.arange(1, 5)[:, None]
+    eps = np.finfo(np.float64).eps
+    return k * POLAR_ROUNDING_EPS * eps * (1.0 + np.abs(phi)) * modulus**k
 
 
 def grid_at(n_particles: float, taus, dtau: float) -> TimeGrid:

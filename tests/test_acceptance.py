@@ -21,8 +21,10 @@ from anharmonic.engine import (
     run_truncated_wigner,
 )
 from anharmonic.moments import (
+    WIGNER,
     CsvRow,
     batch_error,
+    bulk_monomials,
     k3_k4,
     promote_normal_order,
     read_rows,
@@ -37,6 +39,7 @@ from helpers import (
     grid_at,
     ladder_sums,
     midpoint_path,
+    polar_rounding_bound,
     poly_equal,
     random_hermitian_polynomial,
     tw_limit_cumulants,
@@ -246,13 +249,18 @@ def test_criterion_6_conservation_invariants():
     started = time.perf_counter()
     grid = TW_GRID
 
-    # per-trajectory modulus conservation across the whole output grid, on
-    # the first 500 initial amplitudes and the flow the ensemble ran
+    # the polar flow conserves |alpha| by construction, so each path's
+    # quadrature is checked instead: on the first 500 initial amplitudes,
+    # across the whole output grid, the kernel's x = 2 |alpha0| cos(phi),
+    # phi = arg alpha(t) - theta, lies within a few eps (1 + |phi|) |x| of
+    # the Cartesian rotation 2 Re(exp(-i theta) alpha0 exp(-i omega t))
     init = wigner_initial(ALPHA0, 1, 0, 500)
-    worst = 0.0
-    for alpha_t in exact_wigner_flow(init, grid.times):
-        worst = max(worst, float(np.abs(np.abs(alpha_t) - np.abs(init)).max()))
-    assert worst < 1e-12
+    omega = 2.0 * (init.real**2 + init.imag**2) - 1.0
+    flow = exact_wigner_flow(init, grid.times)
+    for (arg, modulus), t, theta in zip(flow, grid.times, grid.thetas, strict=True):
+        polar = bulk_monomials(theta, arg, modulus, WIGNER)[0]
+        cartesian = 2.0 * (np.exp(-1j * theta) * init * np.exp(-1j * omega * t)).real
+        assert np.all(np.abs(polar - cartesian) <= polar_rounding_bound(arg - theta, modulus)[0])
 
     # ensemble occupation: <|alpha|^2> - 1/2 = N at every output time; the
     # benchmark ensemble's <abar a> comes from its runs at theta = 0 and pi/2

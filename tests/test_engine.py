@@ -15,7 +15,7 @@ from anharmonic.engine import (
     run_positive_p,
     run_truncated_wigner,
 )
-from anharmonic.moments import N_POWERS, batch_error, bulk_monomials
+from anharmonic.moments import N_POWERS, POSITIVE_P, WIGNER, batch_error, bulk_monomials
 from anharmonic.sampling import RandomStream, stream_for_trajectory
 from helpers import (
     ConvergedMidpointStep,
@@ -28,10 +28,12 @@ from helpers import (
     ladder_sums,
     midpoint_path,
     per_slice_batch_sums,
+    polar_powers,
     scalar_midpoint_path,
     stacked_powers,
     tw_flow_cumulants_by_quadrature,
     tw_limit_cumulants,
+    wigner_polar,
 )
 
 
@@ -44,8 +46,10 @@ def kerr_positive_p_model():
 
 
 def exact_at(a0, t):
-    """Exact truncated-Wigner flow of one amplitude at one time."""
-    return next(exact_wigner_flow(np.array([complex(a0)]), [t]))[0]
+    """Exact truncated-Wigner flow of one amplitude at one time, rebuilt from
+    the flow's polar pair (arg alpha(t), 2 |alpha|)."""
+    (arg,), (modulus,) = next(exact_wigner_flow(np.array([complex(a0)]), [t]))
+    return 0.5 * modulus * cmath.exp(1j * arg)
 
 
 def exact_positive_p_at(a0, t):
@@ -63,8 +67,11 @@ def batch_mean(sums, counts, k):
     return sums[k].sum() / counts.sum()
 
 
-def stacked_bulk_monomials(theta, a, abar=None, out=None):
-    return stacked_powers(theta, a, abar)
+def stacked_bulk_monomials(theta, a, b, representation, out=None):
+    """bulk_monomials by whole-array operations: polar_powers for a Wigner
+    pair, stacked_powers for a positive-P one."""
+    reference = polar_powers if representation == WIGNER else stacked_powers
+    return reference(theta, a, b)
 
 
 def use_reference_kernels(monkeypatch):
@@ -147,7 +154,8 @@ class TestExactWignerStep:
         # every output rotates the initial amplitude: out to t = 1e6 * 1e-4
         init = np.array([1.3 - 0.7j, math.sqrt(1000.0) + 0.2j])
         times = np.linspace(0.0, 1e6 * 1e-4, 1001)
-        for alpha_t in exact_wigner_flow(init, times):
+        for arg, modulus in exact_wigner_flow(init, times):
+            alpha_t = 0.5 * modulus * np.exp(1j * arg)
             assert np.all(np.abs(np.abs(alpha_t) - np.abs(init)) < 1e-12)
 
     def test_rotation_rate_at_thousand_particles(self):
@@ -626,9 +634,14 @@ class TestLadderSums:
         seen = {}
 
         def run(theta):
-            def spy(phase, a, abar=None, out=None):
-                seen[theta].append((a.copy(), np.conj(a) if abar is None else abar.copy()))
-                return kernel(phase, a, abar, out)
+            def spy(phase, a, b, representation, out=None):
+                # a Wigner amplitude arrives in polar form, (arg a, 2 |a|)
+                if representation == WIGNER:
+                    alpha = 0.5 * b * np.exp(1j * a)
+                    seen[theta].append((alpha, np.conj(alpha)))
+                else:
+                    seen[theta].append((a.copy(), b.copy()))
+                return kernel(phase, a, b, representation, out)
 
             seen[theta] = []
             monkeypatch.setattr(engine, "bulk_monomials", spy)
@@ -747,16 +760,19 @@ class TestStreamingReduction:
         [(1001, 7), (64 * 5 + 3, 5), (128 * 4 + 2, 4), (130 * 3, 3), (1000 * 2 + 1, 2), (1, 1), (257, 1)],
     )
     def test_reduction_helper_matches_per_slice_sums(self, n_paths, n_batches):
-        # positive-P pairs and Wigner amplitudes (abar None), each at three phases
+        # positive-P pairs and polar Wigner amplitudes, each at three phases
         rng = np.random.default_rng(n_paths)
         amplitudes = rng.normal(size=(3, 2, n_paths)) + 1j * rng.normal(size=(3, 2, n_paths))
         thetas = (0.0, 0.7, 4.1)
         bounds = engine.batch_slices(n_paths, n_batches)
-        for pairs in ([tuple(pair) for pair in amplitudes], [(None, a) for _, a in amplitudes]):
-            got = engine._batch_power_sums(iter(pairs), thetas, bounds)
+        for representation, pairs in (
+            (POSITIVE_P, [tuple(pair) for pair in amplitudes]),
+            (WIGNER, [wigner_polar(a) for a, _ in amplitudes]),
+        ):
+            got = engine._batch_power_sums(representation, iter(pairs), thetas, bounds)
             assert got.shape == (3, n_batches, N_POWERS)
-            for out, theta, (abar, a) in zip(got, thetas, pairs):
-                want = per_slice_batch_sums(bulk_monomials(theta, a, abar), bounds)
+            for out, theta, pair in zip(got, thetas, pairs):
+                want = per_slice_batch_sums(bulk_monomials(theta, *pair, representation), bounds)
                 assert np.array_equal(out, want)
 
 

@@ -17,25 +17,31 @@ from anharmonic.moments import (
     k3_k4,
     promote_normal_order,
 )
-from anharmonic.engine import run_positive_p, run_truncated_wigner
+from anharmonic.engine import exact_wigner_flow, run_positive_p, run_truncated_wigner
 from helpers import (
     dense_brute_force,
     fill_batches,
     grid_at,
     per_output_batch_error,
     per_output_batch_errors,
+    polar_rounding_bound,
     stacked_powers,
+    wigner_polar,
 )
 
 
 def acc_from_samples(representation, a, abar=None, theta=0.0, n_batches=10, diverged=0):
     """Accumulator over consecutive batches of paths with amplitudes (a, abar)
-    (abar None for Wigner amplitudes), at quadrature phase theta."""
+    (abar None for Wigner amplitudes, passed in polar form), at quadrature
+    phase theta."""
     amps = np.array_split(np.asarray(a), n_batches)
-    abars = [None] * n_batches if abar is None else np.array_split(np.asarray(abar), n_batches)
+    if abar is None:
+        pairs = [wigner_polar(am) for am in amps]
+    else:
+        pairs = zip(amps, np.array_split(np.asarray(abar), n_batches))
     return fill_batches(
         MomentAccumulator(representation, 1, n_batches),
-        [bulk_monomials(theta, am, ab).sum(axis=1) for am, ab in zip(amps, abars)],
+        [bulk_monomials(theta, *pair, representation).sum(axis=1) for pair in pairs],
         [len(am) for am in amps],
         diverged,
     )
@@ -63,7 +69,7 @@ class TestAccumulate:
     def test_single_wigner_path(self):
         # x = 2 Re(a) = 4 at theta = 0
         a = np.array([2.0 + 0.5j])
-        acc = fill_batches(MomentAccumulator(WIGNER, 1, 2), bulk_monomials(0.0, a).T, [1])
+        acc = fill_batches(MomentAccumulator(WIGNER, 1, 2), bulk_monomials(0.0, *wigner_polar(a), WIGNER).T, [1])
         assert acc.batch_sums[0, 0] == pytest.approx([4.0, 16.0, 64.0, 256.0])
         assert acc.batch_counts[0] == 1
         assert not acc.batch_sums[0, 1].any()
@@ -72,7 +78,7 @@ class TestAccumulate:
         # x = e^{-i theta} a + e^{i theta} abar, with abar independent of a
         a, abar, theta = 2.0 + 1.0j, 3.0 - 0.5j, 0.7
         acc = fill_batches(
-            MomentAccumulator(POSITIVE_P, 1, 1), bulk_monomials(theta, [a], [abar]).T, [1]
+            MomentAccumulator(POSITIVE_P, 1, 1), bulk_monomials(theta, [a], [abar], POSITIVE_P).T, [1]
         )
         x = cmath.exp(-1j * theta) * a + cmath.exp(1j * theta) * abar
         assert acc.batch_sums[0, 0] == pytest.approx([x, x**2, x**3, x**4])
@@ -200,23 +206,38 @@ class TestBulkMonomials:
     def test_matches_stacked_reference_bit_for_bit(self):
         abar, a = self._paths()
         for theta in (0.0, 0.3, 2.0, -7.5):
-            wigner = bulk_monomials(theta, a)
-            assert wigner.dtype == np.float64
-            assert np.array_equal(wigner, stacked_powers(theta, a))
-            assert np.array_equal(bulk_monomials(theta, a, abar), stacked_powers(theta, a, abar))
+            assert np.array_equal(bulk_monomials(theta, a, abar, POSITIVE_P), stacked_powers(theta, a, abar))
+
+    def test_wigner_polar_branch_matches_cartesian_reference(self):
+        # N = 1e6 at tau = 10: the flow turns each amplitude by omega t of
+        # about 20 rad and theta = 2 tau adds 20 more, so the cosine takes
+        # phases up to about 40 rad; the Cartesian reference rotates the
+        # amplitude by exp(-i omega t) and projects it on exp(-i theta)
+        n, tau = 1e6, 10.0
+        rng = np.random.default_rng(22)
+        init = math.sqrt(n) + 0.5 * (rng.normal(size=257) + 1j * rng.normal(size=257))
+        ((arg, modulus),) = exact_wigner_flow(init, [tau / n])
+        omega = 2.0 * (init.real**2 + init.imag**2) - 1.0
+        cartesian = init * np.exp(-1j * omega * (tau / n))
+        for theta in (0.0, 0.3, -7.5, 2.0 * tau):
+            polar = bulk_monomials(theta, arg, modulus, WIGNER)
+            assert polar.dtype == np.float64
+            bound = polar_rounding_bound(arg - theta, modulus)
+            assert np.all(np.abs(polar - stacked_powers(theta, cartesian)) <= bound)
+        assert np.abs(arg - 2.0 * tau).max() > 39.0
 
     def test_out_buffer_view_equals_fresh_result(self):
         abar, a = self._paths()
         block = np.full((3, N_POWERS, len(a)), np.nan, dtype=np.complex128)
-        got = bulk_monomials(0.4, a, abar, out=block[1])
+        got = bulk_monomials(0.4, a, abar, POSITIVE_P, out=block[1])
         assert np.shares_memory(got, block[1])
-        assert np.array_equal(block[1], bulk_monomials(0.4, a, abar))
+        assert np.array_equal(block[1], bulk_monomials(0.4, a, abar, POSITIVE_P))
         assert np.isnan(block[0]).all() and np.isnan(block[2]).all()
 
 
 class TestBatchError:
     def test_identical_batches_zero_sigma(self):
-        row = bulk_monomials(0.0, np.array([2.0 - 1.0j]))[:, 0]
+        row = bulk_monomials(0.0, *wigner_polar([2.0 - 1.0j]), WIGNER)[:, 0]
         acc = fill_batches(MomentAccumulator(WIGNER, 1, 10), row, [1] * 10)
         (rep,) = batch_error(acc)
         assert rep.sigma3 == 0.0
