@@ -22,22 +22,22 @@ configuration, so results are bit-identical for a fixed master seed at any
 worker count; a path's draws depend on the chunk it falls in.
 
 Both chunk kernels reduce their outputs through one function, which forms
-each output's quadrature and its powers x^k (k = 1..4) in one reused
-``(4, m)`` block and sums them per batch at once; the draws do not depend
-on theta.  A truncated-Wigner chunk passes each output's amplitudes in
-polar form, so x = 2 |alpha| cos(arg alpha(t) - theta) costs one real
-cosine per path.  A positive-P chunk keeps every output's ``(2, m)`` state until it ends, because a path that
-diverges later is excluded retroactively from every earlier output: the
-escaped paths' columns are zeroed once, and the states are then reduced.
-Its unit Wiener increments are two-point: +-1 with equal chance, one raw
-bit of the chunk's stream each.  Only cumulants, which are weak
-quantities, are estimated, and these increments suffice for weak order 1
-(Kloeden & Platen 1992, sections 14.1-14.2).  They are drawn step-major
-into one bounded buffer per chunk.  A run returns one
+the powers (x - c)^k (k = 1..4) of each output's quadrature x about its
+mean-field centre c (:func:`quadrature_centres`) in one reused ``(4, m)``
+block and sums them per batch at once; the draws do not depend on theta.
+A truncated-Wigner chunk passes each output's amplitudes in polar form, so
+x = 2 |alpha| cos(arg alpha(t) - theta) costs one real cosine per path.  A
+positive-P chunk keeps every output's ``(2, m)`` state until it ends,
+because a path that diverges later is excluded retroactively from every
+earlier output: the states are reduced at the end, with the escaped paths'
+power columns zeroed.  Its unit Wiener increments are two-point: +-1 with
+equal chance, one raw bit of the chunk's stream each.  Only cumulants,
+which are weak quantities, are estimated, and these increments suffice for
+weak order 1 (Kloeden & Platen 1992, sections 14.1-14.2).  They are drawn
+step-major into one bounded buffer per chunk.  A run returns one
 :class:`~anharmonic.moments.MomentAccumulator`: each chunk writes its
 batches' power sums for every output into it, and its surviving and
-diverged path counts once, since a path's survival holds for the whole
-run.
+diverged path counts once, since a path's survival holds for the whole run.
 
 The ensembles take a :class:`TimeGrid`, which carries each output's time
 and quadrature phase, not a run configuration; the config checks a
@@ -53,11 +53,12 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import symbolic
-from .moments import N_POWERS, POSITIVE_P, WIGNER, MomentAccumulator, bulk_monomials
+from .moments import DTYPES, N_POWERS, POSITIVE_P, WIGNER, MomentAccumulator, bulk_monomials
 from .sampling import stream_for_trajectory, wigner_initial
 from .symbolic import DriftDiffusionModel
 
@@ -168,14 +169,27 @@ def _chunk_batch_groups(slices: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return groups
 
 
-def _batch_power_sums(representation: str, pairs, thetas, bounds: list[tuple[int, int]]) -> np.ndarray:
+def quadrature_centres(alpha0: complex, grid: TimeGrid) -> np.ndarray:
+    """Each output's centre: 2 |alpha0| cos(arg alpha0 - (2 |alpha0|^2 - 1) t - theta),
+    the quadrature of the path from alpha0 formed as exact_wigner_flow and
+    bulk_monomials form a path's, or 0 where the rate overflows."""
+    a = np.complex128(alpha0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        omega = 2.0 * (a.real**2 + a.imag**2) - 1.0
+        phase = np.angle(a) - np.array(grid.times) * omega
+        centres = np.cos(phase - np.array(grid.thetas)) * (2.0 * np.abs(a))
+    return np.where(np.isfinite(centres), centres, 0.0)
+
+
+def _batch_power_sums(representation: str, pairs, thetas, centres, bounds, dead=()) -> np.ndarray:
     """Per-batch sums of the quadrature powers of each output's amplitudes.
 
     ``pairs`` yields one pair of (m,) arrays per output, in the form
-    bulk_monomials takes for ``representation``, at its phase in ``thetas``;
-    ``bounds`` holds the chunk's contiguous (lo, hi) batch offsets.  Each
-    output's powers are formed in one reused block and summed straight into
-    its row of the returned (n_out, n_batches, N_POWERS) array.  Each run of
+    bulk_monomials takes for ``representation``, at its phase in ``thetas``
+    and centre in ``centres``; ``bounds`` holds the chunk's contiguous
+    (lo, hi) batch offsets.  Each output's powers are formed in one reused
+    block, its ``dead`` path columns zeroed, and summed straight into its
+    row of the returned (n_out, n_batches, N_POWERS) array.  Each run of
     equal-size batches is summed by one ``np.sum`` over a reshaped view,
     which adds the same elements in the same pairwise order as summing each
     batch slice on its own, so the sums are bit-identical.
@@ -183,9 +197,11 @@ def _batch_power_sums(representation: str, pairs, thetas, bounds: list[tuple[int
     sizes = itertools.groupby(bounds, key=lambda b: b[1] - b[0])
     runs = [(size, len(list(run))) for size, run in sizes]
     block = None
-    sums = np.empty((len(thetas), len(bounds), N_POWERS), dtype=np.complex128)
-    for out, theta, pair in zip(sums, thetas, pairs):
-        block = bulk_monomials(theta, *pair, representation, out=block)
+    sums = np.empty((len(thetas), len(bounds), N_POWERS), dtype=DTYPES[representation])
+    for out, theta, centre, pair in zip(sums, thetas, centres, pairs):
+        block = bulk_monomials(theta, *pair, representation, centre, out=block)
+        if len(dead):
+            block[:, dead] = 0.0
         lo = j = 0
         for size, n in runs:
             out[j : j + n] = block[:, lo : lo + n * size].reshape(-1, n, size).sum(axis=-1).T
@@ -289,6 +305,7 @@ def _positive_p_chunk(
     model: DriftDiffusionModel,
     alpha0: complex,
     grid: TimeGrid,
+    centres: np.ndarray,
     seed: int,
     traj_lo: int,
     traj_hi: int,
@@ -299,11 +316,10 @@ def _positive_p_chunk(
     Returns (sums[(n_out, n_batches, N_POWERS)], alive[(m,)]).  A path
     escapes once either component's modulus exceeds ESCAPE_RADIUS_FACTOR
     sqrt(N), with N = |alpha0|^2 (1 for the vacuum), or is not finite, and
-    stays escaped.  Diverged trajectories are
-    left out of the sums at every output time, earlier ones included, so
-    every output's (2, m) state is kept until the chunk ends; the escaped
-    paths' columns are then zeroed, and their powers add nothing to the
-    sums.
+    stays escaped.  Diverged trajectories are left out of the sums at every
+    output time, earlier ones included, so every output's (2, m) state is
+    kept until the chunk ends; the escaped paths' power columns are then
+    zeroed, whatever their states hold.
     """
     m = traj_hi - traj_lo
     steps = grid.steps_between()
@@ -340,14 +356,15 @@ def _positive_p_chunk(
                     alive &= inside[0]
                     alive &= inside[1]
             states[k_out] = y
-
-    states[:, :, ~alive] = 0.0
-    return _batch_power_sums(POSITIVE_P, states, grid.thetas, bounds), alive
+        # escaped states may be non-finite, as are their powers until zeroed
+        dead = np.flatnonzero(~alive)
+        return _batch_power_sums(POSITIVE_P, states, grid.thetas, centres, bounds, dead), alive
 
 
 def _truncated_wigner_chunk(
     alpha0: complex,
     grid: TimeGrid,
+    centres: np.ndarray,
     seed: int,
     traj_lo: int,
     traj_hi: int,
@@ -355,7 +372,7 @@ def _truncated_wigner_chunk(
 ):
     """Exact-flow chunk: per-output batch sums for the anharmonic drift."""
     flow = exact_wigner_flow(wigner_initial(alpha0, seed, traj_lo, traj_hi), grid.times)
-    return _batch_power_sums(WIGNER, flow, grid.thetas, bounds), np.ones(traj_hi - traj_lo, dtype=bool)
+    return _batch_power_sums(WIGNER, flow, grid.thetas, centres, bounds), np.ones(traj_hi - traj_lo, dtype=bool)
 
 
 def _available_cpus() -> int:
@@ -389,7 +406,7 @@ def run_tasks(fn, tasks, threads: int | None) -> list:
 
 def _run_chunked(
     representation: str,
-    n_outputs: int,
+    centres: np.ndarray,
     n_paths: int,
     n_batches: int,
     chunk_fn,
@@ -399,14 +416,15 @@ def _run_chunked(
 
     ``chunk_fn(t_lo, t_hi, bounds)`` integrates paths [t_lo, t_hi), whose
     batches are ``bounds`` (offsets from t_lo), and returns their per-batch
-    sums, shape (n_outputs, n_batches_in_chunk, N_POWERS), and the chunk's
-    alive mask.  Each kernel sums every batch pairwise over a fixed
-    trajectory order, and each chunk writes its own disjoint batch slice of
+    sums about ``centres``, shape (n_outputs, n_batches_in_chunk, N_POWERS),
+    and the chunk's alive mask.  Each kernel sums every batch pairwise over
+    a fixed trajectory order, and each chunk writes its own batch slice of
     the one accumulator, so the result is independent of scheduling.
     """
     slices = batch_slices(n_paths, n_batches)
     groups = _chunk_batch_groups(slices)
-    acc = MomentAccumulator(representation, n_outputs, n_batches)
+    acc = MomentAccumulator(representation, len(centres), n_batches)
+    acc.centres[:] = centres
 
     def work(group):
         b_lo, b_hi = group
@@ -433,11 +451,9 @@ def run_truncated_wigner(
 ) -> MomentAccumulator:
     """Truncated-Wigner ensemble for the anharmonic oscillator (exact stepper),
     at each output time and phase of ``grid``."""
-
-    def chunk(t_lo, t_hi, bounds):
-        return _truncated_wigner_chunk(alpha0, grid, seed, t_lo, t_hi, bounds)
-
-    return _run_chunked(WIGNER, len(grid.taus), n_paths, n_batches, chunk, threads)
+    centres = quadrature_centres(alpha0, grid)
+    chunk = partial(_truncated_wigner_chunk, alpha0, grid, centres, seed)
+    return _run_chunked(WIGNER, centres, n_paths, n_batches, chunk, threads)
 
 
 def run_positive_p(
@@ -462,10 +478,9 @@ def run_positive_p(
         symbolic.derive_positive_p_model(symbolic.kerr_hamiltonian())
     )
 
-    def chunk(t_lo, t_hi, bounds):
-        return _positive_p_chunk(model, alpha0, grid, seed, t_lo, t_hi, bounds)
-
-    acc = _run_chunked(POSITIVE_P, len(grid.taus), n_paths, n_batches, chunk, threads)
+    centres = quadrature_centres(alpha0, grid)
+    chunk = partial(_positive_p_chunk, model, alpha0, grid, centres, seed)
+    acc = _run_chunked(POSITIVE_P, centres, n_paths, n_batches, chunk, threads)
     n_div = acc.n_diverged
     if n_div > divergence_threshold * n_paths:
         raise ExcessiveDivergence(

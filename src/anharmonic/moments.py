@@ -1,30 +1,28 @@
 """Quadrature power accumulation, operator moments, and cumulant estimation.
 
 A :class:`MomentAccumulator` holds one ensemble run: per-batch sums of the
-powers x^k (k = 1..4) of the phase-space quadrature
-``x = exp(-i theta) a + exp(i theta) abar`` at every output time, each
-output at its own theta.  ``abar`` is the conjugate amplitude in the
-Wigner representation, where x is real, and the independent starred
-component in positive-P.  The power zero is not kept: its batch sum is the
-batch's path count, and every power of a zero amplitude pair is zero.
-A batch's moments <X^k> are its sums over its path count; positive-P
-averages are normally ordered and are promoted to true operator moments
-with the constants {1; 3; 6, 3}:
+powers y^k (k = 1..4) of y = x - c at every output time, with
+x = exp(-i theta) a + exp(i theta) abar the quadrature at the output's theta
+and c its centre, a real number shared by every batch.  ``abar`` is the
+conjugate amplitude in the Wigner representation, where x is real, and the
+independent starred component in positive-P.  Moments <Y^k> are power sums
+over path counts; positive-P averages are normally ordered, and the
+constants {1; 3; 6, 3} promote them to operator moments about any centre:
 
-    <X^2> = <:X^2:> + 1
-    <X^3> = <:X^3:> + 3 <:X:>
-    <X^4> = <:X^4:> + 6 <:X^2:> + 3
+    <Y^2> = <:Y^2:> + 1,  <Y^3> = <:Y^3:> + 3 <:Y:>,  <Y^4> = <:Y^4:> + 6 <:Y^2:> + 3
 
-Third- and fourth-order cumulants follow as
+The cumulants
 
-    k3 = <X^3> - 3 <X> <X^2> + 2 <X>^3
-    k4 = <X^4> + 2 <X>^4 - 3 <X^2>^2 - 4 <X> k3
+    k3 = <Y^3> - 3 <Y> <Y^2> + 2 <Y>^3
+    k4 = <Y^4> + 2 <Y>^4 - 3 <Y^2>^2 - 4 <Y> k3
 
-with sampling errors estimated from the spread of per-batch values.
-:func:`batch_error` estimates every output of a run in one pass.  The
-closed-form oracle forms its cumulants with the same :func:`k3_k4`, in mpmath
-numbers, straight from its exact normally ordered moments: the promotion adds
-an independent unit Gaussian, which changes neither k3 nor k4.
+do not depend on c, but their rounding does: about zero the fourth power
+reaches (2 sqrt(N))^4, about a centre near the mean only the spread's.
+:func:`batch_error` forms every estimate from the sums pooled over all
+batches and its sigma by the delete-one-batch jackknife (Quenouille 1956;
+Efron 1982).  The oracle forms its cumulants with the same :func:`k3_k4`, in
+mpmath, from its exact normally ordered moments: the promotion changes
+neither k3 nor k4.
 """
 
 from __future__ import annotations
@@ -38,8 +36,11 @@ import numpy as np
 WIGNER = "wigner"
 POSITIVE_P = "positive_p"
 
-#: Rows of a power block and of a batch's sums: x, x^2, x^3, x^4.
+#: Rows of a power block and of a batch's sums: y, y^2, y^3, y^4.
 N_POWERS = 4
+
+#: Power block and sum dtype of each representation (Wigner quadratures are real).
+DTYPES = {WIGNER: np.float64, POSITIVE_P: np.complex128}
 
 #: Minimum number of batches for a meaningful standard-error estimate.
 MIN_BATCHES = 10
@@ -65,14 +66,14 @@ class CumulantReport:
 
 
 class MomentAccumulator:
-    """Per-batch sums of x, x^2, x^3 and x^4 of one ensemble run, at every output time.
+    """Per-batch sums of y^k (k = 1..4), y = x - c, of one run, at every output.
 
-    ``batch_sums`` has shape (n_outputs, n_batches, N_POWERS).  A path's
-    survival is decided once per run, so ``batch_counts`` (surviving paths)
-    and ``batch_diverged`` (shape (n_batches,)) hold for every output.
-    """
+    ``batch_sums`` has shape (n_outputs, n_batches, N_POWERS); ``centres``
+    holds each output's c (zero unless set).  A path's survival is decided
+    once per run, so ``batch_counts`` (surviving paths) and ``batch_diverged``
+    (shape (n_batches,)) hold for every output."""
 
-    __slots__ = ("representation", "batch_sums", "batch_counts", "batch_diverged")
+    __slots__ = ("representation", "batch_sums", "centres", "batch_counts", "batch_diverged")
 
     def __init__(self, representation: str, n_outputs: int, n_batches: int):
         if representation not in (WIGNER, POSITIVE_P):
@@ -80,7 +81,8 @@ class MomentAccumulator:
         if n_batches < 1:
             raise ValueError("need at least one batch")
         self.representation = representation
-        self.batch_sums = np.zeros((n_outputs, n_batches, N_POWERS), dtype=np.complex128)
+        self.batch_sums = np.zeros((n_outputs, n_batches, N_POWERS), dtype=DTYPES[representation])
+        self.centres = np.zeros(n_outputs)
         self.batch_counts = np.zeros(n_batches, dtype=np.int64)
         self.batch_diverged = np.zeros(n_batches, dtype=np.int64)
 
@@ -101,8 +103,9 @@ class MomentAccumulator:
         return int(self.batch_diverged.sum())
 
 
-def bulk_monomials(theta: float, a, b, representation: str, out=None) -> np.ndarray:
-    """Powers x, x^2, x^3, x^4 of each path's quadrature at phase theta, shape (4, m).
+def bulk_monomials(theta: float, a, b, representation: str, centre=0.0, out=None) -> np.ndarray:
+    """Powers y, y^2, y^3, y^4 of each path's displaced quadrature y = x - centre
+    at phase theta, shape (4, m).
 
     A positive-P pair (a, b = abar) gives x = e^{-i theta} a + e^{i theta} b
     in a complex block.  A Wigner amplitude alpha comes in polar form,
@@ -112,7 +115,7 @@ def bulk_monomials(theta: float, a, b, representation: str, out=None) -> np.ndar
     """
     polar = representation == WIGNER
     if out is None:
-        out = np.empty((N_POWERS, len(a)), dtype=np.float64 if polar else np.complex128)
+        out = np.empty((N_POWERS, len(a)), dtype=DTYPES[representation])
     x, x2, x3, x4 = out
     if polar:
         np.subtract(a, theta, out=x)
@@ -122,6 +125,7 @@ def bulk_monomials(theta: float, a, b, representation: str, out=None) -> np.ndar
         np.multiply(a, complex(math.cos(theta), -math.sin(theta)), out=x)
         np.multiply(b, complex(math.cos(theta), math.sin(theta)), out=x2)
         x += x2
+    x -= centre
     np.multiply(x, x, out=x2)
     np.multiply(x2, x, out=x3)
     np.multiply(x2, x2, out=x4)
@@ -140,80 +144,60 @@ def k3_k4(m1, m2, m3, m4) -> tuple:
     return k3, k4
 
 
-def _residue_failures(acc, batch_moments, root_b) -> list:
-    """Imaginary residue of each pooled <X^k> against 5 sigma of its batch values.
-
-    One (bad, message, residue, sigma) per moment; bad has shape (n_outputs,).
-    """
-    pooled = promote_normal_order(*(acc.batch_sums.sum(axis=1) / acc.batch_counts.sum()).T)
-    checks = []
-    for k, (total, values) in enumerate(zip(pooled, batch_moments), start=1):
-        sigma = np.imag(values).std(axis=-1, ddof=1) / root_b
-        bad = np.abs(np.imag(total)) > 5.0 * sigma + 1e-10 * np.maximum(np.abs(total), 1.0)
-        message = (f"imaginary residue of <X^{k}> is {{:.3e}}, "
-                   "beyond 5 sigma ({:.3e}); ensemble looks biased")
-        checks.append((bad, message, np.imag(total), sigma))
-    return checks
-
-
-def _bound_failures(m1, m2, m4, root_b) -> list:
-    """Variance and quartic Cauchy-Schwarz bounds within 5 sigma of the batch values.
-
-    One (bad, message, mean, sigma) per bound; bad has shape (n_outputs,).
-    """
-    checks = []
-    for label, values in (("<X^2> - <X>^2", m2 - m1**2), ("<X^4> - <X^2>^2", m4 - m2**2)):
-        mean = values.mean(axis=-1)
-        sigma = values.std(axis=-1, ddof=1) / root_b
-        bad = mean < -(5.0 * sigma + 1e-9 * np.maximum(1.0, np.abs(mean)))
-        checks.append((bad, f"moment bound {label} = {{:.3e}} < 0 beyond 5 sigma ({{:.3e}})",
-                       mean, sigma))
-    return checks
+def _jackknife(loo: np.ndarray) -> np.ndarray:
+    """sqrt((B - 1)/B sum_b (k_(b) - mean)^2) over the B delete-one-batch estimates k_(b)."""
+    return loo.std(axis=-1) * math.sqrt(loo.shape[-1] - 1)
 
 
 def batch_error(acc: MomentAccumulator) -> list[CumulantReport]:
-    """Cumulants with batch standard errors, one report per output time.
+    """Pooled cumulants with delete-one-batch jackknife errors, one report per output.
 
-    k3 and k4 are computed per batch from that batch's moments, its power
-    sums over its path count; each report carries the across-batch mean and
-    the standard error std/sqrt(B).  Every output is estimated in one pass
-    over the batch axis.  The checks raise for the earliest output that
-    fails one: the imaginary residue (positive-P) first, then the variance
-    and quartic moment bounds.
+    Every estimate (k3, k4, the imaginary residue of each positive-P <Y^k>,
+    the variance and quartic moment bounds) comes from the sums pooled over
+    the B batches that kept a path, and its sigma from the B estimates that
+    each leave one of them out.  The checks raise, beyond 5 sigma, for the
+    earliest output that fails one, residues first.
     """
-    if acc.n_batches < MIN_BATCHES:
-        raise InsufficientBatches(f"{acc.n_batches} batches < required {MIN_BATCHES}")
     alive = acc.batch_counts > 0
     counts = acc.batch_counts[alive]
-    n_eff = counts.shape[0]
-    if n_eff < MIN_BATCHES:
+    if len(counts) < MIN_BATCHES:
         raise InsufficientBatches(
-            f"only {n_eff} batches retained surviving paths (< {MIN_BATCHES})"
+            f"only {len(counts)} of {acc.n_batches} batches retained surviving paths "
+            f"(< {MIN_BATCHES})"
         )
-    # Each power's batch means are formed with the batch axis last and
-    # contiguous, so every batch reduction below is pairwise.
-    moments = [np.compress(alive, acc.batch_sums[..., k], axis=-1) / counts
-               for k in range(N_POWERS)]
+    n = counts.sum()
+    pooled, loo = [], []  # the batch axis last and contiguous: pairwise sums
+    for k in range(N_POWERS):
+        sums = np.compress(alive, acc.batch_sums[..., k], axis=-1)
+        total = sums.sum(axis=-1)
+        pooled.append(total / n)
+        loo.append((total[:, None] - sums) / (n - counts))
+    checks = []
     if acc.representation == POSITIVE_P:
-        moments = promote_normal_order(*moments)
-    root_b = math.sqrt(n_eff)
-    m1, m2, m3, m4 = (np.real(x) for x in moments)
-    checks = _bound_failures(m1, m2, m4, root_b)
-    if acc.representation == POSITIVE_P:
-        checks = _residue_failures(acc, moments, root_b) + checks
+        pooled, loo = promote_normal_order(*pooled), promote_normal_order(*loo)
+        for k, (m, m_loo) in enumerate(zip(pooled, loo), start=1):
+            value, sigma = np.imag(m), _jackknife(np.imag(m_loo))
+            floor = 1e-10 * np.maximum(np.maximum(np.abs(m), np.abs(acc.centres) ** k), 1.0)
+            checks.append((np.abs(value) > 5.0 * sigma + floor, f"imaginary residue of "
+                           f"<(X-c)^{k}> is {{:.3e}}, beyond 5 sigma ({{:.3e}}); ensemble looks biased",
+                           value, sigma))
+    m1, m2, m3, m4 = (np.real(m) for m in pooled)
+    l1, l2, l3, l4 = (np.real(m) for m in loo)
+    for label, value, values in (("<X^2> - <X>^2", m2 - m1**2, l2 - l1**2),
+                                 ("<(X-c)^4> - <(X-c)^2>^2", m4 - m2**2, l4 - l2**2)):
+        sigma = _jackknife(values)
+        bad = value < -(5.0 * sigma + 1e-9 * np.maximum(1.0, np.abs(value)))
+        checks.append((bad, f"moment bound {label} = {{:.3e}} < 0 beyond 5 sigma ({{:.3e}})",
+                       value, sigma))
     failing = np.argwhere(np.array([check[0] for check in checks]).T)
     if len(failing):
         output, i = failing[0]
         _, message, value, sigma = checks[i]
         raise OrderingViolation(message.format(value[output], sigma[output]))
     k3, k4 = k3_k4(m1, m2, m3, m4)
-    sigma3 = k3.std(axis=-1, ddof=1) / root_b
-    sigma4 = k4.std(axis=-1, ddof=1) / root_b
-    n_paths, n_diverged = acc.n_paths, acc.n_diverged
-    return [
-        CumulantReport(float(a), float(b), float(c), float(d), n_paths, n_diverged)
-        for a, b, c, d in zip(k3.mean(axis=-1), k4.mean(axis=-1), sigma3, sigma4)
-    ]
+    sigma3, sigma4 = (_jackknife(k) for k in k3_k4(l1, l2, l3, l4))
+    totals = acc.n_paths, acc.n_diverged
+    return [CumulantReport(*map(float, row), *totals) for row in zip(k3, k4, sigma3, sigma4)]
 
 
 # ----------------------------------------------------------------------

@@ -58,25 +58,28 @@ def dagger(word: OperatorWord) -> OperatorWord:
     return OperatorWord(swapped, complex(word.coefficient).conjugate())
 
 
-def stacked_powers(theta: float, a: np.ndarray, abar: np.ndarray | None = None) -> np.ndarray:
-    """Reference power block: x = e^{-i theta} a + e^{i theta} abar and its powers, stacked.
+def stacked_powers(theta: float, a: np.ndarray, abar: np.ndarray | None = None,
+                   centre: float = 0.0) -> np.ndarray:
+    """Reference power block: y = e^{-i theta} a + e^{i theta} abar - centre
+    and its powers, stacked.
 
     Without ``abar``, x = 2 (cos theta Re a + sin theta Im a), the Wigner
-    quadrature in Cartesian form.  x^2 and x^3 are running products and
-    x^4 = (x^2)^2.
+    quadrature in Cartesian form.  y^2 and y^3 are running products and
+    y^4 = (y^2)^2.
     """
     c, s = math.cos(theta), math.sin(theta)
     if abar is None:
         x = 2.0 * (c * a.real + s * a.imag)
     else:
         x = a * complex(c, -s) + abar * complex(c, s)
-    return _stack_powers(x)
+    return _stack_powers(x - centre)
 
 
-def polar_powers(theta: float, arg: np.ndarray, modulus: np.ndarray) -> np.ndarray:
+def polar_powers(theta: float, arg: np.ndarray, modulus: np.ndarray,
+                 centre: float = 0.0) -> np.ndarray:
     """Reference power block of a Wigner amplitude in polar form:
-    x = modulus cos(arg - theta) and its powers, stacked."""
-    return _stack_powers(modulus * np.cos(arg - theta))
+    y = modulus cos(arg - theta) - centre and its powers, stacked."""
+    return _stack_powers(modulus * np.cos(arg - theta) - centre)
 
 
 def _stack_powers(x: np.ndarray) -> np.ndarray:
@@ -117,22 +120,32 @@ def at_phase(grid: TimeGrid, theta: float) -> TimeGrid:
     return replace(grid, thetas=(theta,) * len(grid.taus))
 
 
+def quadrature_sums(acc) -> tuple[np.ndarray, np.ndarray]:
+    """Per-batch sums of x and x^2 about zero, each of shape (n_out, n_batches),
+    un-shifted from the accumulator's sums of y = x - c and y^2 about its
+    centres c: sum x = sum y + n c and sum x^2 = sum y^2 + 2 c sum y + n c^2."""
+    c, n = acc.centres[:, None], acc.batch_counts
+    y, y2 = acc.batch_sums[..., 0], acc.batch_sums[..., 1]
+    return y + n * c, y2 + 2.0 * c * y + n * c * c
+
+
 def ladder_sums(run):
     """Per-batch sums of a, abar and abar a at every output, from two runs at one seed.
 
     ``run(theta)`` runs an ensemble with every output at quadrature phase
     theta.  With x0 and x1 the quadratures at theta = 0 and pi/2, the
     identities x0 + i x1 = 2 a, x0 - i x1 = 2 abar and x0^2 + x1^2 = 4 abar a
-    hold path by path, and so for the batch sums.  Returns the sums, keyed by
-    the exponents (p, q) of abar^p a^q, each of shape (n_out, n_batches),
-    and the accumulator of the theta = 0 run.
+    hold path by path, and so for the batch sums, which quadrature_sums
+    takes back from each run's centres.  Returns the sums, keyed by the
+    exponents (p, q) of abar^p a^q, each of shape (n_out, n_batches), and
+    the accumulator of the theta = 0 run.
     """
     acc = run(0.0)
-    x0, x1 = acc.batch_sums, run(math.pi / 2).batch_sums
+    (x0, x0_2), (x1, x1_2) = quadrature_sums(acc), quadrature_sums(run(math.pi / 2))
     sums = {
-        (0, 1): (x0[..., 0] + 1j * x1[..., 0]) / 2,
-        (1, 0): (x0[..., 0] - 1j * x1[..., 0]) / 2,
-        (1, 1): (x0[..., 1] + x1[..., 1]) / 4,
+        (0, 1): (x0 + 1j * x1) / 2,
+        (1, 0): (x0 - 1j * x1) / 2,
+        (1, 1): (x0_2 + x1_2) / 4,
     }
     return sums, acc
 
@@ -174,23 +187,19 @@ def per_slice_batch_sums(block: np.ndarray, bounds) -> np.ndarray:
     return np.stack([block[..., lo:hi].sum(axis=-1) for lo, hi in bounds], axis=-2)
 
 
-def full_block_kernel(kernel, dtype=np.complex128):
+def full_block_kernel(kernel):
     """Reference chunk kernel that reduces the whole power block at the end.
 
     ``kernel`` is an engine chunk kernel whose last argument is the chunk's
     batch bounds.  Run with one path per batch, it returns every path's
-    powers, which are laid out as the full (n_out, n_powers, m) block of the
-    kernel's block ``dtype`` (float64 for Wigner amplitudes) and then summed
-    per batch slice.
+    powers, in the kernel's dtype, which are laid out as the full
+    (n_out, n_powers, m) block and then summed per batch slice.
     """
 
     def chunk(*args):
         *head, bounds = args
         singles, alive = kernel(*head, [(i, i + 1) for i in range(bounds[-1][1])])
         block = np.ascontiguousarray(singles.transpose(0, 2, 1))
-        if dtype == np.float64:
-            assert not block.imag.any()
-            block = np.ascontiguousarray(block.real)
         return per_slice_batch_sums(block, bounds), alive
 
     return chunk
@@ -309,68 +318,60 @@ def fill_batches(acc, sums, counts, diverged=0):
     return acc
 
 
-def per_output_batch_error(acc, k: int) -> CumulantReport:
-    """Reference estimator for output ``k`` on its own.
+def leave_one_out_report(acc, k: int) -> CumulantReport:
+    """Reference estimator for output ``k`` on its own, batch by batch.
 
-    Output k's batch means are formed as one (n_batches, N_POWERS) array,
-    and every check and reduction runs on that output alone, with the
-    arithmetic of a one-output estimator.
+    From the (B, N_POWERS) sums of the batches that kept a path, it forms
+    the pooled estimates (the imaginary part of each <Y^k> for positive-P,
+    the two moment bounds, k3 and k4), and then, in a loop over the batches,
+    the same estimates from the sums of all the other batches, summed
+    afresh.  Each sigma is sqrt((B - 1)/B sum_b (k_(b) - mean)^2) over the
+    loop's estimates.  The checks run in batch_error's order and raise its
+    messages.
     """
-    if acc.n_batches < MIN_BATCHES:
-        raise InsufficientBatches(f"{acc.n_batches} batches < required {MIN_BATCHES}")
-    mask = acc.batch_counts > 0
-    means = acc.batch_sums[k][mask] / acc.batch_counts[mask][:, None]
-    n_eff = means.shape[0]
+    kept = np.flatnonzero(acc.batch_counts > 0)
+    n_eff = len(kept)
     if n_eff < MIN_BATCHES:
         raise InsufficientBatches(
-            f"only {n_eff} batches retained surviving paths (< {MIN_BATCHES})"
+            f"only {n_eff} of {acc.n_batches} batches retained surviving paths (< {MIN_BATCHES})"
         )
+    sums, counts = acc.batch_sums[k][kept], acc.batch_counts[kept]
 
-    def true_moments(power_means):
-        out = np.array(power_means, dtype=np.complex128)
-        if acc.representation == POSITIVE_P:
-            for i, column in enumerate(promote_normal_order(*np.moveaxis(power_means, -1, 0))):
-                out[..., i] = column
-        return out
+    def moments(power_sums, n):
+        m = power_sums / n
+        return np.array(promote_normal_order(*m)) if acc.representation == POSITIVE_P else m
 
-    assembled = true_moments(means)
+    def estimates(m):
+        r = m.real
+        return np.array([*m.imag, r[1] - r[0] ** 2, r[3] - r[1] ** 2, *k3_k4(*r)])
+
+    pooled = moments(sums.sum(axis=0), counts.sum())
+    value = estimates(pooled)
+    others = np.array([
+        estimates(moments(np.delete(sums, b, axis=0).sum(axis=0), counts.sum() - counts[b]))
+        for b in range(n_eff)
+    ])
+    sigma = np.sqrt((n_eff - 1) / n_eff * ((others - others.mean(axis=0)) ** 2).sum(axis=0))
     if acc.representation == POSITIVE_P:
-        pooled = true_moments(acc.batch_sums[k].sum(axis=0) / acc.batch_counts.sum())
-        sigma = np.imag(assembled).std(axis=0, ddof=1) / math.sqrt(n_eff)
-        scale = np.maximum(np.abs(pooled), 1.0)
-        bad = np.abs(np.imag(pooled)) > 5.0 * sigma + 1e-10 * scale
-        if bad.any():
-            i = int(np.argmax(bad))
+        for i in range(4):
+            scale = max(abs(pooled[i]), abs(acc.centres[k]) ** (i + 1), 1.0)
+            if abs(value[i]) > 5.0 * sigma[i] + 1e-10 * scale:
+                raise OrderingViolation(
+                    f"imaginary residue of <(X-c)^{i + 1}> is {value[i]:.3e}, "
+                    f"beyond 5 sigma ({sigma[i]:.3e}); ensemble looks biased"
+                )
+    for i, label in ((4, "<X^2> - <X>^2"), (5, "<(X-c)^4> - <(X-c)^2>^2")):
+        if value[i] < -(5.0 * sigma[i] + 1e-9 * max(1.0, abs(value[i]))):
             raise OrderingViolation(
-                f"imaginary residue of <X^{i + 1}> is {np.imag(pooled)[i]:.3e}, "
-                f"beyond 5 sigma ({sigma[i]:.3e}); ensemble looks biased"
+                f"moment bound {label} = {value[i]:.3e} < 0 beyond 5 sigma ({sigma[i]:.3e})"
             )
-    real = np.real(assembled)
-    for label, values in (
-        ("<X^2> - <X>^2", real[:, 1] - real[:, 0] ** 2),
-        ("<X^4> - <X^2>^2", real[:, 3] - real[:, 1] ** 2),
-    ):
-        mean = values.mean()
-        sigma = values.std(ddof=1) / math.sqrt(n_eff)
-        if mean < -(5.0 * sigma + 1e-9 * max(1.0, abs(mean))):
-            raise OrderingViolation(
-                f"moment bound {label} = {mean:.3e} < 0 beyond 5 sigma ({sigma:.3e})"
-            )
-    k3, k4 = k3_k4(*(real[..., i] for i in range(4)))
-    root_b = math.sqrt(n_eff)
-    return CumulantReport(
-        float(k3.mean()),
-        float(k4.mean()),
-        float(k3.std(ddof=1) / root_b),
-        float(k4.std(ddof=1) / root_b),
-        acc.n_paths,
-        acc.n_diverged,
-    )
+    return CumulantReport(float(value[6]), float(value[7]), float(sigma[6]), float(sigma[7]),
+                          acc.n_paths, acc.n_diverged)
 
 
-def per_output_batch_errors(acc) -> list[CumulantReport]:
+def leave_one_out_reports(acc) -> list[CumulantReport]:
     """Reference reports, output by output; the first failing output raises."""
-    return [per_output_batch_error(acc, k) for k in range(acc.n_outputs)]
+    return [leave_one_out_report(acc, k) for k in range(acc.n_outputs)]
 
 
 # ----------------------------------------------------------------------
@@ -522,8 +523,13 @@ def oracle_precision_floor(state) -> float:
 # ----------------------------------------------------------------------
 # truncated Wigner at infinitely many paths, in closed form
 
-#: Working digits of the truncated-Wigner limit.
-TW_LIMIT_DIGITS = 60
+def tw_limit_digits(n: float) -> int:
+    """Working digits of the truncated-Wigner limit at N particles: 60, or
+    20 + ceil(2 log10(16 N^2)) where that is more.  The quadrature moments
+    reach 16 N^2 while k4 falls as 1/N (7.5e-22 at N = 1e25, tau = 1), so the
+    digits must grow with N; at a fixed 60 digits k4 came out as 3.5e-10
+    there."""
+    return max(60, 20 + math.ceil(2 * (math.log10(16.0) + 2 * math.log10(max(n, 1.0)))))
 
 
 def tw_limit_moment(n, tau, p: int, q: int):
@@ -553,14 +559,16 @@ def tw_limit_moment(n, tau, p: int, q: int):
     return mpmath.expj(s * t) * (2 / a) * mpmath.exp(exponent) * total
 
 
-def tw_limit_cumulants(n: float, tau: float, theta: float) -> tuple[float, float]:
-    """k3, k4 of truncated Wigner over infinitely many paths.
+def tw_limit_cumulants(n: float, tau: float, theta: float,
+                       digits: int | None = None) -> tuple[float, float]:
+    """k3, k4 of truncated Wigner over infinitely many paths, at ``digits``
+    working digits (default tw_limit_digits(n)).
 
     Wigner averages are symmetrically ordered, so the quadrature moments
     <X^k> = sum_j C(k, j) exp(i (k - 2j) theta) <conj(alpha)^(k-j) alpha^j> need
     no promotion.
     """
-    with mpmath.workdps(TW_LIMIT_DIGITS):
+    with mpmath.workdps(digits or tw_limit_digits(n)):
         theta = mpmath.mpf(theta)
         moments = [
             mpmath.re(mpmath.fsum(

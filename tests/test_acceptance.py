@@ -48,8 +48,9 @@ from helpers import (
 N_PARTICLES = 1000.0
 ALPHA0 = math.sqrt(N_PARTICLES)
 
-#: double-precision floor for cumulants assembled from raw moments of
-#: magnitude ~ (2 sqrt(N))^4 ~ 1.6e7 at N = 1e3 (deterministic rows only)
+#: absolute floor for rows whose sigma may vanish (the deterministic
+#: positive-P start), set when cumulants were assembled from raw moments of
+#: magnitude ~ (2 sqrt(N))^4 ~ 1.6e7 at N = 1e3
 CANCELLATION_ATOL = 1e-6
 
 

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import anharmonic
-from anharmonic import cli, engine
+from anharmonic import cli, engine, oracle
 from anharmonic.cli import compare_rows, main
 from anharmonic.config import parse_config
 from anharmonic.moments import CsvRow, OrderingViolation, read_rows
@@ -201,6 +201,33 @@ class TestSimulate:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
 
+
+    @pytest.mark.parametrize("method", ["TW", "PositiveP"])
+    @pytest.mark.parametrize("per_batch", [1, 2])
+    def test_one_or_two_paths_per_batch(self, tmp_path, capsys, method, per_batch):
+        # ten batches of one or two paths: every estimate pools the 10 or 20
+        # paths, and each k3 and k4 lies within 4 jackknife sigma of the
+        # exact value.  A positive-P start is one deterministic point, so its
+        # tau = 0 row is exactly zero, sigma included.
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "tiny.csv"
+        extra = {"dtau": 1e-3} if method == "PositiveP" else {}
+        write_config(cfg, method=method, N=1000, n_paths=10 * per_batch, batches=10,
+                     tau_stop=2, tau_points=3, **extra)
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(out),
+                               "--seed", "1")
+        assert code == 0, err
+        rows = read_rows(out)
+        exact = oracle.cumulant_series(oracle.init_coherent(math.sqrt(1000.0)),
+                                       parse_config(cfg.read_text()).grid)
+        for row, want in zip(rows, exact, strict=True):
+            values = (row.k3, row.k3_sigma, row.k4, row.k4_sigma)
+            if method == "PositiveP" and row.tau == 0.0:
+                assert values == (0.0, 0.0, 0.0, 0.0), row
+                continue
+            assert row.k3_sigma > 0.0 and row.k4_sigma > 0.0, row
+            assert abs(row.k3 - want.kappa3) <= 4.0 * row.k3_sigma, (row, want)
+            assert abs(row.k4 - want.kappa4) <= 4.0 * row.k4_sigma, (row, want)
 
     def test_ordering_violation_exit_code(self, tmp_path, capsys, monkeypatch):
         def violate(acc):

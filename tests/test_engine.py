@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from helpers import (
     stacked_powers,
     tw_flow_cumulants_by_quadrature,
     tw_limit_cumulants,
+    tw_limit_digits,
     wigner_polar,
 )
 
@@ -67,11 +69,12 @@ def batch_mean(sums, counts, k):
     return sums[k].sum() / counts.sum()
 
 
-def stacked_bulk_monomials(theta, a, b, representation, out=None):
+def stacked_bulk_monomials(theta, a, b, representation, centre=0.0, out=None):
     """bulk_monomials by whole-array operations: polar_powers for a Wigner
     pair, stacked_powers for a positive-P one."""
-    reference = polar_powers if representation == WIGNER else stacked_powers
-    return reference(theta, a, b)
+    if representation == WIGNER:
+        return polar_powers(theta, a, b, centre)
+    return stacked_powers(theta, a, b, centre)
 
 
 def use_reference_kernels(monkeypatch):
@@ -145,7 +148,51 @@ class TestTimeGrid:
             TimeGrid(1000.0, (0.0, 1.0), thetas, 1e-3)
 
 
+class TestQuadratureCentres:
+    """The one centre per output that both ensembles sum their powers about."""
+
+    def test_path_from_alpha0_sits_at_the_centre(self):
+        # the mean-field path, formed as a path's quadrature is, gives y = 0
+        for alpha0 in (math.sqrt(1e3), 3.0 - 4.0j, -2.5j, math.sqrt(1e12)):
+            grid = grid_at(abs(alpha0) ** 2, (0.0, 0.5, 3.0, 10.0), 1e-3)
+            centres = engine.quadrature_centres(alpha0, grid)
+            flow = exact_wigner_flow(np.array([alpha0]), grid.times)
+            for theta, centre, pair in zip(grid.thetas, centres, flow, strict=True):
+                assert bulk_monomials(theta, *pair, WIGNER, centre)[0, 0] == 0.0
+
+    def test_centre_falls_back_to_zero_where_not_finite(self):
+        # at |alpha0| = 1e200 the rate 2 |alpha0|^2 - 1 overflows
+        grid = grid_at(1.0, (0.0, 0.01), 1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            centres = engine.quadrature_centres(1e200, grid)
+        assert np.array_equal(centres, [0.0, 0.0])
+
+    @pytest.mark.parametrize("run_ensemble", [run_truncated_wigner, run_positive_p])
+    def test_accumulator_carries_the_centres(self, run_ensemble):
+        n = 1e3
+        grid = grid_at(n, (0.0, 0.01, 0.02), 1e-3)
+        acc = run_ensemble(math.sqrt(n), grid, 100, 10, seed=1)
+        assert np.array_equal(acc.centres, engine.quadrature_centres(math.sqrt(n), grid))
+        # truncated-Wigner quadratures are real, and so are their sums
+        assert acc.batch_sums.dtype == (np.float64 if run_ensemble is run_truncated_wigner
+                                        else np.complex128)
+
+
 class TestExactWignerStep:
+    def test_every_output_argument_formed_from_the_start(self):
+        # on a grid of 5001 outputs, each argument is arg alpha(0) - t omega
+        # bit for bit: a phase stepped from one output to the next would
+        # carry its rounding along
+        n = 1e6
+        rng = np.random.default_rng(31)
+        init = math.sqrt(n) + 0.5 * (rng.normal(size=64) + 1j * rng.normal(size=64))
+        times = np.linspace(0.0, 10.0 / n, 5001)
+        omega = 2.0 * (init.real**2 + init.imag**2) - 1.0
+        start = np.angle(init)
+        for t, (arg, _) in zip(times, exact_wigner_flow(init, times), strict=True):
+            assert np.array_equal(arg, start - t * omega), t
+
     def test_unit_amplitude_half_turn(self):
         # |alpha|^2 = 1 gives rotation rate 1, so t = pi flips the sign
         assert exact_at(1.0, math.pi) == pytest.approx(-1.0, abs=1e-12)
@@ -438,6 +485,20 @@ class TestTruncatedWignerEnsemble:
             sigma = batch_sigma(sums[1, 1], acc.batch_counts, k)
             assert abs(m11 - 0.5 - n) < 4 * sigma
 
+    def test_time_zero_estimates_do_not_depend_on_n(self):
+        # one seed gives the same draws about sqrt(N) at every N, so the
+        # tau = 0 estimates agree to rounding, while the fourth power of the
+        # quadrature itself reaches (2 sqrt(N))^4 = 1.6e25 at N = 1e12
+        def at(n):
+            grid = grid_at(n, (0.0,), 1e-3)
+            (rep,) = batch_error(run_truncated_wigner(math.sqrt(n), grid, 16384, 128, seed=1))
+            return np.array([rep.kappa3, rep.kappa4, rep.sigma4])
+
+        want = at(1e3)
+        for n in (1e6, 1e8, 1e12):
+            got = at(n)
+            assert np.all(np.abs(got - want) <= 1e-9), (n, got, want)
+
     def test_no_divergence_possible(self):
         grid = grid_at(1000.0, (0.0, 5.0), 1e-3)
         acc = run_truncated_wigner(math.sqrt(1000.0), grid, 1000, 10, seed=7)
@@ -496,6 +557,36 @@ class TestTruncatedWignerLimit:
             k3, k4 = tw_limit_cumulants(n, tau, 2.0 * tau)
             assert abs(rep.kappa3 - k3) < 4 * rep.sigma3, (tau, rep, k3)
             assert abs(rep.kappa4 - k4) < 4 * rep.sigma4, (tau, rep, k4)
+
+
+    @pytest.mark.parametrize("n_batches", [1000, 50_000])
+    def test_pooled_estimates_unbiased_at_any_batch_size(self, n_batches):
+        # 100 and 2 paths per batch: the mean z4 against the limit, over 20
+        # outputs and seeds 1-8, is near 0 (one seed's mean alone spreads by
+        # about +-1.7); averaging per-batch cumulants gave -3.0 and -82
+        n = 1e3
+        grid = grid_at(n, tuple(0.5 * i for i in range(1, 21)), 1e-3)
+        limit = [tw_limit_cumulants(n, tau, theta)[1] for tau, theta in zip(grid.taus, grid.thetas)]
+        z4 = [
+            (rep.kappa4 - k4) / rep.sigma4
+            for seed in range(1, 9)
+            for rep, k4 in zip(batch_error(
+                run_truncated_wigner(math.sqrt(n), grid, 100_000, n_batches, seed=seed)), limit)
+        ]
+        assert abs(np.mean(z4)) <= 0.5, np.mean(z4)
+
+    @pytest.mark.parametrize("n", [1e20, 1e25])
+    def test_limit_converged_in_its_working_digits(self, n):
+        # the digits grow with N: a run at twice as many agrees, while a
+        # fixed 60 digits leaves k4 far off at N = 1e25
+        for tau in (1.0, 5.0):
+            got = tw_limit_cumulants(n, tau, 2.0 * tau)
+            want = tw_limit_cumulants(n, tau, 2.0 * tau, digits=2 * tw_limit_digits(n))
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-12 * abs(w), (n, tau, got, want)
+        if n == 1e25:
+            k4 = tw_limit_cumulants(n, 1.0, 2.0)[1]
+            assert abs(tw_limit_cumulants(n, 1.0, 2.0, digits=60)[1] - k4) > 1e3 * abs(k4)
 
 
 class TestPositivePEnsemble:
@@ -634,14 +725,14 @@ class TestLadderSums:
         seen = {}
 
         def run(theta):
-            def spy(phase, a, b, representation, out=None):
+            def spy(phase, a, b, representation, centre, out=None):
                 # a Wigner amplitude arrives in polar form, (arg a, 2 |a|)
                 if representation == WIGNER:
                     alpha = 0.5 * b * np.exp(1j * a)
                     seen[theta].append((alpha, np.conj(alpha)))
                 else:
                     seen[theta].append((a.copy(), b.copy()))
-                return kernel(phase, a, b, representation, out)
+                return kernel(phase, a, b, representation, centre, out)
 
             seen[theta] = []
             monkeypatch.setattr(engine, "bulk_monomials", spy)
@@ -715,10 +806,10 @@ class TestStreamingReduction:
     # 600 paths per chunk that is five chunks, one of which mixes the sizes.
     N_PATHS = 2995
 
-    def compare(self, monkeypatch, kernel_name, run, dtype=np.complex128):
+    def compare(self, monkeypatch, kernel_name, run):
         monkeypatch.setattr(engine, "_CHUNK_TARGET", 600)
         got = run()
-        reference = full_block_kernel(getattr(engine, kernel_name), dtype)
+        reference = full_block_kernel(getattr(engine, kernel_name))
         monkeypatch.setattr(engine, kernel_name, reference)
         want = run()
         assert_same_accumulators(got, want)
@@ -733,7 +824,6 @@ class TestStreamingReduction:
             lambda: run_truncated_wigner(
                 math.sqrt(1000.0), grid, self.N_PATHS, 10, seed=3, threads=threads
             ),
-            np.float64,
         )
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -755,6 +845,18 @@ class TestStreamingReduction:
         assert 0 < acc.n_diverged < self.N_PATHS
         assert acc.n_paths == self.N_PATHS - acc.n_diverged
 
+    def test_escaped_paths_add_nothing_about_a_nonzero_centre(self, monkeypatch):
+        # one path per batch: a batch whose path escaped sums to zero at every
+        # output, though a zero state's quadrature would sit -c off the centre
+        n = 1000.0
+        monkeypatch.setattr(engine, "ESCAPE_RADIUS_FACTOR", 32.0 / math.sqrt(n))
+        grid = grid_at(n, (0.0, 0.01, 0.02), 1e-3)
+        acc = run_positive_p(math.sqrt(n), grid, 400, 400, seed=5, divergence_threshold=1.0)
+        dead = acc.batch_counts == 0
+        assert 0 < np.count_nonzero(dead) < 400
+        assert np.all(np.abs(acc.centres) > 60.0)
+        assert not acc.batch_sums[:, dead].any()
+
     @pytest.mark.parametrize(
         "n_paths, n_batches",
         [(1001, 7), (64 * 5 + 3, 5), (128 * 4 + 2, 4), (130 * 3, 3), (1000 * 2 + 1, 2), (1, 1), (257, 1)],
@@ -764,15 +866,18 @@ class TestStreamingReduction:
         rng = np.random.default_rng(n_paths)
         amplitudes = rng.normal(size=(3, 2, n_paths)) + 1j * rng.normal(size=(3, 2, n_paths))
         thetas = (0.0, 0.7, 4.1)
+        centres = (0.0, -1.5, 2.25)
         bounds = engine.batch_slices(n_paths, n_batches)
         for representation, pairs in (
             (POSITIVE_P, [tuple(pair) for pair in amplitudes]),
             (WIGNER, [wigner_polar(a) for a, _ in amplitudes]),
         ):
-            got = engine._batch_power_sums(representation, iter(pairs), thetas, bounds)
+            got = engine._batch_power_sums(representation, iter(pairs), thetas, centres, bounds)
             assert got.shape == (3, n_batches, N_POWERS)
-            for out, theta, pair in zip(got, thetas, pairs):
-                want = per_slice_batch_sums(bulk_monomials(theta, *pair, representation), bounds)
+            for out, theta, centre, pair in zip(got, thetas, centres, pairs):
+                want = per_slice_batch_sums(
+                    bulk_monomials(theta, *pair, representation, centre), bounds
+                )
                 assert np.array_equal(out, want)
 
 

@@ -22,8 +22,8 @@ from helpers import (
     dense_brute_force,
     fill_batches,
     grid_at,
-    per_output_batch_error,
-    per_output_batch_errors,
+    leave_one_out_report,
+    leave_one_out_reports,
     polar_rounding_bound,
     stacked_powers,
     wigner_polar,
@@ -270,7 +270,8 @@ class TestBatchError:
 
 
 class TestOnePassEstimator:
-    """batch_error over a whole run against the per-output reference estimator."""
+    """batch_error over a whole run against the per-output, batch-by-batch
+    leave-one-out reference estimator."""
 
     N = 1000.0
 
@@ -278,10 +279,12 @@ class TestOnePassEstimator:
     PP_GRID = grid_at(N, (0.0, 0.01, 0.03), 1e-3)
 
     @staticmethod
-    def assert_bit_identical(acc):
+    def assert_matches_reference(acc):
+        # the reference pools the sums in another order, so the two agree
+        # to rounding, not bit for bit
         got = np.array([astuple(r) for r in batch_error(acc)])
-        want = np.array([astuple(r) for r in per_output_batch_errors(acc)])
-        assert np.array_equal(got, want)
+        want = np.array([astuple(r) for r in leave_one_out_reports(acc)])
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-15)
 
     def tw_run(self):
         grid = self.TW_GRID
@@ -292,10 +295,10 @@ class TestOnePassEstimator:
         return run_positive_p(math.sqrt(self.N), grid, 3000, 30, seed=3)
 
     def test_truncated_wigner_run(self):
-        self.assert_bit_identical(self.tw_run())
+        self.assert_matches_reference(self.tw_run())
 
     def test_positive_p_run(self):
-        self.assert_bit_identical(self.pp_run())
+        self.assert_matches_reference(self.pp_run())
 
     @pytest.mark.parametrize("run", ["tw_run", "pp_run"])
     def test_batch_that_lost_every_path(self, run):
@@ -305,7 +308,7 @@ class TestOnePassEstimator:
         acc.batch_diverged[7] = acc.batch_counts[7]
         acc.batch_counts[7] = 0
         acc.batch_sums[:, 7] = 0.0
-        self.assert_bit_identical(acc)
+        self.assert_matches_reference(acc)
         assert batch_error(acc)[0].n_paths == acc.n_paths
 
     @staticmethod
@@ -341,14 +344,14 @@ class TestOnePassEstimator:
         with pytest.raises(mo.OrderingViolation) as got:
             batch_error(acc)
         with pytest.raises(mo.OrderingViolation) as want:
-            per_output_batch_errors(acc)
+            leave_one_out_reports(acc)
         with pytest.raises(mo.OrderingViolation) as at_output_1:
-            per_output_batch_error(acc, 1)
+            leave_one_out_report(acc, 1)
         assert str(got.value) == str(want.value) == str(at_output_1.value)
         assert str(got.value).startswith(first)
         # output 2 fails too, with a different message
         with pytest.raises(mo.OrderingViolation) as at_output_2:
-            per_output_batch_error(acc, 2)
+            leave_one_out_report(acc, 2)
         assert str(at_output_2.value) != str(got.value)
 
 
