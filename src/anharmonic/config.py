@@ -20,6 +20,10 @@ METHODS = ("TW", "PositiveP", "Oracle")
 #: Hard ceiling on the scaled-time window.
 TAU_STOP_MAX = 25.0
 
+#: Largest N the ensembles (TW, PositiveP) accept: beyond it their float64
+#: paths lose the O(1) spread on an amplitude of sqrt(N).  The oracle takes any N.
+ENSEMBLE_N_MAX = 1e18
+
 
 class ConfigError(ValueError):
     def __init__(self, key: str, message: str):
@@ -173,6 +177,8 @@ def parse_config(text: str, seed: int = 0, method: str | None = None) -> Simulat
 def _validate(cfg: SimulationConfig):
     if not cfg.n_particles > 0:
         raise InvalidValue("N", "particle number must be positive")
+    if cfg.method != "Oracle" and cfg.n_particles > ENSEMBLE_N_MAX:
+        raise InvalidValue("N", f"must be <= {ENSEMBLE_N_MAX:g} for method {cfg.method}")
     if cfg.tau_start < 0:
         raise InvalidValue("tau_start", "must be nonnegative")
     if cfg.tau_stop < cfg.tau_start:

@@ -6,12 +6,12 @@ Two integrators are provided:
   anharmonic drift (the modulus is conserved, so the flow is a pure phase
   rotation, which it yields in polar form), and
 * :class:`MidpointStep`, the one semi-implicit Stratonovich midpoint rule
-  on the doubled positive-P phase space, written for the Kerr model's four
-  terms and vectorised over paths.  Its implicit equation has one complex
-  unknown per path, the product of the two midpoint components, which the
-  step takes from a first-order guess and one correction; the update is a
-  Cayley form.  It takes unit increments; sqrt(dt) is folded into its noise
-  coefficients.
+  on the doubled positive-P phase space, written for the Kerr oscillator's
+  constant coefficients and vectorised over paths.  Its implicit equation
+  has one complex unknown per path, the product of the two midpoint
+  components, which the step takes from a first-order guess and one
+  correction; the update is a Cayley form.  It takes unit increments;
+  sqrt(dt) is folded into its noise coefficients.
 
 Ensembles are split into batches (the statistical unit used for error
 bars) and batches are grouped into fixed chunks that serve as units of
@@ -57,10 +57,8 @@ from functools import partial
 
 import numpy as np
 
-from . import symbolic
 from .moments import DTYPES, N_POWERS, POSITIVE_P, WIGNER, MomentAccumulator, bulk_monomials
 from .sampling import stream_for_trajectory, wigner_initial
-from .symbolic import DriftDiffusionModel
 
 #: Escape radius for divergence flagging, in units of sqrt(N).
 ESCAPE_RADIUS_FACTOR = 1e3
@@ -210,10 +208,12 @@ def _batch_power_sums(representation: str, pairs, thetas, centres, bounds, dead=
     return sums
 
 
-#: Term shape of the Stratonovich positive-P Kerr model, one set of (p, q)
-#: exponents of a*^p a^q per entry: the two drift entries, then the two noise
-#: entries.  a is alpha1 (y[0]) and a* is alpha2* (y[1]).
-_KERR_TERMS = ({(1, 2)}, {(2, 1)}, {(0, 1)}, {(1, 0)})
+#: Stratonovich positive-P coefficients of H = (a^dag a)^2, which a test pins
+#: to the symbolic derivation: drift (-2i a* a^2, 2i a*^2 a) and noise
+#: (sqrt(-2i) a, sqrt(2i) a*), a = alpha1, a* = alpha2*.  The roots are formed
+#: as the derivation forms them: their real part is 1.0000000000000002, not 1.
+KERR_DRIFT = (-2j, 2j)
+KERR_NOISE = ((-2j) ** 0.5, (2j) ** 0.5)
 
 
 class MidpointStep:
@@ -221,10 +221,9 @@ class MidpointStep:
 
     ``step(y, xi)`` solves  mid = y + (dt/2) A(mid) + (1/2) B(mid) sqrt(dt) xi
     with the unit increments ``xi`` (shape (2, m)) and sets y <- 2 mid - y.
-    The state is the doubled phase space (alpha1, alpha2*).  Only the Kerr
-    shape is stepped: drift (c0 a* a^2, c1 a*^2 a) with c1 = -c0, as a
-    Hermitian Kerr term gives, and noise (n0 a, n1 a*), with the
-    coefficients read from ``model``.
+    The state is the doubled phase space (alpha1, alpha2*); the drift is
+    (c0 a* a^2, c1 a*^2 a) and the noise (n0 a, n1 a*), with the c_j and n_j
+    of :data:`KERR_DRIFT` and :data:`KERR_NOISE` (c1 = -c0).
 
     Each entry has its own component as a factor, so the equation reads
     mid_j = y_j / (1 - u_j), with u_j = k_j aa + w_j, the half-step drift
@@ -245,22 +244,13 @@ class MidpointStep:
     once per chunk, with its buffers.
     """
 
-    def __init__(self, model: DriftDiffusionModel, dt: float, m: int):
-        if model.convention != "stratonovich":
-            raise ValueError("midpoint stepper expects a Stratonovich model")
-        if tuple(set(poly.terms) for poly in model.drift + model.noise) != _KERR_TERMS:
-            raise ValueError("midpoint stepper expects the two-component Kerr model with noise")
-        c0, c1 = (coef for poly in model.drift for coef in poly.terms.values())
-        if c1 != -c0:
-            raise ValueError("midpoint stepper expects opposite Kerr drift coefficients")
+    def __init__(self, dt: float, m: int):
         if dt <= 0:
             raise ValueError("dt must be positive")
         # k_j / 8 and -n_j sqrt(dt) / 4, one (2, 1) column each to broadcast
         # over paths
-        self._drift, self._noise = (
-            np.array([list(poly.scaled(scale).terms.values()) for poly in polys])
-            for polys, scale in ((model.drift, dt / 16), (model.noise, -math.sqrt(dt) / 4))
-        )
+        self._drift = np.array([[dt / 16 * c] for c in KERR_DRIFT])
+        self._noise = np.array([[-math.sqrt(dt) / 4 * c] for c in KERR_NOISE])
         self._x, self._h, self._t = np.empty((3, 2, m), dtype=np.complex128)
         self._b = np.empty(m, dtype=np.complex128)
 
@@ -302,7 +292,6 @@ def exact_wigner_flow(init: np.ndarray, times):
 
 
 def _positive_p_chunk(
-    model: DriftDiffusionModel,
     alpha0: complex,
     grid: TimeGrid,
     centres: np.ndarray,
@@ -330,7 +319,7 @@ def _positive_p_chunk(
     y[0], y[1] = alpha0, np.conj(alpha0)
     stream = stream_for_trajectory(seed, traj_lo)
     alive = np.ones(m, dtype=bool)
-    step = MidpointStep(model, grid.dt, m)
+    step = MidpointStep(grid.dt, m)
     radius = np.empty((2, m), dtype=np.float64)
     inside = np.empty((2, m), dtype=bool)
     # nan and inf radii fail the comparison, also at an infinite escape radius
@@ -474,12 +463,8 @@ def run_positive_p(
     nontrivial fraction of the ensemble is excluded, the surviving average
     no longer estimates the true moments.
     """
-    model = symbolic.ito_to_stratonovich(
-        symbolic.derive_positive_p_model(symbolic.kerr_hamiltonian())
-    )
-
     centres = quadrature_centres(alpha0, grid)
-    chunk = partial(_positive_p_chunk, model, alpha0, grid, centres, seed)
+    chunk = partial(_positive_p_chunk, alpha0, grid, centres, seed)
     acc = _run_chunked(POSITIVE_P, centres, n_paths, n_batches, chunk, threads)
     n_div = acc.n_diverged
     if n_div > divergence_threshold * n_paths:

@@ -48,7 +48,8 @@ MIN_BATCHES = 10
 
 class OrderingViolation(RuntimeError):
     """Estimates are inconsistent with a valid operator average,
-    e.g. an imaginary residue or moment bound violated beyond 5 sigma."""
+    e.g. an imaginary residue or moment bound violated beyond 5 sigma, or a
+    cumulant that is not finite."""
 
 
 class InsufficientBatches(ValueError):
@@ -156,7 +157,7 @@ def batch_error(acc: MomentAccumulator) -> list[CumulantReport]:
     the variance and quartic moment bounds) comes from the sums pooled over
     the B batches that kept a path, and its sigma from the B estimates that
     each leave one of them out.  The checks raise, beyond 5 sigma, for the
-    earliest output that fails one, residues first.
+    earliest output that fails one, residues first; a NaN fails every check.
     """
     alive = acc.batch_counts > 0
     counts = acc.batch_counts[alive]
@@ -178,7 +179,7 @@ def batch_error(acc: MomentAccumulator) -> list[CumulantReport]:
         for k, (m, m_loo) in enumerate(zip(pooled, loo), start=1):
             value, sigma = np.imag(m), _jackknife(np.imag(m_loo))
             floor = 1e-10 * np.maximum(np.maximum(np.abs(m), np.abs(acc.centres) ** k), 1.0)
-            checks.append((np.abs(value) > 5.0 * sigma + floor, f"imaginary residue of "
+            checks.append((~(np.abs(value) <= 5.0 * sigma + floor), f"imaginary residue of "
                            f"<(X-c)^{k}> is {{:.3e}}, beyond 5 sigma ({{:.3e}}); ensemble looks biased",
                            value, sigma))
     m1, m2, m3, m4 = (np.real(m) for m in pooled)
@@ -186,16 +187,19 @@ def batch_error(acc: MomentAccumulator) -> list[CumulantReport]:
     for label, value, values in (("<X^2> - <X>^2", m2 - m1**2, l2 - l1**2),
                                  ("<(X-c)^4> - <(X-c)^2>^2", m4 - m2**2, l4 - l2**2)):
         sigma = _jackknife(values)
-        bad = value < -(5.0 * sigma + 1e-9 * np.maximum(1.0, np.abs(value)))
+        bad = ~(value >= -(5.0 * sigma + 1e-9 * np.maximum(1.0, np.abs(value))))
         checks.append((bad, f"moment bound {label} = {{:.3e}} < 0 beyond 5 sigma ({{:.3e}})",
                        value, sigma))
+    k3, k4 = k3_k4(m1, m2, m3, m4)
+    sigma3, sigma4 = (_jackknife(k) for k in k3_k4(l1, l2, l3, l4))
+    for label, value, sigma in (("k3", k3, sigma3), ("k4", k4, sigma4)):
+        checks.append((~np.isfinite(value) | ~np.isfinite(sigma),
+                       f"{label} = {{:.3e}} +- {{:.3e}} is not finite", value, sigma))
     failing = np.argwhere(np.array([check[0] for check in checks]).T)
     if len(failing):
         output, i = failing[0]
         _, message, value, sigma = checks[i]
         raise OrderingViolation(message.format(value[output], sigma[output]))
-    k3, k4 = k3_k4(m1, m2, m3, m4)
-    sigma3, sigma4 = (_jackknife(k) for k in k3_k4(l1, l2, l3, l4))
     totals = acc.n_paths, acc.n_diverged
     return [CumulantReport(*map(float, row), *totals) for row in zip(k3, k4, sigma3, sigma4)]
 

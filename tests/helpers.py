@@ -19,7 +19,15 @@ from anharmonic.moments import (
     k3_k4,
     promote_normal_order,
 )
-from anharmonic.symbolic import CREATE, DESTROY, OperatorWord, PhasePolynomial
+from anharmonic.symbolic import (
+    CREATE,
+    DESTROY,
+    OperatorWord,
+    PhasePolynomial,
+    derive_positive_p_model,
+    ito_to_stratonovich,
+    kerr_hamiltonian,
+)
 
 
 def random_hermitian_polynomial(rng: np.random.Generator, max_degree: int = 4) -> PhasePolynomial:
@@ -215,6 +223,11 @@ def evaluate(poly: PhasePolynomial, a: complex, a_star: complex | None = None) -
     return total
 
 
+def kerr_positive_p_model():
+    """The Stratonovich positive-P model of H = (a^dag a)^2, derived symbolically."""
+    return ito_to_stratonovich(derive_positive_p_model(kerr_hamiltonian()))
+
+
 def kerr_step_coefficients(model, dt: float, dw_scale: float = 1.0):
     """Half-step drift and noise coefficients of the Kerr model, read by evaluation.
 
@@ -257,15 +270,16 @@ class ConvergedMidpointStep:
     """Reference midpoint step: the plain fixed-point loop, run to convergence.
 
     A drop-in for ``engine.MidpointStep`` (same constructor and call, unit
-    increments ``xi``).  From mid = y it iterates
+    increments ``xi``), with the coefficients of the derived Kerr model
+    rather than the engine's constants.  From mid = y it iterates
     mid_j <- y_j + (k_j mid_0 mid_1 + w_j) mid_j, with the increments held
     fixed, :data:`CONVERGED_ITERATIONS` times, then sets y <- 2 mid - y.
     Each iteration gains about |u| in relative accuracy, so at the step sizes
     the ensembles use it solves the midpoint equation to rounding.
     """
 
-    def __init__(self, model, dt: float, m: int):
-        drift, noise = kerr_step_coefficients(model, dt, math.sqrt(dt))
+    def __init__(self, dt: float, m: int):
+        drift, noise = kerr_step_coefficients(kerr_positive_p_model(), dt, math.sqrt(dt))
         self._drift = np.array(drift)[:, None]
         self._noise = np.array(noise)[:, None]
         self._mid = np.empty((2, m), dtype=np.complex128)
@@ -279,7 +293,7 @@ class ConvergedMidpointStep:
         np.subtract(2.0 * mid, y, out=y)
 
 
-def midpoint_path(model, y0, dt, n_steps, dw=None):
+def midpoint_path(y0, dt, n_steps, dw=None):
     """Step the kernel n_steps times on the state y0, shape (2, m).
 
     ``dw`` holds the Wiener increments, shape (n_steps, 2, m), which the
@@ -287,7 +301,7 @@ def midpoint_path(model, y0, dt, n_steps, dw=None):
     is zero.
     """
     y = np.array(y0, dtype=np.complex128)
-    step = MidpointStep(model, dt, y.shape[1])
+    step = MidpointStep(dt, y.shape[1])
     zero = np.zeros(y.shape)
     for k in range(n_steps):
         step(y, zero if dw is None else dw[k] / math.sqrt(dt))

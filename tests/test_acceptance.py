@@ -290,15 +290,14 @@ def test_criterion_7_integrator_order():
 
     # strong order >= 1/2 on 100 frozen Brownian paths of the doubled model,
     # stepped together by the ensembles' midpoint kernel
-    model = sy.ito_to_stratonovich(sy.derive_positive_p_model(sy.kerr_hamiltonian()))
     t_final = 0.2 / N_PARTICLES
     n_coarse = 50
     dt = t_final / n_coarse
     coarse, mid, fine = frozen_brownian_paths(np.random.default_rng(7), 100, n_coarse, dt)
     y0 = np.full((2, 100), ALPHA0, dtype=np.complex128)
-    s1 = midpoint_path(model, y0, dt, n_coarse, coarse)
-    s2 = midpoint_path(model, y0, dt / 2, 2 * n_coarse, mid)
-    s4 = midpoint_path(model, y0, dt / 4, 4 * n_coarse, fine)
+    s1 = midpoint_path(y0, dt, n_coarse, coarse)
+    s2 = midpoint_path(y0, dt / 2, 2 * n_coarse, mid)
+    s4 = midpoint_path(y0, dt / 4, 4 * n_coarse, fine)
     e1 = np.abs(s1[0] - s2[0])
     e2 = np.abs(s2[0] - s4[0])
     assert np.mean(e1[e2 > 0] / e2[e2 > 0]) >= 1.3
@@ -310,7 +309,7 @@ def test_criterion_7_integrator_order():
     ref = a0 * np.exp(-2j * abs(a0) ** 2 * t_final)
 
     def global_error(dt_step):
-        y = midpoint_path(model, [[a0], [a0.conjugate()]], dt_step, int(round(t_final / dt_step)))
+        y = midpoint_path([[a0], [a0.conjugate()]], dt_step, int(round(t_final / dt_step)))
         return abs(y[0, 0] - ref)
 
     assert global_error(2e-3) / global_error(1e-3) >= 3.5

@@ -1,9 +1,11 @@
+import math
 import pathlib
 import re
 
 import pytest
 
 from anharmonic.config import (
+    ENSEMBLE_N_MAX,
     InvalidValue,
     MissingKey,
     UnknownKey,
@@ -64,6 +66,19 @@ def test_tau_ceiling():
     with pytest.raises(InvalidValue) as err:
         parse_config("method = TW\nN = 10\ntau_stop = 30\n")
     assert err.value.key == "tau_stop"
+
+
+@pytest.mark.parametrize("method", ["TW", "PositiveP"])
+def test_ensemble_particle_number_bound(method):
+    # accepted at the bound, refused one ulp above it; the oracle takes the
+    # same file, as its own method or in place of the file's
+    assert parse_config(f"method = {method}\nN = {ENSEMBLE_N_MAX!r}\n").n_particles == ENSEMBLE_N_MAX
+    above = f"method = {method}\nN = {math.nextafter(ENSEMBLE_N_MAX, math.inf)!r}\n"
+    with pytest.raises(InvalidValue) as err:
+        parse_config(above)
+    assert err.value.key == "N"
+    assert parse_config(above, method="Oracle").n_particles > ENSEMBLE_N_MAX
+    assert parse_config("method = Oracle\nN = 1e300\n").n_particles == 1e300
 
 
 def test_bad_method_named():

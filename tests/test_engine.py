@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from anharmonic import engine
-from anharmonic import symbolic as sy
 from anharmonic.engine import (
     ExcessiveDivergence,
     MidpointStep,
@@ -26,6 +25,7 @@ from helpers import (
     frozen_brownian_paths,
     full_block_kernel,
     grid_at,
+    kerr_positive_p_model,
     ladder_sums,
     midpoint_path,
     per_slice_batch_sums,
@@ -37,14 +37,6 @@ from helpers import (
     tw_limit_digits,
     wigner_polar,
 )
-
-
-def positive_p_model(hamiltonian):
-    return sy.ito_to_stratonovich(sy.derive_positive_p_model(hamiltonian))
-
-
-def kerr_positive_p_model():
-    return positive_p_model(sy.kerr_hamiltonian())
 
 
 def exact_at(a0, t):
@@ -59,9 +51,9 @@ def exact_positive_p_at(a0, t):
     return a0 * np.exp(-2j * abs(a0) ** 2 * t)
 
 
-def noise_free_path(model, a0, dt, n_steps):
+def noise_free_path(a0, dt, n_steps):
     """alpha1 after n_steps kernel steps from (a0, conj(a0)) with zero increments."""
-    return midpoint_path(model, [[a0], [np.conj(a0)]], dt, n_steps)[0, 0]
+    return midpoint_path([[a0], [np.conj(a0)]], dt, n_steps)[0, 0]
 
 
 def batch_mean(sums, counts, k):
@@ -242,15 +234,14 @@ class TestMidpointStep:
 
     def test_noise_free_rotation_conserves_modulus(self):
         # from (a0, conj(a0)) the noise-free Kerr flow is a phase rotation
-        y = noise_free_path(kerr_positive_p_model(), 1.0 + 0.5j, 1e-3, 100)
+        y = noise_free_path(1.0 + 0.5j, 1e-3, 100)
         assert abs(abs(y) - abs(1.0 + 0.5j)) < 1e-12
 
     def test_single_step_matches_exact_to_dt_squared(self):
-        model = kerr_positive_p_model()
         a0 = 1.1 + 0.4j
         errors = []
         for dt in (1e-3, 5e-4):
-            num = noise_free_path(model, a0, dt, 1)
+            num = noise_free_path(a0, dt, 1)
             errors.append(abs(num - exact_positive_p_at(a0, dt)))
         assert errors[0] < 1e-7
         # local error is cubic in dt, so halving shrinks it ~8x
@@ -258,65 +249,37 @@ class TestMidpointStep:
 
     def test_deterministic_global_second_order(self):
         # halving dt shrinks the global error by >= 3.5x on the exact flow
-        model = kerr_positive_p_model()
         a0 = 1.1 + 0.0j
         t_final = 0.5
         ref = exact_positive_p_at(a0, t_final)
 
         def global_error(dt):
-            return abs(noise_free_path(model, a0, dt, int(round(t_final / dt))) - ref)
+            return abs(noise_free_path(a0, dt, int(round(t_final / dt))) - ref)
 
         e1, e2 = global_error(2e-3), global_error(1e-3)
         assert e1 / e2 >= 3.5
 
-    def test_rejects_drift_only_model(self):
-        # the kernel steps the doubled-phase-space Kerr model only: not the
-        # drift-only Wigner model, nor the noise-free harmonic or the
-        # detuned Kerr positive-P model
-        models = [
-            sy.derive_wigner_model(sy.kerr_hamiltonian()),
-            positive_p_model(sy.normal_order(sy.parse_hamiltonian("ad a"))),
-            positive_p_model(sy.normal_order(sy.parse_hamiltonian("ad a ad a + ad a"))),
+    def test_coefficients_are_the_derived_kerr_model(self):
+        # the stepper's constants are the Stratonovich positive-P Kerr model,
+        # term for term: drift (c0 a* a^2, c1 a*^2 a), noise (n0 a, n1 a*)
+        model = kerr_positive_p_model()
+        assert model.convention == "stratonovich"
+        assert [poly.terms for poly in model.drift] == [
+            {(1, 2): engine.KERR_DRIFT[0]}, {(2, 1): engine.KERR_DRIFT[1]}
         ]
-        for model in models:
-            with pytest.raises(ValueError, match="two-component"):
-                MidpointStep(model, 1e-3, 1)
-
-    def test_coefficients_are_read_from_the_model(self):
-        # H = 2 a^dag a^dag a a doubles the drift and scales the noise by
-        # sqrt(2); the kernel must follow the scalar reference on that model
-        model = positive_p_model(sy.normal_order(sy.parse_hamiltonian("2 ad a ad a")))
-        y0 = np.array([[1.1 + 0.4j, -0.3 + 2.0j], [1.1 - 0.4j, -0.3 - 2.0j]])
-        dw = math.sqrt(1e-3) * np.random.default_rng(5).standard_normal((200, 2, 2))
-        y = midpoint_path(model, y0, 1e-3, 200, dw)
-        for i in range(2):
-            ref = scalar_midpoint_path(model, y0[:, i], 1e-3, 200, dw[:, :, i])
-            for j in range(2):
-                assert abs(y[j, i] - ref[j]) < 1e-13 * abs(ref[j])
-
-    def test_rejects_drift_coefficients_that_are_not_opposite(self):
-        # a hand-built Kerr-shaped model whose drift coefficients do not sum
-        # to zero: the step's first-order guess leaves out (k_0 + k_1) P, so
-        # it refuses the model
-        model = sy.DriftDiffusionModel(
-            (sy.VAR_A, sy.VAR_A_STAR),
-            (sy.PhasePolynomial({(1, 2): -2j}), sy.PhasePolynomial({(2, 1): 1.0 + 3j})),
-            (sy.PhasePolynomial({(0, 1): 1.0 - 1j}), sy.PhasePolynomial({(1, 0): 1.0 + 1j})),
-            "stratonovich",
-        )
-        with pytest.raises(ValueError, match="opposite Kerr drift coefficients"):
-            MidpointStep(model, 1e-3, 1)
+        assert [poly.terms for poly in model.noise] == [
+            {(0, 1): engine.KERR_NOISE[0]}, {(1, 0): engine.KERR_NOISE[1]}
+        ]
 
     @pytest.mark.parametrize("n, bound", [(10.0, 1e-8), (1e3, 2e-11)])
     def test_step_solves_its_equation(self, n, bound):
         # 1000 +-1 steps of 4096 paths from the coherent start stay within
         # bound (relative) of the fixed-point loop run to convergence on the
         # same increments; four plain iterations give 4.5e-7 and 1.3e-10
-        model = kerr_positive_p_model()
         dt, m = 1e-3 / n, 4096
         y = np.full((2, m), math.sqrt(n), dtype=np.complex128)
         ref = y.copy()
-        step, converged = MidpointStep(model, dt, m), ConvergedMidpointStep(model, dt, m)
+        step, converged = MidpointStep(dt, m), ConvergedMidpointStep(dt, m)
         stream = stream_for_trajectory(1, 0)
         xi = np.empty((1, 2, m))
         for _ in range(1000):
@@ -342,7 +305,7 @@ class TestMidpointStep:
         xi = np.empty((2, 3))
         to_pole(y, xi)
         with np.errstate(divide="ignore", invalid="ignore"):
-            MidpointStep(kerr_positive_p_model(), dt, 3)(y, xi)
+            MidpointStep(dt, 3)(y, xi)
         assert not np.isfinite(y).any()
 
         class PoleStart(MidpointStep):
@@ -405,7 +368,6 @@ class TestMidpointStep:
         # step-halving on the doubled-phase-space model with 100 frozen
         # Brownian paths (m = 100): successive differences shrink by >= 1.3
         # on average
-        model = kerr_positive_p_model()
         n = 1000.0
         a0 = math.sqrt(n)
         t_final = 0.2 / n
@@ -413,9 +375,9 @@ class TestMidpointStep:
         dt = t_final / n_coarse
         coarse, mid, fine = frozen_brownian_paths(np.random.default_rng(42), 100, n_coarse, dt)
         y0 = np.full((2, 100), a0, dtype=np.complex128)
-        s1 = midpoint_path(model, y0, dt, n_coarse, coarse)
-        s2 = midpoint_path(model, y0, dt / 2, 2 * n_coarse, mid)
-        s4 = midpoint_path(model, y0, dt / 4, 4 * n_coarse, fine)
+        s1 = midpoint_path(y0, dt, n_coarse, coarse)
+        s2 = midpoint_path(y0, dt / 2, 2 * n_coarse, mid)
+        s4 = midpoint_path(y0, dt / 4, 4 * n_coarse, fine)
         e1 = np.abs(s1[0] - s2[0])
         e2 = np.abs(s2[0] - s4[0])
         assert np.mean(e1[e2 > 0] / e2[e2 > 0]) >= 1.3
@@ -705,7 +667,7 @@ class TestPositivePEnsemble:
     def test_kernel_matches_scalar_reference_without_noise(self):
         model = kerr_positive_p_model()
         y0 = np.array([[1.1 + 0.4j, -0.3 + 2.0j], [1.1 - 0.4j, -0.3 - 2.0j]])
-        y = midpoint_path(model, y0, 1e-3, 200)
+        y = midpoint_path(y0, 1e-3, 200)
         for i in range(2):
             ref = scalar_midpoint_path(model, y0[:, i], 1e-3, 200, np.zeros((200, 2)))
             for j in range(2):
@@ -933,6 +895,6 @@ class TestMemoryBound:
                 divergence_threshold=1.0,
             )
 
-        run(10)  # one-time imports and model derivation, outside the trace
+        run(10)  # one-time imports and allocations, outside the trace
         peak = self.traced_peak(lambda: run(2048))
         assert peak < 2**20 + 24 * (2 * 2048 * 16), peak

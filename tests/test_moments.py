@@ -195,6 +195,20 @@ class TestEstimateConsistencyChecks:
         with pytest.raises(mo.OrderingViolation, match="moment bound"):
             batch_error(acc)
 
+    @pytest.mark.parametrize("representation", [WIGNER, POSITIVE_P])
+    @pytest.mark.parametrize("power", range(N_POWERS))
+    def test_nan_sum_raises(self, representation, power):
+        # a NaN fails every comparison, so each check must be written to
+        # fail on it too: one NaN power sum in one batch makes the run fail
+        rng = np.random.default_rng(12)
+        a1 = 1.0 + 0.1 * (rng.standard_normal(200) + 1j * rng.standard_normal(200))
+        a2s = np.conj(a1) if representation == POSITIVE_P else None
+        acc = acc_from_samples(representation, a1, a2s, n_batches=10)
+        batch_error(acc)
+        acc.batch_sums[0, 3, power] = np.nan
+        with pytest.raises(mo.OrderingViolation, match="nan"):
+            batch_error(acc)
+
 
 class TestBulkMonomials:
     def _paths(self):
