@@ -197,6 +197,12 @@ def _validate(cfg: SimulationConfig):
         raise InvalidValue("batches", f"need at least {MIN_BATCHES} batches")
     if cfg.n_paths < cfg.batches:
         raise InvalidValue("n_paths", "fewer paths than batches")
+    # the last time tau_stop / N, and positive-P's step dtau / N, overflow at
+    # a subnormal N; checked before the step rule, which would blame dtau (a
+    # negative dtau gives -inf here and is left to the step rule)
+    for key in ("tau_stop", "dtau") if cfg.method == "PositiveP" else ("tau_stop",):
+        if getattr(cfg, key) / cfg.n_particles == math.inf:
+            raise InvalidValue("N", f"too small: {key} / N overflows at N = {cfg.n_particles:g}")
     if cfg.method == "PositiveP":
         # tau_start and the first spacing (as np.linspace forms it) stand for the
         # uniform grid, which is not built here; TimeGrid rejects a dtau <= 0

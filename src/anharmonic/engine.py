@@ -104,6 +104,8 @@ class TimeGrid:
             if tau < prev:
                 raise ValueError("tau values must be nondecreasing")
             prev = tau
+        if not math.isfinite(float(prev) / float(self.n_particles)):
+            raise ValueError(f"last time tau / N = {prev:g} / {self.n_particles:g} is not finite")
         if len(self.thetas) != len(self.taus):
             raise ValueError(f"{len(self.thetas)} phases for {len(self.taus)} output times")
         if not all(math.isfinite(theta) for theta in self.thetas):

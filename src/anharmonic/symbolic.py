@@ -1,12 +1,15 @@
 """Operator algebra and phase-space equation-of-motion derivations.
 
 A single-mode polynomial Hamiltonian is normal ordered into a phase-space
-symbol H(a, a*), from which two stochastic trajectory models are derived:
+symbol H(a, a*).  Both stochastic trajectory models follow one rule: the
+drift is the flow ``(-i dS/da*, +i dS/da)`` of a symbol S.
 
-* a truncated-Wigner drift model (third- and higher-order derivative terms
-  of the underlying evolution equation are dropped but recorded), and
-* a positive-P drift/diffusion model on the doubled phase space, in Ito
-  form with an exact Stratonovich conversion.
+* Truncated Wigner flows the Wigner symbol H_W, formed once from H; the
+  third- and higher-order derivative terms of the underlying evolution
+  equation, derivatives of H_W, are dropped but recorded.
+* Positive-P flows H itself on the doubled phase space, in Ito form with
+  an exact Stratonovich conversion; its squared noise amplitudes are the
+  second-order flow of H.
 
 Polynomials are stored as sparse maps from exponent pairs ``(p, q)`` to
 complex coefficients, meaning ``c * a*^p a^q``.  The starred and unstarred
@@ -49,13 +52,11 @@ class OperatorWord:
         for f in self.factors:
             if f not in (CREATE, DESTROY):
                 raise ValueError(f"unknown ladder tag {f!r}")
-        c = complex(self.coefficient)
-        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-            raise ValueError("operator coefficient must be finite")
 
 
 class PhasePolynomial:
-    """Sparse polynomial ``sum_pq c[p,q] a*^p a^q`` with complex coefficients."""
+    """Sparse polynomial ``sum_pq c[p,q] a*^p a^q`` with finite complex
+    coefficients, so that no derivation can carry an inf or a nan."""
 
     __slots__ = ("terms",)
 
@@ -63,6 +64,8 @@ class PhasePolynomial:
         clean: dict[tuple[int, int], complex] = {}
         for (p, q), c in (terms or {}).items():
             c = complex(c)
+            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+                raise ValueError(f"symbol coefficient {format_complex(c)} is not finite")
             if c != 0:
                 clean[(int(p), int(q))] = c
         self.terms = clean
@@ -89,9 +92,6 @@ class PhasePolynomial:
         for k, c in other.terms.items():
             out[k] = out.get(k, 0.0) + c
         return PhasePolynomial(out)
-
-    def __sub__(self, other: "PhasePolynomial") -> "PhasePolynomial":
-        return self + other.scaled(-1.0)
 
     def scaled(self, factor: complex) -> "PhasePolynomial":
         return PhasePolynomial({k: factor * c for k, c in self.terms.items()})
@@ -135,49 +135,46 @@ class PhasePolynomial:
 def normal_order(words) -> PhasePolynomial:
     """Rewrite a sum of ladder-operator words into normal-ordered symbol form.
 
-    Uses the commutator rule: multiplying a normal-ordered term a*^p a^q by
-    a creation operator on the right gives a*^(p+1) a^q + q a*^p a^(q-1).
-    Hermitian input yields a Hermitian symbol.
+    Multiplies each word through from the left in the symbol algebra, with
+    S a = a S and the commutator rule S a^dag = a* S + dS/da.  Hermitian
+    input yields a Hermitian symbol.
     """
-    total: dict[tuple[int, int], complex] = {}
+    a, a_star = PhasePolynomial.monomial(0, 1), PhasePolynomial.monomial(1, 0)
+    total = PhasePolynomial.zero()
     for word in words:
-        acc: dict[tuple[int, int], complex] = {(0, 0): complex(word.coefficient)}
+        s = PhasePolynomial.monomial(0, 0, word.coefficient)
         for factor in word.factors:
-            nxt: dict[tuple[int, int], complex] = {}
-            for (p, q), c in acc.items():
-                if factor == DESTROY:
-                    k = (p, q + 1)
-                    nxt[k] = nxt.get(k, 0.0) + c
-                else:
-                    k = (p + 1, q)
-                    nxt[k] = nxt.get(k, 0.0) + c
-                    if q:
-                        k2 = (p, q - 1)
-                        nxt[k2] = nxt.get(k2, 0.0) + q * c
-            acc = nxt
-        for k, c in acc.items():
-            total[k] = total.get(k, 0.0) + c
-    return PhasePolynomial(total)
+            if factor == DESTROY:
+                s = s * a
+            else:
+                s = s * a_star + differentiate(s, VAR_A)
+        total = total + s
+    return total
 
 
 def differentiate(poly: PhasePolynomial, variable: str, order: int = 1) -> PhasePolynomial:
-    """Formal partial derivative, treating a and a* as independent."""
+    """Formal partial derivative, treating a and a* as independent:
+    ``d^k/da*^k a*^p a^q = p!/(p-k)! a*^(p-k) a^q``, and likewise in a."""
     if order < 0:
         raise ValueError("derivative order must be nonnegative")
     if variable not in (VAR_A, VAR_A_STAR):
         raise ValueError(f"unknown variable {variable!r}")
-    out = poly
-    for _ in range(order):
-        terms: dict[tuple[int, int], complex] = {}
-        for (p, q), c in out.terms.items():
-            if variable == VAR_A:
-                if q:
-                    terms[(p, q - 1)] = terms.get((p, q - 1), 0.0) + q * c
-            else:
-                if p:
-                    terms[(p - 1, q)] = terms.get((p - 1, q), 0.0) + p * c
-        out = PhasePolynomial(terms)
-    return out
+    star = variable == VAR_A_STAR
+    terms = {}
+    for (p, q), c in poly.terms.items():
+        power = p if star else q
+        if power >= order:
+            key = (p - order, q) if star else (p, q - order)
+            terms[key] = math.perm(power, order) * c
+    return PhasePolynomial(terms)
+
+
+def _flow(symbol: PhasePolynomial, order: int = 1) -> tuple[PhasePolynomial, PhasePolynomial]:
+    """Hamiltonian flow of a symbol: ``(-i d^k S/da*^k, +i d^k S/da^k)``."""
+    return (
+        differentiate(symbol, VAR_A_STAR, order).scaled(-1j),
+        differentiate(symbol, VAR_A, order).scaled(1j),
+    )
 
 
 def is_hermitian(poly: PhasePolynomial, tol: float = COEFF_TOL) -> bool:
@@ -229,57 +226,40 @@ class DriftDiffusionModel:
             raise ValueError(f"unknown calculus convention {self.convention!r}")
 
 
-def _own_symbol(index: int) -> str:
-    return VAR_A if index == 0 else VAR_A_STAR
-
-
 def derive_wigner_model(hamiltonian: PhasePolynomial) -> DriftDiffusionModel:
     """Truncated-Wigner drift equations for a normal-ordered Hamiltonian.
 
-    The drift for the unstarred variable is
-    ``-i sum_w (-1/2)^w / w! * d^(2w+1) H / (da*^(w+1) da^w)`` and its
-    starred partner is the conjugate-mapped expression.  All derivative
-    terms of total order >= 3 in the distribution equation (only odd
-    orders occur) are collected into ``discarded`` rather than simulated.
+    The drift is the flow of the Wigner symbol
+    ``H_W = sum_w (-1/2)^w / w! d^(2w) H / (da*^w da^w)``.  Every derivative
+    term of total order u + v >= 3 in the distribution equation (only odd
+    orders occur) has coefficient
+    ``-i (1/2)^(u+v) ((-1)^u - (-1)^v) / (u! v!) d^(u+v) H_W / (da*^u da^v)``
+    and is collected into ``discarded`` rather than simulated.
     """
     if not is_hermitian(hamiltonian):
         raise DerivationError("Hamiltonian symbol must be Hermitian")
     p_max = hamiltonian.max_star_power()
     q_max = hamiltonian.max_plain_power()
-
-    drift_a = PhasePolynomial.zero()
-    drift_as = PhasePolynomial.zero()
-    for w in range(0, max(p_max, q_max) + 1):
-        weight = (-0.5) ** w / math.factorial(w)
-        term_a = differentiate(differentiate(hamiltonian, VAR_A_STAR, w + 1), VAR_A, w)
-        term_as = differentiate(differentiate(hamiltonian, VAR_A_STAR, w), VAR_A, w + 1)
-        drift_a = drift_a + term_a.scaled(-1j * weight)
-        drift_as = drift_as + term_as.scaled(1j * weight)
+    wigner_symbol = PhasePolynomial.zero()
+    for w in range(min(p_max, q_max) + 1):
+        h_term = differentiate(differentiate(hamiltonian, VAR_A_STAR, w), VAR_A, w)
+        wigner_symbol = wigner_symbol + h_term.scaled((-0.5) ** w / math.factorial(w))
 
     discarded = []
     for u in range(0, p_max + 1):          # power of d/da in the operator
         for v in range(0, q_max + 1):      # power of d/da*
             if u + v < 3 or (u + v) % 2 == 0:
                 continue
-            coeff = PhasePolynomial.zero()
-            for w in range(0, max(p_max, q_max) + 1):
-                if u + w > p_max or v + w > q_max:
-                    break
-                h_term = differentiate(
-                    differentiate(hamiltonian, VAR_A_STAR, u + w), VAR_A, v + w
-                )
-                coeff = coeff + h_term.scaled((-0.5) ** w / math.factorial(w))
-            bracket = (-1.0) ** u - (-1.0) ** v
-            prefactor = -1j * (0.5 ** (u + v)) * bracket / (
-                math.factorial(u) * math.factorial(v)
-            )
-            coeff = coeff.scaled(prefactor)
+            prefactor = -1j * 0.5 ** (u + v) * ((-1.0) ** u - (-1.0) ** v)
+            prefactor /= math.factorial(u) * math.factorial(v)
+            h_term = differentiate(differentiate(wigner_symbol, VAR_A_STAR, u), VAR_A, v)
+            coeff = h_term.scaled(prefactor)
             if not coeff.is_zero(tol=0.0):
                 discarded.append(DiscardedTerm(u, v, coeff))
 
     return DriftDiffusionModel(
         variables=("alpha", "alpha*"),
-        drift=(drift_a, drift_as),
+        drift=_flow(wigner_symbol),
         noise=(),
         convention="stratonovich",
         discarded=tuple(discarded),
@@ -314,33 +294,27 @@ def derive_positive_p_model(hamiltonian: PhasePolynomial) -> DriftDiffusionModel
     """Exact Ito trajectory model on the doubled phase space.
 
     Valid whenever the distribution evolution closes at second derivative
-    order, i.e. all pure third-or-higher derivatives of H vanish; otherwise
-    the Hamiltonian is rejected.  Drift is ``(-i dH/da*, +i dH/da)`` and the
-    squared noise amplitudes are ``(-i d2H/da*^2, +i d2H/da^2)``, each driven
-    by an independent real Wiener increment.
+    order, i.e. the third derivatives of H in a* and in a vanish (every
+    higher one then vanishes too); otherwise the Hamiltonian is rejected.
+    The drift is the flow of H itself, ``(-i dH/da*, +i dH/da)``, and the
+    squared noise amplitudes are its second-order flow
+    ``(-i d2H/da*^2, +i d2H/da^2)``, each driven by an independent real
+    Wiener increment.
     """
     if not is_hermitian(hamiltonian):
         raise DerivationError("Hamiltonian symbol must be Hermitian")
-    top = max(hamiltonian.max_star_power(), hamiltonian.max_plain_power())
-    for order in range(3, top + 1):
-        for var, label in ((VAR_A_STAR, "a*"), (VAR_A, "a")):
-            leftover = differentiate(hamiltonian, var, order)
-            if not leftover.is_zero(tol=0.0):
-                raise DerivationError(
-                    f"order-{order} derivative in {label} is nonzero "
-                    f"({render_polynomial(leftover)}); the distribution "
-                    "equation does not truncate at diffusion order"
-                )
-
-    drift1 = differentiate(hamiltonian, VAR_A_STAR, 1).scaled(-1j)
-    drift2 = differentiate(hamiltonian, VAR_A, 1).scaled(1j)
-    noise1 = _monomial_sqrt(differentiate(hamiltonian, VAR_A_STAR, 2).scaled(-1j))
-    noise2 = _monomial_sqrt(differentiate(hamiltonian, VAR_A, 2).scaled(1j))
-
+    for var, label in ((VAR_A_STAR, "a*"), (VAR_A, "a")):
+        leftover = differentiate(hamiltonian, var, 3)
+        if not leftover.is_zero(tol=0.0):
+            raise DerivationError(
+                f"order-3 derivative in {label} is nonzero "
+                f"({render_polynomial(leftover)}); the distribution "
+                "equation does not truncate at diffusion order"
+            )
     return DriftDiffusionModel(
         variables=("alpha1", "alpha2*"),
-        drift=(drift1, drift2),
-        noise=(noise1, noise2),
+        drift=_flow(hamiltonian),
+        noise=tuple(_monomial_sqrt(s) for s in _flow(hamiltonian, 2)),
         convention="ito",
     )
 
@@ -353,16 +327,14 @@ def ito_to_stratonovich(model: DriftDiffusionModel) -> DriftDiffusionModel:
     """
     if model.convention != "ito":
         raise ValueError("model is not in Ito form")
-    if not model.noise:
-        return DriftDiffusionModel(
-            model.variables, model.drift, (), "stratonovich", model.discarded
+    drift = model.drift
+    if model.noise:
+        drift = tuple(
+            (a_j + (b_j * differentiate(b_j, var, 1)).scaled(-0.5)).chop()
+            for a_j, b_j, var in zip(model.drift, model.noise, (VAR_A, VAR_A_STAR))
         )
-    new_drift = []
-    for j, (a_j, b_j) in enumerate(zip(model.drift, model.noise)):
-        correction = (b_j * differentiate(b_j, _own_symbol(j), 1)).scaled(-0.5)
-        new_drift.append((a_j + correction).chop())
     return DriftDiffusionModel(
-        model.variables, tuple(new_drift), model.noise, "stratonovich", model.discarded
+        model.variables, drift, model.noise, "stratonovich", model.discarded
     )
 
 
@@ -373,9 +345,7 @@ def drift_divergence(model: DriftDiffusionModel) -> PhasePolynomial:
     phase-space volume, and with it the purity functional of the
     distribution it transports.
     """
-    return differentiate(model.drift[0], VAR_A, 1) + differentiate(
-        model.drift[1], VAR_A_STAR, 1
-    )
+    return differentiate(model.drift[0], VAR_A) + differentiate(model.drift[1], VAR_A_STAR)
 
 
 def format_complex(z: complex) -> str:
@@ -387,12 +357,8 @@ def format_complex(z: complex) -> str:
 
 def render_polynomial(poly: PhasePolynomial) -> str:
     """Canonical text form: terms sorted by (p+q, p), `coeff * a*^p a^q`."""
-    if not poly.terms:
-        return "0"
-    parts = []
-    for (p, q) in sorted(poly.terms, key=lambda k: (k[0] + k[1], k[0])):
-        parts.append(f"{format_complex(poly.terms[(p, q)])} * a*^{p} a^{q}")
-    return " + ".join(parts)
+    terms = sorted(poly.terms.items(), key=lambda term: (sum(term[0]), term[0][0]))
+    return " + ".join(f"{format_complex(c)} * a*^{p} a^{q}" for (p, q), c in terms) or "0"
 
 
 def render_model(model: DriftDiffusionModel) -> list[str]:
@@ -417,6 +383,9 @@ def kerr_hamiltonian() -> PhasePolynomial:
     return normal_order([word])
 
 
+_LADDER_TOKENS = {"ad": CREATE, "a": DESTROY}
+
+
 def parse_hamiltonian(text: str) -> list[OperatorWord]:
     """Parse `ad`/`a` product terms joined by `+`, e.g. ``ad a ad a``.
 
@@ -428,21 +397,16 @@ def parse_hamiltonian(text: str) -> list[OperatorWord]:
         if not tokens:
             raise ValueError("empty term in Hamiltonian expression")
         coeff = 1.0
-        if tokens[0] not in ("ad", "a"):
+        if tokens[0] not in _LADDER_TOKENS:
             try:
                 coeff = float(int(tokens[0]))
-            except ValueError:
+            except (ValueError, OverflowError):
                 raise ValueError(f"bad token {tokens[0]!r}: expected integer, 'ad' or 'a'")
             tokens = tokens[1:]
-        factors = []
         for tok in tokens:
-            if tok == "ad":
-                factors.append(CREATE)
-            elif tok == "a":
-                factors.append(DESTROY)
-            else:
+            if tok not in _LADDER_TOKENS:
                 raise ValueError(f"bad token {tok!r}: expected 'ad' or 'a'")
-        words.append(OperatorWord(tuple(factors), coeff))
+        words.append(OperatorWord(tuple(_LADDER_TOKENS[tok] for tok in tokens), coeff))
     return words
 
 

@@ -72,6 +72,50 @@ class TestPurity:
         assert "1+0i * a*^0 a^0" in out
 
 
+@pytest.mark.parametrize(
+    "hamiltonian, message",
+    [
+        ("ad ad", "Hamiltonian symbol must be Hermitian"),
+        ("ad ad ad a a a", "order-3 derivative in a* is nonzero (6+0i * a*^0 a^3); the "
+         "distribution equation does not truncate at diffusion order"),
+        ("ad ad a a + ad ad a + ad a a", "diffusion term is not a single monomial; noise "
+         "amplitude cannot be written as constant * a*^j a^k"),
+        ("ad ad a + ad a a", "diffusion monomial a*^0 a^1 has odd exponents; no polynomial "
+         "square root exists"),
+    ],
+    ids=["non-hermitian", "order-3", "not-a-monomial", "odd-exponents"],
+)
+def test_derive_names_why_a_model_does_not_exist(capsys, hamiltonian, message):
+    code, out, err = run_cli(capsys, "derive", "--hamiltonian", hamiltonian)
+    assert code == cli.EXIT_INPUT == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+#: Beyond the float range, so the coefficient itself cannot be converted.
+HUGE_COEFFICIENT = "1" + "0" * 399
+#: Just below the float ceiling, so the first derivative overflows.
+NEAR_MAX_COEFFICIENT = "9" * 308
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("derive", "--hamiltonian", f"{HUGE_COEFFICIENT} ad a"), "bad token"),
+        (("purity", "--add-drift-a", f"{HUGE_COEFFICIENT} a"), "bad token"),
+        (("derive", "--hamiltonian", f"{NEAR_MAX_COEFFICIENT} ad a ad a"), "is not finite"),
+        (("purity", "--hamiltonian", f"{NEAR_MAX_COEFFICIENT} ad a ad a"), "is not finite"),
+    ],
+    ids=["derive-huge", "purity-drift-huge", "derive-overflow", "purity-overflow"],
+)
+def test_hamiltonian_coefficient_too_large_exit_code(capsys, argv, message):
+    # no traceback, and no nan or inf drift (nor a false VIOLATES_PURITY)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_INPUT == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def write_config(path, **overrides):
     # no dtau: TW does not read it, and would warn that it ignores it
     base = {
@@ -382,6 +426,37 @@ def test_non_finite_config_value_exit_code(tmp_path, capsys, key, overrides):
     assert code == cli.EXIT_INPUT == 2
     assert f"invalid value for {key!r}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, method",
+    [("simulate", "TW"), ("simulate", "PositiveP"), ("simulate", "Oracle"), ("oracle", "TW")],
+)
+def test_subnormal_particle_number_exit_code(tmp_path, capsys, command, method):
+    # at N = 1e-320 the last time t = tau / N overflows: the oracle wrote nan
+    # rows, TW failed its moment bound and every positive-P path diverged
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "x.csv"
+    extra = {"dtau": 1e-3} if method == "PositiveP" else {}
+    write_config(cfg, method=method, N=1e-320, tau_stop=0.002, **extra)
+    code, _, err = run_cli(capsys, command, "--config", str(cfg), "--out", str(out))
+    assert code == cli.EXIT_INPUT == 2
+    assert "error: invalid value for 'N': too small: tau_stop / N overflows" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["TW", "PositiveP", "Oracle"])
+def test_tiny_particle_number_still_runs(tmp_path, capsys, method):
+    # at N = 1e-300 the times stay finite (t = 2e297)
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "x.csv"
+    extra = {"dtau": 1e-3} if method == "PositiveP" else {}
+    write_config(cfg, method=method, N=1e-300, tau_stop=0.002, **extra)
+    code, _, _ = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(out))
+    assert code == 0
+    rows = read_rows(out)
+    assert len(rows) == 3
+    assert all(math.isfinite(r.k3) and math.isfinite(r.k4) for r in rows)
 
 
 class TestOracleCommand:

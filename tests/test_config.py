@@ -192,3 +192,33 @@ def test_bad_theta_mode_named():
     with pytest.raises(InvalidValue) as err:
         parse_config("method = TW\nN = 10\ntheta_mode = spinning\n")
     assert err.value.key == "theta_mode"
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("method = TW\nN = 1e-320\ntau_stop = 0.002\ntau_points = 3\n", "tau_stop"),
+        ("method = Oracle\nN = 1e-320\ntau_stop = 0.002\ntau_points = 3\n", "tau_stop"),
+        ("method = PositiveP\nN = 1e-320\ntau_stop = 0.002\ntau_points = 3\n", "tau_stop"),
+        ("method = PositiveP\nN = 1e-320\ntau_stop = 0\ntau_points = 1\n", "dtau"),
+    ],
+    ids=["TW", "Oracle", "PositiveP", "PositiveP-step"],
+)
+def test_subnormal_particle_number_rejected(text, key):
+    # t = tau / N (and positive-P's step dt = dtau / N) overflows at a
+    # subnormal N; the error names N, not the dtau of the step rule
+    with pytest.raises(InvalidValue, match=f"too small: {key} / N overflows") as info:
+        parse_config(text)
+    assert info.value.key == "N"
+
+
+def test_tiny_particle_number_whose_times_stay_finite_accepted():
+    # TW and the oracle never step, so only the output times must stay finite
+    assert parse_config("method = TW\nN = 1e-320\ntau_stop = 0\ntau_points = 1\n").n_particles == 1e-320
+    assert parse_config("method = PositiveP\nN = 1e-300\ntau_stop = 0.002\ntau_points = 3\n").grid.dt == 1e297
+
+
+def test_negative_dtau_at_subnormal_particle_number_names_dtau():
+    with pytest.raises(InvalidValue) as info:
+        parse_config("method = PositiveP\nN = 1e-320\ntau_stop = 0\ntau_points = 1\ndtau = -1e-3\n")
+    assert info.value.key == "dtau"

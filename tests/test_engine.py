@@ -139,6 +139,14 @@ class TestTimeGrid:
         with pytest.raises(ValueError, match=message):
             TimeGrid(1000.0, (0.0, 1.0), thetas, 1e-3)
 
+    def test_rejects_last_time_that_overflows(self):
+        # at a subnormal N the last time t = tau / N overflows; a grid that
+        # stays at tau = 0 has t = 0 and is kept
+        with pytest.raises(ValueError, match="last time tau / N = 0.002 / .* is not finite"):
+            TimeGrid(1e-320, (0.0, 0.002), (0.0, 0.0), 1e-3)
+        assert TimeGrid(1e-320, (0.0,), (0.0,), 1e-3).times == (0.0,)
+        assert math.isfinite(TimeGrid(1e-300, (0.0, 0.002), (0.0, 0.0), 1e-3).times[-1])
+
 
 class TestQuadratureCentres:
     """The one centre per output that both ensembles sum their powers about."""

@@ -12,7 +12,14 @@ from anharmonic.symbolic import (
     OperatorWord,
     PhasePolynomial,
 )
-from helpers import conjugate_map, dagger, evaluate, poly_equal, random_hermitian_polynomial
+from helpers import (
+    DenseOperatorSpace,
+    conjugate_map,
+    dagger,
+    evaluate,
+    poly_equal,
+    random_hermitian_polynomial,
+)
 
 
 def P(terms):
@@ -54,6 +61,26 @@ class TestNormalOrder:
     def test_empty_word_is_identity(self):
         assert sy.normal_order([OperatorWord((), 3.0)]) == P({(0, 0): 3.0})
 
+    def test_matches_dense_ladder_matrices(self):
+        # a word of L factors is exact on the Fock states n < cutoff - L of a
+        # truncated space, and so is its normal-ordered form sum c adag^p a^q
+        space = DenseOperatorSpace.build(14)
+        ladder = {CREATE: space.adag, DESTROY: space.a}
+        rng = np.random.default_rng(28)
+        for _ in range(200):
+            n = int(rng.integers(0, 7))
+            word = OperatorWord(
+                tuple(rng.choice([CREATE, DESTROY], size=n)), complex(rng.normal(), rng.normal())
+            )
+            want = word.coefficient * np.eye(space.cutoff)
+            for factor in word.factors:
+                want = want @ ladder[factor]
+            got = np.zeros_like(want)
+            for (p, q), c in sy.normal_order([word]).terms.items():
+                got += c * np.linalg.matrix_power(space.adag, p) @ np.linalg.matrix_power(space.a, q)
+            exact = space.cutoff - n
+            np.testing.assert_allclose(got[:exact, :exact], want[:exact, :exact], rtol=0, atol=1e-10)
+
 
 class TestDifferentiate:
     def test_power_rule_star(self):
@@ -66,6 +93,16 @@ class TestDifferentiate:
 
     def test_second_derivative(self):
         assert sy.differentiate(P({(2, 2): 1}), VAR_A_STAR, 2) == P({(0, 2): 2})
+
+    @pytest.mark.parametrize("variable", [VAR_A, VAR_A_STAR])
+    def test_order_k_is_k_first_derivatives(self, variable):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            poly = random_hermitian_polynomial(rng, max_degree=6)
+            repeated = poly
+            for order in range(1, 5):
+                repeated = sy.differentiate(repeated, variable)
+                assert poly_equal(sy.differentiate(poly, variable, order), repeated)
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
@@ -233,6 +270,27 @@ class TestParsing:
         with pytest.raises(ValueError, match="bad token"):
             sy.parse_hamiltonian("ad b")
 
+    def test_coefficient_beyond_float_range_is_a_bad_token(self):
+        with pytest.raises(ValueError, match="bad token '1000"):
+            sy.parse_hamiltonian("1" + "0" * 399 + " ad a")
+
     def test_phase_polynomial_tokens(self):
         assert sy.parse_phase_polynomial("a") == P({(0, 1): 1.0})
         assert sy.parse_phase_polynomial("2 ad a") == P({(1, 1): 2.0})
+
+
+class TestFiniteCoefficients:
+    @pytest.mark.parametrize("c", [np.inf, -np.inf, np.nan, complex(0, np.inf), complex(1, np.nan)])
+    def test_non_finite_coefficient_rejected(self, c):
+        with pytest.raises(ValueError, match="is not finite"):
+            P({(1, 1): c})
+
+    def test_non_finite_word_rejected_where_it_enters_a_symbol(self):
+        word = OperatorWord((CREATE, DESTROY), complex(np.nan, 0.0))
+        with pytest.raises(ValueError, match="is not finite"):
+            sy.normal_order([word])
+
+    def test_overflowing_derivation_raises(self):
+        # 1e308 a*^2 a^2 is finite, its first derivative is not
+        with pytest.raises(ValueError, match="is not finite"):
+            sy.derive_wigner_model(P({(2, 2): 1e308, (1, 1): 1e308}))
