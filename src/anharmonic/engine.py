@@ -14,8 +14,9 @@ Two integrators are provided:
   sqrt(dt) is folded into its noise coefficients.
 
 Ensembles are split into batches (the statistical unit used for error
-bars) and batches are grouped into fixed chunks that serve as units of
-parallel work.  Each chunk owns one random stream, keyed by the master
+bars), held as one array of batch edges (:func:`batch_edges`), and batches
+are grouped into fixed chunks that serve as units of parallel work, all run
+on one thread pool.  Each chunk owns one random stream, keyed by the master
 seed and the chunk's first trajectory, and every reduction runs in a
 deterministic order.  The chunk partition depends only on the run
 configuration, so results are bit-identical for a fixed master seed at any
@@ -24,20 +25,21 @@ worker count; a path's draws depend on the chunk it falls in.
 Both chunk kernels reduce their outputs through one function, which forms
 the powers (x - c)^k (k = 1..4) of each output's quadrature x about its
 mean-field centre c (:func:`quadrature_centres`) in one reused ``(4, m)``
-block and sums them per batch at once; the draws do not depend on theta.
-A truncated-Wigner chunk passes each output's amplitudes in polar form, so
-x = 2 |alpha| cos(arg alpha(t) - theta) costs one real cosine per path.  A
-positive-P chunk keeps every output's ``(2, m)`` state until it ends,
-because a path that diverges later is excluded retroactively from every
-earlier output: the states are reduced at the end, with the escaped paths'
-power columns zeroed.  Its unit Wiener increments are two-point: +-1 with
-equal chance, one raw bit of the chunk's stream each.  Only cumulants,
-which are weak quantities, are estimated, and these increments suffice for
-weak order 1 (Kloeden & Platen 1992, sections 14.1-14.2).  They are drawn
-step-major into one bounded buffer per chunk.  A run returns one
-:class:`~anharmonic.moments.MomentAccumulator`: each chunk writes its
-batches' power sums for every output into it, and its surviving and
-diverged path counts once, since a path's survival holds for the whole run.
+block and sums them per batch straight into the chunk's batches of the
+run's one :class:`~anharmonic.moments.MomentAccumulator`; the draws do not
+depend on theta.  A truncated-Wigner chunk passes each output's amplitudes
+in polar form, so x = 2 |alpha| cos(arg alpha(t) - theta) costs one real
+cosine per path.  A positive-P chunk keeps every output's ``(2, m)`` state
+until it ends, because a path that diverges later is excluded retroactively
+from every earlier output: the states are reduced at the end, with the
+escaped paths' power columns zeroed.  Its unit Wiener increments are
+two-point: +-1 with equal chance, one raw bit of the chunk's stream each.
+Only cumulants, which are weak quantities, are estimated, and these
+increments suffice for weak order 1 (Kloeden & Platen 1992, sections
+14.1-14.2).  They are drawn step-major into one bounded buffer per chunk.
+Each kernel returns its alive mask, from which the driver writes the
+chunk's surviving and diverged path counts once, since a path's survival
+holds for the whole run.
 
 The ensembles take a :class:`TimeGrid`, which carries each output's time
 and quadrature phase, not a run configuration; the config checks a
@@ -53,11 +55,10 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .moments import DTYPES, N_POWERS, POSITIVE_P, WIGNER, MomentAccumulator, bulk_monomials
+from .moments import POSITIVE_P, WIGNER, MomentAccumulator, bulk_monomials
 from .sampling import stream_for_trajectory, wigner_initial
 
 #: Escape radius for divergence flagging, in units of sqrt(N).
@@ -142,28 +143,25 @@ class TimeGrid:
 # vectorised ensemble core
 
 
-def batch_slices(n_paths: int, n_batches: int) -> list[tuple[int, int]]:
-    """Balanced contiguous batch index ranges."""
+def batch_edges(n_paths: int, n_batches: int) -> np.ndarray:
+    """Balanced contiguous batches: batch b holds paths edges[b] .. edges[b+1] - 1.
+
+    Raises ValueError unless 1 <= n_batches <= n_paths, so no batch is empty.
+    """
+    if not 1 <= n_batches <= n_paths:
+        raise ValueError(f"need 1 <= batches <= paths, got {n_batches} batches of {n_paths} paths")
     q, r = divmod(n_paths, n_batches)
-    slices = []
-    lo = 0
-    for b in range(n_batches):
-        hi = lo + q + (1 if b < r else 0)
-        slices.append((lo, hi))
-        lo = hi
-    return slices
+    b = np.arange(n_batches + 1)
+    return b * q + np.minimum(b, r)
 
 
-def _chunk_batch_groups(slices: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Group consecutive batches into fixed work chunks (config-determined)."""
+def _chunk_batch_groups(edges: np.ndarray) -> list[tuple[int, int]]:
+    """Group consecutive batches into fixed work chunks (config-determined):
+    as many whole batches as fit in _CHUNK_TARGET paths, and at least one."""
     groups = []
     start = 0
-    while start < len(slices):
-        end = start
-        size = 0
-        while end < len(slices) and (size == 0 or size + (slices[end][1] - slices[end][0]) <= _CHUNK_TARGET):
-            size += slices[end][1] - slices[end][0]
-            end += 1
+    while start < len(edges) - 1:
+        end = max(start + 1, int(np.searchsorted(edges, edges[start] + _CHUNK_TARGET, side="right")) - 1)
         groups.append((start, end))
         start = end
     return groups
@@ -181,33 +179,30 @@ def quadrature_centres(alpha0: complex, grid: TimeGrid) -> np.ndarray:
     return np.where(np.isfinite(centres), centres, 0.0)
 
 
-def _batch_power_sums(representation: str, pairs, thetas, centres, bounds, dead=()) -> np.ndarray:
-    """Per-batch sums of the quadrature powers of each output's amplitudes.
+def _batch_power_sums(representation: str, pairs, thetas, centres, edges, out, dead=()) -> None:
+    """Sum the quadrature powers of each output's amplitudes per batch into ``out``.
 
     ``pairs`` yields one pair of (m,) arrays per output, in the form
     bulk_monomials takes for ``representation``, at its phase in ``thetas``
-    and centre in ``centres``; ``bounds`` holds the chunk's contiguous
-    (lo, hi) batch offsets.  Each output's powers are formed in one reused
+    and centre in ``centres``; the chunk's batches are the runs between its
+    consecutive ``edges``.  Each output's powers are formed in one reused
     block, its ``dead`` path columns zeroed, and summed straight into its
-    row of the returned (n_out, n_batches, N_POWERS) array.  Each run of
-    equal-size batches is summed by one ``np.sum`` over a reshaped view,
-    which adds the same elements in the same pairwise order as summing each
-    batch slice on its own, so the sums are bit-identical.
+    row of ``out``, shape (n_out, n_batches, 4).  Each run of equal-size
+    batches is summed by one ``np.sum`` over a reshaped view, which adds the
+    same elements in the same pairwise order as summing each batch slice on
+    its own, so the sums are bit-identical.
     """
-    sizes = itertools.groupby(bounds, key=lambda b: b[1] - b[0])
-    runs = [(size, len(list(run))) for size, run in sizes]
+    runs = [(size, len(list(run))) for size, run in itertools.groupby(np.diff(edges))]
     block = None
-    sums = np.empty((len(thetas), len(bounds), N_POWERS), dtype=DTYPES[representation])
-    for out, theta, centre, pair in zip(sums, thetas, centres, pairs):
+    for sums, theta, centre, pair in zip(out, thetas, centres, pairs):
         block = bulk_monomials(theta, *pair, representation, centre, out=block)
         if len(dead):
             block[:, dead] = 0.0
         lo = j = 0
         for size, n in runs:
-            out[j : j + n] = block[:, lo : lo + n * size].reshape(-1, n, size).sum(axis=-1).T
+            sums[j : j + n] = block[:, lo : lo + n * size].reshape(-1, n, size).sum(axis=-1).T
             lo += n * size
             j += n
-    return sums
 
 
 #: Stratonovich positive-P coefficients of H = (a^dag a)^2, which a test pins
@@ -298,28 +293,27 @@ def _positive_p_chunk(
     grid: TimeGrid,
     centres: np.ndarray,
     seed: int,
-    traj_lo: int,
-    traj_hi: int,
-    bounds: list[tuple[int, int]],
-):
-    """Integrate one chunk of trajectories; return per-batch power sums.
+    edges: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
+    """Integrate the paths edges[0] .. edges[-1] - 1 and sum their batches'
+    powers into ``out``; return the (m,) alive mask.
 
-    Returns (sums[(n_out, n_batches, N_POWERS)], alive[(m,)]).  A path
-    escapes once either component's modulus exceeds ESCAPE_RADIUS_FACTOR
-    sqrt(N), with N = |alpha0|^2 (1 for the vacuum), or is not finite, and
-    stays escaped.  Diverged trajectories are left out of the sums at every
-    output time, earlier ones included, so every output's (2, m) state is
-    kept until the chunk ends; the escaped paths' power columns are then
-    zeroed, whatever their states hold.
+    A path escapes once either component's modulus exceeds
+    ESCAPE_RADIUS_FACTOR sqrt(N), with N = |alpha0|^2 (1 for the vacuum), or
+    is not finite, and stays escaped.  Diverged trajectories are left out of
+    the sums at every output time, earlier ones included, so every output's
+    (2, m) state is kept until the chunk ends; the escaped paths' power
+    columns are then zeroed, whatever their states hold.
     """
-    m = traj_hi - traj_lo
+    m = int(edges[-1] - edges[0])
     steps = grid.steps_between()
     n_out = len(grid.taus)
 
     y = np.empty((2, m), dtype=np.complex128)
     # a coherent state is a delta distribution here: a deterministic start
     y[0], y[1] = alpha0, np.conj(alpha0)
-    stream = stream_for_trajectory(seed, traj_lo)
+    stream = stream_for_trajectory(seed, int(edges[0]))
     alive = np.ones(m, dtype=bool)
     step = MidpointStep(grid.dt, m)
     radius = np.empty((2, m), dtype=np.float64)
@@ -349,7 +343,8 @@ def _positive_p_chunk(
             states[k_out] = y
         # escaped states may be non-finite, as are their powers until zeroed
         dead = np.flatnonzero(~alive)
-        return _batch_power_sums(POSITIVE_P, states, grid.thetas, centres, bounds, dead), alive
+        _batch_power_sums(POSITIVE_P, states, grid.thetas, centres, edges, out, dead)
+    return alive
 
 
 def _truncated_wigner_chunk(
@@ -357,13 +352,14 @@ def _truncated_wigner_chunk(
     grid: TimeGrid,
     centres: np.ndarray,
     seed: int,
-    traj_lo: int,
-    traj_hi: int,
-    bounds: list[tuple[int, int]],
-):
-    """Exact-flow chunk: per-output batch sums for the anharmonic drift."""
-    flow = exact_wigner_flow(wigner_initial(alpha0, seed, traj_lo, traj_hi), grid.times)
-    return _batch_power_sums(WIGNER, flow, grid.thetas, centres, bounds), np.ones(traj_hi - traj_lo, dtype=bool)
+    edges: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
+    """Exact-flow chunk: sum the batches' powers of the paths
+    edges[0] .. edges[-1] - 1 into ``out``; every path stays alive."""
+    init = wigner_initial(alpha0, seed, int(edges[0]), int(edges[-1]))
+    _batch_power_sums(WIGNER, exact_wigner_flow(init, grid.times), grid.thetas, centres, edges, out)
+    return np.ones(len(init), dtype=bool)
 
 
 def _available_cpus() -> int:
@@ -385,50 +381,35 @@ def worker_count(threads: int | None, n_tasks: int) -> int:
     return min(cpus if threads is None else threads, cpus, n_tasks)
 
 
-def run_tasks(fn, tasks, threads: int | None) -> list:
-    """[fn(task) for task in tasks] on worker_count(threads, len(tasks)) threads."""
-    tasks = list(tasks)
-    n_workers = worker_count(threads, len(tasks))
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(task) for task in tasks]
+def _run_chunked(representation: str, kernel, alpha0: complex, grid: TimeGrid,
+                 n_paths: int, n_batches: int, seed: int, threads: int | None) -> MomentAccumulator:
+    """Run ``kernel`` over the fixed chunks of whole batches into one accumulator.
 
-
-def _run_chunked(
-    representation: str,
-    centres: np.ndarray,
-    n_paths: int,
-    n_batches: int,
-    chunk_fn,
-    threads: int | None,
-) -> MomentAccumulator:
-    """Run chunk_fn over fixed trajectory ranges and merge its batch sums.
-
-    ``chunk_fn(t_lo, t_hi, bounds)`` integrates paths [t_lo, t_hi), whose
-    batches are ``bounds`` (offsets from t_lo), and returns their per-batch
-    sums about ``centres``, shape (n_outputs, n_batches_in_chunk, N_POWERS),
-    and the chunk's alive mask.  Each kernel sums every batch pairwise over
-    a fixed trajectory order, and each chunk writes its own batch slice of
-    the one accumulator, so the result is independent of scheduling.
+    The batches are cut at ``batch_edges(n_paths, n_batches)``.  For the
+    batches b_lo .. b_hi - 1 the kernel is called as
+    ``kernel(alpha0, grid, centres, seed, edges[b_lo:b_hi + 1], out)``: it
+    integrates their paths, sums their powers about each output's centre
+    into ``out = acc.batch_sums[:, b_lo:b_hi]`` and returns their alive
+    mask.  Each kernel sums every batch pairwise over a fixed trajectory
+    order, and each chunk writes only its own batches, so the result is
+    independent of scheduling.
     """
-    slices = batch_slices(n_paths, n_batches)
-    groups = _chunk_batch_groups(slices)
+    edges = batch_edges(n_paths, n_batches)
+    groups = _chunk_batch_groups(edges)
+    centres = quadrature_centres(alpha0, grid)
     acc = MomentAccumulator(representation, len(centres), n_batches)
     acc.centres[:] = centres
 
     def work(group):
         b_lo, b_hi = group
-        t_lo = slices[b_lo][0]
-        bounds = [(lo - t_lo, hi - t_lo) for lo, hi in slices[b_lo:b_hi]]
-        sums, alive = chunk_fn(t_lo, slices[b_hi - 1][1], bounds)
-        counts = np.array([alive[lo:hi].sum() for lo, hi in bounds], dtype=np.int64)
-        sizes = np.array([hi - lo for lo, hi in bounds])
-        acc.batch_sums[:, b_lo:b_hi] = sums
+        chunk = edges[b_lo : b_hi + 1]
+        alive = kernel(alpha0, grid, centres, seed, chunk, acc.batch_sums[:, b_lo:b_hi])
+        counts = np.add.reduceat(alive, chunk[:-1] - chunk[0])
         acc.batch_counts[b_lo:b_hi] = counts
-        acc.batch_diverged[b_lo:b_hi] = sizes - counts
+        acc.batch_diverged[b_lo:b_hi] = np.diff(chunk) - counts
 
-    run_tasks(work, groups, threads)
+    with ThreadPoolExecutor(max_workers=worker_count(threads, len(groups))) as pool:
+        list(pool.map(work, groups))
     return acc
 
 
@@ -442,9 +423,7 @@ def run_truncated_wigner(
 ) -> MomentAccumulator:
     """Truncated-Wigner ensemble for the anharmonic oscillator (exact stepper),
     at each output time and phase of ``grid``."""
-    centres = quadrature_centres(alpha0, grid)
-    chunk = partial(_truncated_wigner_chunk, alpha0, grid, centres, seed)
-    return _run_chunked(WIGNER, centres, n_paths, n_batches, chunk, threads)
+    return _run_chunked(WIGNER, _truncated_wigner_chunk, alpha0, grid, n_paths, n_batches, seed, threads)
 
 
 def run_positive_p(
@@ -465,9 +444,7 @@ def run_positive_p(
     nontrivial fraction of the ensemble is excluded, the surviving average
     no longer estimates the true moments.
     """
-    centres = quadrature_centres(alpha0, grid)
-    chunk = partial(_positive_p_chunk, alpha0, grid, centres, seed)
-    acc = _run_chunked(POSITIVE_P, centres, n_paths, n_batches, chunk, threads)
+    acc = _run_chunked(POSITIVE_P, _positive_p_chunk, alpha0, grid, n_paths, n_batches, seed, threads)
     n_div = acc.n_diverged
     if n_div > divergence_threshold * n_paths:
         raise ExcessiveDivergence(

@@ -4,11 +4,12 @@ Every work chunk owns one counter-based random stream keyed by
 ``(master_seed, t_lo)``, where ``t_lo`` is the chunk's first trajectory, so
 ensembles are bit-identical for a fixed seed no matter how work is scheduled
 or how many workers run.  :func:`stream_key` is the one keying rule and
-:class:`RandomStream` builds a Philox generator from it; :func:`wigner_initial`
-draws a truncated-Wigner chunk's initial normals from its stream in one call.
-A positive-P coherent start is deterministic and draws nothing; its Wiener
-increments are two-point signs, one raw Philox bit each
-(:meth:`RandomStream.signs`).
+:class:`RandomStream` builds a Philox generator from it.  A truncated-Wigner
+chunk's initial amplitudes come from its stream in one draw
+(:func:`wigner_initial`), by the one sample formula,
+:func:`sample_wigner_coherent`.  A positive-P coherent start is
+deterministic and draws nothing; its Wiener increments are two-point signs,
+one raw Philox bit each (:meth:`RandomStream.signs`).
 """
 
 from __future__ import annotations
@@ -76,24 +77,21 @@ def stream_for_trajectory(master_seed: int, trajectory_index: int) -> RandomStre
     return RandomStream(master_seed, trajectory_index)
 
 
-# Kept without a caller because perfbench/tracing.py wraps it by name.
-def sample_wigner_coherent(amplitude: complex, stream: RandomStream) -> complex:
-    """amplitude plus complex vacuum noise with <zeta* zeta> = 1/2.
+def sample_wigner_coherent(amplitude: complex, stream: RandomStream, n: int) -> np.ndarray:
+    """n Wigner samples of coherent |amplitude>: amplitude plus complex vacuum
+    noise with <zeta* zeta> = 1/2.
 
-    Real and imaginary noise parts are independent with variance 1/4 each.
+    The 2n normals come from ``stream`` in one draw; sample i takes half of
+    normals 2i and 2i + 1 as its real and imaginary noise (variance 1/4 each).
     """
-    w = stream.normals(2)
-    return complex(amplitude) + 0.5 * (w[0] + 1j * w[1])
+    w = stream.normals(2 * n)
+    return complex(amplitude) + 0.5 * (w[0::2] + 1j * w[1::2])
 
 
 def wigner_initial(
     amplitude: complex, master_seed: int, traj_lo: int, traj_hi: int
 ) -> np.ndarray:
-    """Wigner samples of coherent |amplitude> for trajectories traj_lo .. traj_hi - 1.
-
-    The chunk's 2 (traj_hi - traj_lo) normals come from the stream keyed
-    ``(master_seed, traj_lo)`` in one draw; row i takes half of normals 2i
-    and 2i + 1 as its real and imaginary noise (variance 1/4 each).
-    """
-    w = stream_for_trajectory(master_seed, traj_lo).normals(2 * (traj_hi - traj_lo))
-    return complex(amplitude) + 0.5 * (w[0::2] + 1j * w[1::2])
+    """Wigner samples of coherent |amplitude> for trajectories traj_lo .. traj_hi - 1,
+    drawn from the stream keyed ``(master_seed, traj_lo)``."""
+    stream = stream_for_trajectory(master_seed, traj_lo)
+    return sample_wigner_coherent(amplitude, stream, traj_hi - traj_lo)

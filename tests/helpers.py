@@ -186,31 +186,65 @@ def chunk_signs(seed: int, traj_lo: int, n_steps: int, m: int) -> np.ndarray:
     return np.array(signs).reshape(n_steps, 2, m)
 
 
-def per_slice_batch_sums(block: np.ndarray, bounds) -> np.ndarray:
+def per_slice_batch_sums(block: np.ndarray, edges) -> np.ndarray:
     """Reference reduction: each batch slice of the last axis summed on its own.
 
-    ``block`` has shape (..., n_powers, m); the result has shape
-    (..., n_batches, n_powers).
+    ``block`` has shape (..., n_powers, m); batch b is the slice
+    edges[b] - edges[0] .. edges[b+1] - edges[0] - 1 of its last axis.  The
+    result has shape (..., n_batches, n_powers).
     """
-    return np.stack([block[..., lo:hi].sum(axis=-1) for lo, hi in bounds], axis=-2)
+    offsets = [int(e - edges[0]) for e in edges]
+    return np.stack([block[..., lo:hi].sum(axis=-1) for lo, hi in zip(offsets, offsets[1:])], axis=-2)
 
 
 def full_block_kernel(kernel):
     """Reference chunk kernel that reduces the whole power block at the end.
 
-    ``kernel`` is an engine chunk kernel whose last argument is the chunk's
-    batch bounds.  Run with one path per batch, it returns every path's
-    powers, in the kernel's dtype, which are laid out as the full
-    (n_out, n_powers, m) block and then summed per batch slice.
+    ``kernel`` is an engine chunk kernel, called as
+    ``kernel(alpha0, grid, centres, seed, edges, out)``.  Run with one path
+    per batch, it sums every path's powers alone, in ``out``'s dtype; they
+    are laid out as the full (n_out, n_powers, m) block and then summed per
+    batch slice into ``out``.
     """
 
     def chunk(*args):
-        *head, bounds = args
-        singles, alive = kernel(*head, [(i, i + 1) for i in range(bounds[-1][1])])
+        *head, edges, out = args
+        singles = np.empty((out.shape[0], edges[-1] - edges[0], out.shape[2]), dtype=out.dtype)
+        alive = kernel(*head, np.arange(edges[0], edges[-1] + 1), singles)
         block = np.ascontiguousarray(singles.transpose(0, 2, 1))
-        return per_slice_batch_sums(block, bounds), alive
+        out[...] = per_slice_batch_sums(block, edges)
+        return alive
 
     return chunk
+
+
+def batch_slices(n_paths: int, n_batches: int) -> list[tuple[int, int]]:
+    """Reference batch split: balanced contiguous (lo, hi) path ranges, the
+    first n_paths mod n_batches of them one path longer."""
+    q, r = divmod(n_paths, n_batches)
+    slices = []
+    lo = 0
+    for b in range(n_batches):
+        hi = lo + q + (1 if b < r else 0)
+        slices.append((lo, hi))
+        lo = hi
+    return slices
+
+
+def greedy_chunk_groups(slices: list[tuple[int, int]], target: int) -> list[tuple[int, int]]:
+    """Reference chunk partition, batch by batch: each chunk takes as many
+    whole batches of ``slices`` as fit in ``target`` paths, and at least one."""
+    groups = []
+    start = 0
+    while start < len(slices):
+        end = start
+        size = 0
+        while end < len(slices) and (size == 0 or size + (slices[end][1] - slices[end][0]) <= target):
+            size += slices[end][1] - slices[end][0]
+            end += 1
+        groups.append((start, end))
+        start = end
+    return groups
 
 
 def evaluate(poly: PhasePolynomial, a: complex, a_star: complex | None = None) -> complex:

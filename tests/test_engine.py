@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -20,10 +21,12 @@ from anharmonic.sampling import RandomStream, stream_for_trajectory
 from helpers import (
     ConvergedMidpointStep,
     at_phase,
+    batch_slices,
     chunk_signs,
     chunk_stream_wigner_initial,
     frozen_brownian_paths,
     full_block_kernel,
+    greedy_chunk_groups,
     grid_at,
     kerr_positive_p_model,
     ladder_sums,
@@ -343,9 +346,9 @@ class TestMidpointStep:
             masks = []
 
             def spy(*args):
-                sums, alive = chunk(*args)
+                alive = chunk(*args)
                 masks.append(alive)
-                return sums, alive
+                return alive
 
             monkeypatch.setattr(engine, "_positive_p_chunk", spy)
             acc = run_positive_p(
@@ -769,6 +772,64 @@ class TestDefaultWorkerCount:
             engine.worker_count(threads, 10)
 
 
+class TestBatchLayout:
+    """The batch edges and the chunk partition, on which a path's draws depend."""
+
+    @pytest.mark.parametrize("run", [run_truncated_wigner, run_positive_p])
+    @pytest.mark.parametrize("n_paths, n_batches", [(5, 10), (0, 10), (100, 0), (-5, 10), (0, 0)])
+    def test_rejects_batch_counts_it_cannot_run(self, run, n_paths, n_batches):
+        # every batch needs at least one path: one ValueError names both counts
+        grid = grid_at(1000.0, (0.0, 0.01), 1e-3)
+        with pytest.raises(ValueError, match=rf"got {n_batches} batches of {n_paths} paths"):
+            run(math.sqrt(1000.0), grid, n_paths, n_batches)
+
+    @pytest.mark.parametrize(
+        "n_paths, n_batches, want",
+        [
+            # tw_acceptance: batches of 1000 paths, eight to a chunk
+            (100000, 100, [(b, min(b + 8, 100)) for b in range(0, 100, 8)]),
+            # pp_short: batches of 256 paths, 32 to a chunk
+            (32768, 128, [(0, 32), (32, 64), (64, 96), (96, 128)]),
+            # tw_dense_grid and its shift-invariance pair: batches of 128 paths
+            (16384, 128, [(0, 64), (64, 128)]),
+            # the escaped-path positive-P config: two chunks of 8192 paths
+            (16384, 16, [(0, 8), (8, 16)]),
+            # one batch of 1701 paths and nine of 1700: chunks of 4, 4 and 2
+            (17001, 10, [(0, 4), (4, 8), (8, 10)]),
+        ],
+    )
+    def test_chunk_partition_of_fixed_configs(self, n_paths, n_batches, want):
+        assert engine._chunk_batch_groups(engine.batch_edges(n_paths, n_batches)) == want
+
+    @pytest.mark.parametrize("run", [run_truncated_wigner, run_positive_p])
+    def test_more_workers_than_cpus_sum_into_one_accumulator(self, monkeypatch, run):
+        # twelve one-batch chunks on eight workers, with thread switches
+        # forced often: each chunk sums into its own batches of the shared
+        # accumulator, so the result is that of one worker, bit for bit
+        monkeypatch.setattr(engine, "_CHUNK_TARGET", 250)
+        monkeypatch.setattr(engine, "_available_cpus", lambda: 8)
+        grid = grid_at(1000.0, (0.0, 0.01, 0.02), 1e-3)
+        want = run(math.sqrt(1000.0), grid, 3000, 12, seed=4, threads=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = run(math.sqrt(1000.0), grid, 3000, 12, seed=4, threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert_same_accumulators(got, want)
+
+    def test_edges_and_partition_match_the_batch_by_batch_rule(self, monkeypatch):
+        cases = [(n, b) for n in range(1, 90) for b in range(1, n + 1, 3)]
+        cases += [(17001, 10), (100000, 100), (32768, 128), (8193, 2), (8191, 3)]
+        for target in (1, 2, 5, 64, 600, 8192):
+            monkeypatch.setattr(engine, "_CHUNK_TARGET", target)
+            for n_paths, n_batches in cases:
+                edges = engine.batch_edges(n_paths, n_batches)
+                slices = batch_slices(n_paths, n_batches)
+                assert list(zip(edges[:-1], edges[1:])) == slices
+                assert engine._chunk_batch_groups(edges) == greedy_chunk_groups(slices, target)
+
+
 class TestStreamingReduction:
     """Per-output batch sums against a reduction of the whole power block."""
 
@@ -837,16 +898,16 @@ class TestStreamingReduction:
         amplitudes = rng.normal(size=(3, 2, n_paths)) + 1j * rng.normal(size=(3, 2, n_paths))
         thetas = (0.0, 0.7, 4.1)
         centres = (0.0, -1.5, 2.25)
-        bounds = engine.batch_slices(n_paths, n_batches)
-        for representation, pairs in (
-            (POSITIVE_P, [tuple(pair) for pair in amplitudes]),
-            (WIGNER, [wigner_polar(a) for a, _ in amplitudes]),
+        edges = engine.batch_edges(n_paths, n_batches)
+        for representation, dtype, pairs in (
+            (POSITIVE_P, np.complex128, [tuple(pair) for pair in amplitudes]),
+            (WIGNER, np.float64, [wigner_polar(a) for a, _ in amplitudes]),
         ):
-            got = engine._batch_power_sums(representation, iter(pairs), thetas, centres, bounds)
-            assert got.shape == (3, n_batches, N_POWERS)
+            got = np.full((3, n_batches, N_POWERS), np.nan, dtype=dtype)
+            engine._batch_power_sums(representation, iter(pairs), thetas, centres, edges, got)
             for out, theta, centre, pair in zip(got, thetas, centres, pairs):
                 want = per_slice_batch_sums(
-                    bulk_monomials(theta, *pair, representation, centre), bounds
+                    bulk_monomials(theta, *pair, representation, centre), edges
                 )
                 assert np.array_equal(out, want)
 

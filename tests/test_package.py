@@ -12,7 +12,6 @@ import anharmonic
 
 #: Names kept without a package caller, each with its reason.
 ALLOWED_UNUSED = {
-    "sample_wigner_coherent",  # perfbench/tracing.py wraps it by name
     "kerr_hamiltonian",  # perfbench/tracing.py wraps it by name; the tests derive from it
 }
 
