@@ -21,8 +21,8 @@ reaches (2 sqrt(N))^4, about a centre near the mean only the spread's.
 :func:`batch_error` forms every estimate from the sums pooled over all
 batches and its sigma by the delete-one-batch jackknife (Quenouille 1956;
 Efron 1982).  The oracle forms its cumulants with the same :func:`k3_k4`, in
-mpmath, from its exact normally ordered moments: the promotion changes
-neither k3 nor k4.
+exact integer arithmetic, from its normally ordered moments at one scale:
+the promotion changes neither k3 nor k4.
 """
 
 from __future__ import annotations
@@ -139,9 +139,12 @@ def promote_normal_order(r1, r2, r3, r4) -> tuple:
 
 
 def k3_k4(m1, m2, m3, m4) -> tuple:
-    """Third and fourth cumulants from the first four moments (any numeric type)."""
-    k3 = m3 - 3.0 * m1 * m2 + 2.0 * m1**3
-    k4 = m4 + 2.0 * m1**4 - 3.0 * m2**2 - 4.0 * m1 * k3
+    """Third and fourth cumulants from the first four moments: numpy arrays,
+    mpmath numbers, or Python integers (moments of order k at scale 2^(k L)),
+    for which the cumulants come out exact (at scale 2^(3L) and 2^(4L)).
+    Integer literals, so that one formula serves all three."""
+    k3 = m3 - 3 * m1 * m2 + 2 * m1**3
+    k4 = m4 + 2 * m1**4 - 3 * m2**2 - 4 * m1 * k3
     return k3, k4
 
 

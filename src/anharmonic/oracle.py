@@ -10,28 +10,51 @@ quadrature X = exp(-i theta) a + exp(i theta) a^dag, and
 :func:`~anharmonic.moments.k3_k4` turns <:X^k:>, k = 1..4, into the
 cumulants: the {1; 3; 6, 3} promotion to operator moments adds an
 independent unit Gaussian, which leaves k3 and k4 unchanged.  Every phase of
-a row is an integer power of w = exp(-i t) or g = exp(i (arg alpha - theta)),
-so a row costs six transcendental calls (w, g and exp(N (w^(2s) - 1)) for
-s = 1..4) and a few dozen mpmath products.
+a row is an integer power of w = exp(-i t) or u = exp(-i theta), so a row
+takes six transcendental values from mpmath: w, u and the decays
+exp(N (w^(2s) - 1)), s = 1..4.
 
-The moments reach (2 sqrt(N))^4 = 16 N^2 while k3 and k4 are O(1) or
-smaller, so the sums run in mpmath at dps = 20 + ceil(2 log10(16 N^2))
-significant digits.  Rounding leaves k3 and k4 an absolute error of a few
-units of 10^-dps max(1, 16 N^2): far below double precision of any
-cumulant that is not near zero, and visible only where the exact value
-vanishes, as at t = 0.
+Only those six are rounded, each to the nearest integer at scale 2^P, with
+P = 16 guard bits over the binary precision of dps = 20 +
+ceil(2 log10(16 N^2)) digits (a small decay at a finer scale, so that it
+keeps P significant bits, and one too small to reach a double cumulant is
+0).  The rest is exact integer arithmetic: the double alpha0 is
+(A + iB) 2^e exactly, N = (A^2 + B^2) 2^(2e), every product of the rounded
+values is kept whole, the moments share one homogeneous scale (<:X^k:> is an
+integer times 2^(k (e - L))), and k3_k4 combines them without rounding.  One
+rounding to the nearest double ends a row.  So k3 and k4 carry an absolute
+error of a few units of 2^-P max(1, 16 N^2), far below double precision of
+any cumulant that is not near zero, and they are exact wherever the rounded
+inputs are: both vanish at t = 0 and theta = 0, and k3 does wherever every
+decay is 0.
 
 mpmath is imported when the first state is built, so ensemble runs do not
-pay for its import.  Each state carries a private mpmath context, so the
-working precision never touches mpmath's global one.
+pay for its import.  Each state carries a private mpmath context at dps for
+its mpmath-valued moments, so the working precision never touches mpmath's
+global one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .moments import CumulantReport, k3_k4
+
+#: Bits of the fixed-point scale beyond the context's binary precision.
+GUARD_BITS = 16
+
+
+class _Exact(NamedTuple):
+    """Per-state constants of the integer evaluation."""
+
+    bits: int  # P: the transcendental values are integers at scale 2^P or finer
+    e: int  # alpha0 = (A + iB) 2^e
+    n: int  # N = n 2^(2e), n = A^2 + B^2
+    cut: int  # a decay below exp(-cut) cannot reach a double cumulant, and is 0
+    terms: tuple  # (k, s, 2 C(k, (k+s)/2) n^((k-s)/2) (A + iB)^s, ((k+1) s + 1) P), s > 0
+    centres: tuple  # C(k, k/2) n^(k/2), k = 1..4 (0 for odd k)
 
 
 @dataclass(frozen=True)
@@ -41,9 +64,16 @@ class OracleState:
     alpha0: complex
     t: float
     _ctx: object = field(repr=False, compare=False)  # mpmath context at the working precision
+    _exact: _Exact = field(repr=False, compare=False)
 
     # kept because perfbench/tracing.py reads it: an empty Fock window
     n_min, n_max = 0, -1
+
+
+def _dyadic(x: float) -> tuple[int, int]:
+    """(m, e) with x = m 2^e exactly."""
+    mantissa, exponent = math.frexp(x)
+    return int(mantissa * 2**53), exponent - 53
 
 
 def init_coherent(alpha0: complex) -> OracleState:
@@ -57,7 +87,26 @@ def init_coherent(alpha0: complex) -> OracleState:
     # 2 log10(16 N^2) from log10 |alpha0|, so that N^2 is never formed as a float
     log_moments = math.log10(16.0) + 4.0 * math.log10(abs(alpha0))
     ctx.dps = 20 + max(0, math.ceil(2.0 * log_moments))
-    return OracleState(alpha0, 0.0, ctx)
+
+    parts = _dyadic(alpha0.real), _dyadic(alpha0.imag)
+    e = min(exponent for m, exponent in parts if m)
+    a = tuple(m << (exponent - e) if m else 0 for m, exponent in parts)
+    n = a[0] ** 2 + a[1] ** 2
+    bits = ctx.prec + GUARD_BITS
+    # a term is at most 12 max(1, N)^2 |D|, and k3_k4 amplifies it by less
+    # than 2^10 max(1, 16 N^2)^2: below exp(-cut) it moves no double cumulant
+    cut = 1100 + 2 * max(0, (16 * n * n).bit_length() + 4 * e)
+    a_powers = [(1, 0)]
+    for _ in range(4):
+        a_powers.append(_cmul(a_powers[-1], a))
+    terms = []
+    for k in range(1, 5):
+        for s in range(k, 0, -2):
+            c = 2 * math.comb(k, (k + s) // 2) * n ** ((k - s) // 2)
+            re, im = a_powers[s]
+            terms.append((k, s, (c * re, c * im), ((k + 1) * s + 1) * bits))
+    centres = tuple(0 if k % 2 else math.comb(k, k // 2) * n ** (k // 2) for k in range(1, 5))
+    return OracleState(alpha0, 0.0, ctx, _Exact(bits, e, n, cut, tuple(terms), centres))
 
 
 def evolve(state: OracleState, t: float) -> OracleState:
@@ -65,38 +114,95 @@ def evolve(state: OracleState, t: float) -> OracleState:
     return replace(state, t=float(t))
 
 
-def _quadrature_moments(state: OracleState, theta: float) -> tuple:
-    """Normally ordered moments <:X^k:> (k = 1..4) at phase theta, as mpmath numbers.
+def _cmul(x: tuple, y: tuple) -> tuple:
+    """The product of two complex integers (re, im)."""
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _fixed(x: tuple, bits: int) -> int:
+    """The mpmath number x (a raw mpf) times 2^bits, rounded to the nearest integer."""
+    sign, man, exp, bc = x
+    shift = exp + bits
+    if shift >= 0:
+        value = man << shift
+    elif bc + shift < 0:  # |x| 2^bits < 1/2
+        return 0
+    else:
+        value = (man + (1 << (-shift - 1))) >> -shift
+    return -value if sign else value
+
+
+def _moment_ints(state: OracleState, theta: float) -> tuple:
+    """((M_1, ..., M_4), L) with <:X^k:> = M_k 2^(k (e - L)) at phase theta.
 
     <:X^k:> is the sum over j of C(k, j) exp(i (k - 2j) theta) <a^dag^(k-j) a^j>.
-    With s = 2j - k its term is C(k, j) |alpha|^k (g w^k)^s exp(N (w^(2s) - 1)).
-    The terms at s and -s are conjugates, so the sum is the s = 0 term,
-    C(k, k/2) N^(k/2), plus twice the real part of the s > 0 half.  The
-    phases stay in mpmath: double-precision phases would cost moments of
-    size 16 N^2 their accuracy.
+    With s = 2j - k its term is C(k, j) N^((k-s)/2) alpha^s (D_s u^s) w^(k s),
+    D_s = exp(N (w^(2s) - 1)).  The terms at s and -s are conjugates, so the
+    sum is the s = 0 term, C(k, k/2) N^(k/2), plus twice the real part of
+    the s > 0 half.  w and u are integers at scale 2^P, and D_s at 2^(P + g_s),
+    g_s >= 0 so that a small decay keeps P significant bits.  Every product
+    is kept whole: the term (k, s) is an integer at scale
+    2^(((k + 1) s + 1) P + g_s), shifted up to its moment's 2^(k L).
     """
+    from mpmath import libmp
+
+    exact = state._exact
+    bits = exact.bits
+
+    def unit_phase(angle: float) -> tuple:  # exp(i angle) at scale 2^P
+        return tuple(_fixed(v, bits) for v in libmp.mpf_cos_sin(libmp.from_float(angle), bits, "n"))
+
+    w = {1: unit_phase(-state.t)}  # w[m] = W^m at scale 2^(m P)
+    for m, i in ((2, 1), (3, 1), (4, 2), (6, 3), (8, 4), (9, 1), (16, 8)):
+        w[m] = _cmul(w[m - i], w[i])
+    u = unit_phase(-theta)
+    u_power = (1, 0)
+    decay = [None]  # (D_s u^s at scale 2^((s + 1) P + g_s), g_s)
+    for s in range(1, 5):
+        u_power = _cmul(u_power, u)
+        # N (w^(2s) - 1) = (re + i im) 2^exp, exactly
+        x = w[2 * s]
+        exp = 2 * exact.e - 2 * s * bits
+        re, im = exact.n * (x[0] - (1 << 2 * s * bits)), exact.n * x[1]
+        if re < 0 and ((-re) >> -exp if exp < 0 else (-re) << exp) >= exact.cut:
+            decay.append(((0, 0), 0))
+            continue
+        z = libmp.mpc_exp((libmp.from_man_exp(re, exp), libmp.from_man_exp(im, exp)), bits, "n")
+        g = max(0, max(-v[2] - v[3] for v in z if v[1]))
+        decay.append((_cmul((_fixed(z[0], bits + g), _fixed(z[1], bits + g)), u_power), g))
+    # the smallest L with k L at or above the scale of every term of <:X^k:>
+    unit = max(-(-(scale + decay[s][1]) // k) for k, s, _, scale in exact.terms)
+    moments = [c << k * unit for k, c in enumerate(exact.centres, start=1)]
+    for k, s, coefficient, scale in exact.terms:
+        (y, g), x = decay[s], w[k * s]
+        y = _cmul(coefficient, y)
+        moments[k - 1] += (y[0] * x[0] - y[1] * x[1]) << (k * unit - scale - g)
+    return moments, unit
+
+
+def _ldexp(m: int, exp: int) -> float:
+    """m 2^exp rounded to the nearest double, +-inf beyond the largest."""
+    try:
+        return float(m << exp) if exp >= 0 else m / (1 << -exp)
+    except OverflowError:
+        return math.inf if m > 0 else -math.inf
+
+
+def _quadrature_moments(state: OracleState, theta: float) -> tuple:
+    """Normally ordered moments <:X^k:> (k = 1..4) at phase theta, as mpmath
+    numbers at the state's working precision."""
     ctx = state._ctx
-    alpha = ctx.mpc(state.alpha0)
-    r = abs(alpha)
-    n = r * r
-    w = [ctx.mpf(1), ctx.expj(-ctx.mpf(state.t))]  # w[m] = exp(-i m t), m = 0..8
-    for _ in range(7):
-        w.append(w[-1] * w[1])
-    g = alpha / r * ctx.expj(-ctx.mpf(theta))
-    decay = {s: ctx.exp(n * (w[2 * s] - 1)) for s in range(1, 5)}
-    normal = []
-    for k in range(1, 5):
-        z = g * w[k]
-        half = ctx.fsum(math.comb(k, (k + s) // 2) * z**s * decay[s] for s in range(k, 0, -2))
-        centre = math.comb(k, k // 2) * n ** (k // 2) if k % 2 == 0 else 0
-        normal.append(r**k * (2 * half.real) + centre)
-    return tuple(normal)
+    moments, unit = _moment_ints(state, theta)
+    scale = state._exact.e - unit
+    return tuple(ctx.ldexp(ctx.mpf(m), k * scale) for k, m in enumerate(moments, start=1))
 
 
 def oracle_cumulants(state: OracleState, theta: float) -> CumulantReport:
     """Exact k3 and k4 of the quadrature at phase theta."""
-    k3, k4 = k3_k4(*_quadrature_moments(state, theta))
-    return CumulantReport(float(k3), float(k4), 0.0, 0.0, 0, 0)
+    moments, unit = _moment_ints(state, theta)
+    k3, k4 = k3_k4(*moments)
+    scale = state._exact.e - unit
+    return CumulantReport(_ldexp(k3, 3 * scale), _ldexp(k4, 4 * scale), 0.0, 0.0, 0, 0)
 
 
 def cumulant_series(state0: OracleState, grid) -> list[CumulantReport]:

@@ -384,12 +384,16 @@ def kerr_hamiltonian() -> PhasePolynomial:
 
 
 _LADDER_TOKENS = {"ad": CREATE, "a": DESTROY}
+#: Largest coefficient magnitude a Hamiltonian term may carry, so that the
+#: float coefficient is the integer given.
+MAX_COEFFICIENT = 2**53
 
 
 def parse_hamiltonian(text: str) -> list[OperatorWord]:
     """Parse `ad`/`a` product terms joined by `+`, e.g. ``ad a ad a``.
 
     Each term may start with an integer coefficient: ``2 ad a + ad ad a a``.
+    Its magnitude may not exceed 2^53, so that it is exact as a float.
     """
     words = []
     for chunk in text.split("+"):
@@ -399,9 +403,13 @@ def parse_hamiltonian(text: str) -> list[OperatorWord]:
         coeff = 1.0
         if tokens[0] not in _LADDER_TOKENS:
             try:
-                coeff = float(int(tokens[0]))
-            except (ValueError, OverflowError):
-                raise ValueError(f"bad token {tokens[0]!r}: expected integer, 'ad' or 'a'")
+                coeff = int(tokens[0])
+            except ValueError:
+                coeff = None
+            if coeff is None or abs(coeff) > MAX_COEFFICIENT:
+                raise ValueError(f"bad token {tokens[0]!r}: expected integer of magnitude "
+                                 f"at most 2^53, 'ad' or 'a'")
+            coeff = float(coeff)
             tokens = tokens[1:]
         for tok in tokens:
             if tok not in _LADDER_TOKENS:

@@ -4,12 +4,14 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
-from anharmonic import oracle
+from anharmonic import cli, oracle
 from anharmonic.engine import TimeGrid
 from anharmonic.moments import k3_k4, promote_normal_order
 from anharmonic.oracle import cumulant_series, evolve, init_coherent, oracle_cumulants
@@ -237,8 +239,9 @@ class TestPowerChain:
             for theta in (0.0, 1.4, 5.0, 18.8, 0.6, 2.1):
                 got = cumulants(state, theta)
                 want = binomial_sum_cumulants(state, theta)
-                if t == 0.0 and theta != 0.0:
-                    # exact zeros: both evaluations return rounding noise
+                if t == 0.0:
+                    # exact zeros: the binomial sum returns rounding noise,
+                    # and so does the oracle unless theta = 0 as well
                     floor = oracle_precision_floor(state)
                     assert max(abs(g - w) for g, w in zip(got, want)) <= 8 * floor, (got, want)
                 else:
@@ -270,6 +273,76 @@ class TestPowerChain:
                     lambda p, q: reference.ladder_moment(n_exact, mpmath.mpf(t), p, q), 2.0 * tau
                 )
             assert max(abs(g - float(w)) for g, w in zip(got, want)) <= 1e-15, (tau, got, want)
+
+
+class TestExactZeros:
+    """Where every rounded input is exact, so is the oracle's arithmetic."""
+
+    @pytest.mark.parametrize("n", [0.3, 10.0, 1e3, 1e7, 1e300])
+    def test_time_and_phase_zero(self, n):
+        # w = u = 1 and every decay exp(0) = 1: <:X^k:> = (2 alpha0)^k exactly
+        k3, k4 = cumulants(init_coherent(math.sqrt(n)), 0.0)
+        assert (k3, k4) == (0.0, 0.0)
+        assert math.copysign(1.0, k3) == math.copysign(1.0, k4) == 1.0
+
+    @pytest.mark.parametrize("n", [1e7, 1e12, 1e16])
+    def test_k3_where_every_decay_underflows(self, n):
+        # at t = 1.3 (2 pi) each |exp(N (w^(2s) - 1))| is below exp(-0.69 N):
+        # the state is fully dephased, <:X^k:> keeps only its s = 0 term, so
+        # k3 = 0 and k4 = 6 N^2 - 3 (2 N)^2 = -6 N^2
+        state = evolve(init_coherent(math.sqrt(n)), 1.3 * 2 * math.pi)
+        n_exact = Fraction(math.sqrt(n)) ** 2
+        for theta in (0.0, 1.4, 5.0):
+            k3, k4 = cumulants(state, theta)
+            assert k3 == 0.0
+            assert k4 == float(-6 * n_exact**2)
+
+
+class TestLargeN:
+    """ROADMAP item 7's first gate for the package oracle: against the
+    binomial sum at twice the working digits."""
+
+    @pytest.mark.parametrize("n", [1e20, 1e25, 1e100])
+    def test_matches_binomial_sum_at_twice_the_digits(self, n):
+        state0 = init_coherent(math.sqrt(n))
+        ctx = mpmath.MPContext()
+        ctx.dps = 2 * state0._ctx.dps
+        floor = oracle_precision_floor(state0)
+        for t in [tau / n for tau in (0.0, 0.7, 2.5, 9.4)] + [1.3 * 2 * math.pi]:
+            state = evolve(state0, t)
+            for theta in (0.0, 1.4, 18.8):
+                got = cumulants(state, theta)
+                want = binomial_sum_cumulants(replace(state, _ctx=ctx), theta)
+                for g, w in zip(got, want):
+                    # both rounded to double: one unit in the last place apart
+                    assert abs(g - w) <= floor + math.ulp(w), (t, theta, got, want)
+
+
+#: 41-row oracle CSVs, tau in [0, 10] and theta = 2 tau, written by the
+#: oracle's earlier evaluation in mpmath arithmetic at the same working digits.
+GOLDEN_CSVS = {1e3: "oracle_n1e3.csv", 1e7: "oracle_n1e7.csv", 1e16: "oracle_n1e16.csv"}
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_CSVS))
+def test_csv_bytes_match_the_mpmath_evaluation(tmp_path, capsys, n):
+    config = tmp_path / "oracle.cfg"
+    config.write_text(f"method = Oracle\nN = {n:g}\ntau_start = 0\ntau_stop = 10\ntau_points = 41\n")
+    out = tmp_path / "oracle.csv"
+    assert cli.main(["oracle", "--config", str(config), "--out", str(out)]) == 0
+    capsys.readouterr()
+    with open(os.path.join(ROOT, "tests", "data", GOLDEN_CSVS[n]), "rb") as fh:
+        want = fh.read().splitlines(keepends=True)
+    got = out.read_bytes().splitlines(keepends=True)
+    if n == 1e3:
+        # the one row that moves: at tau = 0 the mpmath sums left rounding
+        # noise, within 8 units of the precision floor; the integer
+        # evaluation is exact there
+        assert got[1] == b"0,0,0,0,0,0,0,0,oracle\n"
+        floor = oracle_precision_floor(init_coherent(math.sqrt(n)))
+        noise = [float(want[1].split(b",")[i]) for i in (2, 4)]
+        assert 0.0 < max(map(abs, noise)) <= 8 * floor, noise
+        got[1] = want[1]
+    assert got == want
 
 
 class TestQuadratureMomentsAndCumulants:

@@ -274,6 +274,14 @@ class TestParsing:
         with pytest.raises(ValueError, match="bad token '1000"):
             sy.parse_hamiltonian("1" + "0" * 399 + " ad a")
 
+    def test_coefficients_up_to_two_to_the_53(self):
+        limit = 2**53
+        for c in (limit, -limit):
+            assert sy.parse_hamiltonian(f"{c} ad a")[0].coefficient == float(c)
+        for c in (limit + 1, -limit - 1):
+            with pytest.raises(ValueError, match=f"bad token '{c}'"):
+                sy.parse_hamiltonian(f"{c} ad a")
+
     def test_phase_polynomial_tokens(self):
         assert sy.parse_phase_polynomial("a") == P({(0, 1): 1.0})
         assert sy.parse_phase_polynomial("2 ad a") == P({(1, 1): 2.0})
