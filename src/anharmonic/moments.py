@@ -109,23 +109,22 @@ def bulk_monomials(theta: float, a, b, representation: str, centre=0.0, out=None
     at phase theta, shape (4, m).
 
     A positive-P pair (a, b = abar) gives x = e^{-i theta} a + e^{i theta} b
-    in a complex block.  A Wigner amplitude alpha comes in polar form,
-    (a, b) = (arg alpha, 2 |alpha|), and x = b cos(a - theta), one real
-    cosine per path, in a float64 block.  Every row is written straight into
-    ``out`` (allocated when not given).
+    in a complex block.  A Wigner amplitude alpha comes as its phasor
+    a = 2 alpha (b is not used), and x = Re(e^{-i theta} a) =
+    cos(theta) Re a + sin(theta) Im a, in a float64 block.  Every row is
+    written straight into ``out`` (allocated when not given).
     """
-    polar = representation == WIGNER
     if out is None:
         out = np.empty((N_POWERS, len(a)), dtype=DTYPES[representation])
     x, x2, x3, x4 = out
-    if polar:
-        np.subtract(a, theta, out=x)
-        np.cos(x, out=x)
-        x *= b
+    c, s = math.cos(theta), math.sin(theta)
+    if representation == WIGNER:
+        np.multiply(a.real, c, out=x)
+        np.multiply(a.imag, s, out=x2)
     else:
-        np.multiply(a, complex(math.cos(theta), -math.sin(theta)), out=x)
-        np.multiply(b, complex(math.cos(theta), math.sin(theta)), out=x2)
-        x += x2
+        np.multiply(a, complex(c, -s), out=x)
+        np.multiply(b, complex(c, s), out=x2)
+    x += x2
     x -= centre
     np.multiply(x, x, out=x2)
     np.multiply(x2, x, out=x3)

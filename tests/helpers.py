@@ -83,38 +83,42 @@ def stacked_powers(theta: float, a: np.ndarray, abar: np.ndarray | None = None,
     return _stack_powers(x - centre)
 
 
-def polar_powers(theta: float, arg: np.ndarray, modulus: np.ndarray,
-                 centre: float = 0.0) -> np.ndarray:
-    """Reference power block of a Wigner amplitude in polar form:
-    y = modulus cos(arg - theta) - centre and its powers, stacked."""
-    return _stack_powers(modulus * np.cos(arg - theta) - centre)
-
-
 def _stack_powers(x: np.ndarray) -> np.ndarray:
     x2 = x * x
     return np.stack([x, x2, x2 * x, x2 * x2])
 
 
-def wigner_polar(a) -> tuple[np.ndarray, np.ndarray]:
-    """Wigner amplitudes in the polar form bulk_monomials takes: (arg a, 2 |a|)."""
-    a = np.asarray(a)
-    return np.angle(a), 2.0 * np.abs(a)
+def wigner_phasor(a) -> tuple[np.ndarray, None]:
+    """Wigner amplitudes in the form bulk_monomials takes: the phasor 2 a,
+    and no second array."""
+    return 2.0 * np.asarray(a, dtype=np.complex128), None
 
 
-#: Rounding allowance between the polar and the Cartesian Wigner quadrature,
-#: in units of eps (1 + |phi|) |x|^k per power k, with phi the phase the
-#: cosine takes and |x| <= 2 |alpha|.  Both forms round the flow's phase
-#: omega t, which the cosine turns into an absolute error of about
-#: eps |phi| 2 |alpha|, and a power k multiplies it by k |x|^(k - 1).
-POLAR_ROUNDING_EPS = 4.0
+#: Outputs from one anchor of exact_wigner_flow to the next, as the tests pin it.
+ANCHOR_EVERY = 64
+
+#: Rounding allowance of a truncated-Wigner quadrature x = Re(e^{-i theta} z)
+#: against its exact value, in units of eps (1 + phase) |x|^k per power k,
+#: with |x| <= 2 |alpha| and phase the rounding_phase of the output.  The
+#: flow rounds omega t, which the rotation turns into an absolute error of
+#: about eps |omega t| 2 |alpha|, theta is rounded likewise, each rotation
+#: product since the output's anchor adds about eps 2 |alpha|, and a power k
+#: multiplies the error by k |x|^(k - 1).
+FLOW_ROUNDING_EPS = 4.0
 
 
-def polar_rounding_bound(phi: np.ndarray, modulus: np.ndarray) -> np.ndarray:
-    """Per-path bound on |polar - Cartesian| for each power, shape (4, m):
-    k POLAR_ROUNDING_EPS eps (1 + |phi|) modulus^k."""
+def rounding_phase(omega, t: float, theta: float, k_out: int):
+    """|omega t| + |theta| + j for output k_out of a flow, j = k_out mod
+    ANCHOR_EVERY the rotation products since its anchor."""
+    return np.abs(omega * t) + abs(theta) + k_out % ANCHOR_EVERY
+
+
+def quadrature_rounding_bound(phase, modulus) -> np.ndarray:
+    """Per-path bound on a Wigner quadrature's rounding for each power, shape (4, m):
+    k FLOW_ROUNDING_EPS eps (1 + phase) modulus^k."""
     k = np.arange(1, 5)[:, None]
     eps = np.finfo(np.float64).eps
-    return k * POLAR_ROUNDING_EPS * eps * (1.0 + np.abs(phi)) * modulus**k
+    return k * FLOW_ROUNDING_EPS * eps * (1.0 + np.abs(phase)) * modulus**k
 
 
 def grid_at(n_particles: float, taus, dtau: float) -> TimeGrid:

@@ -39,9 +39,10 @@ from helpers import (
     grid_at,
     ladder_sums,
     midpoint_path,
-    polar_rounding_bound,
     poly_equal,
+    quadrature_rounding_bound,
     random_hermitian_polynomial,
+    rounding_phase,
     tw_limit_cumulants,
 )
 
@@ -250,18 +251,21 @@ def test_criterion_6_conservation_invariants():
     started = time.perf_counter()
     grid = TW_GRID
 
-    # the polar flow conserves |alpha| by construction, so each path's
-    # quadrature is checked instead: on the first 500 initial amplitudes,
-    # across the whole output grid, the kernel's x = 2 |alpha0| cos(phi),
-    # phi = arg alpha(t) - theta, lies within a few eps (1 + |phi|) |x| of
-    # the Cartesian rotation 2 Re(exp(-i theta) alpha0 exp(-i omega t))
+    # the flow conserves |alpha| to rounding, and each path's quadrature
+    # follows the exact rotation: on the first 500 initial amplitudes,
+    # across the whole output grid, |z| / 2 stays within 1e-13 |alpha0| of
+    # |alpha0|, and the kernel's x = Re(exp(-i theta) z) lies within the
+    # flow's rounding bound of the Cartesian rotation
+    # 2 Re(exp(-i theta) alpha0 exp(-i omega t))
     init = wigner_initial(ALPHA0, 1, 0, 500)
     omega = 2.0 * (init.real**2 + init.imag**2) - 1.0
     flow = exact_wigner_flow(init, grid.times)
-    for (arg, modulus), t, theta in zip(flow, grid.times, grid.thetas, strict=True):
-        polar = bulk_monomials(theta, arg, modulus, WIGNER)[0]
+    for k, (z, t, theta) in enumerate(zip(flow, grid.times, grid.thetas, strict=True)):
+        assert np.all(np.abs(np.abs(z) - 2.0 * np.abs(init)) <= 2e-13 * np.abs(init))
+        x = bulk_monomials(theta, z, None, WIGNER)[0]
         cartesian = 2.0 * (np.exp(-1j * theta) * init * np.exp(-1j * omega * t)).real
-        assert np.all(np.abs(polar - cartesian) <= polar_rounding_bound(arg - theta, modulus)[0])
+        bound = quadrature_rounding_bound(rounding_phase(omega, t, theta, k), 2.0 * np.abs(init))
+        assert np.all(np.abs(x - cartesian) <= bound[0])
 
     # ensemble occupation: <|alpha|^2> - 1/2 = N at every output time; the
     # benchmark ensemble's <abar a> comes from its runs at theta = 0 and pi/2

@@ -4,6 +4,7 @@ import sys
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,8 +18,9 @@ from anharmonic.engine import (
     run_truncated_wigner,
 )
 from anharmonic.moments import N_POWERS, POSITIVE_P, WIGNER, batch_error, bulk_monomials
-from anharmonic.sampling import RandomStream, stream_for_trajectory
+from anharmonic.sampling import RandomStream, stream_for_trajectory, wigner_initial
 from helpers import (
+    ANCHOR_EVERY,
     ConvergedMidpointStep,
     at_phase,
     batch_slices,
@@ -32,21 +34,22 @@ from helpers import (
     ladder_sums,
     midpoint_path,
     per_slice_batch_sums,
-    polar_powers,
+    quadrature_rounding_bound,
+    rounding_phase,
     scalar_midpoint_path,
     stacked_powers,
     tw_flow_cumulants_by_quadrature,
     tw_limit_cumulants,
     tw_limit_digits,
-    wigner_polar,
+    wigner_phasor,
 )
 
 
 def exact_at(a0, t):
-    """Exact truncated-Wigner flow of one amplitude at one time, rebuilt from
-    the flow's polar pair (arg alpha(t), 2 |alpha|)."""
-    (arg,), (modulus,) = next(exact_wigner_flow(np.array([complex(a0)]), [t]))
-    return 0.5 * modulus * cmath.exp(1j * arg)
+    """Exact truncated-Wigner flow of one amplitude at one time, from the
+    flow's phasor z = 2 alpha(t)."""
+    (z,) = next(exact_wigner_flow(np.array([complex(a0)]), [t]))
+    return 0.5 * complex(z)
 
 
 def exact_positive_p_at(a0, t):
@@ -65,10 +68,12 @@ def batch_mean(sums, counts, k):
 
 
 def stacked_bulk_monomials(theta, a, b, representation, centre=0.0, out=None):
-    """bulk_monomials by whole-array operations: polar_powers for a Wigner
-    pair, stacked_powers for a positive-P one."""
+    """bulk_monomials by whole-array operations: stacked_powers of the
+    amplitude a / 2 for a Wigner phasor a, of the pair for a positive-P one.
+    Halving and the reference's doubling are exact, so the Wigner powers
+    agree bit for bit."""
     if representation == WIGNER:
-        return polar_powers(theta, a, b, centre)
+        return stacked_powers(theta, 0.5 * a, None, centre)
     return stacked_powers(theta, a, b, centre)
 
 
@@ -155,13 +160,19 @@ class TestQuadratureCentres:
     """The one centre per output that both ensembles sum their powers about."""
 
     def test_path_from_alpha0_sits_at_the_centre(self):
-        # the mean-field path, formed as a path's quadrature is, gives y = 0
+        # the mean-field path, flowed as a path is, gives y = 0 to rounding:
+        # the path's quadrature and the centre's cosine each stay within
+        # the flow's rounding bound of the exact value
         for alpha0 in (math.sqrt(1e3), 3.0 - 4.0j, -2.5j, math.sqrt(1e12)):
             grid = grid_at(abs(alpha0) ** 2, (0.0, 0.5, 3.0, 10.0), 1e-3)
             centres = engine.quadrature_centres(alpha0, grid)
+            omega = 2.0 * abs(alpha0) ** 2 - 1.0
             flow = exact_wigner_flow(np.array([alpha0]), grid.times)
-            for theta, centre, pair in zip(grid.thetas, centres, flow, strict=True):
-                assert bulk_monomials(theta, *pair, WIGNER, centre)[0, 0] == 0.0
+            for k, (t, theta, centre, z) in enumerate(zip(grid.times, grid.thetas, centres, flow,
+                                                           strict=True)):
+                y = bulk_monomials(theta, z, None, WIGNER, centre)[0, 0]
+                bound = quadrature_rounding_bound(rounding_phase(omega, t, theta, k), 2 * abs(alpha0))
+                assert np.all(abs(y) <= 2.0 * bound[0]), (alpha0, t, y)
 
     def test_centre_falls_back_to_zero_where_not_finite(self):
         # at |alpha0| = 1e200 the rate 2 |alpha0|^2 - 1 overflows
@@ -183,30 +194,72 @@ class TestQuadratureCentres:
 
 
 class TestExactWignerStep:
-    def test_every_output_argument_formed_from_the_start(self):
-        # on a grid of 5001 outputs, each argument is arg alpha(0) - t omega
-        # bit for bit: a phase stepped from one output to the next would
-        # carry its rounding along
+    def test_anchors_formed_from_the_start_and_rotations_between(self):
+        # on a grid of 5001 outputs, output 0 and every 64th after it is
+        # exp(-i omega t) 2 alpha(0) bit for bit, so rounding built up by the
+        # rotations does not carry past an anchor; every other output is the
+        # one before times its gap's rotation (the flow overwrites it)
         n = 1e6
         rng = np.random.default_rng(31)
         init = math.sqrt(n) + 0.5 * (rng.normal(size=64) + 1j * rng.normal(size=64))
         times = np.linspace(0.0, 10.0 / n, 5001)
         omega = 2.0 * (init.real**2 + init.imag**2) - 1.0
-        start = np.angle(init)
-        for t, (arg, _) in zip(times, exact_wigner_flow(init, times), strict=True):
-            assert np.array_equal(arg, start - t * omega), t
+        prev = None
+        for k, (t, z) in enumerate(zip(times, exact_wigner_flow(init, times), strict=True)):
+            if k % ANCHOR_EVERY == 0:
+                assert np.array_equal(z, np.exp(-1j * (t * omega)) * (2.0 * init)), t
+            else:
+                assert np.array_equal(z, prev * np.exp(-1j * ((t - times[k - 1]) * omega))), t
+            prev = z.copy()
+
+    @pytest.mark.parametrize("n", [1e3, 1e6, 1e18])
+    def test_quadrature_within_rounding_bound_of_exact(self, n):
+        # tau in [0, 10] at 10001 outputs, theta = 2 tau: every output's x
+        # lies within 4 eps (1 + |omega t| + |theta| + j) 2 |alpha(0)| of its
+        # value at 60 digits, j the products since its anchor (at most 416
+        # units of eps 2 |alpha(0)| here).  The anchored flow stays within 22
+        # of them; the same rotations without anchors drift to 1400-2100
+        grid = grid_at(n, np.linspace(0.0, 10.0, 10001), 1e-3)
+        init = wigner_initial(math.sqrt(n), 1, 0, 2)
+        omega = 2.0 * (init.real**2 + init.imag**2) - 1.0
+        with mpmath.workdps(60):
+            amplitudes = [(mpmath.mpf(a.real), mpmath.mpf(a.imag)) for a in init]
+            rates = [2 * (re**2 + im**2) - 1 for re, im in amplitudes]
+            flow = exact_wigner_flow(init, grid.times)
+            for k, (t, theta, z) in enumerate(zip(grid.times, grid.thetas, flow, strict=True)):
+                x = bulk_monomials(theta, z, None, WIGNER)[0]
+                bound = quadrature_rounding_bound(rounding_phase(omega, t, theta, k), 2.0 * np.abs(init))[0]
+                for got, limit, (re, im), rate in zip(x, bound, amplitudes, rates):
+                    cos, sin = mpmath.cos_sin(rate * t + theta)
+                    assert abs(got - 2 * (re * cos + im * sin)) <= limit, (n, k)
+
+    def test_rotations_kept_within_their_cap(self):
+        # a log-spaced grid of 200 outputs has 199 distinct gaps: the flow
+        # keeps at most 4 rotations of shape (m,), 256 KiB here, and holds
+        # at most six more arrays of that size while it runs (about four)
+        m = 4096
+        init = wigner_initial(math.sqrt(1e3), 1, 0, m)
+        times = np.geomspace(1e-6, 1e-2, 200)
+        assert len(set(np.diff(times))) == 199
+        tracemalloc.start()
+        try:
+            for _ in exact_wigner_flow(init, times):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= (4 + 6) * m * 16, peak
 
     def test_unit_amplitude_half_turn(self):
         # |alpha|^2 = 1 gives rotation rate 1, so t = pi flips the sign
         assert exact_at(1.0, math.pi) == pytest.approx(-1.0, abs=1e-12)
 
     def test_modulus_conserved_over_million_steps(self):
-        # every output rotates the initial amplitude: out to t = 1e6 * 1e-4
+        # out to t = 1e6 * 1e-4, at most 63 rotations from an anchor
         init = np.array([1.3 - 0.7j, math.sqrt(1000.0) + 0.2j])
         times = np.linspace(0.0, 1e6 * 1e-4, 1001)
-        for arg, modulus in exact_wigner_flow(init, times):
-            alpha_t = 0.5 * modulus * np.exp(1j * arg)
-            assert np.all(np.abs(np.abs(alpha_t) - np.abs(init)) < 1e-12)
+        for z in exact_wigner_flow(init, times):
+            assert np.all(np.abs(np.abs(0.5 * z) - np.abs(init)) < 1e-12)
 
     def test_rotation_rate_at_thousand_particles(self):
         # phase advance per unit scaled time is -(2N - 1)/N = -1.999
@@ -374,6 +427,16 @@ class TestMidpointStep:
         acc = run_positive_p(1e200, grid, 20, 10, seed=0, divergence_threshold=1.0)
         assert acc.n_diverged == 20
         assert acc.n_paths == 0
+
+    def test_escape_found_where_no_part_reaches_the_radius(self, monkeypatch):
+        # from alpha0 = 20 (1 + i) at an escape radius of 0.9 |alpha0| every
+        # path starts outside it, while each real and imaginary part stays
+        # near 0.71 |alpha0|: a test on the parts alone would keep them all
+        monkeypatch.setattr(engine, "ESCAPE_RADIUS_FACTOR", 0.9)
+        alpha0 = 20.0 + 20.0j
+        grid = grid_at(abs(alpha0) ** 2, (0.0, 0.01), 1e-3)
+        acc = run_positive_p(alpha0, grid, 100, 10, seed=0, divergence_threshold=1.0)
+        assert acc.n_diverged == 100
 
     def test_strong_order_at_least_half_on_frozen_paths(self):
         # step-halving on the doubled-phase-space model with 100 frozen
@@ -699,9 +762,9 @@ class TestLadderSums:
 
         def run(theta):
             def spy(phase, a, b, representation, centre, out=None):
-                # a Wigner amplitude arrives in polar form, (arg a, 2 |a|)
+                # a Wigner amplitude arrives as its phasor 2 a
                 if representation == WIGNER:
-                    alpha = 0.5 * b * np.exp(1j * a)
+                    alpha = 0.5 * a
                     seen[theta].append((alpha, np.conj(alpha)))
                 else:
                     seen[theta].append((a.copy(), b.copy()))
@@ -893,7 +956,7 @@ class TestStreamingReduction:
         [(1001, 7), (64 * 5 + 3, 5), (128 * 4 + 2, 4), (130 * 3, 3), (1000 * 2 + 1, 2), (1, 1), (257, 1)],
     )
     def test_reduction_helper_matches_per_slice_sums(self, n_paths, n_batches):
-        # positive-P pairs and polar Wigner amplitudes, each at three phases
+        # positive-P pairs and Wigner phasors, each at three phases
         rng = np.random.default_rng(n_paths)
         amplitudes = rng.normal(size=(3, 2, n_paths)) + 1j * rng.normal(size=(3, 2, n_paths))
         thetas = (0.0, 0.7, 4.1)
@@ -901,7 +964,7 @@ class TestStreamingReduction:
         edges = engine.batch_edges(n_paths, n_batches)
         for representation, dtype, pairs in (
             (POSITIVE_P, np.complex128, [tuple(pair) for pair in amplitudes]),
-            (WIGNER, np.float64, [wigner_polar(a) for a, _ in amplitudes]),
+            (WIGNER, np.float64, [wigner_phasor(a) for a, _ in amplitudes]),
         ):
             got = np.full((3, n_batches, N_POWERS), np.nan, dtype=dtype)
             engine._batch_power_sums(representation, iter(pairs), thetas, centres, edges, got)

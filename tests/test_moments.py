@@ -24,19 +24,19 @@ from helpers import (
     grid_at,
     leave_one_out_report,
     leave_one_out_reports,
-    polar_rounding_bound,
+    quadrature_rounding_bound,
     stacked_powers,
-    wigner_polar,
+    wigner_phasor,
 )
 
 
 def acc_from_samples(representation, a, abar=None, theta=0.0, n_batches=10, diverged=0):
     """Accumulator over consecutive batches of paths with amplitudes (a, abar)
-    (abar None for Wigner amplitudes, passed in polar form), at quadrature
+    (abar None for Wigner amplitudes, passed as phasors), at quadrature
     phase theta."""
     amps = np.array_split(np.asarray(a), n_batches)
     if abar is None:
-        pairs = [wigner_polar(am) for am in amps]
+        pairs = [wigner_phasor(am) for am in amps]
     else:
         pairs = zip(amps, np.array_split(np.asarray(abar), n_batches))
     return fill_batches(
@@ -69,7 +69,7 @@ class TestAccumulate:
     def test_single_wigner_path(self):
         # x = 2 Re(a) = 4 at theta = 0
         a = np.array([2.0 + 0.5j])
-        acc = fill_batches(MomentAccumulator(WIGNER, 1, 2), bulk_monomials(0.0, *wigner_polar(a), WIGNER).T, [1])
+        acc = fill_batches(MomentAccumulator(WIGNER, 1, 2), bulk_monomials(0.0, *wigner_phasor(a), WIGNER).T, [1])
         assert acc.batch_sums[0, 0] == pytest.approx([4.0, 16.0, 64.0, 256.0])
         assert acc.batch_counts[0] == 1
         assert not acc.batch_sums[0, 1].any()
@@ -222,23 +222,24 @@ class TestBulkMonomials:
         for theta in (0.0, 0.3, 2.0, -7.5):
             assert np.array_equal(bulk_monomials(theta, a, abar, POSITIVE_P), stacked_powers(theta, a, abar))
 
-    def test_wigner_polar_branch_matches_cartesian_reference(self):
+    def test_wigner_branch_matches_cartesian_reference(self):
         # N = 1e6 at tau = 10: the flow turns each amplitude by omega t of
-        # about 20 rad and theta = 2 tau adds 20 more, so the cosine takes
-        # phases up to about 40 rad; the Cartesian reference rotates the
-        # amplitude by exp(-i omega t) and projects it on exp(-i theta)
+        # about 20 rad and theta = 2 tau adds 20 more; the Cartesian
+        # reference rotates the amplitude by exp(-i omega t) and projects it
+        # on exp(-i theta), the kernel takes the flow's phasor at its second
+        # output, one rotation product past the anchor at t / 2
         n, tau = 1e6, 10.0
         rng = np.random.default_rng(22)
         init = math.sqrt(n) + 0.5 * (rng.normal(size=257) + 1j * rng.normal(size=257))
-        ((arg, modulus),) = exact_wigner_flow(init, [tau / n])
+        _, z = exact_wigner_flow(init, [tau / n / 2, tau / n])
         omega = 2.0 * (init.real**2 + init.imag**2) - 1.0
         cartesian = init * np.exp(-1j * omega * (tau / n))
         for theta in (0.0, 0.3, -7.5, 2.0 * tau):
-            polar = bulk_monomials(theta, arg, modulus, WIGNER)
-            assert polar.dtype == np.float64
-            bound = polar_rounding_bound(arg - theta, modulus)
-            assert np.all(np.abs(polar - stacked_powers(theta, cartesian)) <= bound)
-        assert np.abs(arg - 2.0 * tau).max() > 39.0
+            got = bulk_monomials(theta, z, None, WIGNER)
+            assert got.dtype == np.float64
+            bound = quadrature_rounding_bound(np.abs(omega * (tau / n)) + abs(theta) + 1, np.abs(z))
+            assert np.all(np.abs(got - stacked_powers(theta, cartesian)) <= bound)
+        assert np.abs(omega * (tau / n)).max() + 2.0 * tau > 39.0
 
     def test_out_buffer_view_equals_fresh_result(self):
         abar, a = self._paths()
@@ -251,7 +252,7 @@ class TestBulkMonomials:
 
 class TestBatchError:
     def test_identical_batches_zero_sigma(self):
-        row = bulk_monomials(0.0, *wigner_polar([2.0 - 1.0j]), WIGNER)[:, 0]
+        row = bulk_monomials(0.0, *wigner_phasor([2.0 - 1.0j]), WIGNER)[:, 0]
         acc = fill_batches(MomentAccumulator(WIGNER, 1, 10), row, [1] * 10)
         (rep,) = batch_error(acc)
         assert rep.sigma3 == 0.0
