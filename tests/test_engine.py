@@ -198,19 +198,21 @@ class TestExactWignerStep:
         # on a grid of 5001 outputs, output 0 and every 64th after it is
         # exp(-i omega t) 2 alpha(0) bit for bit, so rounding built up by the
         # rotations does not carry past an anchor; every other output is the
-        # one before times its gap's rotation (the flow overwrites it)
+        # one before times its gap's rotation.  Each output is its own array,
+        # so outputs kept in a list keep their values
         n = 1e6
         rng = np.random.default_rng(31)
         init = math.sqrt(n) + 0.5 * (rng.normal(size=64) + 1j * rng.normal(size=64))
         times = np.linspace(0.0, 10.0 / n, 5001)
         omega = 2.0 * (init.real**2 + init.imag**2) - 1.0
-        prev = None
-        for k, (t, z) in enumerate(zip(times, exact_wigner_flow(init, times), strict=True)):
+        outputs = list(exact_wigner_flow(init, times))
+        assert len(outputs) == len(times)
+        for k, (t, z) in enumerate(zip(times, outputs)):
             if k % ANCHOR_EVERY == 0:
                 assert np.array_equal(z, np.exp(-1j * (t * omega)) * (2.0 * init)), t
             else:
-                assert np.array_equal(z, prev * np.exp(-1j * ((t - times[k - 1]) * omega))), t
-            prev = z.copy()
+                rotation = np.exp(-1j * ((t - times[k - 1]) * omega))
+                assert np.array_equal(z, outputs[k - 1] * rotation), t
 
     @pytest.mark.parametrize("n", [1e3, 1e6, 1e18])
     def test_quadrature_within_rounding_bound_of_exact(self, n):
@@ -236,7 +238,7 @@ class TestExactWignerStep:
     def test_rotations_kept_within_their_cap(self):
         # a log-spaced grid of 200 outputs has 199 distinct gaps: the flow
         # keeps at most 4 rotations of shape (m,), 256 KiB here, and holds
-        # at most six more arrays of that size while it runs (about four)
+        # at most six more arrays of that size while it runs
         m = 4096
         init = wigner_initial(math.sqrt(1e3), 1, 0, m)
         times = np.geomspace(1e-6, 1e-2, 200)
