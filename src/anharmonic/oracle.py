@@ -29,9 +29,7 @@ inputs are: both vanish at t = 0 and theta = 0, and k3 does wherever every
 decay is 0.
 
 mpmath is imported when the first state is built, so ensemble runs do not
-pay for its import.  Each state carries a private mpmath context at dps for
-its mpmath-valued moments, so the working precision never touches mpmath's
-global one.
+pay for its import.  Its global working precision is never touched.
 """
 
 from __future__ import annotations
@@ -63,7 +61,6 @@ class OracleState:
 
     alpha0: complex
     t: float
-    _ctx: object = field(repr=False, compare=False)  # mpmath context at the working precision
     _exact: _Exact = field(repr=False, compare=False)
 
     # kept because perfbench/tracing.py reads it: an empty Fock window
@@ -81,18 +78,17 @@ def init_coherent(alpha0: complex) -> OracleState:
     alpha0 = complex(alpha0)
     if alpha0 == 0:
         raise ValueError("coherent amplitude must be nonzero")
-    import mpmath
+    from mpmath import libmp
 
-    ctx = mpmath.MPContext()
     # 2 log10(16 N^2) from log10 |alpha0|, so that N^2 is never formed as a float
     log_moments = math.log10(16.0) + 4.0 * math.log10(abs(alpha0))
-    ctx.dps = 20 + max(0, math.ceil(2.0 * log_moments))
+    dps = 20 + max(0, math.ceil(2.0 * log_moments))
 
     parts = _dyadic(alpha0.real), _dyadic(alpha0.imag)
     e = min(exponent for m, exponent in parts if m)
     a = tuple(m << (exponent - e) if m else 0 for m, exponent in parts)
     n = a[0] ** 2 + a[1] ** 2
-    bits = ctx.prec + GUARD_BITS
+    bits = libmp.dps_to_prec(dps) + GUARD_BITS
     # a term is at most 12 max(1, N)^2 |D|, and k3_k4 amplifies it by less
     # than 2^10 max(1, 16 N^2)^2: below exp(-cut) it moves no double cumulant
     cut = 1100 + 2 * max(0, (16 * n * n).bit_length() + 4 * e)
@@ -106,7 +102,7 @@ def init_coherent(alpha0: complex) -> OracleState:
             re, im = a_powers[s]
             terms.append((k, s, (c * re, c * im), ((k + 1) * s + 1) * bits))
     centres = tuple(0 if k % 2 else math.comb(k, k // 2) * n ** (k // 2) for k in range(1, 5))
-    return OracleState(alpha0, 0.0, ctx, _Exact(bits, e, n, cut, tuple(terms), centres))
+    return OracleState(alpha0, 0.0, _Exact(bits, e, n, cut, tuple(terms), centres))
 
 
 def evolve(state: OracleState, t: float) -> OracleState:
@@ -186,15 +182,6 @@ def _ldexp(m: int, exp: int) -> float:
         return float(m << exp) if exp >= 0 else m / (1 << -exp)
     except OverflowError:
         return math.inf if m > 0 else -math.inf
-
-
-def _quadrature_moments(state: OracleState, theta: float) -> tuple:
-    """Normally ordered moments <:X^k:> (k = 1..4) at phase theta, as mpmath
-    numbers at the state's working precision."""
-    ctx = state._ctx
-    moments, unit = _moment_ints(state, theta)
-    scale = state._exact.e - unit
-    return tuple(ctx.ldexp(ctx.mpf(m), k * scale) for k, m in enumerate(moments, start=1))
 
 
 def oracle_cumulants(state: OracleState, theta: float) -> CumulantReport:

@@ -11,15 +11,21 @@ drift is the flow ``(-i dS/da*, +i dS/da)`` of a symbol S.
   an exact Stratonovich conversion; its squared noise amplitudes are the
   second-order flow of H.
 
-Polynomials are stored as sparse maps from exponent pairs ``(p, q)`` to
-complex coefficients, meaning ``c * a*^p a^q``.  The starred and unstarred
-symbols are treated as formally independent variables throughout.
+Polynomials are sparse maps from exponent pairs ``(p, q)`` to exact
+Gaussian-rational coefficients, pairs ``(re, im)`` of fractions meaning
+``(re + i im) * a*^p a^q``, a and a* formally independent.  Every derivation
+is exact at any coefficient size; only a noise amplitude's root is a float.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from numbers import Rational
+
+from .oracle import _cmul
 
 # Symbol names of the two variables `differentiate` takes.
 VAR_A = "a"
@@ -28,10 +34,6 @@ VAR_A_STAR = "a*"
 # Ladder-operator tags for OperatorWord factors.
 CREATE = "create"
 DESTROY = "destroy"
-
-#: Coefficient-wise tolerance under which two symbols are considered equal.
-#: Derivations only involve small integers, so this is effectively exact.
-COEFF_TOL = 1e-12
 
 
 class DerivationError(ValueError):
@@ -46,7 +48,7 @@ class OperatorWord:
     """
 
     factors: tuple[str, ...]
-    coefficient: complex = 1.0
+    coefficient: complex = 1
 
     def __post_init__(self):
         for f in self.factors:
@@ -54,82 +56,79 @@ class OperatorWord:
                 raise ValueError(f"unknown ladder tag {f!r}")
 
 
-class PhasePolynomial:
-    """Sparse polynomial ``sum_pq c[p,q] a*^p a^q`` with finite complex
-    coefficients, so that no derivation can carry an inf or a nan."""
+def _gaussian(c) -> tuple[Fraction, Fraction]:
+    """A number, or an (re, im) pair as it is, as an exact pair (re, im)."""
+    if isinstance(c, tuple):
+        return c
+    if isinstance(c, Rational):
+        return Fraction(c), Fraction(0)
+    c = complex(c)
+    try:
+        return Fraction(c.real), Fraction(c.imag)
+    except (OverflowError, ValueError):
+        raise ValueError(f"symbol coefficient {_render_coefficient(c.real, c.imag)} "
+                         "is not finite") from None
 
-    __slots__ = ("terms",)
+
+class PhasePolynomial:
+    """Sparse polynomial ``sum_pq c[p,q] a*^p a^q`` with exact coefficients, so
+    that no derivation rounds, overflows or carries an inf or a nan."""
+
+    __slots__ = ("coefficients",)
 
     def __init__(self, terms=None):
-        clean: dict[tuple[int, int], complex] = {}
-        for (p, q), c in (terms or {}).items():
-            c = complex(c)
-            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                raise ValueError(f"symbol coefficient {format_complex(c)} is not finite")
-            if c != 0:
-                clean[(int(p), int(q))] = c
-        self.terms = clean
+        exact = ((k, _gaussian(c)) for k, c in (terms or {}).items())
+        self.coefficients = {(int(p), int(q)): c for (p, q), c in exact if any(c)}
+
+    @property
+    def terms(self) -> dict[tuple[int, int], complex]:
+        """The coefficients as complex numbers, each part rounded to a float."""
+        return {k: complex(float(re), float(im)) for k, (re, im) in self.coefficients.items()}
 
     @classmethod
     def zero(cls) -> "PhasePolynomial":
         return cls()
 
     @classmethod
-    def monomial(cls, p: int, q: int, coeff: complex = 1.0) -> "PhasePolynomial":
+    def monomial(cls, p: int, q: int, coeff: complex = 1) -> "PhasePolynomial":
         return cls({(p, q): coeff})
 
-    def is_zero(self, tol: float = COEFF_TOL) -> bool:
-        return all(abs(c) <= tol for c in self.terms.values())
-
-    def max_star_power(self) -> int:
-        return max((p for (p, _) in self.terms), default=0)
-
-    def max_plain_power(self) -> int:
-        return max((q for (_, q) in self.terms), default=0)
+    def is_zero(self) -> bool:
+        return not self.coefficients
 
     def __add__(self, other: "PhasePolynomial") -> "PhasePolynomial":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0.0) + c
-        return PhasePolynomial(out)
+        return _collect([*self.coefficients.items(), *other.coefficients.items()])
 
     def scaled(self, factor: complex) -> "PhasePolynomial":
-        return PhasePolynomial({k: factor * c for k, c in self.terms.items()})
+        factor = _gaussian(factor)
+        return PhasePolynomial({k: _cmul(factor, c) for k, c in self.coefficients.items()})
 
-    def __mul__(self, other):
-        if isinstance(other, PhasePolynomial):
-            out: dict[tuple[int, int], complex] = {}
-            for (p1, q1), c1 in self.terms.items():
-                for (p2, q2), c2 in other.terms.items():
-                    k = (p1 + p2, q1 + q2)
-                    out[k] = out.get(k, 0.0) + c1 * c2
-            return PhasePolynomial(out)
-        return self.scaled(other)
-
-    __rmul__ = __mul__
-
-    def chop(self, tol: float = COEFF_TOL) -> "PhasePolynomial":
-        """Drop coefficients below the symbolic-equality tolerance, and snap
-        real/imaginary parts that are tolerance-level artefacts to zero."""
-        out = {}
-        for k, c in self.terms.items():
-            if abs(c) <= tol:
-                continue
-            re = 0.0 if abs(c.real) <= tol else c.real
-            im = 0.0 if abs(c.imag) <= tol else c.imag
-            out[k] = complex(re, im)
-        return PhasePolynomial(out)
+    def __mul__(self, other: "PhasePolynomial") -> "PhasePolynomial":
+        return _collect(
+            ((p1 + p2, q1 + q2), _cmul(c1, c2))
+            for (p1, q1), c1 in self.coefficients.items()
+            for (p2, q2), c2 in other.coefficients.items()
+        )
 
     def __eq__(self, other):
         if not isinstance(other, PhasePolynomial):
             return NotImplemented
-        return self.terms == other.terms
+        return self.coefficients == other.coefficients
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash(frozenset(self.coefficients.items()))
 
     def __repr__(self):
         return f"PhasePolynomial({render_polynomial(self)!r})"
+
+
+def _collect(items) -> PhasePolynomial:
+    """The sum of ``(key, (re, im))`` items, those of one key added."""
+    out = {}
+    for k, (re, im) in items:
+        re0, im0 = out.get(k, (0, 0))
+        out[k] = (re0 + re, im0 + im)
+    return PhasePolynomial(out)
 
 
 def normal_order(words) -> PhasePolynomial:
@@ -161,11 +160,11 @@ def differentiate(poly: PhasePolynomial, variable: str, order: int = 1) -> Phase
         raise ValueError(f"unknown variable {variable!r}")
     star = variable == VAR_A_STAR
     terms = {}
-    for (p, q), c in poly.terms.items():
+    for (p, q), c in poly.coefficients.items():
         power = p if star else q
         if power >= order:
             key = (p - order, q) if star else (p, q - order)
-            terms[key] = math.perm(power, order) * c
+            terms[key] = _cmul((math.perm(power, order), 0), c)
     return PhasePolynomial(terms)
 
 
@@ -177,14 +176,8 @@ def _flow(symbol: PhasePolynomial, order: int = 1) -> tuple[PhasePolynomial, Pha
     )
 
 
-def is_hermitian(poly: PhasePolynomial, tol: float = COEFF_TOL) -> bool:
-    keys = set(poly.terms)
-    keys |= {(q, p) for (p, q) in keys}
-    return all(
-        abs(poly.terms.get((p, q), 0.0) - complex(poly.terms.get((q, p), 0.0)).conjugate())
-        <= tol
-        for (p, q) in keys
-    )
+def is_hermitian(poly: PhasePolynomial) -> bool:
+    return poly.coefficients == {(q, p): (re, -im) for (p, q), (re, im) in poly.coefficients.items()}
 
 
 @dataclass(frozen=True)
@@ -203,27 +196,34 @@ class DiscardedTerm:
 
 @dataclass(frozen=True)
 class DriftDiffusionModel:
-    """Drift vector and per-variable noise amplitudes over phase variables.
+    """Drift vector and per-variable squared noise amplitudes over phase variables.
 
     ``variables[0]`` is the unstarred symbol and ``variables[1]`` the starred
-    one; every polynomial entry is expressed in those two symbols.  Noise
-    amplitudes multiply one independent real Wiener increment each;
-    an empty ``noise`` tuple means purely deterministic drift.
+    one; every polynomial entry is expressed in those two symbols.  The noise
+    amplitude B_j, the monomial root of ``diffusion[j]``, multiplies one real
+    Wiener increment; an empty ``diffusion`` means purely deterministic drift.
     """
 
     variables: tuple[str, str]
     drift: tuple[PhasePolynomial, PhasePolynomial]
-    noise: tuple[PhasePolynomial, ...] = ()
+    diffusion: tuple[PhasePolynomial, ...] = ()
     convention: str = "ito"
     discarded: tuple[DiscardedTerm, ...] = field(default=())
 
     def __post_init__(self):
         if len(self.variables) != 2 or len(self.drift) != 2:
             raise ValueError("model requires exactly two phase variables")
-        if self.noise and len(self.noise) != 2:
+        if self.diffusion and len(self.diffusion) != 2:
             raise ValueError("noise amplitudes must come one per variable")
         if self.convention not in ("ito", "stratonovich"):
             raise ValueError(f"unknown calculus convention {self.convention!r}")
+        for d in self.diffusion:
+            _monomial_sqrt(d)  # a DerivationError unless every amplitude exists
+
+    @property
+    def noise(self) -> tuple[PhasePolynomial, ...]:
+        """The noise amplitudes B_j."""
+        return tuple(_monomial_sqrt(d) for d in self.diffusion)
 
 
 def derive_wigner_model(hamiltonian: PhasePolynomial) -> DriftDiffusionModel:
@@ -238,29 +238,28 @@ def derive_wigner_model(hamiltonian: PhasePolynomial) -> DriftDiffusionModel:
     """
     if not is_hermitian(hamiltonian):
         raise DerivationError("Hamiltonian symbol must be Hermitian")
-    p_max = hamiltonian.max_star_power()
-    q_max = hamiltonian.max_plain_power()
+    p_max = max((p for p, _ in hamiltonian.coefficients), default=0)
+    q_max = max((q for _, q in hamiltonian.coefficients), default=0)
     wigner_symbol = PhasePolynomial.zero()
     for w in range(min(p_max, q_max) + 1):
         h_term = differentiate(differentiate(hamiltonian, VAR_A_STAR, w), VAR_A, w)
-        wigner_symbol = wigner_symbol + h_term.scaled((-0.5) ** w / math.factorial(w))
+        wigner_symbol = wigner_symbol + h_term.scaled(Fraction(-1, 2) ** w / math.factorial(w))
 
     discarded = []
     for u in range(0, p_max + 1):          # power of d/da in the operator
         for v in range(0, q_max + 1):      # power of d/da*
             if u + v < 3 or (u + v) % 2 == 0:
                 continue
-            prefactor = -1j * 0.5 ** (u + v) * ((-1.0) ** u - (-1.0) ** v)
-            prefactor /= math.factorial(u) * math.factorial(v)
+            prefactor = Fraction((-1) ** v - (-1) ** u,
+                                 2 ** (u + v) * math.factorial(u) * math.factorial(v))
             h_term = differentiate(differentiate(wigner_symbol, VAR_A_STAR, u), VAR_A, v)
-            coeff = h_term.scaled(prefactor)
-            if not coeff.is_zero(tol=0.0):
+            coeff = h_term.scaled((0, prefactor))
+            if not coeff.is_zero():
                 discarded.append(DiscardedTerm(u, v, coeff))
 
     return DriftDiffusionModel(
         variables=("alpha", "alpha*"),
         drift=_flow(wigner_symbol),
-        noise=(),
         convention="stratonovich",
         discarded=tuple(discarded),
     )
@@ -269,25 +268,28 @@ def derive_wigner_model(hamiltonian: PhasePolynomial) -> DriftDiffusionModel:
 def _monomial_sqrt(poly: PhasePolynomial) -> PhasePolynomial:
     """Principal square root of ``c * a*^p a^q`` with even p, q.
 
-    The constant factor takes the principal branch; the polynomial part is
-    halved exponent-wise so that the amplitude stays single valued along
-    trajectories (no branch-cut crossing, unlike a pointwise root).
+    The constant factor takes the principal branch, in floats; the polynomial
+    part is halved exponent-wise so that the amplitude stays single valued
+    along trajectories (no branch-cut crossing, unlike a pointwise root).
     """
-    if poly.is_zero(tol=0.0):
+    if poly.is_zero():
         return PhasePolynomial.zero()
-    if len(poly.terms) != 1:
+    if len(poly.coefficients) != 1:
         raise DerivationError(
             "diffusion term is not a single monomial; noise amplitude "
             "cannot be written as constant * a*^j a^k"
         )
-    ((p, q), c), = poly.terms.items()
+    (p, q), = poly.coefficients
     if p % 2 or q % 2:
         raise DerivationError(
             f"diffusion monomial a*^{p} a^{q} has odd exponents; "
             "no polynomial square root exists"
         )
-    root = complex(c) ** 0.5
-    return PhasePolynomial.monomial(p // 2, q // 2, root)
+    try:
+        c = poly.terms[p, q]
+    except OverflowError:  # no float holds the coefficient
+        raise DerivationError(f"diffusion term {render_polynomial(poly)} exceeds the float range") from None
+    return PhasePolynomial.monomial(p // 2, q // 2, c**0.5)
 
 
 def derive_positive_p_model(hamiltonian: PhasePolynomial) -> DriftDiffusionModel:
@@ -305,7 +307,7 @@ def derive_positive_p_model(hamiltonian: PhasePolynomial) -> DriftDiffusionModel
         raise DerivationError("Hamiltonian symbol must be Hermitian")
     for var, label in ((VAR_A_STAR, "a*"), (VAR_A, "a")):
         leftover = differentiate(hamiltonian, var, 3)
-        if not leftover.is_zero(tol=0.0):
+        if not leftover.is_zero():
             raise DerivationError(
                 f"order-3 derivative in {label} is nonzero "
                 f"({render_polynomial(leftover)}); the distribution "
@@ -314,7 +316,7 @@ def derive_positive_p_model(hamiltonian: PhasePolynomial) -> DriftDiffusionModel
     return DriftDiffusionModel(
         variables=("alpha1", "alpha2*"),
         drift=_flow(hamiltonian),
-        noise=tuple(_monomial_sqrt(s) for s in _flow(hamiltonian, 2)),
+        diffusion=_flow(hamiltonian, 2),
         convention="ito",
     )
 
@@ -322,20 +324,18 @@ def derive_positive_p_model(hamiltonian: PhasePolynomial) -> DriftDiffusionModel
 def ito_to_stratonovich(model: DriftDiffusionModel) -> DriftDiffusionModel:
     """Convert an Ito model with diagonal noise to Stratonovich form.
 
-    Each drift entry gains ``-(1/2) * B_j * dB_j/dx_j`` where ``B_j`` is the
-    noise amplitude attached to variable ``x_j``.
+    Each drift entry gains ``-(1/2) B_j dB_j/dx_j``, where ``B_j`` is the noise
+    amplitude attached to variable ``x_j``: exactly ``-(1/4) dD_j/dx_j``.
     """
     if model.convention != "ito":
         raise ValueError("model is not in Ito form")
     drift = model.drift
-    if model.noise:
+    if model.diffusion:
         drift = tuple(
-            (a_j + (b_j * differentiate(b_j, var, 1)).scaled(-0.5)).chop()
-            for a_j, b_j, var in zip(model.drift, model.noise, (VAR_A, VAR_A_STAR))
+            a_j + differentiate(d_j, var).scaled(Fraction(-1, 4))
+            for a_j, d_j, var in zip(model.drift, model.diffusion, (VAR_A, VAR_A_STAR))
         )
-    return DriftDiffusionModel(
-        model.variables, drift, model.noise, "stratonovich", model.discarded
-    )
+    return DriftDiffusionModel(model.variables, drift, model.diffusion, "stratonovich", model.discarded)
 
 
 def drift_divergence(model: DriftDiffusionModel) -> PhasePolynomial:
@@ -348,17 +348,23 @@ def drift_divergence(model: DriftDiffusionModel) -> PhasePolynomial:
     return differentiate(model.drift[0], VAR_A) + differentiate(model.drift[1], VAR_A_STAR)
 
 
-def format_complex(z: complex) -> str:
-    z = complex(z)
-    re = z.real + 0.0  # normalise -0.0
-    im = z.imag + 0.0
-    return f"{re:.6g}{im:+.6g}i"
+def _format_part(x, spec: str) -> str:
+    """x as a float formats it, and beyond the float range at as many digits."""
+    try:
+        return format(float(x) + 0.0, spec)  # + 0.0 normalises -0.0
+    except OverflowError:  # a fraction: 1e+399, not an error
+        context = decimal.Context(prec=6)
+        return format(context.divide(x.numerator, x.denominator).normalize(context), spec)
+
+
+def _render_coefficient(re, im) -> str:
+    return f"{_format_part(re, '.6g')}{_format_part(im, '+.6g')}i"
 
 
 def render_polynomial(poly: PhasePolynomial) -> str:
     """Canonical text form: terms sorted by (p+q, p), `coeff * a*^p a^q`."""
-    terms = sorted(poly.terms.items(), key=lambda term: (sum(term[0]), term[0][0]))
-    return " + ".join(f"{format_complex(c)} * a*^{p} a^{q}" for (p, q), c in terms) or "0"
+    terms = sorted(poly.coefficients.items(), key=lambda term: (sum(term[0]), term[0][0]))
+    return " + ".join(f"{_render_coefficient(*c)} * a*^{p} a^{q}" for (p, q), c in terms) or "0"
 
 
 def render_model(model: DriftDiffusionModel) -> list[str]:
@@ -366,7 +372,7 @@ def render_model(model: DriftDiffusionModel) -> list[str]:
     for name, poly in zip(model.variables, model.drift):
         lines.append(f"d({name})/dt = {render_polynomial(poly)}")
     for name, poly in zip(model.variables, model.noise):
-        if not poly.is_zero(tol=0.0):
+        if not poly.is_zero():
             lines.append(f"noise on {name}: {render_polynomial(poly)}")
     for term in model.discarded:
         lines.append(
@@ -384,32 +390,25 @@ def kerr_hamiltonian() -> PhasePolynomial:
 
 
 _LADDER_TOKENS = {"ad": CREATE, "a": DESTROY}
-#: Largest coefficient magnitude a Hamiltonian term may carry, so that the
-#: float coefficient is the integer given.
-MAX_COEFFICIENT = 2**53
 
 
 def parse_hamiltonian(text: str) -> list[OperatorWord]:
     """Parse `ad`/`a` product terms joined by `+`, e.g. ``ad a ad a``.
 
-    Each term may start with an integer coefficient: ``2 ad a + ad ad a a``.
-    Its magnitude may not exceed 2^53, so that it is exact as a float.
+    Each term may start with an integer coefficient of any size:
+    ``2 ad a + ad ad a a``.
     """
     words = []
     for chunk in text.split("+"):
         tokens = chunk.split()
         if not tokens:
             raise ValueError("empty term in Hamiltonian expression")
-        coeff = 1.0
+        coeff = 1
         if tokens[0] not in _LADDER_TOKENS:
             try:
                 coeff = int(tokens[0])
             except ValueError:
-                coeff = None
-            if coeff is None or abs(coeff) > MAX_COEFFICIENT:
-                raise ValueError(f"bad token {tokens[0]!r}: expected integer of magnitude "
-                                 f"at most 2^53, 'ad' or 'a'")
-            coeff = float(coeff)
+                raise ValueError(f"bad token {tokens[0]!r}: expected integer, 'ad' or 'a'") from None
             tokens = tokens[1:]
         for tok in tokens:
             if tok not in _LADDER_TOKENS:

@@ -501,15 +501,33 @@ def dense_cumulant_atol(n_particles: float) -> float:
     return 32.0 * np.finfo(np.float64).eps * (4.0 * n_particles) ** 2
 
 
-def closed_form_ladder_moments(state) -> dict:
-    """<a^dag^p a^q> for p + q <= 4, keyed by (p, q), at the state's working precision.
+def working_context(state) -> mpmath.MPContext:
+    """A private mpmath context at the oracle state's working precision, the
+    binary precision its fixed-point scale holds beyond the guard bits."""
+    ctx = mpmath.MPContext()
+    ctx.prec = state._exact.bits - oracle.GUARD_BITS
+    return ctx
+
+
+def quadrature_moments(state, theta: float, ctx=None) -> tuple:
+    """The oracle's normally ordered moments <:X^k:> (k = 1..4) at phase theta,
+    as mpmath numbers at the state's working precision (or ctx's)."""
+    ctx = working_context(state) if ctx is None else ctx
+    moments, unit = oracle._moment_ints(state, theta)
+    scale = state._exact.e - unit
+    return tuple(ctx.ldexp(ctx.mpf(m), k * scale) for k, m in enumerate(moments, start=1))
+
+
+def closed_form_ladder_moments(state, ctx=None) -> dict:
+    """<a^dag^p a^q> for p + q <= 4, keyed by (p, q), at the state's working
+    precision (or ctx's).
 
     Each moment from its own closed form,
     conj(alpha)^p alpha^q exp(-i (q^2 - p^2) t) exp(N (exp(-2i (q - p) t) - 1)),
     with its own phase and decay: the oracle's evaluation before it formed
     every phase as a power of exp(-i t).
     """
-    ctx = state._ctx
+    ctx = working_context(state) if ctx is None else ctx
     alpha = ctx.mpc(state.alpha0)
     n = alpha.real**2 + alpha.imag**2
     t = ctx.mpf(state.t)
@@ -525,11 +543,12 @@ def closed_form_ladder_moments(state) -> dict:
     return moments
 
 
-def binomial_sum_cumulants(state, theta: float) -> tuple[float, float]:
+def binomial_sum_cumulants(state, theta: float, ctx=None) -> tuple[float, float]:
     """Reference k3, k4: the binomial sum over closed_form_ladder_moments with
-    one phase exp(i (k - 2j) theta) per term, promoted with {1; 3; 6, 3}."""
-    ctx = state._ctx
-    ladder = closed_form_ladder_moments(state)
+    one phase exp(i (k - 2j) theta) per term, promoted with {1; 3; 6, 3}, at
+    the state's working precision (or ctx's)."""
+    ctx = working_context(state) if ctx is None else ctx
+    ladder = closed_form_ladder_moments(state, ctx)
     theta = ctx.mpf(theta)
     normal = [
         ctx.re(ctx.fsum(
@@ -551,12 +570,12 @@ def ladder_from_quadrature(state) -> dict:
     over 2k + 1 equally spaced phases (in mpmath) separates them.  The
     order-0 moment is the norm, 1.
     """
-    ctx = state._ctx
+    ctx = working_context(state)
     moments = {(0, 0): ctx.mpf(1)}
     for k in range(1, 5):
         size = 2 * k + 1
         phases = [2 * ctx.pi * m / size for m in range(size)]
-        values = [oracle._quadrature_moments(state, phase)[k - 1] for phase in phases]
+        values = [quadrature_moments(state, phase, ctx)[k - 1] for phase in phases]
         for j in range(k + 1):
             coefficient = ctx.fsum(
                 value * ctx.expj(-(k - 2 * j) * phase) for value, phase in zip(values, phases)
@@ -569,7 +588,7 @@ def oracle_precision_floor(state) -> float:
     """Absolute rounding floor of the oracle's k3 and k4: one unit of its
     working precision, 10^-dps, times its largest moment, 16 N^2 (or 1)."""
     log_moment = max(0.0, math.log10(16.0) + 4.0 * math.log10(abs(state.alpha0)))
-    return 10.0 ** (log_moment - state._ctx.dps)
+    return 10.0 ** (log_moment - working_context(state).dps)
 
 
 # ----------------------------------------------------------------------

@@ -40,6 +40,7 @@ from helpers import (
     ladder_sums,
     midpoint_path,
     poly_equal,
+    quadrature_moments,
     quadrature_rounding_bound,
     random_hermitian_polynomial,
     rounding_phase,
@@ -143,18 +144,18 @@ def test_criterion_1_symbolic_reproduction(capsys):
 def test_criterion_2_purity():
     started = time.perf_counter()
     wigner = sy.derive_wigner_model(sy.kerr_hamiltonian())
-    assert sy.drift_divergence(wigner).is_zero(tol=1e-12)
+    assert sy.drift_divergence(wigner).is_zero()
 
     cubic_pair = sy.DriftDiffusionModel(
         ("alpha", "alpha*"),
         (sy.PhasePolynomial({(1, 2): -1j}), sy.PhasePolynomial({(2, 1): 1j})),
     )
-    assert sy.drift_divergence(cubic_pair).is_zero(tol=1e-12)
+    assert sy.drift_divergence(cubic_pair).is_zero()
 
     rng = np.random.default_rng(2024)
     for _ in range(200):
         model = sy.derive_wigner_model(random_hermitian_polynomial(rng, max_degree=4))
-        assert sy.drift_divergence(model).is_zero(tol=1e-12)
+        assert sy.drift_divergence(model).is_zero()
 
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
@@ -173,7 +174,7 @@ def test_criterion_3_oracle_self_consistency():
             state = orc.evolve(state0, t)
             for theta in (0.0, 2 * tau):
                 dense = dense_brute_force(math.sqrt(n), cutoff, t, theta)
-                moments = promote_normal_order(*orc._quadrature_moments(state, theta))
+                moments = promote_normal_order(*quadrature_moments(state, theta))
                 for got, want in zip(moments, dense):
                     assert abs(float(got) - want) <= 1e-10 * max(1.0, abs(want))
                 rep = orc.oracle_cumulants(state, theta)

@@ -4,14 +4,13 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
-from anharmonic import cli, oracle
+from anharmonic import cli
 from anharmonic.engine import TimeGrid
 from anharmonic.moments import k3_k4, promote_normal_order
 from anharmonic.oracle import cumulant_series, evolve, init_coherent, oracle_cumulants
@@ -25,6 +24,8 @@ from helpers import (
     grid_at,
     ladder_from_quadrature,
     oracle_precision_floor,
+    quadrature_moments,
+    working_context,
 )
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -112,7 +113,7 @@ class TestInitCoherent:
     )
     def test_working_precision(self, n, digits):
         # 20 + ceil(2 log10(16 N^2)) digits, never below 20
-        assert init_coherent(math.sqrt(n))._ctx.dps == digits
+        assert working_context(init_coherent(math.sqrt(n))).dps == digits
 
     def test_empty_window_for_the_tracer(self):
         # perfbench/tracing.py reports n_max - n_min + 1 as oracle.window
@@ -171,7 +172,7 @@ class TestLadderMoments:
     def test_order_cap(self):
         # the cumulants need the moments of total order up to 4, and only those
         state = evolve(init_coherent(1.0), 0.2)
-        assert len(oracle._quadrature_moments(state, 0.3)) == 4
+        assert len(quadrature_moments(state, 0.3)) == 4
         assert set(ladder(state)) == {
             (p, q) for p in range(5) for q in range(5) if p + q <= 4
         }
@@ -306,13 +307,13 @@ class TestLargeN:
     def test_matches_binomial_sum_at_twice_the_digits(self, n):
         state0 = init_coherent(math.sqrt(n))
         ctx = mpmath.MPContext()
-        ctx.dps = 2 * state0._ctx.dps
+        ctx.dps = 2 * working_context(state0).dps
         floor = oracle_precision_floor(state0)
         for t in [tau / n for tau in (0.0, 0.7, 2.5, 9.4)] + [1.3 * 2 * math.pi]:
             state = evolve(state0, t)
             for theta in (0.0, 1.4, 18.8):
                 got = cumulants(state, theta)
-                want = binomial_sum_cumulants(replace(state, _ctx=ctx), theta)
+                want = binomial_sum_cumulants(state, theta, ctx)
                 for g, w in zip(got, want):
                     # both rounded to double: one unit in the last place apart
                     assert abs(g - w) <= floor + math.ulp(w), (t, theta, got, want)
@@ -353,7 +354,7 @@ class TestQuadratureMomentsAndCumulants:
             for tau in (0.1, 0.5, 1.0):
                 for theta in (0.0, 2 * tau, 1.1):
                     state = evolve(state0, tau / n)
-                    normal = oracle._quadrature_moments(state, theta)
+                    normal = quadrature_moments(state, theta)
                     got = [float(m) for m in promote_normal_order(*normal)]
                     dense = dense_brute_force(a0, cutoff, tau / n, theta)
                     assert_close(got, dense, 1e-10)

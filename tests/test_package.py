@@ -13,7 +13,6 @@ import anharmonic
 #: Names kept without a package caller, each with its reason.
 ALLOWED_UNUSED = {
     "kerr_hamiltonian",  # perfbench/tracing.py wraps it by name; the tests derive from it
-    "_quadrature_moments",  # the oracle's moments as mpmath numbers, which the tests read
 }
 
 

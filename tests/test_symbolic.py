@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -172,8 +174,8 @@ class TestItoToStratonovich:
 
     def test_constant_noise_in_own_variable_leaves_drift(self):
         drift = (P({(0, 1): -1j}), P({(1, 0): 1j}))
-        noise = (P({(1, 0): 0.5}), P({(0, 1): 0.5}))  # each independent of its own variable
-        model = DriftDiffusionModel(("alpha1", "alpha2*"), drift, noise, "ito")
+        diffusion = (P({(2, 0): 0.25}), P({(0, 2): 0.25}))  # each independent of its own variable
+        model = DriftDiffusionModel(("alpha1", "alpha2*"), drift, diffusion, "ito")
         strat = sy.ito_to_stratonovich(model)
         assert poly_equal(strat.drift[0], drift[0])
         assert poly_equal(strat.drift[1], drift[1])
@@ -270,17 +272,19 @@ class TestParsing:
         with pytest.raises(ValueError, match="bad token"):
             sy.parse_hamiltonian("ad b")
 
-    def test_coefficient_beyond_float_range_is_a_bad_token(self):
-        with pytest.raises(ValueError, match="bad token '1000"):
-            sy.parse_hamiltonian("1" + "0" * 399 + " ad a")
+    def test_coefficient_beyond_float_range_parses_exactly(self):
+        c = 10**399
+        assert sy.parse_hamiltonian(f"{c} ad a")[0].coefficient == c
+        assert sy.parse_phase_polynomial(f"{c} ad a").coefficients == {(1, 1): (c, 0)}
 
     def test_coefficients_up_to_two_to_the_53(self):
+        # and beyond: 2^53 + 1 is no float, and stays the integer given
         limit = 2**53
-        for c in (limit, -limit):
-            assert sy.parse_hamiltonian(f"{c} ad a")[0].coefficient == float(c)
-        for c in (limit + 1, -limit - 1):
-            with pytest.raises(ValueError, match=f"bad token '{c}'"):
-                sy.parse_hamiltonian(f"{c} ad a")
+        for c in (limit, -limit, limit + 1, -limit - 1):
+            assert sy.parse_hamiltonian(f"{c} ad a")[0].coefficient == c
+            assert sy.normal_order(sy.parse_hamiltonian(f"{c} a ad")).coefficients == {
+                (1, 1): (c, 0), (0, 0): (c, 0)
+            }
 
     def test_phase_polynomial_tokens(self):
         assert sy.parse_phase_polynomial("a") == P({(0, 1): 1.0})
@@ -298,7 +302,12 @@ class TestFiniteCoefficients:
         with pytest.raises(ValueError, match="is not finite"):
             sy.normal_order([word])
 
-    def test_overflowing_derivation_raises(self):
-        # 1e308 a*^2 a^2 is finite, its first derivative is not
-        with pytest.raises(ValueError, match="is not finite"):
-            sy.derive_wigner_model(P({(2, 2): 1e308, (1, 1): 1e308}))
+    def test_derivation_beyond_float_range_is_exact(self):
+        # the derivatives of c a*^2 a^2, c the float 1e308, pass the float
+        # range; H_W = c (a*^2 a^2 + a* a) - c (2 a* a + 1/2) + c/2 = c (a*^2 a^2 - a* a)
+        c = Fraction(1e308)
+        model = sy.derive_wigner_model(P({(2, 2): 1e308, (1, 1): 1e308}))
+        # drift -i dH_W/da* = -i c (2 a* a^2 - a)
+        assert model.drift[0].coefficients == {(1, 2): (0, -2 * c), (0, 1): (0, c)}
+        assert sy.render_polynomial(model.drift[0]) == "0+1e+308i * a*^0 a^1 + 0-2e+308i * a*^1 a^2"
+        assert sy.drift_divergence(model).is_zero()
