@@ -45,26 +45,23 @@ def _load_config(args) -> SimulationConfig:
     return cfg
 
 
-def _derive_text(hamiltonian_tokens: str) -> list[str]:
-    words = symbolic.parse_hamiltonian(hamiltonian_tokens)
-    h = symbolic.normal_order(words)
-    lines = [f"hamiltonian (normal ordered): {symbolic.render_polynomial(h)}"]
+def _derive_sections(hamiltonian_tokens: str):
+    """The derive report, one section (a list of lines) at a time.
 
+    Every model is derived, exactly, before the first section, so that a
+    Hamiltonian without one prints nothing.  A positive-P noise amplitude
+    is rounded to a float as its section renders, so one beyond the float
+    range is refused after the sections before it.
+    """
+    h = symbolic.normal_order(symbolic.parse_hamiltonian(hamiltonian_tokens))
     wigner = symbolic.derive_wigner_model(h)
-    lines.append("")
-    lines.append("truncated wigner (drift only):")
-    lines.extend("  " + ln for ln in symbolic.render_model(wigner))
-
     ito = symbolic.derive_positive_p_model(h)
     strat = symbolic.ito_to_stratonovich(ito)
-    lines.append("")
-    lines.append("positive-p (ito):")
-    lines.extend("  " + ln for ln in symbolic.render_model(ito))
-    lines.append("")
-    lines.append("positive-p (stratonovich):")
-    lines.extend("  " + ln for ln in symbolic.render_model(strat))
-    lines.append("  noise correlation: <xi_j(t) xi_j'(t')> = 2i delta(t-t') delta_jj'")
-    return lines
+    yield [f"hamiltonian (normal ordered): {symbolic.render_polynomial(h)}"]
+    for title, model in (("truncated wigner (drift only)", wigner), ("positive-p (ito)", ito),
+                         ("positive-p (stratonovich)", strat)):
+        yield ["", f"{title}:", *("  " + ln for ln in symbolic.render_model(model))]
+    yield ["  noise correlation: <xi_j(t) xi_j'(t')> = 2i delta(t-t') delta_jj'"]
 
 
 def _error(exc: Exception, code: int) -> int:
@@ -74,8 +71,8 @@ def _error(exc: Exception, code: int) -> int:
 
 def _cmd_derive(args) -> int:
     try:
-        for line in _derive_text(args.hamiltonian):
-            print(line)
+        for section in _derive_sections(args.hamiltonian):
+            print("\n".join(section))
     except (ValueError, symbolic.DerivationError) as exc:
         return _error(exc, EXIT_INPUT)
     return 0

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moments import POSITIVE_P, WIGNER, MomentAccumulator, bulk_monomials
-from .sampling import stream_for_trajectory, wigner_initial
+from .sampling import sample_wigner_coherent, stream_for_trajectory
 
 #: Escape radius for divergence flagging, in units of sqrt(N).
 ESCAPE_RADIUS_FACTOR = 1e3
@@ -183,11 +183,11 @@ def quadrature_centres(alpha0: complex, grid: TimeGrid) -> np.ndarray:
     return np.where(np.isfinite(centres), centres, 0.0)
 
 
-def _batch_power_sums(representation: str, pairs, thetas, centres, edges, out, dead=()) -> None:
+def _batch_power_sums(pairs, thetas, centres, edges, out, dead=()) -> None:
     """Sum the quadrature powers of each output's amplitudes per batch into ``out``.
 
     ``pairs`` yields one pair (a, b) per output, in the form
-    bulk_monomials takes for ``representation``, at its phase in ``thetas``
+    bulk_monomials takes (b is None for a Wigner phasor), at its phase in ``thetas``
     and centre in ``centres``; the chunk's batches are the runs between its
     consecutive ``edges``.  Each output's powers are formed in one reused
     block, its ``dead`` path columns zeroed, and summed straight into its
@@ -199,7 +199,7 @@ def _batch_power_sums(representation: str, pairs, thetas, centres, edges, out, d
     runs = [(size, len(list(run))) for size, run in itertools.groupby(np.diff(edges))]
     block = None
     for sums, theta, centre, pair in zip(out, thetas, centres, pairs):
-        block = bulk_monomials(theta, *pair, representation, centre, out=block)
+        block = bulk_monomials(theta, *pair, centre, out=block)
         if len(dead):
             block[:, dead] = 0.0
         lo = j = 0
@@ -355,7 +355,7 @@ def _positive_p_chunk(
             states[k_out] = y
         # escaped states may be non-finite, as are their powers until zeroed
         dead = np.flatnonzero(~alive)
-        _batch_power_sums(POSITIVE_P, states, grid.thetas, centres, edges, out, dead)
+        _batch_power_sums(states, grid.thetas, centres, edges, out, dead)
     return alive
 
 
@@ -369,10 +369,11 @@ def _truncated_wigner_chunk(
 ) -> np.ndarray:
     """Exact-flow chunk: sum the batches' powers of the paths
     edges[0] .. edges[-1] - 1 into ``out``; every path stays alive."""
-    init = wigner_initial(alpha0, seed, int(edges[0]), int(edges[-1]))
+    m = int(edges[-1] - edges[0])
+    init = sample_wigner_coherent(alpha0, stream_for_trajectory(seed, int(edges[0])), m)
     phasors = ((z, None) for z in exact_wigner_flow(init, grid.times))
-    _batch_power_sums(WIGNER, phasors, grid.thetas, centres, edges, out)
-    return np.ones(len(init), dtype=bool)
+    _batch_power_sums(phasors, grid.thetas, centres, edges, out)
+    return np.ones(m, dtype=bool)
 
 
 def _available_cpus() -> int:

@@ -104,21 +104,21 @@ class MomentAccumulator:
         return int(self.batch_diverged.sum())
 
 
-def bulk_monomials(theta: float, a, b, representation: str, centre=0.0, out=None) -> np.ndarray:
+def bulk_monomials(theta: float, a, b, centre=0.0, out=None) -> np.ndarray:
     """Powers y, y^2, y^3, y^4 of each path's displaced quadrature y = x - centre
     at phase theta, shape (4, m).
 
     A positive-P pair (a, b = abar) gives x = e^{-i theta} a + e^{i theta} b
-    in a complex block.  A Wigner amplitude alpha comes as its phasor
-    a = 2 alpha (b is not used), and x = Re(e^{-i theta} a) =
+    in a complex block.  A Wigner amplitude alpha comes alone, as its phasor
+    a = 2 alpha with b None, and x = Re(e^{-i theta} a) =
     cos(theta) Re a + sin(theta) Im a, in a float64 block.  Every row is
     written straight into ``out`` (allocated when not given).
     """
     if out is None:
-        out = np.empty((N_POWERS, len(a)), dtype=DTYPES[representation])
+        out = np.empty((N_POWERS, len(a)), dtype=DTYPES[WIGNER if b is None else POSITIVE_P])
     x, x2, x3, x4 = out
     c, s = math.cos(theta), math.sin(theta)
-    if representation == WIGNER:
+    if b is None:
         np.multiply(a.real, c, out=x)
         np.multiply(a.imag, s, out=x2)
     else:

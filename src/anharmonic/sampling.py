@@ -1,12 +1,11 @@
 """Reproducible initial-condition sampling for coherent states.
 
-Every work chunk owns one counter-based random stream keyed by
-``(master_seed, t_lo)``, where ``t_lo`` is the chunk's first trajectory, so
-ensembles are bit-identical for a fixed seed no matter how work is scheduled
-or how many workers run.  :func:`stream_key` is the one keying rule and
-:class:`RandomStream` builds a Philox generator from it.  A truncated-Wigner
-chunk's initial amplitudes come from its stream in one draw
-(:func:`wigner_initial`), by the one sample formula,
+Every work chunk owns one counter-based random stream, a
+:class:`RandomStream` keyed by ``(master_seed, t_lo)``, where ``t_lo`` is the
+chunk's first trajectory (:func:`stream_for_trajectory`), so ensembles are
+bit-identical for a fixed seed no matter how work is scheduled or how many
+workers run.  A truncated-Wigner chunk's initial amplitudes come from its
+stream in one draw, by the one sample formula,
 :func:`sample_wigner_coherent`.  A positive-P coherent start is
 deterministic and draws nothing; its Wiener increments are two-point signs,
 one raw Philox bit each (:meth:`RandomStream.signs`).
@@ -15,30 +14,17 @@ one raw Philox bit each (:meth:`RandomStream.signs`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-_MASK64 = 0xFFFFFFFFFFFFFFFF
 
-
-def stream_key(master_seed: int, trajectory_index: int) -> tuple[int, int]:
-    """Philox key words of the stream that starts at one trajectory (each mod 2**64)."""
-    return master_seed & _MASK64, trajectory_index & _MASK64
-
-
-@dataclass
 class RandomStream:
-    """One work chunk's private Philox stream: ziggurat normals and raw-bit signs."""
+    """One work chunk's private Philox stream, keyed ``(seed, stream_index)``
+    with each key word taken mod 2**64: ziggurat normals and raw-bit signs."""
 
-    seed: int
-    stream_index: int
-    _gen: np.random.Generator = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self._gen is None:
-            key = np.array(stream_key(self.seed, self.stream_index), dtype=np.uint64)
-            self._gen = np.random.Generator(np.random.Philox(key=key))
+    def __init__(self, seed: int, stream_index: int):
+        key = np.array([seed % 2**64, stream_index % 2**64], dtype=np.uint64)
+        self._gen = np.random.Generator(np.random.Philox(key=key))
 
     def normals(self, n: int) -> np.ndarray:
         """Draw n independent standard real Gaussians.
@@ -86,12 +72,3 @@ def sample_wigner_coherent(amplitude: complex, stream: RandomStream, n: int) -> 
     """
     w = stream.normals(2 * n)
     return complex(amplitude) + 0.5 * (w[0::2] + 1j * w[1::2])
-
-
-def wigner_initial(
-    amplitude: complex, master_seed: int, traj_lo: int, traj_hi: int
-) -> np.ndarray:
-    """Wigner samples of coherent |amplitude> for trajectories traj_lo .. traj_hi - 1,
-    drawn from the stream keyed ``(master_seed, traj_lo)``."""
-    stream = stream_for_trajectory(master_seed, traj_lo)
-    return sample_wigner_coherent(amplitude, stream, traj_hi - traj_lo)

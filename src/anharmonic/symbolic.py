@@ -80,15 +80,6 @@ class PhasePolynomial:
         exact = ((k, _gaussian(c)) for k, c in (terms or {}).items())
         self.coefficients = {(int(p), int(q)): c for (p, q), c in exact if any(c)}
 
-    @property
-    def terms(self) -> dict[tuple[int, int], complex]:
-        """The coefficients as complex numbers, each part rounded to a float."""
-        return {k: complex(float(re), float(im)) for k, (re, im) in self.coefficients.items()}
-
-    @classmethod
-    def zero(cls) -> "PhasePolynomial":
-        return cls()
-
     @classmethod
     def monomial(cls, p: int, q: int, coeff: complex = 1) -> "PhasePolynomial":
         return cls({(p, q): coeff})
@@ -139,7 +130,7 @@ def normal_order(words) -> PhasePolynomial:
     input yields a Hermitian symbol.
     """
     a, a_star = PhasePolynomial.monomial(0, 1), PhasePolynomial.monomial(1, 0)
-    total = PhasePolynomial.zero()
+    total = PhasePolynomial()
     for word in words:
         s = PhasePolynomial.monomial(0, 0, word.coefficient)
         for factor in word.factors:
@@ -218,11 +209,12 @@ class DriftDiffusionModel:
         if self.convention not in ("ito", "stratonovich"):
             raise ValueError(f"unknown calculus convention {self.convention!r}")
         for d in self.diffusion:
-            _monomial_sqrt(d)  # a DerivationError unless every amplitude exists
+            _root_exponents(d)  # a DerivationError unless every amplitude exists
 
     @property
     def noise(self) -> tuple[PhasePolynomial, ...]:
-        """The noise amplitudes B_j."""
+        """The noise amplitudes B_j, each with a float coefficient: a
+        DerivationError where D_j's coefficient is beyond the float range."""
         return tuple(_monomial_sqrt(d) for d in self.diffusion)
 
 
@@ -240,7 +232,7 @@ def derive_wigner_model(hamiltonian: PhasePolynomial) -> DriftDiffusionModel:
         raise DerivationError("Hamiltonian symbol must be Hermitian")
     p_max = max((p for p, _ in hamiltonian.coefficients), default=0)
     q_max = max((q for _, q in hamiltonian.coefficients), default=0)
-    wigner_symbol = PhasePolynomial.zero()
+    wigner_symbol = PhasePolynomial()
     for w in range(min(p_max, q_max) + 1):
         h_term = differentiate(differentiate(hamiltonian, VAR_A_STAR, w), VAR_A, w)
         wigner_symbol = wigner_symbol + h_term.scaled(Fraction(-1, 2) ** w / math.factorial(w))
@@ -265,15 +257,11 @@ def derive_wigner_model(hamiltonian: PhasePolynomial) -> DriftDiffusionModel:
     )
 
 
-def _monomial_sqrt(poly: PhasePolynomial) -> PhasePolynomial:
-    """Principal square root of ``c * a*^p a^q`` with even p, q.
-
-    The constant factor takes the principal branch, in floats; the polynomial
-    part is halved exponent-wise so that the amplitude stays single valued
-    along trajectories (no branch-cut crossing, unlike a pointwise root).
-    """
+def _root_exponents(poly: PhasePolynomial) -> tuple[int, int]:
+    """Exponents (p/2, q/2) of the root of ``c * a*^p a^q`` with even p, q, or
+    (0, 0) of zero; a DerivationError for every other polynomial."""
     if poly.is_zero():
-        return PhasePolynomial.zero()
+        return 0, 0
     if len(poly.coefficients) != 1:
         raise DerivationError(
             "diffusion term is not a single monomial; noise amplitude "
@@ -285,11 +273,22 @@ def _monomial_sqrt(poly: PhasePolynomial) -> PhasePolynomial:
             f"diffusion monomial a*^{p} a^{q} has odd exponents; "
             "no polynomial square root exists"
         )
+    return p // 2, q // 2
+
+
+def _monomial_sqrt(poly: PhasePolynomial) -> PhasePolynomial:
+    """Principal square root of ``c * a*^p a^q`` with even p, q.
+
+    The constant factor takes the principal branch, in floats; the polynomial
+    part is halved exponent-wise so that the amplitude stays single valued
+    along trajectories (no branch-cut crossing, unlike a pointwise root).
+    """
+    p, q = _root_exponents(poly)
     try:
-        c = poly.terms[p, q]
+        c = complex(*poly.coefficients.get((2 * p, 2 * q), (0, 0)))
     except OverflowError:  # no float holds the coefficient
         raise DerivationError(f"diffusion term {render_polynomial(poly)} exceeds the float range") from None
-    return PhasePolynomial.monomial(p // 2, q // 2, c**0.5)
+    return PhasePolynomial.monomial(p, q, c**0.5)
 
 
 def derive_positive_p_model(hamiltonian: PhasePolynomial) -> DriftDiffusionModel:
@@ -423,7 +422,7 @@ def parse_phase_polynomial(text: str) -> PhasePolynomial:
     Here the symbols commute: ``ad`` contributes a power of a* and ``a`` a
     power of a, e.g. ``a`` is the monomial alpha and ``2 ad a`` is 2 a* a.
     """
-    out = PhasePolynomial.zero()
+    out = PhasePolynomial()
     for word in parse_hamiltonian(text):
         p = sum(1 for f in word.factors if f == CREATE)
         q = len(word.factors) - p

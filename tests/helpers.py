@@ -49,15 +49,21 @@ def random_hermitian_polynomial(rng: np.random.Generator, max_degree: int = 4) -
     return PhasePolynomial(terms)
 
 
-def poly_equal(a: PhasePolynomial, b: PhasePolynomial, tol: float = 1e-12) -> bool:
-    """Every coefficient of a and b agrees within tol (a missing term is zero)."""
-    keys = set(a.terms) | set(b.terms)
-    return all(abs(a.terms.get(k, 0.0) - b.terms.get(k, 0.0)) <= tol for k in keys)
+def complex_terms(poly: PhasePolynomial) -> dict[tuple[int, int], complex]:
+    """The coefficients of poly as complex numbers, each part rounded to a float."""
+    return {k: complex(re, im) for k, (re, im) in poly.coefficients.items()}
+
+
+def poly_close(a: PhasePolynomial, b: PhasePolynomial, tol: float = 1e-12) -> bool:
+    """Every coefficient of a and b, as a float, agrees within tol (a missing
+    term is zero): for symbols built from the float noise roots."""
+    a, b = complex_terms(a), complex_terms(b)
+    return all(abs(a.get(k, 0.0) - b.get(k, 0.0)) <= tol for k in set(a) | set(b))
 
 
 def conjugate_map(poly: PhasePolynomial) -> PhasePolynomial:
-    """Swap exponents and conjugate coefficients (a <-> a*, i -> -i)."""
-    return PhasePolynomial({(q, p): complex(c).conjugate() for (p, q), c in poly.terms.items()})
+    """Swap exponents and conjugate coefficients (a <-> a*, i -> -i), exactly."""
+    return PhasePolynomial({(q, p): (re, -im) for (p, q), (re, im) in poly.coefficients.items()})
 
 
 def dagger(word: OperatorWord) -> OperatorWord:
@@ -167,9 +173,10 @@ def chunk_philox(seed: int, traj_lo: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, traj_lo], dtype=np.uint64)))
 
 
-def chunk_stream_wigner_initial(amplitude, seed: int, traj_lo: int, traj_hi: int) -> np.ndarray:
-    """Reference Wigner start: row i takes the chunk stream's normals 2i and 2i + 1."""
-    w = chunk_philox(seed, traj_lo).standard_normal((traj_hi - traj_lo, 2))
+def reference_wigner_coherent(amplitude, gen: np.random.Generator, n: int) -> np.ndarray:
+    """Reference Wigner start of n paths: row i takes normals 2i and 2i + 1 of
+    ``gen`` (a chunk_philox) as its real and imaginary vacuum noise, halved."""
+    w = gen.standard_normal((n, 2))
     return complex(amplitude) + 0.5 * (w[:, 0] + 1j * w[:, 1])
 
 
@@ -256,7 +263,7 @@ def evaluate(poly: PhasePolynomial, a: complex, a_star: complex | None = None) -
     if a_star is None:
         a_star = complex(a).conjugate()
     total = 0.0 + 0.0j
-    for (p, q), c in poly.terms.items():
+    for (p, q), c in complex_terms(poly).items():
         total += c * (a_star**p) * (a**q)
     return total
 

@@ -21,7 +21,6 @@ from anharmonic.engine import (
     run_truncated_wigner,
 )
 from anharmonic.moments import (
-    WIGNER,
     CsvRow,
     batch_error,
     bulk_monomials,
@@ -30,7 +29,7 @@ from anharmonic.moments import (
     read_rows,
     write_rows,
 )
-from anharmonic.sampling import wigner_initial
+from anharmonic.sampling import sample_wigner_coherent, stream_for_trajectory
 from helpers import (
     at_phase,
     dense_brute_force,
@@ -39,7 +38,7 @@ from helpers import (
     grid_at,
     ladder_sums,
     midpoint_path,
-    poly_equal,
+    poly_close,
     quadrature_moments,
     quadrature_rounding_bound,
     random_hermitian_polynomial,
@@ -119,16 +118,16 @@ def test_criterion_1_symbolic_reproduction(capsys):
     assert h == sy.PhasePolynomial({(2, 2): 1, (1, 1): 1})
 
     wigner = sy.derive_wigner_model(h)
-    assert poly_equal(wigner.drift[0], sy.PhasePolynomial({(1, 2): -2j, (0, 1): 1j}))
+    assert wigner.drift[0] == sy.PhasePolynomial({(1, 2): -2j, (0, 1): 1j})
     assert wigner.noise == ()
 
     strat = sy.ito_to_stratonovich(sy.derive_positive_p_model(h))
-    assert poly_equal(strat.drift[0], sy.PhasePolynomial({(1, 2): -2j}))
-    assert poly_equal(strat.drift[1], sy.PhasePolynomial({(2, 1): 2j}))
+    assert strat.drift[0] == sy.PhasePolynomial({(1, 2): -2j})
+    assert strat.drift[1] == sy.PhasePolynomial({(2, 1): 2j})
     # noise amplitudes square to -2i a^2 and +2i a*^2: the complex noises
     # xi_j dt built from them satisfy <xi xi> = 2i delta(t-t') delta_jj'
-    assert poly_equal(strat.noise[0] * strat.noise[0], sy.PhasePolynomial({(0, 2): -2j}))
-    assert poly_equal(strat.noise[1] * strat.noise[1], sy.PhasePolynomial({(2, 0): 2j}))
+    assert poly_close(strat.noise[0] * strat.noise[0], sy.PhasePolynomial({(0, 2): -2j}))
+    assert poly_close(strat.noise[1] * strat.noise[1], sy.PhasePolynomial({(2, 0): 2j}))
 
     assert main(["derive"]) == 0
     out = capsys.readouterr().out
@@ -258,12 +257,12 @@ def test_criterion_6_conservation_invariants():
     # |alpha0|, and the kernel's x = Re(exp(-i theta) z) lies within the
     # flow's rounding bound of the Cartesian rotation
     # 2 Re(exp(-i theta) alpha0 exp(-i omega t))
-    init = wigner_initial(ALPHA0, 1, 0, 500)
+    init = sample_wigner_coherent(ALPHA0, stream_for_trajectory(1, 0), 500)
     omega = 2.0 * (init.real**2 + init.imag**2) - 1.0
     flow = exact_wigner_flow(init, grid.times)
     for k, (z, t, theta) in enumerate(zip(flow, grid.times, grid.thetas, strict=True)):
         assert np.all(np.abs(np.abs(z) - 2.0 * np.abs(init)) <= 2e-13 * np.abs(init))
-        x = bulk_monomials(theta, z, None, WIGNER)[0]
+        x = bulk_monomials(theta, z, None)[0]
         cartesian = 2.0 * (np.exp(-1j * theta) * init * np.exp(-1j * omega * t)).real
         bound = quadrature_rounding_bound(rounding_phase(omega, t, theta, k), 2.0 * np.abs(init))
         assert np.all(np.abs(x - cartesian) <= bound[0])

@@ -178,6 +178,24 @@ def test_hamiltonian_coefficient_too_large_exit_code(capsys, argv, code, line):
     assert "inf" not in out + err and "nan" not in out + err
 
 
+def test_derive_prints_exact_sections_before_a_noise_beyond_the_float_range(capsys):
+    # the normal-ordered Hamiltonian and the truncated-Wigner model are exact
+    # and reach stdout; the positive-P sections stop at the noise amplitude,
+    # whose float root no float holds
+    code, out, err = run_cli(capsys, "derive", "--hamiltonian", f"{HUGE_COEFFICIENT} ad a ad a")
+    assert code == cli.EXIT_INPUT
+    assert err == "error: diffusion term 0-2e+399i * a*^0 a^2 exceeds the float range\n"
+    assert out == (
+        "hamiltonian (normal ordered): 1e+399+0i * a*^1 a^1 + 1e+399+0i * a*^2 a^2\n"
+        "\n"
+        "truncated wigner (drift only):\n"
+        "  d(alpha)/dt = 0+1e+399i * a*^0 a^1 + 0-2e+399i * a*^1 a^2\n"
+        "  d(alpha*)/dt = 0-1e+399i * a*^1 a^0 + 0+2e+399i * a*^2 a^1\n"
+        "  discarded: d^3/d(alpha)^1 d(alpha*)^2 [0+5e+398i * a*^1 a^0]\n"
+        "  discarded: d^3/d(alpha)^2 d(alpha*)^1 [0-5e+398i * a*^0 a^1]\n"
+    )
+
+
 #: The Hamiltonians whose derive and purity output tests/data/derive_golden.txt
 #: holds; they include every DerivationError message.
 GOLDEN_HAMILTONIANS = (

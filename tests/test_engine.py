@@ -17,15 +17,16 @@ from anharmonic.engine import (
     run_positive_p,
     run_truncated_wigner,
 )
-from anharmonic.moments import N_POWERS, POSITIVE_P, WIGNER, batch_error, bulk_monomials
-from anharmonic.sampling import RandomStream, stream_for_trajectory, wigner_initial
+from anharmonic.moments import N_POWERS, batch_error, bulk_monomials
+from anharmonic.sampling import RandomStream, sample_wigner_coherent, stream_for_trajectory
 from helpers import (
     ANCHOR_EVERY,
     ConvergedMidpointStep,
     at_phase,
     batch_slices,
+    chunk_philox,
     chunk_signs,
-    chunk_stream_wigner_initial,
+    complex_terms,
     frozen_brownian_paths,
     full_block_kernel,
     greedy_chunk_groups,
@@ -35,6 +36,7 @@ from helpers import (
     midpoint_path,
     per_slice_batch_sums,
     quadrature_rounding_bound,
+    reference_wigner_coherent,
     rounding_phase,
     scalar_midpoint_path,
     stacked_powers,
@@ -67,19 +69,19 @@ def batch_mean(sums, counts, k):
     return sums[k].sum() / counts.sum()
 
 
-def stacked_bulk_monomials(theta, a, b, representation, centre=0.0, out=None):
+def stacked_bulk_monomials(theta, a, b, centre=0.0, out=None):
     """bulk_monomials by whole-array operations: stacked_powers of the
-    amplitude a / 2 for a Wigner phasor a, of the pair for a positive-P one.
-    Halving and the reference's doubling are exact, so the Wigner powers
-    agree bit for bit."""
-    if representation == WIGNER:
-        return stacked_powers(theta, 0.5 * a, None, centre)
-    return stacked_powers(theta, a, b, centre)
+    amplitude a / 2 for a Wigner phasor a (b None), of the pair for a
+    positive-P one.  Halving and the reference's doubling are exact, so the
+    Wigner powers agree bit for bit."""
+    return stacked_powers(theta, 0.5 * a if b is None else a, b, centre)
 
 
 def use_reference_kernels(monkeypatch):
-    """A directly built chunk Philox and stacked powers, in place of the block kernels."""
-    monkeypatch.setattr(engine, "wigner_initial", chunk_stream_wigner_initial)
+    """A directly built chunk Philox, the reference Wigner start and stacked
+    powers, in place of the stream, the block sampler and the block kernel."""
+    monkeypatch.setattr(engine, "stream_for_trajectory", chunk_philox)
+    monkeypatch.setattr(engine, "sample_wigner_coherent", reference_wigner_coherent)
     monkeypatch.setattr(engine, "bulk_monomials", stacked_bulk_monomials)
 
 
@@ -170,7 +172,7 @@ class TestQuadratureCentres:
             flow = exact_wigner_flow(np.array([alpha0]), grid.times)
             for k, (t, theta, centre, z) in enumerate(zip(grid.times, grid.thetas, centres, flow,
                                                            strict=True)):
-                y = bulk_monomials(theta, z, None, WIGNER, centre)[0, 0]
+                y = bulk_monomials(theta, z, None, centre)[0, 0]
                 bound = quadrature_rounding_bound(rounding_phase(omega, t, theta, k), 2 * abs(alpha0))
                 assert np.all(abs(y) <= 2.0 * bound[0]), (alpha0, t, y)
 
@@ -222,14 +224,14 @@ class TestExactWignerStep:
         # units of eps 2 |alpha(0)| here).  The anchored flow stays within 22
         # of them; the same rotations without anchors drift to 1400-2100
         grid = grid_at(n, np.linspace(0.0, 10.0, 10001), 1e-3)
-        init = wigner_initial(math.sqrt(n), 1, 0, 2)
+        init = sample_wigner_coherent(math.sqrt(n), stream_for_trajectory(1, 0), 2)
         omega = 2.0 * (init.real**2 + init.imag**2) - 1.0
         with mpmath.workdps(60):
             amplitudes = [(mpmath.mpf(a.real), mpmath.mpf(a.imag)) for a in init]
             rates = [2 * (re**2 + im**2) - 1 for re, im in amplitudes]
             flow = exact_wigner_flow(init, grid.times)
             for k, (t, theta, z) in enumerate(zip(grid.times, grid.thetas, flow, strict=True)):
-                x = bulk_monomials(theta, z, None, WIGNER)[0]
+                x = bulk_monomials(theta, z, None)[0]
                 bound = quadrature_rounding_bound(rounding_phase(omega, t, theta, k), 2.0 * np.abs(init))[0]
                 for got, limit, (re, im), rate in zip(x, bound, amplitudes, rates):
                     cos, sin = mpmath.cos_sin(rate * t + theta)
@@ -240,7 +242,7 @@ class TestExactWignerStep:
         # keeps at most 4 rotations of shape (m,), 256 KiB here, and holds
         # at most six more arrays of that size while it runs
         m = 4096
-        init = wigner_initial(math.sqrt(1e3), 1, 0, m)
+        init = sample_wigner_coherent(math.sqrt(1e3), stream_for_trajectory(1, 0), m)
         times = np.geomspace(1e-6, 1e-2, 200)
         assert len(set(np.diff(times))) == 199
         tracemalloc.start()
@@ -330,10 +332,10 @@ class TestMidpointStep:
         # term for term: drift (c0 a* a^2, c1 a*^2 a), noise (n0 a, n1 a*)
         model = kerr_positive_p_model()
         assert model.convention == "stratonovich"
-        assert [poly.terms for poly in model.drift] == [
+        assert [complex_terms(poly) for poly in model.drift] == [
             {(1, 2): engine.KERR_DRIFT[0]}, {(2, 1): engine.KERR_DRIFT[1]}
         ]
-        assert [poly.terms for poly in model.noise] == [
+        assert [complex_terms(poly) for poly in model.noise] == [
             {(0, 1): engine.KERR_NOISE[0]}, {(1, 0): engine.KERR_NOISE[1]}
         ]
 
@@ -763,14 +765,14 @@ class TestLadderSums:
         seen = {}
 
         def run(theta):
-            def spy(phase, a, b, representation, centre, out=None):
-                # a Wigner amplitude arrives as its phasor 2 a
-                if representation == WIGNER:
+            def spy(phase, a, b, centre, out=None):
+                # a Wigner amplitude arrives alone, as its phasor 2 a
+                if b is None:
                     alpha = 0.5 * a
                     seen[theta].append((alpha, np.conj(alpha)))
                 else:
                     seen[theta].append((a.copy(), b.copy()))
-                return kernel(phase, a, b, representation, centre, out)
+                return kernel(phase, a, b, centre, out)
 
             seen[theta] = []
             monkeypatch.setattr(engine, "bulk_monomials", spy)
@@ -964,16 +966,14 @@ class TestStreamingReduction:
         thetas = (0.0, 0.7, 4.1)
         centres = (0.0, -1.5, 2.25)
         edges = engine.batch_edges(n_paths, n_batches)
-        for representation, dtype, pairs in (
-            (POSITIVE_P, np.complex128, [tuple(pair) for pair in amplitudes]),
-            (WIGNER, np.float64, [wigner_phasor(a) for a, _ in amplitudes]),
+        for dtype, pairs in (
+            (np.complex128, [tuple(pair) for pair in amplitudes]),
+            (np.float64, [wigner_phasor(a) for a, _ in amplitudes]),
         ):
             got = np.full((3, n_batches, N_POWERS), np.nan, dtype=dtype)
-            engine._batch_power_sums(representation, iter(pairs), thetas, centres, edges, got)
+            engine._batch_power_sums(iter(pairs), thetas, centres, edges, got)
             for out, theta, centre, pair in zip(got, thetas, centres, pairs):
-                want = per_slice_batch_sums(
-                    bulk_monomials(theta, *pair, representation, centre), edges
-                )
+                want = per_slice_batch_sums(bulk_monomials(theta, *pair, centre), edges)
                 assert np.array_equal(out, want)
 
 

@@ -41,7 +41,7 @@ def acc_from_samples(representation, a, abar=None, theta=0.0, n_batches=10, dive
         pairs = zip(amps, np.array_split(np.asarray(abar), n_batches))
     return fill_batches(
         MomentAccumulator(representation, 1, n_batches),
-        [bulk_monomials(theta, *pair, representation).sum(axis=1) for pair in pairs],
+        [bulk_monomials(theta, *pair).sum(axis=1) for pair in pairs],
         [len(am) for am in amps],
         diverged,
     )
@@ -69,7 +69,7 @@ class TestAccumulate:
     def test_single_wigner_path(self):
         # x = 2 Re(a) = 4 at theta = 0
         a = np.array([2.0 + 0.5j])
-        acc = fill_batches(MomentAccumulator(WIGNER, 1, 2), bulk_monomials(0.0, *wigner_phasor(a), WIGNER).T, [1])
+        acc = fill_batches(MomentAccumulator(WIGNER, 1, 2), bulk_monomials(0.0, *wigner_phasor(a)).T, [1])
         assert acc.batch_sums[0, 0] == pytest.approx([4.0, 16.0, 64.0, 256.0])
         assert acc.batch_counts[0] == 1
         assert not acc.batch_sums[0, 1].any()
@@ -78,7 +78,7 @@ class TestAccumulate:
         # x = e^{-i theta} a + e^{i theta} abar, with abar independent of a
         a, abar, theta = 2.0 + 1.0j, 3.0 - 0.5j, 0.7
         acc = fill_batches(
-            MomentAccumulator(POSITIVE_P, 1, 1), bulk_monomials(theta, [a], [abar], POSITIVE_P).T, [1]
+            MomentAccumulator(POSITIVE_P, 1, 1), bulk_monomials(theta, [a], [abar]).T, [1]
         )
         x = cmath.exp(-1j * theta) * a + cmath.exp(1j * theta) * abar
         assert acc.batch_sums[0, 0] == pytest.approx([x, x**2, x**3, x**4])
@@ -220,7 +220,7 @@ class TestBulkMonomials:
     def test_matches_stacked_reference_bit_for_bit(self):
         abar, a = self._paths()
         for theta in (0.0, 0.3, 2.0, -7.5):
-            assert np.array_equal(bulk_monomials(theta, a, abar, POSITIVE_P), stacked_powers(theta, a, abar))
+            assert np.array_equal(bulk_monomials(theta, a, abar), stacked_powers(theta, a, abar))
 
     def test_wigner_branch_matches_cartesian_reference(self):
         # N = 1e6 at tau = 10: the flow turns each amplitude by omega t of
@@ -235,7 +235,7 @@ class TestBulkMonomials:
         omega = 2.0 * (init.real**2 + init.imag**2) - 1.0
         cartesian = init * np.exp(-1j * omega * (tau / n))
         for theta in (0.0, 0.3, -7.5, 2.0 * tau):
-            got = bulk_monomials(theta, z, None, WIGNER)
+            got = bulk_monomials(theta, z, None)
             assert got.dtype == np.float64
             bound = quadrature_rounding_bound(np.abs(omega * (tau / n)) + abs(theta) + 1, np.abs(z))
             assert np.all(np.abs(got - stacked_powers(theta, cartesian)) <= bound)
@@ -244,15 +244,15 @@ class TestBulkMonomials:
     def test_out_buffer_view_equals_fresh_result(self):
         abar, a = self._paths()
         block = np.full((3, N_POWERS, len(a)), np.nan, dtype=np.complex128)
-        got = bulk_monomials(0.4, a, abar, POSITIVE_P, out=block[1])
+        got = bulk_monomials(0.4, a, abar, out=block[1])
         assert np.shares_memory(got, block[1])
-        assert np.array_equal(block[1], bulk_monomials(0.4, a, abar, POSITIVE_P))
+        assert np.array_equal(block[1], bulk_monomials(0.4, a, abar))
         assert np.isnan(block[0]).all() and np.isnan(block[2]).all()
 
 
 class TestBatchError:
     def test_identical_batches_zero_sigma(self):
-        row = bulk_monomials(0.0, *wigner_phasor([2.0 - 1.0j]), WIGNER)[:, 0]
+        row = bulk_monomials(0.0, *wigner_phasor([2.0 - 1.0j]))[:, 0]
         acc = fill_batches(MomentAccumulator(WIGNER, 1, 10), row, [1] * 10)
         (rep,) = batch_error(acc)
         assert rep.sigma3 == 0.0

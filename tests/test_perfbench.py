@@ -47,14 +47,16 @@ def test_traced_child_round_runs(tmp_path):
 
 
 def test_traced_wigner_round_draws_through_the_stream(tmp_path):
-    # truncated-Wigner initial draws go through the traced stream, so the
-    # sampling metrics of a TW workload do not read zero
+    # truncated-Wigner initial draws go through the traced stream and the
+    # sampler, which engine calls by name, so the sampling metrics of a TW
+    # workload (sampling.init_us among them) do not read zero
     names = traced_span_names(
         tmp_path,
         "method = TW\nN = 1000\nn_paths = 400\nbatches = 10\n"
         "tau_start = 0\ntau_stop = 1\ntau_points = 3\n",
     )
-    assert {"sampling.stream_for_trajectory", "sampling.normals", "moments.bulk_monomials"} <= names
+    assert {"sampling.stream_for_trajectory", "sampling.sample_wigner_coherent",
+            "sampling.normals", "moments.bulk_monomials"} <= names
 
 
 def test_traced_oracle_round_runs(tmp_path):

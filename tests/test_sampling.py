@@ -4,14 +4,21 @@ import numpy as np
 import pytest
 
 from anharmonic.engine import run_positive_p
-from anharmonic.sampling import stream_for_trajectory, wigner_initial
-from helpers import at_phase, chunk_signs, chunk_stream_wigner_initial, grid_at, ladder_sums
+from anharmonic.sampling import sample_wigner_coherent, stream_for_trajectory
+from helpers import (
+    at_phase,
+    chunk_philox,
+    chunk_signs,
+    grid_at,
+    ladder_sums,
+    reference_wigner_coherent,
+)
 
 
 def _wigner_samples(alpha0, n, seed=0):
-    # the engine's block sampler; TestWignerInitialBlock pins it to the
-    # chunk stream bit for bit
-    return wigner_initial(alpha0, seed, 0, n)
+    # a truncated-Wigner chunk's initial block, drawn as the engine draws it;
+    # TestWignerInitialBlock pins it to the chunk stream bit for bit
+    return sample_wigner_coherent(alpha0, stream_for_trajectory(seed, 0), n)
 
 
 class TestStreams:
@@ -103,26 +110,27 @@ class TestWignerInitialBlock:
     @pytest.mark.parametrize("seed", [0, -1, 2**64 + 5])
     @pytest.mark.parametrize("traj_lo", [0, 8190])
     def test_rows_replay_per_path_streams(self, seed, traj_lo):
-        # the rows replay the first 80 normals of the Philox keyed (seed, traj_lo)
+        # the rows replay the first 80 normals of the Philox keyed
+        # (seed mod 2**64, traj_lo)
         amplitude = 3.0 - 0.5j
-        block = wigner_initial(amplitude, seed, traj_lo, traj_lo + 40)
+        block = sample_wigner_coherent(amplitude, stream_for_trajectory(seed, traj_lo), 40)
         assert block.dtype == np.complex128
         assert np.array_equal(
-            block, chunk_stream_wigner_initial(amplitude, seed, traj_lo, traj_lo + 40)
+            block, reference_wigner_coherent(amplitude, chunk_philox(seed, traj_lo), 40)
         )
 
     def test_adjacent_chunks_draw_different_sequences(self):
-        first = wigner_initial(0.0, 3, 0, 1000)
-        second = wigner_initial(0.0, 3, 1000, 2000)
+        first = sample_wigner_coherent(0.0, stream_for_trajectory(3, 0), 1000)
+        second = sample_wigner_coherent(0.0, stream_for_trajectory(3, 1000), 1000)
         assert not np.any(first == second)
         assert abs(np.corrcoef(first.real, second.real)[0, 1]) < 0.15
 
     def test_empty_range(self):
-        assert wigner_initial(1.0, 0, 5, 5).shape == (0,)
+        assert sample_wigner_coherent(1.0, stream_for_trajectory(0, 5), 0).shape == (0,)
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
-            wigner_initial(1.0, 0, -1, 3)
+            sample_wigner_coherent(1.0, stream_for_trajectory(0, -1), 4)
 
 
 def _positive_p_start(alpha0):
