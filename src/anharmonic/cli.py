@@ -31,10 +31,6 @@ EXIT_INSUFFICIENT_BATCHES = 7 # fewer than 10 batches kept a surviving path over
 EXIT_MEMORY = 8               # a chunk's arrays do not fit in memory (a batch is too large)
 
 
-class GridMismatch(ValueError):
-    """Compared CSV files do not share the same tau/theta grid."""
-
-
 def _load_config(args) -> SimulationConfig:
     # utf-8-sig: a byte-order mark, which some editors write, is not part of the first key
     with open(args.config, "r", encoding="utf-8-sig") as fh:
@@ -83,17 +79,20 @@ def _rows(cfg: SimulationConfig, threads: int | None) -> list[CsvRow]:
     grid = cfg.grid
     alpha0 = math.sqrt(cfg.n_particles)
     if cfg.method == "Oracle":
-        reports = oracle.cumulant_series(oracle.init_coherent(alpha0), grid)
+        # exact values: no sampling error, and no paths to count
+        columns = [(k3, 0.0, k4, 0.0, 0, 0)
+                   for k3, k4 in oracle.cumulant_series(oracle.init_coherent(alpha0), grid)]
     else:
         ensemble = (alpha0, grid, cfg.n_paths, cfg.batches, cfg.seed, threads)
         if cfg.method == "TW":
             acc = engine.run_truncated_wigner(*ensemble)
         else:
             acc = engine.run_positive_p(*ensemble, divergence_threshold=cfg.divergence_threshold)
-        reports = batch_error(acc)
+        columns = [(*estimates, acc.n_paths, acc.n_diverged)
+                   for estimates in zip(*(k.tolist() for k in batch_error(acc)))]
     return [
-        CsvRow.from_report(tau, theta, report, cfg.method_label)
-        for tau, theta, report in zip(grid.taus, grid.thetas, reports)
+        CsvRow(tau, theta, *values, cfg.method_label)
+        for tau, theta, values in zip(grid.taus, grid.thetas, columns)
     ]
 
 
@@ -140,25 +139,16 @@ class ComparisonRow:
     passed: bool
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    rows: tuple[ComparisonRow, ...]
+def worst_row(rows) -> ComparisonRow:
+    """The row with the largest |delta| / allowed, a failing one whenever a
+    row fails; among failing rows, one whose ratio is not finite (a zero
+    allowance, a NaN) ranks above every other."""
 
-    @property
-    def all_passed(self) -> bool:
-        return all(r.passed for r in self.rows)
+    def rank(r: ComparisonRow) -> float:
+        ratio = abs(r.delta) / r.allowed if r.allowed else 0.0 if r.passed else math.inf
+        return math.inf if math.isnan(ratio) else ratio
 
-    @property
-    def worst(self) -> ComparisonRow:
-        """The row with the largest |delta| / allowed, a failing one whenever
-        a row fails; among failing rows, one whose ratio is not finite (a zero
-        allowance, a NaN) ranks above every other."""
-
-        def rank(r: ComparisonRow) -> float:
-            ratio = abs(r.delta) / r.allowed if r.allowed else 0.0 if r.passed else math.inf
-            return math.inf if math.isnan(ratio) else ratio
-
-        return max([r for r in self.rows if not r.passed] or self.rows, key=rank)
+    return max([r for r in rows if not r.passed] or rows, key=rank)
 
 
 def compare_rows(
@@ -168,17 +158,17 @@ def compare_rows(
     atol: float = 1e-9,
     k3_peak_frac: float = 0.0,
     k4_peak_frac: float = 0.0,
-) -> ComparisonReport:
+) -> tuple[ComparisonRow, ...]:
     """Per-row cumulant deltas (a - b) against a sigma/peak tolerance policy.
 
     A row passes when |delta| <= max(max_sigma * combined sigma,
     peak_frac * peak |cumulant| of the reference file, atol).
     """
     if len(rows_a) != len(rows_b):
-        raise GridMismatch(f"{len(rows_a)} rows vs {len(rows_b)} rows")
+        raise ValueError(f"{len(rows_a)} rows vs {len(rows_b)} rows")
     for ra, rb in zip(rows_a, rows_b):
         if ra.tau != rb.tau or ra.theta != rb.theta:
-            raise GridMismatch(
+            raise ValueError(
                 f"grid rows differ: tau {ra.tau} vs {rb.tau}, theta {ra.theta} vs {rb.theta}"
             )
     peak3 = max((abs(r.k3) for r in rows_b), default=0.0)
@@ -197,7 +187,7 @@ def compare_rows(
                     ra.tau, ra.theta, name, delta, sigma, allowed, abs(delta) <= allowed
                 )
             )
-    return ComparisonReport(tuple(out))
+    return tuple(out)
 
 
 def _cmd_compare(args) -> int:
@@ -207,7 +197,7 @@ def _cmd_compare(args) -> int:
         for path, rows in ((args.csv_a, rows_a), (args.csv_b, rows_b)):
             if not rows:
                 raise ValueError(f"{path}: no data rows")
-        report = compare_rows(
+        compared = compare_rows(
             rows_a,
             rows_b,
             max_sigma=args.max_sigma,
@@ -217,21 +207,22 @@ def _cmd_compare(args) -> int:
         )
     except (OSError, ValueError) as exc:
         return _error(exc, EXIT_INPUT)
-    for r in report.rows:
+    for r in compared:
         ratio = abs(r.delta) / r.sigma if r.sigma > 0 else float("inf") if r.delta else 0.0
         verdict = "PASS" if r.passed else "FAIL"
         print(
             f"tau={r.tau:g} theta={r.theta:g} {r.cumulant}: delta={r.delta:.6g} "
             f"sigma={r.sigma:.6g} |delta|/sigma={ratio:.3g} {verdict}"
         )
-    w = report.worst
+    w = worst_row(compared)
     print(
         f"worst row: tau={w.tau:g} {w.cumulant} |delta|={abs(w.delta):.6g} "
         f"allowed={w.allowed:.6g}"
     )
-    n_pass = sum(r.passed for r in report.rows)
-    print(f"result: {'PASS' if report.all_passed else 'FAIL'} ({n_pass}/{len(report.rows)} rows)")
-    return 0 if report.all_passed else 3
+    n_pass = sum(r.passed for r in compared)
+    all_passed = n_pass == len(compared)
+    print(f"result: {'PASS' if all_passed else 'FAIL'} ({n_pass}/{len(compared)} rows)")
+    return 0 if all_passed else 3
 
 
 def _tolerance(text: str) -> float:

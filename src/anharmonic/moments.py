@@ -56,16 +56,6 @@ class InsufficientBatches(ValueError):
     """Fewer batches than required for batch standard errors."""
 
 
-@dataclass(frozen=True)
-class CumulantReport:
-    kappa3: float
-    kappa4: float
-    sigma3: float
-    sigma4: float
-    n_paths: int
-    n_diverged: int
-
-
 class MomentAccumulator:
     """Per-batch sums of y^k (k = 1..4), y = x - c, of one run, at every output.
 
@@ -86,10 +76,6 @@ class MomentAccumulator:
         self.centres = np.zeros(n_outputs)
         self.batch_counts = np.zeros(n_batches, dtype=np.int64)
         self.batch_diverged = np.zeros(n_batches, dtype=np.int64)
-
-    @property
-    def n_outputs(self) -> int:
-        return self.batch_sums.shape[0]
 
     @property
     def n_batches(self) -> int:
@@ -152,8 +138,9 @@ def _jackknife(loo: np.ndarray) -> np.ndarray:
     return loo.std(axis=-1) * math.sqrt(loo.shape[-1] - 1)
 
 
-def batch_error(acc: MomentAccumulator) -> list[CumulantReport]:
-    """Pooled cumulants with delete-one-batch jackknife errors, one report per output.
+def batch_error(acc: MomentAccumulator) -> tuple[np.ndarray, ...]:
+    """Pooled cumulants with delete-one-batch jackknife errors: the float64
+    arrays (k3, sigma3, k4, sigma4), one entry per output.
 
     Every estimate (k3, k4, the imaginary residue of each positive-P <Y^k>,
     the variance and quartic moment bounds) comes from the sums pooled over
@@ -202,8 +189,7 @@ def batch_error(acc: MomentAccumulator) -> list[CumulantReport]:
         output, i = failing[0]
         _, message, value, sigma = checks[i]
         raise OrderingViolation(message.format(value[output], sigma[output]))
-    totals = acc.n_paths, acc.n_diverged
-    return [CumulantReport(*map(float, row), *totals) for row in zip(k3, k4, sigma3, sigma4)]
+    return k3, sigma3, k4, sigma4
 
 
 # ----------------------------------------------------------------------
@@ -223,13 +209,6 @@ class CsvRow:
     n_paths: int
     n_diverged: int
     method: str
-
-    @classmethod
-    def from_report(
-        cls, tau: float, theta: float, report: CumulantReport, method: str
-    ) -> "CsvRow":
-        return cls(tau, theta, report.kappa3, report.sigma3, report.kappa4, report.sigma4,
-                   report.n_paths, report.n_diverged, method)
 
 
 CSV_HEADER = ",".join(f.name for f in fields(CsvRow))

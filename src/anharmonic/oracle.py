@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
-from .moments import CumulantReport, k3_k4
+from .moments import k3_k4
 
 #: Bits of the fixed-point scale beyond the context's binary precision.
 GUARD_BITS = 16
@@ -184,16 +184,16 @@ def _ldexp(m: int, exp: int) -> float:
         return math.inf if m > 0 else -math.inf
 
 
-def oracle_cumulants(state: OracleState, theta: float) -> CumulantReport:
-    """Exact k3 and k4 of the quadrature at phase theta."""
+def oracle_cumulants(state: OracleState, theta: float) -> tuple[float, float]:
+    """Exact (k3, k4) of the quadrature at phase theta."""
     moments, unit = _moment_ints(state, theta)
     k3, k4 = k3_k4(*moments)
     scale = state._exact.e - unit
-    return CumulantReport(_ldexp(k3, 3 * scale), _ldexp(k4, 4 * scale), 0.0, 0.0, 0, 0)
+    return _ldexp(k3, 3 * scale), _ldexp(k4, 4 * scale)
 
 
-def cumulant_series(state0: OracleState, grid) -> list[CumulantReport]:
-    """Exact cumulants of state0 at each output of the
+def cumulant_series(state0: OracleState, grid) -> list[tuple[float, float]]:
+    """Exact (k3, k4) of state0 at each output of the
     :class:`~anharmonic.engine.TimeGrid` ``grid``: evolved to its absolute
     time t = tau / N, at its phase."""
     return [oracle_cumulants(evolve(state0, t), theta) for t, theta in zip(grid.times, grid.thetas)]

@@ -13,7 +13,6 @@ from anharmonic.engine import MidpointStep, TimeGrid
 from anharmonic.moments import (
     MIN_BATCHES,
     POSITIVE_P,
-    CumulantReport,
     InsufficientBatches,
     OrderingViolation,
     k3_k4,
@@ -377,8 +376,9 @@ def fill_batches(acc, sums, counts, diverged=0):
     return acc
 
 
-def leave_one_out_report(acc, k: int) -> CumulantReport:
-    """Reference estimator for output ``k`` on its own, batch by batch.
+def leave_one_out_report(acc, k: int) -> tuple[float, float, float, float]:
+    """Reference estimator for output ``k`` on its own, batch by batch:
+    (k3, sigma3, k4, sigma4).
 
     From the (B, N_POWERS) sums of the batches that kept a path, it forms
     the pooled estimates (the imaginary part of each <Y^k> for positive-P,
@@ -424,13 +424,14 @@ def leave_one_out_report(acc, k: int) -> CumulantReport:
             raise OrderingViolation(
                 f"moment bound {label} = {value[i]:.3e} < 0 beyond 5 sigma ({sigma[i]:.3e})"
             )
-    return CumulantReport(float(value[6]), float(value[7]), float(sigma[6]), float(sigma[7]),
-                          acc.n_paths, acc.n_diverged)
+    return float(value[6]), float(sigma[6]), float(value[7]), float(sigma[7])
 
 
-def leave_one_out_reports(acc) -> list[CumulantReport]:
-    """Reference reports, output by output; the first failing output raises."""
-    return [leave_one_out_report(acc, k) for k in range(acc.n_outputs)]
+def leave_one_out_reports(acc) -> tuple[np.ndarray, ...]:
+    """Reference (k3, sigma3, k4, sigma4) arrays, as batch_error returns
+    them, output by output; the first failing output raises."""
+    per_output = [leave_one_out_report(acc, k) for k in range(len(acc.centres))]
+    return tuple(np.array(column) for column in zip(*per_output))
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 
 import anharmonic
 from anharmonic import cli, engine, oracle
-from anharmonic.cli import compare_rows, main
+from anharmonic.cli import compare_rows, main, worst_row
 from anharmonic.config import parse_config
 from anharmonic.moments import CsvRow, OrderingViolation, read_rows
 
@@ -376,8 +376,8 @@ class TestSimulate:
                 assert values == (0.0, 0.0, 0.0, 0.0), row
                 continue
             assert row.k3_sigma > 0.0 and row.k4_sigma > 0.0, row
-            assert abs(row.k3 - want.kappa3) <= 4.0 * row.k3_sigma, (row, want)
-            assert abs(row.k4 - want.kappa4) <= 4.0 * row.k4_sigma, (row, want)
+            assert abs(row.k3 - want[0]) <= 4.0 * row.k3_sigma, (row, want)
+            assert abs(row.k4 - want[1]) <= 4.0 * row.k4_sigma, (row, want)
 
     def test_ordering_violation_exit_code(self, tmp_path, capsys, monkeypatch):
         def violate(acc):
@@ -664,17 +664,29 @@ class TestCompare:
         assert code == 2
         assert "grid" in err.lower()
 
+    def test_row_count_mismatch(self, tmp_path, capsys):
+        # the same tau range at 21 and at 41 points
+        from anharmonic.moments import write_rows
+
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        for path, points in ((a, 21), (b, 41)):
+            taus = [10.0 * i / (points - 1) for i in range(points)]
+            write_rows(path, [CsvRow(tau, 2 * tau, 0, 0, 0, 0, 1, 0, "tw") for tau in taus])
+        code, out, err = run_cli(capsys, "compare", str(a), str(b))
+        assert code == cli.EXIT_INPUT == 2
+        assert (out, err) == ("", "error: 21 rows vs 41 rows\n")
+
     def test_policy_rows(self):
         rows_a = [CsvRow(0.0, 0.0, 1.0, 0.1, 0.0, 0.1, 10, 0, "tw")]
         rows_b = [CsvRow(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, 0, "oracle")]
-        report = compare_rows(rows_a, rows_b, max_sigma=4.0)
-        k3_row = [r for r in report.rows if r.cumulant == "k3"][0]
+        compared = compare_rows(rows_a, rows_b, max_sigma=4.0)
+        k3_row = [r for r in compared if r.cumulant == "k3"][0]
         assert not k3_row.passed  # |1.0| > 4 * 0.1
-        report = compare_rows(rows_a, rows_b, max_sigma=4.0, k3_peak_frac=1.1)
-        k3_row = [r for r in report.rows if r.cumulant == "k3"][0]
+        compared = compare_rows(rows_a, rows_b, max_sigma=4.0, k3_peak_frac=1.1)
+        k3_row = [r for r in compared if r.cumulant == "k3"][0]
         assert k3_row.passed is False  # peak of reference k3 is 0
-        report = compare_rows(rows_a, rows_b, max_sigma=12.0)
-        assert all(r.passed for r in report.rows)
+        compared = compare_rows(rows_a, rows_b, max_sigma=12.0)
+        assert all(r.passed for r in compared)
 
     def test_worst_row_with_zero_tolerances(self, tmp_path, capsys):
         # with --max-sigma 0 --atol 0 every allowance is 0: the failing row
@@ -686,8 +698,8 @@ class TestCompare:
                        CsvRow(0.5, 1.0, 6.0, 0.0, 2.0, 0.0, 10, 0, "tw")])
         write_rows(b, [CsvRow(0.0, 0.0, 1.0, 0.0, 2.0, 0.0, 0, 0, "oracle"),
                        CsvRow(0.5, 1.0, 1.0, 0.0, 2.0, 0.0, 0, 0, "oracle")])
-        report = compare_rows(read_rows(a), read_rows(b), max_sigma=0.0, atol=0.0)
-        assert (report.worst.tau, report.worst.cumulant, report.worst.delta) == (0.5, "k3", 5.0)
+        worst = worst_row(compare_rows(read_rows(a), read_rows(b), max_sigma=0.0, atol=0.0))
+        assert (worst.tau, worst.cumulant, worst.delta) == (0.5, "k3", 5.0)
         code, out, _ = run_cli(
             capsys, "compare", str(a), str(b), "--max-sigma", "0", "--atol", "0"
         )
@@ -704,9 +716,9 @@ class TestCompare:
                        CsvRow(0.5, 1.0, math.nan, 1.0, 0.0, 0.0, 10, 0, "tw")])
         write_rows(b, [CsvRow(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, 0, "oracle"),
                        CsvRow(0.5, 1.0, 0.0, 0.0, 0.0, 0.0, 0, 0, "oracle")])
-        report = compare_rows(read_rows(a), read_rows(b), max_sigma=4.0)
-        assert not report.all_passed
-        assert (report.worst.tau, report.worst.cumulant) == (0.5, "k3")
+        compared = compare_rows(read_rows(a), read_rows(b), max_sigma=4.0)
+        assert not all(r.passed for r in compared)
+        assert (worst_row(compared).tau, worst_row(compared).cumulant) == (0.5, "k3")
         code, out, _ = run_cli(capsys, "compare", str(a), str(b))
         assert code == 3
         assert "worst row: tau=0.5 k3 |delta|=nan allowed=4" in out
@@ -714,8 +726,7 @@ class TestCompare:
     def test_zero_sigma_uses_atol(self):
         rows_a = [CsvRow(0.0, 0.0, 1e-12, 0.0, 0.0, 0.0, 10, 0, "tw")]
         rows_b = [CsvRow(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, 0, "oracle")]
-        report = compare_rows(rows_a, rows_b)
-        assert report.all_passed
+        assert all(r.passed for r in compare_rows(rows_a, rows_b))
 
     def test_header_only_file_names_it(self, tmp_path, capsys):
         from anharmonic.moments import write_rows
