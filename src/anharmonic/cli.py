@@ -8,7 +8,7 @@ import sys
 import time
 from dataclasses import dataclass, replace
 
-from . import engine, oracle, symbolic
+from . import engine, oracle
 from .config import ConfigError, SimulationConfig, parse_config
 from .moments import (
     CsvRow,
@@ -49,6 +49,7 @@ def _derive_sections(hamiltonian_tokens: str):
     is rounded to a float as its section renders, so one beyond the float
     range is refused after the sections before it.
     """
+    from . import symbolic
     h = symbolic.normal_order(symbolic.parse_hamiltonian(hamiltonian_tokens))
     wigner = symbolic.derive_wigner_model(h)
     ito = symbolic.derive_positive_p_model(h)
@@ -69,7 +70,7 @@ def _cmd_derive(args) -> int:
     try:
         for section in _derive_sections(args.hamiltonian):
             print("\n".join(section))
-    except (ValueError, symbolic.DerivationError) as exc:
+    except ValueError as exc:  # a DerivationError included
         return _error(exc, EXIT_INPUT)
     return 0
 
@@ -242,6 +243,7 @@ def _threads(text: str) -> int:
 
 
 def _cmd_purity(args) -> int:
+    from . import symbolic
     try:
         h = symbolic.normal_order(symbolic.parse_hamiltonian(args.hamiltonian))
         model = symbolic.derive_wigner_model(h)
@@ -249,7 +251,7 @@ def _cmd_purity(args) -> int:
             extra = symbolic.parse_phase_polynomial(args.add_drift_a)
             model = replace(model, drift=(model.drift[0] + extra, model.drift[1]))
         divergence = symbolic.drift_divergence(model)
-    except (ValueError, symbolic.DerivationError) as exc:
+    except ValueError as exc:  # a DerivationError included
         return _error(exc, EXIT_INPUT)
     print(f"drift divergence: {symbolic.render_polynomial(divergence)}")
     if divergence.is_zero():

@@ -75,7 +75,7 @@ class SimulationConfig:
             thetas = tuple(2.0 * tau for tau in taus)
         else:
             thetas = (self.theta_value,) * len(taus)
-        return TimeGrid(self.n_particles, taus, thetas, self.dtau)
+        return TimeGrid(self.n_particles, taus, thetas, self.dtau if self.method == "PositiveP" else None)
 
     @property
     def method_label(self) -> str:

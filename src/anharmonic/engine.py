@@ -4,7 +4,7 @@ Two integrators are provided:
 
 * :func:`exact_wigner_flow`, the exact truncated-Wigner flow of the
   anharmonic drift (the modulus is conserved, so the flow is a pure phase
-  rotation, which it yields as the phasor 2 alpha(t)), and
+  rotation, which it yields as the phasor exp(-i theta) 2 alpha(t)), and
 * :class:`MidpointStep`, the one semi-implicit Stratonovich midpoint rule
   on the doubled positive-P phase space, written for the Kerr oscillator's
   constant coefficients and vectorised over paths.  Its implicit equation
@@ -28,7 +28,7 @@ mean-field centre c (:func:`quadrature_centres`) in one reused ``(4, m)``
 block and sums them per batch straight into the chunk's batches of the
 run's one :class:`~anharmonic.moments.MomentAccumulator`; the draws do not
 depend on theta.  A truncated-Wigner chunk passes each output's phasors
-z = 2 alpha(t), so x = Re(exp(-i theta) z) costs two real products per
+exp(-i theta) 2 alpha(t), whose real part is x, read in one pass per
 path.  A positive-P chunk keeps every output's ``(2, m)`` state
 until it ends, because a path that diverges later is excluded retroactively
 from every earlier output: the states are reduced at the end, with the
@@ -49,6 +49,7 @@ positive-P grid's start and spacing with the stepper's own
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
@@ -88,17 +89,17 @@ class ExcessiveDivergence(RuntimeError):
 @dataclass(frozen=True)
 class TimeGrid:
     """Output times in scaled units tau = N * t, each with its quadrature
-    phase theta, plus the integrator step."""
+    phase theta, plus the integrator step dtau (or None), which only positive-P reads."""
 
     n_particles: float
     taus: tuple[float, ...]
     thetas: tuple[float, ...]
-    dtau: float
+    dtau: float | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.n_particles) and self.n_particles > 0):
             raise ValueError("particle number must be positive and finite")
-        if not (math.isfinite(self.dtau) and self.dtau > 0):
+        if self.dtau is not None and not (math.isfinite(self.dtau) and self.dtau > 0):
             raise ValueError("dtau must be positive and finite")
         prev = 0.0
         for tau in self.taus:
@@ -120,15 +121,16 @@ class TimeGrid:
         """Integrator steps from one output to the next (first from tau=0).
 
         Only step-based integrators need them; raises ValueError when dtau
-        does not divide an output gap.
+        is None or does not divide an output gap.
         """
+        dtau = self._step()
         counts = []
         prev = 0.0
         for tau in self.taus:
             gap = tau - prev
-            n = int(round(gap / self.dtau))
-            if abs(n * self.dtau - gap) > 1e-9 * max(1.0, n):
-                raise ValueError(f"step {self.dtau} does not divide the output gap {gap}")
+            n = int(round(gap / dtau))
+            if abs(n * dtau - gap) > 1e-9 * max(1.0, n):
+                raise ValueError(f"step {dtau} does not divide the output gap {gap}")
             counts.append(n)
             prev = tau
         return counts
@@ -136,7 +138,12 @@ class TimeGrid:
     @property
     def dt(self) -> float:
         """Integrator step in unscaled time."""
-        return self.dtau / self.n_particles
+        return self._step() / self.n_particles
+
+    def _step(self) -> float:
+        if self.dtau is None:
+            raise ValueError("this grid has no integrator step dtau")
+        return self.dtau
 
     @property
     def times(self) -> tuple[float, ...]:
@@ -277,26 +284,40 @@ class MidpointStep:
         np.subtract(t, y, out=y)
 
 
-def exact_wigner_flow(init: np.ndarray, times):
-    """Yield the exact truncated-Wigner anharmonic flow of ``init`` at each time.
+def exact_wigner_flow(init: np.ndarray, times, thetas=None):
+    """Yield the exact truncated-Wigner flow of ``init`` at each time as the
+    phasor exp(-i theta) 2 alpha(t) at its output's phase (0 when ``thetas``
+    is None), a new array each; its real part is the quadrature x.
 
-    The drift d(alpha)/dt = -i (2 |alpha|^2 - 1) alpha conserves |alpha|, so
-    alpha(t) = alpha(0) exp(-i omega t), omega = 2 |alpha(0)|^2 - 1.  Each
-    output is a new array, the phasor z = 2 alpha(t) that bulk_monomials
-    takes: every 64th output, from the first, is formed from the initial
-    amplitudes, each other is the one before times its gap's rotation
-    exp(-i omega dt) (the last 4 gaps' rotations are kept).
-    On tau in [0, 10], 10001 outputs, x stays within 22 eps 2 |alpha(0)| (2000 unanchored).
+    The drift conserves |alpha|: alpha(t) = alpha(0) exp(-i omega t), with
+    omega = 2 |alpha(0)|^2 - 1.  Every 64th output, from the first, is
+    exp(-i omega t) 2 alpha(0) exp(-i theta) (no exponential at t = 0; theta
+    never joins omega t), each other the one before times its step's
+    rotation exp(-i (omega dt + dtheta)), the last 4 kept.  A step within
+    2^-27 of the first for every path takes the first's rotation times
+    1 - i (omega (dt - dt0) + dtheta - dtheta0), exact to rounding (the
+    dropped square is below 2^-54); any other its own exponential.
+    On tau in [0, 10], theta = 2 tau, 10001 outputs, x stays within 21 eps 2 |alpha(0)|.
     """
     omega = 2.0 * (init.real**2 + init.imag**2) - 1.0
-    rotation = functools.lru_cache(_ROTATIONS_KEPT)(lambda gap: np.exp(-1j * (gap * omega)))
-    for k, t in enumerate(times):
+    peak, first = np.max(np.abs(omega)), None
+
+    @functools.lru_cache(_ROTATIONS_KEPT)
+    def rotation(gap, turn):
+        nonlocal first
+        first = first or (gap, turn, np.exp(-1j * (gap * omega + turn)))
+        delta, shift = gap - first[0], turn - first[1]
+        if abs(delta) * peak + abs(shift) > 2.0**-27:
+            return np.exp(-1j * (gap * omega + turn))
+        return first[2] * (1.0 - 1j * (omega * delta + shift))
+
+    for k, (t, theta) in enumerate(zip(times, itertools.repeat(0.0) if thetas is None else thetas)):
         if k % _ANCHOR_EVERY == 0:
-            z = np.exp(-1j * (t * omega))
-            z *= 2.0 * init
+            phase = 2.0 * cmath.exp(-1j * theta)
+            z = init * phase if t == 0 else np.exp(-1j * (t * omega)) * init * phase
         else:
-            z = z * rotation(t - prev)
-        prev = t
+            z = z * rotation(t - prev, theta - prev_theta)
+        prev, prev_theta = t, theta
         yield z
 
 
@@ -371,7 +392,7 @@ def _truncated_wigner_chunk(
     edges[0] .. edges[-1] - 1 into ``out``; every path stays alive."""
     m = int(edges[-1] - edges[0])
     init = sample_wigner_coherent(alpha0, stream_for_trajectory(seed, int(edges[0])), m)
-    phasors = ((z, None) for z in exact_wigner_flow(init, grid.times))
+    phasors = ((z, None) for z in exact_wigner_flow(init, grid.times, grid.thetas))
     _batch_power_sums(phasors, grid.thetas, centres, edges, out)
     return np.ones(m, dtype=bool)
 

@@ -95,23 +95,21 @@ def bulk_monomials(theta: float, a, b, centre=0.0, out=None) -> np.ndarray:
     at phase theta, shape (4, m).
 
     A positive-P pair (a, b = abar) gives x = e^{-i theta} a + e^{i theta} b
-    in a complex block.  A Wigner amplitude alpha comes alone, as its phasor
-    a = 2 alpha with b None, and x = Re(e^{-i theta} a) =
-    cos(theta) Re a + sin(theta) Im a, in a float64 block.  Every row is
-    written straight into ``out`` (allocated when not given).
+    in a complex block; a Wigner phasor a = e^{-i theta} 2 alpha, already at
+    the phase (b None, theta unread), gives x = Re a in a float64 block.
+    Every row is written straight into ``out`` (allocated when not given).
     """
     if out is None:
         out = np.empty((N_POWERS, len(a)), dtype=DTYPES[WIGNER if b is None else POSITIVE_P])
     x, x2, x3, x4 = out
-    c, s = math.cos(theta), math.sin(theta)
     if b is None:
-        np.multiply(a.real, c, out=x)
-        np.multiply(a.imag, s, out=x2)
+        np.subtract(a.real, centre, out=x)
     else:
+        c, s = math.cos(theta), math.sin(theta)
         np.multiply(a, complex(c, -s), out=x)
         np.multiply(b, complex(c, s), out=x2)
-    x += x2
-    x -= centre
+        x += x2
+        x -= centre
     np.multiply(x, x, out=x2)
     np.multiply(x2, x, out=x3)
     np.multiply(x2, x2, out=x4)
@@ -127,9 +125,10 @@ def k3_k4(m1, m2, m3, m4) -> tuple:
     """Third and fourth cumulants from the first four moments: numpy arrays,
     mpmath numbers, or Python integers (moments of order k at scale 2^(k L)),
     for which the cumulants come out exact (at scale 2^(3L) and 2^(4L)).
-    Integer literals, so that one formula serves all three."""
-    k3 = m3 - 3 * m1 * m2 + 2 * m1**3
-    k4 = m4 + 2 * m1**4 - 3 * m2**2 - 4 * m1 * k3
+    Integer literals and products (not libm pow), so one formula serves all three."""
+    s = m1 * m1
+    k3 = m3 - 3 * m1 * m2 + 2 * (s * m1)
+    k4 = m4 + 2 * (s * s) - 3 * (m2 * m2) - 4 * m1 * k3
     return k3, k4
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -93,10 +94,10 @@ def _stack_powers(x: np.ndarray) -> np.ndarray:
     return np.stack([x, x2, x2 * x, x2 * x2])
 
 
-def wigner_phasor(a) -> tuple[np.ndarray, None]:
-    """Wigner amplitudes in the form bulk_monomials takes: the phasor 2 a,
-    and no second array."""
-    return 2.0 * np.asarray(a, dtype=np.complex128), None
+def wigner_phasor(a, theta: float = 0.0) -> tuple[np.ndarray, None]:
+    """Wigner amplitudes in the form bulk_monomials takes at phase theta: the
+    phasor exp(-i theta) 2 a, and no second array."""
+    return 2.0 * cmath.exp(-1j * theta) * np.asarray(a, dtype=np.complex128), None
 
 
 #: Outputs from one anchor of exact_wigner_flow to the next, as the tests pin it.

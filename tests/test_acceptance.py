@@ -254,12 +254,12 @@ def test_criterion_6_conservation_invariants():
     # the flow conserves |alpha| to rounding, and each path's quadrature
     # follows the exact rotation: on the first 500 initial amplitudes,
     # across the whole output grid, |z| / 2 stays within 1e-13 |alpha0| of
-    # |alpha0|, and the kernel's x = Re(exp(-i theta) z) lies within the
-    # flow's rounding bound of the Cartesian rotation
+    # |alpha0|, and the kernel's x = Re(zeta), zeta = exp(-i theta) 2 alpha(t),
+    # lies within the flow's rounding bound of the Cartesian rotation
     # 2 Re(exp(-i theta) alpha0 exp(-i omega t))
     init = sample_wigner_coherent(ALPHA0, stream_for_trajectory(1, 0), 500)
     omega = 2.0 * (init.real**2 + init.imag**2) - 1.0
-    flow = exact_wigner_flow(init, grid.times)
+    flow = exact_wigner_flow(init, grid.times, grid.thetas)
     for k, (z, t, theta) in enumerate(zip(flow, grid.times, grid.thetas, strict=True)):
         assert np.all(np.abs(np.abs(z) - 2.0 * np.abs(init)) <= 2e-13 * np.abs(init))
         x = bulk_monomials(theta, z, None)[0]

@@ -57,6 +57,19 @@ class TestDerive:
         assert "bad token" in err
 
 
+def test_cli_import_leaves_symbolic_unloaded():
+    # simulate and oracle never derive: only derive and purity import the
+    # symbol calculus, so an ensemble run does not compile it
+    src = os.path.dirname(os.path.dirname(anharmonic.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, anharmonic.cli; print('anharmonic.symbolic' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert proc.stdout.strip() == "False"
+
+
 class TestPurity:
     def test_anharmonic_preserves(self, capsys):
         code, out, _ = run_cli(capsys, "purity")

@@ -131,6 +131,13 @@ def test_tau_grid():
     assert cfg.grid.taus == (0.0, 0.5, 1.0, 1.5, 2.0)
 
 
+def test_grid_carries_the_step_only_for_positive_p():
+    # dtau, the positive-P step, is the only run that reads it
+    assert parse_config("method = PositiveP\nN = 10\ndtau = 5e-4\n").grid.dtau == 5e-4
+    for method in ("TW", "Oracle"):
+        assert parse_config(f"method = {method}\nN = 10\n").grid.dtau is None
+
+
 def test_integer_keys_take_whole_numbers_in_float_notation():
     cfg = parse_config("method = TW\nN = 10\nn_paths = 1e5\ntau_points = 3.0\n")
     assert (cfg.n_paths, cfg.tau_points) == (100_000, 3)

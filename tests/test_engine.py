@@ -70,11 +70,28 @@ def batch_mean(sums, counts, k):
 
 
 def stacked_bulk_monomials(theta, a, b, centre=0.0, out=None):
-    """bulk_monomials by whole-array operations: stacked_powers of the
-    amplitude a / 2 for a Wigner phasor a (b None), of the pair for a
-    positive-P one.  Halving and the reference's doubling are exact, so the
-    Wigner powers agree bit for bit."""
-    return stacked_powers(theta, 0.5 * a if b is None else a, b, centre)
+    """bulk_monomials by whole-array operations: stacked_powers at phase 0 of
+    the amplitude a / 2 for a Wigner phasor a, already turned to theta (b
+    None), of the pair at theta for a positive-P one.  Halving and the
+    reference's doubling are exact, so the Wigner powers agree bit for bit."""
+    if b is None:
+        return stacked_powers(0.0, 0.5 * a, None, centre)
+    return stacked_powers(theta, a, b, centre)
+
+
+def assert_within_flow_rounding(init, grid, flow):
+    """Each output's x from ``flow`` lies within quadrature_rounding_bound of
+    its value at 60 digits, per path."""
+    omega = 2.0 * (init.real**2 + init.imag**2) - 1.0
+    with mpmath.workdps(60):
+        amplitudes = [(mpmath.mpf(a.real), mpmath.mpf(a.imag)) for a in init]
+        rates = [2 * (re**2 + im**2) - 1 for re, im in amplitudes]
+        for k, (t, theta, z) in enumerate(zip(grid.times, grid.thetas, flow, strict=True)):
+            x = bulk_monomials(theta, z, None)[0]
+            bound = quadrature_rounding_bound(rounding_phase(omega, t, theta, k), 2.0 * np.abs(init))[0]
+            for got, limit, (re, im), rate in zip(x, bound, amplitudes, rates):
+                cos, sin = mpmath.cos_sin(rate * t + theta)
+                assert abs(got - 2 * (re * cos + im * sin)) <= limit, (grid.n_particles, k)
 
 
 def use_reference_kernels(monkeypatch):
@@ -110,6 +127,18 @@ class TestTimeGrid:
         grid = TimeGrid(1000.0, (0.0, 0.5), (0.0, 1.0), 3e-4)
         with pytest.raises(ValueError, match="divide"):
             grid.steps_between()
+
+    def test_step_is_optional_until_read(self):
+        # only positive-P reads dtau: a grid without one serves the other
+        # runs, and its step count and dt name dtau when asked for
+        grid = TimeGrid(1000.0, (0.0, 0.5), (0.0, 1.0))
+        assert grid.dtau is None and grid.times == (0.0, 0.0005)
+        with pytest.raises(ValueError, match="dtau"):
+            grid.steps_between()
+        with pytest.raises(ValueError, match="dtau"):
+            grid.dt
+        with pytest.raises(ValueError, match="dtau"):
+            run_positive_p(math.sqrt(1e3), grid, 100, 10)
 
     def test_rejects_negative_tau(self):
         with pytest.raises(ValueError):
@@ -169,7 +198,7 @@ class TestQuadratureCentres:
             grid = grid_at(abs(alpha0) ** 2, (0.0, 0.5, 3.0, 10.0), 1e-3)
             centres = engine.quadrature_centres(alpha0, grid)
             omega = 2.0 * abs(alpha0) ** 2 - 1.0
-            flow = exact_wigner_flow(np.array([alpha0]), grid.times)
+            flow = exact_wigner_flow(np.array([alpha0]), grid.times, grid.thetas)
             for k, (t, theta, centre, z) in enumerate(zip(grid.times, grid.thetas, centres, flow,
                                                            strict=True)):
                 y = bulk_monomials(theta, z, None, centre)[0, 0]
@@ -197,45 +226,68 @@ class TestQuadratureCentres:
 
 class TestExactWignerStep:
     def test_anchors_formed_from_the_start_and_rotations_between(self):
-        # on a grid of 5001 outputs, output 0 and every 64th after it is
-        # exp(-i omega t) 2 alpha(0) bit for bit, so rounding built up by the
-        # rotations does not carry past an anchor; every other output is the
-        # one before times its gap's rotation.  Each output is its own array,
-        # so outputs kept in a list keep their values
+        # on a grid of 5001 outputs at theta = 2 tau, output 0 is
+        # alpha(0) 2 exp(-i theta) with no exponential, and every 64th after
+        # it exp(-i omega t) alpha(0) 2 exp(-i theta), bit for bit, so
+        # rounding built up by the rotations does not carry past an anchor.
+        # Every other output is the one before times its step's rotation,
+        # derived from the first step's exp(-i (omega dt0 + dtheta0)): the
+        # grid's steps differ from the first only by rounding, far inside
+        # 2^-27.  Each output is its own array, so outputs kept in a list
+        # keep their values
         n = 1e6
         rng = np.random.default_rng(31)
         init = math.sqrt(n) + 0.5 * (rng.normal(size=64) + 1j * rng.normal(size=64))
-        times = np.linspace(0.0, 10.0 / n, 5001)
+        taus = np.linspace(0.0, 10.0, 5001)
+        times, thetas = taus / n, 2.0 * taus
         omega = 2.0 * (init.real**2 + init.imag**2) - 1.0
-        outputs = list(exact_wigner_flow(init, times))
+        gap0, turn0 = times[1] - times[0], thetas[1] - thetas[0]
+        base = np.exp(-1j * (gap0 * omega + turn0))
+        outputs = list(exact_wigner_flow(init, times, thetas))
         assert len(outputs) == len(times)
-        for k, (t, z) in enumerate(zip(times, outputs)):
-            if k % ANCHOR_EVERY == 0:
-                assert np.array_equal(z, np.exp(-1j * (t * omega)) * (2.0 * init)), t
+        corrections = set()
+        for k, (t, theta, z) in enumerate(zip(times, thetas, outputs)):
+            phase = 2.0 * cmath.exp(-1j * theta)
+            if k == 0:
+                assert np.array_equal(z, init * phase)
+            elif k % ANCHOR_EVERY == 0:
+                assert np.array_equal(z, np.exp(-1j * (t * omega)) * init * phase), t
             else:
-                rotation = np.exp(-1j * ((t - times[k - 1]) * omega))
+                delta, shift = t - times[k - 1] - gap0, theta - thetas[k - 1] - turn0
+                assert np.abs(omega).max() * abs(delta) + abs(shift) <= 2.0**-27
+                corrections.add((delta, shift))
+                rotation = base * (1.0 - 1j * (omega * delta + shift))
                 assert np.array_equal(z, outputs[k - 1] * rotation), t
+        assert len(corrections) > 2 * 4
+
+    def test_non_uniform_grid_takes_an_exponential_per_step(self):
+        # geomspace tau, theta = 2 tau: no step lies within 2^-27 of the
+        # first, so each takes its own exp(-i (omega dt + dtheta)), bit for
+        # bit, and x stays within the flow's rounding bound of its value at
+        # 60 digits
+        n = 1e3
+        taus = np.geomspace(1e-3, 10.0, 300)
+        grid = TimeGrid(n, tuple(taus), tuple(2.0 * taus))
+        init = sample_wigner_coherent(math.sqrt(n), stream_for_trajectory(1, 0), 2)
+        omega = 2.0 * (init.real**2 + init.imag**2) - 1.0
+        times, thetas = grid.times, grid.thetas
+        outputs = list(exact_wigner_flow(init, times, thetas))
+        for k in range(1, len(outputs)):
+            if k % ANCHOR_EVERY:
+                step = (times[k] - times[k - 1]) * omega + (thetas[k] - thetas[k - 1])
+                assert np.array_equal(outputs[k], outputs[k - 1] * np.exp(-1j * step)), k
+        assert_within_flow_rounding(init, grid, outputs)
 
     @pytest.mark.parametrize("n", [1e3, 1e6, 1e18])
     def test_quadrature_within_rounding_bound_of_exact(self, n):
         # tau in [0, 10] at 10001 outputs, theta = 2 tau: every output's x
         # lies within 4 eps (1 + |omega t| + |theta| + j) 2 |alpha(0)| of its
         # value at 60 digits, j the products since its anchor (at most 416
-        # units of eps 2 |alpha(0)| here).  The anchored flow stays within 22
-        # of them; the same rotations without anchors drift to 1400-2100
+        # units of eps 2 |alpha(0)| here).  The anchored flow stays within 21
+        # of them; the same rotations without anchors drift to 1700-2200
         grid = grid_at(n, np.linspace(0.0, 10.0, 10001), 1e-3)
         init = sample_wigner_coherent(math.sqrt(n), stream_for_trajectory(1, 0), 2)
-        omega = 2.0 * (init.real**2 + init.imag**2) - 1.0
-        with mpmath.workdps(60):
-            amplitudes = [(mpmath.mpf(a.real), mpmath.mpf(a.imag)) for a in init]
-            rates = [2 * (re**2 + im**2) - 1 for re, im in amplitudes]
-            flow = exact_wigner_flow(init, grid.times)
-            for k, (t, theta, z) in enumerate(zip(grid.times, grid.thetas, flow, strict=True)):
-                x = bulk_monomials(theta, z, None)[0]
-                bound = quadrature_rounding_bound(rounding_phase(omega, t, theta, k), 2.0 * np.abs(init))[0]
-                for got, limit, (re, im), rate in zip(x, bound, amplitudes, rates):
-                    cos, sin = mpmath.cos_sin(rate * t + theta)
-                    assert abs(got - 2 * (re * cos + im * sin)) <= limit, (n, k)
+        assert_within_flow_rounding(init, grid, exact_wigner_flow(init, grid.times, grid.thetas))
 
     def test_rotations_kept_within_their_cap(self):
         # a log-spaced grid of 200 outputs has 199 distinct gaps: the flow
@@ -759,32 +811,43 @@ class TestLadderSums:
     @pytest.mark.parametrize("run_ensemble", [run_truncated_wigner, run_positive_p])
     def test_two_quadratures_rebuild_each_path(self, monkeypatch, run_ensemble):
         # one path per batch, so each batch sum is one path's value; a spy on
-        # the power kernel records the amplitudes each run passes it
+        # the power kernel records the amplitudes each run passes it, and one
+        # on the Wigner sampler the initial draws
         n = 1000.0
         grid = grid_at(n, (0.0, 0.05, 0.1), 1e-3)
-        kernel = engine.bulk_monomials
-        seen = {}
+        kernel, sample = engine.bulk_monomials, engine.sample_wigner_coherent
+        seen, draws = {}, {}
 
         def run(theta):
             def spy(phase, a, b, centre, out=None):
-                # a Wigner amplitude arrives alone, as its phasor 2 a
+                # a Wigner amplitude arrives alone, as its phasor exp(-i phase) 2 a
                 if b is None:
-                    alpha = 0.5 * a
+                    alpha = 0.5 * cmath.exp(1j * phase) * a
                     seen[theta].append((alpha, np.conj(alpha)))
                 else:
                     seen[theta].append((a.copy(), b.copy()))
                 return kernel(phase, a, b, centre, out)
 
-            seen[theta] = []
+            def sampled(*args):
+                draws[theta].append(sample(*args))
+                return draws[theta][-1]
+
+            seen[theta], draws[theta] = [], []
             monkeypatch.setattr(engine, "bulk_monomials", spy)
+            monkeypatch.setattr(engine, "sample_wigner_coherent", sampled)
             return run_ensemble(math.sqrt(n), at_phase(grid, theta), 64, 64, seed=3)
 
         sums, acc = ladder_sums(run)
         assert acc.n_paths == 64
         at_zero, at_right_angle = seen.values()
-        # the draws do not depend on theta
-        for (a, abar), (a_, abar_) in zip(at_zero, at_right_angle, strict=True):
-            assert np.array_equal(a, a_) and np.array_equal(abar, abar_)
+        # the draws do not depend on theta: the Wigner start, and the
+        # positive-P states the noise drives
+        if run_ensemble is run_truncated_wigner:
+            first, second = draws.values()
+            assert len(first) == 1 and np.array_equal(first[0], second[0])
+        else:
+            for (a, abar), (a_, abar_) in zip(at_zero, at_right_angle, strict=True):
+                assert np.array_equal(a, a_) and np.array_equal(abar, abar_)
         for k, (a, abar) in enumerate(at_zero):
             np.testing.assert_allclose(sums[0, 1][k], a, rtol=1e-14)
             np.testing.assert_allclose(sums[1, 0][k], abar, rtol=1e-14)
@@ -970,7 +1033,7 @@ class TestStreamingReduction:
         edges = engine.batch_edges(n_paths, n_batches)
         for dtype, pairs in (
             (np.complex128, [tuple(pair) for pair in amplitudes]),
-            (np.float64, [wigner_phasor(a) for a, _ in amplitudes]),
+            (np.float64, [wigner_phasor(a, theta) for (a, _), theta in zip(amplitudes, thetas)]),
         ):
             got = np.full((3, n_batches, N_POWERS), np.nan, dtype=dtype)
             engine._batch_power_sums(iter(pairs), thetas, centres, edges, got)

@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ def acc_from_samples(representation, a, abar=None, theta=0.0, n_batches=10, dive
     phase theta."""
     amps = np.array_split(np.asarray(a), n_batches)
     if abar is None:
-        pairs = [wigner_phasor(am) for am in amps]
+        pairs = [wigner_phasor(am, theta) for am in amps]
     else:
         pairs = zip(amps, np.array_split(np.asarray(abar), n_batches))
     return fill_batches(
@@ -153,6 +154,27 @@ class TestCumulants:
         assert k3 == pytest.approx(2.0)
         assert k4 == pytest.approx(0.0)
 
+    def test_float_arrays_agree_with_the_exact_integer_evaluation(self):
+        # moments as float arrays, and the same values as Python integers at
+        # scale 2^(k L), L = 1074, where every float64 is a whole number: the
+        # integers give the cumulants exactly, and each float cumulant lies
+        # within 8 eps of the sum of its terms' magnitudes of them
+        rng = np.random.default_rng(7)
+        m1 = rng.normal(0.0, 30.0, 500)
+        m2 = m1 * m1 + rng.uniform(0.1, 10.0, 500)
+        m3 = m1 * m2 + rng.normal(0.0, 100.0, 500)
+        m4 = m2 * m2 + rng.uniform(0.0, 1e4, 500)
+        k3, k4 = k3_k4(m1, m2, m3, m4)
+        eps, scale = np.finfo(np.float64).eps, 1074
+        for i in range(500):
+            exact = k3_k4(*(int(Fraction(float(m[i])) * 2 ** (k * scale))
+                            for k, m in enumerate((m1, m2, m3, m4), start=1)))
+            size3 = abs(m3[i]) + 3 * abs(m1[i] * m2[i]) + 2 * abs(m1[i]) ** 3
+            size4 = abs(m4[i]) + 2 * m1[i] ** 4 + 3 * m2[i] ** 2 + 4 * abs(m1[i]) * size3
+            for got, want, k, size in ((k3[i], exact[0], 3, size3), (k4[i], exact[1], 4, size4)):
+                assert isinstance(want, int)
+                assert abs(Fraction(float(got)) - Fraction(want, 2 ** (k * scale))) <= 8 * eps * size, i
+
     def test_shift_equivariance(self):
         # k3, k4 from moments of x + c equal those from moments of x
         rng = np.random.default_rng(5)
@@ -225,14 +247,14 @@ class TestBulkMonomials:
         # about 20 rad and theta = 2 tau adds 20 more; the Cartesian
         # reference rotates the amplitude by exp(-i omega t) and projects it
         # on exp(-i theta), the kernel takes the flow's phasor at its second
-        # output, one rotation product past the anchor at t / 2
+        # output, one rotation product past the anchor at t / 2 and theta / 2
         n, tau = 1e6, 10.0
         rng = np.random.default_rng(22)
         init = math.sqrt(n) + 0.5 * (rng.normal(size=257) + 1j * rng.normal(size=257))
-        _, z = exact_wigner_flow(init, [tau / n / 2, tau / n])
         omega = 2.0 * (init.real**2 + init.imag**2) - 1.0
         cartesian = init * np.exp(-1j * omega * (tau / n))
         for theta in (0.0, 0.3, -7.5, 2.0 * tau):
+            _, z = exact_wigner_flow(init, [tau / n / 2, tau / n], [theta / 2, theta])
             got = bulk_monomials(theta, z, None)
             assert got.dtype == np.float64
             bound = quadrature_rounding_bound(np.abs(omega * (tau / n)) + abs(theta) + 1, np.abs(z))
