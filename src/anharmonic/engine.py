@@ -123,14 +123,15 @@ class TimeGrid:
         Only step-based integrators need them; raises ValueError when dtau
         is None or does not divide an output gap.
         """
-        dtau = self._step()
+        if self.dtau is None:
+            raise ValueError("this grid has no integrator step dtau")
         counts = []
         prev = 0.0
         for tau in self.taus:
             gap = tau - prev
-            n = int(round(gap / dtau))
-            if abs(n * dtau - gap) > 1e-9 * max(1.0, n):
-                raise ValueError(f"step {dtau} does not divide the output gap {gap}")
+            n = int(round(gap / self.dtau))
+            if abs(n * self.dtau - gap) > 1e-9 * max(1.0, n):
+                raise ValueError(f"step {self.dtau} does not divide the output gap {gap}")
             counts.append(n)
             prev = tau
         return counts
@@ -138,12 +139,7 @@ class TimeGrid:
     @property
     def dt(self) -> float:
         """Integrator step in unscaled time."""
-        return self._step() / self.n_particles
-
-    def _step(self) -> float:
-        if self.dtau is None:
-            raise ValueError("this grid has no integrator step dtau")
-        return self.dtau
+        return self.dtau / self.n_particles
 
     @property
     def times(self) -> tuple[float, ...]:
@@ -284,10 +280,9 @@ class MidpointStep:
         np.subtract(t, y, out=y)
 
 
-def exact_wigner_flow(init: np.ndarray, times, thetas=None):
-    """Yield the exact truncated-Wigner flow of ``init`` at each time as the
-    phasor exp(-i theta) 2 alpha(t) at its output's phase (0 when ``thetas``
-    is None), a new array each; its real part is the quadrature x.
+def exact_wigner_flow(init: np.ndarray, times, thetas):
+    """Yield exp(-i theta) 2 alpha(t), the exact truncated-Wigner flow of
+    ``init`` at each time turned to its phase in ``thetas``, a new array each.
 
     The drift conserves |alpha|: alpha(t) = alpha(0) exp(-i omega t), with
     omega = 2 |alpha(0)|^2 - 1.  Every 64th output, from the first, is
@@ -305,16 +300,15 @@ def exact_wigner_flow(init: np.ndarray, times, thetas=None):
     @functools.lru_cache(_ROTATIONS_KEPT)
     def rotation(gap, turn):
         nonlocal first
-        first = first or (gap, turn, np.exp(-1j * (gap * omega + turn)))
-        delta, shift = gap - first[0], turn - first[1]
-        if abs(delta) * peak + abs(shift) > 2.0**-27:
-            return np.exp(-1j * (gap * omega + turn))
-        return first[2] * (1.0 - 1j * (omega * delta + shift))
+        if first is None or abs(gap - first[0]) * peak + abs(turn - first[1]) > 2.0**-27:
+            r = np.exp(-1j * (gap * omega + turn))
+            first = first or (gap, turn, r)
+            return r
+        return first[2] * (1.0 - 1j * (omega * (gap - first[0]) + (turn - first[1])))
 
-    for k, (t, theta) in enumerate(zip(times, itertools.repeat(0.0) if thetas is None else thetas)):
+    for k, (t, theta) in enumerate(zip(times, thetas)):
         if k % _ANCHOR_EVERY == 0:
-            phase = 2.0 * cmath.exp(-1j * theta)
-            z = init * phase if t == 0 else np.exp(-1j * (t * omega)) * init * phase
+            z = (np.exp(-1j * (t * omega)) * init if t else init) * (2.0 * cmath.exp(-1j * theta))
         else:
             z = z * rotation(t - prev, theta - prev_theta)
         prev, prev_theta = t, theta

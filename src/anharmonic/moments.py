@@ -126,9 +126,8 @@ def k3_k4(m1, m2, m3, m4) -> tuple:
     mpmath numbers, or Python integers (moments of order k at scale 2^(k L)),
     for which the cumulants come out exact (at scale 2^(3L) and 2^(4L)).
     Integer literals and products (not libm pow), so one formula serves all three."""
-    s = m1 * m1
-    k3 = m3 - 3 * m1 * m2 + 2 * (s * m1)
-    k4 = m4 + 2 * (s * s) - 3 * (m2 * m2) - 4 * m1 * k3
+    k3 = m3 - 3 * m1 * m2 + 2 * (m1 * m1 * m1)
+    k4 = m4 + 2 * (m1 * m1 * (m1 * m1)) - 3 * (m2 * m2) - 4 * m1 * k3
     return k3, k4
 
 

@@ -49,8 +49,8 @@ from helpers import (
 
 def exact_at(a0, t):
     """Exact truncated-Wigner flow of one amplitude at one time, from the
-    flow's phasor z = 2 alpha(t)."""
-    (z,) = next(exact_wigner_flow(np.array([complex(a0)]), [t]))
+    flow's phasor z = 2 alpha(t) at phase 0."""
+    (z,) = next(exact_wigner_flow(np.array([complex(a0)]), [t], [0.0]))
     return 0.5 * complex(z)
 
 
@@ -130,13 +130,12 @@ class TestTimeGrid:
 
     def test_step_is_optional_until_read(self):
         # only positive-P reads dtau: a grid without one serves the other
-        # runs, and its step count and dt name dtau when asked for
+        # runs, and its step count, the first thing positive-P reads, names
+        # dtau when asked for
         grid = TimeGrid(1000.0, (0.0, 0.5), (0.0, 1.0))
         assert grid.dtau is None and grid.times == (0.0, 0.0005)
         with pytest.raises(ValueError, match="dtau"):
             grid.steps_between()
-        with pytest.raises(ValueError, match="dtau"):
-            grid.dt
         with pytest.raises(ValueError, match="dtau"):
             run_positive_p(math.sqrt(1e3), grid, 100, 10)
 
@@ -299,7 +298,7 @@ class TestExactWignerStep:
         assert len(set(np.diff(times))) == 199
         tracemalloc.start()
         try:
-            for _ in exact_wigner_flow(init, times):
+            for _ in exact_wigner_flow(init, times, np.zeros_like(times)):
                 pass
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -314,7 +313,7 @@ class TestExactWignerStep:
         # out to t = 1e6 * 1e-4, at most 63 rotations from an anchor
         init = np.array([1.3 - 0.7j, math.sqrt(1000.0) + 0.2j])
         times = np.linspace(0.0, 1e6 * 1e-4, 1001)
-        for z in exact_wigner_flow(init, times):
+        for z in exact_wigner_flow(init, times, np.zeros_like(times)):
             assert np.all(np.abs(np.abs(0.5 * z) - np.abs(init)) < 1e-12)
 
     def test_rotation_rate_at_thousand_particles(self):
