@@ -10,24 +10,17 @@ from dataclasses import dataclass, replace
 
 from . import engine, oracle
 from .config import ConfigError, SimulationConfig, parse_config
-from .moments import (
-    CsvRow,
-    InsufficientBatches,
-    OrderingViolation,
-    batch_error,
-    read_rows,
-    write_rows,
-)
+from .moments import CsvRow, OrderingViolation, batch_error, read_rows, write_rows
 
 KERR_TOKENS = "ad a ad a"
 
 #: Exit codes beyond 0 (success); ``purity`` exits 1 on VIOLATES_PURITY and
 #: ``compare`` exits 3 when a row fails.  5 is retired: the oracle no longer
-#: has a Fock window to overflow.
+#: has a Fock window to overflow.  4 and 7 are retired: positive-P excludes
+#: no path, so no run exceeds a divergence threshold or leaves a batch
+#: empty, and the config refuses fewer than 10 batches.
 EXIT_INPUT = 2                # unreadable or invalid config, Hamiltonian or CSV; unwritable --out
-EXIT_DIVERGENCE = 4           # more paths diverged than divergence_threshold allows
-EXIT_ORDERING_VIOLATION = 6   # estimates fail the imaginary-residue or moment-bound check
-EXIT_INSUFFICIENT_BATCHES = 7 # fewer than 10 batches kept a surviving path over the run
+EXIT_ORDERING_VIOLATION = 6   # estimates fail the imaginary-residue or moment-bound check, or are not finite
 EXIT_MEMORY = 8               # a chunk's arrays do not fit in memory (a batch is too large)
 
 
@@ -85,11 +78,10 @@ def _rows(cfg: SimulationConfig, threads: int | None) -> list[CsvRow]:
                    for k3, k4 in oracle.cumulant_series(oracle.init_coherent(alpha0), grid)]
     else:
         ensemble = (alpha0, grid, cfg.n_paths, cfg.batches, cfg.seed, threads)
-        if cfg.method == "TW":
-            acc = engine.run_truncated_wigner(*ensemble)
-        else:
-            acc = engine.run_positive_p(*ensemble, divergence_threshold=cfg.divergence_threshold)
-        columns = [(*estimates, acc.n_paths, acc.n_diverged)
+        run = engine.run_truncated_wigner if cfg.method == "TW" else engine.run_positive_p
+        acc = run(*ensemble)
+        # n_diverged stays a CSV column, always 0: no path is ever excluded
+        columns = [(*estimates, acc.n_paths, 0)
                    for estimates in zip(*(k.tolist() for k in batch_error(acc)))]
     return [
         CsvRow(tau, theta, *values, cfg.method_label)
@@ -109,23 +101,16 @@ def _cmd_simulate(args) -> int:
         write_rows(args.out, rows)
     except OSError as exc:
         return _error(exc, EXIT_INPUT)
-    except engine.ExcessiveDivergence as exc:
-        return _error(exc, EXIT_DIVERGENCE)
     except OrderingViolation as exc:
         return _error(exc, EXIT_ORDERING_VIOLATION)
-    except InsufficientBatches as exc:
-        return _error(exc, EXIT_INSUFFICIENT_BATCHES)
     except MemoryError as exc:
         return _error(exc, EXIT_MEMORY)
     elapsed = time.perf_counter() - started
     if cfg.method == "Oracle":
         print(f"oracle: {len(rows)} output times, {elapsed:.1f} s", file=sys.stderr)
     else:
-        print(
-            f"{cfg.method_label}: {cfg.n_paths} paths, {len(rows)} output times, "
-            f"{rows[-1].n_diverged} diverged, {elapsed:.1f} s",
-            file=sys.stderr,
-        )
+        print(f"{cfg.method_label}: {cfg.n_paths} paths, {len(rows)} output times, {elapsed:.1f} s",
+              file=sys.stderr)
     return 0
 
 

@@ -58,7 +58,6 @@ class SimulationConfig:
     dtau: float = 1e-3
     theta_mode: str = "rotating"
     theta_value: float = 0.0
-    divergence_threshold: float = 1e-3
     seed: int = 0
     warnings: tuple[str, ...] = field(default=(), compare=False)
 
@@ -130,7 +129,6 @@ _KEYS = {
     "tau_stop": ("tau_stop", _finite, None),
     "tau_points": ("tau_points", _whole, None),
     "dtau": ("dtau", _finite, ("method", ("PositiveP",))),
-    "divergence_threshold": ("divergence_threshold", _finite, ("method", ("PositiveP",))),
     "theta_mode": ("theta_mode", str, None),
     "theta_value": ("theta_value", _finite, ("theta_mode", ("fixed",))),
 }
@@ -191,8 +189,6 @@ def _validate(cfg: SimulationConfig):
         raise InvalidValue("tau_points", "multiple outputs need tau_stop > tau_start")
     if cfg.theta_mode not in ("rotating", "fixed"):
         raise InvalidValue("theta_mode", "must be 'rotating' or 'fixed'")
-    if not 0.0 <= cfg.divergence_threshold <= 1.0:
-        raise InvalidValue("divergence_threshold", "must lie in [0, 1]")
     if cfg.batches < MIN_BATCHES:
         raise InvalidValue("batches", f"need at least {MIN_BATCHES} batches")
     if cfg.n_paths < cfg.batches:

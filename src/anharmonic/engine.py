@@ -1,17 +1,22 @@
 """Trajectory integration for the anharmonic (Kerr) oscillator.
 
-Two integrators are provided:
+Both ensembles have an exact flow:
 
-* :func:`exact_wigner_flow`, the exact truncated-Wigner flow of the
-  anharmonic drift (the modulus is conserved, so the flow is a pure phase
-  rotation, which it yields as the phasor exp(-i theta) 2 alpha(t)), and
-* :class:`MidpointStep`, the one semi-implicit Stratonovich midpoint rule
-  on the doubled positive-P phase space, written for the Kerr oscillator's
-  constant coefficients and vectorised over paths.  Its implicit equation
-  has one complex unknown per path, the product of the two midpoint
-  components, which the step takes from a first-order guess and one
-  correction; the update is a Cayley form.  It takes unit increments;
-  sqrt(dt) is folded into its noise coefficients.
+* :func:`exact_wigner_flow`, the truncated-Wigner flow of the anharmonic
+  drift (the modulus is conserved, so the flow is a pure phase rotation,
+  which it yields as the phasor exp(-i theta) 2 alpha(t)), and
+* :func:`positive_p_flow`, the positive-P Stratonovich equations on the
+  doubled phase space solved in log variables.  With the Kerr oscillator's
+  constant coefficients the drifts of ln alpha1 and ln alpha2* cancel, so
+  the product n = alpha1 alpha2* moves by one exact factor
+  exp(sqrt(dt) (n0 xi1 + n1 xi2)) per step, and each output takes
+  alpha1 = alpha0 exp(c0 I + n0 W1) and alpha2* = conj(alpha0)
+  exp(c1 I + n1 W2), with I = int n ds by the trapezoid rule on the steps
+  and W the Wiener paths.  Its unit increments are two-point: +-1 with
+  equal chance, one raw bit of the chunk's stream each.  Only cumulants,
+  which are weak quantities, are estimated, and these increments suffice
+  for weak order 1 (Kloeden & Platen 1992, sections 14.1-14.2).  They are
+  drawn step-major into one bounded buffer per chunk.
 
 Ensembles are split into batches (the statistical unit used for error
 bars), held as one array of batch edges (:func:`batch_edges`), and batches
@@ -22,28 +27,17 @@ deterministic order.  The chunk partition depends only on the run
 configuration, so results are bit-identical for a fixed master seed at any
 worker count; a path's draws depend on the chunk it falls in.
 
-Both chunk kernels reduce their outputs through one function, which forms
-the powers (x - c)^k (k = 1..4) of each output's quadrature x about its
-mean-field centre c (:func:`quadrature_centres`) in one reused ``(4, m)``
-block and sums them per batch straight into the chunk's batches of the
-run's one :class:`~anharmonic.moments.MomentAccumulator`; the draws do not
-depend on theta.  A truncated-Wigner chunk passes each output's phasors
-exp(-i theta) 2 alpha(t), whose real part is x, read in one pass per
-path.  A positive-P chunk keeps every output's ``(2, m)`` state
-until it ends, because a path that diverges later is excluded retroactively
-from every earlier output: the states are reduced at the end, with the
-escaped paths' power columns zeroed.  Its unit Wiener increments are
-two-point: +-1 with equal chance, one raw bit of the chunk's stream each.
-Only cumulants, which are weak quantities, are estimated, and these
-increments suffice for weak order 1 (Kloeden & Platen 1992, sections
-14.1-14.2).  They are drawn step-major into one bounded buffer per chunk.
-Each kernel returns its alive mask, from which the driver writes the
-chunk's surviving and diverged path counts once, since a path's survival
-holds for the whole run.
+Every chunk has one shape: its stream feeds the ensemble's flow, which
+yields one pair per output, and one function forms the powers (x - c)^k
+(k = 1..4) of each output's quadrature x about its mean-field centre c
+(:func:`quadrature_centres`) in one reused ``(4, m)`` block and sums them
+per batch straight into the chunk's batches of the run's one
+:class:`~anharmonic.moments.MomentAccumulator`; the draws do not depend on
+theta.  No path is ever excluded, so every batch keeps all its paths.
 
 The ensembles take a :class:`TimeGrid`, which carries each output's time
 and quadrature phase, not a run configuration; the config checks a
-positive-P grid's start and spacing with the stepper's own
+positive-P grid's start and spacing with the flow's own
 :meth:`TimeGrid.steps_between`.
 """
 
@@ -54,7 +48,6 @@ import functools
 import itertools
 import math
 import os
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -63,27 +56,20 @@ import numpy as np
 from .moments import POSITIVE_P, WIGNER, MomentAccumulator, bulk_monomials
 from .sampling import sample_wigner_coherent, stream_for_trajectory
 
-#: Escape radius for divergence flagging, in units of sqrt(N).
-ESCAPE_RADIUS_FACTOR = 1e3
-
 #: Target number of trajectories per unit of parallel work.  A chunk is a
 #: fixed consecutive group of batches, so the partition depends only on the
 #: run configuration, never on the worker count.
 _CHUNK_TARGET = 8192
 
-#: Byte cap on a positive-P chunk's noise buffer, which holds every path's
-#: +-1 increments, as float64, for a block of steps.  Memory does not grow
-#: with steps per gap, and a block (8 steps at 8192 paths) stays in a 2 MiB
-#: L2 cache while it is stepped through.  The draws do not depend on it,
-#: since each step takes whole raw words of the stream.
+#: Byte cap on a positive-P chunk's block of step factors, one complex128
+#: per path and step.  Memory does not grow with steps per gap, and a block
+#: (8 steps at 8192 paths) stays in a 2 MiB L2 cache while it is stepped
+#: through.  The draws do not depend on it, since each step takes whole raw
+#: words of the stream.
 _NOISE_BLOCK_BYTES = 2**20
 
 #: exact_wigner_flow's outputs per anchor, and the most gap rotations it keeps.
 _ANCHOR_EVERY, _ROTATIONS_KEPT = 64, 4
-
-
-class ExcessiveDivergence(RuntimeError):
-    """More than the allowed fraction of paths diverged."""
 
 
 @dataclass(frozen=True)
@@ -186,25 +172,23 @@ def quadrature_centres(alpha0: complex, grid: TimeGrid) -> np.ndarray:
     return np.where(np.isfinite(centres), centres, 0.0)
 
 
-def _batch_power_sums(pairs, thetas, centres, edges, out, dead=()) -> None:
+def _batch_power_sums(pairs, thetas, centres, edges, out) -> None:
     """Sum the quadrature powers of each output's amplitudes per batch into ``out``.
 
     ``pairs`` yields one pair (a, b) per output, in the form
     bulk_monomials takes (b is None for a Wigner phasor), at its phase in ``thetas``
     and centre in ``centres``; the chunk's batches are the runs between its
     consecutive ``edges``.  Each output's powers are formed in one reused
-    block, its ``dead`` path columns zeroed, and summed straight into its
-    row of ``out``, shape (n_out, n_batches, 4).  Each run of equal-size
-    batches is summed by one ``np.sum`` over a reshaped view, which adds the
-    same elements in the same pairwise order as summing each batch slice on
-    its own, so the sums are bit-identical.
+    block and summed straight into its row of ``out``, shape
+    (n_out, n_batches, 4).  Each run of equal-size batches is summed by one
+    ``np.sum`` over a reshaped view, which adds the same elements in the
+    same pairwise order as summing each batch slice on its own, so the sums
+    are bit-identical.
     """
     runs = [(size, len(list(run))) for size, run in itertools.groupby(np.diff(edges))]
     block = None
     for sums, theta, centre, pair in zip(out, thetas, centres, pairs):
         block = bulk_monomials(theta, *pair, centre, out=block)
-        if len(dead):
-            block[:, dead] = 0.0
         lo = j = 0
         for size, n in runs:
             sums[j : j + n] = block[:, lo : lo + n * size].reshape(-1, n, size).sum(axis=-1).T
@@ -218,66 +202,6 @@ def _batch_power_sums(pairs, thetas, centres, edges, out, dead=()) -> None:
 #: as the derivation forms them: their real part is 1.0000000000000002, not 1.
 KERR_DRIFT = (-2j, 2j)
 KERR_NOISE = ((-2j) ** 0.5, (2j) ** 0.5)
-
-
-class MidpointStep:
-    """The semi-implicit Stratonovich midpoint step, in place on (2, m).
-
-    ``step(y, xi)`` solves  mid = y + (dt/2) A(mid) + (1/2) B(mid) sqrt(dt) xi
-    with the unit increments ``xi`` (shape (2, m)) and sets y <- 2 mid - y.
-    The state is the doubled phase space (alpha1, alpha2*); the drift is
-    (c0 a* a^2, c1 a*^2 a) and the noise (n0 a, n1 a*), with the c_j and n_j
-    of :data:`KERR_DRIFT` and :data:`KERR_NOISE` (c1 = -c0).
-
-    Each entry has its own component as a factor, so the equation reads
-    mid_j = y_j / (1 - u_j), with u_j = k_j aa + w_j, the half-step drift
-    coefficient k_j = (dt/2) c_j, the noise term w_j = (n_j sqrt(dt) / 2) xi_j
-    and aa = mid_0 mid_1.  The one unknown per path is aa, which solves
-    aa = P / ((1 - u_0)(1 - u_1)) with P = y_0 y_1.  The step starts from the
-    first-order guess aa = P (1 + w_0 + w_1), whose drift part
-    (k_0 + k_1) P vanishes, takes one correction
-    aa <- P / ((1 - u_0)(1 - u_1)), and sets
-    y <- y (1 + u) / (1 - u), the Cayley form of 2 mid - y.  Without noise,
-    from alpha2* = conj(alpha1), aa is real and u imaginary, so |alpha| is
-    kept exactly.  Where the guess puts some 1 - u_j at zero the correction
-    divides by zero and the state comes out non-finite.
-
-    The factors 2 and 4 are folded into the coefficients: the step carries
-    b = 4 aa and h_j = (1 - u_j) / 2 = x_j - (k_j / 8) b, with
-    x_j = (1 - w_j) / 2, so that b = P / (h_0 h_1) and y <- y / h - y.  Built
-    once per chunk, with its buffers.
-    """
-
-    def __init__(self, dt: float, m: int):
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        # k_j / 8 and -n_j sqrt(dt) / 4, one (2, 1) column each to broadcast
-        # over paths
-        self._drift = np.array([[dt / 16 * c] for c in KERR_DRIFT])
-        self._noise = np.array([[-math.sqrt(dt) / 4 * c] for c in KERR_NOISE])
-        self._x, self._h, self._t = np.empty((3, 2, m), dtype=np.complex128)
-        self._b = np.empty(m, dtype=np.complex128)
-
-    def __call__(self, y: np.ndarray, xi: np.ndarray) -> None:
-        x, h, t, b = self._x, self._h, self._t, self._b
-        p, q = t
-        np.multiply(self._noise, xi, out=x)
-        x += 0.5
-        np.multiply(y[0], y[1], out=p)
-        # b = 4 P (1 + w_0 + w_1), as 1 + w_0 + w_1 = 3 - 2 (x_0 + x_1)
-        np.add(x[0], x[1], out=b)
-        b *= -8.0
-        b += 12.0
-        b *= p
-        np.multiply(self._drift, b, out=h)
-        np.subtract(x, h, out=h)
-        # the correction b = P / (h_0 h_1), then h at the corrected b
-        np.multiply(h[0], h[1], out=q)
-        np.divide(p, q, out=b)
-        np.multiply(self._drift, b, out=h)
-        np.subtract(x, h, out=h)
-        np.divide(y, h, out=t)
-        np.subtract(t, y, out=y)
 
 
 def exact_wigner_flow(init: np.ndarray, times, thetas):
@@ -315,80 +239,59 @@ def exact_wigner_flow(init: np.ndarray, times, thetas):
         yield z
 
 
-def _positive_p_chunk(
-    alpha0: complex,
-    grid: TimeGrid,
-    centres: np.ndarray,
-    seed: int,
-    edges: np.ndarray,
-    out: np.ndarray,
-) -> np.ndarray:
-    """Integrate the paths edges[0] .. edges[-1] - 1 and sum their batches'
-    powers into ``out``; return the (m,) alive mask.
+def positive_p_flow(alpha0: complex, grid: TimeGrid, stream, m: int):
+    """Yield each output's pair (alpha1, alpha2*) of m paths from the
+    coherent start (alpha0, conj(alpha0)), driven by ``stream.signs``.
 
-    A path escapes once either component's modulus exceeds
-    ESCAPE_RADIUS_FACTOR sqrt(N), with N = |alpha0|^2 (1 for the vacuum), or
-    is not finite, and stays escaped.  Diverged trajectories are left out of
-    the sums at every output time, earlier ones included, so every output's
-    (2, m) state is kept until the chunk ends; the escaped paths' power
-    columns are then zeroed, whatever their states hold.
+    Each step draws the unit increments (xi1, xi2) of every path, in the
+    layout of RandomStream.signs on a (steps, 2, m) block, multiplies
+    n = alpha1 alpha2* by its factor exp(sqrt(dt) (n0 xi1 + n1 xi2)) from a
+    table indexed by (xi1 + 1, xi2 + 1), adds n to a running sum and counts
+    the increments.  After K steps, I = dt (n_1 + ... + n_K + (n_0 - n_K) / 2)
+    and W_j = sqrt(dt) (xi_j summed), and the output is
+    (alpha0 exp(c0 I + n0 W1), conj(alpha0) exp(c1 I + n1 W2)), with the c_j
+    and n_j of KERR_DRIFT and KERR_NOISE: exactly the start at t = 0.  An
+    overflow leaves non-finite values, which the estimates refuse.
     """
-    m = int(edges[-1] - edges[0])
     steps = grid.steps_between()
-    n_out = len(grid.taus)
+    start = np.array([[alpha0], [np.conj(alpha0)]], dtype=np.complex128)
+    n_start = start[0, 0] * start[1, 0]
+    root_dt = math.sqrt(grid.dt)
+    unit = np.array([-1.0, 0.0, 1.0])
+    table = np.exp(root_dt * (KERR_NOISE[0] * unit[:, None] + KERR_NOISE[1] * unit)).ravel()
+    drift = np.array(KERR_DRIFT)[:, None]
+    noise = root_dt * np.array(KERR_NOISE)[:, None]
 
-    y = np.empty((2, m), dtype=np.complex128)
-    # a coherent state is a delta distribution here: a deterministic start
-    y[0], y[1] = alpha0, np.conj(alpha0)
-    stream = stream_for_trajectory(seed, int(edges[0]))
-    alive = np.ones(m, dtype=bool)
-    step = MidpointStep(grid.dt, m)
-    radius = np.empty((2, m), dtype=np.float64)
-    inside = np.empty((2, m), dtype=bool)
-    # nan and inf radii fail the comparison, also at an infinite escape radius
-    limit = min(ESCAPE_RADIUS_FACTOR * (abs(alpha0) or 1.0), sys.float_info.max)
-
-    states = np.empty((n_out, 2, m), dtype=np.complex128)
-
-    # The stream fills the step-major +-1 increments block by block, which
-    # replays the values a single whole-gap draw would give.
-    block = max(1, min(max(steps, default=0), _NOISE_BLOCK_BYTES // (2 * 8 * m)))
-    draws = np.empty((block, 2, m), dtype=np.float64)
-
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k_out, n_steps in enumerate(steps):
-            for k_block in range(0, n_steps, block):
-                nb = min(block, n_steps - k_block)
-                stream.signs(draws[:nb])
-                for xi in draws[:nb]:
-                    step(y, xi)
-                    # escapes and non-finite values end a path for the run
-                    np.abs(y, out=radius)
-                    np.less_equal(radius, limit, out=inside)
-                    alive &= inside[0]
-                    alive &= inside[1]
-            states[k_out] = y
-        # escaped states may be non-finite, as are their powers until zeroed
-        dead = np.flatnonzero(~alive)
-        _batch_power_sums(states, grid.thetas, centres, edges, out, dead)
-    return alive
+    n = np.full(m, n_start)
+    total = np.zeros(m, dtype=np.complex128)
+    counts = np.zeros((2, m), dtype=np.int64)
+    block = max(1, min(max(steps, default=0), _NOISE_BLOCK_BYTES // (16 * m)))
+    xi = np.empty((block, 2, m), dtype=np.int8)
+    index = np.empty((block, m), dtype=np.int8)
+    factors = np.empty((block, m), dtype=np.complex128)
+    for n_steps in steps:
+        for k_block in range(0, n_steps, block):
+            nb = min(block, n_steps - k_block)
+            stream.signs(xi[:nb])
+            counts += xi[:nb].sum(axis=0, dtype=np.int32)
+            np.multiply(xi[:nb, 0], 3, out=index[:nb])
+            index[:nb] += xi[:nb, 1]
+            index[:nb] += 4
+            # every index lies in the table, so clipping (the fast mode) changes none
+            np.take(table, index[:nb], out=factors[:nb], mode="clip")
+            for factor in factors[:nb]:
+                n *= factor
+                total += n
+        integral = grid.dt * (total + 0.5 * (n_start - n))
+        alpha = start * np.exp(drift * integral + noise * counts)
+        yield alpha[0], alpha[1]
 
 
-def _truncated_wigner_chunk(
-    alpha0: complex,
-    grid: TimeGrid,
-    centres: np.ndarray,
-    seed: int,
-    edges: np.ndarray,
-    out: np.ndarray,
-) -> np.ndarray:
-    """Exact-flow chunk: sum the batches' powers of the paths
-    edges[0] .. edges[-1] - 1 into ``out``; every path stays alive."""
-    m = int(edges[-1] - edges[0])
-    init = sample_wigner_coherent(alpha0, stream_for_trajectory(seed, int(edges[0])), m)
-    phasors = ((z, None) for z in exact_wigner_flow(init, grid.times, grid.thetas))
-    _batch_power_sums(phasors, grid.thetas, centres, edges, out)
-    return np.ones(m, dtype=bool)
+def _wigner_flow(alpha0: complex, grid: TimeGrid, stream, m: int):
+    """Each output's Wigner phasor, as the pair (phasor, None), of m paths
+    drawn from ``stream``."""
+    init = sample_wigner_coherent(alpha0, stream, m)
+    return ((z, None) for z in exact_wigner_flow(init, grid.times, grid.thetas))
 
 
 def _available_cpus() -> int:
@@ -410,32 +313,34 @@ def worker_count(threads: int | None, n_tasks: int) -> int:
     return min(cpus if threads is None else threads, cpus, n_tasks)
 
 
-def _run_chunked(representation: str, kernel, alpha0: complex, grid: TimeGrid,
+def _run_chunked(representation: str, flow, alpha0: complex, grid: TimeGrid,
                  n_paths: int, n_batches: int, seed: int, threads: int | None) -> MomentAccumulator:
-    """Run ``kernel`` over the fixed chunks of whole batches into one accumulator.
+    """Run ``flow`` over the fixed chunks of whole batches into one accumulator.
 
     The batches are cut at ``batch_edges(n_paths, n_batches)``.  For the
-    batches b_lo .. b_hi - 1 the kernel is called as
-    ``kernel(alpha0, grid, centres, seed, edges[b_lo:b_hi + 1], out)``: it
-    integrates their paths, sums their powers about each output's centre
-    into ``out = acc.batch_sums[:, b_lo:b_hi]`` and returns their alive
-    mask.  Each kernel sums every batch pairwise over a fixed trajectory
-    order, and each chunk writes only its own batches, so the result is
-    independent of scheduling.
+    batches b_lo .. b_hi - 1, spanning paths edges[b_lo] .. edges[b_hi] - 1,
+    ``flow(alpha0, grid, stream, m)`` yields one pair per output of their
+    m paths, from the stream keyed by the seed and edges[b_lo], and their
+    powers about each output's centre are summed into
+    ``acc.batch_sums[:, b_lo:b_hi]``.  Each batch is summed pairwise over a
+    fixed trajectory order, and each chunk writes only its own batches, so
+    the result is independent of scheduling.  Overflows are left to the
+    estimates, which refuse non-finite values.
     """
     edges = batch_edges(n_paths, n_batches)
     groups = _chunk_batch_groups(edges)
     centres = quadrature_centres(alpha0, grid)
     acc = MomentAccumulator(representation, len(centres), n_batches)
     acc.centres[:] = centres
+    acc.batch_counts[:] = np.diff(edges)
 
     def work(group):
         b_lo, b_hi = group
         chunk = edges[b_lo : b_hi + 1]
-        alive = kernel(alpha0, grid, centres, seed, chunk, acc.batch_sums[:, b_lo:b_hi])
-        counts = np.add.reduceat(alive, chunk[:-1] - chunk[0])
-        acc.batch_counts[b_lo:b_hi] = counts
-        acc.batch_diverged[b_lo:b_hi] = np.diff(chunk) - counts
+        stream = stream_for_trajectory(seed, int(chunk[0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            pairs = flow(alpha0, grid, stream, int(chunk[-1] - chunk[0]))
+            _batch_power_sums(pairs, grid.thetas, centres, chunk, acc.batch_sums[:, b_lo:b_hi])
 
     with ThreadPoolExecutor(max_workers=worker_count(threads, len(groups))) as pool:
         list(pool.map(work, groups))
@@ -452,7 +357,7 @@ def run_truncated_wigner(
 ) -> MomentAccumulator:
     """Truncated-Wigner ensemble for the anharmonic oscillator (exact stepper),
     at each output time and phase of ``grid``."""
-    return _run_chunked(WIGNER, _truncated_wigner_chunk, alpha0, grid, n_paths, n_batches, seed, threads)
+    return _run_chunked(WIGNER, _wigner_flow, alpha0, grid, n_paths, n_batches, seed, threads)
 
 
 def run_positive_p(
@@ -462,22 +367,7 @@ def run_positive_p(
     n_batches: int,
     seed: int = 0,
     threads: int | None = None,
-    divergence_threshold: float = 1e-3,
 ) -> MomentAccumulator:
-    """Positive-P ensemble under the anharmonic-oscillator Stratonovich model,
-    at each output time and phase of ``grid``.
-
-    Raises :class:`ExcessiveDivergence` when more than
-    ``divergence_threshold`` of the paths leave the escape radius
-    ESCAPE_RADIUS_FACTOR |alpha0| anywhere in the reported window: once a
-    nontrivial fraction of the ensemble is excluded, the surviving average
-    no longer estimates the true moments.
-    """
-    acc = _run_chunked(POSITIVE_P, _positive_p_chunk, alpha0, grid, n_paths, n_batches, seed, threads)
-    n_div = acc.n_diverged
-    if n_div > divergence_threshold * n_paths:
-        raise ExcessiveDivergence(
-            f"{n_div} of {n_paths} paths diverged "
-            f"(threshold {divergence_threshold:.2%})"
-        )
-    return acc
+    """Positive-P ensemble under the anharmonic-oscillator Stratonovich model
+    (:func:`positive_p_flow`), at each output time and phase of ``grid``."""
+    return _run_chunked(POSITIVE_P, positive_p_flow, alpha0, grid, n_paths, n_batches, seed, threads)

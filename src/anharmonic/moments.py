@@ -60,11 +60,10 @@ class MomentAccumulator:
     """Per-batch sums of y^k (k = 1..4), y = x - c, of one run, at every output.
 
     ``batch_sums`` has shape (n_outputs, n_batches, N_POWERS); ``centres``
-    holds each output's c (zero unless set).  A path's survival is decided
-    once per run, so ``batch_counts`` (surviving paths) and ``batch_diverged``
-    (shape (n_batches,)) hold for every output."""
+    holds each output's c (zero unless set), and ``batch_counts`` (shape
+    (n_batches,)) each batch's paths, the same at every output."""
 
-    __slots__ = ("representation", "batch_sums", "centres", "batch_counts", "batch_diverged")
+    __slots__ = ("representation", "batch_sums", "centres", "batch_counts")
 
     def __init__(self, representation: str, n_outputs: int, n_batches: int):
         if representation not in (WIGNER, POSITIVE_P):
@@ -75,7 +74,6 @@ class MomentAccumulator:
         self.batch_sums = np.zeros((n_outputs, n_batches, N_POWERS), dtype=DTYPES[representation])
         self.centres = np.zeros(n_outputs)
         self.batch_counts = np.zeros(n_batches, dtype=np.int64)
-        self.batch_diverged = np.zeros(n_batches, dtype=np.int64)
 
     @property
     def n_batches(self) -> int:
@@ -84,10 +82,6 @@ class MomentAccumulator:
     @property
     def n_paths(self) -> int:
         return int(self.batch_counts.sum())
-
-    @property
-    def n_diverged(self) -> int:
-        return int(self.batch_diverged.sum())
 
 
 def bulk_monomials(theta: float, a, b, centre=0.0, out=None) -> np.ndarray:
@@ -142,21 +136,17 @@ def batch_error(acc: MomentAccumulator) -> tuple[np.ndarray, ...]:
 
     Every estimate (k3, k4, the imaginary residue of each positive-P <Y^k>,
     the variance and quartic moment bounds) comes from the sums pooled over
-    the B batches that kept a path, and its sigma from the B estimates that
-    each leave one of them out.  The checks raise, beyond 5 sigma, for the
-    earliest output that fails one, residues first; a NaN fails every check.
+    the B batches, and its sigma from the B estimates that each leave one
+    of them out.  The checks raise, beyond 5 sigma, for the earliest output
+    that fails one, residues first; a NaN fails every check.
     """
-    alive = acc.batch_counts > 0
-    counts = acc.batch_counts[alive]
-    if len(counts) < MIN_BATCHES:
-        raise InsufficientBatches(
-            f"only {len(counts)} of {acc.n_batches} batches retained surviving paths "
-            f"(< {MIN_BATCHES})"
-        )
+    counts = acc.batch_counts
+    if acc.n_batches < MIN_BATCHES:
+        raise InsufficientBatches(f"only {acc.n_batches} batches (< {MIN_BATCHES})")
     n = counts.sum()
-    pooled, loo = [], []  # the batch axis last and contiguous: pairwise sums
-    for k in range(N_POWERS):
-        sums = np.compress(alive, acc.batch_sums[..., k], axis=-1)
+    pooled, loo = [], []
+    # one copy with the batch axis last and contiguous: pairwise sums
+    for sums in np.ascontiguousarray(np.moveaxis(acc.batch_sums, -1, 0)):
         total = sums.sum(axis=-1)
         pooled.append(total / n)
         loo.append((total[:, None] - sums) / (n - counts))
@@ -205,7 +195,7 @@ class CsvRow:
     k4: float
     k4_sigma: float
     n_paths: int
-    n_diverged: int
+    n_diverged: int  # always 0, since no path is excluded; kept for the column's readers
     method: str
 
 

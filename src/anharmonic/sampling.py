@@ -34,7 +34,8 @@ class RandomStream:
         return self._gen.standard_normal(n)
 
     def signs(self, out: np.ndarray) -> np.ndarray:
-        """Fill ``out``, shape (n_steps, ...), with +-1.0 of equal chance; return it.
+        """Fill ``out``, shape (n_steps, ...), with +-1 of equal chance, in its
+        (signed or float) dtype; return it.
 
         Step k's ``out[k].size`` signs, in C order, are the bits of the next
         ceil(out[k].size / 64) raw 64-bit words, lowest bit first: a set bit
@@ -46,8 +47,8 @@ class RandomStream:
         words = -(-width // 64)
         raw = self._gen.bit_generator.random_raw(n_steps * words).astype("<u8", copy=False)
         bits = np.unpackbits(raw.view(np.uint8).reshape(n_steps, 8 * words), axis=1, bitorder="little")
-        np.multiply(bits[:, :width].reshape(out.shape), 2.0, out=out)
-        out -= 1.0
+        np.multiply(bits[:, :width].reshape(out.shape), 2, out=out)
+        out -= 1
         return out
 
 

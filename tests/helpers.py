@@ -10,12 +10,13 @@ import mpmath
 import numpy as np
 
 from anharmonic import oracle
-from anharmonic.engine import MidpointStep, TimeGrid
+from anharmonic.engine import TimeGrid
 from anharmonic.moments import (
     MIN_BATCHES,
     POSITIVE_P,
     InsufficientBatches,
     OrderingViolation,
+    bulk_monomials,
     k3_k4,
     promote_normal_order,
 )
@@ -208,25 +209,16 @@ def per_slice_batch_sums(block: np.ndarray, edges) -> np.ndarray:
     return np.stack([block[..., lo:hi].sum(axis=-1) for lo, hi in zip(offsets, offsets[1:])], axis=-2)
 
 
-def full_block_kernel(kernel):
-    """Reference chunk kernel that reduces the whole power block at the end.
+def full_block_power_sums(pairs, thetas, centres, edges, out) -> None:
+    """Reference for engine._batch_power_sums that reduces the whole power block at the end.
 
-    ``kernel`` is an engine chunk kernel, called as
-    ``kernel(alpha0, grid, centres, seed, edges, out)``.  Run with one path
-    per batch, it sums every path's powers alone, in ``out``'s dtype; they
-    are laid out as the full (n_out, n_powers, m) block and then summed per
-    batch slice into ``out``.
+    Every output's powers, from the pairs of ``pairs`` at its phase and
+    centre, are laid out as the full (n_out, n_powers, m) block and then
+    summed per batch slice into ``out``.
     """
-
-    def chunk(*args):
-        *head, edges, out = args
-        singles = np.empty((out.shape[0], edges[-1] - edges[0], out.shape[2]), dtype=out.dtype)
-        alive = kernel(*head, np.arange(edges[0], edges[-1] + 1), singles)
-        block = np.ascontiguousarray(singles.transpose(0, 2, 1))
-        out[...] = per_slice_batch_sums(block, edges)
-        return alive
-
-    return chunk
+    block = np.stack([bulk_monomials(theta, *pair, centre)
+                      for theta, centre, pair in zip(thetas, centres, pairs)])
+    out[...] = per_slice_batch_sums(block, edges)
 
 
 def batch_slices(n_paths: int, n_batches: int) -> list[tuple[int, int]]:
@@ -273,107 +265,45 @@ def kerr_positive_p_model():
     return ito_to_stratonovich(derive_positive_p_model(kerr_hamiltonian()))
 
 
-def kerr_step_coefficients(model, dt: float, dw_scale: float = 1.0):
-    """Half-step drift and noise coefficients of the Kerr model, read by evaluation.
+def scalar_log_path(model, alpha0: complex, dt: float, xi) -> tuple[complex, complex]:
+    """Scalar twin of engine.positive_p_flow for one path: (alpha1, alpha2*)
+    after one step per row (xi1, xi2) of ``xi``, in plain complex arithmetic.
 
-    Each entry of the model is one monomial with its own component as a
-    factor, so its value at a = a* = 1 is its coefficient.  Returns
-    ((dt/2) c_0, (dt/2) c_1) and (n_0 dw_scale / 2, n_1 dw_scale / 2).
+    The drift coefficients c_j and noise coefficients n_j come from the
+    model by evaluation: each entry is one monomial with its own component
+    as a factor, so its value at a = a* = 1 is its coefficient.  Each step
+    multiplies n by exp(sqrt(dt) (n0 xi1 + n1 xi2)) and adds the trapezoid
+    dt (n_before + n_after) / 2 to I; then alpha1 = alpha0 exp(c0 I + n0 W1)
+    and alpha2* = conj(alpha0) exp(c1 I + n1 W2), with W_j = sqrt(dt) sum xi_j.
     """
-    drift = tuple(0.5 * dt * evaluate(poly, 1.0, 1.0) for poly in model.drift)
-    noise = tuple(0.5 * dw_scale * evaluate(poly, 1.0, 1.0) for poly in model.noise)
-    return drift, noise
+    (c0, c1), (n0, n1) = ([evaluate(poly, 1.0, 1.0) for poly in polys]
+                          for polys in (model.drift, model.noise))
+    root_dt = math.sqrt(dt)
+    n = alpha0 * complex(alpha0).conjugate()
+    integral, w1, w2 = 0.0, 0.0, 0.0
+    for x1, x2 in xi:
+        after = n * cmath.exp(root_dt * (n0 * x1 + n1 * x2))
+        integral += 0.5 * dt * (n + after)
+        n, w1, w2 = after, w1 + root_dt * x1, w2 + root_dt * x2
+    return (alpha0 * cmath.exp(c0 * integral + n0 * w1),
+            complex(alpha0).conjugate() * cmath.exp(c1 * integral + n1 * w2))
 
 
-def scalar_midpoint_path(model, y0, dt: float, n_steps: int, dw) -> tuple[complex, complex]:
-    """Scalar twin of the kernel's midpoint step, for one path.
+class ZeroStream:
+    """A stand-in for a chunk's RandomStream whose increments are all zero:
+    the positive-P flow without noise."""
 
-    ``y0`` is (alpha1, alpha2*); ``dw`` holds one row of two Wiener
-    increments per step.  With k_j and w_j = n_j dw_j / 2 from
-    :func:`kerr_step_coefficients` and u_j = k_j aa + w_j, the step guesses
-    aa = P (1 + (k_0 + k_1) P + w_0 + w_1) from P = y_0 y_1, corrects it
-    once to P / ((1 - u_0)(1 - u_1)) and sets y_j <- y_j (1 + u_j) / (1 - u_j),
-    in plain complex arithmetic, without the kernel's folded factors.
-    """
-    k, n = kerr_step_coefficients(model, dt)
-    y = tuple(complex(c) for c in y0)
-    for row in dw[:n_steps]:
-        w = tuple(n_j * dw_j for n_j, dw_j in zip(n, row))
-        p = y[0] * y[1]
-        aa = p * (1.0 + (k[0] + k[1]) * p + w[0] + w[1])
-        aa = p / ((1.0 - k[0] * aa - w[0]) * (1.0 - k[1] * aa - w[1]))
-        u = tuple(k_j * aa + w_j for k_j, w_j in zip(k, w))
-        y = tuple(y_j * (1.0 + u_j) / (1.0 - u_j) for y_j, u_j in zip(y, u))
-    return y
+    def signs(self, out):
+        out[...] = 0
+        return out
 
 
-#: Fixed-point iterations of the converged reference step.
-CONVERGED_ITERATIONS = 40
-
-
-class ConvergedMidpointStep:
-    """Reference midpoint step: the plain fixed-point loop, run to convergence.
-
-    A drop-in for ``engine.MidpointStep`` (same constructor and call, unit
-    increments ``xi``), with the coefficients of the derived Kerr model
-    rather than the engine's constants.  From mid = y it iterates
-    mid_j <- y_j + (k_j mid_0 mid_1 + w_j) mid_j, with the increments held
-    fixed, :data:`CONVERGED_ITERATIONS` times, then sets y <- 2 mid - y.
-    Each iteration gains about |u| in relative accuracy, so at the step sizes
-    the ensembles use it solves the midpoint equation to rounding.
-    """
-
-    def __init__(self, dt: float, m: int):
-        drift, noise = kerr_step_coefficients(kerr_positive_p_model(), dt, math.sqrt(dt))
-        self._drift = np.array(drift)[:, None]
-        self._noise = np.array(noise)[:, None]
-        self._mid = np.empty((2, m), dtype=np.complex128)
-
-    def __call__(self, y: np.ndarray, xi: np.ndarray) -> None:
-        mid = self._mid
-        kick = self._noise * xi
-        np.copyto(mid, y)
-        for _ in range(CONVERGED_ITERATIONS):
-            mid[...] = y + (self._drift * (mid[0] * mid[1]) + kick) * mid
-        np.subtract(2.0 * mid, y, out=y)
-
-
-def midpoint_path(y0, dt, n_steps, dw=None):
-    """Step the kernel n_steps times on the state y0, shape (2, m).
-
-    ``dw`` holds the Wiener increments, shape (n_steps, 2, m), which the
-    kernel takes as unit normals dw / sqrt(dt); without it every increment
-    is zero.
-    """
-    y = np.array(y0, dtype=np.complex128)
-    step = MidpointStep(dt, y.shape[1])
-    zero = np.zeros(y.shape)
-    for k in range(n_steps):
-        step(y, zero if dw is None else dw[k] / math.sqrt(dt))
-    return y
-
-
-def frozen_brownian_paths(rng, n_paths, n_coarse, dt):
-    """Increments of the same Brownian paths at steps dt, dt/2 and dt/4.
-
-    Each path draws its (4 n_coarse, 2) fine increments in turn; every
-    array has shape (n_steps, 2, n_paths), the layout the kernel steps.
-    """
-    fine = np.stack([rng.standard_normal((4 * n_coarse, 2)) for _ in range(n_paths)])
-    fine *= math.sqrt(dt / 4)
-    mid = fine.reshape(n_paths, 2 * n_coarse, 2, 2).sum(axis=2)
-    coarse = mid.reshape(n_paths, n_coarse, 2, 2).sum(axis=2)
-    return tuple(np.ascontiguousarray(x.transpose(1, 2, 0)) for x in (coarse, mid, fine))
-
-
-def fill_batches(acc, sums, counts, diverged=0):
+def fill_batches(acc, sums, counts):
     """Set the first len(counts) batches of ``acc`` at every output: power
-    sums (shape (n, N_POWERS), or one such block per output), path and
-    divergence counts."""
+    sums (shape (n, N_POWERS), or one such block per output) and path counts."""
     n = len(counts)
     acc.batch_sums[:, :n] = sums
     acc.batch_counts[:n] = counts
-    acc.batch_diverged[:n] = diverged
     return acc
 
 
@@ -381,7 +311,7 @@ def leave_one_out_report(acc, k: int) -> tuple[float, float, float, float]:
     """Reference estimator for output ``k`` on its own, batch by batch:
     (k3, sigma3, k4, sigma4).
 
-    From the (B, N_POWERS) sums of the batches that kept a path, it forms
+    From the (B, N_POWERS) sums of the batches, it forms
     the pooled estimates (the imaginary part of each <Y^k> for positive-P,
     the two moment bounds, k3 and k4), and then, in a loop over the batches,
     the same estimates from the sums of all the other batches, summed
@@ -389,13 +319,10 @@ def leave_one_out_report(acc, k: int) -> tuple[float, float, float, float]:
     loop's estimates.  The checks run in batch_error's order and raise its
     messages.
     """
-    kept = np.flatnonzero(acc.batch_counts > 0)
-    n_eff = len(kept)
+    n_eff = acc.n_batches
     if n_eff < MIN_BATCHES:
-        raise InsufficientBatches(
-            f"only {n_eff} of {acc.n_batches} batches retained surviving paths (< {MIN_BATCHES})"
-        )
-    sums, counts = acc.batch_sums[k][kept], acc.batch_counts[kept]
+        raise InsufficientBatches(f"only {n_eff} batches (< {MIN_BATCHES})")
+    sums, counts = acc.batch_sums[k], acc.batch_counts
 
     def moments(power_sums, n):
         m = power_sums / n

@@ -9,6 +9,7 @@ fixtures, so the expensive integrations run once.
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,6 +18,7 @@ from anharmonic import symbolic as sy
 from anharmonic.cli import main
 from anharmonic.engine import (
     exact_wigner_flow,
+    positive_p_flow,
     run_positive_p,
     run_truncated_wigner,
 )
@@ -31,18 +33,20 @@ from anharmonic.moments import (
 )
 from anharmonic.sampling import sample_wigner_coherent, stream_for_trajectory
 from helpers import (
+    ZeroStream,
     at_phase,
+    chunk_signs,
     dense_brute_force,
     dense_cumulant_atol,
-    frozen_brownian_paths,
     grid_at,
+    kerr_positive_p_model,
     ladder_sums,
-    midpoint_path,
     poly_close,
     quadrature_moments,
     quadrature_rounding_bound,
     random_hermitian_polynomial,
     rounding_phase,
+    scalar_log_path,
     tw_limit_cumulants,
 )
 
@@ -100,7 +104,7 @@ def pp_benchmark():
 def rows_from_accumulator(grid, acc, method):
     columns = zip(*(k.tolist() for k in batch_error(acc)))
     return [
-        CsvRow(tau, theta, *values, acc.n_paths, acc.n_diverged, method)
+        CsvRow(tau, theta, *values, acc.n_paths, 0, method)
         for tau, theta, values in zip(grid.taus, grid.thetas, columns)
     ]
 
@@ -292,31 +296,31 @@ def test_criterion_6_conservation_invariants():
 def test_criterion_7_integrator_order():
     started = time.perf_counter()
 
-    # strong order >= 1/2 on 100 frozen Brownian paths of the doubled model,
-    # stepped together by the ensembles' midpoint kernel
-    t_final = 0.2 / N_PARTICLES
-    n_coarse = 50
-    dt = t_final / n_coarse
-    coarse, mid, fine = frozen_brownian_paths(np.random.default_rng(7), 100, n_coarse, dt)
-    y0 = np.full((2, 100), ALPHA0, dtype=np.complex128)
-    s1 = midpoint_path(y0, dt, n_coarse, coarse)
-    s2 = midpoint_path(y0, dt / 2, 2 * n_coarse, mid)
-    s4 = midpoint_path(y0, dt / 4, 4 * n_coarse, fine)
-    e1 = np.abs(s1[0] - s2[0])
-    e2 = np.abs(s2[0] - s4[0])
-    assert np.mean(e1[e2 > 0] / e2[e2 > 0]) >= 1.3
+    # without noise the positive-P flow is exact: alpha1(t) = alpha0
+    # exp(-2i N t) at 60 digits, to within eps |alpha0| (4 + (K + 2) 2 N t)
+    # after K steps (the phase 2 I carries at most K + 2 roundings of its
+    # size; its exponential and product 4 eps)
+    eps = np.finfo(float).eps
+    grid = grid_at(N_PARTICLES, (0.0, 0.25, 0.5, 1.0), 1e-3)
+    steps = np.cumsum(grid.steps_between())
+    flow = positive_p_flow(ALPHA0, grid, ZeroStream(), 1)
+    for t, k, (a, _) in zip(grid.times, steps, flow, strict=True):
+        with mpmath.workdps(60):
+            n = mpmath.mpf(ALPHA0) ** 2
+            exact = complex(ALPHA0 * mpmath.exp(-2j * n * k * mpmath.mpf(grid.dt)))
+        assert abs(a[0] - exact) <= eps * ALPHA0 * (4 + (k + 2) * 2 * N_PARTICLES * t), (t, a[0], exact)
 
-    # the same kernel without noise: global error drops >= 3.5x per halving
-    # against the exact alpha1(t) = alpha1(0) exp(-2i n t), n = alpha1 alpha2*
-    a0 = 1.1 + 0.0j
-    t_final = 0.5
-    ref = a0 * np.exp(-2j * abs(a0) ** 2 * t_final)
-
-    def global_error(dt_step):
-        y = midpoint_path([[a0], [a0.conjugate()]], dt_step, int(round(t_final / dt_step)))
-        return abs(y[0, 0] - ref)
-
-    assert global_error(2e-3) / global_error(1e-3) >= 3.5
+    # with noise, path by path on the same bits: 32 paths over pp_short's
+    # output gap (250 steps at N = 1e3) stay within 1e-12 of the scalar
+    # closed form with the symbolically derived coefficients
+    grid = grid_at(N_PARTICLES, (0.25,), 1e-3)
+    ((a1, a2s),) = positive_p_flow(ALPHA0, grid, stream_for_trajectory(21, 0), 32)
+    draws = chunk_signs(21, 0, 250, 32)
+    model = kerr_positive_p_model()
+    for traj in range(32):
+        ref = scalar_log_path(model, ALPHA0, grid.dt, draws[:, :, traj])
+        assert abs(a1[traj] - ref[0]) < 1e-12 * abs(ref[0])
+        assert abs(a2s[traj] - ref[1]) < 1e-12 * abs(ref[1])
 
     _report(7, "integrator order", started)
 
@@ -332,12 +336,11 @@ def test_criterion_8_workers_determinism(tmp_path, capsys):
             "method = PositiveP\nN = 1000\nn_paths = 17000\nbatches = 34\n"
             "tau_start = 0\ntau_stop = 0.1\ntau_points = 3\ndtau = 1e-3\n"
         ),
-        # paths escape in every chunk, so the exclusion across outputs and
-        # chunks is byte-checked too
+        # heavy tails in every chunk: every path is kept, and its growing
+        # sigma is byte-checked too
         "pp_diverging.cfg": (
             "method = PositiveP\nN = 10\nn_paths = 17000\nbatches = 34\n"
             "tau_start = 0\ntau_stop = 2\ntau_points = 3\ndtau = 1e-3\n"
-            "divergence_threshold = 1\n"
         ),
         "oracle.cfg": "method = Oracle\nN = 1e7\ntau_start = 0\ntau_stop = 10\ntau_points = 21\n",
     }
@@ -365,7 +368,12 @@ def test_criterion_8_workers_determinism(tmp_path, capsys):
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
         if name == "pp_diverging.cfg":
-            assert all(row.n_diverged > 0 for row in read_rows(out))
+            # the tails carry the sampling error: at tau = 2 sigma(k4) is
+            # beyond (2 R)^4, R = 1e3 sqrt(N), the most that paths clipped
+            # at the old escape radius R could give (they gave 8e9)
+            rows = read_rows(out)
+            assert [row.tau for row in rows] == [0.0, 1.0, 2.0]
+            assert rows[2].k4_sigma > (2e3 * math.sqrt(10.0)) ** 4, rows
 
     _report(8, "byte-identical CSVs across worker counts", started)
 

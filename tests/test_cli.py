@@ -298,13 +298,15 @@ class TestSimulate:
         assert len(read_rows(out)) == 3
 
     def test_bad_config_names_key(self, tmp_path, capsys):
+        # divergence_threshold is a key no more: positive-P excludes no path
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("method = TW\nN = 100\nwhat = 3\n")
-        code, _, err = run_cli(
-            capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")
-        )
-        assert code == 2
-        assert "what" in err
+        for key, method in (("what", "TW"), ("divergence_threshold", "PositiveP")):
+            cfg.write_text(f"method = {method}\nN = 100\n{key} = 3\n")
+            code, _, err = run_cli(
+                capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")
+            )
+            assert code == 2
+            assert err == f"error: unknown config key {key!r}\n"
 
     def test_method_oracle_in_simulate(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -318,18 +320,20 @@ class TestSimulate:
         assert all(r.k3_sigma == 0.0 and r.k4_sigma == 0.0 for r in rows)
 
     def test_divergence_threshold_breach_exit_code(self, tmp_path, capsys):
-        # at N = 2 the doubled-phase-space trajectories genuinely escape,
-        # tripping the default 0.1% divergence policy
+        # at N = 2 the doubled-phase-space trajectories genuinely diverge;
+        # no path is excluded and no threshold applies, so those that
+        # overflow leave a NaN that the estimates refuse by name (exit 6,
+        # where a breached threshold exited 4)
         cfg = tmp_path / "run.cfg"
+        out = tmp_path / "x.csv"
         write_config(
             cfg, method="PositiveP", N=2, n_paths=300, batches=10,
             tau_stop=8, tau_points=2, dtau=1e-3,
         )
-        code, _, err = run_cli(
-            capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")
-        )
-        assert code == 4
-        assert "diverged" in err
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(out))
+        assert code == cli.EXIT_ORDERING_VIOLATION == 6
+        assert err.startswith("error: ") and "is nan" in err
+        assert not out.exists()
 
     def test_deterministic_across_worker_counts(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -406,19 +410,16 @@ class TestSimulate:
         assert not out.exists()
 
     def test_insufficient_batches_exit_code(self, tmp_path, capsys):
-        # at N = 1 over tau in [0, 25] about 80% of paths escape; with the
-        # divergence policy switched off and one path per batch, several of
-        # the ten batches lose their only path, whatever the draws
+        # every batch keeps its paths, so too few batches can only come from
+        # the config, which refuses them before the run: exit 7 is retired
         cfg = tmp_path / "run.cfg"
-        write_config(
-            cfg, method="PositiveP", N=1, n_paths=10, batches=10,
-            tau_stop=25, tau_points=2, divergence_threshold=1,
-        )
-        code, _, err = run_cli(
-            capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")
-        )
-        assert code == cli.EXIT_INSUFFICIENT_BATCHES == 7
-        assert "batches retained surviving paths" in err
+        write_config(cfg, method="PositiveP", N=1, n_paths=10, batches=9, tau_stop=25, tau_points=2)
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(out))
+        assert code == cli.EXIT_INPUT == 2
+        assert err == "error: invalid value for 'batches': need at least 10 batches\n"
+        assert not hasattr(cli, "EXIT_INSUFFICIENT_BATCHES")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "oracle"])
@@ -566,12 +567,20 @@ def test_subnormal_particle_number_exit_code(tmp_path, capsys, command, method):
 
 @pytest.mark.parametrize("method", ["TW", "PositiveP", "Oracle"])
 def test_tiny_particle_number_still_runs(tmp_path, capsys, method):
-    # at N = 1e-300 the times stay finite (t = 2e297)
+    # at N = 1e-300 the times stay finite (t = 2e297); positive-P's exact
+    # log noise per step, about 3e148, overflows its step factors, and the
+    # NaN it leaves is refused by name, with no traceback
     cfg = tmp_path / "run.cfg"
     out = tmp_path / "x.csv"
     extra = {"dtau": 1e-3} if method == "PositiveP" else {}
     write_config(cfg, method=method, N=1e-300, tau_stop=0.002, **extra)
-    code, _, _ = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(out))
+    code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(out))
+    if method == "PositiveP":
+        assert code == cli.EXIT_ORDERING_VIOLATION == 6
+        assert err == ("error: imaginary residue of <(X-c)^1> is nan, beyond 5 sigma (nan); "
+                       "ensemble looks biased\n")
+        assert not out.exists()
+        return
     assert code == 0
     rows = read_rows(out)
     assert len(rows) == 3

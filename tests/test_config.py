@@ -20,7 +20,6 @@ def test_minimal_config_gets_defaults():
     assert cfg.seed == 0
     assert cfg.theta_mode == "rotating"
     assert cfg.dtau == 1e-3
-    assert cfg.divergence_threshold == 1e-3
 
 
 def test_seed_comes_from_flag_not_file():
@@ -151,10 +150,8 @@ def test_integer_keys_take_whole_numbers_in_float_notation():
     "method, key, note",
     [
         ("TW", "dtau", "method=TW ignores dtau"),
-        ("TW", "divergence_threshold", "method=TW ignores divergence_threshold"),
         ("Oracle", "batches", "method=Oracle ignores batches"),
         ("Oracle", "dtau", "method=Oracle ignores dtau"),
-        ("Oracle", "divergence_threshold", "method=Oracle ignores divergence_threshold"),
         ("PositiveP", "theta_value", "theta_mode=rotating ignores theta_value"),
     ],
 )
@@ -164,7 +161,7 @@ def test_ignored_key_warns(method, key, note):
 
 def test_keys_the_method_reads_draw_no_warning():
     text = ("method = PositiveP\nN = 10\nn_paths = 100\nbatches = 10\ndtau = 1e-2\n"
-            "divergence_threshold = 0.5\ntheta_mode = fixed\ntheta_value = 0.3\n")
+            "theta_mode = fixed\ntheta_value = 0.3\n")
     assert parse_config(text).warnings == ()
 
 

@@ -30,7 +30,7 @@ from helpers import (
 )
 
 
-def acc_from_samples(representation, a, abar=None, theta=0.0, n_batches=10, diverged=0):
+def acc_from_samples(representation, a, abar=None, theta=0.0, n_batches=10):
     """Accumulator over consecutive batches of paths with amplitudes (a, abar)
     (abar None for Wigner amplitudes, passed as phasors), at quadrature
     phase theta."""
@@ -43,7 +43,6 @@ def acc_from_samples(representation, a, abar=None, theta=0.0, n_batches=10, dive
         MomentAccumulator(representation, 1, n_batches),
         [bulk_monomials(theta, *pair).sum(axis=1) for pair in pairs],
         [len(am) for am in amps],
-        diverged,
     )
 
 
@@ -298,8 +297,8 @@ class TestBatchError:
     def test_report_counts(self):
         rng = np.random.default_rng(7)
         xs = rng.standard_normal(100) + 0j
-        acc = acc_from_samples(WIGNER, xs, diverged=1)
-        assert (acc.n_paths, acc.n_diverged) == (100, 10)
+        acc = acc_from_samples(WIGNER, xs)
+        assert acc.n_paths == 100 and list(acc.batch_counts) == [10] * 10
 
 
 class TestOnePassEstimator:
@@ -335,15 +334,16 @@ class TestOnePassEstimator:
 
     @pytest.mark.parametrize("run", ["tw_run", "pp_run"])
     def test_batch_that_lost_every_path(self, run):
-        # a batch in the middle of the batch axis loses every path, as when
-        # all of its paths diverge, and is left out of the estimates
+        # a batch in the middle of the batch axis holds no path, as a
+        # caller's accumulator may (a run keeps every path): batch_error
+        # takes every batch as it is, as the reference does, and leaving
+        # the empty batch out gives the pooled estimate itself
         acc = getattr(self, run)()
-        total = acc.n_paths + acc.n_diverged
-        acc.batch_diverged[7] = acc.batch_counts[7]
+        total = acc.n_paths - acc.batch_counts[7]
         acc.batch_counts[7] = 0
         acc.batch_sums[:, 7] = 0.0
         self.assert_matches_reference(acc)
-        assert acc.n_paths + acc.n_diverged == total
+        assert acc.n_paths == total
 
     @staticmethod
     def stacked(outputs, bound_broken=()):

@@ -59,10 +59,12 @@ class TestSigns:
     @pytest.mark.parametrize("m", [3, 32, 200])
     def test_steps_replay_raw_bits(self, m):
         # each step's 2m signs are the low bits of its own whole raw words;
-        # the reference reads them with integer shifts
-        out = np.empty((9, 2, m))
-        assert stream_for_trajectory(13, 64).signs(out) is out
-        assert np.array_equal(out, chunk_signs(13, 64, 9, m))
+        # the reference reads them with integer shifts, and an int8 buffer,
+        # as the positive-P flow passes, gets the same values
+        for dtype in (np.float64, np.int8):
+            out = np.empty((9, 2, m), dtype=dtype)
+            assert stream_for_trajectory(13, 64).signs(out) is out
+            assert np.array_equal(out, chunk_signs(13, 64, 9, m))
 
     @pytest.mark.parametrize("m", [200, 1000])
     def test_draws_independent_of_block_split(self, m):
@@ -70,7 +72,7 @@ class TestSigns:
         # over; they are dropped per step, not per call
         whole = stream_for_trajectory(4, 0).signs(np.empty((50, 2, m)))
         s = stream_for_trajectory(4, 0)
-        blocks = [s.signs(np.empty((min(7, 50 - k), 2, m))) for k in range(0, 50, 7)]
+        blocks = [s.signs(np.empty((min(7, 50 - k), 2, m), dtype=np.int8)) for k in range(0, 50, 7)]
         assert np.array_equal(np.concatenate(blocks), whole)
 
 
