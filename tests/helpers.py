@@ -10,7 +10,7 @@ import mpmath
 import numpy as np
 
 from anharmonic import oracle
-from anharmonic.engine import TimeGrid
+from anharmonic.engine import KERR_DRIFT, KERR_NOISE, TimeGrid
 from anharmonic.moments import (
     MIN_BATCHES,
     POSITIVE_P,
@@ -296,6 +296,70 @@ class ZeroStream:
     def signs(self, out):
         out[...] = 0
         return out
+
+
+class FrozenSigns:
+    """A stand-in for a chunk's RandomStream that hands out the given
+    increments, shape (steps, 2, m), in order, block by block."""
+
+    def __init__(self, signs):
+        self.rows = np.asarray(signs, dtype=np.int8)
+        self.used = 0
+
+    def signs(self, out):
+        out[...] = self.rows[self.used:self.used + len(out)]
+        self.used += len(out)
+        return out
+
+
+def linear_path_solution(model, alpha0: complex, dt: float, signs) -> np.ndarray:
+    """alpha1 of each path after one step per row of ``signs``, shape
+    (steps, 2, m): the exact solution of the Stratonovich equation driven by
+    the piecewise-linear noise path through W_j = sqrt(dt) (xi_j summed), at
+    40 digits.
+
+    On a step with increments (xi1, xi2), ln n moves linearly by
+    mu = sqrt(dt) (n0 xi1 + n1 xi2) (the drifts c0 + c1 cancel), so the
+    step adds n dt (exp(mu) - 1) / mu to the drift integral I exactly.
+    """
+    (c0, _), (n0, n1) = ([mpmath.mpc(evaluate(poly, 1.0, 1.0)) for poly in polys]
+                         for polys in (model.drift, model.noise))
+    out = []
+    with mpmath.workdps(40):
+        root_dt = mpmath.sqrt(dt)
+        for path in np.moveaxis(np.asarray(signs), 2, 0):
+            a0 = mpmath.mpc(complex(alpha0))
+            n, integral, w1 = a0 * mpmath.conj(a0), mpmath.mpc(0), mpmath.mpf(0)
+            for x1, x2 in path:
+                mu = root_dt * (n0 * int(x1) + n1 * int(x2))
+                integral += n * dt * (mpmath.expm1(mu) / mu if mu else 1)
+                n, w1 = n * mpmath.exp(mu), w1 + root_dt * int(x1)
+            out.append(complex(a0 * mpmath.exp(c0 * integral + n0 * w1)))
+    return np.array(out)
+
+
+def closed_form_flow(alpha0: complex, grid: TimeGrid, stream, m: int):
+    """Twin of engine.positive_p_flow that solves each step's recursion in
+    closed form: n after k steps is n_0 exp(sqrt(dt) (n0 S1 + n1 S2)), with
+    S_j the running sum of xi_j, instead of a running product of factors.
+
+    Each gap's increments are drawn in one block.
+    """
+    start = np.array([[alpha0], [np.conj(alpha0)]], dtype=np.complex128)
+    n_start = start[0, 0] * start[1, 0]
+    root_dt = math.sqrt(grid.dt)
+    noise = root_dt * np.array(KERR_NOISE)[:, None]
+    walk = np.zeros((2, m))
+    total = np.zeros(m, dtype=np.complex128)
+    for n_steps in grid.steps_between():
+        xi = stream.signs(np.empty((n_steps, 2, m), dtype=np.int8))
+        walks = walk + np.cumsum(xi, axis=0)
+        total += (n_start * np.exp((noise * walks).sum(axis=1))).sum(axis=0)
+        walk = walks[-1] if n_steps else walk
+        n_now = n_start * np.exp((noise * walk).sum(axis=0))
+        integral = grid.dt * (total + 0.5 * (n_start - n_now))
+        alpha = start * np.exp(np.array(KERR_DRIFT)[:, None] * integral + noise * walk)
+        yield alpha[0], alpha[1]
 
 
 def fill_batches(acc, sums, counts):

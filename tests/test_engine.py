@@ -21,17 +21,20 @@ from anharmonic.moments import N_POWERS, OrderingViolation, batch_error, bulk_mo
 from anharmonic.sampling import RandomStream, sample_wigner_coherent, stream_for_trajectory
 from helpers import (
     ANCHOR_EVERY,
+    FrozenSigns,
     ZeroStream,
     at_phase,
     batch_slices,
     chunk_philox,
     chunk_signs,
+    closed_form_flow,
     complex_terms,
     full_block_power_sums,
     greedy_chunk_groups,
     grid_at,
     kerr_positive_p_model,
     ladder_sums,
+    linear_path_solution,
     per_slice_batch_sums,
     quadrature_rounding_bound,
     reference_wigner_coherent,
@@ -364,25 +367,128 @@ class TestPositivePStep:
             assert abs(abs(a) - abs(a0)) <= 4 * sys.float_info.epsilon * abs(a0)
 
     def test_noise_free_flow_within_ulps_of_exact(self):
-        # alpha1(t) = a0 exp(-2i n t), n = |a0|^2, at 60 digits: after K
-        # steps the flow's phase 2 I = 2 dt (n + ... + n) carries at most
-        # K + 2 roundings of its size, and its exponential and product 4 eps,
-        # so |alpha1 - exact| <= eps |a0| (4 + (K + 2) 2 n t), from one
-        # step to 1000, at two step sizes
-        eps = sys.float_info.epsilon
+        # one step, and a window of 250 to 500 steps off the start, at two
+        # step sizes
         for a0, dtau, taus in itertools.product(
             (1.1 + 0.0j, 1.1 + 0.4j, -0.3 + 2.0j),
             (1e-3, 5e-4),
-            ((0.0, 1e-3), (0.0, 0.5), (0.25, 0.5)),
+            ((0.0, 1e-3), (0.25, 0.5)),
         ):
-            steps = grid_at(1.0, taus, dtau).steps_between()
-            for k, (tau, a) in enumerate(zip(taus, noise_free_flow(a0, taus, dtau))):
-                with mpmath.workdps(60):
-                    n = mpmath.mpf(a0.real) ** 2 + mpmath.mpf(a0.imag) ** 2
-                    t = sum(steps[: k + 1]) * mpmath.mpf(dtau)
-                    exact = mpmath.mpc(a0.real, a0.imag) * mpmath.exp(-2j * n * t)
-                    bound = eps * abs(a0) * (4 + (sum(steps[: k + 1]) + 2) * 2 * float(n * t))
-                    assert abs(a - complex(exact)) <= bound, (dtau, tau, a, exact)
+            assert_noise_free_within_ulps(a0, taus, dtau)
+
+
+def assert_noise_free_within_ulps(a0, taus, dtau):
+    """alpha1(t) = a0 exp(-2i n t), n = |a0|^2, at 60 digits: after K steps
+    the flow's phase 2 I = 2 dt (n + ... + n) carries at most K + 2
+    roundings of its size, and its exponential and product 4 eps, so
+    |alpha1 - exact| <= eps |a0| (4 + (K + 2) 2 n t) at each output."""
+    eps = sys.float_info.epsilon
+    steps = grid_at(1.0, taus, dtau).steps_between()
+    for k, (tau, a) in enumerate(zip(taus, noise_free_flow(a0, taus, dtau))):
+        with mpmath.workdps(60):
+            n = mpmath.mpf(a0.real) ** 2 + mpmath.mpf(a0.imag) ** 2
+            t = sum(steps[: k + 1]) * mpmath.mpf(dtau)
+            exact = mpmath.mpc(a0.real, a0.imag) * mpmath.exp(-2j * n * t)
+            bound = eps * abs(a0) * (4 + (sum(steps[: k + 1]) + 2) * 2 * float(n * t))
+            assert abs(a - complex(exact)) <= bound, (dtau, tau, a, exact)
+
+
+class TestMidpointStep:
+    """One step of the positive-P flow: ln n moves by its increment
+    sqrt(dt) (n0 xi1 + n1 xi2) exactly, and the drift integral I by dt times
+    the mean of n at the step's two ends, the Stratonovich midpoint rule.
+
+    The reference is the exact solution on the piecewise-linear noise path
+    through the same increments, on which that mean is the only error.
+    """
+
+    def test_single_step_matches_exact_to_dt_squared(self):
+        # for each sign pair mu^2 = +-4 dt, so the midpoint's error in I is
+        # n dt mu^2 / 12 to leading order, and in alpha1 |a0 c0| n dt^2 / 3:
+        # within 10% of that, so halving dt shrinks it ~4x
+        model = kerr_positive_p_model()
+        a0 = 1.1 + 0.4j
+        n = abs(a0) ** 2
+        pairs = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]]).T[None]
+        errors = []
+        for dt in (1e-3, 5e-4):
+            grid = grid_at(1.0, (dt,), dt)
+            ((a, _),) = positive_p_flow(a0, grid, FrozenSigns(pairs), 4)
+            error = np.abs(a - linear_path_solution(model, a0, dt, pairs))
+            lead = abs(a0 * engine.KERR_DRIFT[0]) * n * dt**2 / 3
+            assert np.all(np.abs(error - lead) <= 0.1 * lead), (dt, error, lead)
+            errors.append(error)
+        assert np.all(errors[0] / errors[1] > 3.5)
+
+    def test_deterministic_global_second_order(self):
+        # without noise n is constant, so the midpoint rule integrates it
+        # exactly: the global error at t = 0.5 is rounding alone, at both
+        # step sizes, over 250 to 1000 steps
+        for a0, dtau in itertools.product((1.1 + 0.0j, 1.1 + 0.4j, -0.3 + 2.0j), (2e-3, 1e-3)):
+            assert_noise_free_within_ulps(a0, (0.0, 0.5), dtau)
+
+    @pytest.mark.parametrize("n, bound", [(10.0, 1e-8), (1e3, 2e-11)])
+    def test_step_solves_its_equation(self, n, bound):
+        # 1000 +-1 steps of 4096 paths from the coherent start stay within
+        # bound (relative) of the recursion solved in closed form on the same
+        # increments; the running product of factors gives 1.0e-13 and 2.0e-14
+        grid = grid_at(n, (1.0,), 1e-3)
+        a0, m = math.sqrt(n), 4096
+        ((a, b),) = positive_p_flow(a0, grid, stream_for_trajectory(1, 0), m)
+        ((ra, rb),) = closed_form_flow(a0, grid, stream_for_trajectory(1, 0), m)
+        assert np.isfinite(ra).all() and np.isfinite(rb).all()
+        assert np.max(np.abs(a - ra) / np.abs(ra)) <= bound
+        assert np.max(np.abs(b - rb) / np.abs(rb)) <= bound
+
+    def test_ensemble_follows_the_converged_step(self, monkeypatch):
+        # N = 10 to tau = 3: with the closed-form recursion in place of the
+        # flow, the same paths are finite, and every cumulant agrees within
+        # 1e-3 of its sampling error
+        n = 10.0
+        grid = grid_at(n, (1.0, 2.0, 3.0), 1e-3)
+
+        def run():
+            acc = run_positive_p(math.sqrt(n), grid, 2048, 16, seed=1, threads=1)
+            return batch_error(acc), np.isfinite(acc.batch_sums)
+
+        got, finite = run()
+        monkeypatch.setattr(engine, "positive_p_flow", closed_form_flow)
+        want, want_finite = run()
+        assert finite.all() and np.array_equal(finite, want_finite)
+        (k3, _, k4, _), (w3, s3, w4, s4) = got, want
+        assert np.all(np.abs(k3 - w3) <= 1e-3 * s3)
+        assert np.all(np.abs(k4 - w4) <= 1e-3 * s4)
+
+    def test_divergence_flagging(self):
+        # from alpha0 = 1e153 without noise, I = dt K n overflows at the
+        # 180th step: every path is finite at the outputs before it and NaN
+        # at each after; in the ensemble every path is kept and leaves its
+        # NaN in the last output's sums
+        grid = grid_at(1.0, (0.0, 0.1, 0.2, 0.3), 1e-3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            outputs = list(positive_p_flow(1e153, grid, ZeroStream(), 3))
+        for k, pair in enumerate(outputs):
+            assert np.isfinite(pair).all() if k < 2 else np.isnan(pair).all()
+        acc = run_positive_p(1e153, grid, 20, 10, seed=0)
+        assert acc.n_paths == 20
+        assert np.isnan(acc.batch_sums[-1]).all()
+
+    def test_strong_order_at_least_half_on_frozen_paths(self):
+        # 100 frozen +-1 paths per step size at N = 1000 to t = 0.2 / N: the
+        # mean distance to the exact solution on each path's piecewise-linear
+        # interpolation shrinks by >= 1.3 as the step halves
+        model = kerr_positive_p_model()
+        n = 1000.0
+        a0 = math.sqrt(n)
+        rng = np.random.default_rng(42)
+        errors = []
+        for n_steps in (50, 100, 200):
+            grid = grid_at(n, (0.2,), 0.2 / n_steps)
+            signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n_steps, 2, 100))
+            ((a, _),) = positive_p_flow(a0, grid, FrozenSigns(signs), 100)
+            errors.append(np.mean(np.abs(a - linear_path_solution(model, a0, grid.dt, signs))))
+        assert errors[0] / errors[1] >= 1.3
+        assert errors[1] / errors[2] >= 1.3
 
 
 def sign_increments(seed, n, dt):
