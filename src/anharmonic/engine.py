@@ -5,18 +5,16 @@ Both ensembles have an exact flow:
 * :func:`exact_wigner_flow`, the truncated-Wigner flow of the anharmonic
   drift (the modulus is conserved, so the flow is a pure phase rotation,
   which it yields as the phasor exp(-i theta) 2 alpha(t)), and
-* :func:`positive_p_flow`, the positive-P Stratonovich equations on the
+* :func:`positive_p_pairs`, the positive-P Stratonovich equations on the
   doubled phase space solved in log variables.  With the Kerr oscillator's
   constant coefficients the drifts of ln alpha1 and ln alpha2* cancel, so
-  the product n = alpha1 alpha2* moves by one exact factor
-  exp(sqrt(dt) (n0 xi1 + n1 xi2)) per step, and each output takes
-  alpha1 = alpha0 exp(c0 I + n0 W1) and alpha2* = conj(alpha0)
-  exp(c1 I + n1 W2), with I = int n ds by the trapezoid rule on the steps
-  and W the Wiener paths.  Its unit increments are two-point: +-1 with
-  equal chance, one raw bit of the chunk's stream each.  Only cumulants,
-  which are weak quantities, are estimated, and these increments suffice
-  for weak order 1 (Kloeden & Platen 1992, sections 14.1-14.2).  They are
-  drawn step-major into one bounded buffer per chunk.
+  n = alpha1 alpha2* moves by one exact factor exp(sqrt(dt) (n0 xi1 + n1 xi2))
+  per step, and each output takes alpha1 = alpha0 exp(c0 I + n0 W1) and
+  alpha2* = conj(alpha0) exp(c1 I + n1 W2), with I = int n ds by the
+  trapezoid rule on the steps and W the Wiener paths.  The unit increments
+  xi are +-1 with equal chance, one raw bit of the chunk's stream each,
+  which suffices for weak order 1 (Kloeden & Platen 1992, sections
+  14.1-14.2): only cumulants, which are weak quantities, are estimated.
 
 Ensembles are split into batches (the statistical unit used for error
 bars), held as one array of batch edges (:func:`batch_edges`), and batches
@@ -27,11 +25,11 @@ deterministic order.  The chunk partition depends only on the run
 configuration, so results are bit-identical for a fixed master seed at any
 worker count; a path's draws depend on the chunk it falls in.
 
-Every chunk has one shape: its stream feeds the ensemble's flow, which
-yields one pair per output, and one function forms the powers (x - c)^k
-(k = 1..4) of each output's quadrature x about its mean-field centre c
-(:func:`quadrature_centres`) in one reused ``(4, m)`` block and sums them
-per batch straight into the chunk's batches of the run's one
+Every chunk has one shape: its stream's raw bits or normals feed the
+ensemble's flow, which yields each output's quadrature x at the output's
+phase theta, and one function sums the powers (x - c)^k (k = 1..4) about
+its mean-field centre c (:func:`quadrature_centres`), formed in one reused
+``(4, m)`` block, per batch into the run's one
 :class:`~anharmonic.moments.MomentAccumulator`; the draws do not depend on
 theta.  No path is ever excluded, so every batch keeps all its paths.
 
@@ -162,8 +160,8 @@ def _chunk_batch_groups(edges: np.ndarray) -> list[tuple[int, int]]:
 
 def quadrature_centres(alpha0: complex, grid: TimeGrid) -> np.ndarray:
     """Each output's centre: 2 |alpha0| cos(arg alpha0 - (2 |alpha0|^2 - 1) t - theta),
-    the quadrature of the path from alpha0, which exact_wigner_flow and
-    bulk_monomials give to rounding, or 0 where the rate overflows."""
+    the quadrature of the path from alpha0, which both flows yield to
+    rounding on a noise-free path, or 0 where the rate overflows."""
     a = np.complex128(alpha0)
     with np.errstate(over="ignore", invalid="ignore"):
         omega = 2.0 * (a.real**2 + a.imag**2) - 1.0
@@ -172,23 +170,21 @@ def quadrature_centres(alpha0: complex, grid: TimeGrid) -> np.ndarray:
     return np.where(np.isfinite(centres), centres, 0.0)
 
 
-def _batch_power_sums(pairs, thetas, centres, edges, out) -> None:
-    """Sum the quadrature powers of each output's amplitudes per batch into ``out``.
+def _batch_power_sums(xs, centres, edges, out) -> None:
+    """Sum the powers of each output's quadrature per batch into ``out``.
 
-    ``pairs`` yields one pair (a, b) per output, in the form
-    bulk_monomials takes (b is None for a Wigner phasor), at its phase in ``thetas``
-    and centre in ``centres``; the chunk's batches are the runs between its
-    consecutive ``edges``.  Each output's powers are formed in one reused
-    block and summed straight into its row of ``out``, shape
-    (n_out, n_batches, 4).  Each run of equal-size batches is summed by one
-    ``np.sum`` over a reshaped view, which adds the same elements in the
-    same pairwise order as summing each batch slice on its own, so the sums
-    are bit-identical.
+    ``xs`` yields each output's quadrature, taken about its centre in
+    ``centres``; the chunk's batches are the runs between its consecutive
+    ``edges``.  Each output's powers are formed in one reused block and
+    summed straight into its row of ``out``, shape (n_out, n_batches, 4).
+    Each run of equal-size batches is summed by one ``np.sum`` over a
+    reshaped view, which adds the same elements in the same pairwise order
+    as summing each batch slice on its own, so the sums are bit-identical.
     """
     runs = [(size, len(list(run))) for size, run in itertools.groupby(np.diff(edges))]
     block = None
-    for sums, theta, centre, pair in zip(out, thetas, centres, pairs):
-        block = bulk_monomials(theta, *pair, centre, out=block)
+    for sums, centre, x in zip(out, centres, xs):
+        block = bulk_monomials(centre, x, out=block)
         lo = j = 0
         for size, n in runs:
             sums[j : j + n] = block[:, lo : lo + n * size].reshape(-1, n, size).sum(axis=-1).T
@@ -239,59 +235,62 @@ def exact_wigner_flow(init: np.ndarray, times, thetas):
         yield z
 
 
-def positive_p_flow(alpha0: complex, grid: TimeGrid, stream, m: int):
-    """Yield each output's pair (alpha1, alpha2*) of m paths from the
-    coherent start (alpha0, conj(alpha0)), driven by ``stream.signs``.
+def positive_p_pairs(alpha0: complex, grid: TimeGrid, stream, m: int):
+    """Yield each output's pair (alpha1, alpha2*) of m paths, as one new (2, m)
+    array, from the coherent start (alpha0, conj(alpha0)), driven by ``stream.bits``.
 
-    Each step draws the unit increments (xi1, xi2) of every path, in the
-    layout of RandomStream.signs on a (steps, 2, m) block, multiplies
-    n = alpha1 alpha2* by its factor exp(sqrt(dt) (n0 xi1 + n1 xi2)) from a
-    table indexed by (xi1 + 1, xi2 + 1), adds n to a running sum and counts
-    the increments.  After K steps, I = dt (n_1 + ... + n_K + (n_0 - n_K) / 2)
-    and W_j = sqrt(dt) (xi_j summed), and the output is
-    (alpha0 exp(c0 I + n0 W1), conj(alpha0) exp(c1 I + n1 W2)), with the c_j
-    and n_j of KERR_DRIFT and KERR_NOISE: exactly the start at t = 0.  An
-    overflow leaves non-finite values, which the estimates refuse.
+    A step's bits (b1, b2) of a path, in RandomStream.bits rows of (2, m),
+    pick its factor exp(sqrt(dt) (n0 xi1 + n1 xi2)) of n, xi = 2 b - 1, as
+    entry 2 b1 + b2 of a table.  After K steps with ones_j bits b_j set,
+    I = dt (n_1 + ... + n_K + (n_0 - n_K) / 2) and W_j = sqrt(dt) (2 ones_j - K),
+    which give exactly the start at t = 0.  An overflow leaves non-finite
+    values, which the estimates refuse.
     """
     steps = grid.steps_between()
     start = np.array([[alpha0], [np.conj(alpha0)]], dtype=np.complex128)
     n_start = start[0, 0] * start[1, 0]
     root_dt = math.sqrt(grid.dt)
-    unit = np.array([-1.0, 0.0, 1.0])
-    table = np.exp(root_dt * (KERR_NOISE[0] * unit[:, None] + KERR_NOISE[1] * unit)).ravel()
+    sign = np.array([-1.0, 1.0])
+    table = np.exp(root_dt * (KERR_NOISE[0] * sign[:, None] + KERR_NOISE[1] * sign)).ravel()
     drift = np.array(KERR_DRIFT)[:, None]
     noise = root_dt * np.array(KERR_NOISE)[:, None]
 
     n = np.full(m, n_start)
     total = np.zeros(m, dtype=np.complex128)
-    counts = np.zeros((2, m), dtype=np.int64)
+    ones = np.zeros((2, m), dtype=np.int64)
     block = max(1, min(max(steps, default=0), _NOISE_BLOCK_BYTES // (16 * m)))
-    xi = np.empty((block, 2, m), dtype=np.int8)
-    index = np.empty((block, m), dtype=np.int8)
+    index = np.empty((block, m), dtype=np.uint8)
     factors = np.empty((block, m), dtype=np.complex128)
-    for n_steps in steps:
+    for n_steps, k in zip(steps, itertools.accumulate(steps)):
         for k_block in range(0, n_steps, block):
             nb = min(block, n_steps - k_block)
-            stream.signs(xi[:nb])
-            counts += xi[:nb].sum(axis=0, dtype=np.int32)
-            np.multiply(xi[:nb, 0], 3, out=index[:nb])
-            index[:nb] += xi[:nb, 1]
-            index[:nb] += 4
+            bits = stream.bits(nb, 2 * m).reshape(nb, 2, m)
+            ones += bits.sum(axis=0, dtype=np.int32)
+            np.multiply(bits[:, 0], 2, out=index[:nb])
+            index[:nb] += bits[:, 1]
             # every index lies in the table, so clipping (the fast mode) changes none
             np.take(table, index[:nb], out=factors[:nb], mode="clip")
             for factor in factors[:nb]:
                 n *= factor
                 total += n
         integral = grid.dt * (total + 0.5 * (n_start - n))
-        alpha = start * np.exp(drift * integral + noise * counts)
-        yield alpha[0], alpha[1]
+        yield start * np.exp(drift * integral + noise * (2 * ones - k))
+
+
+def positive_p_flow(alpha0: complex, grid: TimeGrid, stream, m: int):
+    """Yield each output's quadrature e^{-i theta} alpha1 + e^{i theta} alpha2* at its
+    phase theta, formed in place in the pair's array from :func:`positive_p_pairs`."""
+    for theta, alpha in zip(grid.thetas, positive_p_pairs(alpha0, grid, stream, m)):
+        u = complex(math.cos(theta), -math.sin(theta))
+        alpha *= [[u], [u.conjugate()]]
+        alpha[0] += alpha[1]
+        yield alpha[0]
 
 
 def _wigner_flow(alpha0: complex, grid: TimeGrid, stream, m: int):
-    """Each output's Wigner phasor, as the pair (phasor, None), of m paths
-    drawn from ``stream``."""
+    """Each output's quadrature x = Re(exp(-i theta) 2 alpha) of m paths from ``stream``."""
     init = sample_wigner_coherent(alpha0, stream, m)
-    return ((z, None) for z in exact_wigner_flow(init, grid.times, grid.thetas))
+    return (z.real for z in exact_wigner_flow(init, grid.times, grid.thetas))
 
 
 def _available_cpus() -> int:
@@ -319,9 +318,9 @@ def _run_chunked(representation: str, flow, alpha0: complex, grid: TimeGrid,
 
     The batches are cut at ``batch_edges(n_paths, n_batches)``.  For the
     batches b_lo .. b_hi - 1, spanning paths edges[b_lo] .. edges[b_hi] - 1,
-    ``flow(alpha0, grid, stream, m)`` yields one pair per output of their
-    m paths, from the stream keyed by the seed and edges[b_lo], and their
-    powers about each output's centre are summed into
+    ``flow(alpha0, grid, stream, m)`` yields each output's quadrature of
+    their m paths, from the stream keyed by the seed and edges[b_lo], and
+    its powers about the output's centre are summed into
     ``acc.batch_sums[:, b_lo:b_hi]``.  Each batch is summed pairwise over a
     fixed trajectory order, and each chunk writes only its own batches, so
     the result is independent of scheduling.  Overflows are left to the
@@ -339,8 +338,8 @@ def _run_chunked(representation: str, flow, alpha0: complex, grid: TimeGrid,
         chunk = edges[b_lo : b_hi + 1]
         stream = stream_for_trajectory(seed, int(chunk[0]))
         with np.errstate(over="ignore", invalid="ignore"):
-            pairs = flow(alpha0, grid, stream, int(chunk[-1] - chunk[0]))
-            _batch_power_sums(pairs, grid.thetas, centres, chunk, acc.batch_sums[:, b_lo:b_hi])
+            xs = flow(alpha0, grid, stream, int(chunk[-1] - chunk[0]))
+            _batch_power_sums(xs, centres, chunk, acc.batch_sums[:, b_lo:b_hi])
 
     with ThreadPoolExecutor(max_workers=worker_count(threads, len(groups))) as pool:
         list(pool.map(work, groups))

@@ -7,20 +7,18 @@ bit-identical for a fixed seed no matter how work is scheduled or how many
 workers run.  A truncated-Wigner chunk's initial amplitudes come from its
 stream in one draw, by the one sample formula,
 :func:`sample_wigner_coherent`.  A positive-P coherent start is
-deterministic and draws nothing; its Wiener increments are two-point signs,
-one raw Philox bit each (:meth:`RandomStream.signs`).
+deterministic and draws nothing; its noise is raw Philox bits, one per
+path, step and Wiener path (:meth:`RandomStream.bits`).
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 
 class RandomStream:
     """One work chunk's private Philox stream, keyed ``(seed, stream_index)``
-    with each key word taken mod 2**64: ziggurat normals and raw-bit signs."""
+    with each key word taken mod 2**64: ziggurat normals and raw bits."""
 
     def __init__(self, seed: int, stream_index: int):
         key = np.array([seed % 2**64, stream_index % 2**64], dtype=np.uint64)
@@ -33,23 +31,18 @@ class RandomStream:
         """
         return self._gen.standard_normal(n)
 
-    def signs(self, out: np.ndarray) -> np.ndarray:
-        """Fill ``out``, shape (n_steps, ...), with +-1 of equal chance, in its
-        (signed or float) dtype; return it.
+    def bits(self, n_steps: int, width: int) -> np.ndarray:
+        """n_steps rows of ``width`` raw bits, 0 or 1 as uint8 of shape (n_steps, width).
 
-        Step k's ``out[k].size`` signs, in C order, are the bits of the next
-        ceil(out[k].size / 64) raw 64-bit words, lowest bit first: a set bit
-        gives +1.  The unused high bits of a step's last word are dropped, so
-        consecutive calls continue one sequence however the steps are split,
-        and the bits are read by value, whatever the host's byte order.
+        Row k holds the bits of the next ceil(width / 64) raw 64-bit words,
+        lowest bit first, read by value whatever the host's byte order.  The
+        high bits left in a row's last word are dropped, so consecutive calls
+        continue one sequence however the rows are split.
         """
-        n_steps, width = out.shape[0], math.prod(out.shape[1:])
         words = -(-width // 64)
         raw = self._gen.bit_generator.random_raw(n_steps * words).astype("<u8", copy=False)
         bits = np.unpackbits(raw.view(np.uint8).reshape(n_steps, 8 * words), axis=1, bitorder="little")
-        np.multiply(bits[:, :width].reshape(out.shape), 2, out=out)
-        out -= 1
-        return out
+        return bits[:, :width]
 
 
 def stream_for_trajectory(master_seed: int, trajectory_index: int) -> RandomStream:

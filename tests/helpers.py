@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import mpmath
 import numpy as np
 
-from anharmonic import oracle
+from anharmonic import engine, oracle
 from anharmonic.engine import KERR_DRIFT, KERR_NOISE, TimeGrid
 from anharmonic.moments import (
     MIN_BATCHES,
@@ -86,19 +86,30 @@ def stacked_powers(theta: float, a: np.ndarray, abar: np.ndarray | None = None,
     if abar is None:
         x = 2.0 * (c * a.real + s * a.imag)
     else:
-        x = a * complex(c, -s) + abar * complex(c, s)
-    return _stack_powers(x - centre)
+        x = pair_quadrature(theta, a, abar)
+    return stack_powers(x, centre)
 
 
-def _stack_powers(x: np.ndarray) -> np.ndarray:
-    x2 = x * x
-    return np.stack([x, x2, x2 * x, x2 * x2])
+def stack_powers(x: np.ndarray, centre: float = 0.0) -> np.ndarray:
+    """Reference power block of y = x - centre by whole-array operations:
+    y, y^2, y^3 and y^4 stacked, as stacked_powers forms them."""
+    y = x - centre
+    y2 = y * y
+    return np.stack([y, y2, y2 * y, y2 * y2])
 
 
-def wigner_phasor(a, theta: float = 0.0) -> tuple[np.ndarray, None]:
-    """Wigner amplitudes in the form bulk_monomials takes at phase theta: the
-    phasor exp(-i theta) 2 a, and no second array."""
-    return 2.0 * cmath.exp(-1j * theta) * np.asarray(a, dtype=np.complex128), None
+def pair_quadrature(theta: float, a, abar) -> np.ndarray:
+    """The positive-P quadrature x = e^{-i theta} a + e^{i theta} abar, with
+    the phases complex(cos theta, -+sin theta): the reference for the
+    quadrature positive_p_flow yields."""
+    c, s = math.cos(theta), math.sin(theta)
+    return np.asarray(a) * complex(c, -s) + np.asarray(abar) * complex(c, s)
+
+
+def wigner_quadrature(a, theta: float = 0.0) -> np.ndarray:
+    """Wigner amplitudes as the truncated-Wigner flow yields them at phase
+    theta: the real part x of the phasor exp(-i theta) 2 a."""
+    return (2.0 * cmath.exp(-1j * theta) * np.asarray(a, dtype=np.complex128)).real
 
 
 #: Outputs from one anchor of exact_wigner_flow to the next, as the tests pin it.
@@ -209,15 +220,14 @@ def per_slice_batch_sums(block: np.ndarray, edges) -> np.ndarray:
     return np.stack([block[..., lo:hi].sum(axis=-1) for lo, hi in zip(offsets, offsets[1:])], axis=-2)
 
 
-def full_block_power_sums(pairs, thetas, centres, edges, out) -> None:
+def full_block_power_sums(xs, centres, edges, out) -> None:
     """Reference for engine._batch_power_sums that reduces the whole power block at the end.
 
-    Every output's powers, from the pairs of ``pairs`` at its phase and
-    centre, are laid out as the full (n_out, n_powers, m) block and then
-    summed per batch slice into ``out``.
+    Every output's powers, from its quadrature in ``xs`` about its centre,
+    are laid out as the full (n_out, n_powers, m) block and then summed per
+    batch slice into ``out``.
     """
-    block = np.stack([bulk_monomials(theta, *pair, centre)
-                      for theta, centre, pair in zip(thetas, centres, pairs)])
+    block = np.stack([bulk_monomials(centre, x) for centre, x in zip(centres, xs)])
     out[...] = per_slice_batch_sums(block, edges)
 
 
@@ -266,7 +276,7 @@ def kerr_positive_p_model():
 
 
 def scalar_log_path(model, alpha0: complex, dt: float, xi) -> tuple[complex, complex]:
-    """Scalar twin of engine.positive_p_flow for one path: (alpha1, alpha2*)
+    """Scalar twin of engine.positive_p_pairs for one path: (alpha1, alpha2*)
     after one step per row (xi1, xi2) of ``xi``, in plain complex arithmetic.
 
     The drift coefficients c_j and noise coefficients n_j come from the
@@ -289,27 +299,27 @@ def scalar_log_path(model, alpha0: complex, dt: float, xi) -> tuple[complex, com
             complex(alpha0).conjugate() * cmath.exp(c1 * integral + n1 * w2))
 
 
-class ZeroStream:
-    """A stand-in for a chunk's RandomStream whose increments are all zero:
-    the positive-P flow without noise."""
-
-    def signs(self, out):
-        out[...] = 0
-        return out
+def without_noise(monkeypatch):
+    """The positive-P flow without noise: KERR_NOISE set to zero, so every
+    step factor is exactly 1 and the Wiener terms are 0, whatever bits the
+    stream hands out."""
+    monkeypatch.setattr(engine, "KERR_NOISE", (0j, 0j))
 
 
 class FrozenSigns:
     """A stand-in for a chunk's RandomStream that hands out the given
-    increments, shape (steps, 2, m), in order, block by block."""
+    +-1 increments, shape (steps, 2, m), as the rows of bits
+    RandomStream.bits would give (a set bit for +1), block by block."""
 
     def __init__(self, signs):
-        self.rows = np.asarray(signs, dtype=np.int8)
+        signs = np.asarray(signs)
+        self.rows = (signs > 0).astype(np.uint8).reshape(len(signs), -1)
         self.used = 0
 
-    def signs(self, out):
-        out[...] = self.rows[self.used:self.used + len(out)]
-        self.used += len(out)
-        return out
+    def bits(self, n_steps, width):
+        assert width == self.rows.shape[1]
+        self.used += n_steps
+        return self.rows[self.used - n_steps:self.used]
 
 
 def linear_path_solution(model, alpha0: complex, dt: float, signs) -> np.ndarray:
@@ -339,11 +349,12 @@ def linear_path_solution(model, alpha0: complex, dt: float, signs) -> np.ndarray
 
 
 def closed_form_flow(alpha0: complex, grid: TimeGrid, stream, m: int):
-    """Twin of engine.positive_p_flow that solves each step's recursion in
+    """Twin of engine.positive_p_pairs that solves each step's recursion in
     closed form: n after k steps is n_0 exp(sqrt(dt) (n0 S1 + n1 S2)), with
     S_j the running sum of xi_j, instead of a running product of factors.
 
-    Each gap's increments are drawn in one block.
+    Each gap's increments are drawn in one block, and each output's pair is
+    one (2, m) array, as the flow yields it.
     """
     start = np.array([[alpha0], [np.conj(alpha0)]], dtype=np.complex128)
     n_start = start[0, 0] * start[1, 0]
@@ -352,14 +363,13 @@ def closed_form_flow(alpha0: complex, grid: TimeGrid, stream, m: int):
     walk = np.zeros((2, m))
     total = np.zeros(m, dtype=np.complex128)
     for n_steps in grid.steps_between():
-        xi = stream.signs(np.empty((n_steps, 2, m), dtype=np.int8))
+        xi = 2 * stream.bits(n_steps, 2 * m).reshape(n_steps, 2, m).astype(np.int64) - 1
         walks = walk + np.cumsum(xi, axis=0)
         total += (n_start * np.exp((noise * walks).sum(axis=1))).sum(axis=0)
         walk = walks[-1] if n_steps else walk
         n_now = n_start * np.exp((noise * walk).sum(axis=0))
         integral = grid.dt * (total + 0.5 * (n_start - n_now))
-        alpha = start * np.exp(np.array(KERR_DRIFT)[:, None] * integral + noise * walk)
-        yield alpha[0], alpha[1]
+        yield start * np.exp(np.array(KERR_DRIFT)[:, None] * integral + noise * walk)
 
 
 def fill_batches(acc, sums, counts):

@@ -18,14 +18,13 @@ from anharmonic import symbolic as sy
 from anharmonic.cli import main
 from anharmonic.engine import (
     exact_wigner_flow,
-    positive_p_flow,
+    positive_p_pairs,
     run_positive_p,
     run_truncated_wigner,
 )
 from anharmonic.moments import (
     CsvRow,
     batch_error,
-    bulk_monomials,
     k3_k4,
     promote_normal_order,
     read_rows,
@@ -33,7 +32,6 @@ from anharmonic.moments import (
 )
 from anharmonic.sampling import sample_wigner_coherent, stream_for_trajectory
 from helpers import (
-    ZeroStream,
     at_phase,
     chunk_signs,
     dense_brute_force,
@@ -48,6 +46,7 @@ from helpers import (
     rounding_phase,
     scalar_log_path,
     tw_limit_cumulants,
+    without_noise,
 )
 
 N_PARTICLES = 1000.0
@@ -258,7 +257,7 @@ def test_criterion_6_conservation_invariants():
     # the flow conserves |alpha| to rounding, and each path's quadrature
     # follows the exact rotation: on the first 500 initial amplitudes,
     # across the whole output grid, |z| / 2 stays within 1e-13 |alpha0| of
-    # |alpha0|, and the kernel's x = Re(zeta), zeta = exp(-i theta) 2 alpha(t),
+    # |alpha0|, and the flow's x = Re(zeta), zeta = exp(-i theta) 2 alpha(t),
     # lies within the flow's rounding bound of the Cartesian rotation
     # 2 Re(exp(-i theta) alpha0 exp(-i omega t))
     init = sample_wigner_coherent(ALPHA0, stream_for_trajectory(1, 0), 500)
@@ -266,7 +265,7 @@ def test_criterion_6_conservation_invariants():
     flow = exact_wigner_flow(init, grid.times, grid.thetas)
     for k, (z, t, theta) in enumerate(zip(flow, grid.times, grid.thetas, strict=True)):
         assert np.all(np.abs(np.abs(z) - 2.0 * np.abs(init)) <= 2e-13 * np.abs(init))
-        x = bulk_monomials(theta, z, None)[0]
+        x = z.real
         cartesian = 2.0 * (np.exp(-1j * theta) * init * np.exp(-1j * omega * t)).real
         bound = quadrature_rounding_bound(rounding_phase(omega, t, theta, k), 2.0 * np.abs(init))
         assert np.all(np.abs(x - cartesian) <= bound[0])
@@ -293,7 +292,7 @@ def test_criterion_6_conservation_invariants():
     _report(6, "conservation invariants", started)
 
 
-def test_criterion_7_integrator_order():
+def test_criterion_7_integrator_order(monkeypatch):
     started = time.perf_counter()
 
     # without noise the positive-P flow is exact: alpha1(t) = alpha0
@@ -303,7 +302,9 @@ def test_criterion_7_integrator_order():
     eps = np.finfo(float).eps
     grid = grid_at(N_PARTICLES, (0.0, 0.25, 0.5, 1.0), 1e-3)
     steps = np.cumsum(grid.steps_between())
-    flow = positive_p_flow(ALPHA0, grid, ZeroStream(), 1)
+    with monkeypatch.context() as patch:
+        without_noise(patch)
+        flow = list(positive_p_pairs(ALPHA0, grid, stream_for_trajectory(0, 0), 1))
     for t, k, (a, _) in zip(grid.times, steps, flow, strict=True):
         with mpmath.workdps(60):
             n = mpmath.mpf(ALPHA0) ** 2
@@ -314,7 +315,7 @@ def test_criterion_7_integrator_order():
     # output gap (250 steps at N = 1e3) stay within 1e-12 of the scalar
     # closed form with the symbolically derived coefficients
     grid = grid_at(N_PARTICLES, (0.25,), 1e-3)
-    ((a1, a2s),) = positive_p_flow(ALPHA0, grid, stream_for_trajectory(21, 0), 32)
+    ((a1, a2s),) = positive_p_pairs(ALPHA0, grid, stream_for_trajectory(21, 0), 32)
     draws = chunk_signs(21, 0, 250, 32)
     model = kerr_positive_p_model()
     for traj in range(32):

@@ -351,7 +351,7 @@ class TestSimulate:
         assert outputs[0] == outputs[1]
 
     def test_positive_p_bytes_independent_of_threads_and_noise_block(self, tmp_path, capsys, monkeypatch):
-        # three chunks of 6564, 6564 and 3282 paths: no step's 2m signs fill
+        # three chunks of 6564, 6564 and 3282 paths: no step's 2m bits fill
         # whole raw words, and the last run caps the noise block at 7 steps
         cfg = tmp_path / "run.cfg"
         write_config(cfg, method="PositiveP", N=1000, n_paths=16410, batches=10,

@@ -13,7 +13,7 @@ from anharmonic import engine
 from anharmonic.engine import (
     TimeGrid,
     exact_wigner_flow,
-    positive_p_flow,
+    positive_p_pairs,
     run_positive_p,
     run_truncated_wigner,
 )
@@ -22,7 +22,6 @@ from anharmonic.sampling import RandomStream, sample_wigner_coherent, stream_for
 from helpers import (
     ANCHOR_EVERY,
     FrozenSigns,
-    ZeroStream,
     at_phase,
     batch_slices,
     chunk_philox,
@@ -35,16 +34,18 @@ from helpers import (
     kerr_positive_p_model,
     ladder_sums,
     linear_path_solution,
+    pair_quadrature,
     per_slice_batch_sums,
     quadrature_rounding_bound,
     reference_wigner_coherent,
     rounding_phase,
     scalar_log_path,
-    stacked_powers,
+    stack_powers,
     tw_flow_cumulants_by_quadrature,
     tw_limit_cumulants,
     tw_limit_digits,
-    wigner_phasor,
+    wigner_quadrature,
+    without_noise,
 )
 
 
@@ -57,9 +58,11 @@ def exact_at(a0, t):
 
 def noise_free_flow(a0, taus, dtau):
     """alpha1 of the positive-P flow at each output of a grid at N = 1, one
-    path from (a0, conj(a0)) with zero increments."""
+    path from (a0, conj(a0)) with the noise coefficients set to zero."""
     grid = grid_at(1.0, taus, dtau)
-    return [complex(a[0]) for a, _ in positive_p_flow(a0, grid, ZeroStream(), 1)]
+    with pytest.MonkeyPatch.context() as patch:
+        without_noise(patch)
+        return [complex(a[0]) for a, _ in positive_p_pairs(a0, grid, stream_for_trajectory(0, 0), 1)]
 
 
 def batch_mean(sums, counts, k):
@@ -67,14 +70,9 @@ def batch_mean(sums, counts, k):
     return sums[k].sum() / counts.sum()
 
 
-def stacked_bulk_monomials(theta, a, b, centre=0.0, out=None):
-    """bulk_monomials by whole-array operations: stacked_powers at phase 0 of
-    the amplitude a / 2 for a Wigner phasor a, already turned to theta (b
-    None), of the pair at theta for a positive-P one.  Halving and the
-    reference's doubling are exact, so the Wigner powers agree bit for bit."""
-    if b is None:
-        return stacked_powers(0.0, 0.5 * a, None, centre)
-    return stacked_powers(theta, a, b, centre)
+def stacked_bulk_monomials(centre, x, out=None):
+    """bulk_monomials by whole-array operations: stack_powers of x about centre."""
+    return stack_powers(x, centre)
 
 
 def assert_within_flow_rounding(init, grid, flow):
@@ -85,7 +83,7 @@ def assert_within_flow_rounding(init, grid, flow):
         amplitudes = [(mpmath.mpf(a.real), mpmath.mpf(a.imag)) for a in init]
         rates = [2 * (re**2 + im**2) - 1 for re, im in amplitudes]
         for k, (t, theta, z) in enumerate(zip(grid.times, grid.thetas, flow, strict=True)):
-            x = bulk_monomials(theta, z, None)[0]
+            x = z.real
             bound = quadrature_rounding_bound(rounding_phase(omega, t, theta, k), 2.0 * np.abs(init))[0]
             for got, limit, (re, im), rate in zip(x, bound, amplitudes, rates):
                 cos, sin = mpmath.cos_sin(rate * t + theta)
@@ -197,7 +195,7 @@ class TestQuadratureCentres:
             flow = exact_wigner_flow(np.array([alpha0]), grid.times, grid.thetas)
             for k, (t, theta, centre, z) in enumerate(zip(grid.times, grid.thetas, centres, flow,
                                                            strict=True)):
-                y = bulk_monomials(theta, z, None, centre)[0, 0]
+                y = bulk_monomials(centre, z.real)[0, 0]
                 bound = quadrature_rounding_bound(rounding_phase(omega, t, theta, k), 2 * abs(alpha0))
                 assert np.all(abs(y) <= 2.0 * bound[0]), (alpha0, t, y)
 
@@ -413,7 +411,7 @@ class TestMidpointStep:
         errors = []
         for dt in (1e-3, 5e-4):
             grid = grid_at(1.0, (dt,), dt)
-            ((a, _),) = positive_p_flow(a0, grid, FrozenSigns(pairs), 4)
+            ((a, _),) = positive_p_pairs(a0, grid, FrozenSigns(pairs), 4)
             error = np.abs(a - linear_path_solution(model, a0, dt, pairs))
             lead = abs(a0 * engine.KERR_DRIFT[0]) * n * dt**2 / 3
             assert np.all(np.abs(error - lead) <= 0.1 * lead), (dt, error, lead)
@@ -429,16 +427,19 @@ class TestMidpointStep:
 
     @pytest.mark.parametrize("n, bound", [(10.0, 1e-8), (1e3, 2e-11)])
     def test_step_solves_its_equation(self, n, bound):
-        # 1000 +-1 steps of 4096 paths from the coherent start stay within
-        # bound (relative) of the recursion solved in closed form on the same
-        # increments; the running product of factors gives 1.0e-13 and 2.0e-14
+        # 1000 +-1 steps of 4096 paths, in blocks of 16 steps, and of 40
+        # paths, in one block of all 1000 (past what a uint8 bit count
+        # holds), from the coherent start stay within bound (relative) of the
+        # recursion solved in closed form on the same increments; the
+        # running product of factors gives 1.0e-13 and 2.0e-14
         grid = grid_at(n, (1.0,), 1e-3)
-        a0, m = math.sqrt(n), 4096
-        ((a, b),) = positive_p_flow(a0, grid, stream_for_trajectory(1, 0), m)
-        ((ra, rb),) = closed_form_flow(a0, grid, stream_for_trajectory(1, 0), m)
-        assert np.isfinite(ra).all() and np.isfinite(rb).all()
-        assert np.max(np.abs(a - ra) / np.abs(ra)) <= bound
-        assert np.max(np.abs(b - rb) / np.abs(rb)) <= bound
+        a0 = math.sqrt(n)
+        for m in (4096, 40):
+            ((a, b),) = positive_p_pairs(a0, grid, stream_for_trajectory(1, 0), m)
+            ((ra, rb),) = closed_form_flow(a0, grid, stream_for_trajectory(1, 0), m)
+            assert np.isfinite(ra).all() and np.isfinite(rb).all()
+            assert np.max(np.abs(a - ra) / np.abs(ra)) <= bound, m
+            assert np.max(np.abs(b - rb) / np.abs(rb)) <= bound, m
 
     def test_ensemble_follows_the_converged_step(self, monkeypatch):
         # N = 10 to tau = 3: with the closed-form recursion in place of the
@@ -452,26 +453,30 @@ class TestMidpointStep:
             return batch_error(acc), np.isfinite(acc.batch_sums)
 
         got, finite = run()
-        monkeypatch.setattr(engine, "positive_p_flow", closed_form_flow)
+        monkeypatch.setattr(engine, "positive_p_pairs", closed_form_flow)
         want, want_finite = run()
         assert finite.all() and np.array_equal(finite, want_finite)
         (k3, _, k4, _), (w3, s3, w4, s4) = got, want
         assert np.all(np.abs(k3 - w3) <= 1e-3 * s3)
         assert np.all(np.abs(k4 - w4) <= 1e-3 * s4)
 
-    def test_divergence_flagging(self):
+    def test_divergence_flagging(self, monkeypatch):
         # from alpha0 = 1e153 without noise, I = dt K n overflows at the
         # 180th step: every path is finite at the outputs before it and NaN
         # at each after; in the ensemble every path is kept and leaves its
-        # NaN in the last output's sums
+        # NaN in the last output's sums, which the estimates refuse, with no
+        # overflow warning on the way
         grid = grid_at(1.0, (0.0, 0.1, 0.2, 0.3), 1e-3)
-        with np.errstate(over="ignore", invalid="ignore"):
-            outputs = list(positive_p_flow(1e153, grid, ZeroStream(), 3))
+        with monkeypatch.context() as patch, np.errstate(over="ignore", invalid="ignore"):
+            without_noise(patch)
+            outputs = list(positive_p_pairs(1e153, grid, stream_for_trajectory(0, 0), 3))
         for k, pair in enumerate(outputs):
             assert np.isfinite(pair).all() if k < 2 else np.isnan(pair).all()
         acc = run_positive_p(1e153, grid, 20, 10, seed=0)
         assert acc.n_paths == 20
         assert np.isnan(acc.batch_sums[-1]).all()
+        with pytest.raises(OrderingViolation, match="is nan"):
+            batch_error(acc)
 
     def test_strong_order_at_least_half_on_frozen_paths(self):
         # 100 frozen +-1 paths per step size at N = 1000 to t = 0.2 / N: the
@@ -485,7 +490,7 @@ class TestMidpointStep:
         for n_steps in (50, 100, 200):
             grid = grid_at(n, (0.2,), 0.2 / n_steps)
             signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n_steps, 2, 100))
-            ((a, _),) = positive_p_flow(a0, grid, FrozenSigns(signs), 100)
+            ((a, _),) = positive_p_pairs(a0, grid, FrozenSigns(signs), 100)
             errors.append(np.mean(np.abs(a - linear_path_solution(model, a0, grid.dt, signs))))
         assert errors[0] / errors[1] >= 1.3
         assert errors[1] / errors[2] >= 1.3
@@ -494,10 +499,10 @@ class TestMidpointStep:
 def sign_increments(seed, n, dt):
     """n samples of the complex noise pair xi dt = (1+i) sqrt(dt) xi, shape (n, 2).
 
-    The +-1 increments xi are one (2, n) step of the chunk stream's sign
-    draw, as a positive-P chunk of n paths draws it, transposed.
+    The +-1 increments xi = 2 b - 1 are one (2, n) step of the chunk
+    stream's bits b, as a positive-P chunk of n paths draws them, transposed.
     """
-    xi = stream_for_trajectory(seed, 0).signs(np.empty((1, 2, n)))[0].T
+    xi = 2.0 * stream_for_trajectory(seed, 0).bits(1, 2 * n).reshape(2, n).T - 1.0
     return (1 + 1j) * math.sqrt(dt) * xi
 
 
@@ -709,13 +714,13 @@ class TestPositivePEnsemble:
         # one 200-path chunk, capped at 7 steps per block: 8 blocks, the last short
         monkeypatch.setattr(engine, "_NOISE_BLOCK_BYTES", 7 * 2 * 8 * 200)
         sizes = []
-        signs = RandomStream.signs
+        bits = RandomStream.bits
 
-        def spy(stream, out):
-            sizes.append(out.size)
-            return signs(stream, out)
+        def spy(stream, n_steps, width):
+            sizes.append(n_steps * width)
+            return bits(stream, n_steps, width)
 
-        monkeypatch.setattr(RandomStream, "signs", spy)
+        monkeypatch.setattr(RandomStream, "bits", spy)
         assert_same_accumulators(run(), whole)
         assert sizes == [14 * 200] * 7 + [2 * 200]
 
@@ -766,11 +771,12 @@ class TestPositivePEnsemble:
         # flow keeps every column within 1e-12 of the scalar closed form
         self.assert_chunk_matches_scalar_stepper(0.25, 32, 21, 1e-12)
 
-    def test_kernel_matches_scalar_reference_without_noise(self):
+    def test_kernel_matches_scalar_reference_without_noise(self, monkeypatch):
         model = kerr_positive_p_model()
         grid = grid_at(1.0, (0.2,), 1e-3)
+        without_noise(monkeypatch)
         for a0 in (1.1 + 0.4j, -0.3 + 2.0j):
-            ((a, b),) = positive_p_flow(a0, grid, ZeroStream(), 2)
+            ((a, b),) = positive_p_pairs(a0, grid, stream_for_trajectory(0, 0), 2)
             ref = scalar_log_path(model, a0, grid.dt, np.zeros((200, 2)))
             for got, want in ((a, ref[0]), (b, ref[1])):
                 assert np.all(np.abs(got - want) < 1e-13 * abs(want))
@@ -782,29 +788,31 @@ class TestLadderSums:
     @pytest.mark.parametrize("run_ensemble", [run_truncated_wigner, run_positive_p])
     def test_two_quadratures_rebuild_each_path(self, monkeypatch, run_ensemble):
         # one path per batch, so each batch sum is one path's value; a spy on
-        # the power kernel records the amplitudes each run passes it, and one
-        # on the Wigner sampler the initial draws
+        # the flow records the amplitudes each run forms (for truncated
+        # Wigner its phasors exp(-i theta) 2 a), and one on the Wigner
+        # sampler the initial draws
         n = 1000.0
         grid = grid_at(n, (0.0, 0.05, 0.1), 1e-3)
-        kernel, sample = engine.bulk_monomials, engine.sample_wigner_coherent
+        name = "exact_wigner_flow" if run_ensemble is run_truncated_wigner else "positive_p_pairs"
+        flow, sample = getattr(engine, name), engine.sample_wigner_coherent
         seen, draws = {}, {}
 
         def run(theta):
-            def spy(phase, a, b, centre, out=None):
-                # a Wigner amplitude arrives alone, as its phasor exp(-i phase) 2 a
-                if b is None:
-                    alpha = 0.5 * cmath.exp(1j * phase) * a
-                    seen[theta].append((alpha, np.conj(alpha)))
-                else:
-                    seen[theta].append((a.copy(), b.copy()))
-                return kernel(phase, a, b, centre, out)
+            def spy(*args):
+                for out in flow(*args):
+                    if run_ensemble is run_truncated_wigner:
+                        alpha = 0.5 * cmath.exp(1j * theta) * out
+                        seen[theta].append((alpha, np.conj(alpha)))
+                    else:
+                        seen[theta].append((out[0].copy(), out[1].copy()))
+                    yield out
 
             def sampled(*args):
                 draws[theta].append(sample(*args))
                 return draws[theta][-1]
 
             seen[theta], draws[theta] = [], []
-            monkeypatch.setattr(engine, "bulk_monomials", spy)
+            monkeypatch.setattr(engine, name, spy)
             monkeypatch.setattr(engine, "sample_wigner_coherent", sampled)
             return run_ensemble(math.sqrt(n), at_phase(grid, theta), 64, 64, seed=3)
 
@@ -993,20 +1001,20 @@ class TestStreamingReduction:
         [(1001, 7), (64 * 5 + 3, 5), (128 * 4 + 2, 4), (130 * 3, 3), (1000 * 2 + 1, 2), (1, 1), (257, 1)],
     )
     def test_reduction_helper_matches_per_slice_sums(self, n_paths, n_batches):
-        # positive-P pairs and Wigner phasors, each at three phases
+        # positive-P and Wigner quadratures, each at three phases
         rng = np.random.default_rng(n_paths)
         amplitudes = rng.normal(size=(3, 2, n_paths)) + 1j * rng.normal(size=(3, 2, n_paths))
         thetas = (0.0, 0.7, 4.1)
         centres = (0.0, -1.5, 2.25)
         edges = engine.batch_edges(n_paths, n_batches)
-        for dtype, pairs in (
-            (np.complex128, [tuple(pair) for pair in amplitudes]),
-            (np.float64, [wigner_phasor(a, theta) for (a, _), theta in zip(amplitudes, thetas)]),
+        for dtype, xs in (
+            (np.complex128, [pair_quadrature(theta, *pair) for pair, theta in zip(amplitudes, thetas)]),
+            (np.float64, [wigner_quadrature(a, theta) for (a, _), theta in zip(amplitudes, thetas)]),
         ):
             got = np.full((3, n_batches, N_POWERS), np.nan, dtype=dtype)
-            engine._batch_power_sums(iter(pairs), thetas, centres, edges, got)
-            for out, theta, centre, pair in zip(got, thetas, centres, pairs):
-                want = per_slice_batch_sums(bulk_monomials(theta, *pair, centre), edges)
+            engine._batch_power_sums(iter(xs), centres, edges, got)
+            for out, centre, x in zip(got, centres, xs):
+                want = per_slice_batch_sums(bulk_monomials(centre, x), edges)
                 assert np.array_equal(out, want)
 
 
@@ -1061,10 +1069,10 @@ class TestMemoryBound:
     def test_positive_p_noise_block(self):
         # one output gap of 2000 steps: a whole-gap block of step factors
         # would be 62.5 MiB at 2048 paths, but the chunk holds one L2-sized
-        # block of 1 MiB, with its int8 increments and indices (3/16 of it).
-        # Beside them live arrays of the size of an (m,) complex one (32 KiB
-        # at this m): n, the running sum, the counts, the draw's unpacked
-        # bits (four), the output's (2, m) exponent terms and pair (about
+        # block of 1 MiB, with its unpacked bits and table indices (3/16 of
+        # it).  Beside them live arrays of the size of an (m,) complex one
+        # (32 KiB at this m): n, the running sum, the bit counts, the draw's
+        # raw words, the output's (2, m) exponent terms and pair (about
         # eight at once) and the (4, m) power block; 27 were measured, and
         # the bound allows 32.
         grid = grid_at(1000.0, (0.0, 2.0), 1e-3)

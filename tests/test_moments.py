@@ -17,31 +17,40 @@ from anharmonic.moments import (
     k3_k4,
     promote_normal_order,
 )
-from anharmonic.engine import exact_wigner_flow, run_positive_p, run_truncated_wigner
+from anharmonic.engine import (
+    TimeGrid,
+    exact_wigner_flow,
+    positive_p_flow,
+    positive_p_pairs,
+    run_positive_p,
+    run_truncated_wigner,
+)
+from anharmonic.sampling import stream_for_trajectory
 from helpers import (
     dense_brute_force,
     fill_batches,
     grid_at,
     leave_one_out_report,
     leave_one_out_reports,
+    pair_quadrature,
     quadrature_rounding_bound,
     stacked_powers,
-    wigner_phasor,
+    wigner_quadrature,
 )
 
 
 def acc_from_samples(representation, a, abar=None, theta=0.0, n_batches=10):
     """Accumulator over consecutive batches of paths with amplitudes (a, abar)
-    (abar None for Wigner amplitudes, passed as phasors), at quadrature
-    phase theta."""
+    (abar None for Wigner amplitudes), through their quadratures at phase
+    theta as the flows yield them."""
     amps = np.array_split(np.asarray(a), n_batches)
     if abar is None:
-        pairs = [wigner_phasor(am, theta) for am in amps]
+        xs = [wigner_quadrature(am, theta) for am in amps]
     else:
-        pairs = zip(amps, np.array_split(np.asarray(abar), n_batches))
+        xs = [pair_quadrature(theta, am, ab) for am, ab in zip(amps, np.array_split(abar, n_batches))]
     return fill_batches(
         MomentAccumulator(representation, 1, n_batches),
-        [bulk_monomials(theta, *pair).sum(axis=1) for pair in pairs],
+        [bulk_monomials(0.0, x).sum(axis=1) for x in xs],
         [len(am) for am in amps],
     )
 
@@ -68,7 +77,7 @@ class TestAccumulate:
     def test_single_wigner_path(self):
         # x = 2 Re(a) = 4 at theta = 0
         a = np.array([2.0 + 0.5j])
-        acc = fill_batches(MomentAccumulator(WIGNER, 1, 2), bulk_monomials(0.0, *wigner_phasor(a)).T, [1])
+        acc = fill_batches(MomentAccumulator(WIGNER, 1, 2), bulk_monomials(0.0, wigner_quadrature(a)).T, [1])
         assert acc.batch_sums[0, 0] == pytest.approx([4.0, 16.0, 64.0, 256.0])
         assert acc.batch_counts[0] == 1
         assert not acc.batch_sums[0, 1].any()
@@ -77,7 +86,7 @@ class TestAccumulate:
         # x = e^{-i theta} a + e^{i theta} abar, with abar independent of a
         a, abar, theta = 2.0 + 1.0j, 3.0 - 0.5j, 0.7
         acc = fill_batches(
-            MomentAccumulator(POSITIVE_P, 1, 1), bulk_monomials(theta, [a], [abar]).T, [1]
+            MomentAccumulator(POSITIVE_P, 1, 1), bulk_monomials(0.0, pair_quadrature(theta, [a], [abar])).T, [1]
         )
         x = cmath.exp(-1j * theta) * a + cmath.exp(1j * theta) * abar
         assert acc.batch_sums[0, 0] == pytest.approx([x, x**2, x**3, x**4])
@@ -237,9 +246,17 @@ class TestBulkMonomials:
         return abar, a
 
     def test_matches_stacked_reference_bit_for_bit(self):
-        abar, a = self._paths()
-        for theta in (0.0, 0.3, 2.0, -7.5):
-            assert np.array_equal(bulk_monomials(theta, a, abar), stacked_powers(theta, a, abar))
+        # the positive-P flow's quadrature is the pair formula on its own
+        # pairs, and its powers are the stacked ones, bit for bit, at phases
+        # on both sides of zero and past a turn
+        n = 1e3
+        grid = TimeGrid(n, (0.0, 0.25, 0.5, 0.75), (0.0, 0.3, 2.0, -7.5), 1e-3)
+        flow = positive_p_flow(math.sqrt(n), grid, stream_for_trajectory(21, 0), 257)
+        pairs = positive_p_pairs(math.sqrt(n), grid, stream_for_trajectory(21, 0), 257)
+        for theta, centre, x, (a, abar) in zip(grid.thetas, (0.0, 20.0, -3.5, 0.0), flow, pairs,
+                                              strict=True):
+            assert np.array_equal(x, pair_quadrature(theta, a, abar))
+            assert np.array_equal(bulk_monomials(centre, x), stacked_powers(theta, a, abar, centre))
 
     def test_wigner_branch_matches_cartesian_reference(self):
         # N = 1e6 at tau = 10: the flow turns each amplitude by omega t of
@@ -254,7 +271,7 @@ class TestBulkMonomials:
         cartesian = init * np.exp(-1j * omega * (tau / n))
         for theta in (0.0, 0.3, -7.5, 2.0 * tau):
             _, z = exact_wigner_flow(init, [tau / n / 2, tau / n], [theta / 2, theta])
-            got = bulk_monomials(theta, z, None)
+            got = bulk_monomials(0.0, z.real)
             assert got.dtype == np.float64
             bound = quadrature_rounding_bound(np.abs(omega * (tau / n)) + abs(theta) + 1, np.abs(z))
             assert np.all(np.abs(got - stacked_powers(theta, cartesian)) <= bound)
@@ -263,15 +280,16 @@ class TestBulkMonomials:
     def test_out_buffer_view_equals_fresh_result(self):
         abar, a = self._paths()
         block = np.full((3, N_POWERS, len(a)), np.nan, dtype=np.complex128)
-        got = bulk_monomials(0.4, a, abar, out=block[1])
+        x = pair_quadrature(0.4, a, abar)
+        got = bulk_monomials(1.5, x, out=block[1])
         assert np.shares_memory(got, block[1])
-        assert np.array_equal(block[1], bulk_monomials(0.4, a, abar))
+        assert np.array_equal(block[1], bulk_monomials(1.5, x))
         assert np.isnan(block[0]).all() and np.isnan(block[2]).all()
 
 
 class TestBatchError:
     def test_identical_batches_zero_sigma(self):
-        row = bulk_monomials(0.0, *wigner_phasor([2.0 - 1.0j]))[:, 0]
+        row = bulk_monomials(0.0, wigner_quadrature([2.0 - 1.0j]))[:, 0]
         acc = fill_batches(MomentAccumulator(WIGNER, 1, 10), row, [1] * 10)
         _, sigma3, _, sigma4 = batch_error(acc)
         assert sigma3[0] == 0.0

@@ -52,27 +52,28 @@ class TestStreams:
 
 
 class TestSigns:
+    """RandomStream.bits, the raw bits behind the positive-P signs: a set bit is +1."""
+
     def test_values_are_exactly_plus_or_minus_one(self):
-        draws = stream_for_trajectory(5, 0).signs(np.empty((40, 2, 100)))
-        assert set(np.unique(draws)) == {-1.0, 1.0}
+        draws = stream_for_trajectory(5, 0).bits(40, 200)
+        assert draws.dtype == np.uint8 and draws.shape == (40, 200)
+        assert set(np.unique(draws)) == {0, 1}
+        assert set(np.unique(2.0 * draws - 1.0)) == {-1.0, 1.0}
 
     @pytest.mark.parametrize("m", [3, 32, 200])
     def test_steps_replay_raw_bits(self, m):
-        # each step's 2m signs are the low bits of its own whole raw words;
-        # the reference reads them with integer shifts, and an int8 buffer,
-        # as the positive-P flow passes, gets the same values
-        for dtype in (np.float64, np.int8):
-            out = np.empty((9, 2, m), dtype=dtype)
-            assert stream_for_trajectory(13, 64).signs(out) is out
-            assert np.array_equal(out, chunk_signs(13, 64, 9, m))
+        # each step's 2m bits are the low bits of its own whole raw words;
+        # the reference reads them with integer shifts as signs s = 2 b - 1
+        bits = stream_for_trajectory(13, 64).bits(9, 2 * m)
+        assert np.array_equal(bits.reshape(9, 2, m), (chunk_signs(13, 64, 9, m) + 1) / 2)
 
     @pytest.mark.parametrize("m", [200, 1000])
     def test_draws_independent_of_block_split(self, m):
         # 2m is not a multiple of 64, so a step's last word has bits left
         # over; they are dropped per step, not per call
-        whole = stream_for_trajectory(4, 0).signs(np.empty((50, 2, m)))
+        whole = stream_for_trajectory(4, 0).bits(50, 2 * m)
         s = stream_for_trajectory(4, 0)
-        blocks = [s.signs(np.empty((min(7, 50 - k), 2, m), dtype=np.int8)) for k in range(0, 50, 7)]
+        blocks = [s.bits(min(7, 50 - k), 2 * m) for k in range(0, 50, 7)]
         assert np.array_equal(np.concatenate(blocks), whole)
 
 
