@@ -43,7 +43,7 @@ def _derive_sections(hamiltonian_tokens: str):
     range is refused after the sections before it.
     """
     from . import symbolic
-    h = symbolic.normal_order(symbolic.parse_hamiltonian(hamiltonian_tokens))
+    h = symbolic.parse_hamiltonian(hamiltonian_tokens)
     wigner = symbolic.derive_wigner_model(h)
     ito = symbolic.derive_positive_p_model(h)
     strat = symbolic.ito_to_stratonovich(ito)
@@ -230,7 +230,7 @@ def _threads(text: str) -> int:
 def _cmd_purity(args) -> int:
     from . import symbolic
     try:
-        h = symbolic.normal_order(symbolic.parse_hamiltonian(args.hamiltonian))
+        h = symbolic.parse_hamiltonian(args.hamiltonian)
         model = symbolic.derive_wigner_model(h)
         if args.add_drift_a:
             extra = symbolic.parse_phase_polynomial(args.add_drift_a)

@@ -160,8 +160,8 @@ def _chunk_batch_groups(edges: np.ndarray) -> list[tuple[int, int]]:
 
 def quadrature_centres(alpha0: complex, grid: TimeGrid) -> np.ndarray:
     """Each output's centre: 2 |alpha0| cos(arg alpha0 - (2 |alpha0|^2 - 1) t - theta),
-    the quadrature of the path from alpha0, which both flows yield to
-    rounding on a noise-free path, or 0 where the rate overflows."""
+    the quadrature of truncated Wigner's mean-field path from alpha0, or 0 where
+    the rate overflows; only the rounding of the cumulants depends on it."""
     a = np.complex128(alpha0)
     with np.errstate(over="ignore", invalid="ignore"):
         omega = 2.0 * (a.real**2 + a.imag**2) - 1.0

@@ -1,8 +1,9 @@
 """Operator algebra and phase-space equation-of-motion derivations.
 
-A single-mode polynomial Hamiltonian is normal ordered into a phase-space
-symbol H(a, a*).  Both stochastic trajectory models follow one rule: the
-drift is the flow ``(-i dS/da*, +i dS/da)`` of a symbol S.
+A single-mode polynomial Hamiltonian is read from text straight into its
+normal-ordered phase-space symbol H(a, a*).  Both stochastic trajectory
+models follow one rule: the drift is the flow ``(-i dS/da*, +i dS/da)`` of
+a symbol S.
 
 * Truncated Wigner flows the Wigner symbol H_W, formed once from H; the
   third- and higher-order derivative terms of the underlying evolution
@@ -27,33 +28,9 @@ from numbers import Rational
 
 from .oracle import _cmul
 
-# Symbol names of the two variables `differentiate` takes.
-VAR_A = "a"
-VAR_A_STAR = "a*"
-
-# Ladder-operator tags for OperatorWord factors.
-CREATE = "create"
-DESTROY = "destroy"
-
 
 class DerivationError(ValueError):
     """A Hamiltonian cannot be mapped to the requested trajectory model."""
-
-
-@dataclass(frozen=True)
-class OperatorWord:
-    """A product of ladder operators with a scalar prefactor.
-
-    ``factors`` is ordered left to right; an empty tuple is the identity.
-    """
-
-    factors: tuple[str, ...]
-    coefficient: complex = 1
-
-    def __post_init__(self):
-        for f in self.factors:
-            if f not in (CREATE, DESTROY):
-                raise ValueError(f"unknown ladder tag {f!r}")
 
 
 def _gaussian(c) -> tuple[Fraction, Fraction]:
@@ -122,48 +99,22 @@ def _collect(items) -> PhasePolynomial:
     return PhasePolynomial(out)
 
 
-def normal_order(words) -> PhasePolynomial:
-    """Rewrite a sum of ladder-operator words into normal-ordered symbol form.
-
-    Multiplies each word through from the left in the symbol algebra, with
-    S a = a S and the commutator rule S a^dag = a* S + dS/da.  Hermitian
-    input yields a Hermitian symbol.
-    """
-    a, a_star = PhasePolynomial.monomial(0, 1), PhasePolynomial.monomial(1, 0)
-    total = PhasePolynomial()
-    for word in words:
-        s = PhasePolynomial.monomial(0, 0, word.coefficient)
-        for factor in word.factors:
-            if factor == DESTROY:
-                s = s * a
-            else:
-                s = s * a_star + differentiate(s, VAR_A)
-        total = total + s
-    return total
-
-
-def differentiate(poly: PhasePolynomial, variable: str, order: int = 1) -> PhasePolynomial:
-    """Formal partial derivative, treating a and a* as independent:
-    ``d^k/da*^k a*^p a^q = p!/(p-k)! a*^(p-k) a^q``, and likewise in a."""
-    if order < 0:
+def differentiate(poly: PhasePolynomial, u: int = 0, v: int = 0) -> PhasePolynomial:
+    """Formal partial derivative d^u/da*^u d^v/da^v, treating a and a* as
+    independent: ``a*^p a^q -> p!/(p-u)! q!/(q-v)! a*^(p-u) a^(q-v)``."""
+    if u < 0 or v < 0:
         raise ValueError("derivative order must be nonnegative")
-    if variable not in (VAR_A, VAR_A_STAR):
-        raise ValueError(f"unknown variable {variable!r}")
-    star = variable == VAR_A_STAR
-    terms = {}
-    for (p, q), c in poly.coefficients.items():
-        power = p if star else q
-        if power >= order:
-            key = (p - order, q) if star else (p, q - order)
-            terms[key] = _cmul((math.perm(power, order), 0), c)
-    return PhasePolynomial(terms)
+    return PhasePolynomial({
+        (p - u, q - v): _cmul((math.perm(p, u) * math.perm(q, v), 0), c)
+        for (p, q), c in poly.coefficients.items() if p >= u and q >= v
+    })
 
 
 def _flow(symbol: PhasePolynomial, order: int = 1) -> tuple[PhasePolynomial, PhasePolynomial]:
     """Hamiltonian flow of a symbol: ``(-i d^k S/da*^k, +i d^k S/da^k)``."""
     return (
-        differentiate(symbol, VAR_A_STAR, order).scaled(-1j),
-        differentiate(symbol, VAR_A, order).scaled(1j),
+        differentiate(symbol, order).scaled(-1j),
+        differentiate(symbol, 0, order).scaled(1j),
     )
 
 
@@ -234,7 +185,7 @@ def derive_wigner_model(hamiltonian: PhasePolynomial) -> DriftDiffusionModel:
     q_max = max((q for _, q in hamiltonian.coefficients), default=0)
     wigner_symbol = PhasePolynomial()
     for w in range(min(p_max, q_max) + 1):
-        h_term = differentiate(differentiate(hamiltonian, VAR_A_STAR, w), VAR_A, w)
+        h_term = differentiate(hamiltonian, w, w)
         wigner_symbol = wigner_symbol + h_term.scaled(Fraction(-1, 2) ** w / math.factorial(w))
 
     discarded = []
@@ -244,8 +195,7 @@ def derive_wigner_model(hamiltonian: PhasePolynomial) -> DriftDiffusionModel:
                 continue
             prefactor = Fraction((-1) ** v - (-1) ** u,
                                  2 ** (u + v) * math.factorial(u) * math.factorial(v))
-            h_term = differentiate(differentiate(wigner_symbol, VAR_A_STAR, u), VAR_A, v)
-            coeff = h_term.scaled((0, prefactor))
+            coeff = differentiate(wigner_symbol, u, v).scaled((0, prefactor))
             if not coeff.is_zero():
                 discarded.append(DiscardedTerm(u, v, coeff))
 
@@ -304,8 +254,8 @@ def derive_positive_p_model(hamiltonian: PhasePolynomial) -> DriftDiffusionModel
     """
     if not is_hermitian(hamiltonian):
         raise DerivationError("Hamiltonian symbol must be Hermitian")
-    for var, label in ((VAR_A_STAR, "a*"), (VAR_A, "a")):
-        leftover = differentiate(hamiltonian, var, 3)
+    for (u, v), label in (((3, 0), "a*"), ((0, 3), "a")):
+        leftover = differentiate(hamiltonian, u, v)
         if not leftover.is_zero():
             raise DerivationError(
                 f"order-3 derivative in {label} is nonzero "
@@ -331,8 +281,8 @@ def ito_to_stratonovich(model: DriftDiffusionModel) -> DriftDiffusionModel:
     drift = model.drift
     if model.diffusion:
         drift = tuple(
-            a_j + differentiate(d_j, var).scaled(Fraction(-1, 4))
-            for a_j, d_j, var in zip(model.drift, model.diffusion, (VAR_A, VAR_A_STAR))
+            a_j + differentiate(d_j, *orders).scaled(Fraction(-1, 4))
+            for a_j, d_j, orders in zip(model.drift, model.diffusion, ((0, 1), (1, 0)))
         )
     return DriftDiffusionModel(model.variables, drift, model.diffusion, "stratonovich", model.discarded)
 
@@ -344,7 +294,7 @@ def drift_divergence(model: DriftDiffusionModel) -> PhasePolynomial:
     phase-space volume, and with it the purity functional of the
     distribution it transports.
     """
-    return differentiate(model.drift[0], VAR_A) + differentiate(model.drift[1], VAR_A_STAR)
+    return differentiate(model.drift[0], 0, 1) + differentiate(model.drift[1], 1)
 
 
 def _format_part(x, spec: str) -> str:
@@ -384,47 +334,48 @@ def render_model(model: DriftDiffusionModel) -> list[str]:
 
 def kerr_hamiltonian() -> PhasePolynomial:
     """Normal-ordered symbol of the anharmonic oscillator (n-hat squared)."""
-    word = OperatorWord((CREATE, DESTROY, CREATE, DESTROY))
-    return normal_order([word])
+    return parse_hamiltonian("ad a ad a")
 
 
-_LADDER_TOKENS = {"ad": CREATE, "a": DESTROY}
+_A, _A_STAR = PhasePolynomial.monomial(0, 1), PhasePolynomial.monomial(1, 0)
 
 
-def parse_hamiltonian(text: str) -> list[OperatorWord]:
-    """Parse `ad`/`a` product terms joined by `+`, e.g. ``ad a ad a``.
-
-    Each term may start with an integer coefficient of any size:
-    ``2 ad a + ad ad a a``.
-    """
-    words = []
+def _parse(text: str, create) -> PhasePolynomial:
+    """The sum of the `+`-joined terms of ``text``, each an optional integer
+    coefficient of any size and then `ad`/`a` tokens, read left to right into
+    a symbol S: `a` takes S to S a, `ad` to ``create(S)``."""
+    steps = {"a": lambda s: s * _A, "ad": create}
+    total = PhasePolynomial()
     for chunk in text.split("+"):
         tokens = chunk.split()
         if not tokens:
             raise ValueError("empty term in Hamiltonian expression")
         coeff = 1
-        if tokens[0] not in _LADDER_TOKENS:
+        if tokens[0] not in steps:
             try:
                 coeff = int(tokens[0])
             except ValueError:
                 raise ValueError(f"bad token {tokens[0]!r}: expected integer, 'ad' or 'a'") from None
             tokens = tokens[1:]
+        s = PhasePolynomial.monomial(0, 0, coeff)
         for tok in tokens:
-            if tok not in _LADDER_TOKENS:
+            if tok not in steps:
                 raise ValueError(f"bad token {tok!r}: expected 'ad' or 'a'")
-        words.append(OperatorWord(tuple(_LADDER_TOKENS[tok] for tok in tokens), coeff))
-    return words
+            s = steps[tok](s)
+        total = total + s
+    return total
+
+
+def parse_hamiltonian(text: str) -> PhasePolynomial:
+    """The normal-ordered symbol of `ad`/`a` product terms joined by `+`,
+    e.g. ``ad a ad a`` or ``2 ad a + ad ad a a``, by S a = a S and the
+    commutator rule S a^dag = a* S + dS/da.  A Hermitian sum of terms
+    yields a Hermitian symbol."""
+    return _parse(text, lambda s: s * _A_STAR + differentiate(s, 0, 1))
 
 
 def parse_phase_polynomial(text: str) -> PhasePolynomial:
-    """Parse the same token grammar directly as a phase-space polynomial.
-
-    Here the symbols commute: ``ad`` contributes a power of a* and ``a`` a
-    power of a, e.g. ``a`` is the monomial alpha and ``2 ad a`` is 2 a* a.
-    """
-    out = PhasePolynomial()
-    for word in parse_hamiltonian(text):
-        p = sum(1 for f in word.factors if f == CREATE)
-        q = len(word.factors) - p
-        out = out + PhasePolynomial.monomial(p, q, word.coefficient)
-    return out
+    """The same terms with the symbols commuting: ``ad`` contributes a power
+    of a* and ``a`` a power of a, e.g. ``a`` is the monomial alpha and
+    ``2 ad a`` is 2 a* a."""
+    return _parse(text, lambda s: s * _A_STAR)

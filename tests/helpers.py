@@ -21,9 +21,6 @@ from anharmonic.moments import (
     promote_normal_order,
 )
 from anharmonic.symbolic import (
-    CREATE,
-    DESTROY,
-    OperatorWord,
     PhasePolynomial,
     derive_positive_p_model,
     ito_to_stratonovich,
@@ -67,10 +64,9 @@ def conjugate_map(poly: PhasePolynomial) -> PhasePolynomial:
     return PhasePolynomial({(q, p): (re, -im) for (p, q), (re, im) in poly.coefficients.items()})
 
 
-def dagger(word: OperatorWord) -> OperatorWord:
-    """Hermitian adjoint of a ladder-operator word."""
-    swapped = tuple(CREATE if f == DESTROY else DESTROY for f in reversed(word.factors))
-    return OperatorWord(swapped, complex(word.coefficient).conjugate())
+def dagger(word: str) -> str:
+    """Hermitian adjoint of a product of `ad`/`a` tokens: reversed, each swapped."""
+    return " ".join({"ad": "a", "a": "ad"}[tok] for tok in reversed(word.split()))
 
 
 def stacked_powers(theta: float, a: np.ndarray, abar: np.ndarray | None = None,

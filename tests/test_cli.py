@@ -156,6 +156,23 @@ def test_derive_names_why_a_model_does_not_exist(capsys, hamiltonian, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("purity", "--add-drift-a", "a b"), "bad token 'b'"),
+        (("purity", "--add-drift-a", "a +"), "empty term"),
+        (("derive", "--hamiltonian", "ad a +"), "empty term"),
+    ],
+    ids=["drift-bad-token", "drift-empty-term", "hamiltonian-empty-term"],
+)
+def test_token_errors_exit_with_input_code(capsys, argv, message):
+    # the one tokenizer behind --hamiltonian and --add-drift-a names the fault
+    code, out, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_INPUT == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
 #: Beyond the float range.
 HUGE_COEFFICIENT = "1" + "0" * 399
 #: Just below the float ceiling, where the first derivative passes it.

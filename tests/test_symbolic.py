@@ -4,16 +4,7 @@ import numpy as np
 import pytest
 
 from anharmonic import symbolic as sy
-from anharmonic.symbolic import (
-    CREATE,
-    DESTROY,
-    VAR_A,
-    VAR_A_STAR,
-    DerivationError,
-    DriftDiffusionModel,
-    OperatorWord,
-    PhasePolynomial,
-)
+from anharmonic.symbolic import DerivationError, DriftDiffusionModel, PhasePolynomial
 from helpers import (
     DenseOperatorSpace,
     complex_terms,
@@ -32,54 +23,51 @@ def P(terms):
 class TestNormalOrder:
     def test_number_squared(self):
         # adag a adag a -> adag^2 a^2 + adag a, the single commutation case
-        word = OperatorWord((CREATE, DESTROY, CREATE, DESTROY))
-        assert sy.normal_order([word]) == P({(2, 2): 1, (1, 1): 1})
+        assert sy.parse_hamiltonian("ad a ad a") == P({(2, 2): 1, (1, 1): 1})
 
     def test_already_normal_ordered(self):
-        word = OperatorWord((CREATE, DESTROY))
-        assert sy.normal_order([word]) == P({(1, 1): 1})
+        assert sy.parse_hamiltonian("ad a") == P({(1, 1): 1})
 
     def test_defining_commutator(self):
-        word = OperatorWord((DESTROY, CREATE))
-        assert sy.normal_order([word]) == P({(1, 1): 1, (0, 0): 1})
+        assert sy.parse_hamiltonian("a ad") == P({(1, 1): 1, (0, 0): 1})
 
     def test_idempotent_on_normal_ordered_words(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             p, q = rng.integers(0, 4, size=2)
             coeff = complex(rng.normal(), rng.normal())
-            word = OperatorWord((CREATE,) * int(p) + (DESTROY,) * int(q), coeff)
-            assert sy.normal_order([word]) == P({(int(p), int(q)): coeff})
+            word = " ".join(["1"] + ["ad"] * int(p) + ["a"] * int(q))
+            assert sy.parse_hamiltonian(word).scaled(coeff) == P({(int(p), int(q)): coeff})
 
     def test_hermitian_input_gives_hermitian_symbol(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             n = int(rng.integers(1, 5))
-            factors = tuple(rng.choice([CREATE, DESTROY], size=n))
+            word = " ".join(rng.choice(["ad", "a"], size=n))
             coeff = complex(rng.normal(), rng.normal())
-            word = OperatorWord(factors, coeff)
-            sym = sy.normal_order([word, dagger(word)])
+            sym = (sy.parse_hamiltonian(word).scaled(coeff)
+                   + sy.parse_hamiltonian(dagger(word)).scaled(coeff.conjugate()))
             assert sy.is_hermitian(sym)
 
     def test_empty_word_is_identity(self):
-        assert sy.normal_order([OperatorWord((), 3.0)]) == P({(0, 0): 3.0})
+        assert sy.parse_hamiltonian("3") == P({(0, 0): 3.0})
 
     def test_matches_dense_ladder_matrices(self):
         # a word of L factors is exact on the Fock states n < cutoff - L of a
         # truncated space, and so is its normal-ordered form sum c adag^p a^q
         space = DenseOperatorSpace.build(14)
-        ladder = {CREATE: space.adag, DESTROY: space.a}
+        ladder = {"ad": space.adag, "a": space.a}
         rng = np.random.default_rng(28)
         for _ in range(200):
             n = int(rng.integers(0, 7))
-            word = OperatorWord(
-                tuple(rng.choice([CREATE, DESTROY], size=n)), complex(rng.normal(), rng.normal())
-            )
-            want = word.coefficient * np.eye(space.cutoff)
-            for factor in word.factors:
-                want = want @ ladder[factor]
+            tokens = list(rng.choice(["ad", "a"], size=n))
+            coeff = complex(rng.normal(), rng.normal())
+            want = coeff * np.eye(space.cutoff)
+            for tok in tokens:
+                want = want @ ladder[tok]
             got = np.zeros_like(want)
-            for (p, q), c in complex_terms(sy.normal_order([word])).items():
+            symbol = sy.parse_hamiltonian(" ".join(["1", *tokens])).scaled(coeff)
+            for (p, q), c in complex_terms(symbol).items():
                 got += c * np.linalg.matrix_power(space.adag, p) @ np.linalg.matrix_power(space.a, q)
             exact = space.cutoff - n
             np.testing.assert_allclose(got[:exact, :exact], want[:exact, :exact], rtol=0, atol=1e-10)
@@ -88,28 +76,39 @@ class TestNormalOrder:
 class TestDifferentiate:
     def test_power_rule_star(self):
         poly = P({(2, 2): 1, (1, 1): 1})
-        assert sy.differentiate(poly, VAR_A_STAR) == P({(1, 2): 2, (0, 1): 1})
+        assert sy.differentiate(poly, 1) == P({(1, 2): 2, (0, 1): 1})
 
     def test_order_zero_is_identity(self):
         poly = P({(2, 2): 1, (1, 1): 1})
-        assert sy.differentiate(poly, VAR_A, 0) == poly
+        assert sy.differentiate(poly) == poly
 
     def test_second_derivative(self):
-        assert sy.differentiate(P({(2, 2): 1}), VAR_A_STAR, 2) == P({(0, 2): 2})
+        assert sy.differentiate(P({(2, 2): 1}), 2) == P({(0, 2): 2})
 
-    @pytest.mark.parametrize("variable", [VAR_A, VAR_A_STAR])
-    def test_order_k_is_k_first_derivatives(self, variable):
+    @pytest.mark.parametrize("unit", [(0, 1), (1, 0)], ids=["a", "a*"])
+    def test_order_k_is_k_first_derivatives(self, unit):
         rng = np.random.default_rng(12)
         for _ in range(20):
             poly = random_hermitian_polynomial(rng, max_degree=6)
             repeated = poly
             for order in range(1, 5):
-                repeated = sy.differentiate(repeated, variable)
-                assert sy.differentiate(poly, variable, order) == repeated
+                repeated = sy.differentiate(repeated, *unit)
+                assert sy.differentiate(poly, order * unit[0], order * unit[1]) == repeated
+
+    def test_mixed_order_is_nested_single_derivatives_in_either_order(self):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            poly = random_hermitian_polynomial(rng, max_degree=6)
+            for u in range(4):
+                for v in range(4):
+                    mixed = sy.differentiate(poly, u, v)
+                    assert sy.differentiate(sy.differentiate(poly, u), 0, v) == mixed
+                    assert sy.differentiate(sy.differentiate(poly, 0, v), u) == mixed
 
     def test_negative_order_rejected(self):
-        with pytest.raises(ValueError):
-            sy.differentiate(P({(1, 1): 1}), VAR_A, -1)
+        for u, v in ((-1, 0), (0, -1), (-1, 2), (2, -1)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                sy.differentiate(P({(2, 2): 1}), u, v)
 
 
 class TestEvaluate:
@@ -261,12 +260,10 @@ class TestRendering:
 
 class TestParsing:
     def test_kerr_tokens(self):
-        words = sy.parse_hamiltonian("ad a ad a")
-        assert sy.normal_order(words) == sy.kerr_hamiltonian()
+        assert sy.parse_hamiltonian("ad a ad a") == sy.kerr_hamiltonian()
 
     def test_coefficients_and_sums(self):
-        words = sy.parse_hamiltonian("2 ad a + ad ad a a")
-        assert sy.normal_order(words) == P({(1, 1): 2.0, (2, 2): 1.0})
+        assert sy.parse_hamiltonian("2 ad a + ad ad a a") == P({(1, 1): 2.0, (2, 2): 1.0})
 
     def test_bad_token_rejected(self):
         with pytest.raises(ValueError, match="bad token"):
@@ -274,15 +271,15 @@ class TestParsing:
 
     def test_coefficient_beyond_float_range_parses_exactly(self):
         c = 10**399
-        assert sy.parse_hamiltonian(f"{c} ad a")[0].coefficient == c
+        assert sy.parse_hamiltonian(f"{c} ad a").coefficients == {(1, 1): (c, 0)}
         assert sy.parse_phase_polynomial(f"{c} ad a").coefficients == {(1, 1): (c, 0)}
 
     def test_coefficients_up_to_two_to_the_53(self):
         # and beyond: 2^53 + 1 is no float, and stays the integer given
         limit = 2**53
         for c in (limit, -limit, limit + 1, -limit - 1):
-            assert sy.parse_hamiltonian(f"{c} ad a")[0].coefficient == c
-            assert sy.normal_order(sy.parse_hamiltonian(f"{c} a ad")).coefficients == {
+            assert sy.parse_hamiltonian(f"{c} ad a").coefficients == {(1, 1): (c, 0)}
+            assert sy.parse_hamiltonian(f"{c} a ad").coefficients == {
                 (1, 1): (c, 0), (0, 0): (c, 0)
             }
 
@@ -298,9 +295,8 @@ class TestFiniteCoefficients:
             P({(1, 1): c})
 
     def test_non_finite_word_rejected_where_it_enters_a_symbol(self):
-        word = OperatorWord((CREATE, DESTROY), complex(np.nan, 0.0))
         with pytest.raises(ValueError, match="is not finite"):
-            sy.normal_order([word])
+            sy.parse_hamiltonian("ad a").scaled(complex(np.nan, 0.0))
 
     def test_derivation_beyond_float_range_is_exact(self):
         # the derivatives of c a*^2 a^2, c the float 1e308, pass the float
