@@ -11,10 +11,13 @@ Both ensembles have an exact flow:
   n = alpha1 alpha2* moves by one exact factor exp(sqrt(dt) (n0 xi1 + n1 xi2))
   per step, and each output takes alpha1 = alpha0 exp(c0 I + n0 W1) and
   alpha2* = conj(alpha0) exp(c1 I + n1 W2), with I = int n ds by the
-  trapezoid rule on the steps and W the Wiener paths.  The unit increments
-  xi are +-1 with equal chance, one raw bit of the chunk's stream each,
-  which suffices for weak order 1 (Kloeden & Platen 1992, sections
-  14.1-14.2): only cumulants, which are weak quantities, are estimated.
+  trapezoid rule on the steps and W the Wiener paths.  The steps are taken
+  in strides of up to four, each by one lookup of its product of step
+  factors and of their running sum (:func:`stride_tables`).  The unit
+  increments xi are +-1 with equal chance, one raw bit of the chunk's
+  stream each, which suffices for weak order 1 (Kloeden & Platen 1992,
+  sections 14.1-14.2): only cumulants, which are weak quantities, are
+  estimated.
 
 Ensembles are split into batches (the statistical unit used for error
 bars), held as one array of batch edges (:func:`batch_edges`), and batches
@@ -59,11 +62,11 @@ from .sampling import sample_wigner_coherent, stream_for_trajectory
 #: run configuration, never on the worker count.
 _CHUNK_TARGET = 8192
 
-#: Byte cap on a positive-P chunk's block of step factors, one complex128
-#: per path and step.  Memory does not grow with steps per gap, and a block
-#: (8 steps at 8192 paths) stays in a 2 MiB L2 cache while it is stepped
-#: through.  The draws do not depend on it, since each step takes whole raw
-#: words of the stream.
+#: Byte cap on a positive-P chunk's block of gathered stride entries, G and H
+#: (complex128 each) per path and stride of 4 steps.  Memory does not grow
+#: with steps per gap, and a block (16 steps at 8192 paths) stays in a 2 MiB
+#: L2 cache while it is stepped through.  The draws and the strides do not
+#: depend on it, since a block is whole strides of whole raw words.
 _NOISE_BLOCK_BYTES = 2**20
 
 #: exact_wigner_flow's outputs per anchor, and the most gap rotations it keeps.
@@ -235,44 +238,74 @@ def exact_wigner_flow(init: np.ndarray, times, thetas):
         yield z
 
 
+def stride_tables(table: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The tables (G, H) of strides of 1 to 4 steps over the step table
+    ``table`` (f), the stride length minus 1 indexing the list.
+
+    A stride's code c = sum_l d_l 4^l packs the table entry d_l of each of
+    its steps, the first lowest.  H[c] = f_0 f_1 ... f_{l-1}, multiplied in
+    step order, and G[c] = f_0 + f_0 f_1 + ... + H[c], added in step order.
+    """
+    g = h = table
+    tables = [(g, h)]
+    for _ in range(3):
+        h = (h * table[:, None]).ravel()
+        g = (g + h.reshape(4, -1)).ravel()
+        tables.append((g, h))
+    return tables
+
+
 def positive_p_pairs(alpha0: complex, grid: TimeGrid, stream, m: int):
     """Yield each output's pair (alpha1, alpha2*) of m paths, as one new (2, m)
     array, from the coherent start (alpha0, conj(alpha0)), driven by ``stream.bits``.
 
     A step's bits (b1, b2) of a path, in RandomStream.bits rows of (2, m),
     pick its factor exp(sqrt(dt) (n0 xi1 + n1 xi2)) of n, xi = 2 b - 1, as
-    entry 2 b1 + b2 of a table.  After K steps with ones_j bits b_j set,
-    I = dt (n_1 + ... + n_K + (n_0 - n_K) / 2) and W_j = sqrt(dt) (2 ones_j - K),
-    which give exactly the start at t = 0.  An overflow leaves non-finite
-    values, which the estimates refuse.
+    entry 2 b1 + b2 of a table f.  Each gap is cut into strides of 4 steps
+    from its start, and its last n_steps % 4 steps form one shorter stride;
+    a stride's code c indexes its length's :func:`stride_tables`, and it
+    takes total += n G[c], then n *= H[c].  After K steps with ones_j bits
+    b_j set, I = dt (n_1 + ... + n_K + (n_0 - n_K) / 2) and
+    W_j = sqrt(dt) (2 ones_j - K), which give exactly the start at t = 0.
+    An overflow leaves non-finite values, which the estimates refuse.
     """
     steps = grid.steps_between()
     start = np.array([[alpha0], [np.conj(alpha0)]], dtype=np.complex128)
     n_start = start[0, 0] * start[1, 0]
     root_dt = math.sqrt(grid.dt)
     sign = np.array([-1.0, 1.0])
-    table = np.exp(root_dt * (KERR_NOISE[0] * sign[:, None] + KERR_NOISE[1] * sign)).ravel()
+    tables = stride_tables(np.exp(root_dt * (KERR_NOISE[0] * sign[:, None] + KERR_NOISE[1] * sign)).ravel())
+    # the weight in a stride's code of the bits (b1, b2) of its step l: (2, 1) 4^l
+    weights = np.array([[2, 1], [8, 4], [32, 16], [128, 64]], dtype=np.uint8)
     drift = np.array(KERR_DRIFT)[:, None]
     noise = root_dt * np.array(KERR_NOISE)[:, None]
 
     n = np.full(m, n_start)
     total = np.zeros(m, dtype=np.complex128)
     ones = np.zeros((2, m), dtype=np.int64)
-    block = max(1, min(max(steps, default=0), _NOISE_BLOCK_BYTES // (16 * m)))
-    index = np.empty((block, m), dtype=np.uint8)
-    factors = np.empty((block, m), dtype=np.complex128)
+    # a block is whole strides, and at most 63 (252 steps, so uint8 holds its bit counts)
+    strides = max(1, min(-(-max(steps, default=0) // 4), 63, _NOISE_BLOCK_BYTES // (32 * m)))
+    codes = np.empty((strides, m), dtype=np.uint8)
+    gs, hs = np.empty((2, strides, m), dtype=np.complex128)
     for n_steps, k in zip(steps, itertools.accumulate(steps)):
-        for k_block in range(0, n_steps, block):
-            nb = min(block, n_steps - k_block)
+        for k_block in range(0, n_steps, 4 * strides):
+            nb = min(4 * strides, n_steps - k_block)
             bits = stream.bits(nb, 2 * m).reshape(nb, 2, m)
-            ones += bits.sum(axis=0, dtype=np.int32)
-            np.multiply(bits[:, 0], 2, out=index[:nb])
-            index[:nb] += bits[:, 1]
-            # every index lies in the table, so clipping (the fast mode) changes none
-            np.take(table, index[:nb], out=factors[:nb], mode="clip")
-            for factor in factors[:nb]:
-                n *= factor
-                total += n
+            ones += bits.sum(axis=0, dtype=np.uint8)
+            q, r = divmod(nb, 4)
+            for lo, length, count in ((0, 4, q), (4 * q, r, 1)):
+                if not length * count:
+                    continue
+                np.einsum("qljm,lj->qm", bits[lo : lo + length * count].reshape(count, length, 2, m),
+                          weights[:length], out=codes[:count], dtype=np.uint8)
+                g_table, h_table = tables[length - 1]
+                # every code lies in its table, so clipping (the fast mode) changes none
+                np.take(g_table, codes[:count], out=gs[:count], mode="clip")
+                np.take(h_table, codes[:count], out=hs[:count], mode="clip")
+                for g, h in zip(gs[:count], hs[:count]):
+                    g *= n
+                    total += g
+                    n *= h
         integral = grid.dt * (total + 0.5 * (n_start - n))
         yield start * np.exp(drift * integral + noise * (2 * ones - k))
 

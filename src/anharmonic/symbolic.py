@@ -340,27 +340,28 @@ def kerr_hamiltonian() -> PhasePolynomial:
 _A, _A_STAR = PhasePolynomial.monomial(0, 1), PhasePolynomial.monomial(1, 0)
 
 
-def _parse(text: str, create) -> PhasePolynomial:
+def _parse(text: str, create, source: str) -> PhasePolynomial:
     """The sum of the `+`-joined terms of ``text``, each an optional integer
     coefficient of any size and then `ad`/`a` tokens, read left to right into
-    a symbol S: `a` takes S to S a, `ad` to ``create(S)``."""
+    a symbol S: `a` takes S to S a, `ad` to ``create(S)``.  Errors name the
+    text as ``source``."""
     steps = {"a": lambda s: s * _A, "ad": create}
     total = PhasePolynomial()
     for chunk in text.split("+"):
         tokens = chunk.split()
         if not tokens:
-            raise ValueError("empty term in Hamiltonian expression")
+            raise ValueError(f"empty term in {source}")
         coeff = 1
         if tokens[0] not in steps:
             try:
                 coeff = int(tokens[0])
             except ValueError:
-                raise ValueError(f"bad token {tokens[0]!r}: expected integer, 'ad' or 'a'") from None
+                raise ValueError(f"bad token {tokens[0]!r} in {source}: expected integer, 'ad' or 'a'") from None
             tokens = tokens[1:]
         s = PhasePolynomial.monomial(0, 0, coeff)
         for tok in tokens:
             if tok not in steps:
-                raise ValueError(f"bad token {tok!r}: expected 'ad' or 'a'")
+                raise ValueError(f"bad token {tok!r} in {source}: expected 'ad' or 'a'")
             s = steps[tok](s)
         total = total + s
     return total
@@ -371,11 +372,11 @@ def parse_hamiltonian(text: str) -> PhasePolynomial:
     e.g. ``ad a ad a`` or ``2 ad a + ad ad a a``, by S a = a S and the
     commutator rule S a^dag = a* S + dS/da.  A Hermitian sum of terms
     yields a Hermitian symbol."""
-    return _parse(text, lambda s: s * _A_STAR + differentiate(s, 0, 1))
+    return _parse(text, lambda s: s * _A_STAR + differentiate(s, 0, 1), "Hamiltonian expression")
 
 
 def parse_phase_polynomial(text: str) -> PhasePolynomial:
     """The same terms with the symbols commuting: ``ad`` contributes a power
     of a* and ``a`` a power of a, e.g. ``a`` is the monomial alpha and
     ``2 ad a`` is 2 a* a."""
-    return _parse(text, lambda s: s * _A_STAR)
+    return _parse(text, lambda s: s * _A_STAR, "phase-polynomial expression")

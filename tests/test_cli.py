@@ -159,18 +159,22 @@ def test_derive_names_why_a_model_does_not_exist(capsys, hamiltonian, message):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("purity", "--add-drift-a", "a b"), "bad token 'b'"),
-        (("purity", "--add-drift-a", "a +"), "empty term"),
-        (("derive", "--hamiltonian", "ad a +"), "empty term"),
+        (("purity", "--add-drift-a", "a b"), "bad token 'b' in phase-polynomial expression"),
+        (("purity", "--add-drift-a", "a +"), "empty term in phase-polynomial expression"),
+        (("purity", "--add-drift-a", "x a"), "bad token 'x' in phase-polynomial expression"),
+        (("derive", "--hamiltonian", "ad a +"), "empty term in Hamiltonian expression"),
     ],
-    ids=["drift-bad-token", "drift-empty-term", "hamiltonian-empty-term"],
+    ids=["drift-bad-token", "drift-empty-term", "drift-bad-coefficient", "hamiltonian-empty-term"],
 )
 def test_token_errors_exit_with_input_code(capsys, argv, message):
-    # the one tokenizer behind --hamiltonian and --add-drift-a names the fault
+    # the one tokenizer behind --hamiltonian and --add-drift-a names the
+    # fault and the text it is in: with the valid default Hamiltonian, an
+    # error in --add-drift-a never mentions the Hamiltonian
     code, out, err = run_cli(capsys, *argv)
     assert code == cli.EXIT_INPUT == 2
     assert out == ""
     assert err.startswith("error: ") and message in err
+    assert ("Hamiltonian" in err) == (argv[1] == "--hamiltonian"), err
 
 
 #: Beyond the float range.
@@ -369,12 +373,14 @@ class TestSimulate:
 
     def test_positive_p_bytes_independent_of_threads_and_noise_block(self, tmp_path, capsys, monkeypatch):
         # three chunks of 6564, 6564 and 3282 paths: no step's 2m bits fill
-        # whole raw words, and the last run caps the noise block at 7 steps
+        # whole raw words, and the last run caps the noise block at one
+        # stride (4 steps) in the first two chunks and two in the last, so
+        # each 10-step gap is cut into blocks, its last a 2-step stride
         cfg = tmp_path / "run.cfg"
         write_config(cfg, method="PositiveP", N=1000, n_paths=16410, batches=10,
                      tau_stop=0.02, tau_points=3)
         outputs = []
-        for threads, block_bytes in (("1", None), ("2", None), ("2", 7 * 2 * 8 * 6564)):
+        for threads, block_bytes in (("1", None), ("2", None), ("2", 2 * 16 * 6564)):
             if block_bytes is not None:
                 monkeypatch.setattr(engine, "_NOISE_BLOCK_BYTES", block_bytes)
             out = tmp_path / f"pp_{len(outputs)}.csv"

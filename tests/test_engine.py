@@ -427,19 +427,68 @@ class TestMidpointStep:
 
     @pytest.mark.parametrize("n, bound", [(10.0, 1e-8), (1e3, 2e-11)])
     def test_step_solves_its_equation(self, n, bound):
-        # 1000 +-1 steps of 4096 paths, in blocks of 16 steps, and of 40
-        # paths, in one block of all 1000 (past what a uint8 bit count
-        # holds), from the coherent start stay within bound (relative) of the
-        # recursion solved in closed form on the same increments; the
-        # running product of factors gives 1.0e-13 and 2.0e-14
-        grid = grid_at(n, (1.0,), 1e-3)
+        # 1000 +-1 steps of 4096 paths, in blocks of 32 steps, and of 40
+        # paths, in blocks of 252 (the most whose bit counts a uint8 holds),
+        # from the coherent start, and the outputs after gaps of 1, 2, 3, 5,
+        # 7 and 250 steps (each gap's last stride 1, 2, 3, 1, 3 and 2 steps
+        # long), stay within bound (relative) of the recursion solved in
+        # closed form on the same increments; the 1000 steps give 5.6e-14
+        # and 2.3e-14
+        gaps = (1, 2, 3, 5, 7, 250)
+        grids = (grid_at(n, (1.0,), 1e-3),
+                 grid_at(n, tuple(1e-3 * k for k in itertools.accumulate(gaps)), 1e-3))
+        assert grids[1].steps_between() == list(gaps)
         a0 = math.sqrt(n)
-        for m in (4096, 40):
-            ((a, b),) = positive_p_pairs(a0, grid, stream_for_trajectory(1, 0), m)
-            ((ra, rb),) = closed_form_flow(a0, grid, stream_for_trajectory(1, 0), m)
-            assert np.isfinite(ra).all() and np.isfinite(rb).all()
-            assert np.max(np.abs(a - ra) / np.abs(ra)) <= bound, m
-            assert np.max(np.abs(b - rb) / np.abs(rb)) <= bound, m
+        for grid, m in itertools.product(grids, (4096, 40)):
+            flows = (flow(a0, grid, stream_for_trajectory(1, 0), m)
+                     for flow in (positive_p_pairs, closed_form_flow))
+            for k, (got, want) in enumerate(zip(*flows)):
+                assert np.isfinite(want).all()
+                assert np.max(np.abs(got - want) / np.abs(want)) <= bound, (grid.taus[k], m)
+
+    @pytest.mark.parametrize("table", [
+        np.exp(math.sqrt(1e-3) * (engine.KERR_NOISE[0] * np.array([-1, -1, 1, 1])
+                                  + engine.KERR_NOISE[1] * np.array([-1, 1, -1, 1]))),
+        np.array([1, 1j]) @ np.random.default_rng(3).normal(size=(2, 4)),
+    ], ids=["kerr", "random"])
+    def test_stride_tables_are_step_by_step_products_and_sums(self, table):
+        # entry c of a stride's tables, for each length 1 to 4, equals bit
+        # for bit the product of the step factors table[d_l] it codes, d_l
+        # = (c >> 2 l) & 3, taken one step at a time, and the running sum
+        # of those products, in the flow's array arithmetic
+        tables = engine.stride_tables(table)
+        assert len(tables) == 4
+        for length, (g, h) in enumerate(tables, start=1):
+            assert g.shape == h.shape == (4**length,)
+            for c in range(4**length):
+                digits = [(c >> 2 * l) & 3 for l in range(length)]
+                product = table[digits[:1]]
+                running = product
+                for d in digits[1:]:
+                    product = product * table[[d]]
+                    running = running + product
+                assert h[c] == product[0] and g[c] == running[0], (length, c)
+
+    def test_counts_are_the_bit_sums(self, monkeypatch):
+        # with the drift off, alpha1 = alpha0 exp(n0 W1) and alpha2* =
+        # conj(alpha0) exp(n1 W2), W_j = sqrt(dt) (2 ones_j - K): the counts
+        # read back from each output equal the set bits of the frozen paths
+        # (one path all +1 and one all -1 among them), over gaps of 1, 3,
+        # 4 and 600 steps (600 set bits in a gap, past a uint8, counted in
+        # blocks of at most 252)
+        monkeypatch.setattr(engine, "KERR_DRIFT", (0j, 0j))
+        gaps = (1, 3, 4, 600)
+        dt = 1e-3
+        grid = grid_at(1.0, tuple(dt * k for k in itertools.accumulate(gaps)), dt)
+        signs = np.random.default_rng(5).choice(np.array([-1, 1]), size=(sum(gaps), 2, 6))
+        signs[:, :, 0], signs[:, :, 1] = 1, -1
+        a0 = 0.8 + 0.3j
+        start = np.array([[a0], [np.conj(a0)]])
+        rates = np.array(engine.KERR_NOISE).real[:, None] * math.sqrt(dt)
+        outputs = positive_p_pairs(a0, grid, FrozenSigns(signs), 6)
+        for k, pair in zip(itertools.accumulate(gaps), outputs):
+            counts = np.rint((np.log(np.abs(pair / start)) / rates + k) / 2)
+            assert np.array_equal(counts, (signs[:k] > 0).sum(axis=0)), k
 
     def test_ensemble_follows_the_converged_step(self, monkeypatch):
         # N = 10 to tau = 3: with the closed-form recursion in place of the
@@ -711,8 +760,9 @@ class TestPositivePEnsemble:
             return run_positive_p(math.sqrt(n), grid, 200, 10, seed=4)
 
         whole = run()
-        # one 200-path chunk, capped at 7 steps per block: 8 blocks, the last short
-        monkeypatch.setattr(engine, "_NOISE_BLOCK_BYTES", 7 * 2 * 8 * 200)
+        # one 200-path chunk, capped at two strides (8 steps, a G and an H
+        # entry per path and stride) per block: 7 blocks, the last short
+        monkeypatch.setattr(engine, "_NOISE_BLOCK_BYTES", 2 * 2 * 16 * 200)
         sizes = []
         bits = RandomStream.bits
 
@@ -722,7 +772,7 @@ class TestPositivePEnsemble:
 
         monkeypatch.setattr(RandomStream, "bits", spy)
         assert_same_accumulators(run(), whole)
-        assert sizes == [14 * 200] * 7 + [2 * 200]
+        assert sizes == [16 * 200] * 6 + [4 * 200]
 
     def test_seed_changes_results(self):
         n = 1000.0
@@ -1069,12 +1119,13 @@ class TestMemoryBound:
     def test_positive_p_noise_block(self):
         # one output gap of 2000 steps: a whole-gap block of step factors
         # would be 62.5 MiB at 2048 paths, but the chunk holds one L2-sized
-        # block of 1 MiB, with its unpacked bits and table indices (3/16 of
+        # block of 1 MiB of gathered stride entries (G and H for 16 strides
+        # of 4 steps), with its unpacked bits and stride codes (9/32 of
         # it).  Beside them live arrays of the size of an (m,) complex one
         # (32 KiB at this m): n, the running sum, the bit counts, the draw's
         # raw words, the output's (2, m) exponent terms and pair (about
-        # eight at once) and the (4, m) power block; 27 were measured, and
-        # the bound allows 32.
+        # eight at once) and the (4, m) power block; 20 were measured, and
+        # the bound (19/16 MiB and 32 such arrays) leaves room for 29.
         grid = grid_at(1000.0, (0.0, 2.0), 1e-3)
 
         def run(m):
